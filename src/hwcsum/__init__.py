@@ -15,6 +15,7 @@ from .harness import ExperimentConfig, run_experiment, sweep_vocab
 from .model import (
     ModelConfig,
     ModelParams,
+    batch_loss,
     beam_search,
     greedy_decode,
     load_checkpoint,
@@ -63,6 +64,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "sequence_loss",
+    "batch_loss",
     "train",
     "greedy_decode",
     "beam_search",

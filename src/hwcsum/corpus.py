@@ -206,7 +206,13 @@ def write_lcsts(corpus: CorpusPart, stream):
         stream.write("</doc>\n")
 
 
+def _json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_jsonl(stream, part: str = "I") -> CorpusPart:
+    """Read the JSONL interchange format; any bad record raises ParseError
+    naming its line."""
     pairs = []
     for line_no, line in enumerate(stream, start=1):
         if isinstance(line, bytes):
@@ -217,13 +223,28 @@ def read_jsonl(stream, part: str = "I") -> CorpusPart:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {line_no}: expected a JSON object")
+        missing = [k for k in ("id", "text", "summary") if k not in obj]
+        if missing:
+            raise ParseError(f"line {line_no}: missing field(s) {', '.join(missing)}")
+        if not _json_int(obj["id"]):
+            raise ParseError(f"line {line_no}: id {obj['id']!r} is not an integer")
+        label = obj.get("label")
+        if label is not None and not _json_int(label):
+            raise ParseError(f"line {line_no}: label {label!r} is not an integer")
+        if not isinstance(obj["text"], str) or not isinstance(obj["summary"], str):
+            raise ParseError(f"line {line_no}: text and summary must be strings")
         pair = DocumentPair(
-            id=int(obj["id"]),
+            id=obj["id"],
             short_text=normalize_text(obj["text"]),
             summary=normalize_text(obj["summary"]),
-            human_label=obj.get("label"),
+            human_label=label,
         )
-        pair.validate()
+        try:
+            pair.validate()
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
         pairs.append(pair)
     return CorpusPart(part, pairs)
 
@@ -262,6 +283,8 @@ def split_train_validation(corpus: CorpusPart, spec: SplitSpec):
     corpus order. Fully determined by (input order, seed).
     """
     n = len(corpus.pairs)
+    if spec.n_validation < 0:
+        raise ValueError(f"n_validation must be >= 0, got {spec.n_validation}")
     if spec.n_validation >= n:
         raise ValueError(
             f"n_validation={spec.n_validation} must be smaller than the corpus size {n}"

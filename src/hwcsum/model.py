@@ -8,7 +8,9 @@ bilinear score, and predicts through an attentional hidden layer
     comb = tanh(W_c [context; hidden]),  logits = comb W_out.
 
 The decoder state carried between steps is the cell hidden, not the
-attentional hidden. Dropout sits on embedding outputs and on comb.
+attentional hidden, so the decoder recurrence is the cell alone and the
+attention and output layers run over all decoder steps at once. Dropout
+sits on embedding outputs and on comb.
 Whether the source side is word ids or char ids is the caller's
 business; the model only sees id sequences.
 """
@@ -78,42 +80,178 @@ def init_params(config: ModelConfig, rng: MT19937 | None = None) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def _cell(tape: Tape, params: ModelParams, side: str, x: Tensor, h: Tensor) -> Tensor:
-    # z = update gate, r = reset gate, candidate via tanh
+# ---- the matrix-shaped core ---------------------------------------------------
+#
+# Sequences run time-major: ids (T, B), masks (T, B) with 1 on real
+# positions, activations (T, B, dim). Every function below works on a
+# whole batch; the public batch-of-one functions further down wrap them.
+
+
+def _cells(tape: Tape, params: ModelParams) -> dict:
+    """Each side's cell weights fused per gate set: [Wz|Wr|Wh], [Uz|Ur|Uh], [bz|br|bh]."""
     p = params.tensors
-    z = tape.sigmoid(tape.add(tape.add(tape.matmul(x, p[f"{side}_wz"]),
-                                       tape.matmul(h, p[f"{side}_uz"])), p[f"{side}_bz"]))
-    r = tape.sigmoid(tape.add(tape.add(tape.matmul(x, p[f"{side}_wr"]),
-                                       tape.matmul(h, p[f"{side}_ur"])), p[f"{side}_br"]))
-    cand = tape.tanh(tape.add(tape.add(tape.matmul(x, p[f"{side}_wh"]),
-                                       tape.matmul(tape.mul(r, h), p[f"{side}_uh"])), p[f"{side}_bh"]))
-    return tape.add(tape.mul(z, h), tape.mul(tape.one_minus(z), cand))
+    return {side: [tape.concat(*(p[f"{side}_{m}{g}"] for g in "zrh")) for m in "wub"]
+            for side in ("enc", "dec")}
+
+
+def _gru(tape: Tape, cell, x: Tensor, h0: Tensor, mask) -> Tensor:
+    # one GEMM projects every step's input; only the recurrence stays in the loop
+    w, u, b = cell
+    return tape.gru(tape.matmul(x, w), u, b, h0, mask)
+
+
+def _encode(tape: Tape, params: ModelParams, cells, src, src_mask, drop=None):
+    """Encoder states (T, B, H) and final states (B, H) of padded source ids."""
+    x = tape.embedding_lookup(params["src_emb"], src)
+    if drop is not None:
+        x = tape.scale(x, drop)
+    h0 = Tensor(np.zeros((src.shape[1], params.config.hidden_dim)))
+    states = _gru(tape, cells["enc"], x, h0, src_mask)
+    return states, tape.embedding_lookup(states, src.shape[0] - 1)
+
+
+def _attend(tape: Tape, dec_h: Tensor, enc: Tensor, params: ModelParams, src_mask=None):
+    # bilinear score s_i = dec_h^T W enc_i, then a softmax-weighted sum over
+    # the real source positions; dec_h (Td, B, H), enc (Ts, B, H)
+    q = tape.matmul(dec_h, params["att_w"])
+    scores = tape.einsum("tbh,sbh->tbs", q, enc)
+    weights = tape.softmax(scores, None if src_mask is None else src_mask.T[None].astype(bool))
+    return tape.einsum("tbs,sbh->tbh", weights, enc), weights
+
+
+def _decode(tape: Tape, params: ModelParams, cells, prev, state: Tensor, enc: Tensor,
+            src_mask=None, tgt_mask=None, drop_emb=None, drop_comb=None):
+    """Teacher-forced decoder over input ids prev (Td, B) from state (B, H).
+
+    Returns (logits (Td, B, V), decoder states (Td, B, H), attention
+    weights (Td, B, Ts)).
+    """
+    x = tape.embedding_lookup(params["tgt_emb"], prev)
+    if drop_emb is not None:
+        x = tape.scale(x, drop_emb)
+    if tgt_mask is None:
+        tgt_mask = np.ones(prev.shape)
+    h = _gru(tape, cells["dec"], x, state, tgt_mask)
+    context, weights = _attend(tape, h, enc, params, src_mask)
+    comb = tape.tanh(tape.matmul(tape.concat(context, h), params["comb_w"]))
+    if drop_comb is not None:
+        comb = tape.scale(comb, drop_comb)
+    return tape.matmul(comb, params["out_w"]), h, weights
+
+
+def _pad(seqs):
+    """Time-major (T, B) matrix of padded id lists and its 0/1 mask."""
+    ids = np.zeros((max(len(s) for s in seqs), len(seqs)), dtype=np.int64)
+    mask = np.zeros(ids.shape)
+    for b, s in enumerate(seqs):
+        ids[:len(s), b] = s
+        mask[:len(s), b] = 1.0
+    return ids, mask
+
+
+def _dropout_masks(rng: MT19937, rate: float, src_lens, dec_lens, e: int, h: int):
+    """Inverted-dropout masks for the encoder inputs, decoder inputs and comb.
+
+    The draws run example by example in batch order; within an example
+    the encoder steps come first, then for each decoder step its
+    embedding mask followed by its comb mask. Padded positions get no
+    draw (their mask is 0).
+    """
+    keep = 1.0 - rate
+    sizes = [ls * e + ld * (e + h) for ls, ld in zip(src_lens, dec_lens)]
+    drawn = np.where(rng.uniform_array(sum(sizes), 0.0, 1.0) < keep, 1.0 / keep, 0.0)
+    enc = np.zeros((max(src_lens), len(sizes), e))
+    emb = np.zeros((max(dec_lens), len(sizes), e))
+    comb = np.zeros((max(dec_lens), len(sizes), h))
+    start = 0
+    for b, (ls, ld) in enumerate(zip(src_lens, dec_lens)):
+        enc[:ls, b] = drawn[start:start + ls * e].reshape(ls, e)
+        dec = drawn[start + ls * e:start + sizes[b]].reshape(ld, e + h)
+        emb[:ld, b] = dec[:, :e]
+        comb[:ld, b] = dec[:, e:]
+        start += sizes[b]
+    return enc, emb, comb
+
+
+def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | None = None,
+               training: bool = False, rng: MT19937 | None = None) -> Tensor:
+    """Mean over the pairs of each pair's teacher-forced mean token
+    cross-entropy over tgt_ids[1:], in one padded, masked pass."""
+    tape = tape if tape is not None else Tape(recording=False)
+    if not pairs:
+        raise ValueError("batch_loss needs at least one pair")
+    if any(not p.src_ids for p in pairs):
+        raise ValueError("cannot encode an empty source sequence")
+    if any(len(p.tgt_ids) < 2 for p in pairs):
+        raise ValueError("a target needs at least one token after <s>")
+    cfg = params.config
+    src, src_mask = _pad([p.src_ids for p in pairs])
+    tgt, tgt_mask = _pad([p.tgt_ids for p in pairs])
+    drop = [None] * 3
+    if training and cfg.dropout > 0.0:
+        drop = _dropout_masks(rng, cfg.dropout, [len(p.src_ids) for p in pairs],
+                              [len(p.tgt_ids) - 1 for p in pairs],
+                              cfg.embed_dim, cfg.hidden_dim)
+    cells = _cells(tape, params)
+    enc, final = _encode(tape, params, cells, src, src_mask, drop[0])
+    out_mask = tgt_mask[1:]
+    logits, _, _ = _decode(tape, params, cells, tgt[:-1], final, enc, src_mask, out_mask,
+                           drop[1], drop[2])
+    weights = out_mask / (out_mask.sum(axis=0) * len(pairs))
+    return tape.nll(logits, tgt[1:], weights)
+
+
+def _decoder(src_ids, params: ModelParams):
+    """Encode src_ids once for inference; returns (step, start state (1, H)).
+
+    step(prev_ids, states) advances k hypotheses over that source at once:
+    the last token of each and their states (k, H) give log-prob rows
+    (k, V) and the new states (k, H).
+    """
+    if not src_ids:
+        raise ValueError("cannot encode an empty source sequence")
+    tape = Tape(recording=False)
+    cells = _cells(tape, params)
+    src, mask = _pad([src_ids])
+    enc, final = _encode(tape, params, cells, src, mask)
+    ts, _, h = enc.data.shape
+
+    def step(prev_ids, states):
+        enc_k = Tensor(np.broadcast_to(enc.data, (ts, len(prev_ids), h)))
+        logits, new, _ = _decode(tape, params, cells, np.asarray(prev_ids)[None],
+                                 Tensor(states), enc_k)
+        return tape.log_softmax(logits).data[0], new.data[0]
+
+    return step, final.data
+
+
+# ---- batch-of-one interface --------------------------------------------------
 
 
 def encode_sequence(src_ids, params: ModelParams, *, tape: Tape | None = None,
                     training: bool = False, rng: MT19937 | None = None):
-    """Run the encoder cell left to right; returns (states, final_state)."""
+    """Run the encoder cell left to right; returns (states, final_state).
+
+    states is a list with one (H,) tensor per source position.
+    """
     if not src_ids:
         raise ValueError("cannot encode an empty source sequence")
     tape = tape if tape is not None else Tape(recording=False)
     cfg = params.config
-    h = Tensor(np.zeros(cfg.hidden_dim))
-    states = []
-    for i in src_ids:
-        x = tape.embedding_lookup(params["src_emb"], i)
-        x = tape.dropout(x, cfg.dropout, rng, training)
-        h = _cell(tape, params, "enc", x, h)
-        states.append(h)
+    src, mask = _pad([src_ids])
+    drop = None
+    if training and cfg.dropout > 0.0:
+        drop, _, _ = _dropout_masks(rng, cfg.dropout, [len(src_ids)], [0], cfg.embed_dim, 0)
+    enc, _ = _encode(tape, params, _cells(tape, params), src, mask, drop)
+    flat = tape.reshape(enc, (len(src_ids), cfg.hidden_dim))
+    states = [tape.embedding_lookup(flat, i) for i in range(len(src_ids))]
     return states, states[-1]
 
 
-def _attend(tape: Tape, dec_h: Tensor, enc_mat: Tensor, params: ModelParams):
-    # bilinear score s_i = dec_h^T W enc_i, then a softmax-weighted sum
-    q = tape.matmul(dec_h, params["att_w"])
-    scores = tape.matmul(enc_mat, q)
-    weights = tape.softmax(scores)
-    context = tape.matmul(weights, enc_mat)
-    return context, weights
+def _as_source(tape: Tape, encoder_states) -> Tensor:
+    # a list of (H,) states or a stacked (Ts, H) tensor -> (Ts, 1, H)
+    enc = tape.stack(encoder_states) if isinstance(encoder_states, list) else encoder_states
+    return tape.reshape(enc, (enc.data.shape[0], 1, enc.data.shape[1]))
 
 
 def attention(decoder_hidden: Tensor, encoder_states: list[Tensor], params: ModelParams,
@@ -122,19 +260,10 @@ def attention(decoder_hidden: Tensor, encoder_states: list[Tensor], params: Mode
     if not encoder_states:
         raise ValueError("attention needs at least one encoder state")
     tape = tape if tape is not None else Tape(recording=False)
-    return _attend(tape, decoder_hidden, tape.stack(encoder_states), params)
-
-
-def _project(tape, prev_id, state, enc_mat, params, training, rng):
-    cfg = params.config
-    x = tape.embedding_lookup(params["tgt_emb"], prev_id)
-    x = tape.dropout(x, cfg.dropout, rng, training)
-    h = _cell(tape, params, "dec", x, state)
-    context, weights = _attend(tape, h, enc_mat, params)
-    comb = tape.tanh(tape.matmul(tape.concat(context, h), params["comb_w"]))
-    comb = tape.dropout(comb, cfg.dropout, rng, training)
-    logits = tape.matmul(comb, params["out_w"])
-    return logits, h, weights
+    enc = _as_source(tape, encoder_states)
+    h = tape.reshape(decoder_hidden, (1, 1, -1))
+    context, weights = _attend(tape, h, enc, params)
+    return tape.reshape(context, (-1,)), tape.reshape(weights, (-1,))
 
 
 def decode_step(prev_id: int, decoder_state: Tensor, encoder_states, params: ModelParams,
@@ -142,29 +271,25 @@ def decode_step(prev_id: int, decoder_state: Tensor, encoder_states, params: Mod
                 rng: MT19937 | None = None):
     """One decoder step: (log-prob row, new state, attention weights)."""
     tape = tape if tape is not None else Tape(recording=False)
-    enc_mat = tape.stack(encoder_states) if isinstance(encoder_states, list) else encoder_states
-    logits, h, weights = _project(tape, prev_id, decoder_state, enc_mat, params, training, rng)
-    return tape.log_softmax(logits), h, weights
+    cfg = params.config
+    enc = _as_source(tape, encoder_states)
+    drop = [None, None, None]
+    if training and cfg.dropout > 0.0:
+        drop = _dropout_masks(rng, cfg.dropout, [0], [1], cfg.embed_dim, cfg.hidden_dim)
+    state = tape.reshape(decoder_state, (1, -1))
+    logits, h, weights = _decode(tape, params, _cells(tape, params), np.array([[prev_id]]),
+                                 state, enc, drop_emb=drop[1], drop_comb=drop[2])
+    logits = tape.reshape(logits, (-1,))
+    return tape.log_softmax(logits), tape.reshape(h, (-1,)), tape.reshape(weights, (-1,))
 
 
 def sequence_loss(pair: EncodedPair, params: ModelParams, *, tape: Tape | None = None,
                   training: bool = False, rng: MT19937 | None = None) -> Tensor:
     """Teacher-forced mean token cross-entropy over tgt_ids[1:]."""
-    tape = tape if tape is not None else Tape(recording=False)
-    states, final = encode_sequence(pair.src_ids, params, tape=tape, training=training, rng=rng)
-    enc_mat = tape.stack(states)
-    state = final
-    losses = []
-    for t in range(1, len(pair.tgt_ids)):
-        logits, state, _ = _project(tape, pair.tgt_ids[t - 1], state, enc_mat, params, training, rng)
-        probs = tape.softmax(logits)
-        losses.append(tape.cross_entropy(probs, pair.tgt_ids[t]))
-    return tape.mean_scalars(losses)
+    return batch_loss([pair], params, tape=tape, training=training, rng=rng)
 
 
-def _np_log_softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max()
-    return z - np.log(np.exp(z).sum())
+# ---- decoding ----------------------------------------------------------------
 
 
 def greedy_decode(src_ids, params: ModelParams, max_len: int | None = None):
@@ -175,17 +300,14 @@ def greedy_decode(src_ids, params: ModelParams, max_len: int | None = None):
     returned ids.
     """
     max_len = params.config.max_decode_len if max_len is None else max_len
-    tape = Tape(recording=False)
-    states, final = encode_sequence(src_ids, params, tape=tape)
-    enc_mat = tape.stack(states)
-    state, prev = final, BOS
+    step, state = _decoder(src_ids, params)
+    prev = BOS
     out: list[int] = []
     total = 0.0
     for _ in range(max_len):
-        logits, state, _ = _project(tape, prev, state, enc_mat, params, False, None)
-        lp = _np_log_softmax(logits.data)
-        tid = int(np.argmax(lp))
-        total += float(lp[tid])
+        lp, state = step([prev], state)
+        tid = int(np.argmax(lp[0]))
+        total += float(lp[0, tid])
         if tid == EOS:
             break
         out.append(tid)
@@ -199,41 +321,49 @@ class Hypothesis:
 
     token_ids: list[int]
     log_prob: float
-    state: Tensor | None
+    state: Tensor | None = None
 
 
-def _beam(step_fn, vocab_size: int, beam_width: int, max_len: int,
-          init_state: Tensor) -> Hypothesis:
+def _beam(step_fn, vocab_size: int, beam_width: int, max_len: int, init_state) -> Hypothesis:
+    """Beam search over a batched step function.
+
+    step_fn(prev_ids, states) takes the last token of each live
+    hypothesis and their states stacked along the first axis, and returns
+    (log-prob rows (k, V), new states stacked the same way).
+    """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    live = [Hypothesis([BOS], 0.0, init_state)]
+    live = [Hypothesis([BOS], 0.0)]
+    states = init_state
     finalized: list[tuple[float, list[int]]] = []
     for _ in range(max_len):
         if not live or len(finalized) >= beam_width:
             break
+        lp, new_states = step_fn([hyp.token_ids[-1] for hyp in live], states)
+        if vocab_size <= beam_width:
+            chosen = np.broadcast_to(np.arange(vocab_size), (len(live), vocab_size))
+        else:
+            # stable sort keeps ascending id order among ties
+            chosen = np.argsort(-lp, axis=1, kind="stable")[:, :beam_width]
         candidates = []
-        for hyp in live:
-            lp_row, new_state = step_fn(hyp.token_ids[-1], hyp.state)
-            if vocab_size <= beam_width:
-                chosen = range(vocab_size)
-            else:
-                # stable sort keeps ascending id order among ties
-                chosen = np.argsort(-lp_row, kind="stable")[:beam_width]
-            for tid in chosen:
+        for row, hyp in enumerate(live):
+            for tid in chosen[row]:
                 tid = int(tid)
                 candidates.append(
-                    (hyp.log_prob + float(lp_row[tid]), hyp.token_ids + [tid], new_state))
+                    (hyp.log_prob + float(lp[row, tid]), hyp.token_ids + [tid], row))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for score, ids, st in candidates[:beam_width]:
+        live, rows = [], []
+        for score, ids, row in candidates[:beam_width]:
             if ids[-1] == EOS:
                 finalized.append((score, ids))
             else:
-                live.append(Hypothesis(ids, score, st))
+                live.append(Hypothesis(ids, score))
+                rows.append(row)
+        states = new_states[rows]
     # hypotheses still live at the length cutoff compete as they stand
     finalized.extend((h.log_prob, h.token_ids) for h in live)
     score, ids = min(finalized, key=lambda f: (-f[0], f[1]))
-    return Hypothesis(ids, score, None)
+    return Hypothesis(ids, score)
 
 
 def beam_search_full(src_ids, params: ModelParams, beam_width: int,
@@ -241,18 +371,12 @@ def beam_search_full(src_ids, params: ModelParams, beam_width: int,
     """Beam search returning the winning hypothesis with its log-prob.
 
     No length normalization; score ties break toward the
-    lexicographically smaller token id sequence.
+    lexicographically smaller token id sequence. All live hypotheses
+    advance together as one batch.
     """
     max_len = params.config.max_decode_len if max_len is None else max_len
-    tape = Tape(recording=False)
-    states, final = encode_sequence(src_ids, params, tape=tape)
-    enc_mat = tape.stack(states)
-
-    def step(prev_id, state):
-        logits, h, _ = _project(tape, prev_id, state, enc_mat, params, False, None)
-        return _np_log_softmax(logits.data), h
-
-    return _beam(step, params.config.tgt_vocab_size, beam_width, max_len, final)
+    step, state = _decoder(src_ids, params)
+    return _beam(step, params.config.tgt_vocab_size, beam_width, max_len, state)
 
 
 def beam_search(src_ids, params: ModelParams, beam_width: int,
@@ -272,10 +396,10 @@ def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,
 
     One MT19937 session stream seeded from config.seed drives parameter
     init, the per-epoch shuffle, and dropout masks, so a run is fully
-    reproducible. A mini-batch is gradient accumulation over its
-    examples (mean of per-example gradients) followed by one Adagrad
-    step. When a validation set is given, the best-validation-loss
-    parameters are kept and returned; otherwise the final ones.
+    reproducible. A mini-batch is one padded, masked pass whose loss is
+    the mean of its examples' losses, followed by one Adagrad step.
+    When a validation set is given, the best-validation-loss parameters
+    are kept and returned; otherwise the final ones.
     """
     if not pairs:
         raise ValueError("training needs at least one pair")
@@ -290,30 +414,27 @@ def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,
         t0 = time.perf_counter()
         order = list(range(len(pairs)))
         rng.shuffle(order)
-        epoch_losses = []
+        loss_sum = 0.0
         for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
+            batch = [pairs[i] for i in order[start:start + batch_size]]
             opt.zero_grad()
-            for idx in batch:
-                tape = Tape()
-                loss = sequence_loss(pairs[idx], params, tape=tape, training=True, rng=rng)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise RuntimeError(
-                        f"training diverged: loss={value} at epoch {epoch}, pair index {idx}")
-                tape.backward(loss)
-                epoch_losses.append(value)
-            for p in params.tensors.values():
-                if p.grad is not None:
-                    p.grad /= len(batch)
+            tape = Tape()
+            loss = batch_loss(batch, params, tape=tape, training=True, rng=rng)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise RuntimeError(
+                    f"training diverged: loss={value} at epoch {epoch}, "
+                    f"batch starting at position {start}")
+            tape.backward(loss)
+            loss_sum += value * len(batch)
             opt.step()
         entry = {
             "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
+            "train_loss": loss_sum / len(pairs),
             "seconds": time.perf_counter() - t0,
         }
         if valid_pairs:
-            vloss = float(np.mean([float(sequence_loss(p, params).data) for p in valid_pairs]))
+            vloss = _mean_loss(valid_pairs, params, batch_size)
             entry["valid_loss"] = vloss
             if vloss < best_loss:
                 best_loss = vloss
@@ -325,6 +446,15 @@ def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,
     if valid_pairs and best_params is not None:
         return best_params, history
     return params, history
+
+
+def _mean_loss(pairs: list[EncodedPair], params: ModelParams, batch_size: int) -> float:
+    """Mean per-pair loss, evaluated batch_size pairs at a time."""
+    total = 0.0
+    for start in range(0, len(pairs), batch_size):
+        batch = pairs[start:start + batch_size]
+        total += float(batch_loss(batch, params).data) * len(batch)
+    return total / len(pairs)
 
 
 CHECKPOINT_VERSION = 1

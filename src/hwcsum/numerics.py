@@ -3,8 +3,10 @@
 Every operation goes through a Tape. The tape appends one backward
 closure per op in creation order, which is already topological, so
 ``backward`` simply replays the list in reverse and accumulates
-gradients additively into ``Tensor.grad``. A non-recording tape turns
-the same code paths into plain forward evaluation.
+gradients additively into ``Tensor.grad``. Each closure is released as
+soon as it has run, so the memory a forward pass holds falls during
+the backward pass and a tape is replayed once. A non-recording tape
+turns the same code paths into plain forward evaluation.
 """
 
 import math
@@ -67,8 +69,14 @@ class Tape:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if not self.recording:
             raise ValueError("backward on a non-recording tape")
+        if self.nodes and self.nodes[-1] is None:
+            raise ValueError("backward: this tape was already replayed")
         _accum(loss, np.ones_like(loss.data))
-        for fn in reversed(self.nodes):
+        nodes = self.nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            # dropping the closure frees what only its gradient needed;
+            # the slot stays, so len(nodes) still counts the recorded ops
+            fn, nodes[i] = nodes[i], None
             fn()
         if params is not None:
             for p in params:
@@ -78,33 +86,52 @@ class Tape:
     # ---- primitives ------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
+        """a @ b for a (..., K) @ (K, N): a vector, a matrix or a batch of them."""
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 2:
-            if ad.shape[0] != bd.shape[0]:
-                raise ValueError(f"matmul: shape mismatch {ad.shape} vs {bd.shape}")
-        elif ad.ndim == 2 and bd.ndim == 1:
-            if ad.shape[1] != bd.shape[0]:
-                raise ValueError(f"matmul: shape mismatch {ad.shape} vs {bd.shape}")
-        elif ad.ndim == 2 and bd.ndim == 2:
-            if ad.shape[1] != bd.shape[0]:
-                raise ValueError(f"matmul: shape mismatch {ad.shape} vs {bd.shape}")
-        else:
-            raise ValueError(f"matmul: unsupported ranks {ad.shape} vs {bd.shape}")
+        if ad.ndim == 0 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
+            raise ValueError(f"matmul: shape mismatch {ad.shape} vs {bd.shape}")
         out = Tensor(ad @ bd)
 
         def backward():
             g = out.grad
             if g is None:
                 return
-            if ad.ndim == 1 and bd.ndim == 2:
-                _accum(a, bd @ g)
-                _accum(b, np.outer(ad, g))
-            elif ad.ndim == 2 and bd.ndim == 1:
-                _accum(a, np.outer(g, bd))
-                _accum(b, ad.T @ g)
-            else:
-                _accum(a, g @ bd.T)
-                _accum(b, ad.T @ g)
+            _accum(a, g @ bd.T)
+            _accum(b, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
+
+        self._emit(backward)
+        return out
+
+    def einsum(self, spec: str, a: Tensor, b: Tensor) -> Tensor:
+        """Two-operand np.einsum, e.g. "tbh,sbh->tbs" (batched products).
+
+        Every index of an operand must also appear in the other operand
+        or in the output, so that each gradient is itself an einsum.
+        """
+        ins, out_sub = spec.replace(" ", "").split("->")
+        sa, sb = ins.split(",")
+        if set(sa) - set(sb + out_sub) or set(sb) - set(sa + out_sub):
+            raise ValueError(f"einsum: {spec!r} sums an index within one operand")
+        out = Tensor(np.einsum(spec, a.data, b.data))
+
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            _accum(a, np.einsum(f"{out_sub},{sb}->{sa}", g, b.data))
+            _accum(b, np.einsum(f"{sa},{out_sub}->{sb}", a.data, g))
+
+        self._emit(backward)
+        return out
+
+    def reshape(self, a: Tensor, shape) -> Tensor:
+        out = Tensor(a.data.reshape(shape))
+
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            _accum(a, g.reshape(a.data.shape))
 
         self._emit(backward)
         return out
@@ -138,7 +165,8 @@ class Tape:
         self._emit(backward)
         return out
 
-    def scale(self, a: Tensor, k: float) -> Tensor:
+    def scale(self, a: Tensor, k) -> Tensor:
+        """a * k for a constant k: a float, or an array of a's shape (a mask)."""
         out = Tensor(a.data * k)
 
         def backward():
@@ -188,18 +216,20 @@ class Tape:
         self._emit(backward)
         return out
 
-    def concat(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.ndim != 1 or b.data.ndim != 1:
-            raise ValueError(f"concat: expected vectors, got {a.data.shape} and {b.data.shape}")
-        out = Tensor(np.concatenate([a.data, b.data]))
-        na = a.data.shape[0]
+    def concat(self, *parts: Tensor) -> Tensor:
+        """Join tensors along the last axis; leading shapes must agree."""
+        lead = {p.data.shape[:-1] for p in parts}
+        if len(parts) < 2 or len(lead) != 1 or parts[0].data.ndim == 0:
+            raise ValueError(f"concat: incompatible shapes {[p.data.shape for p in parts]}")
+        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+        bounds = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
 
         def backward():
             g = out.grad
             if g is None:
                 return
-            _accum(a, g[:na])
-            _accum(b, g[na:])
+            for p, gp in zip(parts, np.split(g, bounds, axis=-1)):
+                _accum(p, gp)
 
         self._emit(backward)
         return out
@@ -219,10 +249,18 @@ class Tape:
         self._emit(backward)
         return out
 
-    def embedding_lookup(self, table: Tensor, index: int) -> Tensor:
-        if not (0 <= index < table.data.shape[0]):
+    def embedding_lookup(self, table: Tensor, index) -> Tensor:
+        """Rows of table along its first axis; index is an int or an int array.
+
+        The result has shape index.shape + table.shape[1:].
+        """
+        idx = np.asarray(index)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"embedding_lookup: index must be integral, got {idx.dtype}")
+        n = table.data.shape[0]
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError(f"embedding_lookup: index {index} out of range for {table.data.shape}")
-        out = Tensor(table.data[index].copy())
+        out = Tensor(table.data[idx])
 
         def backward():
             g = out.grad
@@ -230,7 +268,7 @@ class Tape:
                 return
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            table.grad[index] += g
+            np.add.at(table.grad, idx, g)
 
         self._emit(backward)
         return out
@@ -242,24 +280,17 @@ class Tape:
         if not training or rate == 0.0:
             return a
         keep_p = 1.0 - rate
-        mask = np.empty_like(a.data)
-        flat = mask.reshape(-1)
-        for i in range(flat.shape[0]):
-            flat[i] = (1.0 / keep_p) if rng.random_float() < keep_p else 0.0
-        out = Tensor(a.data * mask)
+        u = rng.uniform_array(a.data.size, 0.0, 1.0).reshape(a.data.shape)
+        return self.scale(a, np.where(u < keep_p, 1.0 / keep_p, 0.0))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * mask)
+    def softmax(self, a: Tensor, mask=None) -> Tensor:
+        """Softmax over the last axis, max-subtracted for stability.
 
-        self._emit(backward)
-        return out
-
-    def softmax(self, a: Tensor) -> Tensor:
-        """Softmax over the last axis, max-subtracted for stability."""
-        z = a.data - a.data.max(axis=-1, keepdims=True)
+        Where the optional boolean mask (broadcast against a) is false the
+        probability is exactly 0; every row needs at least one true entry.
+        """
+        x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+        z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         y = e / e.sum(axis=-1, keepdims=True)
         out = Tensor(y)
@@ -324,13 +355,106 @@ class Tape:
         self._emit(backward)
         return out
 
-    def mean_scalars(self, scalars: list[Tensor]) -> Tensor:
-        if not scalars:
-            raise ValueError("mean_scalars: empty input")
-        total = scalars[0]
-        for s in scalars[1:]:
-            total = self.add(total, s)
-        return self.scale(total, 1.0 / len(scalars))
+    def nll(self, logits: Tensor, targets, weights) -> Tensor:
+        """Fused weighted negative log-likelihood over the last axis:
+
+            sum(weights * -log_softmax(logits)[..., targets]).
+
+        targets is an int array of logits.shape[:-1]; weights a float array
+        of the same shape (0 where a position does not count). The gradient
+        weights * (softmax - onehot) needs no clamp, however small the
+        target's probability.
+        """
+        x = logits.data
+        targets = np.asarray(targets)
+        weights = np.asarray(weights, dtype=np.float64)
+        if targets.shape != x.shape[:-1] or weights.shape != targets.shape:
+            raise ValueError(f"nll: targets {targets.shape} and weights {weights.shape} "
+                             f"must match logits {x.shape} without the last axis")
+        if targets.size and (targets.min() < 0 or targets.max() >= x.shape[-1]):
+            raise ValueError(f"nll: target out of range for {x.shape[-1]} classes")
+        z = x - x.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        target_z = np.take_along_axis(z, targets[..., None], axis=-1)
+        out = Tensor(-(weights * (target_z - lse)[..., 0]).sum())
+
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            d = np.exp(z - lse)
+            np.put_along_axis(d, targets[..., None],
+                              np.take_along_axis(d, targets[..., None], axis=-1) - 1.0, axis=-1)
+            _accum(logits, d * (float(g) * weights)[..., None])
+
+        self._emit(backward)
+        return out
+
+    def gru(self, xproj: Tensor, u: Tensor, b: Tensor, h0: Tensor, mask) -> Tensor:
+        """A gated recurrent cell run over time as one tape node.
+
+        xproj (T, B, 3H) is the hoisted input projection x_t [Wz|Wr|Wh];
+        u (H, 3H) is [Uz|Ur|Uh] and b (3H,) is [bz|br|bh]; h0 (B, H) is the
+        start state. Per step, with z the update and r the reset gate,
+
+            z = sigmoid(xz + h Uz + bz),  r = sigmoid(xr + h Ur + br),
+            c = tanh(xh + (r * h) Uh + bh),  h' = z * h + (1 - z) * c.
+
+        mask (T, B) is 1 where a step is real; elsewhere the state is
+        carried unchanged, so the last state is each row's state at its
+        own last real step. Returns the states (T, B, H).
+        """
+        x, U, h = xproj.data, u.data, h0.data
+        T, B, H3 = x.shape
+        H = H3 // 3
+        if U.shape != (H, H3) or b.data.shape != (H3,) or h.shape != (B, H) or H3 != 3 * H:
+            raise ValueError(f"gru: incompatible shapes {x.shape}, {U.shape}, "
+                             f"{b.data.shape}, {h.shape}")
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != (T, B):
+            raise ValueError(f"gru: mask shape {keep.shape}, expected {(T, B)}")
+        u_zr, u_h = U[:, :2 * H], U[:, 2 * H:]
+        b_zr, b_h = b.data[:2 * H], b.data[2 * H:]
+        zr = np.empty((T, B, 2 * H))
+        cand = np.empty((T, B, H))
+        states = np.empty((T, B, H))
+        for t in range(T):
+            zr[t] = 1.0 / (1.0 + np.exp(-(x[t, :, :2 * H] + h @ u_zr + b_zr)))
+            r = zr[t, :, H:]
+            cand[t] = np.tanh(x[t, :, 2 * H:] + (r * h) @ u_h + b_h)
+            z = zr[t, :, :H]
+            h = np.where(keep[t][:, None], z * h + (1.0 - z) * cand[t], h)
+            states[t] = h
+        out = Tensor(states)
+
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            dx = np.zeros((T, B, H3))
+            du = np.zeros((H, H3))
+            dh = np.zeros((B, H))
+            for t in range(T - 1, -1, -1):
+                dh = dh + g[t]
+                m = keep[t][:, None]
+                dnew = np.where(m, dh, 0.0)
+                hp, c = states[t - 1] if t else h0.data, cand[t]
+                z, r = zr[t, :, :H], zr[t, :, H:]
+                dc = dnew * (1.0 - z) * (1.0 - c * c)
+                drh = dc @ u_h.T
+                dzr = np.concatenate([dnew * (hp - c), drh * hp], axis=1) * zr[t] * (1.0 - zr[t])
+                dx[t, :, :2 * H] = dzr
+                dx[t, :, 2 * H:] = dc
+                du[:, :2 * H] += hp.T @ dzr
+                du[:, 2 * H:] += (r * hp).T @ dc
+                dh = np.where(m, dnew * z + drh * r + dzr @ u_zr.T, dh)
+            _accum(xproj, dx)
+            _accum(u, du)
+            _accum(b, dx.sum(axis=(0, 1)))
+            _accum(h0, dh)
+
+        self._emit(backward)
+        return out
 
 
 class Adagrad:
@@ -363,9 +487,8 @@ class Adagrad:
 
 
 def init_uniform(shape, rng: MT19937, lo: float = -0.1, hi: float = 0.1) -> Tensor:
-    """Parameter init: uniform(lo, hi) drawn element by element, row-major."""
+    """Parameter init: uniform(lo, hi) drawn in one block, row-major."""
     n = 1
     for d in shape:
         n *= d
-    data = np.array([rng.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
-    return Tensor(data.reshape(shape))
+    return Tensor(rng.uniform_array(n, lo, hi).reshape(shape))

@@ -5,6 +5,8 @@ epoch shuffles, dropout masks) flows through this generator so that a
 single 32-bit seed reproduces a whole run on any machine.
 """
 
+import numpy as np
+
 _N = 624
 _M = 397
 _MATRIX_A = 0x9908B0DF
@@ -12,6 +14,33 @@ _UPPER_MASK = 0x80000000  # most significant w-r bits
 _LOWER_MASK = 0x7FFFFFFF  # least significant r bits
 
 _TWO32 = 1 << 32
+
+
+def _twist(mt: np.ndarray):
+    """Regenerate the 624-word state in place, as vector blocks.
+
+    Word kk becomes mt[kk+397] ^ f(mt[kk], mt[kk+1]) (indices mod 624).
+    Every f reads two words not yet regenerated, so all 623 f values but
+    the last come from the old state at once. mt[kk+397] is old for
+    kk < 227 and already regenerated from kk = 227 on, so the xor runs
+    in three blocks, each reading only words that are final before it.
+    """
+    y = (mt[:-1] & _UPPER_MASK) | (mt[1:] & _LOWER_MASK)
+    f = (y >> 1) ^ ((y & 1) * np.uint32(_MATRIX_A))
+    k = _N - _M  # 227
+    mt[:k] = mt[_M:] ^ f[:k]
+    mt[k:2 * k] = mt[:k] ^ f[k:2 * k]
+    mt[2 * k:_N - 1] = mt[k:_M - 1] ^ f[2 * k:]
+    y = (int(mt[_N - 1]) & _UPPER_MASK) | (int(mt[0]) & _LOWER_MASK)
+    mt[_N - 1] = int(mt[_M - 1]) ^ (y >> 1) ^ (_MATRIX_A if y & 1 else 0)
+
+
+def _temper(y: np.ndarray) -> np.ndarray:
+    y = y ^ (y >> 11)
+    y ^= (y << 7) & np.uint32(0x9D2C5680)
+    y ^= (y << 15) & np.uint32(0xEFC60000)
+    y ^= y >> 18
+    return y
 
 
 class MT19937:
@@ -54,6 +83,32 @@ class MT19937:
         y ^= (y << 15) & 0xEFC60000
         y ^= y >> 18
         return y
+
+    def u32_array(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint32 array, equal to n next_u32 calls.
+
+        Continues from the current position in the state, so scalar and
+        bulk draws may interleave freely.
+        """
+        if n < 0:
+            raise ValueError(f"draw count must be >= 0, got {n}")
+        out = np.empty(n, dtype=np.uint32)
+        mt = np.array(self._mt, dtype=np.uint32)
+        filled = 0
+        while filled < n:
+            if self._mti >= _N:
+                _twist(mt)
+                self._mti = 0
+            take = min(n - filled, _N - self._mti)
+            out[filled:filled + take] = mt[self._mti:self._mti + take]
+            self._mti += take
+            filled += take
+        self._mt = mt.tolist()
+        return _temper(out)
+
+    def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """The next n values of uniform(lo, hi) as a float64 array."""
+        return lo + (hi - lo) * (self.u32_array(n) * (1.0 / _TWO32))
 
     def bounded(self, m: int) -> int:
         """Uniform integer in [0, m) by rejection, bias-free.

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 
 import pytest
 
@@ -72,6 +73,22 @@ def test_jsonl_round_trip():
     write_jsonl(original, buf)
     buf.seek(0)
     assert read_jsonl(buf, "III") == original
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"text": "a", "summary": "b"}', "missing field(s) id"),
+    ('{"id": 1, "summary": "b"}', "missing field(s) text"),
+    ('{"id": 1, "text": "a"}', "missing field(s) summary"),
+    ('{"id": "x1", "text": "a", "summary": "b"}', "id 'x1' is not an integer"),
+    ('{"id": 1.5, "text": "a", "summary": "b"}', "id 1.5 is not an integer"),
+    ('{"id": 1, "text": "a", "summary": "b", "label": "3"}', "label '3' is not an integer"),
+    ('{"id": 1, "text": "a", "summary": "b", "label": true}', "label True is not an integer"),
+    ('{"id": 1, "text": "a", "summary": "b", "label": 9}', "pair id=1: human_label 9 not in 1..5"),
+])
+def test_jsonl_bad_record_names_its_line(line, message):
+    good = '{"id": 0, "text": "t", "summary": "s"}\n'
+    with pytest.raises(ParseError, match=r"^line 3: " + re.escape(message)):
+        read_jsonl(io.StringIO(good + "\n" + line + "\n"), "III")
 
 
 def test_malformed_block_is_reported_not_fatal():
@@ -162,6 +179,12 @@ def test_split_zero_validation():
     part = make_part(5)
     train, valid = split_train_validation(part, SplitSpec(n_validation=0, seed=0))
     assert valid.pairs == [] and train == part
+
+
+def test_split_negative_validation_errors():
+    part = make_part(10)
+    with pytest.raises(ValueError, match="n_validation must be >= 0"):
+        split_train_validation(part, SplitSpec(n_validation=-3, seed=0))
 
 
 def test_split_too_large_errors():

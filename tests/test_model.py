@@ -8,6 +8,7 @@ from hwcsum.model import (
     ModelConfig,
     _beam,
     attention,
+    batch_loss,
     beam_search,
     beam_search_full,
     decode_step,
@@ -21,7 +22,7 @@ from hwcsum.model import (
 )
 from hwcsum.numerics import Tape, Tensor
 from hwcsum.rng import MT19937
-from hwcsum.tokenizer import BOS, EOS, EncodedPair
+from hwcsum.tokenizer import BOS, EOS, PAD, EncodedPair
 from oracles import best_decode
 
 TINY = dict(embed_dim=3, hidden_dim=3, dropout=0.0)
@@ -198,6 +199,107 @@ def test_end_to_end_gradient_matches_finite_differences():
     assert worst < tol, f"max relative error {worst}"
 
 
+# ---- batched loss -------------------------------------------------------------
+
+# different source and target lengths, so both sides are padded
+RAGGED = [
+    EncodedPair([4, 5, 4, 4], [BOS, 5, EOS]),
+    EncodedPair([5], [BOS, 4, 4, 5, EOS]),
+    EncodedPair([4, 5], [BOS, EOS]),
+]
+
+
+def _loss_and_grads(fn, params):
+    for t in params.tensors.values():
+        t.grad = None
+    tape = Tape()
+    loss = fn(tape)
+    tape.backward(loss, params=list(params.tensors.values()))
+    return float(loss.data), {k: t.grad.copy() for k, t in params.tensors.items()}
+
+
+def test_batch_loss_equals_mean_of_pair_losses_and_gradients():
+    params = rand_params(21)
+    batched, grads = _loss_and_grads(lambda tape: batch_loss(RAGGED, params, tape=tape), params)
+    singles = [_loss_and_grads(lambda tape, p=p: sequence_loss(p, params, tape=tape), params)
+               for p in RAGGED]
+    assert math.isclose(batched, np.mean([l for l, _ in singles]), rel_tol=1e-12)
+    for name, g in grads.items():
+        assert np.allclose(g, np.mean([s[name] for _, s in singles], axis=0), atol=1e-14)
+
+
+def test_batch_dropout_draws_follow_pair_order():
+    # one rng through the batch consumes what the pairs consume one after another
+    params = init_params(tiny_config(seed=22, dropout=0.3))
+    rng_batch, rng_single = MT19937(5), MT19937(5)
+    batched = float(batch_loss(RAGGED, params, training=True, rng=rng_batch).data)
+    singles = [float(sequence_loss(p, params, training=True, rng=rng_single).data) for p in RAGGED]
+    assert math.isclose(batched, np.mean(singles), rel_tol=1e-12)
+    assert rng_batch.next_u32() == rng_single.next_u32()
+
+
+def test_ragged_batch_gradient_matches_finite_differences():
+    # training with dropout: re-seeding per evaluation keeps the masks fixed
+    h_step, tol = 1e-5, 1e-4
+    params = init_params(tiny_config(seed=23, dropout=0.3))
+
+    def loss(tape=None):
+        return batch_loss(RAGGED, params, tape=tape, training=True, rng=MT19937(3))
+
+    _, grads = _loss_and_grads(loss, params)
+    worst = 0.0
+    for name, p in params.tensors.items():
+        flat = p.data.reshape(-1)
+        grad = grads[name].reshape(-1)
+        for i in range(flat.shape[0]):
+            orig = flat[i]
+            flat[i] = orig + h_step
+            up = float(loss().data)
+            flat[i] = orig - h_step
+            down = float(loss().data)
+            flat[i] = orig
+            numeric = (up - down) / (2 * h_step)
+            worst = max(worst, abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-6))
+    assert worst < tol, f"max relative error {worst}"
+
+
+def test_padding_adds_no_gradient_to_pad_rows():
+    params = init_params(tiny_config(seed=24, dropout=0.3))
+    _, grads = _loss_and_grads(
+        lambda tape: batch_loss(RAGGED, params, tape=tape, training=True, rng=MT19937(1)), params)
+    assert np.array_equal(grads["src_emb"][PAD], np.zeros(3))
+    assert np.array_equal(grads["tgt_emb"][PAD], np.zeros(3))
+    assert np.any(grads["src_emb"][4] != 0) and np.any(grads["tgt_emb"][4] != 0)
+
+
+def test_loss_gradient_survives_tiny_target_probability():
+    # saturate the decoder so every comb unit is tanh(3), then push the
+    # target's logit to about -90: p(target) ~ 1e-39. A cross-entropy
+    # clamped at 1e-12 would pass no gradient back from that token.
+    params = rand_params(25)
+    p = params.tensors
+    for name in ("dec_wz", "dec_uz", "dec_wh", "dec_uh", "comb_w", "out_w"):
+        p[name].data[:] = 0.0
+    p["dec_bz"].data[:] = -50.0  # z = 0: the state is the candidate
+    p["dec_bh"].data[:] = 50.0  # candidate = 1
+    p["comb_w"].data[3:] = 1.0  # comb = tanh(sum of the decoder state)
+    p["out_w"].data[:, 4] = -30.0
+    pair = EncodedPair([4], [BOS, 4, EOS])
+    loss, grads = _loss_and_grads(lambda tape: sequence_loss(pair, params, tape=tape), params)
+    assert loss > 40.0
+    assert np.allclose(grads["out_w"][:, 4], -0.5 * np.tanh(3.0), rtol=1e-6)
+
+
+def test_batch_loss_rejects_bad_pairs():
+    params = rand_params(0)
+    with pytest.raises(ValueError):
+        batch_loss([], params)
+    with pytest.raises(ValueError):
+        batch_loss([EncodedPair([], [BOS, EOS])], params)
+    with pytest.raises(ValueError):
+        batch_loss([EncodedPair([4], [BOS])], params)
+
+
 # ---- training ---------------------------------------------------------------
 
 
@@ -227,6 +329,16 @@ def test_train_deterministic():
     for name in p1.tensors:
         assert np.array_equal(p1[name].data, p2[name].data)
     assert [e["train_loss"] for e in h1] == [e["train_loss"] for e in h2]
+
+
+def test_train_loss_stream_unchanged():
+    # per-epoch losses of this run before training was batched: equal up to
+    # float rounding only if shuffle and dropout draws are consumed as before
+    cfg = tiny_config(seed=0, dropout=0.3)
+    _, history = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
+    expected = [1.80044196315241, 1.7062764316485275]
+    for entry, loss in zip(history, expected, strict=True):
+        assert math.isclose(entry["train_loss"], loss, rel_tol=1e-8)
 
 
 def test_train_loss_decreases_on_tiny_fixture():
@@ -328,13 +440,18 @@ def test_beam_escapes_greedy_trap():
         row /= row.sum()
         return np.log(row), None
 
-    best = _beam(step_fn, vocab_size, beam_width=2, max_len=2, init_state=None)
+    def batched_step_fn(prev_ids, states):
+        # _beam steps all live hypotheses at once; these have no state
+        return np.stack([step_fn(i, None)[0] for i in prev_ids]), states[[0] * len(prev_ids)]
+
+    no_state = np.zeros((1, 0))
+    best = _beam(batched_step_fn, vocab_size, beam_width=2, max_len=2, init_state=no_state)
     oracle_lp, oracle_ids = best_decode(step_fn, None, BOS, EOS, vocab_size, max_len=2)
     assert best.token_ids == [BOS, 5, EOS]
     assert best.token_ids == oracle_ids
     assert math.isclose(best.log_prob, oracle_lp, abs_tol=1e-12)
     # width 1 falls into the trap by construction
-    trapped = _beam(step_fn, vocab_size, beam_width=1, max_len=2, init_state=None)
+    trapped = _beam(batched_step_fn, vocab_size, beam_width=1, max_len=2, init_state=no_state)
     assert trapped.token_ids[1] == 4
     assert trapped.log_prob < best.log_prob
 

@@ -119,6 +119,8 @@ def test_shape_mismatch_messages():
         t.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="matmul"):
         t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="matmul"):
+        t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
 
 # ---- backward ---------------------------------------------------------------
@@ -168,7 +170,7 @@ def test_fd_matmul_all_shapes():
         if case == 0:
             a, b = Tensor(rand_array(gen, (4,))), Tensor(rand_array(gen, (4, 3)))
         elif case == 1:
-            a, b = Tensor(rand_array(gen, (3, 4))), Tensor(rand_array(gen, (4,)))
+            a, b = Tensor(rand_array(gen, (2, 3, 4))), Tensor(rand_array(gen, (4, 2)))
         else:
             a, b = Tensor(rand_array(gen, (2, 3))), Tensor(rand_array(gen, (3, 2)))
         w = Tensor(rand_array(gen, (a.data @ b.data).shape))
@@ -255,6 +257,168 @@ def test_fd_softmax_log_softmax_cross_entropy():
         fd_check(loss, [x, w], "softmax/log_softmax/cross_entropy")
 
 
+def test_fd_concat_last_axis_and_reshape():
+    gen = MT19937(108)
+    for _ in range(50):
+        a = Tensor(rand_array(gen, (2, 3, 2)))
+        b = Tensor(rand_array(gen, (2, 3, 1)))
+        c = Tensor(rand_array(gen, (2, 3, 3)))
+        w = Tensor(rand_array(gen, (3, 12)))
+
+        def loss(tape, inputs):
+            cat = tape.concat(inputs[0], inputs[1], inputs[2])
+            flat = tape.reshape(cat, (3, 12))
+            return tape.sum_all(tape.mul(tape.tanh(flat), inputs[3]))
+
+        fd_check(loss, [a, b, c, w], "concat/reshape")
+
+
+def test_fd_embedding_lookup_id_matrix():
+    # repeated ids accumulate; rows never looked up get zero gradient
+    gen = MT19937(109)
+    ids = np.array([[1, 4, 1], [0, 4, 2]])
+    for _ in range(50):
+        table = Tensor(rand_array(gen, (6, 3)))
+        w = Tensor(rand_array(gen, (2, 3, 3)))
+
+        def loss(tape, inputs):
+            return tape.sum_all(tape.mul(tape.embedding_lookup(inputs[0], ids), inputs[1]))
+
+        fd_check(loss, [table, w], "embedding_lookup ids")
+        assert np.array_equal(table.grad[[3, 5]], np.zeros((2, 3)))
+
+
+def test_embedding_lookup_rejects_out_of_range_ids():
+    t = Tape()
+    with pytest.raises(ValueError):
+        t.embedding_lookup(Tensor(np.ones((4, 2))), np.array([[0, 4]]))
+
+
+def test_fd_einsum_batched_products():
+    gen = MT19937(110)
+    for _ in range(50):
+        q = Tensor(rand_array(gen, (2, 3, 4)))
+        k = Tensor(rand_array(gen, (5, 3, 4)))
+        w = Tensor(rand_array(gen, (2, 3, 4)))
+
+        def loss(tape, inputs):
+            scores = tape.einsum("tbh,sbh->tbs", inputs[0], inputs[1])
+            context = tape.einsum("tbs,sbh->tbh", tape.tanh(scores), inputs[1])
+            return tape.sum_all(tape.mul(context, inputs[2]))
+
+        fd_check(loss, [q, k, w], "einsum")
+
+
+def test_einsum_rejects_within_operand_sum():
+    with pytest.raises(ValueError):
+        Tape().einsum("ij,jk->k", Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
+
+
+def test_fd_masked_softmax():
+    gen = MT19937(111)
+    mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 0, 0]], dtype=bool)
+    for _ in range(50):
+        x = Tensor(rand_array(gen, (2, 3, 4)))
+        w = Tensor(rand_array(gen, (2, 3, 4)))
+
+        def loss(tape, inputs):
+            y = tape.softmax(inputs[0], mask)
+            return tape.sum_all(tape.mul(y, inputs[1]))
+
+        fd_check(loss, [x, w], "masked softmax")
+        y = Tape(recording=False).softmax(x, mask).data
+        assert np.all(y[:, ~mask] == 0.0)
+        assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-12)
+        # masked entries do not change the result
+        assert np.array_equal(Tape(recording=False).softmax(Tensor(x.data + 50 * ~mask), mask).data, y)
+
+
+def test_fd_nll():
+    gen = MT19937(112)
+    targets = np.array([[0, 6, 3], [2, 2, 5]])
+    weights = np.array([[0.5, 0.25, 0.0], [0.1, 0.2, 1.0]])
+    for _ in range(50):
+        x = Tensor(rand_array(gen, (2, 3, 7)))
+
+        def loss(tape, inputs):
+            return tape.nll(inputs[0], targets, weights)
+
+        fd_check(loss, [x], "nll")
+        assert np.array_equal(x.grad[0, 2], np.zeros(7))
+
+
+def test_nll_hand_values_and_checks():
+    t = Tape(recording=False)
+    uniform = Tensor(np.zeros((2, 5)))
+    assert math.isclose(float(t.nll(uniform, np.array([1, 4]), np.array([0.5, 0.5])).data),
+                        math.log(5), rel_tol=1e-12)
+    ce = float(t.cross_entropy(t.softmax(Tensor([0.3, -1.0, 2.0])), 2).data)
+    nll = float(t.nll(Tensor([0.3, -1.0, 2.0]), np.array(2), np.array(1.0)).data)
+    assert math.isclose(nll, ce, rel_tol=1e-12)
+    with pytest.raises(ValueError):
+        t.nll(uniform, np.array([1, 5]), np.ones(2))
+    with pytest.raises(ValueError):
+        t.nll(uniform, np.array([1]), np.ones(1))
+
+
+def test_nll_gradient_survives_tiny_target_probability():
+    # p(target) = e^-60 / (1 + e^-60) ~ 9e-27: the cross_entropy clamp at
+    # 1e-12 returns no gradient here, the fused loss the full -(1 - p)
+    logits = Tensor([60.0, 0.0])
+    tape = Tape()
+    probs = tape.softmax(logits)
+    tape.backward(tape.cross_entropy(probs, 1))
+    assert np.array_equal(logits.grad, np.zeros(2))
+    logits = Tensor([60.0, 0.0])
+    tape = Tape()
+    loss = tape.nll(logits, np.array(1), np.array(1.0))
+    tape.backward(loss)
+    assert math.isclose(float(loss.data), 60.0, rel_tol=1e-12)
+    assert np.allclose(logits.grad, [1.0, -1.0], atol=1e-15)
+
+
+def _gru_reference(x, u, b, h, mask):
+    # the cell step by step, one row at a time
+    hdim = h.shape[1]
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    states = []
+    for t in range(x.shape[0]):
+        new = h.copy()
+        for row in range(x.shape[1]):
+            a, hp = x[t, row] + b, h[row]
+            z = sig(a[:hdim] + hp @ u[:, :hdim])
+            r = sig(a[hdim:2 * hdim] + hp @ u[:, hdim:2 * hdim])
+            c = np.tanh(a[2 * hdim:] + (r * hp) @ u[:, 2 * hdim:])
+            if mask[t, row]:
+                new[row] = z * hp + (1 - z) * c
+        h = new
+        states.append(h)
+    return np.stack(states)
+
+
+def test_fd_gru_ragged_batch():
+    gen = MT19937(113)
+    mask = np.array([[1, 1, 1], [1, 0, 1], [1, 0, 0], [1, 0, 0]])
+    for _ in range(20):
+        x = Tensor(rand_array(gen, (4, 3, 6)))
+        u = Tensor(rand_array(gen, (2, 6)))
+        b = Tensor(rand_array(gen, (6,)))
+        h0 = Tensor(rand_array(gen, (3, 2)))
+        w = Tensor(rand_array(gen, (4, 3, 2)))
+
+        def loss(tape, inputs):
+            states = tape.gru(inputs[0], inputs[1], inputs[2], inputs[3], mask)
+            return tape.sum_all(tape.mul(states, inputs[4]))
+
+        fd_check(loss, [x, u, b, h0, w], "gru")
+        states = Tape(recording=False).gru(x, u, b, h0, mask).data
+        assert np.allclose(states, _gru_reference(x.data, u.data, b.data, h0.data, mask),
+                           atol=1e-14)
+        # padded steps carry the state and take no gradient
+        assert np.array_equal(states[3, 1], states[0, 1])
+        assert np.array_equal(x.grad[1:, 1], np.zeros((3, 6)))
+
+
 def test_fd_dropout_fixed_mask():
     # the mask is a function of the rng seed, so re-seeding per forward
     # evaluation keeps it constant for finite differences
@@ -315,6 +479,28 @@ def test_adagrad_shape_mismatch():
     p.grad = np.zeros(3)
     with pytest.raises(ValueError):
         opt.step()
+
+
+# ---- bulk draws ---------------------------------------------------------------
+
+
+def test_init_uniform_equals_scalar_draws():
+    # the element-by-element loop init_uniform used before bulk draws
+    rng, ref = MT19937(5), MT19937(5)
+    for shape in [(7, 3), (1000,), (24, 72), (5,)]:
+        got = init_uniform(shape, rng).data
+        expected = np.array([ref.uniform(-0.1, 0.1) for _ in range(int(np.prod(shape)))])
+        assert np.array_equal(got, expected.reshape(shape))
+    assert rng.next_u32() == ref.next_u32()
+
+
+def test_dropout_mask_equals_scalar_draws():
+    rng, ref = MT19937(8), MT19937(8)
+    x = Tensor(np.ones((4, 5)))
+    out = Tape().dropout(x, 0.3, rng, training=True)
+    expected = [(1.0 / 0.7) if ref.random_float() < 0.7 else 0.0 for _ in range(20)]
+    assert np.array_equal(out.data, np.array(expected).reshape(4, 5))
+    assert rng.next_u32() == ref.next_u32()
 
 
 # ---- determinism ------------------------------------------------------------

@@ -70,3 +70,36 @@ def test_shuffle_is_a_permutation():
     items = list(range(100))
     MT19937(11).shuffle(items)
     assert sorted(items) == list(range(100))
+
+
+# ---- bulk draws ---------------------------------------------------------------
+
+
+def test_bulk_draws_match_reference_stream_for_seeds_0_to_4(mt_reference):
+    for seed, expected in mt_reference.items():
+        assert MT19937(seed).u32_array(1000).tolist() == expected
+        got = MT19937(seed).uniform_array(1000, -0.1, 0.1).tolist()
+        assert got == [-0.1 + 0.2 * (u * (1.0 / (1 << 32))) for u in expected]
+
+
+def test_interleaved_scalar_and_bulk_draws_equal_scalar_stream():
+    # odd sizes that start and end mid-state and cross several 624-word twists
+    sizes = [1, 7, 623, 2, 625, 0, 1249, 311, 3, 1871, 5]
+    bulk, scalar = MT19937(20260), MT19937(20260)
+    got = []
+    for n in sizes:
+        got += bulk.u32_array(n).tolist()
+        got.append(bulk.next_u32())
+        got.append(bulk.bounded(1000))
+    expected = []
+    for n in sizes:
+        expected += [scalar.next_u32() for _ in range(n)]
+        expected.append(scalar.next_u32())
+        expected.append(scalar.bounded(1000))
+    assert got == expected
+    assert bulk.next_u32() == scalar.next_u32()
+
+
+def test_bulk_draw_count_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        MT19937(0).u32_array(-1)
