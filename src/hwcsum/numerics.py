@@ -260,7 +260,7 @@ class Tape:
         n = table.data.shape[0]
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError(f"embedding_lookup: index {index} out of range for {table.data.shape}")
-        out = Tensor(table.data[idx])
+        out = Tensor(np.take(table.data, idx, axis=0))
 
         def backward():
             g = out.grad

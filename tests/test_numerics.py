@@ -152,6 +152,19 @@ def test_backward_requires_scalar():
         t.backward(y)
 
 
+def test_backward_releases_closures_and_runs_once():
+    t = Tape()
+    x = Tensor([1.0, 2.0])
+    loss = t.sum_all(t.mul(x, x))
+    t.backward(loss)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+    # the slots stay, so the tape still counts its recorded ops
+    assert t.nodes == [None, None]
+    with pytest.raises(ValueError, match="already replayed"):
+        t.backward(loss)
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
 def test_grad_accumulates_across_reuse():
     t = Tape()
     x = Tensor([2.0])
