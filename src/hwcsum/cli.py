@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .corpus import SplitSpec, filter_by_score, parse_lcsts, read_jsonl, split_train_validation, write_jsonl
 from .dedup import DedupConfig, clean_part1
-from .harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
+from .harness import ExperimentConfig, _sha256, load_corpus_file, run_experiment, sweep_vocab
 from .model import ModelConfig, beam_search, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus
 from .tokenizer import Lexicon, Vocabulary, build_vocab, char_tokenize, encode_pair_chars, encode_pair_hwc, word_segment
@@ -105,9 +105,11 @@ def _cmd_train(args):
     src_unit = "word" if representation == "word_char" else "char"
     src_vocab = Vocabulary.load(args.src_vocab, src_unit)
     tgt_vocab = Vocabulary.load(args.tgt_vocab, "char")
-    lex = Lexicon.from_file(lexicon_path) if representation == "word_char" else None
-    if representation == "word_char" and lex is None:
-        raise ValueError("word_char training needs --lexicon or a lexicon entry in the config")
+    lex = lexicon_sha256 = None
+    if representation == "word_char":
+        if not lexicon_path:
+            raise ValueError("word_char training needs --lexicon or a lexicon entry in the config")
+        lex, lexicon_sha256 = Lexicon.from_file(lexicon_path), _sha256(lexicon_path)
 
     def encode_corpus(path):
         corpus = load_corpus_file(path)
@@ -137,7 +139,8 @@ def _cmd_train(args):
     save_checkpoint(params, out / "model.npz")
     src_vocab.save(out / "src_vocab.txt")
     tgt_vocab.save(out / "tgt_vocab.txt")
-    meta = {"representation": representation, "lexicon": lexicon_path}
+    meta = {"representation": representation, "lexicon": lexicon_path,
+            "lexicon_sha256": lexicon_sha256}
     with open(out / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, sort_keys=True)
     with open(out / "train_log.jsonl", "w", encoding="utf-8") as f:
@@ -160,6 +163,10 @@ def _cmd_summarize(args):
         if not lexicon_path:
             raise ValueError("word_char summarization needs --lexicon")
         lex = Lexicon.from_file(lexicon_path)
+        trained, got = meta.get("lexicon_sha256"), _sha256(lexicon_path)
+        if trained and got != trained:
+            raise ValueError(f"lexicon {lexicon_path} has sha256 {got}, but the model was trained "
+                             f"with a lexicon of sha256 {trained}")
     params = load_checkpoint(model_dir / "model.npz")
 
     corpus = load_corpus_file(args.infile)

@@ -9,7 +9,9 @@ back to singleton words with count 1, so segmentation never fails.
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .corpus import DocumentPair
 
@@ -22,46 +24,77 @@ def char_tokenize(text: str) -> list[str]:
     return [ch for ch in text if not ch.isspace()]
 
 
-@dataclass
-class Lexicon:
-    """word -> count table driving the segmenter."""
+def _invalid_word(entries) -> str | None:
+    """A word whose entry is invalid (empty, or a count <= 0), else None."""
+    if "" in entries:
+        return ""
+    if entries and min(entries.values()) <= 0:
+        return next(w for w, c in entries.items() if c <= 0)
+    return None
 
-    entries: dict[str, int] = field(default_factory=dict)
+
+@dataclass(frozen=True)
+class Lexicon:
+    """Read-only word -> count table driving the segmenter.
+
+    ``entries`` is a read-only view of the dict passed in, not a copy, so
+    the caller must not change that dict afterwards. ``total`` (the sum of
+    the counts) and ``max_word_len`` (1 when empty) are fixed at
+    construction.
+    """
+
+    entries: Mapping[str, int] = field(default_factory=dict)
+    total: int = field(init=False)
+    max_word_len: int = field(init=False)
 
     def __post_init__(self):
-        for word, count in self.entries.items():
-            if not word:
-                raise ValueError("lexicon contains an empty word")
-            if count <= 0:
-                raise ValueError(f"lexicon count for {word!r} must be positive, got {count}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    @property
-    def max_word_len(self) -> int:
-        return max((len(w) for w in self.entries), default=1)
+        entries = self.entries
+        bad = _invalid_word(entries)
+        if bad == "":
+            raise ValueError("lexicon contains an empty word")
+        if bad is not None:
+            raise ValueError(f"lexicon count for {bad!r} must be positive, got {entries[bad]}")
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "total", sum(entries.values()))
+        object.__setattr__(self, "max_word_len", max(map(len, entries), default=1))
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
+        """Load ``word<TAB>count`` lines in one pass.
+
+        Blank lines are skipped and a repeated word keeps its last count.
+        Every error names the file and the line.
+        """
         entries = {}
         with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
                 try:
                     word, count = line.split("\t")
                     entries[word] = int(count)
                 except ValueError:
+                    if line.isspace():
+                        continue
                     raise ValueError(f"{path}: line {line_no}: expected 'word<TAB>count'") from None
-        return cls(entries)
+        try:
+            return cls(entries)
+        except ValueError as e:
+            line_no = _last_line_of(path, _invalid_word(entries))
+            raise ValueError(f"{path}: line {line_no}: {e}") from None
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as f:
             for word, count in self.entries.items():
                 f.write(f"{word}\t{count}\n")
+
+
+def _last_line_of(path, word: str) -> int:
+    """Number of the last line of a lexicon file that sets ``word``."""
+    last = 0
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.isspace() and line.split("\t")[0] == word:
+                last = line_no
+    return last
 
 
 def word_segment(text: str, lex: Lexicon) -> list[str]:
@@ -76,22 +109,21 @@ def word_segment(text: str, lex: Lexicon) -> list[str]:
     """
     if not lex.entries:
         raise ValueError("lexicon is empty")
-    chars = char_tokenize(text)
-    n = len(chars)
+    s = "".join(char_tokenize(text))
+    n = len(s)
     if n == 0:
         return []
 
     log_total = math.log(lex.total)
     max_len = lex.max_word_len
+    get = lex.entries.get
 
-    # best[i] = (score, end) of the best path for chars[i:], computed back to front
-    best: list[tuple[float, int]] = [(0.0, 0)] * (n + 1)
-    best[n] = (0.0, n)
+    # best[i] = (score, end) of the best path for s[i:], computed back to front
+    best: list[tuple[float, int]] = [(0.0, n)] * (n + 1)
     for i in range(n - 1, -1, -1):
         top = None
         for j in range(i + 1, min(i + max_len, n) + 1):
-            word = "".join(chars[i:j])
-            count = lex.entries.get(word)
+            count = get(s[i:j])
             if count is None:
                 if j - i > 1:
                     continue
@@ -105,7 +137,7 @@ def word_segment(text: str, lex: Lexicon) -> list[str]:
     i = 0
     while i < n:
         j = best[i][1]
-        tokens.append("".join(chars[i:j]))
+        tokens.append(s[i:j])
         i = j
     return tokens
 

@@ -42,6 +42,46 @@ def best_segmentation_score(text_chars, lexicon_entries, total):
     )
 
 
+def reference_word_segment(text, lex):
+    """The segmenter as first written: the lexicon total and the longest
+    word length are recomputed from the entries on every call, and words
+    are joined from a character list."""
+    if not lex.entries:
+        raise ValueError("lexicon is empty")
+    chars = [ch for ch in text if not ch.isspace()]
+    n = len(chars)
+    if n == 0:
+        return []
+
+    log_total = math.log(sum(lex.entries.values()))
+    max_len = max((len(w) for w in lex.entries), default=1)
+
+    # best[i] = (score, end) of the best path for chars[i:], computed back to front
+    best = [(0.0, 0)] * (n + 1)
+    best[n] = (0.0, n)
+    for i in range(n - 1, -1, -1):
+        top = None
+        for j in range(i + 1, min(i + max_len, n) + 1):
+            word = "".join(chars[i:j])
+            count = lex.entries.get(word)
+            if count is None:
+                if j - i > 1:
+                    continue
+                count = 1  # singleton fallback
+            cand = (math.log(count) - log_total + best[j][0], j)
+            if top is None or cand > top:
+                top = cand
+        best[i] = top
+
+    tokens = []
+    i = 0
+    while i < n:
+        j = best[i][1]
+        tokens.append("".join(chars[i:j]))
+        i = j
+    return tokens
+
+
 @lru_cache(maxsize=None)
 def subsequence_set(s: str) -> frozenset:
     """All distinct subsequences of s (including the empty string)."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -161,3 +162,74 @@ def test_cli_seed_override(tiny_dataset, tmp_path):
                  "--seeds", "1"]) == 0
     report = json.loads((tmp_path / "runs" / "seeds" / "report.json").read_text())
     assert list(report["runs"]["char_char"]["seeds"]) == ["1"]
+
+
+@pytest.fixture
+def word_char_model(tiny_dataset):
+    """A small word_char model trained through the CLI, plus its inputs."""
+    d = tiny_dataset
+    assert main(["parse", "--in", str(d / "part1.txt"), "--part", "I",
+                 "--out", str(d / "train.jsonl")]) == 0
+    assert main(["vocab", "--unit", "word", "--lexicon", str(d / "lexicon.tsv"),
+                 "--in", str(d / "train.jsonl"), "--out", str(d / "src_vocab.txt")]) == 0
+    assert main(["vocab", "--unit", "char", "--in", str(d / "train.jsonl"),
+                 "--out", str(d / "tgt_vocab.txt")]) == 0
+    (d / "train_cfg.json").write_text(json.dumps({
+        "model": {"embed_dim": 6, "hidden_dim": 6, "dropout": 0.0, "max_decode_len": 4},
+        "epochs": 1, "batch_size": 8, "representation": "word_char",
+    }))
+    assert main(["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+                 "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+                 "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model")]) == 0
+    return d
+
+
+def _summarize(d, *extra):
+    return main(["summarize", "--model", str(d / "model"), "--in", str(d / "train.jsonl"),
+                 "--beam", "2", "--max-len", "4", "--out", str(d / "candidates.jsonl"), *extra])
+
+
+def test_train_records_lexicon_hash(word_char_model):
+    d = word_char_model
+    meta = json.loads((d / "model" / "meta.json").read_text())
+    assert meta["lexicon_sha256"] == hashlib.sha256((d / "lexicon.tsv").read_bytes()).hexdigest()
+
+
+def test_summarize_accepts_same_lexicon_at_another_path(word_char_model):
+    d = word_char_model
+    (d / "lexicon.tsv").rename(d / "moved.tsv")
+    assert _summarize(d, "--lexicon", str(d / "moved.tsv")) == 0
+    assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
+
+
+def test_summarize_refuses_a_different_lexicon(word_char_model):
+    d = word_char_model
+    trained = hashlib.sha256((d / "lexicon.tsv").read_bytes()).hexdigest()
+    (d / "other.tsv").write_text("城市\t99\n交通\t1\n", encoding="utf-8")
+    other = hashlib.sha256((d / "other.tsv").read_bytes()).hexdigest()
+    with pytest.raises(ValueError) as err:
+        _summarize(d, "--lexicon", str(d / "other.tsv"))
+    assert trained in str(err.value) and other in str(err.value)
+    # the lexicon named in meta.json is checked as well
+    (d / "other.tsv").replace(d / "lexicon.tsv")
+    with pytest.raises(ValueError, match=trained):
+        _summarize(d)
+    assert not (d / "candidates.jsonl").exists()
+
+
+def test_summarize_loads_meta_without_lexicon_hash(word_char_model):
+    d = word_char_model
+    meta_path = d / "model" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["lexicon_sha256"]
+    meta_path.write_text(json.dumps(meta))
+    assert _summarize(d) == 0
+    assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
+
+
+def test_train_word_char_without_lexicon_is_refused(word_char_model):
+    d = word_char_model
+    with pytest.raises(ValueError, match="needs --lexicon"):
+        main(["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+              "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+              "--out", str(d / "model2")])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -18,7 +19,7 @@ from hwcsum.tokenizer import (
     encode_pair_hwc,
     word_segment,
 )
-from oracles import best_segmentation_score, segmentation_log_prob
+from oracles import best_segmentation_score, reference_word_segment, segmentation_log_prob
 
 
 def test_char_tokenize_cjk():
@@ -98,6 +99,113 @@ def test_segment_soundness_fuzz():
         stripped = "".join(ch for ch in s if not ch.isspace())
         assert "".join(tokens) == stripped
         assert len(tokens) <= len(char_tokenize(s))
+
+
+def _scale_lexicon(gen, inventory, n_entries):
+    """Distinct 2-4 char words over the inventory; counts fall as 10^6 / rank."""
+    entries = {}
+    while len(entries) < n_entries:
+        word = "".join(inventory[gen.bounded(len(inventory))] for _ in range(2 + gen.bounded(3)))
+        if word not in entries:
+            entries[word] = max(1, 1_000_000 // (len(entries) + 1))
+    return entries
+
+
+def test_segment_matches_reference_at_scale():
+    gen = MT19937(2024)
+    inventory = [chr(0x4E00 + 7 * k) for k in range(500)]
+    missing = ["A", "7", "。", chr(0x9F00), chr(0x9F01)]  # no lexicon word uses these
+    spaces = [" ", "\t", "\u3000", "\n"]
+    entries = _scale_lexicon(gen, inventory, 20_000)
+    words = list(entries)
+    lex = Lexicon(entries)
+    seen = set()
+    for _ in range(200):
+        pieces, length = [], 0
+        while length < 110:
+            kind = gen.bounded(10)
+            if kind < 6:  # frequent words more often than rare ones
+                piece = words[gen.bounded(1 + gen.bounded(len(words)))]
+            elif kind < 8:
+                piece = inventory[gen.bounded(len(inventory))]
+            elif kind < 9:
+                piece = missing[gen.bounded(len(missing))]
+            else:
+                piece = spaces[gen.bounded(len(spaces))]
+            pieces.append(piece)
+            length += len(piece)
+        text = "".join(pieces)
+        seen.update(text)
+        assert word_segment(text, lex) == reference_word_segment(text, lex)
+    assert set(missing) <= seen and set(spaces) <= seen
+
+
+def test_lexicon_is_frozen():
+    entries = {"奥委会": 10, "成立": 5, "今": 1}
+    lex = Lexicon(entries)
+    with pytest.raises(TypeError):
+        lex.entries["成立"] = 6
+    with pytest.raises(TypeError):
+        del lex.entries["今"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lex.total = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lex.max_word_len = 9
+    assert lex.entries == {"奥委会": 10, "成立": 5, "今": 1}
+    assert lex.total == sum(entries.values()) == 16
+    assert lex.max_word_len == max(map(len, entries)) == 3
+
+
+def test_empty_lexicon_still_rejected_by_segmenter():
+    lex = Lexicon({})
+    assert (lex.total, lex.max_word_len) == (0, 1)
+    with pytest.raises(ValueError, match="lexicon is empty"):
+        word_segment("文本", lex)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"词": 2, "": 1}, "empty word"),
+    ({"词": 2, "字": 0}, "'字' must be positive, got 0"),
+    ({"词": -3}, "'词' must be positive, got -3"),
+])
+def test_lexicon_rejects_bad_entries(entries, message):
+    with pytest.raises(ValueError, match=message):
+        Lexicon(entries)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("字5", "expected 'word<TAB>count'"),
+    ("字\t5\t6", "expected 'word<TAB>count'"),
+    ("字\tfive", "expected 'word<TAB>count'"),
+    ("字\t0", "lexicon count for '字' must be positive, got 0"),
+    ("字\t-2", "lexicon count for '字' must be positive, got -2"),
+    ("\t4", "lexicon contains an empty word"),
+])
+def test_lexicon_file_errors_name_the_line(tmp_path, bad_line, message):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(f"奥委会\t10\n\n成立\t5\n{bad_line}\n今天\t8\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Lexicon.from_file(path)
+    assert str(err.value) == f"{path}: line 4: {message}"
+
+
+def test_lexicon_file_accepted_input(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    # blank and whitespace-only lines, CRLF endings, a repeated word, no final newline
+    path.write_bytes("奥委会\t10\r\n\r\n \t \n成立\t5\n奥委会\t3\n\n今天\t8".encode("utf-8"))
+    lex = Lexicon.from_file(path)
+    assert dict(lex.entries) == {"奥委会": 3, "成立": 5, "今天": 8}
+    assert (lex.total, lex.max_word_len) == (16, 3)
+
+
+def test_lexicon_file_repeated_word_keeps_last_count(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("词\t0\n字\t2\n词\t4\n", encoding="utf-8")
+    assert dict(Lexicon.from_file(path).entries) == {"词": 4, "字": 2}
+    # the error names the line whose count stands
+    path.write_text("词\t4\n字\t2\n词\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r": line 3: lexicon count for '词'"):
+        Lexicon.from_file(path)
 
 
 def test_build_vocab_min_count():
