@@ -13,7 +13,9 @@ interchange format between pipeline stages is line-delimited JSON with
 fields ``id``, ``text``, ``summary`` and optional ``label``.
 """
 
+import contextlib
 import json
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -257,6 +259,22 @@ def write_jsonl(corpus: CorpusPart, stream):
         stream.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a file beside path for writing; when the block ends it replaces
+    path in one os.replace, and when the block raises it is removed, so
+    path is never seen half-written."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def filter_by_score(corpus: CorpusPart, min_score: int) -> CorpusPart:
     """Keep pairs with human_label >= min_score, order preserved."""
     kept = []
@@ -274,15 +292,14 @@ class SplitSpec:
     seed: int = 0
 
 
-def split_train_validation(corpus: CorpusPart, spec: SplitSpec):
-    """Deterministic seeded split into (train, validation).
+def split_indices(n: int, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Positions (train, validation) of a seeded split of n items.
 
     The validation set is the first n_validation positions of a
-    Fisher-Yates shuffle of the pair indices driven by MT19937(seed)
-    with rejection-bounded sampling; both outputs keep the original
-    corpus order. Fully determined by (input order, seed).
+    Fisher-Yates shuffle of range(n) driven by MT19937(seed) with
+    rejection-bounded sampling; both lists are ascending. Fully
+    determined by (n, seed).
     """
-    n = len(corpus.pairs)
     if spec.n_validation < 0:
         raise ValueError(f"n_validation must be >= 0, got {spec.n_validation}")
     if spec.n_validation >= n:
@@ -292,6 +309,11 @@ def split_train_validation(corpus: CorpusPart, spec: SplitSpec):
     indices = list(range(n))
     MT19937(spec.seed).shuffle(indices)
     chosen = set(indices[: spec.n_validation])
-    train = [p for i, p in enumerate(corpus.pairs) if i not in chosen]
-    valid = [p for i, p in enumerate(corpus.pairs) if i in chosen]
-    return CorpusPart(corpus.part, train), CorpusPart(corpus.part, valid)
+    return [i for i in range(n) if i not in chosen], sorted(chosen)
+
+
+def split_train_validation(corpus: CorpusPart, spec: SplitSpec):
+    """The split_indices split as (train, validation) parts, in corpus order."""
+    train, valid = split_indices(len(corpus.pairs), spec)
+    return (CorpusPart(corpus.part, [corpus.pairs[i] for i in train]),
+            CorpusPart(corpus.part, [corpus.pairs[i] for i in valid]))

@@ -6,30 +6,26 @@ from the training split, train the attentional encoder-decoder,
 beam-decode the score-filtered test set, and score with character
 ROUGE. Per-seed artifacts land under
 ``<out>/<name>/<representation>/seed<k>/`` and the aggregate report at
-``<out>/<name>/report.json``. Failed seeds are recorded and skipped in
-the means rather than aborting the run.
+``<out>/<name>/report.json``. Failed seeds are recorded, with their
+traceback in ``seed<k>/error.txt``, and skipped in the means.
 """
 
 import datetime
+import functools
 import hashlib
 import json
 import time
+import traceback
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dedup as dedup_mod
-from .corpus import CorpusPart, SplitSpec, filter_by_score, parse_lcsts, read_jsonl, split_train_validation
+from .corpus import (CorpusPart, SplitSpec, atomic_write, filter_by_score, parse_lcsts, read_jsonl,
+                     split_indices)
 from .model import ModelConfig, beam_search, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus
-from .tokenizer import (
-    Lexicon,
-    build_vocab,
-    char_tokenize,
-    encode_pair_chars,
-    encode_pair_hwc,
-    word_segment,
-)
+from .tokenizer import Lexicon, build_vocab, char_tokenize, encode_tokens, word_segment
 
 REPRESENTATIONS = ("char_char", "word_char")
 
@@ -105,10 +101,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _source_tokens(text: str, representation: str, lex: Lexicon | None) -> list[str]:
-    if representation == "word_char":
-        return word_segment(text, lex)
-    return char_tokenize(text)
+def _tokenizer(representation: str, lex: Lexicon | None, *parts: CorpusPart):
+    """A function giving each part's [(pair, source tokens, summary chars)],
+    tokenized once by the first call that succeeds (a failure fails each seed)."""
+
+    @functools.cache
+    def tokens():
+        source = (lambda s: word_segment(s, lex)) if representation == "word_char" else char_tokenize
+        return [[(p, source(p.short_text), char_tokenize(p.summary)) for p in part.pairs]
+                for part in parts]
+
+    return tokens
 
 
 def _scores_dict(means) -> dict:
@@ -118,32 +121,29 @@ def _scores_dict(means) -> dict:
     }
 
 
-def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, pool: CorpusPart,
-              test: CorpusPart, lex: Lexicon | None, encoder_vocab_size: int | None,
-              seed_dir: Path) -> dict:
+def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
+              encoder_vocab_size: int | None, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
     for sub in ("vocab", "checkpoints", "decodes"):
         (seed_dir / sub).mkdir(parents=True, exist_ok=True)
 
-    train_part, valid_part = split_train_validation(pool, SplitSpec(cfg.n_validation, seed))
+    pool, test = tokenized()
+    train_idx, valid_idx = split_indices(len(pool), SplitSpec(cfg.n_validation, seed))
+    train_items = [pool[i] for i in train_idx]
 
     src_unit = "word" if representation == "word_char" else "char"
-    src_vocab = build_vocab(
-        (tok for p in train_part.pairs for tok in _source_tokens(p.short_text, representation, lex)),
-        src_unit, min_count=cfg.vocab_min_count, max_size=encoder_vocab_size)
-    tgt_vocab = build_vocab(
-        (tok for p in train_part.pairs for tok in char_tokenize(p.summary)),
-        "char", min_count=cfg.vocab_min_count, max_size=cfg.decoder_vocab_size)
+    src_vocab = build_vocab((tok for _, src, _ in train_items for tok in src), src_unit,
+                            min_count=cfg.vocab_min_count, max_size=encoder_vocab_size)
+    tgt_vocab = build_vocab((ch for _, _, tgt in train_items for ch in tgt), "char",
+                            min_count=cfg.vocab_min_count, max_size=cfg.decoder_vocab_size)
     src_vocab.save(seed_dir / "vocab" / "src_vocab.txt")
     tgt_vocab.save(seed_dir / "vocab" / "tgt_vocab.txt")
 
-    def encode(part: CorpusPart):
-        if representation == "word_char":
-            return [encode_pair_hwc(p, lex, src_vocab, tgt_vocab) for p in part.pairs]
-        return [encode_pair_chars(p, src_vocab, tgt_vocab) for p in part.pairs]
+    def encode(items):
+        return [encode_tokens(src, tgt, src_vocab, tgt_vocab, p.id) for p, src, tgt in items]
 
-    train_pairs = encode(train_part)
-    valid_pairs = encode(valid_part)
+    train_pairs = encode(train_items)
+    valid_pairs = encode(pool[i] for i in valid_idx)
     test_pairs = encode(test)
 
     model_cfg = ModelConfig(
@@ -159,24 +159,24 @@ def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, pool: Corpu
 
     candidates = []
     with open(seed_dir / "decodes" / "candidates.jsonl", "w", encoding="utf-8") as f:
-        for pair, enc in zip(test.pairs, test_pairs):
+        for (pair, _, _), enc in zip(test, test_pairs):
             ids = beam_search(enc.src_ids, params, cfg.beam_width)
             text = "".join(tgt_vocab.decode(ids, strip_special=True))
             candidates.append(text)
             f.write(json.dumps({"id": pair.id, "candidate": text}, ensure_ascii=False) + "\n")
 
-    references = [p.summary for p in test.pairs]
+    references = [p.summary for p, _, _ in test]
     means, per_pair = evaluate_corpus(candidates, references, unit="char")
     with open(seed_dir / "scores.jsonl", "w", encoding="utf-8") as f:
-        for pair, scores in zip(test.pairs, per_pair):
+        for (pair, _, _), scores in zip(test, per_pair):
             row = {"id": pair.id}
             row.update(_scores_dict(scores))
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
     return {
         "status": "ok",
-        "n_train": len(train_part),
-        "n_validation": len(valid_part),
+        "n_train": len(train_idx),
+        "n_validation": len(valid_idx),
         "n_test": len(test),
         "src_vocab_size": src_vocab.n_content,
         "tgt_vocab_size": tgt_vocab.n_content,
@@ -230,17 +230,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
     runs = {}
     all_ok = True
     for representation in cfg.representations:
+        tokenized = _tokenizer(representation, lex, pool, test)
         seed_records = {}
         failed = []
         for seed in cfg.seeds:
             seed_dir = out / representation / f"seed{seed}"
             try:
                 seed_records[str(seed)] = _run_seed(
-                    cfg, representation, seed, pool, test, lex, encoder_vocab_size, seed_dir)
+                    cfg, representation, seed, tokenized, encoder_vocab_size, seed_dir)
             except Exception as exc:  # keep going; partial results matter
                 seed_records[str(seed)] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
                 failed.append(seed)
                 all_ok = False
+                seed_dir.mkdir(parents=True, exist_ok=True)
+                (seed_dir / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
         runs[representation] = {
             "seeds": seed_records,
             "mean_scores": _mean_scores(list(seed_records.values())),
@@ -254,7 +257,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
         "input_hashes": hashes,
         "runs": runs,
     }
-    with open(out / "report.json", "w", encoding="utf-8") as f:
+    with atomic_write(out / "report.json") as f:
         json.dump(report, f, sort_keys=True, ensure_ascii=False, indent=2)
     return report, all_ok
 
@@ -303,7 +306,7 @@ def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
                 "mean_scores": run["mean_scores"],
             }
         table.append(row)
-    with open(out / f"{cfg.name}-sweep.json", "w", encoding="utf-8") as f:
+    with atomic_write(out / f"{cfg.name}-sweep.json") as f:
         json.dump({"name": cfg.name, "sizes": sizes, "rows": table}, f,
                   sort_keys=True, ensure_ascii=False, indent=2)
     return table, all_ok

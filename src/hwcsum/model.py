@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .corpus import atomic_write
 from .numerics import Adagrad, Tape, Tensor, init_uniform
 from .rng import MT19937
 from .tokenizer import BOS, EOS, EncodedPair
@@ -112,19 +113,21 @@ def _encode(tape: Tape, params: ModelParams, cells, src, src_mask, drop=None):
 
 def _attend(tape: Tape, dec_h: Tensor, enc: Tensor, params: ModelParams, src_mask=None):
     # bilinear score s_i = dec_h^T W enc_i, then a softmax-weighted sum over
-    # the real source positions; dec_h (Td, B, H), enc (Ts, B, H)
-    q = tape.matmul(dec_h, params["att_w"])
-    scores = tape.einsum("tbh,sbh->tbs", q, enc)
-    weights = tape.softmax(scores, None if src_mask is None else src_mask.T[None].astype(bool))
-    return tape.einsum("tbs,sbh->tbh", weights, enc), weights
+    # the real source positions; dec_h (Td, B, H) and the context are
+    # time-major, enc (B, Ts, H) and the batched products batch-major
+    q = tape.transpose(tape.matmul(dec_h, params["att_w"]), (1, 0, 2))
+    scores = tape.bmm(q, enc, transpose_b=True)
+    weights = tape.softmax(scores, None if src_mask is None else src_mask.T[:, None].astype(bool))
+    return tape.transpose(tape.bmm(weights, enc), (1, 0, 2)), weights
 
 
 def _decode(tape: Tape, params: ModelParams, cells, prev, state: Tensor, enc: Tensor,
             src_mask=None, tgt_mask=None, drop_emb=None, drop_comb=None):
-    """Teacher-forced decoder over input ids prev (Td, B) from state (B, H).
+    """Teacher-forced decoder over input ids prev (Td, B) from state (B, H),
+    attending to batch-major encoder states enc (B, Ts, H).
 
     Returns (logits (Td, B, V), decoder states (Td, B, H), attention
-    weights (Td, B, Ts)).
+    weights (B, Td, Ts)).
     """
     x = tape.embedding_lookup(params["tgt_emb"], prev)
     if drop_emb is not None:
@@ -195,8 +198,8 @@ def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | No
     cells = _cells(tape, params)
     enc, final = _encode(tape, params, cells, src, src_mask, drop[0])
     out_mask = tgt_mask[1:]
-    logits, _, _ = _decode(tape, params, cells, tgt[:-1], final, enc, src_mask, out_mask,
-                           drop[1], drop[2])
+    logits, _, _ = _decode(tape, params, cells, tgt[:-1], final,
+                           tape.transpose(enc, (1, 0, 2)), src_mask, out_mask, drop[1], drop[2])
     weights = out_mask / (out_mask.sum(axis=0) * len(pairs))
     return tape.nll(logits, tgt[1:], weights)
 
@@ -215,9 +218,10 @@ def _decoder(src_ids, params: ModelParams):
     src, mask = _pad([src_ids])
     enc, final = _encode(tape, params, cells, src, mask)
     ts, _, h = enc.data.shape
+    enc = enc.data.reshape(1, ts, h)  # batch-major, as _attend takes it
 
     def step(prev_ids, states):
-        enc_k = Tensor(np.broadcast_to(enc.data, (ts, len(prev_ids), h)))
+        enc_k = Tensor(np.broadcast_to(enc, (len(prev_ids), ts, h)))
         logits, new, _ = _decode(tape, params, cells, np.asarray(prev_ids)[None],
                                  Tensor(states), enc_k)
         return tape.log_softmax(logits).data[0], new.data[0]
@@ -249,9 +253,9 @@ def encode_sequence(src_ids, params: ModelParams, *, tape: Tape | None = None,
 
 
 def _as_source(tape: Tape, encoder_states) -> Tensor:
-    # a list of (H,) states or a stacked (Ts, H) tensor -> (Ts, 1, H)
+    # a list of (H,) states or a stacked (Ts, H) tensor -> (1, Ts, H)
     enc = tape.stack(encoder_states) if isinstance(encoder_states, list) else encoder_states
-    return tape.reshape(enc, (enc.data.shape[0], 1, enc.data.shape[1]))
+    return tape.reshape(enc, (1,) + enc.data.shape)
 
 
 def attention(decoder_hidden: Tensor, encoder_states: list[Tensor], params: ModelParams,
@@ -461,10 +465,12 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(params: ModelParams, path):
-    """Single-file container: named float64 tensors plus the config."""
+    """Single-file container: named float64 tensors plus the config, written
+    whole at exactly path (no suffix is added) or not at all."""
     meta = json.dumps({"format_version": CHECKPOINT_VERSION, "config": asdict(params.config)},
                       sort_keys=True)
-    np.savez(path, __meta__=meta, **{k: t.data for k, t in params.tensors.items()})
+    with atomic_write(path, "wb") as f:
+        np.savez(f, __meta__=meta, **{k: t.data for k, t in params.tensors.items()})
 
 
 def load_checkpoint(path) -> ModelParams:

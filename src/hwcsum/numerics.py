@@ -102,24 +102,38 @@ class Tape:
         self._emit(backward)
         return out
 
-    def einsum(self, spec: str, a: Tensor, b: Tensor) -> Tensor:
-        """Two-operand np.einsum, e.g. "tbh,sbh->tbs" (batched products).
+    def bmm(self, a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+        """Batched products over the last two axes, (..., M, K) @ (..., K, N).
 
-        Every index of an operand must also appear in the other operand
-        or in the output, so that each gradient is itself an einsum.
+        With transpose_b, b is (..., N, K) and enters transposed, as a view.
+        The leading axes of a and b must be equal.
         """
-        ins, out_sub = spec.replace(" ", "").split("->")
-        sa, sb = ins.split(",")
-        if set(sa) - set(sb + out_sub) or set(sb) - set(sa + out_sub):
-            raise ValueError(f"einsum: {spec!r} sums an index within one operand")
-        out = Tensor(np.einsum(spec, a.data, b.data))
+        ad, bd = a.data, b.data
+        bt = bd.swapaxes(-1, -2) if transpose_b else bd
+        if ad.ndim < 2 or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bt.shape[-2]:
+            raise ValueError(f"bmm: shape mismatch {ad.shape} vs {bt.shape}")
+        out = Tensor(np.matmul(ad, bt))
 
         def backward():
             g = out.grad
             if g is None:
                 return
-            _accum(a, np.einsum(f"{out_sub},{sb}->{sa}", g, b.data))
-            _accum(b, np.einsum(f"{sa},{out_sub}->{sb}", a.data, g))
+            _accum(a, np.matmul(g, bt.swapaxes(-1, -2)))
+            _accum(b, np.matmul(g.swapaxes(-1, -2), ad) if transpose_b
+                   else np.matmul(ad.swapaxes(-1, -2), g))
+
+        self._emit(backward)
+        return out
+
+    def transpose(self, a: Tensor, axes) -> Tensor:
+        """a with its axes permuted, copied to C order for the products that follow."""
+        out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
+
+        def backward():
+            g = out.grad
+            if g is None:
+                return
+            _accum(a, g.transpose(np.argsort(axes)))
 
         self._emit(backward)
         return out
@@ -222,14 +236,16 @@ class Tape:
         if len(parts) < 2 or len(lead) != 1 or parts[0].data.ndim == 0:
             raise ValueError(f"concat: incompatible shapes {[p.data.shape for p in parts]}")
         out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-        bounds = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
 
         def backward():
             g = out.grad
             if g is None:
                 return
-            for p, gp in zip(parts, np.split(g, bounds, axis=-1)):
-                _accum(p, gp)
+            start = 0
+            for p in parts:
+                end = start + p.data.shape[-1]
+                _accum(p, g[..., start:end])
+                start = end
 
         self._emit(backward)
         return out
@@ -398,7 +414,7 @@ class Tape:
         start state. Per step, with z the update and r the reset gate,
 
             z = sigmoid(xz + h Uz + bz),  r = sigmoid(xr + h Ur + br),
-            c = tanh(xh + (r * h) Uh + bh),  h' = z * h + (1 - z) * c.
+            c = tanh(xh + (r * h) Uh + bh),  h' = c + z * (h - c).
 
         mask (T, B) is 1 where a step is real; elsewhere the state is
         carried unchanged, so the last state is each row's state at its
@@ -413,44 +429,63 @@ class Tape:
         keep = np.asarray(mask, dtype=bool)
         if keep.shape != (T, B):
             raise ValueError(f"gru: mask shape {keep.shape}, expected {(T, B)}")
+        # only steps where some row is padding need the carry
+        padded = (~keep.all(axis=1)).tolist()
         u_zr, u_h = U[:, :2 * H], U[:, 2 * H:]
-        b_zr, b_h = b.data[:2 * H], b.data[2 * H:]
+        # the biases join the projection once, split into contiguous gate parts
+        x_zr, x_h = x[..., :2 * H] + b.data[:2 * H], x[..., 2 * H:] + b.data[2 * H:]
         zr = np.empty((T, B, 2 * H))
         cand = np.empty((T, B, H))
         states = np.empty((T, B, H))
         for t in range(T):
-            zr[t] = 1.0 / (1.0 + np.exp(-(x[t, :, :2 * H] + h @ u_zr + b_zr)))
-            r = zr[t, :, H:]
-            cand[t] = np.tanh(x[t, :, 2 * H:] + (r * h) @ u_h + b_h)
-            z = zr[t, :, :H]
-            h = np.where(keep[t][:, None], z * h + (1.0 - z) * cand[t], h)
-            states[t] = h
+            s = np.matmul(h, u_zr, out=zr[t])
+            s += x_zr[t]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            c = np.matmul(s[:, H:] * h, u_h, out=cand[t])
+            c += x_h[t]
+            np.tanh(c, out=c)
+            new = np.subtract(h, c, out=states[t])
+            new *= s[:, :H]
+            new += c
+            if padded[t]:
+                np.copyto(new, h, where=~keep[t][:, None])
+            h = new
         out = Tensor(states)
 
         def backward():
             g = out.grad
             if g is None:
                 return
-            dx = np.zeros((T, B, H3))
-            du = np.zeros((H, H3))
+            # everything but the recurrence in dh, over all steps at once
+            g = np.ascontiguousarray(g)
+            z, r = zr[..., :H], zr[..., H:]
+            prev = np.concatenate([h0.data[None], states[:-1]])
+            dcand = (1.0 - z) * (1.0 - cand * cand)
+            dz_coef = (prev - cand) * z * (1.0 - z)
+            dr_coef = prev * r * (1.0 - r)
+            z, r = np.ascontiguousarray(z), np.ascontiguousarray(r)
+            dx = np.empty((T, B, H3))
             dh = np.zeros((B, H))
             for t in range(T - 1, -1, -1):
-                dh = dh + g[t]
-                m = keep[t][:, None]
-                dnew = np.where(m, dh, 0.0)
-                hp, c = states[t - 1] if t else h0.data, cand[t]
-                z, r = zr[t, :, :H], zr[t, :, H:]
-                dc = dnew * (1.0 - z) * (1.0 - c * c)
+                dh += g[t]
+                dnew = np.where(keep[t][:, None], dh, 0.0) if padded[t] else dh
+                dc = np.multiply(dnew, dcand[t], out=dx[t, :, 2 * H:])
                 drh = dc @ u_h.T
-                dzr = np.concatenate([dnew * (hp - c), drh * hp], axis=1) * zr[t] * (1.0 - zr[t])
-                dx[t, :, :2 * H] = dzr
-                dx[t, :, 2 * H:] = dc
-                du[:, :2 * H] += hp.T @ dzr
-                du[:, 2 * H:] += (r * hp).T @ dc
-                dh = np.where(m, dnew * z + drh * r + dzr @ u_zr.T, dh)
+                dzr = dx[t, :, :2 * H]
+                np.multiply(dnew, dz_coef[t], out=dzr[:, :H])
+                np.multiply(drh, dr_coef[t], out=dzr[:, H:])
+                back = dzr @ u_zr.T
+                back += dnew * z[t]
+                back += drh * r[t]
+                dh = np.where(keep[t][:, None], back, dh) if padded[t] else back
+            flat, rows = dx.reshape(T * B, H3), prev.reshape(T * B, H)
             _accum(xproj, dx)
-            _accum(u, du)
-            _accum(b, dx.sum(axis=(0, 1)))
+            _accum(u, np.concatenate([rows.T @ flat[:, :2 * H],
+                                      (r.reshape(T * B, H) * rows).T @ flat[:, 2 * H:]], axis=1))
+            _accum(b, flat.sum(axis=0))
             _accum(h0, dh)
 
         self._emit(backward)

@@ -7,104 +7,37 @@ single 32-bit seed reproduces a whole run on any machine.
 
 import numpy as np
 
-_N = 624
-_M = 397
-_MATRIX_A = 0x9908B0DF
-_UPPER_MASK = 0x80000000  # most significant w-r bits
-_LOWER_MASK = 0x7FFFFFFF  # least significant r bits
-
 _TWO32 = 1 << 32
 
 
-def _twist(mt: np.ndarray):
-    """Regenerate the 624-word state in place, as vector blocks.
-
-    Word kk becomes mt[kk+397] ^ f(mt[kk], mt[kk+1]) (indices mod 624).
-    Every f reads two words not yet regenerated, so all 623 f values but
-    the last come from the old state at once. mt[kk+397] is old for
-    kk < 227 and already regenerated from kk = 227 on, so the xor runs
-    in three blocks, each reading only words that are final before it.
-    """
-    y = (mt[:-1] & _UPPER_MASK) | (mt[1:] & _LOWER_MASK)
-    f = (y >> 1) ^ ((y & 1) * np.uint32(_MATRIX_A))
-    k = _N - _M  # 227
-    mt[:k] = mt[_M:] ^ f[:k]
-    mt[k:2 * k] = mt[:k] ^ f[k:2 * k]
-    mt[2 * k:_N - 1] = mt[k:_M - 1] ^ f[2 * k:]
-    y = (int(mt[_N - 1]) & _UPPER_MASK) | (int(mt[0]) & _LOWER_MASK)
-    mt[_N - 1] = int(mt[_M - 1]) ^ (y >> 1) ^ (_MATRIX_A if y & 1 else 0)
-
-
-def _temper(y: np.ndarray) -> np.ndarray:
-    y = y ^ (y >> 11)
-    y ^= (y << 7) & np.uint32(0x9D2C5680)
-    y ^= (y << 15) & np.uint32(0xEFC60000)
-    y ^= y >> 18
-    return y
-
-
 class MT19937:
-    """The classic mt19937ar generator (624-word state, standard tempering)."""
+    """The classic mt19937ar stream (Matsumoto & Nishimura 1998).
+
+    The state is seeded by init_genrand(seed) and advanced by numpy's C
+    MT19937 bit generator, whose raw output is genrand_int32: the same
+    tempered 32-bit words, in the same order, as the reference C code.
+    """
 
     def __init__(self, seed: int):
         if not (0 <= seed < _TWO32):
             raise ValueError(f"seed must be a 32-bit unsigned integer, got {seed}")
-        self._mt = [0] * _N
-        self._mti = _N
-        self._init_genrand(seed)
-
-    def _init_genrand(self, s: int):
-        mt = self._mt
-        mt[0] = s & 0xFFFFFFFF
-        for i in range(1, _N):
-            mt[i] = (1812433253 * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i) & 0xFFFFFFFF
-        self._mti = _N
+        # RandomState(int) seeds with init_genrand; its key and position
+        # move into a bit generator through the public state setter
+        _, key, pos = np.random.RandomState(seed).get_state()[:3]
+        self._bits = np.random.MT19937()
+        self._bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
 
     def next_u32(self) -> int:
         """Next output on [0, 2^32), bit-identical to the reference stream."""
-        mt = self._mt
-        if self._mti >= _N:
-            for kk in range(_N - _M):
-                y = (mt[kk] & _UPPER_MASK) | (mt[kk + 1] & _LOWER_MASK)
-                mt[kk] = mt[kk + _M] ^ (y >> 1) ^ (_MATRIX_A if y & 1 else 0)
-            for kk in range(_N - _M, _N - 1):
-                y = (mt[kk] & _UPPER_MASK) | (mt[kk + 1] & _LOWER_MASK)
-                mt[kk] = mt[kk + (_M - _N)] ^ (y >> 1) ^ (_MATRIX_A if y & 1 else 0)
-            y = (mt[_N - 1] & _UPPER_MASK) | (mt[0] & _LOWER_MASK)
-            mt[_N - 1] = mt[_M - 1] ^ (y >> 1) ^ (_MATRIX_A if y & 1 else 0)
-            self._mti = 0
-
-        y = mt[self._mti]
-        self._mti += 1
-
-        # Tempering
-        y ^= y >> 11
-        y ^= (y << 7) & 0x9D2C5680
-        y ^= (y << 15) & 0xEFC60000
-        y ^= y >> 18
-        return y
+        return self._bits.random_raw()
 
     def u32_array(self, n: int) -> np.ndarray:
         """The next n outputs as a uint32 array, equal to n next_u32 calls.
 
         Continues from the current position in the state, so scalar and
-        bulk draws may interleave freely.
+        bulk draws may interleave freely. A negative n raises ValueError.
         """
-        if n < 0:
-            raise ValueError(f"draw count must be >= 0, got {n}")
-        out = np.empty(n, dtype=np.uint32)
-        mt = np.array(self._mt, dtype=np.uint32)
-        filled = 0
-        while filled < n:
-            if self._mti >= _N:
-                _twist(mt)
-                self._mti = 0
-            take = min(n - filled, _N - self._mti)
-            out[filled:filled + take] = mt[self._mti:self._mti + take]
-            self._mti += take
-            filled += take
-        self._mt = mt.tolist()
-        return _temper(out)
+        return self._bits.random_raw(n).astype(np.uint32)
 
     def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
         """The next n values of uniform(lo, hi) as a float64 array."""

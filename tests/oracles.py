@@ -8,6 +8,8 @@ subsequence sets, and decoding enumerates every emission sequence.
 import math
 from functools import lru_cache
 
+import numpy as np
+
 
 def enumerate_segmentations(chars, lexicon_entries):
     """Every way to cover chars with lexicon words or single-char fallbacks."""
@@ -80,6 +82,50 @@ def reference_word_segment(text, lex):
         tokens.append("".join(chars[i:j]))
         i = j
     return tokens
+
+
+def reference_gru(x, U, b, h0, mask, g):
+    """The fused GRU time loop as first written, forward and backward.
+
+    x (T, B, 3H) is the hoisted input projection, U (H, 3H), b (3H,),
+    h0 (B, H), mask (T, B) and g (T, B, H) the gradient arriving at the
+    states. Returns (states, dx, dU, db, dh0).
+    """
+    T, B, H3 = x.shape
+    H = H3 // 3
+    keep = np.asarray(mask, dtype=bool)
+    u_zr, u_h = U[:, :2 * H], U[:, 2 * H:]
+    b_zr, b_h = b[:2 * H], b[2 * H:]
+    zr = np.empty((T, B, 2 * H))
+    cand = np.empty((T, B, H))
+    states = np.empty((T, B, H))
+    h = h0
+    for t in range(T):
+        zr[t] = 1.0 / (1.0 + np.exp(-(x[t, :, :2 * H] + h @ u_zr + b_zr)))
+        r = zr[t, :, H:]
+        cand[t] = np.tanh(x[t, :, 2 * H:] + (r * h) @ u_h + b_h)
+        z = zr[t, :, :H]
+        h = np.where(keep[t][:, None], z * h + (1.0 - z) * cand[t], h)
+        states[t] = h
+
+    dx = np.zeros((T, B, H3))
+    du = np.zeros((H, H3))
+    dh = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        dh = dh + g[t]
+        m = keep[t][:, None]
+        dnew = np.where(m, dh, 0.0)
+        hp, c = states[t - 1] if t else h0, cand[t]
+        z, r = zr[t, :, :H], zr[t, :, H:]
+        dc = dnew * (1.0 - z) * (1.0 - c * c)
+        drh = dc @ u_h.T
+        dzr = np.concatenate([dnew * (hp - c), drh * hp], axis=1) * zr[t] * (1.0 - zr[t])
+        dx[t, :, :2 * H] = dzr
+        dx[t, :, 2 * H:] = dc
+        du[:, :2 * H] += hp.T @ dzr
+        du[:, 2 * H:] += (r * hp).T @ dc
+        dh = np.where(m, dnew * z + drh * r + dzr @ u_zr.T, dh)
+    return states, dx, du, dx.sum(axis=(0, 1)), dh
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,11 @@ from hwcsum.corpus import (
     DocumentPair,
     ParseError,
     SplitSpec,
+    atomic_write,
     filter_by_score,
     parse_lcsts,
     read_jsonl,
+    split_indices,
     split_train_validation,
     write_jsonl,
     write_lcsts,
@@ -240,3 +242,41 @@ def test_real_part2_counts():
     part2 = _load_real_part("PART_II.txt", "II")
     assert len(part2) == 10666
     assert len(filter_by_score(part2, 3)) == 8685
+
+
+def test_split_indices_match_split_train_validation():
+    part = CorpusPart("I", [DocumentPair(i, f"t{i}", f"s{i}") for i in range(30)])
+    train_idx, valid_idx = split_indices(30, SplitSpec(n_validation=7, seed=11))
+    train, valid = split_train_validation(part, SplitSpec(n_validation=7, seed=11))
+    assert [part.pairs[i] for i in train_idx] == train.pairs
+    assert [part.pairs[i] for i in valid_idx] == valid.pairs
+    assert sorted(train_idx + valid_idx) == list(range(30))
+
+
+# ---- crash-safe writes -------------------------------------------------------
+
+
+def test_atomic_write_replaces_whole_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old", encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write("new")
+        assert path.read_text(encoding="utf-8") == "old"  # not visible mid-write
+    assert path.read_text(encoding="utf-8") == "new"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_atomic_write_failing_writer_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(RuntimeError, match="disk full"):
+        with atomic_write(path) as f:
+            f.write("half a rep")
+            raise RuntimeError("disk full")
+    assert os.listdir(tmp_path) == []
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path, "wb") as f:
+            f.write(b"half")
+            raise RuntimeError("disk full")
+    assert os.listdir(tmp_path) == ["report.json"]
+    assert path.read_bytes() == b"old"

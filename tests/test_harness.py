@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hwcsum import harness
 from hwcsum.harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
 from hwcsum.rouge import METRICS
 
@@ -141,6 +142,32 @@ def test_failed_seed_is_recorded_not_fatal(tmp_path, synthetic_dir):
     assert run["seeds"]["0"]["status"] == "failed"
     assert "error" in run["seeds"]["0"]
     assert run["mean_scores"] is None
+
+
+def test_failed_seed_writes_its_traceback(tmp_path, synthetic_dir):
+    cfg = small_config(synthetic_dir, representations=["char_char"], n_validation=200, seeds=[0, 3])
+    report, _ = run_experiment(cfg, tmp_path)
+    for seed in (0, 3):
+        text = (tmp_path / "t" / "char_char" / f"seed{seed}" / "error.txt").read_text(encoding="utf-8")
+        assert text.startswith("Traceback")
+        assert text.rstrip().endswith(report["runs"]["char_char"]["seeds"][str(seed)]["error"])
+
+
+def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatch):
+    calls = []
+
+    def counting_segment(text, lex):
+        calls.append(text)
+        return segment(text, lex)
+
+    segment = harness.word_segment
+    monkeypatch.setattr(harness, "word_segment", counting_segment)
+    cfg = small_config(synthetic_dir, representations=["word_char"], seeds=[0, 1])
+    report, all_ok = run_experiment(cfg, tmp_path)
+    assert all_ok
+    n_pool = len(load_corpus_file(cfg.part1, "I"))
+    n_test = report["runs"]["word_char"]["seeds"]["0"]["n_test"]
+    assert len(calls) == n_pool + n_test
 
 
 def test_sweep_two_sizes(tmp_path, synthetic_dir):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -384,6 +385,30 @@ def test_checkpoint_save_load_save_identical(tmp_path):
     loaded1, loaded2 = load_checkpoint(p1), load_checkpoint(p2)
     for name in params.tensors:
         assert np.array_equal(loaded1[name].data, loaded2[name].data)
+
+
+def test_checkpoint_written_at_exact_path(tmp_path):
+    save_checkpoint(rand_params(15), tmp_path / "model")
+    assert sorted(os.listdir(tmp_path)) == ["model"]
+    assert load_checkpoint(tmp_path / "model").config == rand_params(15).config
+
+
+def test_checkpoint_failing_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.npz"
+    save_checkpoint(rand_params(16), path)
+    before = path.read_bytes()
+
+    def savez_then_fail(file, **arrays):
+        file.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(rand_params(17), path)
+    with pytest.raises(OSError):
+        save_checkpoint(rand_params(17), tmp_path / "fresh.npz")
+    assert sorted(os.listdir(tmp_path)) == ["model.npz"]
+    assert path.read_bytes() == before
 
 
 # ---- decoding ---------------------------------------------------------------

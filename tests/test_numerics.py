@@ -5,6 +5,7 @@ import pytest
 
 from hwcsum.numerics import Adagrad, Tape, Tensor, init_uniform
 from hwcsum.rng import MT19937
+from oracles import reference_gru
 
 H = 1e-5
 TOL = 1e-4
@@ -307,24 +308,46 @@ def test_embedding_lookup_rejects_out_of_range_ids():
         t.embedding_lookup(Tensor(np.ones((4, 2))), np.array([[0, 4]]))
 
 
-def test_fd_einsum_batched_products():
+def test_fd_bmm_attention_shapes():
+    # attention's two batched products, batch-major: scores = q k^T, context = w k
     gen = MT19937(110)
     for _ in range(50):
-        q = Tensor(rand_array(gen, (2, 3, 4)))
-        k = Tensor(rand_array(gen, (5, 3, 4)))
-        w = Tensor(rand_array(gen, (2, 3, 4)))
+        q = Tensor(rand_array(gen, (3, 2, 4)))
+        k = Tensor(rand_array(gen, (3, 5, 4)))
+        w = Tensor(rand_array(gen, (3, 2, 4)))
 
         def loss(tape, inputs):
-            scores = tape.einsum("tbh,sbh->tbs", inputs[0], inputs[1])
-            context = tape.einsum("tbs,sbh->tbh", tape.tanh(scores), inputs[1])
+            scores = tape.bmm(inputs[0], inputs[1], transpose_b=True)
+            context = tape.bmm(tape.tanh(scores), inputs[1])
             return tape.sum_all(tape.mul(context, inputs[2]))
 
-        fd_check(loss, [q, k, w], "einsum")
+        fd_check(loss, [q, k, w], "bmm")
+    t = Tape(recording=False)
+    assert np.allclose(t.bmm(q, k, transpose_b=True).data, np.einsum("bth,bsh->bts", q.data, k.data))
 
 
-def test_einsum_rejects_within_operand_sum():
-    with pytest.raises(ValueError):
-        Tape().einsum("ij,jk->k", Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
+def test_bmm_rejects_mismatched_shapes():
+    t = Tape()
+    with pytest.raises(ValueError, match="bmm"):
+        t.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))))
+    with pytest.raises(ValueError, match="bmm"):
+        t.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ValueError, match="bmm"):
+        t.bmm(Tensor(np.ones(4)), Tensor(np.ones(4)))
+
+
+def test_fd_transpose():
+    gen = MT19937(114)
+    for _ in range(20):
+        x = Tensor(rand_array(gen, (2, 3, 4)))
+        w = Tensor(rand_array(gen, (3, 4, 2)))
+
+        def loss(tape, inputs):
+            return tape.sum_all(tape.mul(tape.transpose(inputs[0], (1, 2, 0)), inputs[1]))
+
+        fd_check(loss, [x, w], "transpose")
+    y = Tape(recording=False).transpose(x, (1, 0, 2)).data
+    assert y.flags.c_contiguous and np.array_equal(y, x.data.transpose(1, 0, 2))
 
 
 def test_fd_masked_softmax():
@@ -430,6 +453,24 @@ def test_fd_gru_ragged_batch():
         # padded steps carry the state and take no gradient
         assert np.array_equal(states[3, 1], states[0, 1])
         assert np.array_equal(x.grad[1:, 1], np.zeros((3, 6)))
+
+
+@pytest.mark.parametrize("mask", [
+    np.ones((5, 4)),                                                  # every step real
+    np.array([[1, 1, 1, 1]] * 2 + [[0, 0, 0, 0]] + [[1, 1, 1, 1]] * 2),  # one step padded in every row
+    (np.arange(5)[:, None] < np.array([5, 3, 1, 4])).astype(float),   # ragged lengths
+], ids=["all-real", "padded-step", "ragged"])
+def test_gru_matches_reference_loop(mask):
+    gen = MT19937(115)
+    for _ in range(10):
+        x, u, b, h0 = (Tensor(rand_array(gen, s)) for s in [(5, 4, 9), (3, 9), (9,), (4, 3)])
+        w = rand_array(gen, (5, 4, 3))
+        tape = Tape()
+        states = tape.gru(x, u, b, h0, mask)
+        tape.backward(tape.sum_all(tape.mul(states, Tensor(w))))
+        want = reference_gru(x.data, u.data, b.data, h0.data, mask, w)
+        for got, ref in zip([states.data, x.grad, u.grad, b.grad, h0.grad], want, strict=True):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_fd_dropout_fixed_mask():

@@ -100,6 +100,24 @@ def test_interleaved_scalar_and_bulk_draws_equal_scalar_stream():
     assert bulk.next_u32() == scalar.next_u32()
 
 
+def test_interleaved_draws_match_reference_stream(mt_reference):
+    # scalar, bulk and bounded draws in turn, across the first twist, against
+    # the C reference itself rather than against this class
+    for seed, expected in mt_reference.items():
+        stream = iter(expected)
+        gen = MT19937(seed)
+        # 3 << 30 rejects a quarter of the draws
+        for n, m in [(1, 7), (300, 1000), (0, 3), (322, 2), (5, 3 << 30), (250, 17)]:
+            assert gen.u32_array(n).tolist() == [next(stream) for _ in range(n)]
+            assert gen.next_u32() == next(stream)
+            limit = ((1 << 32) // m) * m
+            u = next(stream)
+            while u >= limit:
+                u = next(stream)
+            assert gen.bounded(m) == u % m
+        assert gen.next_u32() == next(stream)
+
+
 def test_bulk_draw_count_must_be_nonnegative():
     with pytest.raises(ValueError):
         MT19937(0).u32_array(-1)
