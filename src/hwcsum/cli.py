@@ -41,7 +41,7 @@ def _cmd_filter(args):
 
 
 def _cmd_split(args):
-    corpus = load_corpus_file(args.infile)
+    corpus, _ = load_corpus_file(args.infile)
     train_part, valid_part = split_train_validation(corpus, SplitSpec(args.n_validation, args.seed))
     with open(args.train_out, "w", encoding="utf-8") as f:
         write_jsonl(train_part, f)
@@ -53,8 +53,8 @@ def _cmd_split(args):
 
 
 def _cmd_clean(args):
-    part1 = load_corpus_file(args.part1, "I")
-    part3 = load_corpus_file(args.part3, "III")
+    part1, _ = load_corpus_file(args.part1, "I")
+    part3, _ = load_corpus_file(args.part3, "III")
     result = clean_part1(part1, part3, DedupConfig(max_suffix_delta=args.max_suffix_delta))
     with open(args.out, "w", encoding="utf-8") as f:
         write_jsonl(result.kept, f)
@@ -69,7 +69,7 @@ def _cmd_clean(args):
 
 
 def _cmd_vocab(args):
-    corpus = load_corpus_file(args.infile)
+    corpus, _ = load_corpus_file(args.infile)
     field = args.field or ("text" if args.unit == "word" else "summary")
     if args.unit == "word":
         if not args.lexicon:
@@ -112,7 +112,7 @@ def _cmd_train(args):
         lex, lexicon_sha256 = Lexicon.from_file(lexicon_path), _sha256(lexicon_path)
 
     def encode_corpus(path):
-        corpus = load_corpus_file(path)
+        corpus, _ = load_corpus_file(path)
         if representation == "word_char":
             return [encode_pair_hwc(p, lex, src_vocab, tgt_vocab) for p in corpus.pairs]
         return [encode_pair_chars(p, src_vocab, tgt_vocab) for p in corpus.pairs]
@@ -169,7 +169,7 @@ def _cmd_summarize(args):
                              f"with a lexicon of sha256 {trained}")
     params = load_checkpoint(model_dir / "model.npz")
 
-    corpus = load_corpus_file(args.infile)
+    corpus, _ = load_corpus_file(args.infile)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for p in corpus.pairs:

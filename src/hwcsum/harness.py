@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dedup as dedup_mod
-from .corpus import (CorpusPart, SplitSpec, atomic_write, filter_by_score, parse_lcsts, read_jsonl,
-                     split_indices)
+from .corpus import (CorpusPart, ParseIssue, SplitSpec, atomic_write, filter_by_score, parse_lcsts,
+                     read_jsonl, split_indices)
 from .model import ModelConfig, beam_search, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus
 from .tokenizer import Lexicon, build_vocab, char_tokenize, encode_tokens, word_segment
@@ -83,14 +83,15 @@ class ExperimentConfig:
         return cls(representations=rep, **raw)
 
 
-def load_corpus_file(path, part: str = "I") -> CorpusPart:
-    """Read a dataset file; .jsonl is canonical records, anything else pseudo-XML."""
+def load_corpus_file(path, part: str = "I") -> tuple[CorpusPart, list[ParseIssue]]:
+    """Read a dataset file: .jsonl is canonical records (no issues; a bad
+    record raises), anything else pseudo-XML, whose malformed blocks are
+    skipped and returned as parse issues."""
     path = Path(path)
     with open(path, encoding="utf-8") as f:
         if path.suffix == ".jsonl":
-            return read_jsonl(f, part)
-        corpus, _ = parse_lcsts(f, part)
-        return corpus
+            return read_jsonl(f, part), []
+        return parse_lcsts(f, part)
 
 
 def _sha256(path) -> str:
@@ -153,12 +154,12 @@ def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
         train_pairs, model_cfg, epochs=cfg.epochs, batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate, valid_pairs=valid_pairs)
     save_checkpoint(params, seed_dir / "checkpoints" / "model.npz")
-    with open(seed_dir / "train_log.jsonl", "w", encoding="utf-8") as f:
+    with atomic_write(seed_dir / "train_log.jsonl") as f:
         for entry in history:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
 
     candidates = []
-    with open(seed_dir / "decodes" / "candidates.jsonl", "w", encoding="utf-8") as f:
+    with atomic_write(seed_dir / "decodes" / "candidates.jsonl") as f:
         for (pair, _, _), enc in zip(test, test_pairs):
             ids = beam_search(enc.src_ids, params, cfg.beam_width)
             text = "".join(tgt_vocab.decode(ids, strip_special=True))
@@ -167,7 +168,7 @@ def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
 
     references = [p.summary for p, _, _ in test]
     means, per_pair = evaluate_corpus(candidates, references, unit="char")
-    with open(seed_dir / "scores.jsonl", "w", encoding="utf-8") as f:
+    with atomic_write(seed_dir / "scores.jsonl") as f:
         for (pair, _, _), scores in zip(test, per_pair):
             row = {"id": pair.id}
             row.update(_scores_dict(scores))
@@ -208,13 +209,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
     out.mkdir(parents=True, exist_ok=True)
     encoder_vocab_size = encoder_vocab_size if encoder_vocab_size is not None else cfg.encoder_vocab_size
 
-    pool = load_corpus_file(cfg.part1, "I")
-    part3 = load_corpus_file(cfg.part3, "III")
+    pool, issues1 = load_corpus_file(cfg.part1, "I")
+    part3, issues3 = load_corpus_file(cfg.part3, "III")
     lex = Lexicon.from_file(cfg.lexicon) if cfg.lexicon else None
 
     if cfg.dedup:
         result = dedup_mod.clean_part1(pool, part3, dedup_mod.DedupConfig(cfg.max_suffix_delta))
-        with open(out / "dedup_removals.jsonl", "w", encoding="utf-8") as f:
+        with atomic_write(out / "dedup_removals.jsonl") as f:
             for item in result.removed:
                 f.write(json.dumps(
                     {"part1_id": item.part1_id, "part3_id": item.part3_id, "reason": item.reason},
@@ -255,6 +256,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": _config_echo(cfg, encoder_vocab_size),
         "input_hashes": hashes,
+        "parse_issues": {"part1": len(issues1), "part3": len(issues3)},
         "runs": runs,
     }
     with atomic_write(out / "report.json") as f:

@@ -11,7 +11,9 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import DocumentPair
 
@@ -24,23 +26,281 @@ def char_tokenize(text: str) -> list[str]:
     return [ch for ch in text if not ch.isspace()]
 
 
-def _invalid_word(entries) -> str | None:
-    """A word whose entry is invalid (empty, or a count <= 0), else None."""
-    if "" in entries:
-        return ""
-    if entries and min(entries.values()) <= 0:
-        return next(w for w, c in entries.items() if c <= 0)
-    return None
+_COUNT_LIMIT = 2**63  # counts are held as int64
+_DIGITS_MAX = 19  # longest count parsed in bulk: 10**19 - 1 fits a uint64
+
+
+def _codes(s: str) -> np.ndarray:
+    """The code points of s, as a uint32 array."""
+    return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _exact_sum(a: np.ndarray) -> int:
+    """Sum of an int64 array as a Python int, with no wraparound: the high
+    and low 32 bits of each value are summed apart."""
+    return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
+
+
+def _invalid_entry(word: str, count: int) -> str:
+    if word == "":
+        return "lexicon contains an empty word"
+    return f"lexicon count for {word!r} must be positive, got {count}"
+
+
+def _too_large(word: str, count: int) -> str:
+    return f"lexicon count for {word!r} must be below 2**63, got {count}"
+
+
+class _Table(Mapping):
+    """Read-only word -> count table held in numpy arrays.
+
+    Words are grouped by length. Within a group each word is an exact
+    sort key: its code points packed into one uint64 when the group's
+    words fit (``bits`` per code point, from the largest code point of
+    the text the words come from, so 64 // bits characters), else its
+    big-endian UTF-32 bytes. The keys are sorted with the counts aligned,
+    so a lookup is a ``searchsorted`` and an equality test; nothing is
+    hashed. Iteration is in first-occurrence order.
+    """
+
+    def __init__(self, chars, starts, lens, counts):
+        """The words chars[starts[i]:starts[i] + lens[i]] with counts[i]; a
+        repeated word keeps its last count. ``invalid_at`` is the index of
+        the entry that makes the table invalid, or None: the last
+        occurrence of the empty word, else of the first-seen word whose
+        count is not positive."""
+        bits = max(1, int(chars.max(initial=0)).bit_length())
+        self._shift, self._limit, self._per_key = np.uint64(bits), 1 << bits, 64 // bits
+        self._groups = {}  # length -> (sorted keys, counts, first occurrences)
+        invalid = []  # (rank, last occurrence): the empty word, then words with a count <= 0
+        for length in np.flatnonzero(np.bincount(lens)).tolist():
+            at = np.flatnonzero(lens == length)
+            keys = self._pack(chars[starts[at, None] + np.arange(length, dtype=starts.dtype)])
+            order = np.argsort(keys)
+            keys = keys[order]
+            head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            # a word's occurrences sort together, in no set order
+            first = at[np.minimum.reduceat(order, head)]
+            last = at[np.maximum.reduceat(order, head)]
+            self._groups[length] = (keys[head], counts[last], first)
+            if length == 0:
+                invalid.append((-1, int(last[0])))
+            bad = np.flatnonzero(counts[last] <= 0)
+            if bad.size:
+                k = bad[np.argmin(first[bad])]
+                invalid.append((int(first[k]), int(last[k])))
+        self.invalid_at = min(invalid)[1] if invalid else None
+        self._size = sum(len(keys) for keys, _, _ in self._groups.values())
+        self.total = sum(_exact_sum(c) for _, c, _ in self._groups.values())
+        self.max_word_len = max(self._groups, default=1)
+
+    def _pack(self, mat: np.ndarray) -> np.ndarray:
+        """Sort keys of the rows of an (m, L) code-point matrix."""
+        m, length = mat.shape
+        if length > self._per_key:
+            return np.ascontiguousarray(mat, dtype=">u4").view(f"S{4 * length}").ravel()
+        key = np.zeros(m, dtype=np.uint64)
+        for c in range(length):
+            key = (key << self._shift) | mat[:, c]
+        return key
+
+    def _lookup(self, length: int, key: np.ndarray) -> np.ndarray:
+        """Counts of the words of this length with the given sort keys, 0
+        where a key is no word's."""
+        keys, counts, _ = self._groups[length]
+        pos = keys.searchsorted(key)
+        return counts.take(pos, mode="clip") * (keys.take(pos, mode="clip") == key)
+
+    def matches(self, s: str):
+        """Every word of the table inside s, looked up one length at a time.
+
+        Returns the count of the one-character word at each position (0
+        where none) and, at each position, the (end, count) of every
+        longer word starting there. A stretch holding a code point wider
+        than the packing is a miss, so it never aliases a word.
+        """
+        codes = _codes(s)
+        n = len(codes)
+        wide = codes >= self._limit if n and ord(max(s)) >= self._limit else None
+        span = wide  # windows of the current length holding a wide code point
+        codes = codes.astype(np.uint64)
+        key = codes  # packed windows of the current length
+        single, longer = [0] * n, [()] * n
+        for length in range(1, min(self.max_word_len, n) + 1):
+            m = n - length + 1
+            if length > 1 and length <= self._per_key:
+                key = (key[:m] << self._shift) | codes[length - 1:]
+            if length > 1 and span is not None:
+                span = span[:m] | wide[length - 1:]
+            if length not in self._groups:
+                continue
+            count = self._lookup(length, key if length <= self._per_key
+                                 else self._pack(sliding_window_view(codes, length)))
+            if span is not None:
+                count[span] = 0
+            if length == 1:
+                single = count.tolist()
+                continue
+            for i, c in enumerate(count.tolist()):
+                if c:
+                    longer[i] += ((i + length, c),)
+        return single, longer
+
+    def _words(self, length: int, keys: np.ndarray) -> list[str]:
+        if length > self._per_key:
+            mat = keys.view(">u4")
+        else:
+            shifts = self._shift * np.arange(length - 1, -1, -1, dtype=np.uint64)
+            mat = (keys[:, None] >> shifts) & np.uint64(self._limit - 1)
+        text = mat.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+        return [text[i:i + length] for i in range(0, len(text), length)]
+
+    def _ordered(self) -> tuple[list[str], list[int]]:
+        """Words and counts in first-occurrence order."""
+        if not self._groups:
+            return [], []
+        words = [w for length, (keys, _, _) in self._groups.items() for w in self._words(length, keys)]
+        order = np.argsort(np.concatenate([first for _, _, first in self._groups.values()]))
+        counts = np.concatenate([c for _, c, _ in self._groups.values()])
+        return [words[i] for i in order.tolist()], counts[order].tolist()
+
+    def __getitem__(self, word):
+        if isinstance(word, str) and len(word) in self._groups:
+            codes = _codes(word)
+            if not (codes >= self._limit).any():
+                count = int(self._lookup(len(word), self._pack(codes[None]))[0])
+                if count:
+                    return count
+        raise KeyError(word)
+
+    def __iter__(self):
+        return iter(self._ordered()[0])
+
+    def __len__(self):
+        return self._size
+
+    # whole-table views decode every word once, not one lookup per word
+    def items(self):
+        return dict(zip(*self._ordered())).items()
+
+    def values(self):
+        return self._ordered()[1]
+
+
+def _table_of(entries: Mapping[str, int]) -> _Table:
+    """The table of a word -> count mapping; raises ValueError if invalid."""
+    words, counts = list(entries), list(entries.values())
+    for word, count in zip(words, counts):
+        if count >= _COUNT_LIMIT:
+            raise ValueError(_too_large(word, count))
+    lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    table = _Table(_codes("".join(words)), np.cumsum(lens) - lens, lens,
+                   np.array([max(c, -_COUNT_LIMIT) for c in counts], dtype=np.int64))
+    if table.invalid_at is not None:
+        raise ValueError(_invalid_entry(words[table.invalid_at], counts[table.invalid_at]))
+    return table
+
+
+def _text(codes: np.ndarray) -> str:
+    return codes.tobytes().decode("utf-32-le", "surrogatepass")
+
+
+def _entry_lines(codes: np.ndarray, path):
+    """Parse the code points of lexicon text whose lines end in a newline.
+
+    Returns, for each ``word<TAB>count`` line in order, its start, tab and
+    end offsets, its count and its line number. Whitespace-only lines are
+    skipped. Counts of ASCII digits are parsed column by column in bulk;
+    any other line goes through ``split`` and ``int()``, one at a time.
+    The first malformed line, or count of 2**63 or more, raises a
+    ValueError naming path and line.
+    """
+    pos = np.int32 if len(codes) < 2**31 else np.int64  # offsets, kept narrow
+    ends = np.flatnonzero(codes == 10).astype(pos)
+    if len(codes) and codes[-1] != 10:
+        ends = np.append(ends, pos(len(codes)))
+    tabs = np.flatnonzero(codes == 9).astype(pos)
+    line = np.searchsorted(ends, tabs).astype(pos)
+    differ = line[1:] != line[:-1]
+    alone = np.ones(len(line), dtype=bool)  # the only tab on its line
+    alone[1:] &= differ
+    alone[:-1] &= differ
+    line, tabs = line[alone], tabs[alone]
+    width = ends[line] - tabs - 1
+    short = (width >= 1) & (width <= _DIGITS_MAX)
+    line, tabs, width = line[short], tabs[short], width[short]
+    value = np.zeros(len(line), dtype=np.uint64)
+    digits = np.ones(len(line), dtype=bool)
+    for c in range(int(width.max(initial=0))):
+        live = np.flatnonzero(width > c)
+        d = codes[tabs[live] + (c + 1)] - 48  # wraps to a large value below '0'
+        digits[live] &= d < 10
+        value[live] = value[live] * np.uint64(10) + d
+    line, tabs, value = line[digits], tabs[digits], value[digits]
+    over = np.flatnonzero(value >= np.uint64(_COUNT_LIMIT))
+    first_over = int(line[over[0]]) if len(over) else len(ends)
+
+    parsed = np.zeros(len(ends), dtype=bool)
+    parsed[line] = True
+    tab_of = np.zeros(len(ends), dtype=pos)
+    tab_of[line] = tabs
+    count_of = np.zeros(len(ends), dtype=np.int64)
+    count_of[line] = value.astype(np.int64)
+    for i in np.flatnonzero(~parsed[:first_over]).tolist():
+        start = int(ends[i - 1]) + 1 if i else 0
+        text = _text(codes[start:ends[i]])
+        try:
+            word, count = text.split("\t")
+            count = int(count)
+        except ValueError:
+            if not text.strip():
+                continue
+            raise ValueError(f"{path}: line {i + 1}: expected 'word<TAB>count'") from None
+        if count >= _COUNT_LIMIT:
+            raise ValueError(f"{path}: line {i + 1}: {_too_large(word, count)}")
+        parsed[i] = True
+        tab_of[i] = start + len(word)
+        count_of[i] = max(count, -_COUNT_LIMIT)
+    if len(over):
+        i, tab = first_over, int(tab_of[first_over])
+        start = int(ends[i - 1]) + 1 if i else 0
+        message = _too_large(_text(codes[start:tab]), int(_text(codes[tab + 1:ends[i]])))
+        raise ValueError(f"{path}: line {i + 1}: {message}")
+    rows = np.flatnonzero(parsed)
+    starts = np.where(rows > 0, ends[rows - 1] + 1, 0).astype(pos)
+    return starts, tab_of[rows], ends[rows], count_of[rows], rows + 1
+
+
+def _universal_newlines(s: str) -> str:
+    """Line ends as text-mode reading gives them: CRLF and a lone CR become LF."""
+    return s.replace("\r\n", "\n").replace("\r", "\n") if "\r" in s else s
+
+
+def _read_codes(path) -> np.ndarray:
+    """Code points of a UTF-8 text file, line ends as text-mode reading
+    gives them. Invalid UTF-8 raises a ValueError naming its line, unless
+    an earlier line is malformed as a lexicon line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return _codes(_universal_newlines(raw.decode("utf-8")))
+    except UnicodeDecodeError as e:
+        head = _universal_newlines(raw[:e.start].decode("utf-8"))
+        _entry_lines(_codes(head[:head.rfind("\n") + 1]), path)
+        line_no = head.count("\n") + 1
+        raise ValueError(f"{path}: line {line_no}: invalid UTF-8 ({e.reason})") from None
 
 
 @dataclass(frozen=True)
 class Lexicon:
     """Read-only word -> count table driving the segmenter.
 
-    ``entries`` is a read-only view of the dict passed in, not a copy, so
-    the caller must not change that dict afterwards. ``total`` (the sum of
-    the counts) and ``max_word_len`` (1 when empty) are fixed at
-    construction.
+    ``entries`` is a read-only Mapping view over numpy arrays, built at
+    construction from the mapping passed in (which is not kept); it
+    iterates in first-occurrence order and looks words up exactly by
+    binary search. ``total`` (the exact sum of the counts) and
+    ``max_word_len`` (1 when empty) are fixed at construction. Counts
+    must be below 2**63.
     """
 
     entries: Mapping[str, int] = field(default_factory=dict)
@@ -48,53 +308,31 @@ class Lexicon:
     max_word_len: int = field(init=False)
 
     def __post_init__(self):
-        entries = self.entries
-        bad = _invalid_word(entries)
-        if bad == "":
-            raise ValueError("lexicon contains an empty word")
-        if bad is not None:
-            raise ValueError(f"lexicon count for {bad!r} must be positive, got {entries[bad]}")
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-        object.__setattr__(self, "total", sum(entries.values()))
-        object.__setattr__(self, "max_word_len", max(map(len, entries), default=1))
+        table = self.entries if isinstance(self.entries, _Table) else _table_of(self.entries)
+        object.__setattr__(self, "entries", table)
+        object.__setattr__(self, "total", table.total)
+        object.__setattr__(self, "max_word_len", table.max_word_len)
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        """Load ``word<TAB>count`` lines in one pass.
+        """Load ``word<TAB>count`` lines from one read of the file.
 
         Blank lines are skipped and a repeated word keeps its last count.
         Every error names the file and the line.
         """
-        entries = {}
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                try:
-                    word, count = line.split("\t")
-                    entries[word] = int(count)
-                except ValueError:
-                    if line.isspace():
-                        continue
-                    raise ValueError(f"{path}: line {line_no}: expected 'word<TAB>count'") from None
-        try:
-            return cls(entries)
-        except ValueError as e:
-            line_no = _last_line_of(path, _invalid_word(entries))
-            raise ValueError(f"{path}: line {line_no}: {e}") from None
+        codes = _read_codes(path)
+        starts, tabs, ends, counts, line_nos = _entry_lines(codes, path)
+        table = _Table(codes, starts, tabs - starts, counts)
+        i = table.invalid_at
+        if i is not None:
+            word, count = _text(codes[starts[i]:tabs[i]]), int(_text(codes[tabs[i] + 1:ends[i]]))
+            raise ValueError(f"{path}: line {line_nos[i]}: {_invalid_entry(word, count)}")
+        return cls(table)
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as f:
             for word, count in self.entries.items():
                 f.write(f"{word}\t{count}\n")
-
-
-def _last_line_of(path, word: str) -> int:
-    """Number of the last line of a lexicon file that sets ``word``."""
-    last = 0
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.isspace() and line.split("\t")[0] == word:
-                last = line_no
-    return last
 
 
 def word_segment(text: str, lex: Lexicon) -> list[str]:
@@ -115,21 +353,16 @@ def word_segment(text: str, lex: Lexicon) -> list[str]:
         return []
 
     log_total = math.log(lex.total)
-    max_len = lex.max_word_len
-    get = lex.entries.get
+    single, longer = lex.entries.matches(s)
 
     # best[i] = (score, end) of the best path for s[i:], computed back to front
     best: list[tuple[float, int]] = [(0.0, n)] * (n + 1)
     for i in range(n - 1, -1, -1):
-        top = None
-        for j in range(i + 1, min(i + max_len, n) + 1):
-            count = get(s[i:j])
-            if count is None:
-                if j - i > 1:
-                    continue
-                count = 1  # singleton fallback
+        count = single[i] or 1  # singleton fallback
+        top = (math.log(count) - log_total + best[i + 1][0], i + 1)
+        for j, count in longer[i]:
             cand = (math.log(count) - log_total + best[j][0], j)
-            if top is None or cand > top:
+            if cand > top:
                 top = cand
         best[i] = top
 
@@ -202,10 +435,11 @@ class Vocabulary:
                     continue
                 try:
                     tok, count = line.split("\t")
+                    count = int(count)
                 except ValueError:
                     raise ValueError(f"{path}: line {line_no}: expected 'token<TAB>count'") from None
                 tokens.append(tok)
-                counts.append(int(count))
+                counts.append(count)
         return cls(tokens, counts, unit)
 
 

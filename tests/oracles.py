@@ -7,6 +7,7 @@ subsequence sets, and decoding enumerates every emission sequence.
 
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +43,57 @@ def best_segmentation_score(text_chars, lexicon_entries, total):
         segmentation_log_prob(seg, lexicon_entries, total)
         for seg in enumerate_segmentations(text_chars, lexicon_entries)
     )
+
+
+def _invalid_word(entries) -> str | None:
+    """A word whose entry is invalid (empty, or a count <= 0), else None."""
+    if "" in entries:
+        return ""
+    if entries and min(entries.values()) <= 0:
+        return next(w for w, c in entries.items() if c <= 0)
+    return None
+
+
+def _reference_lexicon(entries):
+    bad = _invalid_word(entries)
+    if bad == "":
+        raise ValueError("lexicon contains an empty word")
+    if bad is not None:
+        raise ValueError(f"lexicon count for {bad!r} must be positive, got {entries[bad]}")
+    return SimpleNamespace(entries=entries, total=sum(entries.values()),
+                           max_word_len=max(map(len, entries), default=1))
+
+
+def reference_lexicon_load(path):
+    """The lexicon loader as it was before the array table: a per-line
+    loop into a dict, validated afterwards, the error line found by a
+    second read. Returns a namespace of entries (the dict), total and
+    max_word_len."""
+    entries = {}
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            try:
+                word, count = line.split("\t")
+                entries[word] = int(count)
+            except ValueError:
+                if line.isspace():
+                    continue
+                raise ValueError(f"{path}: line {line_no}: expected 'word<TAB>count'") from None
+    try:
+        return _reference_lexicon(entries)
+    except ValueError as e:
+        line_no = _last_line_of(path, _invalid_word(entries))
+        raise ValueError(f"{path}: line {line_no}: {e}") from None
+
+
+def _last_line_of(path, word: str) -> int:
+    """Number of the last line of a lexicon file that sets ``word``."""
+    last = 0
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.isspace() and line.split("\t")[0] == word:
+                last = line_no
+    return last
 
 
 def reference_word_segment(text, lex):

@@ -27,11 +27,12 @@ def small_config(synthetic_dir, **overrides):
 
 
 def test_load_corpus_file_pseudo_xml(synthetic_dir):
-    part1 = load_corpus_file(synthetic_dir / "part1.txt", "I")
+    part1, issues1 = load_corpus_file(synthetic_dir / "part1.txt", "I")
     assert len(part1) == 200
-    part3 = load_corpus_file(synthetic_dir / "part3.txt", "III")
+    part3, issues3 = load_corpus_file(synthetic_dir / "part3.txt", "III")
     assert len(part3) == 30
     assert all(p.human_label is not None for p in part3.pairs)
+    assert issues1 == issues3 == []
 
 
 def test_config_validation():
@@ -153,6 +154,44 @@ def test_failed_seed_writes_its_traceback(tmp_path, synthetic_dir):
         assert text.rstrip().endswith(report["runs"]["char_char"]["seeds"][str(seed)]["error"])
 
 
+@pytest.mark.parametrize("ledger, target", [
+    ("decodes/candidates.jsonl", "beam_search"),
+    ("scores.jsonl", "_scores_dict"),
+])
+def test_seed_ledger_failing_mid_write_leaves_no_file(tmp_path, synthetic_dir, monkeypatch,
+                                                      ledger, target):
+    calls = []
+
+    def fail_on_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("mid-ledger failure")
+        return original(*args, **kwargs)
+
+    original = getattr(harness, target)
+    monkeypatch.setattr(harness, target, fail_on_third)
+    cfg = small_config(synthetic_dir, representations=["char_char"])
+    report, all_ok = run_experiment(cfg, tmp_path)
+    assert not all_ok and "mid-ledger failure" in report["runs"]["char_char"]["seeds"]["0"]["error"]
+    seed_dir = tmp_path / "t" / "char_char" / "seed0"
+    assert (seed_dir / "train_log.jsonl").exists()
+    assert not (seed_dir / ledger).exists()
+    assert not list(seed_dir.rglob("*.tmp"))
+
+
+def test_report_counts_parse_issues(tmp_path, synthetic_dir):
+    part1 = tmp_path / "part1.txt"
+    malformed = "<doc id=900>\n<summary>文化</summary>\n</doc>\n"  # no <short_text>
+    part1.write_text((synthetic_dir / "part1.txt").read_text(encoding="utf-8") + malformed,
+                     encoding="utf-8")
+    cfg = small_config(synthetic_dir, part1=str(part1), representations=["char_char"])
+    report, all_ok = run_experiment(cfg, tmp_path / "out")
+    assert all_ok
+    assert report["parse_issues"] == {"part1": 1, "part3": 0}
+    on_disk = json.loads((tmp_path / "out" / "t" / "report.json").read_text(encoding="utf-8"))
+    assert on_disk["parse_issues"] == {"part1": 1, "part3": 0}
+
+
 def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatch):
     calls = []
 
@@ -165,7 +204,7 @@ def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatc
     cfg = small_config(synthetic_dir, representations=["word_char"], seeds=[0, 1])
     report, all_ok = run_experiment(cfg, tmp_path)
     assert all_ok
-    n_pool = len(load_corpus_file(cfg.part1, "I"))
+    n_pool = len(load_corpus_file(cfg.part1, "I")[0])
     n_test = report["runs"]["word_char"]["seeds"]["0"]["n_test"]
     assert len(calls) == n_pool + n_test
 

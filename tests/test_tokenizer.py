@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,12 @@ from hwcsum.tokenizer import (
     encode_pair_hwc,
     word_segment,
 )
-from oracles import best_segmentation_score, reference_word_segment, segmentation_log_prob
+from oracles import (
+    best_segmentation_score,
+    reference_lexicon_load,
+    reference_word_segment,
+    segmentation_log_prob,
+)
 
 
 def test_char_tokenize_cjk():
@@ -111,14 +117,17 @@ def _scale_lexicon(gen, inventory, n_entries):
     return entries
 
 
-def test_segment_matches_reference_at_scale():
+def test_segment_matches_reference_at_scale(tmp_path):
     gen = MT19937(2024)
     inventory = [chr(0x4E00 + 7 * k) for k in range(500)]
     missing = ["A", "7", "。", chr(0x9F00), chr(0x9F01)]  # no lexicon word uses these
     spaces = [" ", "\t", "\u3000", "\n"]
     entries = _scale_lexicon(gen, inventory, 20_000)
     words = list(entries)
-    lex = Lexicon(entries)
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("".join(f"{w}\t{c}\n" for w, c in entries.items()), encoding="utf-8")
+    lex, ref = Lexicon.from_file(path), reference_lexicon_load(path)
+    assert type(ref.entries) is dict
     seen = set()
     for _ in range(200):
         pieces, length = [], 0
@@ -136,8 +145,35 @@ def test_segment_matches_reference_at_scale():
             length += len(piece)
         text = "".join(pieces)
         seen.update(text)
-        assert word_segment(text, lex) == reference_word_segment(text, lex)
+        assert word_segment(text, lex) == reference_word_segment(text, ref)
     assert set(missing) <= seen and set(spaces) <= seen
+
+
+def test_wide_code_points_never_alias_a_word():
+    # ASCII words pack 7 bits a character, so (ord('a') << 7) | 0xE2 is the
+    # key of "ab"; the wider 'â' (0xE2) must miss, not match "ab"
+    lex = Lexicon({"ab": 5, "a": 3})
+    assert (lex.entries._per_key, lex.entries._limit) == (9, 128)
+    assert word_segment("aâ", lex) == ["a", "â"]
+    assert "aâ" not in lex.entries and lex.entries.get(chr((97 << 7) | 98)) is None
+    assert word_segment("âab", lex) == ["â", "ab"]
+
+
+def test_segment_matches_reference_packed_and_byte_keys():
+    # words of 1-12 ASCII letters: up to 9 pack into a uint64 key, longer
+    # ones are byte keys; texts mix in characters wider than 7 bits
+    gen = MT19937(77)
+    alphabet = "ab"
+    wide = ["â", "ã", chr((97 << 7) | 98), "中", "😀"]
+    for _ in range(300):
+        entries = {}
+        for _ in range(1 + gen.bounded(12)):
+            word = "".join(alphabet[gen.bounded(2)] for _ in range(1 + gen.bounded(12)))
+            entries[word] = 1 + gen.bounded(40)
+        lex, ref = Lexicon(entries), SimpleNamespace(entries=entries)
+        chars = alphabet * 4 + "".join(wide) + " "
+        text = "".join(chars[gen.bounded(len(chars))] for _ in range(gen.bounded(40)))
+        assert word_segment(text, lex) == reference_word_segment(text, ref)
 
 
 def test_lexicon_is_frozen():
@@ -208,6 +244,154 @@ def test_lexicon_file_repeated_word_keeps_last_count(tmp_path):
         Lexicon.from_file(path)
 
 
+# count fields int() accepts that are not plain ASCII digits, and plain
+# ones at the edges of the bulk parse
+_COUNT_FORMS = [" {}", "+{}", "{} ", "0{}", "\u3000{}", "{}\x0c"]
+_ODD_COUNTS = ["1_000", "\uff15", "\u0663", "9223372036854775807", "00000000000000000000012"]
+_ALPHABETS = ["abc", "甲乙丙丁", "\U00020000\U00020001", "a甲\U00020000", " x\x1c\u2028\x85"]
+_BLANKS = ["", " ", "\t", " \t ", "\u3000\t", "\x1c"]
+_ENDS = ["\n", "\r\n", "\r"]
+
+
+def _lexicon_text(gen, n_lines):
+    """A valid lexicon file: words of 1-7 characters from one alphabet (so
+    words repeat), counts in the forms int() accepts, blank lines, and
+    LF, CRLF and lone CR line ends, with or without a final one."""
+    alphabet = _ALPHABETS[gen.bounded(len(_ALPHABETS))]
+    lines = []
+    for _ in range(n_lines):
+        kind = gen.bounded(10)
+        if kind == 0:
+            lines.append(_BLANKS[gen.bounded(len(_BLANKS))])
+            continue
+        word = "".join(alphabet[gen.bounded(len(alphabet))] for _ in range(1 + gen.bounded(7)))
+        if not word.strip():
+            word = "w" + word  # a whitespace-only line is skipped, not a word
+        count = str(1 + gen.bounded(10**6))
+        if kind == 1:
+            count = _COUNT_FORMS[gen.bounded(len(_COUNT_FORMS))].format(count)
+        elif kind == 2:
+            count = _ODD_COUNTS[gen.bounded(len(_ODD_COUNTS))]
+        lines.append(f"{word}\t{count}")
+    text = "".join(line + _ENDS[gen.bounded(3)] for line in lines)
+    return text if gen.bounded(2) else text.rstrip("\r\n")
+
+
+def _assert_same_load(path):
+    try:
+        ref = reference_lexicon_load(path)
+    except ValueError as e:
+        with pytest.raises(ValueError) as err:
+            Lexicon.from_file(path)
+        assert str(err.value) == str(e)
+        return str(e)
+    lex = Lexicon.from_file(path)
+    assert dict(lex.entries) == ref.entries
+    assert list(lex.entries.items()) == list(ref.entries.items())  # first-occurrence order
+    assert list(lex.entries) == list(ref.entries) and len(lex.entries) == len(ref.entries)
+    assert (lex.total, lex.max_word_len) == (ref.total, ref.max_word_len)
+    return None
+
+
+def test_lexicon_load_matches_reference_on_generated_files(tmp_path):
+    gen = MT19937(5)
+    path = tmp_path / "lexicon.tsv"
+    for _ in range(300):
+        path.write_bytes(_lexicon_text(gen, gen.bounded(40)).encode("utf-8"))
+        assert _assert_same_load(path) is None
+
+
+@pytest.mark.parametrize("content", [
+    "",
+    "\n\n",
+    "奥委会\t10\r\n\r\n \t \n成立\t5\n奥委会\t3\n\n今天\t8",
+    "词\t0\n字\t2\n词\t4\n",
+    "词\t-99999999999999999999\n词\t4\n",
+    "a\t5\rb\t6\r\rc\t7",
+    "\ufeff词\t5\n",
+    " 词 \t 5 \n",
+    "词\t9223372036854775807\n字\t9223372036854775807\n",
+])
+def test_lexicon_load_matches_reference_on_accepted_edge_cases(tmp_path, content):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(content.encode("utf-8"))
+    assert _assert_same_load(path) is None
+
+
+@pytest.mark.parametrize("bad_line", [
+    "字5", "字\t5\t6", "字\tfive", "字\t", "字\t0x10", "字\t1__0", "字\t5.0", "字\t1:", "字\t/1",
+    "字\t0", "字\t-2",
+    "字\t-0", "\t4", "字\t-99999999999999999999",
+])
+def test_lexicon_load_matches_reference_on_malformed_files(tmp_path, bad_line):
+    gen = MT19937(len(bad_line))
+    path = tmp_path / "lexicon.tsv"
+    for _ in range(20):
+        lines = _lexicon_text(gen, 12).replace("\r", "\n").split("\n")
+        at = gen.bounded(len(lines) + 1)
+        lines.insert(at, bad_line)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        message = _assert_same_load(path)
+        assert message is not None and message.startswith(f"{path}: line ")
+
+
+def test_lexicon_count_of_2_63_or_more_names_its_line(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    for count in ("9223372036854775808", "+9223372036854775808", "10000000000000000000000"):
+        path.write_text(f"词\t5\n\n字\t{count}\n字\t4\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            Lexicon.from_file(path)
+        assert str(err.value) == (
+            f"{path}: line 3: lexicon count for '字' must be below 2**63, got {int(count)}")
+    # the first malformed line in file order is the one reported
+    path.write_text("词\t9223372036854775808\n字\tfive\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r": line 1: lexicon count for '词' must be below"):
+        Lexicon.from_file(path)
+    path.write_text("词\tfive\n字\t9223372036854775808\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r": line 1: expected 'word<TAB>count'"):
+        Lexicon.from_file(path)
+    with pytest.raises(ValueError, match=r"lexicon count for '字' must be below 2\*\*63"):
+        Lexicon({"词": 1, "字": 2**63})
+
+
+def test_lexicon_total_is_exact_past_int64(tmp_path):
+    top = 2**63 - 1
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(f"词\t{top}\n字\t{top}\n句\t{top}\n", encoding="utf-8")
+    assert Lexicon.from_file(path).total == 3 * top
+    assert Lexicon({"词": top, "字": top}).total == 2 * top
+
+
+def test_lexicon_invalid_utf8_names_its_line(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes("词\t5\r\n字\t3\r".encode("utf-8") + b"\xff\t2\n")
+    with pytest.raises(ValueError) as err:
+        Lexicon.from_file(path)
+    assert str(err.value) == f"{path}: line 3: invalid UTF-8 (invalid start byte)"
+    path.write_bytes("词\t5\n".encode("utf-8") + "字".encode("utf-8")[:2])
+    with pytest.raises(ValueError, match=r": line 2: invalid UTF-8 \(unexpected end of data\)"):
+        Lexicon.from_file(path)
+    # a malformed line before the bad bytes is reported first
+    path.write_bytes("词5\n".encode("utf-8") + b"\xff\t2\n")
+    with pytest.raises(ValueError, match=r": line 1: expected 'word<TAB>count'"):
+        Lexicon.from_file(path)
+
+
+def test_lexicon_entries_view():
+    source = {"奥委会": 10, "成立": 5, "今": 1, "abcdefghijkl": 3}
+    lex = Lexicon(source)
+    source["成立"] = 99  # the table is a copy
+    view = lex.entries
+    assert list(view) == ["奥委会", "成立", "今", "abcdefghijkl"] and len(view) == 4
+    assert view["成立"] == 5 and view["abcdefghijkl"] == 3
+    assert "成" not in view and 5 not in view and view.get("成", 0) == 0
+    with pytest.raises(KeyError):
+        view["今天"]
+    assert view == {"奥委会": 10, "成立": 5, "今": 1, "abcdefghijkl": 3}
+    assert list(view.values()) == [10, 5, 1, 3] and sum(view.values()) == lex.total
+    assert Lexicon(view) == lex and Lexicon(view).entries is view
+
+
 def test_build_vocab_min_count():
     vocab = build_vocab(iter(["a", "a", "b"]), "char", min_count=2)
     assert vocab.tokens == ["<pad>", "<unk>", "<s>", "</s>", "a"]
@@ -237,6 +421,14 @@ def test_special_ids_are_fixed():
     vocab = build_vocab(iter(["x"]), "word")
     assert (vocab.ids["<pad>"], vocab.ids["<unk>"], vocab.ids["<s>"], vocab.ids["</s>"]) == (
         PAD, UNK, BOS, EOS)
+
+
+def test_vocab_load_bad_count_names_its_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("<pad>\t0\n<unk>\t0\n<s>\t0\n</s>\t0\n词\tmany\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Vocabulary.load(path, "word")
+    assert str(err.value) == f"{path}: line 5: expected 'token<TAB>count'"
 
 
 def test_vocab_file_round_trip_and_determinism(tmp_path):
