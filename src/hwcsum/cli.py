@@ -5,27 +5,32 @@ Stages exchange UTF-8 line-delimited JSON records with fields ``id``,
 """
 
 import argparse
+import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .corpus import SplitSpec, filter_by_score, parse_lcsts, read_jsonl, split_train_validation, write_jsonl
+from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, read_jsonl,
+                     split_train_validation, write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
-from .harness import ExperimentConfig, _sha256, load_corpus_file, run_experiment, sweep_vocab
+from .harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
 from .model import ModelConfig, beam_search, load_checkpoint, save_checkpoint, train
-from .rouge import METRICS, evaluate_corpus
-from .tokenizer import Lexicon, Vocabulary, build_vocab, char_tokenize, encode_pair_chars, encode_pair_hwc, word_segment
+from .rouge import METRICS, evaluate_corpus, scores_dict
+from .tokenizer import REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize, encode_tokens
+
+
+def _write_corpus(path, corpus):
+    with atomic_write(path) as f:
+        write_jsonl(corpus, f)
 
 
 def _cmd_parse(args):
     with open(args.infile, encoding="utf-8") as f:
         corpus, issues = parse_lcsts(f, args.part, strict=args.strict)
-    with open(args.out, "w", encoding="utf-8") as f:
-        write_jsonl(corpus, f)
+    _write_corpus(args.out, corpus)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            for issue in issues:
-                f.write(json.dumps({"line": issue.line, "message": issue.message}) + "\n")
+        write_rows(args.report, map(asdict, issues))
     print(f"parsed {len(corpus)} pairs, {len(issues)} skipped", file=sys.stderr)
     return 0
 
@@ -34,8 +39,7 @@ def _cmd_filter(args):
     with open(args.infile, encoding="utf-8") as f:
         corpus = read_jsonl(f, "III")
     kept = filter_by_score(corpus, args.min_score)
-    with open(args.out, "w", encoding="utf-8") as f:
-        write_jsonl(kept, f)
+    _write_corpus(args.out, kept)
     print(f"kept {len(kept)} of {len(corpus)} pairs with label >= {args.min_score}", file=sys.stderr)
     return 0
 
@@ -43,10 +47,8 @@ def _cmd_filter(args):
 def _cmd_split(args):
     corpus, _ = load_corpus_file(args.infile)
     train_part, valid_part = split_train_validation(corpus, SplitSpec(args.n_validation, args.seed))
-    with open(args.train_out, "w", encoding="utf-8") as f:
-        write_jsonl(train_part, f)
-    with open(args.valid_out, "w", encoding="utf-8") as f:
-        write_jsonl(valid_part, f)
+    _write_corpus(args.train_out, train_part)
+    _write_corpus(args.valid_out, valid_part)
     print(f"split {len(corpus)} pairs into {len(train_part)} train / {len(valid_part)} validation "
           f"(seed {args.seed})", file=sys.stderr)
     return 0
@@ -56,30 +58,20 @@ def _cmd_clean(args):
     part1, _ = load_corpus_file(args.part1, "I")
     part3, _ = load_corpus_file(args.part3, "III")
     result = clean_part1(part1, part3, DedupConfig(max_suffix_delta=args.max_suffix_delta))
-    with open(args.out, "w", encoding="utf-8") as f:
-        write_jsonl(result.kept, f)
+    _write_corpus(args.out, result.kept)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            for item in result.removed:
-                f.write(json.dumps({"part1_id": item.part1_id, "part3_id": item.part3_id,
-                                    "reason": item.reason}, sort_keys=True) + "\n")
+        write_rows(args.report, map(asdict, result.removed))
     print(f"kept {len(result.kept)} pairs, removed {len(result.removed)} overlapping items",
           file=sys.stderr)
     return 0
 
 
 def _cmd_vocab(args):
+    rep = Representation(f"{args.unit}_char", args.lexicon)  # the one with this source unit
     corpus, _ = load_corpus_file(args.infile)
     field = args.field or ("text" if args.unit == "word" else "summary")
-    if args.unit == "word":
-        if not args.lexicon:
-            raise ValueError("the word unit needs --lexicon")
-        lex = Lexicon.from_file(args.lexicon)
-        tokens = (tok for p in corpus.pairs
-                  for tok in word_segment(getattr(p, "short_text" if field == "text" else "summary"), lex))
-    else:
-        tokens = (tok for p in corpus.pairs
-                  for tok in char_tokenize(getattr(p, "short_text" if field == "text" else "summary")))
+    attr = "short_text" if field == "text" else "summary"
+    tokens = (tok for p in corpus.pairs for tok in rep.tokens(getattr(p, attr)))
     vocab = build_vocab(tokens, args.unit, min_count=args.min_count, max_size=args.max_size)
     vocab.save(args.out)
     print(f"wrote {vocab.n_content} {args.unit} tokens (plus 4 specials) to {args.out}",
@@ -99,23 +91,15 @@ def _load_train_config(path):
 
 def _cmd_train(args):
     cfg = _load_train_config(args.config)
-    representation = args.representation or cfg.get("representation", "word_char")
-    lexicon_path = args.lexicon or cfg.get("lexicon")
-
-    src_unit = "word" if representation == "word_char" else "char"
-    src_vocab = Vocabulary.load(args.src_vocab, src_unit)
+    rep = Representation(args.representation or cfg.get("representation", "word_char"),
+                         args.lexicon or cfg.get("lexicon"))
+    src_vocab = Vocabulary.load(args.src_vocab, rep.src_unit)
     tgt_vocab = Vocabulary.load(args.tgt_vocab, "char")
-    lex = lexicon_sha256 = None
-    if representation == "word_char":
-        if not lexicon_path:
-            raise ValueError("word_char training needs --lexicon or a lexicon entry in the config")
-        lex, lexicon_sha256 = Lexicon.from_file(lexicon_path), _sha256(lexicon_path)
 
     def encode_corpus(path):
         corpus, _ = load_corpus_file(path)
-        if representation == "word_char":
-            return [encode_pair_hwc(p, lex, src_vocab, tgt_vocab) for p in corpus.pairs]
-        return [encode_pair_chars(p, src_vocab, tgt_vocab) for p in corpus.pairs]
+        return [encode_tokens(rep.tokens(p.short_text), char_tokenize(p.summary), src_vocab, tgt_vocab,
+                              p.id) for p in corpus.pairs]
 
     train_pairs = encode_corpus(args.train)
     valid_pairs = encode_corpus(args.valid) if args.valid else None
@@ -139,13 +123,11 @@ def _cmd_train(args):
     save_checkpoint(params, out / "model.npz")
     src_vocab.save(out / "src_vocab.txt")
     tgt_vocab.save(out / "tgt_vocab.txt")
-    meta = {"representation": representation, "lexicon": lexicon_path,
-            "lexicon_sha256": lexicon_sha256}
-    with open(out / "meta.json", "w", encoding="utf-8") as f:
+    meta = {"representation": rep.name, "lexicon": rep.lexicon_path,
+            "lexicon_sha256": rep.lexicon_sha256}
+    with atomic_write(out / "meta.json") as f:
         json.dump(meta, f, sort_keys=True)
-    with open(out / "train_log.jsonl", "w", encoding="utf-8") as f:
-        for entry in history:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_rows(out / "train_log.jsonl", history)
     return 0
 
 
@@ -153,34 +135,18 @@ def _cmd_summarize(args):
     model_dir = Path(args.model)
     with open(model_dir / "meta.json", encoding="utf-8") as f:
         meta = json.load(f)
-    representation = meta["representation"]
-    src_unit = "word" if representation == "word_char" else "char"
-    src_vocab = Vocabulary.load(model_dir / "src_vocab.txt", src_unit)
+    rep = Representation(meta["representation"], args.lexicon or meta.get("lexicon"))
+    rep.check_lexicon(meta.get("lexicon_sha256"))
+    src_vocab = Vocabulary.load(model_dir / "src_vocab.txt", rep.src_unit)
     tgt_vocab = Vocabulary.load(model_dir / "tgt_vocab.txt", "char")
-    lex = None
-    if representation == "word_char":
-        lexicon_path = args.lexicon or meta.get("lexicon")
-        if not lexicon_path:
-            raise ValueError("word_char summarization needs --lexicon")
-        lex = Lexicon.from_file(lexicon_path)
-        trained, got = meta.get("lexicon_sha256"), _sha256(lexicon_path)
-        if trained and got != trained:
-            raise ValueError(f"lexicon {lexicon_path} has sha256 {got}, but the model was trained "
-                             f"with a lexicon of sha256 {trained}")
     params = load_checkpoint(model_dir / "model.npz")
 
     corpus, _ = load_corpus_file(args.infile)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         for p in corpus.pairs:
-            tokens = word_segment(p.short_text, lex) if representation == "word_char" \
-                else char_tokenize(p.short_text)
-            ids = beam_search(src_vocab.encode(tokens), params, args.beam, args.max_len)
+            ids = beam_search(src_vocab.encode(rep.tokens(p.short_text)), params, args.beam, args.max_len)
             text = "".join(tgt_vocab.decode(ids, strip_special=True))
             out.write(json.dumps({"id": p.id, "candidate": text}, ensure_ascii=False) + "\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -205,16 +171,8 @@ def _cmd_eval(args):
     references = _read_texts(args.references, ("summary", "candidate"))
     means, per_pair = evaluate_corpus(candidates, references, unit=args.unit)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            for i, scores in enumerate(per_pair):
-                row = {"index": i}
-                row.update({m: {"precision": scores[m].precision, "recall": scores[m].recall,
-                                "f1": scores[m].f1} for m in METRICS})
-                f.write(json.dumps(row, sort_keys=True) + "\n")
-            f.write(json.dumps({"mean": {m: {"precision": means[m].precision,
-                                             "recall": means[m].recall,
-                                             "f1": means[m].f1} for m in METRICS}},
-                               sort_keys=True) + "\n")
+        rows = [{"index": i, **scores_dict(scores)} for i, scores in enumerate(per_pair)]
+        write_rows(args.report, rows + [{"mean": scores_dict(means)}])
     for m in METRICS:
         print(f"{m}: P={means[m].precision:.4f} R={means[m].recall:.4f} F1={means[m].f1:.4f}")
     return 0
@@ -303,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid")
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)
-    p.add_argument("--representation", choices=["char_char", "word_char"])
+    p.add_argument("--representation", choices=REPRESENTATIONS)
     p.add_argument("--lexicon")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output model directory")

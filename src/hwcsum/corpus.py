@@ -275,6 +275,14 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
+def write_rows(path, rows):
+    """Write each dict as one line of JSON with sorted keys, through
+    atomic_write."""
+    with atomic_write(path) as f:
+        for row in rows:
+            f.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def filter_by_score(corpus: CorpusPart, min_score: int) -> CorpusPart:
     """Keep pairs with human_label >= min_score, order preserved."""
     kept = []

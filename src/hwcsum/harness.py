@@ -17,17 +17,15 @@ import json
 import time
 import traceback
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import dedup as dedup_mod
 from .corpus import (CorpusPart, ParseIssue, SplitSpec, atomic_write, filter_by_score, parse_lcsts,
-                     read_jsonl, split_indices)
+                     read_jsonl, split_indices, write_rows)
 from .model import ModelConfig, beam_search, save_checkpoint, train
-from .rouge import METRICS, evaluate_corpus
-from .tokenizer import Lexicon, build_vocab, char_tokenize, encode_tokens, word_segment
-
-REPRESENTATIONS = ("char_char", "word_char")
+from .rouge import METRICS, evaluate_corpus, scores_dict
+from .tokenizer import REPRESENTATIONS, Representation, build_vocab, char_tokenize, encode_tokens
 
 _MODEL_KEYS = {"embed_dim", "hidden_dim", "dropout", "max_decode_len"}
 _CONFIG_KEYS = {
@@ -61,11 +59,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        for rep in self.representations:
-            if rep not in REPRESENTATIONS:
-                raise ValueError(f"unknown representation {rep!r}; expected one of {REPRESENTATIONS}")
-        if "word_char" in self.representations and not self.lexicon:
-            raise ValueError("the word_char representation needs a lexicon file")
+        if not self.representations:
+            raise ValueError("representations must be non-empty")
+        for name in self.representations:
+            Representation.check(name, self.lexicon)
         unknown = set(self.model) - _MODEL_KEYS
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
@@ -102,27 +99,19 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _tokenizer(representation: str, lex: Lexicon | None, *parts: CorpusPart):
+def _tokenizer(rep: Representation, *parts: CorpusPart):
     """A function giving each part's [(pair, source tokens, summary chars)],
     tokenized once by the first call that succeeds (a failure fails each seed)."""
 
     @functools.cache
     def tokens():
-        source = (lambda s: word_segment(s, lex)) if representation == "word_char" else char_tokenize
-        return [[(p, source(p.short_text), char_tokenize(p.summary)) for p in part.pairs]
+        return [[(p, rep.tokens(p.short_text), char_tokenize(p.summary)) for p in part.pairs]
                 for part in parts]
 
     return tokens
 
 
-def _scores_dict(means) -> dict:
-    return {
-        m: {"precision": means[m].precision, "recall": means[m].recall, "f1": means[m].f1}
-        for m in METRICS
-    }
-
-
-def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
+def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized,
               encoder_vocab_size: int | None, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
     for sub in ("vocab", "checkpoints", "decodes"):
@@ -132,7 +121,6 @@ def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
     train_idx, valid_idx = split_indices(len(pool), SplitSpec(cfg.n_validation, seed))
     train_items = [pool[i] for i in train_idx]
 
-    src_unit = "word" if representation == "word_char" else "char"
     src_vocab = build_vocab((tok for _, src, _ in train_items for tok in src), src_unit,
                             min_count=cfg.vocab_min_count, max_size=encoder_vocab_size)
     tgt_vocab = build_vocab((ch for _, _, tgt in train_items for ch in tgt), "char",
@@ -154,9 +142,7 @@ def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
         train_pairs, model_cfg, epochs=cfg.epochs, batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate, valid_pairs=valid_pairs)
     save_checkpoint(params, seed_dir / "checkpoints" / "model.npz")
-    with atomic_write(seed_dir / "train_log.jsonl") as f:
-        for entry in history:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_rows(seed_dir / "train_log.jsonl", history)
 
     candidates = []
     with atomic_write(seed_dir / "decodes" / "candidates.jsonl") as f:
@@ -168,11 +154,8 @@ def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
 
     references = [p.summary for p, _, _ in test]
     means, per_pair = evaluate_corpus(candidates, references, unit="char")
-    with atomic_write(seed_dir / "scores.jsonl") as f:
-        for (pair, _, _), scores in zip(test, per_pair):
-            row = {"id": pair.id}
-            row.update(_scores_dict(scores))
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    write_rows(seed_dir / "scores.jsonl",
+               ({"id": pair.id, **scores_dict(scores)} for (pair, _, _), scores in zip(test, per_pair)))
 
     return {
         "status": "ok",
@@ -181,7 +164,7 @@ def _run_seed(cfg: ExperimentConfig, representation: str, seed: int, tokenized,
         "n_test": len(test),
         "src_vocab_size": src_vocab.n_content,
         "tgt_vocab_size": tgt_vocab.n_content,
-        "scores": _scores_dict(means),
+        "scores": scores_dict(means),
         "timing": {
             "seconds_per_epoch": [e["seconds"] for e in history],
             "total_seconds": time.perf_counter() - t_start,
@@ -211,41 +194,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
 
     pool, issues1 = load_corpus_file(cfg.part1, "I")
     part3, issues3 = load_corpus_file(cfg.part3, "III")
-    lex = Lexicon.from_file(cfg.lexicon) if cfg.lexicon else None
+    reps = [Representation(name, cfg.lexicon) for name in cfg.representations]
 
     if cfg.dedup:
         result = dedup_mod.clean_part1(pool, part3, dedup_mod.DedupConfig(cfg.max_suffix_delta))
-        with atomic_write(out / "dedup_removals.jsonl") as f:
-            for item in result.removed:
-                f.write(json.dumps(
-                    {"part1_id": item.part1_id, "part3_id": item.part3_id, "reason": item.reason},
-                    sort_keys=True) + "\n")
+        write_rows(out / "dedup_removals.jsonl", map(asdict, result.removed))
         pool = result.kept
 
     test = filter_by_score(part3, cfg.min_score)
 
     hashes = {"part1": _sha256(cfg.part1), "part3": _sha256(cfg.part3)}
     if cfg.lexicon:
-        hashes["lexicon"] = _sha256(cfg.lexicon)
+        hashes["lexicon"] = reps[0].lexicon_sha256  # each loaded the same file
 
     runs = {}
     all_ok = True
-    for representation in cfg.representations:
-        tokenized = _tokenizer(representation, lex, pool, test)
+    for rep in reps:
+        tokenized = _tokenizer(rep, pool, test)
         seed_records = {}
         failed = []
         for seed in cfg.seeds:
-            seed_dir = out / representation / f"seed{seed}"
+            seed_dir = out / rep.name / f"seed{seed}"
             try:
                 seed_records[str(seed)] = _run_seed(
-                    cfg, representation, seed, tokenized, encoder_vocab_size, seed_dir)
+                    cfg, rep.src_unit, seed, tokenized, encoder_vocab_size, seed_dir)
             except Exception as exc:  # keep going; partial results matter
                 seed_records[str(seed)] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
                 failed.append(seed)
                 all_ok = False
                 seed_dir.mkdir(parents=True, exist_ok=True)
                 (seed_dir / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
-        runs[representation] = {
+        runs[rep.name] = {
             "seeds": seed_records,
             "mean_scores": _mean_scores(list(seed_records.values())),
             "failed_seeds": failed,

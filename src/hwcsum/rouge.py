@@ -7,7 +7,7 @@ including ROUGE-L.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .tokenizer import char_tokenize
 
@@ -85,6 +85,12 @@ def _tokenize(text: str, unit: str) -> list[str]:
     if unit == "word":
         return text.split()
     raise ValueError(f"unit must be 'char' or 'word', got {unit!r}")
+
+
+def scores_dict(scores: dict) -> dict:
+    """A metric -> RougeScores map as plain dicts, the row format of every
+    scores ledger."""
+    return {m: asdict(scores[m]) for m in METRICS}
 
 
 def evaluate_corpus(candidates: list[str], references: list[str], unit: str = "char"):

@@ -7,6 +7,7 @@ DAG of dictionary matches; characters missing from the lexicon fall
 back to singleton words with count 1, so segmentation never fails.
 """
 
+import hashlib
 import math
 from collections import Counter
 from collections.abc import Mapping
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import DocumentPair
+from .corpus import DocumentPair, atomic_write
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -276,14 +277,15 @@ def _universal_newlines(s: str) -> str:
     return s.replace("\r\n", "\n").replace("\r", "\n") if "\r" in s else s
 
 
-def _read_codes(path) -> np.ndarray:
+def _read_codes(path) -> tuple[np.ndarray, str]:
     """Code points of a UTF-8 text file, line ends as text-mode reading
-    gives them. Invalid UTF-8 raises a ValueError naming its line, unless
-    an earlier line is malformed as a lexicon line."""
+    gives them, and the sha256 of its bytes. Invalid UTF-8 raises a
+    ValueError naming its line, unless an earlier line is malformed as a
+    lexicon line."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        return _codes(_universal_newlines(raw.decode("utf-8")))
+        return _codes(_universal_newlines(raw.decode("utf-8"))), hashlib.sha256(raw).hexdigest()
     except UnicodeDecodeError as e:
         head = _universal_newlines(raw[:e.start].decode("utf-8"))
         _entry_lines(_codes(head[:head.rfind("\n") + 1]), path)
@@ -300,12 +302,14 @@ class Lexicon:
     iterates in first-occurrence order and looks words up exactly by
     binary search. ``total`` (the exact sum of the counts) and
     ``max_word_len`` (1 when empty) are fixed at construction. Counts
-    must be below 2**63.
+    must be below 2**63. ``sha256`` is the hash of the bytes a lexicon
+    was loaded from (None when built from a mapping).
     """
 
     entries: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
     max_word_len: int = field(init=False)
+    sha256: str | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         table = self.entries if isinstance(self.entries, _Table) else _table_of(self.entries)
@@ -318,21 +322,19 @@ class Lexicon:
         """Load ``word<TAB>count`` lines from one read of the file.
 
         Blank lines are skipped and a repeated word keeps its last count.
-        Every error names the file and the line.
+        Every error names the file and the line. ``sha256`` is the hash of
+        the bytes read, so it names exactly the table that was parsed.
         """
-        codes = _read_codes(path)
+        codes, sha256 = _read_codes(path)
         starts, tabs, ends, counts, line_nos = _entry_lines(codes, path)
         table = _Table(codes, starts, tabs - starts, counts)
         i = table.invalid_at
         if i is not None:
             word, count = _text(codes[starts[i]:tabs[i]]), int(_text(codes[tabs[i] + 1:ends[i]]))
             raise ValueError(f"{path}: line {line_nos[i]}: {_invalid_entry(word, count)}")
-        return cls(table)
-
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for word, count in self.entries.items():
-                f.write(f"{word}\t{count}\n")
+        lex = cls(table)
+        object.__setattr__(lex, "sha256", sha256)
+        return lex
 
 
 def word_segment(text: str, lex: Lexicon) -> list[str]:
@@ -373,6 +375,51 @@ def word_segment(text: str, lex: Lexicon) -> list[str]:
         tokens.append(s[i:j])
         i = j
     return tokens
+
+
+REPRESENTATIONS = ("char_char", "word_char")
+
+
+class Representation:
+    """How the source side of a pair is tokenized: lexicon words for the
+    hybrid ``word_char``, characters for the ``char_char`` baseline. The
+    summary side is characters in both.
+
+    A lexicon path, when given, is loaded (and so validated and hashed)
+    whichever the name; only ``word_char`` segments with it, and it
+    requires one.
+    """
+
+    def __init__(self, name: str, lexicon_path=None):
+        self.check(name, lexicon_path)
+        self.name = name
+        self.src_unit = "word" if name == "word_char" else "char"
+        self.lexicon_path = lexicon_path
+        self.lexicon = Lexicon.from_file(lexicon_path) if lexicon_path else None
+
+    @staticmethod
+    def check(name: str, lexicon_path=None):
+        """Raise ValueError unless a Representation can be built from these."""
+        if name not in REPRESENTATIONS:
+            raise ValueError(f"unknown representation {name!r}; expected one of {REPRESENTATIONS}")
+        if name == "word_char" and not lexicon_path:
+            raise ValueError("the word_char representation needs --lexicon or a lexicon entry "
+                             "in the config")
+
+    @property
+    def lexicon_sha256(self) -> str | None:
+        return self.lexicon.sha256 if self.lexicon else None
+
+    def tokens(self, text: str) -> list[str]:
+        """Source-side tokens of text."""
+        return word_segment(text, self.lexicon) if self.src_unit == "word" else char_tokenize(text)
+
+    def check_lexicon(self, trained_sha256: str | None):
+        """Refuse a lexicon other than the one a model was trained with;
+        accept any when no hash was recorded."""
+        if trained_sha256 and trained_sha256 != self.lexicon_sha256:
+            raise ValueError(f"lexicon {self.lexicon_path} has sha256 {self.lexicon_sha256}, but the "
+                             f"model was trained with a lexicon of sha256 {trained_sha256}")
 
 
 class Vocabulary:
@@ -420,10 +467,11 @@ class Vocabulary:
         return out
 
     def save(self, path):
-        """One 'token<TAB>count' line per id; byte-identical for equal inputs."""
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        """One 'token<TAB>count' line per id; byte-identical for equal inputs.
+        Written through atomic_write, so a failed save leaves no file."""
+        with atomic_write(path, "wb") as f:
             for tok, count in zip(self.tokens, self.counts):
-                f.write(f"{tok}\t{count}\n")
+                f.write(f"{tok}\t{count}\n".encode("utf-8"))
 
     @classmethod
     def load(cls, path, unit: str) -> "Vocabulary":

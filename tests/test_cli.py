@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from hwcsum import cli
 from hwcsum.cli import main
+from hwcsum.harness import ExperimentConfig, run_experiment
 
 WORDS = ["城市", "交通", "建设", "项目", "投资", "发展"]
 
@@ -233,3 +235,73 @@ def test_train_word_char_without_lexicon_is_refused(word_char_model):
         main(["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
               "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
               "--out", str(d / "model2")])
+
+
+def test_train_refuses_an_unknown_representation(word_char_model):
+    d = word_char_model
+    argv = ["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+            "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+            "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")]
+    cfg = json.loads((d / "train_cfg.json").read_text())
+    (d / "train_cfg.json").write_text(json.dumps(dict(cfg, representation="word-char")))
+    with pytest.raises(ValueError, match="unknown representation 'word-char'"):
+        main(argv)
+    assert not (d / "model2").exists()
+    (d / "train_cfg.json").write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit):
+        main(argv + ["--representation", "word-char"])
+    assert not (d / "model2").exists()
+
+
+def test_summarize_refuses_an_unknown_representation(word_char_model):
+    d = word_char_model
+    meta_path = d / "model" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps(dict(meta, representation="word-char")))
+    with pytest.raises(ValueError, match="unknown representation 'word-char'"):
+        _summarize(d)
+    assert not (d / "candidates.jsonl").exists()
+
+
+def test_summarize_failing_mid_write_leaves_no_file(word_char_model, monkeypatch):
+    d = word_char_model
+    calls = []
+
+    def fail_on_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("mid-summarize failure")
+        return original(*args, **kwargs)
+
+    original = cli.beam_search
+    monkeypatch.setattr(cli, "beam_search", fail_on_third)
+    with pytest.raises(RuntimeError, match="mid-summarize failure"):
+        _summarize(d)
+    assert len(calls) == 3
+    assert not (d / "candidates.jsonl").exists()
+    assert not list(d.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cli_and_harness_vocabularies_are_identical(tmp_path, synthetic_dir, seed):
+    """The CLI walk and the experiment harness tokenize through one path:
+    the same split gives byte-identical vocabulary files."""
+    lexicon = str(synthetic_dir / "lexicon.tsv")
+    assert main(["parse", "--in", str(synthetic_dir / "part1.txt"), "--part", "I",
+                 "--out", str(tmp_path / "part1.jsonl")]) == 0
+    assert main(["split", "--in", str(tmp_path / "part1.jsonl"), "--n-validation", "20",
+                 "--seed", str(seed), "--train-out", str(tmp_path / "train.jsonl"),
+                 "--valid-out", str(tmp_path / "valid.jsonl")]) == 0
+    assert main(["vocab", "--unit", "word", "--lexicon", lexicon, "--in", str(tmp_path / "train.jsonl"),
+                 "--out", str(tmp_path / "src_vocab.txt")]) == 0
+    assert main(["vocab", "--unit", "char", "--in", str(tmp_path / "train.jsonl"),
+                 "--out", str(tmp_path / "tgt_vocab.txt")]) == 0
+    cfg = ExperimentConfig(
+        name="x", part1=str(synthetic_dir / "part1.txt"), part3=str(synthetic_dir / "part3.txt"),
+        lexicon=lexicon, representations=["word_char"], seeds=[seed], n_validation=20, epochs=1,
+        beam_width=1, model={"embed_dim": 4, "hidden_dim": 4, "dropout": 0.0, "max_decode_len": 2})
+    _, all_ok = run_experiment(cfg, tmp_path / "runs")
+    assert all_ok
+    harness_vocab = tmp_path / "runs" / "x" / "word_char" / f"seed{seed}" / "vocab"
+    for name in ("src_vocab.txt", "tgt_vocab.txt"):
+        assert (tmp_path / name).read_bytes() == (harness_vocab / name).read_bytes()

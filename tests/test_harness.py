@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hwcsum import harness
+from hwcsum import harness, tokenizer
 from hwcsum.harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
 from hwcsum.rouge import METRICS
 
@@ -58,6 +58,13 @@ def test_config_from_file_single_representation(tmp_path, synthetic_dir):
     cfg = ExperimentConfig.from_file(path)
     assert cfg.representations == ["char_char"]
     assert cfg.seeds == [0, 1, 2, 3, 4]
+
+
+def test_config_rejects_empty_representations(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "x", "part1": "a", "part3": "b", "representation": []}))
+    with pytest.raises(ValueError, match="representations must be non-empty"):
+        ExperimentConfig.from_file(path)
 
 
 def test_config_from_file_rejects_unknown_keys(tmp_path):
@@ -156,7 +163,7 @@ def test_failed_seed_writes_its_traceback(tmp_path, synthetic_dir):
 
 @pytest.mark.parametrize("ledger, target", [
     ("decodes/candidates.jsonl", "beam_search"),
-    ("scores.jsonl", "_scores_dict"),
+    ("scores.jsonl", "scores_dict"),
 ])
 def test_seed_ledger_failing_mid_write_leaves_no_file(tmp_path, synthetic_dir, monkeypatch,
                                                       ledger, target):
@@ -199,8 +206,8 @@ def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatc
         calls.append(text)
         return segment(text, lex)
 
-    segment = harness.word_segment
-    monkeypatch.setattr(harness, "word_segment", counting_segment)
+    segment = tokenizer.word_segment
+    monkeypatch.setattr(tokenizer, "word_segment", counting_segment)
     cfg = small_config(synthetic_dir, representations=["word_char"], seeds=[0, 1])
     report, all_ok = run_experiment(cfg, tmp_path)
     assert all_ok

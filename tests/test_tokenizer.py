@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -11,8 +12,10 @@ from hwcsum.tokenizer import (
     EOS,
     PAD,
     UNK,
+    REPRESENTATIONS,
     EncodedPair,
     Lexicon,
+    Representation,
     Vocabulary,
     build_vocab,
     char_tokenize,
@@ -442,6 +445,13 @@ def test_vocab_file_round_trip_and_determinism(tmp_path):
     assert loaded.tokens == vocab.tokens and loaded.counts == vocab.counts
 
 
+def test_vocab_save_failing_mid_write_leaves_no_file(tmp_path):
+    vocab = build_vocab(iter(["词", "字", "\ud800"]), "word")  # a lone surrogate is not UTF-8
+    with pytest.raises(UnicodeEncodeError):
+        vocab.save(tmp_path / "vocab.txt")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_encode_decode_round_trip():
     vocab = build_vocab(iter(["a", "b", "c"]), "char")
     tokens = ["a", "c", "b", "a"]
@@ -534,3 +544,51 @@ def test_compression_property_fuzz():
             assert all(len(w) == 1 for w in words)
         else:
             assert any(len(w) > 1 for w in words)
+
+
+def _lexicon_file(tmp_path, text="城市\t5\n交通\t3\n"):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_lexicon_records_the_sha256_of_the_bytes_it_read(tmp_path):
+    path = _lexicon_file(tmp_path)
+    lex = Lexicon.from_file(path)
+    assert lex.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert Lexicon({"城市": 5}).sha256 is None
+    assert lex == Lexicon({"城市": 5, "交通": 3})  # the hash takes no part in equality
+
+
+def test_representation_tokens_by_name(tmp_path):
+    path = _lexicon_file(tmp_path)
+    hybrid, baseline = Representation("word_char", path), Representation("char_char", path)
+    assert (hybrid.src_unit, baseline.src_unit) == ("word", "char")
+    assert hybrid.tokens("城市 交通好") == word_segment("城市交通好", Lexicon.from_file(path))
+    assert hybrid.tokens("城市 交通好") == ["城市", "交通", "好"]
+    assert baseline.tokens("城市 交通好") == char_tokenize("城市交通好")
+    # a lexicon given to the baseline is loaded and hashed, not used
+    assert baseline.lexicon_sha256 == hybrid.lexicon_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert Representation("char_char").lexicon_sha256 is None
+
+
+def test_representation_refuses_unknown_names_and_a_missing_lexicon():
+    assert REPRESENTATIONS == ("char_char", "word_char")
+    for name in ("word-char", "wordchar", "char", ""):
+        with pytest.raises(ValueError, match="unknown representation"):
+            Representation(name)
+        with pytest.raises(ValueError, match="unknown representation"):
+            Representation.check(name, "lexicon.tsv")
+    with pytest.raises(ValueError, match="needs --lexicon"):
+        Representation("word_char")
+    Representation.check("word_char", "lexicon.tsv")  # checks names, reads no file
+
+
+def test_representation_checks_a_recorded_lexicon_hash(tmp_path):
+    path = _lexicon_file(tmp_path)
+    rep = Representation("word_char", path)
+    rep.check_lexicon(None)  # nothing recorded: any lexicon
+    rep.check_lexicon(hashlib.sha256(path.read_bytes()).hexdigest())
+    with pytest.raises(ValueError) as err:
+        rep.check_lexicon("0" * 64)
+    assert "0" * 64 in str(err.value) and rep.lexicon_sha256 in str(err.value)
