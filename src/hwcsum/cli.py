@@ -17,7 +17,11 @@ from .dedup import DedupConfig, clean_part1
 from .harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
 from .model import ModelConfig, beam_search, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize, encode_tokens
+from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize,
+                        encode_tokens, word_segment)
+
+# Stages segment through this module's word_segment binding (passed to
+# Representation.tokens), so a wrapper set on hwcsum.cli.word_segment reaches them all.
 
 
 def _write_corpus(path, corpus):
@@ -71,7 +75,7 @@ def _cmd_vocab(args):
     corpus, _ = load_corpus_file(args.infile)
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"
-    tokens = (tok for p in corpus.pairs for tok in rep.tokens(getattr(p, attr)))
+    tokens = (tok for p in corpus.pairs for tok in rep.tokens(getattr(p, attr), word_segment))
     vocab = build_vocab(tokens, args.unit, min_count=args.min_count, max_size=args.max_size)
     vocab.save(args.out)
     print(f"wrote {vocab.n_content} {args.unit} tokens (plus 4 specials) to {args.out}",
@@ -98,8 +102,8 @@ def _cmd_train(args):
 
     def encode_corpus(path):
         corpus, _ = load_corpus_file(path)
-        return [encode_tokens(rep.tokens(p.short_text), char_tokenize(p.summary), src_vocab, tgt_vocab,
-                              p.id) for p in corpus.pairs]
+        return [encode_tokens(rep.tokens(p.short_text, word_segment), char_tokenize(p.summary),
+                              src_vocab, tgt_vocab, p.id) for p in corpus.pairs]
 
     train_pairs = encode_corpus(args.train)
     valid_pairs = encode_corpus(args.valid) if args.valid else None
@@ -144,7 +148,8 @@ def _cmd_summarize(args):
     corpus, _ = load_corpus_file(args.infile)
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         for p in corpus.pairs:
-            ids = beam_search(src_vocab.encode(rep.tokens(p.short_text)), params, args.beam, args.max_len)
+            src_ids = src_vocab.encode(rep.tokens(p.short_text, word_segment))
+            ids = beam_search(src_ids, params, args.beam, args.max_len)
             text = "".join(tgt_vocab.decode(ids, strip_special=True))
             out.write(json.dumps({"id": p.id, "candidate": text}, ensure_ascii=False) + "\n")
     return 0
@@ -178,11 +183,15 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_experiment(args):
+def _experiment_config(args):
     cfg = ExperimentConfig.from_file(args.config)
     if args.seeds:
         cfg.seeds = [int(s) for s in args.seeds.split(",")]
-    report, all_ok = run_experiment(cfg, args.out)
+    return cfg
+
+
+def _cmd_experiment(args):
+    report, all_ok = run_experiment(_experiment_config(args), args.out)
     for representation, run in report["runs"].items():
         mean = run["mean_scores"]
         if mean is None:
@@ -194,9 +203,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_sweep(args):
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.seeds:
-        cfg.seeds = [int(s) for s in args.seeds.split(",")]
+    cfg = _experiment_config(args)
     sizes = [int(s) for s in args.sizes.split(",")]
     table, all_ok = sweep_vocab(cfg, sizes, args.out)
     for row in table:

@@ -25,7 +25,8 @@ from .corpus import (CorpusPart, ParseIssue, SplitSpec, atomic_write, filter_by_
                      read_jsonl, split_indices, write_rows)
 from .model import ModelConfig, beam_search, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import REPRESENTATIONS, Representation, build_vocab, char_tokenize, encode_tokens
+from .tokenizer import (REPRESENTATIONS, Representation, build_vocab, char_tokenize, encode_tokens,
+                        load_representations)
 
 _MODEL_KEYS = {"embed_dim", "hidden_dim", "dropout", "max_decode_len"}
 _CONFIG_KEYS = {
@@ -62,7 +63,7 @@ class ExperimentConfig:
         if not self.representations:
             raise ValueError("representations must be non-empty")
         for name in self.representations:
-            Representation.check(name, self.lexicon)
+            Representation.check(name, self.lexicon, "a lexicon entry in the config")
         unknown = set(self.model) - _MODEL_KEYS
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
@@ -173,16 +174,11 @@ def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized,
 
 
 def _mean_scores(seed_records: list[dict]) -> dict | None:
-    ok = [r for r in seed_records if r["status"] == "ok"]
+    ok = [r["scores"] for r in seed_records if r["status"] == "ok"]
     if not ok:
         return None
-    out = {}
-    for m in METRICS:
-        out[m] = {
-            k: sum(r["scores"][m][k] for r in ok) / len(ok)
-            for k in ("precision", "recall", "f1")
-        }
-    return out
+    return {m: {k: sum(s[m][k] for s in ok) / len(ok) for k in ("precision", "recall", "f1")}
+            for m in METRICS}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | None = None,
@@ -194,7 +190,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
 
     pool, issues1 = load_corpus_file(cfg.part1, "I")
     part3, issues3 = load_corpus_file(cfg.part3, "III")
-    reps = [Representation(name, cfg.lexicon) for name in cfg.representations]
+    reps, lexicon_sha256 = load_representations(cfg.representations, cfg.lexicon)
 
     if cfg.dedup:
         result = dedup_mod.clean_part1(pool, part3, dedup_mod.DedupConfig(cfg.max_suffix_delta))
@@ -205,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
 
     hashes = {"part1": _sha256(cfg.part1), "part3": _sha256(cfg.part3)}
     if cfg.lexicon:
-        hashes["lexicon"] = reps[0].lexicon_sha256  # each loaded the same file
+        hashes["lexicon"] = lexicon_sha256
 
     runs = {}
     all_ok = True
@@ -233,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
     report = {
         "name": cfg.name,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": _config_echo(cfg, encoder_vocab_size),
+        "config": dict(asdict(cfg), encoder_vocab_size=encoder_vocab_size),
         "input_hashes": hashes,
         "parse_issues": {"part1": len(issues1), "part3": len(issues3)},
         "runs": runs,
@@ -241,19 +237,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | Non
     with atomic_write(out / "report.json") as f:
         json.dump(report, f, sort_keys=True, ensure_ascii=False, indent=2)
     return report, all_ok
-
-
-def _config_echo(cfg: ExperimentConfig, encoder_vocab_size: int | None) -> dict:
-    echo = {
-        "name": cfg.name, "part1": cfg.part1, "part3": cfg.part3, "lexicon": cfg.lexicon,
-        "representations": list(cfg.representations), "seeds": list(cfg.seeds),
-        "n_validation": cfg.n_validation, "min_score": cfg.min_score, "dedup": cfg.dedup,
-        "max_suffix_delta": cfg.max_suffix_delta, "encoder_vocab_size": encoder_vocab_size,
-        "decoder_vocab_size": cfg.decoder_vocab_size, "vocab_min_count": cfg.vocab_min_count,
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.learning_rate,
-        "beam_width": cfg.beam_width, "model": dict(cfg.model),
-    }
-    return echo
 
 
 def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):

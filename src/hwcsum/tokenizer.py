@@ -382,44 +382,54 @@ REPRESENTATIONS = ("char_char", "word_char")
 
 class Representation:
     """How the source side of a pair is tokenized: lexicon words for the
-    hybrid ``word_char``, characters for the ``char_char`` baseline. The
-    summary side is characters in both.
-
-    A lexicon path, when given, is loaded (and so validated and hashed)
-    whichever the name; only ``word_char`` segments with it, and it
-    requires one.
+    hybrid ``word_char``, characters for the ``char_char`` baseline (the
+    summary side is characters in both). Only ``word_char`` loads the
+    lexicon, unless given it already loaded as ``lexicon``; ``lexicon_path``
+    is kept as given, whichever the name.
     """
 
-    def __init__(self, name: str, lexicon_path=None):
+    def __init__(self, name: str, lexicon_path=None, lexicon: Lexicon | None = None):
         self.check(name, lexicon_path)
         self.name = name
         self.src_unit = "word" if name == "word_char" else "char"
         self.lexicon_path = lexicon_path
-        self.lexicon = Lexicon.from_file(lexicon_path) if lexicon_path else None
+        self.lexicon = (lexicon or Lexicon.from_file(lexicon_path)) if name == "word_char" else None
 
     @staticmethod
-    def check(name: str, lexicon_path=None):
-        """Raise ValueError unless a Representation can be built from these."""
+    def check(name: str, lexicon_path=None, lexicon_from: str = "--lexicon"):
+        """Raise ValueError unless a Representation can be built from these;
+        ``lexicon_from`` says where the caller takes a lexicon from."""
         if name not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {name!r}; expected one of {REPRESENTATIONS}")
         if name == "word_char" and not lexicon_path:
-            raise ValueError("the word_char representation needs --lexicon or a lexicon entry "
-                             "in the config")
+            raise ValueError(f"the word_char representation needs {lexicon_from}")
 
     @property
     def lexicon_sha256(self) -> str | None:
         return self.lexicon.sha256 if self.lexicon else None
 
-    def tokens(self, text: str) -> list[str]:
-        """Source-side tokens of text."""
-        return word_segment(text, self.lexicon) if self.src_unit == "word" else char_tokenize(text)
+    def tokens(self, text: str, segment=None) -> list[str]:
+        """Source-side tokens of text. ``segment`` stands in for
+        ``word_segment`` (same signature) when the caller segments through
+        its own binding of it."""
+        if self.lexicon is None:
+            return char_tokenize(text)
+        return (segment or word_segment)(text, self.lexicon)
 
     def check_lexicon(self, trained_sha256: str | None):
         """Refuse a lexicon other than the one a model was trained with;
-        accept any when no hash was recorded."""
-        if trained_sha256 and trained_sha256 != self.lexicon_sha256:
+        accept any when no hash was recorded or no lexicon is used."""
+        if self.lexicon and trained_sha256 and trained_sha256 != self.lexicon_sha256:
             raise ValueError(f"lexicon {self.lexicon_path} has sha256 {self.lexicon_sha256}, but the "
                              f"model was trained with a lexicon of sha256 {trained_sha256}")
+
+
+def load_representations(names, lexicon_path=None) -> tuple[list[Representation], str | None]:
+    """One Representation per name, sharing one load of the lexicon, and its
+    sha256 (None without a path); a given lexicon is loaded even if unused."""
+    lexicon = Lexicon.from_file(lexicon_path) if lexicon_path else None
+    reps = [Representation(name, lexicon_path, lexicon) for name in names]
+    return reps, lexicon.sha256 if lexicon else None
 
 
 class Vocabulary:

@@ -253,6 +253,32 @@ def test_train_refuses_an_unknown_representation(word_char_model):
     assert not (d / "model2").exists()
 
 
+def test_char_char_model_needs_no_lexicon_file(tiny_dataset):
+    """A char_char model records the lexicon path it was given but never
+    reads the file: summarizing works after the file is gone."""
+    d = tiny_dataset
+    assert main(["parse", "--in", str(d / "part1.txt"), "--part", "I",
+                 "--out", str(d / "train.jsonl")]) == 0
+    assert main(["vocab", "--unit", "char", "--field", "text", "--in", str(d / "train.jsonl"),
+                 "--out", str(d / "src_vocab.txt")]) == 0
+    assert main(["vocab", "--unit", "char", "--in", str(d / "train.jsonl"),
+                 "--out", str(d / "tgt_vocab.txt")]) == 0
+    (d / "train_cfg.json").write_text(json.dumps({
+        "model": {"embed_dim": 6, "hidden_dim": 6, "dropout": 0.0, "max_decode_len": 4},
+        "epochs": 1, "batch_size": 8, "representation": "char_char",
+        "lexicon": str(d / "lexicon.tsv"),
+    }))
+    assert main(["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+                 "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+                 "--out", str(d / "model")]) == 0
+    meta = json.loads((d / "model" / "meta.json").read_text())
+    assert meta == {"representation": "char_char", "lexicon": str(d / "lexicon.tsv"),
+                    "lexicon_sha256": None}
+    (d / "lexicon.tsv").unlink()
+    assert _summarize(d) == 0
+    assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
+
+
 def test_summarize_refuses_an_unknown_representation(word_char_model):
     d = word_char_model
     meta_path = d / "model" / "meta.json"

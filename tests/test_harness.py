@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -214,6 +215,23 @@ def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatc
     n_pool = len(load_corpus_file(cfg.part1, "I")[0])
     n_test = report["runs"]["word_char"]["seeds"]["0"]["n_test"]
     assert len(calls) == n_pool + n_test
+
+
+def test_lexicon_is_loaded_once_per_run(tmp_path, synthetic_dir, monkeypatch):
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load(path)
+
+    load = tokenizer.Lexicon.from_file
+    monkeypatch.setattr(tokenizer.Lexicon, "from_file", counting_load)
+    cfg = small_config(synthetic_dir)  # char_char and word_char
+    report, all_ok = run_experiment(cfg, tmp_path)
+    assert all_ok
+    assert loads == [cfg.lexicon]
+    lexicon_bytes = (synthetic_dir / "lexicon.tsv").read_bytes()
+    assert report["input_hashes"]["lexicon"] == hashlib.sha256(lexicon_bytes).hexdigest()
 
 
 def test_sweep_two_sizes(tmp_path, synthetic_dir):

@@ -19,6 +19,7 @@ from hwcsum.tokenizer import (
     Vocabulary,
     build_vocab,
     char_tokenize,
+    load_representations,
     encode_pair_chars,
     encode_pair_hwc,
     word_segment,
@@ -567,9 +568,32 @@ def test_representation_tokens_by_name(tmp_path):
     assert hybrid.tokens("城市 交通好") == word_segment("城市交通好", Lexicon.from_file(path))
     assert hybrid.tokens("城市 交通好") == ["城市", "交通", "好"]
     assert baseline.tokens("城市 交通好") == char_tokenize("城市交通好")
-    # a lexicon given to the baseline is loaded and hashed, not used
-    assert baseline.lexicon_sha256 == hybrid.lexicon_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert Representation("char_char").lexicon_sha256 is None
+    assert hybrid.lexicon_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the baseline keeps a lexicon path as given but never reads the file
+    missing = Representation("char_char", tmp_path / "missing.tsv")
+    assert missing.lexicon_path == tmp_path / "missing.tsv"
+    assert (missing.lexicon, missing.lexicon_sha256, baseline.lexicon) == (None, None, None)
+
+
+def test_representations_share_one_lexicon_load(tmp_path, monkeypatch):
+    path = _lexicon_file(tmp_path)
+    loads = []
+
+    def counting_load(p):
+        loads.append(p)
+        return load(p)
+
+    load = Lexicon.from_file
+    monkeypatch.setattr(Lexicon, "from_file", counting_load)
+    reps, sha256 = load_representations(["char_char", "word_char"], path)
+    assert loads == [path]
+    assert [r.name for r in reps] == ["char_char", "word_char"]
+    assert reps[0].lexicon is None and reps[1].lexicon_sha256 == sha256
+    assert sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    # a given lexicon is loaded, and hashed, even when no name segments with it
+    reps, sha256 = load_representations(["char_char"], path)
+    assert len(loads) == 2 and sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert load_representations(["char_char"])[1] is None
 
 
 def test_representation_refuses_unknown_names_and_a_missing_lexicon():
@@ -582,6 +606,8 @@ def test_representation_refuses_unknown_names_and_a_missing_lexicon():
     with pytest.raises(ValueError, match="needs --lexicon"):
         Representation("word_char")
     Representation.check("word_char", "lexicon.tsv")  # checks names, reads no file
+    with pytest.raises(ValueError, match="needs a lexicon entry in the config"):
+        Representation.check("word_char", None, "a lexicon entry in the config")
 
 
 def test_representation_checks_a_recorded_lexicon_hash(tmp_path):
