@@ -15,7 +15,8 @@ from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, read
                      split_train_validation, write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
 from .harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
-from .model import ModelConfig, beam_search, load_checkpoint, save_checkpoint, train
+from .model import (DECODE_CHUNK, ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint,
+                    train)
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize,
                         encode_tokens, word_segment)
@@ -147,11 +148,12 @@ def _cmd_summarize(args):
 
     corpus, _ = load_corpus_file(args.infile)
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
-        for p in corpus.pairs:
-            src_ids = src_vocab.encode(rep.tokens(p.short_text, word_segment))
-            ids = beam_search(src_ids, params, args.beam, args.max_len)
-            text = "".join(tgt_vocab.decode(ids, strip_special=True))
-            out.write(json.dumps({"id": p.id, "candidate": text}, ensure_ascii=False) + "\n")
+        for start in range(0, len(corpus.pairs), DECODE_CHUNK):
+            chunk = corpus.pairs[start:start + DECODE_CHUNK]
+            sources = [src_vocab.encode(rep.tokens(p.short_text, word_segment)) for p in chunk]
+            for p, ids in zip(chunk, beam_search_batch(sources, params, args.beam, args.max_len)):
+                text = "".join(tgt_vocab.decode(ids, strip_special=True))
+                out.write(json.dumps({"id": p.id, "candidate": text}, ensure_ascii=False) + "\n")
     return 0
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import dedup as dedup_mod
 from .corpus import (CorpusPart, ParseIssue, SplitSpec, atomic_write, filter_by_score, parse_lcsts,
                      read_jsonl, split_indices, write_rows)
-from .model import ModelConfig, beam_search, save_checkpoint, train
+from .model import DECODE_CHUNK, ModelConfig, beam_search_batch, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, Representation, build_vocab, char_tokenize, encode_tokens,
                         load_representations)
@@ -64,6 +64,10 @@ class ExperimentConfig:
             raise ValueError("representations must be non-empty")
         for name in self.representations:
             Representation.check(name, self.lexicon, "a lexicon entry in the config")
+        for what, values in (("representations", self.representations), ("seeds", self.seeds)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{what} must not repeat, got {repeated} more than once")
         unknown = set(self.model) - _MODEL_KEYS
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
@@ -147,11 +151,13 @@ def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized,
 
     candidates = []
     with atomic_write(seed_dir / "decodes" / "candidates.jsonl") as f:
-        for (pair, _, _), enc in zip(test, test_pairs):
-            ids = beam_search(enc.src_ids, params, cfg.beam_width)
-            text = "".join(tgt_vocab.decode(ids, strip_special=True))
-            candidates.append(text)
-            f.write(json.dumps({"id": pair.id, "candidate": text}, ensure_ascii=False) + "\n")
+        for start in range(0, len(test), DECODE_CHUNK):
+            sources = [enc.src_ids for enc in test_pairs[start:start + DECODE_CHUNK]]
+            decodes = beam_search_batch(sources, params, cfg.beam_width)
+            for (pair, _, _), ids in zip(test[start:start + DECODE_CHUNK], decodes):
+                text = "".join(tgt_vocab.decode(ids, strip_special=True))
+                candidates.append(text)
+                f.write(json.dumps({"id": pair.id, "candidate": text}, ensure_ascii=False) + "\n")
 
     references = [p.summary for p, _, _ in test]
     means, per_pair = evaluate_corpus(candidates, references, unit="char")

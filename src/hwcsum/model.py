@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import atomic_write
 from .numerics import Adagrad, Tape, Tensor, init_uniform
 from .rng import MT19937
-from .tokenizer import BOS, EOS, EncodedPair
+from .tokenizer import BOS, EOS, PAD, EncodedPair
 
 
 @dataclass
@@ -204,31 +204,6 @@ def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | No
     return tape.nll(logits, tgt[1:], weights)
 
 
-def _decoder(src_ids, params: ModelParams):
-    """Encode src_ids once for inference; returns (step, start state (1, H)).
-
-    step(prev_ids, states) advances k hypotheses over that source at once:
-    the last token of each and their states (k, H) give log-prob rows
-    (k, V) and the new states (k, H).
-    """
-    if not src_ids:
-        raise ValueError("cannot encode an empty source sequence")
-    tape = Tape(recording=False)
-    cells = _cells(tape, params)
-    src, mask = _pad([src_ids])
-    enc, final = _encode(tape, params, cells, src, mask)
-    ts, _, h = enc.data.shape
-    enc = enc.data.reshape(1, ts, h)  # batch-major, as _attend takes it
-
-    def step(prev_ids, states):
-        enc_k = Tensor(np.broadcast_to(enc, (len(prev_ids), ts, h)))
-        logits, new, _ = _decode(tape, params, cells, np.asarray(prev_ids)[None],
-                                 Tensor(states), enc_k)
-        return tape.log_softmax(logits).data[0], new.data[0]
-
-    return step, final.data
-
-
 # ---- batch-of-one interface --------------------------------------------------
 
 
@@ -294,29 +269,13 @@ def sequence_loss(pair: EncodedPair, params: ModelParams, *, tape: Tape | None =
 
 
 # ---- decoding ----------------------------------------------------------------
+#
+# A decode steps a grid of beam slots (k, B), slot j of article b, as one
+# (k*B, H) batch. An article's live slots hold token prefixes of one length
+# in lexicographic order, so among equal scores the lower flat index
+# slot * |V| + token id is the lexicographically smaller sequence.
 
-
-def greedy_decode(src_ids, params: ModelParams, max_len: int | None = None):
-    """Argmax decoding; returns (content token ids, accumulated log-prob).
-
-    Ties at the argmax go to the smallest token id. The </s> emission,
-    when it happens, is included in the log-prob but stripped from the
-    returned ids.
-    """
-    max_len = params.config.max_decode_len if max_len is None else max_len
-    step, state = _decoder(src_ids, params)
-    prev = BOS
-    out: list[int] = []
-    total = 0.0
-    for _ in range(max_len):
-        lp, state = step([prev], state)
-        tid = int(np.argmax(lp[0]))
-        total += float(lp[0, tid])
-        if tid == EOS:
-            break
-        out.append(tid)
-        prev = tid
-    return out, total
+DECODE_CHUNK = 32  # articles per beam_search_batch call in the harness and `summarize`
 
 
 @dataclass
@@ -328,69 +287,142 @@ class Hypothesis:
     state: Tensor | None = None
 
 
-def _beam(step_fn, vocab_size: int, beam_width: int, max_len: int, init_state) -> Hypothesis:
-    """Beam search over a batched step function.
+def _top(scores, k: int):
+    """Mask of each row's k best finite entries: higher score first, then lower index."""
+    chosen = scores > -np.inf
+    if scores.shape[1] > k:
+        kth = -np.partition(-scores, k - 1, axis=1)[:, k - 1:k]
+        above, at_kth = scores > kth, scores == kth
+        room = k - above.sum(axis=1, keepdims=True)
+        chosen &= above | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
+    return chosen
 
-    step_fn(prev_ids, states) takes the last token of each live
-    hypothesis and their states stacked along the first axis, and returns
-    (log-prob rows (k, V), new states stacked the same way).
+
+def _beam(step_fn, n: int, vocab_size: int, beam_width: int, max_len: int,
+          init_state) -> list[Hypothesis]:
+    """Beam search for n articles at once; returns each article's best hypothesis.
+
+    step_fn(prev, states, cols) takes the grid's last tokens (s, a), their
+    states stacked as (s, a, ...) and the indices of the a articles still
+    decoding, and returns log-prob rows (s, a, V) and new states (s, a, ...).
+    init_state (1, n, ...) is the state of each article's <s> hypothesis.
+    An empty slot scores -inf. An article stops after beam_width
+    finalizations on </s>, when no hypothesis is live, or after max_len
+    emissions; its live hypotheses then compete as they stand.
     """
+    cols = np.arange(n)
+    scores, prefixes, states = np.zeros((1, n)), np.full((1, n, 1), BOS), init_state
+    final = [[] for _ in range(n)]  # each article's hypotheses ended by </s>
+    best: list[Hypothesis | None] = [None] * n
+    for t in range(max_len + 1):
+        live = scores > -np.inf
+        done = ~live.any(axis=0) | (np.array([len(final[b]) for b in cols]) >= beam_width)
+        done |= t == max_len
+        for c in np.flatnonzero(done).tolist():
+            best[cols[c]] = min(final[cols[c]] + [
+                Hypothesis(prefixes[j, c].tolist(), float(scores[j, c]))
+                for j in np.flatnonzero(live[:, c]).tolist()],
+                key=lambda h: (-h.log_prob, h.token_ids))
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            cols, scores = cols[keep], scores[:, keep]
+            prefixes, states = prefixes[:, keep], states[:, keep]
+        lp, new_states = step_fn(prefixes[:, :, -1], states, cols)
+        s, a = scores.shape
+        flat = (scores[:, :, None] + lp).transpose(1, 0, 2).reshape(a, s * vocab_size)
+        rows, idx = np.nonzero(_top(flat, beam_width))  # each row's picks in flat order
+        slot, tid = np.divmod(idx, vocab_size)
+        cand = flat[rows, idx]
+        ended = tid == EOS
+        for c, j, score in zip(rows[ended].tolist(), slot[ended].tolist(), cand[ended].tolist()):
+            final[cols[c]].append(Hypothesis(prefixes[j, c].tolist() + [EOS], score))
+        rows, slot, tid, cand = rows[~ended], slot[~ended], tid[~ended], cand[~ended]
+        # the survivors fill each article's first slots, still in lexicographic order
+        counts = np.bincount(rows, minlength=a)
+        pos = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        scores = np.full((counts.max(), a), -np.inf)
+        scores[pos, rows] = cand
+        prefixes, grown = np.full(scores.shape + (t + 2,), PAD), prefixes
+        prefixes[pos, rows] = np.column_stack([grown[slot, rows], tid])
+        states = np.zeros(scores.shape + new_states.shape[2:])
+        states[pos, rows] = new_states[slot, rows]
+    return best
+
+
+def _search(sources, params: ModelParams, beam_width: int,
+            max_len: int | None) -> list[Hypothesis]:
+    """Encode the sources in one padded pass and beam-search them together."""
+    max_len = params.config.max_decode_len if max_len is None else max_len
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    live = [Hypothesis([BOS], 0.0)]
-    states = init_state
-    finalized: list[tuple[float, list[int]]] = []
-    for _ in range(max_len):
-        if not live or len(finalized) >= beam_width:
-            break
-        lp, new_states = step_fn([hyp.token_ids[-1] for hyp in live], states)
-        if vocab_size <= beam_width:
-            chosen = np.broadcast_to(np.arange(vocab_size), (len(live), vocab_size))
-        else:
-            # stable sort keeps ascending id order among ties
-            chosen = np.argsort(-lp, axis=1, kind="stable")[:, :beam_width]
-        candidates = []
-        for row, hyp in enumerate(live):
-            for tid in chosen[row]:
-                tid = int(tid)
-                candidates.append(
-                    (hyp.log_prob + float(lp[row, tid]), hyp.token_ids + [tid], row))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live, rows = [], []
-        for score, ids, row in candidates[:beam_width]:
-            if ids[-1] == EOS:
-                finalized.append((score, ids))
-            else:
-                live.append(Hypothesis(ids, score))
-                rows.append(row)
-        states = new_states[rows]
-    # hypotheses still live at the length cutoff compete as they stand
-    finalized.extend((h.log_prob, h.token_ids) for h in live)
-    score, ids = min(finalized, key=lambda f: (-f[0], f[1]))
-    return Hypothesis(ids, score)
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    if any(not s for s in sources):
+        raise ValueError("cannot encode an empty source sequence")
+    if not sources:
+        return []
+    tape = Tape(recording=False)
+    cells = _cells(tape, params)
+    src, src_mask = _pad(sources)
+    enc, final = _encode(tape, params, cells, src, src_mask)
+    enc = tape.transpose(enc, (1, 0, 2))  # batch-major (B, Ts, H), as _attend takes it
+    h = params.config.hidden_dim
+    live = [enc, src_mask]  # encoder states and mask of the articles still decoding
+
+    def step(prev, states, cols):
+        if len(cols) < live[0].data.shape[0]:
+            live[:] = Tensor(enc.data[cols]), src_mask[:, cols]
+        s, a = prev.shape
+        x = tape.embedding_lookup(params["tgt_emb"], prev.reshape(1, s * a))
+        out = _gru(tape, cells["dec"], x, Tensor(states.reshape(s * a, h)), np.ones((1, s * a)))
+        out = tape.reshape(out, (s, a, h))
+        # the slot axis stands in for _attend's decoder-time axis
+        context, _ = _attend(tape, out, live[0], params, live[1])
+        comb = tape.tanh(tape.matmul(tape.reshape(tape.concat(context, out), (s * a, 2 * h)),
+                                     params["comb_w"]))
+        lp = tape.log_softmax(tape.matmul(comb, params["out_w"])).data
+        return lp.reshape(s, a, -1), out.data
+
+    return _beam(step, len(sources), params.config.tgt_vocab_size, beam_width, max_len,
+                 final.data[None])
+
+
+def _content(token_ids: list[int]) -> list[int]:
+    # <s> always leads; </s> ends a finalized hypothesis
+    return token_ids[1:-1] if token_ids[-1] == EOS else token_ids[1:]
+
+
+def beam_search_batch(sources, params: ModelParams, beam_width: int,
+                      max_len: int | None = None) -> list[list[int]]:
+    """Each source's best token id sequence, with <s>/</s> stripped.
+
+    No length normalization; score ties break toward the
+    lexicographically smaller token id sequence. Every live hypothesis
+    of every source advances in one batch.
+    """
+    return [_content(h.token_ids) for h in _search(sources, params, beam_width, max_len)]
 
 
 def beam_search_full(src_ids, params: ModelParams, beam_width: int,
                      max_len: int | None = None) -> Hypothesis:
-    """Beam search returning the winning hypothesis with its log-prob.
-
-    No length normalization; score ties break toward the
-    lexicographically smaller token id sequence. All live hypotheses
-    advance together as one batch.
-    """
-    max_len = params.config.max_decode_len if max_len is None else max_len
-    step, state = _decoder(src_ids, params)
-    return _beam(step, params.config.tgt_vocab_size, beam_width, max_len, state)
+    """Beam search of one source: the winning hypothesis with its log-prob."""
+    return _search([src_ids], params, beam_width, max_len)[0]
 
 
 def beam_search(src_ids, params: ModelParams, beam_width: int,
                 max_len: int | None = None) -> list[int]:
-    """Best token id sequence with <s>/</s> stripped."""
-    hyp = beam_search_full(src_ids, params, beam_width, max_len)
-    ids = hyp.token_ids
-    ids = ids[1:] if ids and ids[0] == BOS else ids
-    ids = ids[:-1] if ids and ids[-1] == EOS else ids
-    return ids
+    """Best token id sequence of one source with <s>/</s> stripped."""
+    return beam_search_batch([src_ids], params, beam_width, max_len)[0]
+
+
+def greedy_decode(src_ids, params: ModelParams, max_len: int | None = None):
+    """Argmax decoding, which is beam search of width 1; returns (content
+    token ids, accumulated log-prob). Ties go to the smallest token id; a
+    </s> emission counts in the log-prob but is stripped from the ids."""
+    hyp = beam_search_full(src_ids, params, 1, max_len)
+    return _content(hyp.token_ids), hyp.log_prob
 
 
 def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,

@@ -326,13 +326,12 @@ class Tape:
         lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
         y = z - lse
         out = Tensor(y)
-        sm = np.exp(y)
 
         def backward():
             g = out.grad
             if g is None:
                 return
-            _accum(a, g - sm * g.sum(axis=-1, keepdims=True))
+            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
         self._emit(backward)
         return out

@@ -5,7 +5,9 @@ import pytest
 
 from hwcsum import cli
 from hwcsum.cli import main
-from hwcsum.harness import ExperimentConfig, run_experiment
+from hwcsum.harness import ExperimentConfig, load_corpus_file, run_experiment
+from hwcsum.model import beam_search, load_checkpoint
+from hwcsum.tokenizer import Representation, Vocabulary
 
 WORDS = ["城市", "交通", "建设", "项目", "投资", "发展"]
 
@@ -299,13 +301,45 @@ def test_summarize_failing_mid_write_leaves_no_file(word_char_model, monkeypatch
             raise RuntimeError("mid-summarize failure")
         return original(*args, **kwargs)
 
-    original = cli.beam_search
-    monkeypatch.setattr(cli, "beam_search", fail_on_third)
+    original = cli.beam_search_batch
+    monkeypatch.setattr(cli, "beam_search_batch", fail_on_third)
+    # two articles a call, so the failure lands after four rows were written
+    monkeypatch.setattr(cli, "DECODE_CHUNK", 2)
     with pytest.raises(RuntimeError, match="mid-summarize failure"):
         _summarize(d)
     assert len(calls) == 3
     assert not (d / "candidates.jsonl").exists()
     assert not list(d.rglob("*.tmp"))
+
+
+def test_summarize_refuses_a_negative_max_len(word_char_model):
+    d = word_char_model
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+        main(["summarize", "--model", str(d / "model"), "--in", str(d / "train.jsonl"),
+              "--max-len", "-1", "--out", str(d / "candidates.jsonl")])
+    assert not (d / "candidates.jsonl").exists()
+    assert not list(d.rglob("*.tmp"))
+
+
+def test_summarize_in_chunks_equals_per_article_decoding(word_char_model, synthetic_dir):
+    """200 articles, several chunks of DECODE_CHUNK: each candidate is the
+    article's own beam search."""
+    d = word_char_model
+    assert main(["parse", "--in", str(synthetic_dir / "part1.txt"), "--part", "I",
+                 "--out", str(d / "many.jsonl")]) == 0
+    assert main(["summarize", "--model", str(d / "model"), "--in", str(d / "many.jsonl"),
+                 "--beam", "3", "--max-len", "6", "--out", str(d / "candidates.jsonl")]) == 0
+    rows = [json.loads(line) for line in (d / "candidates.jsonl").read_text().splitlines()]
+    articles = load_corpus_file(d / "many.jsonl")[0].pairs
+    assert len(articles) == 200 > 2 * cli.DECODE_CHUNK
+    rep = Representation("word_char", str(d / "lexicon.tsv"))
+    src_vocab = Vocabulary.load(d / "model" / "src_vocab.txt", "word")
+    tgt_vocab = Vocabulary.load(d / "model" / "tgt_vocab.txt", "char")
+    params = load_checkpoint(d / "model" / "model.npz")
+    assert [r["id"] for r in rows] == [a.id for a in articles]
+    for row, article in zip(rows, articles):
+        ids = beam_search(src_vocab.encode(rep.tokens(article.short_text)), params, 3, 6)
+        assert row["candidate"] == "".join(tgt_vocab.decode(ids, strip_special=True))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1,12 +1,19 @@
 import copy
+import dataclasses
 import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
-from hwcsum import harness, tokenizer
+from hwcsum import harness, model, tokenizer
+from hwcsum.corpus import filter_by_score
 from hwcsum.harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
+from hwcsum.model import beam_search_full, load_checkpoint
 from hwcsum.rouge import METRICS
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(synthetic_dir, **overrides):
@@ -66,6 +73,18 @@ def test_config_rejects_empty_representations(tmp_path):
     path.write_text(json.dumps({"name": "x", "part1": "a", "part3": "b", "representation": []}))
     with pytest.raises(ValueError, match="representations must be non-empty"):
         ExperimentConfig.from_file(path)
+
+
+def test_config_rejects_a_repeated_representation():
+    # a repeat would run the same seed<k>/ directory twice and echo both in report.json
+    with pytest.raises(ValueError, match=r"representations must not repeat, got \['char_char'\]"):
+        ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char", "char_char"])
+
+
+def test_config_rejects_a_repeated_seed():
+    with pytest.raises(ValueError, match=r"seeds must not repeat, got \[0\]"):
+        ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"],
+                         seeds=[0, 1, 0])
 
 
 def test_config_from_file_rejects_unknown_keys(tmp_path):
@@ -163,7 +182,7 @@ def test_failed_seed_writes_its_traceback(tmp_path, synthetic_dir):
 
 
 @pytest.mark.parametrize("ledger, target", [
-    ("decodes/candidates.jsonl", "beam_search"),
+    ("decodes/candidates.jsonl", "beam_search_batch"),
     ("scores.jsonl", "scores_dict"),
 ])
 def test_seed_ledger_failing_mid_write_leaves_no_file(tmp_path, synthetic_dir, monkeypatch,
@@ -178,6 +197,8 @@ def test_seed_ledger_failing_mid_write_leaves_no_file(tmp_path, synthetic_dir, m
 
     original = getattr(harness, target)
     monkeypatch.setattr(harness, target, fail_on_third)
+    # two test articles a decode call, so a decode failure lands after rows were written
+    monkeypatch.setattr(harness, "DECODE_CHUNK", 2)
     cfg = small_config(synthetic_dir, representations=["char_char"])
     report, all_ok = run_experiment(cfg, tmp_path)
     assert not all_ok and "mid-ledger failure" in report["runs"]["char_char"]["seeds"]["0"]["error"]
@@ -257,3 +278,55 @@ def test_sweep_rejects_nonpositive_sizes(tmp_path, synthetic_dir):
     cfg = small_config(synthetic_dir, representations=["char_char"])
     with pytest.raises(ValueError):
         sweep_vocab(cfg, [0, 10], tmp_path)
+
+
+def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synthetic_dir):
+    """The bundled fixture's four trained models: the harness's chunked,
+    batched candidates equal per-article beam search, and batched
+    log-probs equal per-article ones."""
+    cfg = ExperimentConfig.from_file(synthetic_dir / "experiment.json")
+    cfg = dataclasses.replace(cfg, **{k: str(REPO_ROOT / getattr(cfg, k))
+                                      for k in ("part1", "part3", "lexicon")})
+    _, all_ok = run_experiment(cfg, tmp_path)
+    assert all_ok
+    part3, _ = load_corpus_file(cfg.part3, "III")
+    test = filter_by_score(part3, cfg.min_score).pairs
+    reps, _ = tokenizer.load_representations(cfg.representations, cfg.lexicon)
+    for rep in reps:
+        for seed in cfg.seeds:
+            seed_dir = tmp_path / cfg.name / rep.name / f"seed{seed}"
+            params = load_checkpoint(seed_dir / "checkpoints" / "model.npz")
+            src_vocab = tokenizer.Vocabulary.load(seed_dir / "vocab" / "src_vocab.txt", rep.src_unit)
+            tgt_vocab = tokenizer.Vocabulary.load(seed_dir / "vocab" / "tgt_vocab.txt", "char")
+            sources = [src_vocab.encode(rep.tokens(p.short_text)) for p in test]
+            one = [beam_search_full(s, params, cfg.beam_width) for s in sources]
+            rows = [json.loads(line) for line in
+                    (seed_dir / "decodes" / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
+            assert [r["id"] for r in rows] == [p.id for p in test]
+            assert [r["candidate"] for r in rows] == [
+                "".join(tgt_vocab.decode(h.token_ids, strip_special=True)) for h in one]
+            batched = model._search(sources, params, cfg.beam_width, None)
+            assert [h.token_ids for h in batched] == [h.token_ids for h in one]
+            for b, h in zip(batched, one):
+                assert math.isclose(b.log_prob, h.log_prob, rel_tol=0.0, abs_tol=1e-12)
+
+
+def test_chunk_size_does_not_change_the_decodes(tmp_path, synthetic_dir, monkeypatch):
+    cfg = small_config(synthetic_dir, representations=["char_char"], model={
+        "embed_dim": 8, "hidden_dim": 8, "dropout": 0.0, "max_decode_len": 10})
+    sizes = []
+
+    def counting(sources, *args):
+        sizes.append(len(sources))
+        return original(sources, *args)
+
+    original = harness.beam_search_batch
+    monkeypatch.setattr(harness, "beam_search_batch", counting)
+    run_experiment(cfg, tmp_path / "whole")
+    monkeypatch.setattr(harness, "DECODE_CHUNK", 5)
+    run_experiment(cfg, tmp_path / "chunked")
+    assert sizes == [17, 5, 5, 5, 2]
+    path = "t/char_char/seed0/decodes/candidates.jsonl"
+    whole = (tmp_path / "whole" / path).read_bytes()
+    assert len(whole.splitlines()) == 17
+    assert whole == (tmp_path / "chunked" / path).read_bytes()

@@ -8,9 +8,12 @@ from hwcsum.model import (
     Hypothesis,
     ModelConfig,
     _beam,
+    _search,
+    _top,
     attention,
     batch_loss,
     beam_search,
+    beam_search_batch,
     beam_search_full,
     decode_step,
     encode_sequence,
@@ -465,18 +468,18 @@ def test_beam_escapes_greedy_trap():
         row /= row.sum()
         return np.log(row), None
 
-    def batched_step_fn(prev_ids, states):
-        # _beam steps all live hypotheses at once; these have no state
-        return np.stack([step_fn(i, None)[0] for i in prev_ids]), states[[0] * len(prev_ids)]
+    def batched_step_fn(prev_ids, states, cols):
+        # _beam steps a (slots, articles) grid of hypotheses at once; these have no state
+        return np.array([[step_fn(int(i), None)[0] for i in row] for row in prev_ids]), states
 
-    no_state = np.zeros((1, 0))
-    best = _beam(batched_step_fn, vocab_size, beam_width=2, max_len=2, init_state=no_state)
+    no_state = np.zeros((1, 1, 0))
+    [best] = _beam(batched_step_fn, 1, vocab_size, beam_width=2, max_len=2, init_state=no_state)
     oracle_lp, oracle_ids = best_decode(step_fn, None, BOS, EOS, vocab_size, max_len=2)
     assert best.token_ids == [BOS, 5, EOS]
     assert best.token_ids == oracle_ids
     assert math.isclose(best.log_prob, oracle_lp, abs_tol=1e-12)
     # width 1 falls into the trap by construction
-    trapped = _beam(batched_step_fn, vocab_size, beam_width=1, max_len=2, init_state=no_state)
+    [trapped] = _beam(batched_step_fn, 1, vocab_size, beam_width=1, max_len=2, init_state=no_state)
     assert trapped.token_ids[1] == 4
     assert trapped.log_prob < best.log_prob
 
@@ -498,6 +501,67 @@ def test_beam_exhaustive_equivalence_small():
         oracle_lp, oracle_ids = best_decode(step_fn, final, BOS, EOS, 5, max_len=3)
         assert hyp.token_ids == oracle_ids
         assert math.isclose(hyp.log_prob, oracle_lp, abs_tol=1e-9)
+
+
+def test_decode_refuses_a_negative_max_len_before_encoding():
+    params = rand_params(0)
+    # an empty source would fail the encoder: the argument check comes first
+    for call in (lambda: beam_search([4], params, 3, -1), lambda: greedy_decode([4], params, -1),
+                 lambda: beam_search_batch([[4], []], params, 3, -1)):
+        with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
+            call()
+    with pytest.raises(ValueError, match="beam_width must be >= 1, got 0"):
+        beam_search_batch([[4], []], params, 0)
+    assert beam_search_batch([], params, 3) == []
+
+
+def _assert_batched_equals_per_article(sources, params, beam_width, max_len):
+    batched = _search(sources, params, beam_width, max_len)
+    one = [beam_search_full(s, params, beam_width, max_len) for s in sources]
+    assert [h.token_ids for h in batched] == [h.token_ids for h in one]
+    for b, h in zip(batched, one):
+        assert math.isclose(b.log_prob, h.log_prob, rel_tol=0.0, abs_tol=1e-12)
+    assert beam_search_batch(sources, params, beam_width, max_len) == [
+        beam_search(s, params, beam_width, max_len) for s in sources]
+    return one
+
+
+def test_batched_decode_equals_per_article_on_random_models():
+    gen = MT19937(2024)
+    lengths = set()
+    for seed in range(16):
+        params = rand_params(seed, src=9, tgt=7 + seed % 5, embed_dim=4, hidden_dim=5)
+        for t in params.tensors.values():
+            t.data *= 20.0  # peaked rows, so </s> wins at different steps
+        n = (1, 3, 8, 40)[seed % 4]  # 40: more articles in one call than DECODE_CHUNK
+        sources = [[4 + gen.bounded(5) for _ in range(1 + gen.bounded(9))] for _ in range(n)]
+        for beam_width in (1, 2, 5):
+            one = _assert_batched_equals_per_article(sources, params, beam_width, 7)
+            lengths.update(len(h.token_ids) for h in one)
+    # the articles finish at different steps, some by </s> and some at max_len
+    assert len(lengths) >= 5 and 1 + 7 in lengths
+
+
+def test_top_breaks_ties_toward_the_lower_index():
+    inf = np.inf
+    scores = np.array([[1.0, 3.0, 3.0, 3.0, 2.0],
+                       [-inf, 0.5, -inf, -inf, -inf],
+                       [2.0, 2.0, 2.0, 2.0, 2.0]])
+    assert _top(scores, 2).tolist() == [[False, True, True, False, False],
+                                        [False, True, False, False, False],
+                                        [True, True, False, False, False]]
+    assert _top(scores[:, :2], 2).tolist() == [[True, True], [False, True], [True, True]]
+
+
+def test_batched_decode_wider_than_vocab_and_max_len_zero():
+    gen = MT19937(7)
+    for seed in range(6):
+        params = rand_params(seed, src=6, tgt=5)
+        sources = [[4 + gen.bounded(2) for _ in range(1 + gen.bounded(5))] for _ in range(5)]
+        _assert_batched_equals_per_article(sources, params, 8, 4)  # beam_width > |V| = 5
+        _assert_batched_equals_per_article(sources, params, 125, 3)
+        assert _assert_batched_equals_per_article(sources, params, 3, 0) == [
+            Hypothesis([BOS], 0.0)] * 5
 
 
 def test_hypothesis_invariants():
