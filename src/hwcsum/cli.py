@@ -8,7 +8,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, read_jsonl,
@@ -185,11 +185,16 @@ def _cmd_eval(args):
     return 0
 
 
+def _int_list(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _experiment_config(args):
     cfg = ExperimentConfig.from_file(args.config)
-    if args.seeds:
-        cfg.seeds = [int(s) for s in args.seeds.split(",")]
-    return cfg
+    return replace(cfg, seeds=args.seeds) if args.seeds else cfg
 
 
 def _cmd_experiment(args):
@@ -205,9 +210,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_sweep(args):
-    cfg = _experiment_config(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    table, all_ok = sweep_vocab(cfg, sizes, args.out)
+    table, all_ok = sweep_vocab(_experiment_config(args), args.sizes, args.out)
     for row in table:
         for representation, cell in row["runs"].items():
             mean = cell["mean_scores"]
@@ -295,14 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full multi-seed protocol from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", help="comma-separated override, e.g. 0,1,2,3,4")
+    p.add_argument("--seeds", type=_int_list, help="comma-separated override, e.g. 0,1,2,3,4")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="encoder vocabulary size sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated sizes, ascending")
+    p.add_argument("--sizes", type=_int_list, required=True,
+                   help="comma-separated distinct sizes, run in the order given")
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds")
+    p.add_argument("--seeds", type=_int_list, help="comma-separated override")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -16,7 +16,6 @@ from .corpus import CorpusPart, DocumentPair
 @dataclass
 class DedupConfig:
     max_suffix_delta: int = 15
-    require_equal_summary: bool = True
 
     def __post_init__(self):
         if self.max_suffix_delta < 0:
@@ -54,9 +53,8 @@ def _articles_overlap(a: str, b: str, max_delta: int):
 
 def is_overlapping(a: DocumentPair, b: DocumentPair, cfg: DedupConfig) -> bool:
     """True iff the two pairs count as the same item under cfg."""
-    if cfg.require_equal_summary:
-        if normalize_for_match(a.summary) != normalize_for_match(b.summary):
-            return False
+    if normalize_for_match(a.summary) != normalize_for_match(b.summary):
+        return False
     hit, _ = _articles_overlap(
         normalize_for_match(a.short_text), normalize_for_match(b.short_text), cfg.max_suffix_delta
     )
@@ -69,26 +67,19 @@ def clean_part1(part1: CorpusPart, part3: CorpusPart, cfg: DedupConfig | None = 
     Part III is indexed by normalized summary, so each Part I record
     only gets article-compared against the (few) candidates sharing its
     summary. The first matching witness, in Part III file order, is
-    recorded. With require_equal_summary=False there is no summary key
-    to index on and the scan degrades to candidate-checking every
-    Part III record.
+    recorded.
     """
     cfg = cfg or DedupConfig()
 
     index: dict[str, list[tuple[int, str]]] = {}
-    all_candidates: list[tuple[int, str]] = []
     for p3 in part3.pairs:
-        entry = (p3.id, normalize_for_match(p3.short_text))
-        all_candidates.append(entry)
-        index.setdefault(normalize_for_match(p3.summary), []).append(entry)
+        index.setdefault(normalize_for_match(p3.summary), []).append(
+            (p3.id, normalize_for_match(p3.short_text)))
 
     kept: list[DocumentPair] = []
     removed: list[RemovedItem] = []
     for p1 in part1.pairs:
-        if cfg.require_equal_summary:
-            candidates = index.get(normalize_for_match(p1.summary), ())
-        else:
-            candidates = all_candidates
+        candidates = index.get(normalize_for_match(p1.summary), ())
         article = normalize_for_match(p1.short_text) if candidates else ""
         witness = None
         for p3_id, p3_article in candidates:

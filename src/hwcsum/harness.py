@@ -7,7 +7,9 @@ beam-decode the score-filtered test set, and score with character
 ROUGE. Per-seed artifacts land under
 ``<out>/<name>/<representation>/seed<k>/`` and the aggregate report at
 ``<out>/<name>/report.json``. Failed seeds are recorded, with their
-traceback in ``seed<k>/error.txt``, and skipped in the means.
+traceback in ``seed<k>/error.txt``, and skipped in the means. A sweep
+over encoder vocabulary sizes reads, dedups and tokenizes its inputs
+once and runs each size as one experiment on them.
 """
 
 import datetime
@@ -17,7 +19,7 @@ import json
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import dedup as dedup_mod
@@ -34,6 +36,12 @@ _CONFIG_KEYS = {
     "min_score", "dedup", "max_suffix_delta", "encoder_vocab_size", "decoder_vocab_size",
     "vocab_min_count", "epochs", "batch_size", "learning_rate", "beam_width", "model",
 }
+
+
+def _refuse_repeats(what: str, values: list):
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{what} must not repeat, got {repeated} more than once")
 
 
 @dataclass
@@ -64,10 +72,11 @@ class ExperimentConfig:
             raise ValueError("representations must be non-empty")
         for name in self.representations:
             Representation.check(name, self.lexicon, "a lexicon entry in the config")
-        for what, values in (("representations", self.representations), ("seeds", self.seeds)):
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ValueError(f"{what} must not repeat, got {repeated} more than once")
+        _refuse_repeats("representations", self.representations)
+        _refuse_repeats("seeds", self.seeds)
+        out_of_range = [s for s in self.seeds if not 0 <= s < 2**32]
+        if out_of_range:
+            raise ValueError(f"seeds must be in [0, 2**32), got {out_of_range}")
         unknown = set(self.model) - _MODEL_KEYS
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
@@ -116,8 +125,7 @@ def _tokenizer(rep: Representation, *parts: CorpusPart):
     return tokens
 
 
-def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized,
-              encoder_vocab_size: int | None, seed_dir: Path) -> dict:
+def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
     for sub in ("vocab", "checkpoints", "decodes"):
         (seed_dir / sub).mkdir(parents=True, exist_ok=True)
@@ -127,7 +135,7 @@ def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized,
     train_items = [pool[i] for i in train_idx]
 
     src_vocab = build_vocab((tok for _, src, _ in train_items for tok in src), src_unit,
-                            min_count=cfg.vocab_min_count, max_size=encoder_vocab_size)
+                            min_count=cfg.vocab_min_count, max_size=cfg.encoder_vocab_size)
     tgt_vocab = build_vocab((ch for _, _, tgt in train_items for ch in tgt), "char",
                             min_count=cfg.vocab_min_count, max_size=cfg.decoder_vocab_size)
     src_vocab.save(seed_dir / "vocab" / "src_vocab.txt")
@@ -187,94 +195,92 @@ def _mean_scores(seed_records: list[dict]) -> dict | None:
             for m in METRICS}
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, encoder_vocab_size: int | None = None,
-                   run_name: str | None = None):
-    """Execute the full protocol; returns (report, all_seeds_ok)."""
-    out = Path(out_dir) / (run_name or cfg.name)
-    out.mkdir(parents=True, exist_ok=True)
-    encoder_vocab_size = encoder_vocab_size if encoder_vocab_size is not None else cfg.encoder_vocab_size
-
+def _prepare(cfg: ExperimentConfig):
+    """A run's or sweep's size-independent work, done once: read both parts,
+    load the lexicon, dedup the pool, filter the test set, hash the inputs.
+    Returns (report fields, dedup removals or None, [(representation, cached tokenizer)])."""
     pool, issues1 = load_corpus_file(cfg.part1, "I")
     part3, issues3 = load_corpus_file(cfg.part3, "III")
     reps, lexicon_sha256 = load_representations(cfg.representations, cfg.lexicon)
-
+    removed = None
     if cfg.dedup:
         result = dedup_mod.clean_part1(pool, part3, dedup_mod.DedupConfig(cfg.max_suffix_delta))
-        write_rows(out / "dedup_removals.jsonl", map(asdict, result.removed))
-        pool = result.kept
-
+        pool, removed = result.kept, result.removed
     test = filter_by_score(part3, cfg.min_score)
-
     hashes = {"part1": _sha256(cfg.part1), "part3": _sha256(cfg.part3)}
     if cfg.lexicon:
         hashes["lexicon"] = lexicon_sha256
+    fields = {"input_hashes": hashes, "parse_issues": {"part1": len(issues1), "part3": len(issues3)}}
+    return fields, removed, [(rep, _tokenizer(rep, pool, test)) for rep in reps]
+
+
+def _run_size(cfg: ExperimentConfig, prepared, out: Path):
+    """Every representation and seed of cfg, at its encoder_vocab_size, on
+    inputs from _prepare, into run directory out; returns (report, all_seeds_ok)."""
+    fields, removed, tokenizers = prepared
+    out.mkdir(parents=True, exist_ok=True)
+    if removed is not None:
+        write_rows(out / "dedup_removals.jsonl", map(asdict, removed))
 
     runs = {}
     all_ok = True
-    for rep in reps:
-        tokenized = _tokenizer(rep, pool, test)
+    for rep, tokenized in tokenizers:
         seed_records = {}
         failed = []
         for seed in cfg.seeds:
             seed_dir = out / rep.name / f"seed{seed}"
             try:
-                seed_records[str(seed)] = _run_seed(
-                    cfg, rep.src_unit, seed, tokenized, encoder_vocab_size, seed_dir)
+                seed_records[str(seed)] = _run_seed(cfg, rep.src_unit, seed, tokenized, seed_dir)
             except Exception as exc:  # keep going; partial results matter
                 seed_records[str(seed)] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
                 failed.append(seed)
                 all_ok = False
                 seed_dir.mkdir(parents=True, exist_ok=True)
                 (seed_dir / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
-        runs[rep.name] = {
-            "seeds": seed_records,
-            "mean_scores": _mean_scores(list(seed_records.values())),
-            "failed_seeds": failed,
-        }
+        runs[rep.name] = {"seeds": seed_records, "failed_seeds": failed,
+                          "mean_scores": _mean_scores(list(seed_records.values()))}
 
-    report = {
-        "name": cfg.name,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": dict(asdict(cfg), encoder_vocab_size=encoder_vocab_size),
-        "input_hashes": hashes,
-        "parse_issues": {"part1": len(issues1), "part3": len(issues3)},
-        "runs": runs,
-    }
+    report = {"name": cfg.name, "config": asdict(cfg), **fields, "runs": runs,
+              "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     with atomic_write(out / "report.json") as f:
         json.dump(report, f, sort_keys=True, ensure_ascii=False, indent=2)
     return report, all_ok
 
 
-def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
-    """Run the experiment once per encoder vocabulary size.
+def run_experiment(cfg: ExperimentConfig, out_dir):
+    """Execute the full protocol into <out_dir>/<name>; returns (report, all_seeds_ok)."""
+    return _run_size(cfg, _prepare(cfg), Path(out_dir) / cfg.name)
 
-    Sizes must be positive and are processed in the requested order;
-    a size beyond the available vocabulary is effectively clamped by
-    truncation and flagged with a warning. Returns (table, all_ok)
-    where table rows mirror the per-size mean scores.
+
+def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
+    """Run the experiment once per encoder vocabulary size, on inputs
+    prepared once, into <out_dir>/<name>-vocab<size>.
+
+    Sizes must be positive and distinct and are processed in the requested
+    order; a size beyond the available vocabulary is effectively clamped by
+    truncation and flagged with a warning. Returns (table, all_ok) where
+    table rows mirror the per-size mean scores.
     """
     if any(s <= 0 for s in sizes):
         raise ValueError("sweep sizes must be positive")
+    _refuse_repeats("sweep sizes", sizes)
+    prepared = _prepare(cfg)
     out = Path(out_dir)
     table = []
     all_ok = True
     for size in sizes:
-        report, ok = run_experiment(cfg, out, encoder_vocab_size=size,
-                                    run_name=f"{cfg.name}-vocab{size}")
+        report, ok = _run_size(replace(cfg, encoder_vocab_size=size), prepared,
+                               out / f"{cfg.name}-vocab{size}")
         all_ok = all_ok and ok
         row = {"requested_size": size, "runs": {}}
         for representation, run in report["runs"].items():
-            used = [
-                rec["src_vocab_size"] for rec in run["seeds"].values() if rec["status"] == "ok"
-            ]
+            used = [rec["src_vocab_size"] for rec in run["seeds"].values() if rec["status"] == "ok"]
             if used and max(used) < size:
                 warnings.warn(
                     f"requested encoder vocabulary {size} exceeds the available "
                     f"{max(used)} tokens; clamped")
-            row["runs"][representation] = {
-                "encoder_vocab_used": max(used) if used else None,
-                "mean_scores": run["mean_scores"],
-            }
+            row["runs"][representation] = {"encoder_vocab_used": max(used) if used else None,
+                                           "mean_scores": run["mean_scores"]}
         table.append(row)
     with atomic_write(out / f"{cfg.name}-sweep.json") as f:
         json.dump({"name": cfg.name, "sizes": sizes, "rows": table}, f,

@@ -284,7 +284,6 @@ class Hypothesis:
 
     token_ids: list[int]
     log_prob: float
-    state: Tensor | None = None
 
 
 def _top(scores, k: int):

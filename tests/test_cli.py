@@ -168,6 +168,63 @@ def test_cli_seed_override(tiny_dataset, tmp_path):
     assert list(report["runs"]["char_char"]["seeds"]) == ["1"]
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("7,7", r"seeds must not repeat, got \[7\]"),
+    ("-1", r"seeds must be in \[0, 2\*\*32\), got \[-1\]"),
+], ids=["repeated", "negative"])
+def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, seeds, message):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"name": "seeds", "part1": str(tiny_dataset / "part1.txt"),
+                                    "part3": str(tiny_dataset / "part3.txt"),
+                                    "representation": "char_char"}))
+    with pytest.raises(ValueError, match=message):
+        main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs"),
+              "--seeds", seeds])
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_cli_malformed_seed_list_is_a_usage_error(tmp_path, capsys, command):
+    argv = [command, "--config", "exp.json", "--out", str(tmp_path), "--seeds", "1,,2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--sizes", "10"] if command == "sweep" else []))
+    assert exc.value.code == 2
+    assert "argument --seeds: expected comma-separated integers, got '1,,2'" in capsys.readouterr().err
+
+
+def test_cli_sweep(tiny_dataset, tmp_path, capsys):
+    d = tiny_dataset
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "name": "sw",
+        "part1": str(d / "part1.txt"),
+        "part3": str(d / "part3.txt"),
+        "lexicon": str(d / "lexicon.tsv"),
+        "n_validation": 3,
+        "epochs": 1,
+        "batch_size": 8,
+        "beam_width": 2,
+        "model": {"embed_dim": 8, "hidden_dim": 8, "dropout": 0.0, "max_decode_len": 6},
+    }))
+    assert main(["sweep", "--config", str(cfg_path), "--sizes", "5,3", "--seeds", "0",
+                 "--out", str(tmp_path / "runs")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "size 5 char_char", "size 5 word_char", "size 3 char_char", "size 3 word_char"]
+    table = json.loads((tmp_path / "runs" / "sw-sweep.json").read_text(encoding="utf-8"))
+    assert table["sizes"] == [5, 3]
+    assert [row["requested_size"] for row in table["rows"]] == [5, 3]
+    for row in table["rows"]:
+        assert set(row["runs"]) == {"char_char", "word_char"}
+        for cell in row["runs"].values():
+            assert cell["encoder_vocab_used"] == row["requested_size"]
+            assert cell["mean_scores"] is not None
+    for size in (5, 3):
+        report = json.loads((tmp_path / "runs" / f"sw-vocab{size}" / "report.json").read_text())
+        assert report["config"]["encoder_vocab_size"] == size
+        assert report["config"]["seeds"] == [0]
+
+
 @pytest.fixture
 def word_char_model(tiny_dataset):
     """A small word_char model trained through the CLI, plus its inputs."""

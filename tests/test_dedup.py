@@ -44,7 +44,6 @@ def test_overlap_requires_equal_summary():
     a = pair(1, ARTICLE, SUMMARY)
     b = pair(2, ARTICLE, "另一个标题")
     assert not is_overlapping(a, b, DedupConfig())
-    assert is_overlapping(a, b, DedupConfig(require_equal_summary=False))
 
 
 def test_overlap_ignores_whitespace_differences():

@@ -34,6 +34,17 @@ def small_config(synthetic_dir, **overrides):
     return ExperimentConfig(**cfg)
 
 
+def planted_part1(tmp_path, synthetic_dir, n=3) -> str:
+    """The fixture's Part I plus copies of its first n Part III items
+    (ids 900 on), which dedup removes."""
+    part3, _ = load_corpus_file(synthetic_dir / "part3.txt", "III")
+    path = tmp_path / "part1_planted.txt"
+    path.write_text((synthetic_dir / "part1.txt").read_text(encoding="utf-8") + "".join(
+        f"<doc id={900 + i}>\n<summary>{p.summary}</summary>\n<short_text>{p.short_text}</short_text>\n"
+        "</doc>\n" for i, p in enumerate(part3.pairs[:n])), encoding="utf-8")
+    return str(path)
+
+
 def test_load_corpus_file_pseudo_xml(synthetic_dir):
     part1, issues1 = load_corpus_file(synthetic_dir / "part1.txt", "I")
     assert len(part1) == 200
@@ -50,6 +61,10 @@ def test_config_validation():
         ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"], seeds=[])
     with pytest.raises(ValueError, match="representation"):
         ExperimentConfig(name="x", part1="a", part3="b", representations=["wordchar"])
+    for seed in (-1, 2**32):
+        with pytest.raises(ValueError, match=r"seeds must be in \[0, 2\*\*32\)"):
+            ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"],
+                             seeds=[0, seed])
     with pytest.raises(ValueError, match="model config"):
         ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"],
                          model={"embde_dim": 3})
@@ -231,10 +246,18 @@ def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatc
     segment = tokenizer.word_segment
     monkeypatch.setattr(tokenizer, "word_segment", counting_segment)
     cfg = small_config(synthetic_dir, representations=["word_char"], seeds=[0, 1])
-    report, all_ok = run_experiment(cfg, tmp_path)
+    report, all_ok = run_experiment(cfg, tmp_path / "run")
     assert all_ok
     n_pool = len(load_corpus_file(cfg.part1, "I")[0])
     n_test = report["runs"]["word_char"]["seeds"]["0"]["n_test"]
+    assert len(calls) == n_pool + n_test
+
+    # a sweep segments each text once, not once per size; with dedup on,
+    # the planted overlaps are removed before any segmentation
+    calls.clear()
+    cfg = dataclasses.replace(cfg, part1=planted_part1(tmp_path, synthetic_dir), dedup=True)
+    _, all_ok = sweep_vocab(cfg, [10, 20, 40], tmp_path / "sweep")
+    assert all_ok
     assert len(calls) == n_pool + n_test
 
 
@@ -248,11 +271,28 @@ def test_lexicon_is_loaded_once_per_run(tmp_path, synthetic_dir, monkeypatch):
     load = tokenizer.Lexicon.from_file
     monkeypatch.setattr(tokenizer.Lexicon, "from_file", counting_load)
     cfg = small_config(synthetic_dir)  # char_char and word_char
-    report, all_ok = run_experiment(cfg, tmp_path)
+    report, all_ok = run_experiment(cfg, tmp_path / "run")
     assert all_ok
     assert loads == [cfg.lexicon]
     lexicon_bytes = (synthetic_dir / "lexicon.tsv").read_bytes()
     assert report["input_hashes"]["lexicon"] == hashlib.sha256(lexicon_bytes).hexdigest()
+
+    # a sweep reads its inputs once, not once per size
+    cfg = small_config(synthetic_dir, representations=["word_char"], dedup=True,
+                       part1=planted_part1(tmp_path, synthetic_dir))
+    parses = []
+
+    def counting_parse(f, part, *args, **kwargs):
+        parses.append(part)
+        return parse(f, part, *args, **kwargs)
+
+    parse = harness.parse_lcsts
+    monkeypatch.setattr(harness, "parse_lcsts", counting_parse)
+    loads.clear()
+    _, all_ok = sweep_vocab(cfg, [10, 20, 40], tmp_path / "sweep")
+    assert all_ok
+    assert loads == [cfg.lexicon]
+    assert parses == ["I", "III"]
 
 
 def test_sweep_two_sizes(tmp_path, synthetic_dir):
@@ -274,10 +314,53 @@ def test_sweep_clamps_oversized_request(tmp_path, synthetic_dir):
     assert table[0]["runs"]["char_char"]["encoder_vocab_used"] < 100000
 
 
-def test_sweep_rejects_nonpositive_sizes(tmp_path, synthetic_dir):
+@pytest.mark.parametrize("sizes, message", [
+    ([0, 10], "sweep sizes must be positive"),
+    ([20, 20], r"sweep sizes must not repeat, got \[20\]"),
+], ids=["nonpositive", "repeated"])
+def test_sweep_rejects_bad_sizes(tmp_path, synthetic_dir, monkeypatch, sizes, message):
+    def no_reads(*args):
+        raise AssertionError("an input was read before the sizes were checked")
+
+    monkeypatch.setattr(harness, "load_corpus_file", no_reads)
     cfg = small_config(synthetic_dir, representations=["char_char"])
-    with pytest.raises(ValueError):
-        sweep_vocab(cfg, [0, 10], tmp_path)
+    with pytest.raises(ValueError, match=message):
+        sweep_vocab(cfg, sizes, tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+def _masked_tree(root: Path) -> dict:
+    """Every file under root by relative path; JSON and JSONL files parsed,
+    with their created_at, timing and seconds fields dropped."""
+
+    def mask(obj):
+        if isinstance(obj, dict):
+            return {k: mask(v) for k, v in obj.items() if k not in ("created_at", "timing", "seconds")}
+        return [mask(v) for v in obj] if isinstance(obj, list) else obj
+
+    tree = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if path.suffix == ".json":
+            content = mask(json.loads(path.read_text(encoding="utf-8")))
+        elif path.suffix == ".jsonl":
+            content = [mask(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
+        else:
+            content = path.read_bytes()
+        tree[path.relative_to(root).as_posix()] = content
+    return tree
+
+
+def test_sweep_size_equals_a_run_of_that_size(tmp_path, synthetic_dir):
+    cfg = small_config(synthetic_dir, dedup=True, seeds=[0, 1],
+                       part1=planted_part1(tmp_path, synthetic_dir))
+    sweep_vocab(cfg, [20, 50], tmp_path / "sweep")
+    for size in (20, 50):
+        run_experiment(dataclasses.replace(cfg, encoder_vocab_size=size), tmp_path / f"run{size}")
+        swept = _masked_tree(tmp_path / "sweep" / f"t-vocab{size}")
+        assert [r["part1_id"] for r in swept["dedup_removals.jsonl"]] == [900, 901, 902]
+        assert swept["report.json"]["config"]["encoder_vocab_size"] == size
+        assert "word_char/seed1/checkpoints/model.npz" in swept
+        assert swept == _masked_tree(tmp_path / f"run{size}" / "t")
 
 
 def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synthetic_dir):

@@ -565,5 +565,5 @@ def test_batched_decode_wider_than_vocab_and_max_len_zero():
 
 
 def test_hypothesis_invariants():
-    hyp = Hypothesis([BOS, 4], -1.5, None)
+    hyp = Hypothesis([BOS, 4], -1.5)
     assert hyp.log_prob <= 0 and hyp.token_ids[0] == BOS
