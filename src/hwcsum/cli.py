@@ -14,7 +14,8 @@ from pathlib import Path
 from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, read_jsonl,
                      split_train_validation, write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
-from .harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
+from .harness import (ExperimentConfig, check_sweep_sizes, load_corpus_file, run_experiment,
+                      sweep_vocab)
 from .model import (DECODE_CHUNK, ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint,
                     train)
 from .rouge import METRICS, evaluate_corpus, scores_dict
@@ -23,6 +24,22 @@ from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab
 
 # Stages segment through this module's word_segment binding (passed to
 # Representation.tokens), so a wrapper set on hwcsum.cli.word_segment reaches them all.
+
+
+class _Refused(Exception):
+    """A config check refused the invocation; main reports it as a usage error."""
+
+
+@contextlib.contextmanager
+def _config_checks():
+    """Raise a ValueError of the config checks inside as _Refused. A config
+    file that is not JSON fails as a data file does."""
+    try:
+        yield
+    except json.JSONDecodeError:
+        raise
+    except ValueError as e:
+        raise _Refused(str(e)) from None
 
 
 def _write_corpus(path, corpus):
@@ -95,9 +112,12 @@ def _load_train_config(path):
 
 
 def _cmd_train(args):
-    cfg = _load_train_config(args.config)
-    rep = Representation(args.representation or cfg.get("representation", "word_char"),
-                         args.lexicon or cfg.get("lexicon"))
+    with _config_checks():
+        cfg = _load_train_config(args.config)
+        name = args.representation or cfg.get("representation", "word_char")
+        lexicon = args.lexicon or cfg.get("lexicon")
+        Representation.check(name, lexicon)
+    rep = Representation(name, lexicon)
     src_vocab = Vocabulary.load(args.src_vocab, rep.src_unit)
     tgt_vocab = Vocabulary.load(args.tgt_vocab, "char")
 
@@ -158,18 +178,25 @@ def _cmd_summarize(args):
 
 
 def _read_texts(path, fields):
+    """The first of the fields present in each JSON object line; a bad line
+    raises a ValueError naming path and line."""
     texts = []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            for field in fields:
-                if field in obj:
-                    texts.append(obj[field])
-                    break
-            else:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: line {line_no}: invalid JSON ({e})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {line_no}: expected a JSON object")
+            field = next((name for name in fields if name in obj), None)
+            if field is None:
                 raise ValueError(f"{path}: line {line_no}: none of {fields} present")
+            if not isinstance(obj[field], str):
+                raise ValueError(f"{path}: line {line_no}: {field} must be a string")
+            texts.append(obj[field])
     return texts
 
 
@@ -193,8 +220,9 @@ def _int_list(text):
 
 
 def _experiment_config(args):
-    cfg = ExperimentConfig.from_file(args.config)
-    return replace(cfg, seeds=args.seeds) if args.seeds else cfg
+    with _config_checks():
+        cfg = ExperimentConfig.from_file(args.config)
+        return replace(cfg, seeds=args.seeds) if args.seeds else cfg
 
 
 def _cmd_experiment(args):
@@ -210,7 +238,10 @@ def _cmd_experiment(args):
 
 
 def _cmd_sweep(args):
-    table, all_ok = sweep_vocab(_experiment_config(args), args.sizes, args.out)
+    cfg = _experiment_config(args)
+    with _config_checks():
+        check_sweep_sizes(args.sizes)
+    table, all_ok = sweep_vocab(cfg, args.sizes, args.out)
     for row in table:
         for representation, cell in row["runs"].items():
             mean = cell["mean_scores"]
@@ -222,11 +253,7 @@ def _cmd_sweep(args):
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hwcsum", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="pseudo-XML dataset to canonical JSONL")
+def _parse_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--part", choices=["I", "II", "III"], required=True)
     p.add_argument("--out", required=True)
@@ -234,13 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="fail on the first malformed record")
     p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("filter", help="keep pairs with label >= min-score")
+
+def _filter_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--min-score", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("split", help="deterministic seeded train/validation split")
+
+def _split_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n-validation", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -248,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid-out", required=True)
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("clean", help="remove Part I items overlapping Part III")
+
+def _clean_arguments(p):
     p.add_argument("--part1", required=True)
     p.add_argument("--part3", required=True)
     p.add_argument("--max-suffix-delta", type=int, default=15)
@@ -256,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write removal ledger (JSONL)")
     p.set_defaults(func=_cmd_clean)
 
-    p = sub.add_parser("vocab", help="build a vocabulary file from a corpus")
+
+def _vocab_arguments(p):
     p.add_argument("--unit", choices=["word", "char"], required=True)
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--max-size", type=int)
@@ -267,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_vocab)
 
-    p = sub.add_parser("train", help="train the attentional encoder-decoder")
+
+def _train_arguments(p):
     p.add_argument("--config", required=True, help="JSON: model/epochs/batch_size/learning_rate")
     p.add_argument("--train", required=True)
     p.add_argument("--valid")
@@ -279,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output model directory")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("summarize", help="beam-decode summaries for a corpus")
+
+def _summarize_arguments(p):
     p.add_argument("--model", required=True, help="model directory from `train`")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--beam", type=int, default=5)
@@ -288,20 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_summarize)
 
-    p = sub.add_parser("eval", help="ROUGE-1/2/L F1 against references")
+
+def _eval_arguments(p):
     p.add_argument("--candidates", required=True)
     p.add_argument("--references", required=True)
     p.add_argument("--unit", choices=["char", "word"], default="char")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("experiment", help="full multi-seed protocol from a config file")
+
+def _experiment_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=_int_list, help="comma-separated override, e.g. 0,1,2,3,4")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("sweep", help="encoder vocabulary size sweep")
+
+def _sweep_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--sizes", type=_int_list, required=True,
                    help="comma-separated distinct sizes, run in the order given")
@@ -309,12 +345,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_list, help="comma-separated override")
     p.set_defaults(func=_cmd_sweep)
 
+
+# command -> (help, the function adding its arguments), in the order --help lists them
+COMMANDS = {
+    "parse": ("pseudo-XML dataset to canonical JSONL", _parse_arguments),
+    "filter": ("keep pairs with label >= min-score", _filter_arguments),
+    "split": ("deterministic seeded train/validation split", _split_arguments),
+    "clean": ("remove Part I items overlapping Part III", _clean_arguments),
+    "vocab": ("build a vocabulary file from a corpus", _vocab_arguments),
+    "train": ("train the attentional encoder-decoder", _train_arguments),
+    "summarize": ("beam-decode summaries for a corpus", _summarize_arguments),
+    "eval": ("ROUGE-1/2/L F1 against references", _eval_arguments),
+    "experiment": ("full multi-seed protocol from a config file", _experiment_arguments),
+    "sweep": ("encoder vocabulary size sweep", _sweep_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or given a command's name that
+    command's parser alone: it formats its help, refuses arguments and
+    fills in the namespace as the full parser's subparser for it does."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"hwcsum {command}")
+        COMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
+    parser = argparse.ArgumentParser(prog="hwcsum", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv):
+    """The invoked command's parser and the arguments it parsed. Only the
+    named command's parser is built. Anything else, and an argument the
+    command does not take, goes to the full parser, which reports it."""
+    if argv and argv[0] in COMMANDS:
+        parser = build_parser(argv[0])
+        args, unknown = parser.parse_known_args(argv[1:])
+        if not unknown:
+            return parser, args
+    parser = build_parser()
+    return parser, parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    try:
+        return args.func(args)
+    except _Refused as e:
+        parser.error(str(e))
 
 
 if __name__ == "__main__":

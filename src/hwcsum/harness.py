@@ -252,6 +252,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir):
     return _run_size(cfg, _prepare(cfg), Path(out_dir) / cfg.name)
 
 
+def check_sweep_sizes(sizes: list[int]):
+    """Raise ValueError unless the sweep sizes are positive and distinct."""
+    if any(s <= 0 for s in sizes):
+        raise ValueError("sweep sizes must be positive")
+    _refuse_repeats("sweep sizes", sizes)
+
+
 def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
     """Run the experiment once per encoder vocabulary size, on inputs
     prepared once, into <out_dir>/<name>-vocab<size>.
@@ -261,9 +268,7 @@ def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
     truncation and flagged with a warning. Returns (table, all_ok) where
     table rows mirror the per-size mean scores.
     """
-    if any(s <= 0 for s in sizes):
-        raise ValueError("sweep sizes must be positive")
-    _refuse_repeats("sweep sizes", sizes)
+    check_sweep_sizes(sizes)
     prepared = _prepare(cfg)
     out = Path(out_dir)
     table = []

@@ -76,17 +76,25 @@ class _Table(Mapping):
         invalid = []  # (rank, last occurrence): the empty word, then words with a count <= 0
         for length in np.flatnonzero(np.bincount(lens)).tolist():
             at = np.flatnonzero(lens == length)
-            keys = self._pack(chars[starts[at, None] + np.arange(length, dtype=starts.dtype)])
+            keys = self._pack(chars[starts[at] + np.arange(length, dtype=starts.dtype)[:, None]])
             order = np.argsort(keys)
-            keys = keys[order]
-            head = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            # a word's occurrences sort together, in no set order
-            first = at[np.minimum.reduceat(order, head)]
-            last = at[np.maximum.reduceat(order, head)]
-            self._groups[length] = (keys[head], counts[last], first)
+            keys, order = keys[order], at[order]
+            new = np.ones(len(keys), dtype=bool)  # the first of its word in sorted order
+            new[1:] = keys[1:] != keys[:-1]
+            head = np.flatnonzero(new)
+            # a word's occurrences sort together, in no set order, so only the
+            # repeated words need their first and last occurrence looked for
+            first = order[head]
+            last = first.copy()
+            again = np.flatnonzero(~new)
+            word = head.searchsorted(again) - 1
+            np.minimum.at(first, word, order[again])
+            np.maximum.at(last, word, order[again])
+            count = counts[last]
+            self._groups[length] = (keys[head], count, first)
             if length == 0:
                 invalid.append((-1, int(last[0])))
-            bad = np.flatnonzero(counts[last] <= 0)
+            bad = np.flatnonzero(count <= 0)
             if bad.size:
                 k = bad[np.argmin(first[bad])]
                 invalid.append((int(first[k]), int(last[k])))
@@ -95,14 +103,15 @@ class _Table(Mapping):
         self.total = sum(_exact_sum(c) for _, c, _ in self._groups.values())
         self.max_word_len = max(self._groups, default=1)
 
-    def _pack(self, mat: np.ndarray) -> np.ndarray:
-        """Sort keys of the rows of an (m, L) code-point matrix."""
-        m, length = mat.shape
+    def _pack(self, columns: np.ndarray) -> np.ndarray:
+        """Sort keys of m words of L code points, given as an (L, m)
+        matrix: row c holds the c-th code point of every word."""
+        length, m = columns.shape
         if length > self._per_key:
-            return np.ascontiguousarray(mat, dtype=">u4").view(f"S{4 * length}").ravel()
+            return np.ascontiguousarray(columns.T, dtype=">u4").view(f"S{4 * length}").ravel()
         key = np.zeros(m, dtype=np.uint64)
-        for c in range(length):
-            key = (key << self._shift) | mat[:, c]
+        for column in columns:
+            key = (key << self._shift) | column
         return key
 
     def _lookup(self, length: int, key: np.ndarray) -> np.ndarray:
@@ -136,7 +145,7 @@ class _Table(Mapping):
             if length not in self._groups:
                 continue
             count = self._lookup(length, key if length <= self._per_key
-                                 else self._pack(sliding_window_view(codes, length)))
+                                 else self._pack(sliding_window_view(codes, length).T))
             if span is not None:
                 count[span] = 0
             if length == 1:
@@ -169,7 +178,7 @@ class _Table(Mapping):
         if isinstance(word, str) and len(word) in self._groups:
             codes = _codes(word)
             if not (codes >= self._limit).any():
-                count = int(self._lookup(len(word), self._pack(codes[None]))[0])
+                count = int(self._lookup(len(word), self._pack(codes[:, None]))[0])
                 if count:
                     return count
         raise KeyError(word)
@@ -206,50 +215,65 @@ def _text(codes: np.ndarray) -> str:
     return codes.tobytes().decode("utf-32-le", "surrogatepass")
 
 
+def _digit_counts(codes: np.ndarray, tabs: np.ndarray, ends: np.ndarray):
+    """The counts in the fields codes[tabs[i] + 1:ends[i]], parsed in bulk
+    one field width at a time, and whether each field is 1 to _DIGITS_MAX
+    ASCII digits; where it is not, its count means nothing."""
+    width = ends - tabs - 1
+    counts = np.zeros(len(tabs), dtype=np.uint64)
+    ok = np.zeros(len(tabs), dtype=bool)
+    for w in np.flatnonzero(np.bincount(np.minimum(width, _DIGITS_MAX + 1))[1:_DIGITS_MAX + 1]) + 1:
+        at = np.flatnonzero(width == w)
+        d = codes[tabs[at] + np.arange(1, w + 1, dtype=tabs.dtype)[:, None]] - 48  # below '0' wraps high
+        v = np.zeros(len(at), dtype=np.uint64)
+        for column in d:
+            v = v * np.uint64(10) + column
+        counts[at] = v
+        ok[at] = (d < 10).all(axis=0)
+    return counts, ok
+
+
+def _lines(codes: np.ndarray):
+    """Find the lines of text whose every line ends in a newline, in one
+    pass over the offsets of its tabs and line ends.
+
+    Returns the offset of each line's end, after a -1 for the line end
+    before the text; the numbers of the lines with no tab or several; and
+    the numbers and the start, tab and end offsets of the lines with one.
+    """
+    pos = np.int32 if len(codes) < 2**31 else np.int64  # offsets, kept narrow
+    sep = np.flatnonzero((codes == 9) | (codes == 10))
+    end_at = np.flatnonzero(np.concatenate(([True], codes[sep] == 10)))  # indices into sep below
+    sep = np.concatenate(([-1], sep), dtype=pos)
+    tabs_on = np.diff(end_at) - 1  # each line's tabs lie between its end and the previous line's
+    line = np.flatnonzero(tabs_on == 1)
+    prev = end_at[line]
+    return (sep[end_at], np.flatnonzero(tabs_on != 1),
+            line, sep[prev] + 1, sep[1:][prev], sep[2:][prev])
+
+
 def _entry_lines(codes: np.ndarray, path):
-    """Parse the code points of lexicon text whose lines end in a newline.
+    """Parse the code points of lexicon text whose every line ends in a newline.
 
     Returns, for each ``word<TAB>count`` line in order, its start, tab and
     end offsets, its count and its line number. Whitespace-only lines are
-    skipped. Counts of ASCII digits are parsed column by column in bulk;
-    any other line goes through ``split`` and ``int()``, one at a time.
-    The first malformed line, or count of 2**63 or more, raises a
-    ValueError naming path and line.
+    skipped. The counts of ASCII digits on the lines with one tab are
+    parsed in bulk; any other line goes through ``split`` and ``int()``,
+    one at a time. The first malformed line, or count of 2**63 or more,
+    raises a ValueError naming path and line.
     """
-    pos = np.int32 if len(codes) < 2**31 else np.int64  # offsets, kept narrow
-    ends = np.flatnonzero(codes == 10).astype(pos)
-    if len(codes) and codes[-1] != 10:
-        ends = np.append(ends, pos(len(codes)))
-    tabs = np.flatnonzero(codes == 9).astype(pos)
-    line = np.searchsorted(ends, tabs).astype(pos)
-    differ = line[1:] != line[:-1]
-    alone = np.ones(len(line), dtype=bool)  # the only tab on its line
-    alone[1:] &= differ
-    alone[:-1] &= differ
-    line, tabs = line[alone], tabs[alone]
-    width = ends[line] - tabs - 1
-    short = (width >= 1) & (width <= _DIGITS_MAX)
-    line, tabs, width = line[short], tabs[short], width[short]
-    value = np.zeros(len(line), dtype=np.uint64)
-    digits = np.ones(len(line), dtype=bool)
-    for c in range(int(width.max(initial=0))):
-        live = np.flatnonzero(width > c)
-        d = codes[tabs[live] + (c + 1)] - 48  # wraps to a large value below '0'
-        digits[live] &= d < 10
-        value[live] = value[live] * np.uint64(10) + d
-    line, tabs, value = line[digits], tabs[digits], value[digits]
-    over = np.flatnonzero(value >= np.uint64(_COUNT_LIMIT))
-    first_over = int(line[over[0]]) if len(over) else len(ends)
+    bounds, others, line, starts, tabs, ends = _lines(codes)
+    value, ok = _digit_counts(codes, tabs, ends)
+    over = np.flatnonzero(ok & (value >= np.uint64(_COUNT_LIMIT)))
+    first_over = int(line[over[0]]) if len(over) else len(bounds) - 1
+    counts = value.view(np.int64)  # the counts past int64 are over, so never used
 
-    parsed = np.zeros(len(ends), dtype=bool)
-    parsed[line] = True
-    tab_of = np.zeros(len(ends), dtype=pos)
-    tab_of[line] = tabs
-    count_of = np.zeros(len(ends), dtype=np.int64)
-    count_of[line] = value.astype(np.int64)
-    for i in np.flatnonzero(~parsed[:first_over]).tolist():
-        start = int(ends[i - 1]) + 1 if i else 0
-        text = _text(codes[start:ends[i]])
+    # the rest, in line order: lines with no tab or several (blank, else
+    # malformed) and counts that are not plain digits, which int() may take
+    rest = np.sort(np.concatenate((others, line[~ok])))
+    for i in rest[:rest.searchsorted(first_over)].tolist():
+        start, end = int(bounds[i]) + 1, int(bounds[i + 1])
+        text = _text(codes[start:end])
         try:
             word, count = text.split("\t")
             count = int(count)
@@ -259,17 +283,13 @@ def _entry_lines(codes: np.ndarray, path):
             raise ValueError(f"{path}: line {i + 1}: expected 'word<TAB>count'") from None
         if count >= _COUNT_LIMIT:
             raise ValueError(f"{path}: line {i + 1}: {_too_large(word, count)}")
-        parsed[i] = True
-        tab_of[i] = start + len(word)
-        count_of[i] = max(count, -_COUNT_LIMIT)
+        k = line.searchsorted(i)  # one tab, so the line is among those found above
+        ok[k], counts[k] = True, max(count, -_COUNT_LIMIT)
     if len(over):
-        i, tab = first_over, int(tab_of[first_over])
-        start = int(ends[i - 1]) + 1 if i else 0
-        message = _too_large(_text(codes[start:tab]), int(_text(codes[tab + 1:ends[i]])))
-        raise ValueError(f"{path}: line {i + 1}: {message}")
-    rows = np.flatnonzero(parsed)
-    starts = np.where(rows > 0, ends[rows - 1] + 1, 0).astype(pos)
-    return starts, tab_of[rows], ends[rows], count_of[rows], rows + 1
+        k = over[0]
+        word, count = _text(codes[starts[k]:tabs[k]]), int(_text(codes[tabs[k] + 1:ends[k]]))
+        raise ValueError(f"{path}: line {first_over + 1}: {_too_large(word, count)}")
+    return starts[ok], tabs[ok], ends[ok], counts[ok], line[ok] + 1
 
 
 def _universal_newlines(s: str) -> str:
@@ -279,18 +299,21 @@ def _universal_newlines(s: str) -> str:
 
 def _read_codes(path) -> tuple[np.ndarray, str]:
     """Code points of a UTF-8 text file, line ends as text-mode reading
-    gives them, and the sha256 of its bytes. Invalid UTF-8 raises a
-    ValueError naming its line, unless an earlier line is malformed as a
-    lexicon line."""
+    gives them and one after the last line, and the sha256 of its bytes.
+    Invalid UTF-8 raises a ValueError naming its line, unless an earlier
+    line is malformed as a lexicon line."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        return _codes(_universal_newlines(raw.decode("utf-8"))), hashlib.sha256(raw).hexdigest()
+        text = _universal_newlines(raw.decode("utf-8"))
     except UnicodeDecodeError as e:
         head = _universal_newlines(raw[:e.start].decode("utf-8"))
         _entry_lines(_codes(head[:head.rfind("\n") + 1]), path)
         line_no = head.count("\n") + 1
         raise ValueError(f"{path}: line {line_no}: invalid UTF-8 ({e.reason})") from None
+    if text and text[-1] != "\n":
+        text += "\n"
+    return _codes(text), hashlib.sha256(raw).hexdigest()
 
 
 @dataclass(frozen=True)

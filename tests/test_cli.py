@@ -168,19 +168,64 @@ def test_cli_seed_override(tiny_dataset, tmp_path):
     assert list(report["runs"]["char_char"]["seeds"]) == ["1"]
 
 
+def _assert_usage_error(capsys, argv, message):
+    """main refuses argv as argparse refuses an argument: exit status 2 and
+    the usage, then one 'hwcsum <command>: error:' line, on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hwcsum {argv[0]} ") and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"hwcsum {argv[0]}: error: {message}"]
+
+
 @pytest.mark.parametrize("seeds, message", [
-    ("7,7", r"seeds must not repeat, got \[7\]"),
-    ("-1", r"seeds must be in \[0, 2\*\*32\), got \[-1\]"),
+    ("7,7", "seeds must not repeat, got [7] more than once"),
+    ("-1", "seeds must be in [0, 2**32), got [-1]"),
 ], ids=["repeated", "negative"])
-def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, seeds, message):
+def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, capsys, seeds,
+                                                      message):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"name": "seeds", "part1": str(tiny_dataset / "part1.txt"),
                                     "part3": str(tiny_dataset / "part3.txt"),
                                     "representation": "char_char"}))
-    with pytest.raises(ValueError, match=message):
-        main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs"),
-              "--seeds", seeds])
+    _assert_usage_error(capsys, ["experiment", "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "runs"), "--seeds", seeds], message)
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, change, extra, message", [
+    ("experiment", {"vocab_size": 5}, [], "unknown experiment config keys: ['vocab_size']"),
+    ("experiment", {"representation": "word_char", "lexicon": None}, [],
+     "the word_char representation needs a lexicon entry in the config"),
+    ("sweep", {}, ["--sizes", "5,3,5"], "sweep sizes must not repeat, got [5] more than once"),
+    ("sweep", {}, ["--sizes", "5,0"], "sweep sizes must be positive"),
+], ids=["unknown-key", "word-char-without-lexicon", "repeated-size", "size-zero"])
+def test_cli_config_refusal_is_a_usage_error(tiny_dataset, tmp_path, capsys, command, change,
+                                             extra, message):
+    cfg = {"name": "refused", "part1": str(tiny_dataset / "part1.txt"),
+           "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv")}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**cfg, **change}))
+    _assert_usage_error(capsys, [command, "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "runs"), *extra], message)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_data_errors_still_raise(tiny_dataset, tmp_path):
+    """Only config checks become usage errors: a ValueError from a data file
+    still raises, and so does a config file that is not JSON."""
+    (tmp_path / "bad.tsv").write_text("城市5\n", encoding="utf-8")
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"name": "data", "part1": str(tiny_dataset / "part1.txt"),
+                                    "part3": str(tiny_dataset / "part3.txt"),
+                                    "lexicon": str(tmp_path / "bad.tsv")}))
+    with pytest.raises(ValueError, match="bad.tsv: line 1: expected 'word<TAB>count'"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+    cfg_path.write_text("{")
+    with pytest.raises(json.JSONDecodeError):
+        main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
 
 
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
@@ -288,23 +333,39 @@ def test_summarize_loads_meta_without_lexicon_hash(word_char_model):
     assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
 
 
-def test_train_word_char_without_lexicon_is_refused(word_char_model):
+def test_train_word_char_without_lexicon_is_refused(word_char_model, capsys):
     d = word_char_model
-    with pytest.raises(ValueError, match="needs --lexicon"):
-        main(["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
-              "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
-              "--out", str(d / "model2")])
+    capsys.readouterr()
+    _assert_usage_error(capsys, [
+        "train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+        "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+        "--out", str(d / "model2")], "the word_char representation needs --lexicon")
+    assert not (d / "model2").exists()
 
 
-def test_train_refuses_an_unknown_representation(word_char_model):
+def test_train_unknown_config_key_is_a_usage_error(word_char_model, capsys):
+    d = word_char_model
+    cfg = json.loads((d / "train_cfg.json").read_text())
+    (d / "train_cfg.json").write_text(json.dumps(dict(cfg, epoch=2)))
+    capsys.readouterr()
+    _assert_usage_error(capsys, [
+        "train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+        "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+        "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")],
+        "unknown train config keys: ['epoch']")
+    assert not (d / "model2").exists()
+
+
+def test_train_refuses_an_unknown_representation(word_char_model, capsys):
     d = word_char_model
     argv = ["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
             "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
             "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")]
     cfg = json.loads((d / "train_cfg.json").read_text())
     (d / "train_cfg.json").write_text(json.dumps(dict(cfg, representation="word-char")))
-    with pytest.raises(ValueError, match="unknown representation 'word-char'"):
-        main(argv)
+    capsys.readouterr()
+    _assert_usage_error(capsys, argv, "unknown representation 'word-char'; expected one of "
+                                      "('char_char', 'word_char')")
     assert not (d / "model2").exists()
     (d / "train_cfg.json").write_text(json.dumps(cfg))
     with pytest.raises(SystemExit):
@@ -422,3 +483,64 @@ def test_cli_and_harness_vocabularies_are_identical(tmp_path, synthetic_dir, see
     harness_vocab = tmp_path / "runs" / "x" / "word_char" / f"seed{seed}" / "vocab"
     for name in ("src_vocab.txt", "tgt_vocab.txt"):
         assert (tmp_path / name).read_bytes() == (harness_vocab / name).read_bytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"candidate": 城市}', "invalid JSON (Expecting value: line 1 column 15 (char 14))"),
+    ('["candidate"]', "expected a JSON object"),
+    ('{"candidate": 5}', "candidate must be a string"),
+], ids=["invalid-json", "not-an-object", "not-a-string"])
+def test_eval_bad_line_names_file_and_line(tmp_path, line, message):
+    candidates, references = tmp_path / "candidates.jsonl", tmp_path / "references.jsonl"
+    candidates.write_text('{"candidate": "城市交通"}\n\n' + line + "\n", encoding="utf-8")
+    references.write_text('{"summary": "城市"}\n{"summary": "交通"}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        main(["eval", "--candidates", str(candidates), "--references", str(references)])
+    assert str(err.value) == f"{candidates}: line 3: {message}"
+
+
+# a valid argument list for each command
+_SAMPLE_ARGS = {
+    "parse": ["--in", "p.txt", "--part", "III", "--out", "p.jsonl", "--strict"],
+    "filter": ["--in", "p.jsonl", "--min-score", "4", "--out", "f.jsonl"],
+    "split": ["--in", "p.jsonl", "--seed", "3", "--train-out", "t.jsonl", "--valid-out", "v.jsonl"],
+    "clean": ["--part1", "p1.jsonl", "--part3", "p3.jsonl", "--out", "c.jsonl", "--report", "r"],
+    "vocab": ["--unit", "word", "--lexicon", "l.tsv", "--in", "t.jsonl", "--out", "v.txt",
+              "--max-size", "9"],
+    "train": ["--config", "c.json", "--train", "t.jsonl", "--src-vocab", "s.txt",
+              "--tgt-vocab", "t.txt", "--representation", "char_char", "--out", "m"],
+    "summarize": ["--model", "m", "--in", "t.jsonl", "--beam", "3", "--max-len", "7"],
+    "eval": ["--candidates", "c.jsonl", "--references", "r.jsonl", "--unit", "word"],
+    "experiment": ["--config", "e.json", "--out", "runs", "--seeds", "1,2"],
+    "sweep": ["--config", "e.json", "--sizes", "5,3", "--out", "runs"],
+}
+
+
+def _help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_each_command_parser_equals_the_full_parsers(capsys, monkeypatch):
+    """main builds only the invoked command's parser, and that parser
+    formats the same help and parses the same namespace as the full
+    parser's subparser for the command."""
+    assert list(_SAMPLE_ARGS) == list(cli.COMMANDS)
+    full = cli.build_parser()
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build_parser(command))
+    for command, args in _SAMPLE_ARGS.items():
+        built.clear()
+        help_text = _help_text(capsys, main, [command, "--help"])
+        assert built == [command]
+        assert help_text == _help_text(capsys, full.parse_args, [command, "--help"])
+        assert help_text == build_parser(command).format_help()
+        assert cli._parse_args([command, *args])[1] == full.parse_args([command, *args])
+    top = _help_text(capsys, main, ["--help"])
+    assert "{" + ",".join(cli.COMMANDS) + "}" in top
+    for command, (help_line, _) in cli.COMMANDS.items():
+        assert f"    {command}" in top and help_line in top

@@ -339,6 +339,45 @@ def test_lexicon_load_matches_reference_on_malformed_files(tmp_path, bad_line):
         assert message is not None and message.startswith(f"{path}: line ")
 
 
+_WIDE_ALPHABETS = {
+    "cjk": "".join(map(chr, range(0x4E00, 0x4E00 + 60))),
+    "astral": "".join(map(chr, range(0x20000, 0x20000 + 30))) + "甲乙丙",
+}
+
+
+def _distinct_lexicon_lines(alphabet, n_lines):
+    """Well-formed lines of distinct words of 1-4 characters with counts of
+    1 to 7 ASCII digits, as in the benchmark's generated lexicon."""
+    gen = MT19937(n_lines)
+    seen, lines = set(), []
+    while len(lines) < n_lines:
+        word = "".join(alphabet[gen.bounded(len(alphabet))] for _ in range(1 + gen.bounded(4)))
+        if word not in seen:
+            seen.add(word)
+            lines.append(f"{word}\t{1 + gen.bounded(10**gen.bounded(7))}")
+    return lines
+
+
+@pytest.mark.parametrize("alphabet", _WIDE_ALPHABETS)
+@pytest.mark.parametrize("odd_line, at", [(None, None)] + [
+    (kind, at) for kind in ("repeated word", "two tabs") for at in ("first", "middle", "last")])
+def test_lexicon_load_matches_reference_on_distinct_words(tmp_path, alphabet, odd_line, at):
+    """Thousands of distinct words, as is, or with one repeated word or one
+    line with two tabs first, in the middle or last."""
+    lines = _distinct_lexicon_lines(_WIDE_ALPHABETS[alphabet], 3000)
+    if odd_line:
+        word = lines[len(lines) // 3].split("\t")[0]
+        line = f"{word}\t77" if odd_line == "repeated word" else f"{word}\t5\t6"
+        lines.insert({"first": 0, "middle": len(lines) // 2, "last": len(lines)}[at], line)
+    path = tmp_path / "lexicon.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = _assert_same_load(path)
+    if odd_line == "two tabs":
+        assert message.endswith(f": line {lines.index(line) + 1}: expected 'word<TAB>count'")
+    else:
+        assert message is None and len(Lexicon.from_file(path).entries) == 3000
+
+
 def test_lexicon_count_of_2_63_or_more_names_its_line(tmp_path):
     path = tmp_path / "lexicon.tsv"
     for count in ("9223372036854775808", "+9223372036854775808", "10000000000000000000000"):
