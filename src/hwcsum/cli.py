@@ -11,13 +11,12 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, read_jsonl,
-                     split_train_validation, write_jsonl, write_rows)
+from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, split_train_validation,
+                     write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
-from .harness import (ExperimentConfig, check_sweep_sizes, load_corpus_file, run_experiment,
-                      sweep_vocab)
-from .model import (DECODE_CHUNK, ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint,
-                    train)
+from .harness import (ExperimentConfig, check_model_keys, check_sweep_sizes, load_corpus_file,
+                      load_model_dir, run_experiment, save_model_dir, sweep_vocab, write_decodes)
+from .model import ModelConfig, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize,
                         encode_tokens, word_segment)
@@ -58,8 +57,7 @@ def _cmd_parse(args):
 
 
 def _cmd_filter(args):
-    with open(args.infile, encoding="utf-8") as f:
-        corpus = read_jsonl(f, "III")
+    corpus, _ = load_corpus_file(args.infile, "III")
     kept = filter_by_score(corpus, args.min_score)
     _write_corpus(args.out, kept)
     print(f"kept {len(kept)} of {len(corpus)} pairs with label >= {args.min_score}", file=sys.stderr)
@@ -101,13 +99,16 @@ def _cmd_vocab(args):
     return 0
 
 
+_TRAIN_SETTINGS = ("epochs", "batch_size", "learning_rate")  # defaults: ExperimentConfig's
+
+
 def _load_train_config(path):
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
-    known = {"model", "epochs", "batch_size", "learning_rate", "representation", "lexicon"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"model", *_TRAIN_SETTINGS, "representation", "lexicon"}
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
+    check_model_keys(raw.get("model", {}))
     return raw
 
 
@@ -131,8 +132,6 @@ def _cmd_train(args):
 
     model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
                             seed=args.seed, **cfg.get("model", {}))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def log(entry):
         line = f"epoch {entry['epoch']}: train_loss={entry['train_loss']:.4f}"
@@ -141,39 +140,18 @@ def _cmd_train(args):
         line += f" ({entry['seconds']:.1f}s)"
         print(line, file=sys.stderr)
 
-    params, history = train(train_pairs, model_cfg, epochs=cfg.get("epochs", 5),
-                            batch_size=cfg.get("batch_size", 32),
-                            learning_rate=cfg.get("learning_rate", 0.15),
-                            valid_pairs=valid_pairs, log_fn=log)
-    save_checkpoint(params, out / "model.npz")
-    src_vocab.save(out / "src_vocab.txt")
-    tgt_vocab.save(out / "tgt_vocab.txt")
-    meta = {"representation": rep.name, "lexicon": rep.lexicon_path,
-            "lexicon_sha256": rep.lexicon_sha256}
-    with atomic_write(out / "meta.json") as f:
-        json.dump(meta, f, sort_keys=True)
-    write_rows(out / "train_log.jsonl", history)
+    settings = {k: cfg.get(k, getattr(ExperimentConfig, k)) for k in _TRAIN_SETTINGS}
+    params, history = train(train_pairs, model_cfg, valid_pairs=valid_pairs, log_fn=log, **settings)
+    save_model_dir(Path(args.out), params, rep, src_vocab, tgt_vocab, history)
     return 0
 
 
 def _cmd_summarize(args):
-    model_dir = Path(args.model)
-    with open(model_dir / "meta.json", encoding="utf-8") as f:
-        meta = json.load(f)
-    rep = Representation(meta["representation"], args.lexicon or meta.get("lexicon"))
-    rep.check_lexicon(meta.get("lexicon_sha256"))
-    src_vocab = Vocabulary.load(model_dir / "src_vocab.txt", rep.src_unit)
-    tgt_vocab = Vocabulary.load(model_dir / "tgt_vocab.txt", "char")
-    params = load_checkpoint(model_dir / "model.npz")
-
+    params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
     corpus, _ = load_corpus_file(args.infile)
+    articles = [(p, src_vocab.encode(rep.tokens(p.short_text, word_segment))) for p in corpus.pairs]
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
-        for start in range(0, len(corpus.pairs), DECODE_CHUNK):
-            chunk = corpus.pairs[start:start + DECODE_CHUNK]
-            sources = [src_vocab.encode(rep.tokens(p.short_text, word_segment)) for p in chunk]
-            for p, ids in zip(chunk, beam_search_batch(sources, params, args.beam, args.max_len)):
-                text = "".join(tgt_vocab.decode(ids, strip_special=True))
-                out.write(json.dumps({"id": p.id, "candidate": text}, ensure_ascii=False) + "\n")
+        write_decodes(out, articles, params, tgt_vocab, args.beam, args.max_len)
     return 0
 
 
@@ -313,7 +291,7 @@ def _train_arguments(p):
 
 
 def _summarize_arguments(p):
-    p.add_argument("--model", required=True, help="model directory from `train`")
+    p.add_argument("--model", required=True, help="model directory: `train` --out or a seed<k>/")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--max-len", type=int, default=None)

@@ -4,8 +4,8 @@ One experiment = for each representation (char/char baseline or hybrid
 word/char) and each seed: split the training pool, build vocabularies
 from the training split, train the attentional encoder-decoder,
 beam-decode the score-filtered test set, and score with character
-ROUGE. Per-seed artifacts land under
-``<out>/<name>/<representation>/seed<k>/`` and the aggregate report at
+ROUGE. Each seed directory ``<out>/<name>/<representation>/seed<k>/`` is
+a model directory plus its candidates and scores, and the report is
 ``<out>/<name>/report.json``. Failed seeds are recorded, with their
 traceback in ``seed<k>/error.txt``, and skipped in the means. A sweep
 over encoder vocabulary sizes reads, dedups and tokenizes its inputs
@@ -23,19 +23,28 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import dedup as dedup_mod
-from .corpus import (CorpusPart, ParseIssue, SplitSpec, atomic_write, filter_by_score, parse_lcsts,
-                     read_jsonl, split_indices, write_rows)
-from .model import DECODE_CHUNK, ModelConfig, beam_search_batch, save_checkpoint, train
+from .corpus import (CorpusPart, ParseError, ParseIssue, SplitSpec, atomic_write, filter_by_score,
+                     parse_lcsts, read_jsonl, split_indices, write_rows)
+from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import (REPRESENTATIONS, Representation, build_vocab, char_tokenize, encode_tokens,
-                        load_representations)
+from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize,
+                        encode_tokens, load_representations)
 
+DECODE_CHUNK = 32  # articles per beam_search_batch call in write_decodes
 _MODEL_KEYS = {"embed_dim", "hidden_dim", "dropout", "max_decode_len"}
 _CONFIG_KEYS = {
     "name", "part1", "part3", "lexicon", "representation", "seeds", "n_validation",
     "min_score", "dedup", "max_suffix_delta", "encoder_vocab_size", "decoder_vocab_size",
     "vocab_min_count", "epochs", "batch_size", "learning_rate", "beam_width", "model",
 }
+
+
+def check_model_keys(model: dict):
+    """Raise ValueError unless every key of a config's model object is a
+    ModelConfig setting."""
+    unknown = set(model) - _MODEL_KEYS
+    if unknown:
+        raise ValueError(f"unknown model config keys: {sorted(unknown)}")
 
 
 def _refuse_repeats(what: str, values: list):
@@ -77,9 +86,7 @@ class ExperimentConfig:
         out_of_range = [s for s in self.seeds if not 0 <= s < 2**32]
         if out_of_range:
             raise ValueError(f"seeds must be in [0, 2**32), got {out_of_range}")
-        unknown = set(self.model) - _MODEL_KEYS
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
+        check_model_keys(self.model)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -96,13 +103,17 @@ class ExperimentConfig:
 
 def load_corpus_file(path, part: str = "I") -> tuple[CorpusPart, list[ParseIssue]]:
     """Read a dataset file: .jsonl is canonical records (no issues; a bad
-    record raises), anything else pseudo-XML, whose malformed blocks are
-    skipped and returned as parse issues."""
+    record raises a ParseError naming the file and line), anything else
+    pseudo-XML, whose malformed blocks are skipped and returned as parse
+    issues."""
     path = Path(path)
     with open(path, encoding="utf-8") as f:
-        if path.suffix == ".jsonl":
+        if path.suffix != ".jsonl":
+            return parse_lcsts(f, part)
+        try:
             return read_jsonl(f, part), []
-        return parse_lcsts(f, part)
+        except ParseError as e:
+            raise ParseError(f"{path}: {e}") from None
 
 
 def _sha256(path) -> str:
@@ -125,28 +136,58 @@ def _tokenizer(rep: Representation, *parts: CorpusPart):
     return tokens
 
 
-def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized, seed_dir: Path) -> dict:
-    t_start = time.perf_counter()
-    for sub in ("vocab", "checkpoints", "decodes"):
-        (seed_dir / sub).mkdir(parents=True, exist_ok=True)
+def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
+    """Write the checkpoint, vocabularies, meta.json and train log into out, each atomically."""
+    out.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(params, out / "model.npz")
+    src_vocab.save(out / "src_vocab.txt")
+    tgt_vocab.save(out / "tgt_vocab.txt")
+    write_rows(out / "meta.json", [{"representation": rep.name, "lexicon": rep.lexicon_path,
+                                    "lexicon_sha256": rep.lexicon_sha256}])
+    write_rows(out / "train_log.jsonl", history)
 
+
+def load_model_dir(model_dir: Path, lexicon_path=None):
+    """(params, representation, source vocabulary, target vocabulary) of a model
+    directory; lexicon_path overrides meta.json's lexicon, which must hash the same."""
+    meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
+    rep = Representation(meta["representation"], lexicon_path or meta.get("lexicon"))
+    rep.check_lexicon(meta.get("lexicon_sha256"))
+    return (load_checkpoint(model_dir / "model.npz"), rep,
+            Vocabulary.load(model_dir / "src_vocab.txt", rep.src_unit),
+            Vocabulary.load(model_dir / "tgt_vocab.txt", "char"))
+
+
+def write_decodes(f, articles, params, tgt_vocab: Vocabulary, beam_width: int, max_len=None):
+    """Beam-decode (pair, source ids) articles DECODE_CHUNK at a time, writing one
+    {"id", "candidate"} JSON line each to the open file f; returns the candidates."""
+    candidates = []
+    for start in range(0, len(articles), DECODE_CHUNK):
+        chunk = articles[start:start + DECODE_CHUNK]
+        decodes = beam_search_batch([src for _, src in chunk], params, beam_width, max_len)
+        for (pair, _), out_ids in zip(chunk, decodes):
+            text = "".join(tgt_vocab.decode(out_ids, strip_special=True))
+            candidates.append(text)
+            f.write(json.dumps({"id": pair.id, "candidate": text}, ensure_ascii=False) + "\n")
+    return candidates
+
+
+def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
+    t_start = time.perf_counter()
     pool, test = tokenized()
     train_idx, valid_idx = split_indices(len(pool), SplitSpec(cfg.n_validation, seed))
     train_items = [pool[i] for i in train_idx]
 
-    src_vocab = build_vocab((tok for _, src, _ in train_items for tok in src), src_unit,
+    src_vocab = build_vocab((tok for _, src, _ in train_items for tok in src), rep.src_unit,
                             min_count=cfg.vocab_min_count, max_size=cfg.encoder_vocab_size)
     tgt_vocab = build_vocab((ch for _, _, tgt in train_items for ch in tgt), "char",
                             min_count=cfg.vocab_min_count, max_size=cfg.decoder_vocab_size)
-    src_vocab.save(seed_dir / "vocab" / "src_vocab.txt")
-    tgt_vocab.save(seed_dir / "vocab" / "tgt_vocab.txt")
 
     def encode(items):
         return [encode_tokens(src, tgt, src_vocab, tgt_vocab, p.id) for p, src, tgt in items]
 
     train_pairs = encode(train_items)
     valid_pairs = encode(pool[i] for i in valid_idx)
-    test_pairs = encode(test)
 
     model_cfg = ModelConfig(
         src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), seed=seed,
@@ -154,18 +195,11 @@ def _run_seed(cfg: ExperimentConfig, src_unit: str, seed: int, tokenized, seed_d
     params, history = train(
         train_pairs, model_cfg, epochs=cfg.epochs, batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate, valid_pairs=valid_pairs)
-    save_checkpoint(params, seed_dir / "checkpoints" / "model.npz")
-    write_rows(seed_dir / "train_log.jsonl", history)
+    save_model_dir(seed_dir, params, rep, src_vocab, tgt_vocab, history)
 
-    candidates = []
-    with atomic_write(seed_dir / "decodes" / "candidates.jsonl") as f:
-        for start in range(0, len(test), DECODE_CHUNK):
-            sources = [enc.src_ids for enc in test_pairs[start:start + DECODE_CHUNK]]
-            decodes = beam_search_batch(sources, params, cfg.beam_width)
-            for (pair, _, _), ids in zip(test[start:start + DECODE_CHUNK], decodes):
-                text = "".join(tgt_vocab.decode(ids, strip_special=True))
-                candidates.append(text)
-                f.write(json.dumps({"id": pair.id, "candidate": text}, ensure_ascii=False) + "\n")
+    with atomic_write(seed_dir / "candidates.jsonl") as f:
+        candidates = write_decodes(f, [(p, src_vocab.encode(src)) for p, src, _ in test], params,
+                                   tgt_vocab, cfg.beam_width)
 
     references = [p.summary for p, _, _ in test]
     means, per_pair = evaluate_corpus(candidates, references, unit="char")
@@ -230,7 +264,7 @@ def _run_size(cfg: ExperimentConfig, prepared, out: Path):
         for seed in cfg.seeds:
             seed_dir = out / rep.name / f"seed{seed}"
             try:
-                seed_records[str(seed)] = _run_seed(cfg, rep.src_unit, seed, tokenized, seed_dir)
+                seed_records[str(seed)] = _run_seed(cfg, rep, seed, tokenized, seed_dir)
             except Exception as exc:  # keep going; partial results matter
                 seed_records[str(seed)] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
                 failed.append(seed)

@@ -275,8 +275,6 @@ def sequence_loss(pair: EncodedPair, params: ModelParams, *, tape: Tape | None =
 # in lexicographic order, so among equal scores the lower flat index
 # slot * |V| + token id is the lexicographically smaller sequence.
 
-DECODE_CHUNK = 32  # articles per beam_search_batch call in the harness and `summarize`
-
 
 @dataclass
 class Hypothesis:

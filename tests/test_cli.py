@@ -1,13 +1,14 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from hwcsum import cli
+from hwcsum import cli, harness
 from hwcsum.cli import main
-from hwcsum.harness import ExperimentConfig, load_corpus_file, run_experiment
-from hwcsum.model import beam_search, load_checkpoint
-from hwcsum.tokenizer import Representation, Vocabulary
+from hwcsum.corpus import ParseError
+from hwcsum.harness import ExperimentConfig, load_corpus_file, load_model_dir, run_experiment
+from hwcsum.model import beam_search
 
 WORDS = ["城市", "交通", "建设", "项目", "投资", "发展"]
 
@@ -228,6 +229,25 @@ def test_cli_data_errors_still_raise(tiny_dataset, tmp_path):
         main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
 
 
+def test_bad_corpus_record_names_its_file(tiny_dataset):
+    """A bad JSONL record raises a data-file error naming the file and line,
+    whichever input of `clean` holds it, and in `filter`."""
+    d = tiny_dataset
+    for name, part in (("part1", "I"), ("part3", "III")):
+        assert main(["parse", "--in", str(d / f"{name}.txt"), "--part", part,
+                     "--out", str(d / f"{name}.jsonl")]) == 0
+    bad = d / "bad.jsonl"
+    bad.write_text('{"id": 0, "text": "t", "summary": "s", "label": 3}\n{"id": "x"}\n',
+                   encoding="utf-8")
+    message = f"^{re.escape(str(bad))}: line 2: missing field\\(s\\) text, summary$"
+    for part1, part3 in ((d / "part1.jsonl", bad), (bad, d / "part3.jsonl")):
+        with pytest.raises(ParseError, match=message):
+            main(["clean", "--part1", str(part1), "--part3", str(part3), "--out", str(d / "c.jsonl")])
+    with pytest.raises(ParseError, match=message):
+        main(["filter", "--in", str(bad), "--out", str(d / "f.jsonl")])
+    assert not (d / "c.jsonl").exists() and not (d / "f.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
 def test_cli_malformed_seed_list_is_a_usage_error(tmp_path, capsys, command):
     argv = [command, "--config", "exp.json", "--out", str(tmp_path), "--seeds", "1,,2"]
@@ -290,9 +310,21 @@ def word_char_model(tiny_dataset):
     return d
 
 
-def _summarize(d, *extra):
-    return main(["summarize", "--model", str(d / "model"), "--in", str(d / "train.jsonl"),
+def _summarize(d, *extra, model=None):
+    return main(["summarize", "--model", str(model or d / "model"), "--in", str(d / "train.jsonl"),
                  "--beam", "2", "--max-len", "4", "--out", str(d / "candidates.jsonl"), *extra])
+
+
+def _harness_model(d):
+    """A small word_char model of the experiment harness: its seed directory."""
+    cfg = ExperimentConfig(
+        name="x", part1=str(d / "part1.txt"), part3=str(d / "part3.txt"),
+        lexicon=str(d / "lexicon.tsv"), representations=["word_char"], seeds=[0], n_validation=3,
+        epochs=1, batch_size=8, beam_width=2,
+        model={"embed_dim": 6, "hidden_dim": 6, "dropout": 0.0, "max_decode_len": 4})
+    _, all_ok = run_experiment(cfg, d / "runs")
+    assert all_ok
+    return d / "runs" / "x" / "word_char" / "seed0"
 
 
 def test_train_records_lexicon_hash(word_char_model):
@@ -308,18 +340,20 @@ def test_summarize_accepts_same_lexicon_at_another_path(word_char_model):
     assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
 
 
-def test_summarize_refuses_a_different_lexicon(word_char_model):
+@pytest.mark.parametrize("writer", ["train", "harness"])
+def test_summarize_refuses_a_different_lexicon(word_char_model, writer):
     d = word_char_model
+    model = d / "model" if writer == "train" else _harness_model(d)
     trained = hashlib.sha256((d / "lexicon.tsv").read_bytes()).hexdigest()
     (d / "other.tsv").write_text("城市\t99\n交通\t1\n", encoding="utf-8")
     other = hashlib.sha256((d / "other.tsv").read_bytes()).hexdigest()
     with pytest.raises(ValueError) as err:
-        _summarize(d, "--lexicon", str(d / "other.tsv"))
+        _summarize(d, "--lexicon", str(d / "other.tsv"), model=model)
     assert trained in str(err.value) and other in str(err.value)
     # the lexicon named in meta.json is checked as well
     (d / "other.tsv").replace(d / "lexicon.tsv")
     with pytest.raises(ValueError, match=trained):
-        _summarize(d)
+        _summarize(d, model=model)
     assert not (d / "candidates.jsonl").exists()
 
 
@@ -353,6 +387,19 @@ def test_train_unknown_config_key_is_a_usage_error(word_char_model, capsys):
         "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
         "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")],
         "unknown train config keys: ['epoch']")
+    assert not (d / "model2").exists()
+
+
+def test_train_unknown_model_key_is_a_usage_error(word_char_model, capsys):
+    d = word_char_model
+    cfg = json.loads((d / "train_cfg.json").read_text())
+    (d / "train_cfg.json").write_text(json.dumps(dict(cfg, model={"hiden_dim": 4})))
+    capsys.readouterr()
+    _assert_usage_error(capsys, [
+        "train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+        "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+        "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")],
+        "unknown model config keys: ['hiden_dim']")
     assert not (d / "model2").exists()
 
 
@@ -419,10 +466,10 @@ def test_summarize_failing_mid_write_leaves_no_file(word_char_model, monkeypatch
             raise RuntimeError("mid-summarize failure")
         return original(*args, **kwargs)
 
-    original = cli.beam_search_batch
-    monkeypatch.setattr(cli, "beam_search_batch", fail_on_third)
+    original = harness.beam_search_batch
+    monkeypatch.setattr(harness, "beam_search_batch", fail_on_third)
     # two articles a call, so the failure lands after four rows were written
-    monkeypatch.setattr(cli, "DECODE_CHUNK", 2)
+    monkeypatch.setattr(harness, "DECODE_CHUNK", 2)
     with pytest.raises(RuntimeError, match="mid-summarize failure"):
         _summarize(d)
     assert len(calls) == 3
@@ -449,11 +496,9 @@ def test_summarize_in_chunks_equals_per_article_decoding(word_char_model, synthe
                  "--beam", "3", "--max-len", "6", "--out", str(d / "candidates.jsonl")]) == 0
     rows = [json.loads(line) for line in (d / "candidates.jsonl").read_text().splitlines()]
     articles = load_corpus_file(d / "many.jsonl")[0].pairs
-    assert len(articles) == 200 > 2 * cli.DECODE_CHUNK
-    rep = Representation("word_char", str(d / "lexicon.tsv"))
-    src_vocab = Vocabulary.load(d / "model" / "src_vocab.txt", "word")
-    tgt_vocab = Vocabulary.load(d / "model" / "tgt_vocab.txt", "char")
-    params = load_checkpoint(d / "model" / "model.npz")
+    assert len(articles) == 200 > 2 * harness.DECODE_CHUNK
+    params, rep, src_vocab, tgt_vocab = load_model_dir(d / "model")
+    assert rep.name == "word_char" and rep.lexicon_path == str(d / "lexicon.tsv")
     assert [r["id"] for r in rows] == [a.id for a in articles]
     for row, article in zip(rows, articles):
         ids = beam_search(src_vocab.encode(rep.tokens(article.short_text)), params, 3, 6)
@@ -480,9 +525,31 @@ def test_cli_and_harness_vocabularies_are_identical(tmp_path, synthetic_dir, see
         beam_width=1, model={"embed_dim": 4, "hidden_dim": 4, "dropout": 0.0, "max_decode_len": 2})
     _, all_ok = run_experiment(cfg, tmp_path / "runs")
     assert all_ok
-    harness_vocab = tmp_path / "runs" / "x" / "word_char" / f"seed{seed}" / "vocab"
+    seed_dir = tmp_path / "runs" / "x" / "word_char" / f"seed{seed}"
     for name in ("src_vocab.txt", "tgt_vocab.txt"):
-        assert (tmp_path / name).read_bytes() == (harness_vocab / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes()
+
+
+def test_summarize_reproduces_a_harness_seed(tmp_path, synthetic_dir):
+    """`summarize` on an experiment's seed directory, on the score-filtered
+    test set with the config's beam width, writes that seed's
+    candidates.jsonl byte for byte."""
+    cfg = ExperimentConfig(
+        name="x", part1=str(synthetic_dir / "part1.txt"), part3=str(synthetic_dir / "part3.txt"),
+        lexicon=str(synthetic_dir / "lexicon.tsv"), representations=["char_char", "word_char"],
+        seeds=[0], n_validation=20, epochs=1, beam_width=3,
+        model={"embed_dim": 8, "hidden_dim": 8, "dropout": 0.0, "max_decode_len": 8})
+    _, all_ok = run_experiment(cfg, tmp_path / "runs")
+    assert all_ok
+    assert main(["parse", "--in", cfg.part3, "--part", "III", "--out", str(tmp_path / "p3.jsonl")]) == 0
+    assert main(["filter", "--in", str(tmp_path / "p3.jsonl"), "--min-score", str(cfg.min_score),
+                 "--out", str(tmp_path / "test.jsonl")]) == 0
+    for name in cfg.representations:
+        seed_dir = tmp_path / "runs" / "x" / name / "seed0"
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["summarize", "--model", str(seed_dir), "--in", str(tmp_path / "test.jsonl"),
+                     "--beam", str(cfg.beam_width), "--out", str(out)]) == 0
+        assert out.read_bytes() == (seed_dir / "candidates.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("line, message", [

@@ -9,8 +9,9 @@ import pytest
 
 from hwcsum import harness, model, tokenizer
 from hwcsum.corpus import filter_by_score
-from hwcsum.harness import ExperimentConfig, load_corpus_file, run_experiment, sweep_vocab
-from hwcsum.model import beam_search_full, load_checkpoint
+from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, run_experiment,
+                            sweep_vocab)
+from hwcsum.model import beam_search_full
 from hwcsum.rouge import METRICS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -126,15 +127,18 @@ def test_run_experiment_both_representations(tmp_path, synthetic_dir):
     # the hybrid encoder sees words, the baseline sees characters
     assert (report["runs"]["word_char"]["seeds"]["0"]["src_vocab_size"]
             != report["runs"]["char_char"]["seeds"]["0"]["src_vocab_size"])
-    # artifacts on disk
+    # artifacts on disk: each seed directory is a model directory plus its decodes
     base = tmp_path / "t"
     assert (base / "report.json").exists()
     for representation in ("char_char", "word_char"):
         seed_dir = base / representation / "seed0"
-        assert (seed_dir / "vocab" / "src_vocab.txt").exists()
-        assert (seed_dir / "checkpoints" / "model.npz").exists()
-        assert (seed_dir / "decodes" / "candidates.jsonl").exists()
-        assert (seed_dir / "scores.jsonl").exists()
+        assert sorted(p.name for p in seed_dir.iterdir()) == [
+            "candidates.jsonl", "meta.json", "model.npz", "scores.jsonl", "src_vocab.txt",
+            "tgt_vocab.txt", "train_log.jsonl"]
+        meta = json.loads((seed_dir / "meta.json").read_text(encoding="utf-8"))
+        assert meta == {"representation": representation, "lexicon": cfg.lexicon,
+                        "lexicon_sha256": report["input_hashes"]["lexicon"]
+                        if representation == "word_char" else None}
 
 
 def test_mean_is_arithmetic_over_seeds(tmp_path, synthetic_dir):
@@ -197,7 +201,7 @@ def test_failed_seed_writes_its_traceback(tmp_path, synthetic_dir):
 
 
 @pytest.mark.parametrize("ledger, target", [
-    ("decodes/candidates.jsonl", "beam_search_batch"),
+    ("candidates.jsonl", "beam_search_batch"),
     ("scores.jsonl", "scores_dict"),
 ])
 def test_seed_ledger_failing_mid_write_leaves_no_file(tmp_path, synthetic_dir, monkeypatch,
@@ -359,7 +363,7 @@ def test_sweep_size_equals_a_run_of_that_size(tmp_path, synthetic_dir):
         swept = _masked_tree(tmp_path / "sweep" / f"t-vocab{size}")
         assert [r["part1_id"] for r in swept["dedup_removals.jsonl"]] == [900, 901, 902]
         assert swept["report.json"]["config"]["encoder_vocab_size"] == size
-        assert "word_char/seed1/checkpoints/model.npz" in swept
+        assert "word_char/seed1/model.npz" in swept
         assert swept == _masked_tree(tmp_path / f"run{size}" / "t")
 
 
@@ -374,17 +378,15 @@ def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synt
     assert all_ok
     part3, _ = load_corpus_file(cfg.part3, "III")
     test = filter_by_score(part3, cfg.min_score).pairs
-    reps, _ = tokenizer.load_representations(cfg.representations, cfg.lexicon)
-    for rep in reps:
+    for name in cfg.representations:
         for seed in cfg.seeds:
-            seed_dir = tmp_path / cfg.name / rep.name / f"seed{seed}"
-            params = load_checkpoint(seed_dir / "checkpoints" / "model.npz")
-            src_vocab = tokenizer.Vocabulary.load(seed_dir / "vocab" / "src_vocab.txt", rep.src_unit)
-            tgt_vocab = tokenizer.Vocabulary.load(seed_dir / "vocab" / "tgt_vocab.txt", "char")
+            seed_dir = tmp_path / cfg.name / name / f"seed{seed}"
+            params, rep, src_vocab, tgt_vocab = load_model_dir(seed_dir)
+            assert rep.name == name
             sources = [src_vocab.encode(rep.tokens(p.short_text)) for p in test]
             one = [beam_search_full(s, params, cfg.beam_width) for s in sources]
             rows = [json.loads(line) for line in
-                    (seed_dir / "decodes" / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
+                    (seed_dir / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
             assert [r["id"] for r in rows] == [p.id for p in test]
             assert [r["candidate"] for r in rows] == [
                 "".join(tgt_vocab.decode(h.token_ids, strip_special=True)) for h in one]
@@ -409,7 +411,7 @@ def test_chunk_size_does_not_change_the_decodes(tmp_path, synthetic_dir, monkeyp
     monkeypatch.setattr(harness, "DECODE_CHUNK", 5)
     run_experiment(cfg, tmp_path / "chunked")
     assert sizes == [17, 5, 5, 5, 2]
-    path = "t/char_char/seed0/decodes/candidates.jsonl"
+    path = "t/char_char/seed0/candidates.jsonl"
     whole = (tmp_path / "whole" / path).read_bytes()
     assert len(whole.splitlines()) == 17
     assert whole == (tmp_path / "chunked" / path).read_bytes()
