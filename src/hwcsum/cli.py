@@ -14,7 +14,7 @@ from pathlib import Path
 from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, split_train_validation,
                      write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
-from .harness import (ExperimentConfig, check_model_keys, check_sweep_sizes, load_corpus_file,
+from .harness import (ExperimentConfig, check_settings, check_sweep_sizes, load_corpus_file,
                       load_model_dir, run_experiment, save_model_dir, sweep_vocab, write_decodes)
 from .model import ModelConfig, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
@@ -108,7 +108,7 @@ def _load_train_config(path):
     unknown = set(raw) - {"model", *_TRAIN_SETTINGS, "representation", "lexicon"}
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    check_model_keys(raw.get("model", {}))
+    check_settings(raw)
     return raw
 
 

@@ -16,10 +16,12 @@ import datetime
 import functools
 import hashlib
 import json
+import math
+import os
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import dedup as dedup_mod
@@ -31,20 +33,52 @@ from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab
                         encode_tokens, load_representations)
 
 DECODE_CHUNK = 32  # articles per beam_search_batch call in write_decodes
-_MODEL_KEYS = {"embed_dim", "hidden_dim", "dropout", "max_decode_len"}
 _CONFIG_KEYS = {
     "name", "part1", "part3", "lexicon", "representation", "seeds", "n_validation",
     "min_score", "dedup", "max_suffix_delta", "encoder_vocab_size", "decoder_vocab_size",
     "vocab_min_count", "epochs", "batch_size", "learning_rate", "beam_width", "model",
 }
+# integer settings -> (lowest, highest or None) allowed; a vocabulary size may also be None
+_INT_RANGES = {"epochs": (1, None), "batch_size": (1, None), "beam_width": (1, None),
+               "n_validation": (0, None), "min_score": (1, 5), "max_suffix_delta": (0, None),
+               "vocab_min_count": (1, None), "encoder_vocab_size": (1, None),
+               "decoder_vocab_size": (1, None)}
+_RUN_SET = ("src_vocab_size", "tgt_vocab_size", "seed")  # ModelConfig fields a run fills in
 
 
-def check_model_keys(model: dict):
-    """Raise ValueError unless every key of a config's model object is a
-    ModelConfig setting."""
-    unknown = set(model) - _MODEL_KEYS
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_settings(settings: dict):
+    """Raise ValueError unless each run setting in settings has a type and a
+    range a run accepts, so that a config is refused before any input is
+    read. The model object may name only the ModelConfig settings a config
+    sets, each of its type and with a value ModelConfig accepts."""
+    for name, (low, high) in _INT_RANGES.items():
+        value = settings.get(name, low)
+        if value is None and name.endswith("vocab_size"):
+            continue
+        if not _is_int(value) or value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    if not isinstance(settings.get("dedup", False), bool):
+        raise ValueError(f"dedup must be true or false, got {settings['dedup']!r}")
+    rate = settings.get("learning_rate", 1.0)
+    if not (_is_int(rate) or isinstance(rate, float)) or not 0 < rate < math.inf:
+        raise ValueError(f"learning_rate must be a positive finite number, got {rate!r}")
+    model = settings.get("model", {})
+    if not isinstance(model, dict):
+        raise ValueError(f"model must be a JSON object, got {model!r}")
+    kinds = {f.name: f.type for f in fields(ModelConfig) if f.name not in _RUN_SET}
+    unknown = set(model) - set(kinds)
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
+    for name, value in model.items():
+        if not (_is_int(value) or (kinds[name] is float and isinstance(value, float))):
+            kind = "a number" if kinds[name] is float else "an integer"
+            raise ValueError(f"model {name} must be {kind}, got {value!r}")
+    ModelConfig(src_vocab_size=5, tgt_vocab_size=5, **model)  # the smallest vocabularies a run builds
 
 
 def _refuse_repeats(what: str, values: list):
@@ -83,10 +117,10 @@ class ExperimentConfig:
             Representation.check(name, self.lexicon, "a lexicon entry in the config")
         _refuse_repeats("representations", self.representations)
         _refuse_repeats("seeds", self.seeds)
-        out_of_range = [s for s in self.seeds if not 0 <= s < 2**32]
+        out_of_range = [s for s in self.seeds if not (_is_int(s) and 0 <= s < 2**32)]
         if out_of_range:
             raise ValueError(f"seeds must be in [0, 2**32), got {out_of_range}")
-        check_model_keys(self.model)
+        check_settings(vars(self))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -137,21 +171,26 @@ def _tokenizer(rep: Representation, *parts: CorpusPart):
 
 
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
-    """Write the checkpoint, vocabularies, meta.json and train log into out, each atomically."""
+    """Write the checkpoint, vocabularies, meta.json and train log into out,
+    each atomically. meta.json names the lexicon by its path relative to
+    out, so the directory loads from any working directory."""
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "model.npz")
     src_vocab.save(out / "src_vocab.txt")
     tgt_vocab.save(out / "tgt_vocab.txt")
-    write_rows(out / "meta.json", [{"representation": rep.name, "lexicon": rep.lexicon_path,
+    lexicon = rep.lexicon_path and os.path.relpath(Path(rep.lexicon_path).resolve(), out.resolve())
+    write_rows(out / "meta.json", [{"representation": rep.name, "lexicon": lexicon,
                                     "lexicon_sha256": rep.lexicon_sha256}])
     write_rows(out / "train_log.jsonl", history)
 
 
 def load_model_dir(model_dir: Path, lexicon_path=None):
     """(params, representation, source vocabulary, target vocabulary) of a model
-    directory; lexicon_path overrides meta.json's lexicon, which must hash the same."""
+    directory. meta.json's lexicon is resolved against model_dir (an absolute
+    path stays as it is); lexicon_path overrides it, and must hash the same."""
     meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
-    rep = Representation(meta["representation"], lexicon_path or meta.get("lexicon"))
+    lexicon = meta.get("lexicon") and model_dir / meta["lexicon"]
+    rep = Representation(meta["representation"], lexicon_path or lexicon)
     rep.check_lexicon(meta.get("lexicon_sha256"))
     return (load_checkpoint(model_dir / "model.npz"), rep,
             Vocabulary.load(model_dir / "src_vocab.txt", rep.src_unit),
@@ -241,6 +280,11 @@ def _prepare(cfg: ExperimentConfig):
         result = dedup_mod.clean_part1(pool, part3, dedup_mod.DedupConfig(cfg.max_suffix_delta))
         pool, removed = result.kept, result.removed
     test = filter_by_score(part3, cfg.min_score)
+    if not test.pairs:  # checks that need the data, made once before any seed trains
+        raise ValueError(f"{cfg.part3}: no test pair has a label >= {cfg.min_score}")
+    if cfg.n_validation >= len(pool.pairs):
+        raise ValueError(f"n_validation={cfg.n_validation} must be smaller than the training "
+                         f"pool of {len(pool.pairs)} pairs")
     hashes = {"part1": _sha256(cfg.part1), "part3": _sha256(cfg.part3)}
     if cfg.lexicon:
         hashes["lexicon"] = lexicon_sha256

@@ -32,7 +32,11 @@ _DIGITS_MAX = 19  # longest count parsed in bulk: 10**19 - 1 fits a uint64
 
 
 def _codes(s: str) -> np.ndarray:
-    """The code points of s, as a uint32 array."""
+    """The code points of s: a uint16 array when each fits one UTF-16
+    unit, which halves the memory of the usual text, else a uint32 one."""
+    units = s.encode("utf-16-le", "surrogatepass")
+    if len(units) == 2 * len(s):
+        return np.frombuffer(units, dtype=np.uint16)
     return np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
@@ -76,22 +80,22 @@ class _Table(Mapping):
         invalid = []  # (rank, last occurrence): the empty word, then words with a count <= 0
         for length in np.flatnonzero(np.bincount(lens)).tolist():
             at = np.flatnonzero(lens == length)
-            keys = self._pack(chars[starts[at] + np.arange(length, dtype=starts.dtype)[:, None]])
+            begin = starts[at].astype(np.intp)
+            keys = self._pack([chars[c:][begin] for c in range(length)], len(at))
             order = np.argsort(keys)
-            keys, order = keys[order], at[order]
-            new = np.ones(len(keys), dtype=bool)  # the first of its word in sorted order
-            new[1:] = keys[1:] != keys[:-1]
-            head = np.flatnonzero(new)
+            keys, first, count = keys[order], at[order], counts[at][order]
             # a word's occurrences sort together, in no set order, so only the
             # repeated words need their first and last occurrence looked for
-            first = order[head]
-            last = first.copy()
-            again = np.flatnonzero(~new)
-            word = head.searchsorted(again) - 1
-            np.minimum.at(first, word, order[again])
-            np.maximum.at(last, word, order[again])
-            count = counts[last]
-            self._groups[length] = (keys[head], count, first)
+            again = np.flatnonzero(keys[1:] == keys[:-1]) + 1  # sorted places repeating the one before
+            last = first
+            if again.size:
+                word = again - np.arange(1, len(again) + 1)  # the distinct word each repeat belongs to
+                keys, first, rest = np.delete(keys, again), np.delete(first, again), first[again]
+                last = first.copy()
+                np.minimum.at(first, word, rest)
+                np.maximum.at(last, word, rest)
+                count = counts[last]
+            self._groups[length] = (keys, count, first)
             if length == 0:
                 invalid.append((-1, int(last[0])))
             bad = np.flatnonzero(count <= 0)
@@ -103,15 +107,16 @@ class _Table(Mapping):
         self.total = sum(_exact_sum(c) for _, c, _ in self._groups.values())
         self.max_word_len = max(self._groups, default=1)
 
-    def _pack(self, columns: np.ndarray) -> np.ndarray:
-        """Sort keys of m words of L code points, given as an (L, m)
-        matrix: row c holds the c-th code point of every word."""
-        length, m = columns.shape
-        if length > self._per_key:
-            return np.ascontiguousarray(columns.T, dtype=">u4").view(f"S{4 * length}").ravel()
+    def _pack(self, columns, m: int) -> np.ndarray:
+        """Sort keys of m words of L code points, given as L columns:
+        column c holds the c-th code point of every word."""
+        if len(columns) > self._per_key:
+            rows = np.ascontiguousarray(np.transpose(columns), dtype=">u4")
+            return rows.view(f"S{4 * len(columns)}").ravel()
         key = np.zeros(m, dtype=np.uint64)
         for column in columns:
-            key = (key << self._shift) | column
+            key <<= self._shift
+            key |= column
         return key
 
     def _lookup(self, length: int, key: np.ndarray) -> np.ndarray:
@@ -145,7 +150,7 @@ class _Table(Mapping):
             if length not in self._groups:
                 continue
             count = self._lookup(length, key if length <= self._per_key
-                                 else self._pack(sliding_window_view(codes, length).T))
+                                 else self._pack(sliding_window_view(codes, length).T, m))
             if span is not None:
                 count[span] = 0
             if length == 1:
@@ -162,7 +167,7 @@ class _Table(Mapping):
         else:
             shifts = self._shift * np.arange(length - 1, -1, -1, dtype=np.uint64)
             mat = (keys[:, None] >> shifts) & np.uint64(self._limit - 1)
-        text = mat.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+        text = _text(mat)
         return [text[i:i + length] for i in range(0, len(text), length)]
 
     def _ordered(self) -> tuple[list[str], list[int]]:
@@ -178,7 +183,7 @@ class _Table(Mapping):
         if isinstance(word, str) and len(word) in self._groups:
             codes = _codes(word)
             if not (codes >= self._limit).any():
-                count = int(self._lookup(len(word), self._pack(codes[:, None]))[0])
+                count = int(self._lookup(len(word), self._pack(codes[:, None], 1))[0])
                 if count:
                     return count
         raise KeyError(word)
@@ -212,66 +217,58 @@ def _table_of(entries: Mapping[str, int]) -> _Table:
 
 
 def _text(codes: np.ndarray) -> str:
-    return codes.tobytes().decode("utf-32-le", "surrogatepass")
+    return codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
 
 
-def _digit_counts(codes: np.ndarray, tabs: np.ndarray, ends: np.ndarray):
+def _digit_counts(codes: np.ndarray, tabs: np.ndarray, ends: np.ndarray, one: np.ndarray):
     """The counts in the fields codes[tabs[i] + 1:ends[i]], parsed in bulk
-    one field width at a time, and whether each field is 1 to _DIGITS_MAX
-    ASCII digits; where it is not, its count means nothing."""
+    one place at a time from the last digit, and whether each field is 1 to
+    _DIGITS_MAX ASCII digits on a line with one tab (else it means nothing)."""
     width = ends - tabs - 1
-    counts = np.zeros(len(tabs), dtype=np.uint64)
-    ok = np.zeros(len(tabs), dtype=bool)
-    for w in np.flatnonzero(np.bincount(np.minimum(width, _DIGITS_MAX + 1))[1:_DIGITS_MAX + 1]) + 1:
-        at = np.flatnonzero(width == w)
-        d = codes[tabs[at] + np.arange(1, w + 1, dtype=tabs.dtype)[:, None]] - 48  # below '0' wraps high
-        v = np.zeros(len(at), dtype=np.uint64)
-        for column in d:
-            v = v * np.uint64(10) + column
-        counts[at] = v
-        ok[at] = (d < 10).all(axis=0)
+    counts = codes.take(ends - 1).astype(np.uint64) - np.uint64(48)  # below '0' wraps high
+    ok = one & (counts < 10) & (width <= _DIGITS_MAX)
+    at = np.flatnonzero(ok & (width > 1))
+    for place in range(1, _DIGITS_MAX):
+        digit = codes.take(ends[at] - (place + 1)) - 48
+        counts[at] += digit * np.uint64(10**place)
+        ok[at[digit >= 10]] = False
+        at = at[width[at] > place + 1]
+        if not at.size:
+            break
     return counts, ok
 
 
 def _lines(codes: np.ndarray):
-    """Find the lines of text whose every line ends in a newline, in one
-    pass over the offsets of its tabs and line ends.
-
-    Returns the offset of each line's end, after a -1 for the line end
-    before the text; the numbers of the lines with no tab or several; and
-    the numbers and the start, tab and end offsets of the lines with one.
-    """
-    pos = np.int32 if len(codes) < 2**31 else np.int64  # offsets, kept narrow
-    sep = np.flatnonzero((codes == 9) | (codes == 10))
-    end_at = np.flatnonzero(np.concatenate(([True], codes[sep] == 10)))  # indices into sep below
-    sep = np.concatenate(([-1], sep), dtype=pos)
-    tabs_on = np.diff(end_at) - 1  # each line's tabs lie between its end and the previous line's
-    line = np.flatnonzero(tabs_on == 1)
-    prev = end_at[line]
-    return (sep[end_at], np.flatnonzero(tabs_on != 1),
-            line, sep[prev] + 1, sep[1:][prev], sep[2:][prev])
+    """The lines of text whose every line ends in a newline, found with one
+    compare over the text: the offset of each line's end, after a -1 for
+    the start, and for each line the offset of the separator before its
+    end and whether that is the line's one tab (with no character below a
+    tab on the line)."""
+    sep = np.flatnonzero(codes <= 10)  # tabs, line ends and the rare characters 0-8
+    kind, sep = codes[sep], sep.astype(np.int32 if len(codes) < 2**31 else np.int64)  # narrow offsets
+    end = kind == 10
+    one = end & np.concatenate(([False], kind[:-1] == 9))  # a line end after a tab...
+    one[2:] &= end[:-2]  # ...after a line end, or the start
+    end_at = np.flatnonzero(end)  # indices into sep
+    return np.concatenate(([-1], sep[end_at]), dtype=sep.dtype), sep[end_at - 1], one[end_at]
 
 
 def _entry_lines(codes: np.ndarray, path):
-    """Parse the code points of lexicon text whose every line ends in a newline.
-
-    Returns, for each ``word<TAB>count`` line in order, its start, tab and
-    end offsets, its count and its line number. Whitespace-only lines are
-    skipped. The counts of ASCII digits on the lines with one tab are
-    parsed in bulk; any other line goes through ``split`` and ``int()``,
-    one at a time. The first malformed line, or count of 2**63 or more,
-    raises a ValueError naming path and line.
-    """
-    bounds, others, line, starts, tabs, ends = _lines(codes)
-    value, ok = _digit_counts(codes, tabs, ends)
+    """Parse the code points of lexicon text whose every line ends in a
+    newline: for each ``word<TAB>count`` line in order, its start offset,
+    word length and count. Whitespace-only lines are skipped. ASCII-digit
+    counts on the lines with one tab are parsed in bulk; any other line goes
+    through ``split`` and ``int()``. The first malformed line, or count of
+    2**63 or more, raises a ValueError naming path and line."""
+    bounds, tabs, one = _lines(codes)
+    value, ok = _digit_counts(codes, tabs, bounds[1:], one)
     over = np.flatnonzero(ok & (value >= np.uint64(_COUNT_LIMIT)))
-    first_over = int(line[over[0]]) if len(over) else len(bounds) - 1
+    first_over = int(over[0]) if len(over) else len(ok)
     counts = value.view(np.int64)  # the counts past int64 are over, so never used
 
     # the rest, in line order: lines with no tab or several (blank, else
     # malformed) and counts that are not plain digits, which int() may take
-    rest = np.sort(np.concatenate((others, line[~ok])))
-    for i in rest[:rest.searchsorted(first_over)].tolist():
+    for i in np.flatnonzero(~ok[:first_over]).tolist():
         start, end = int(bounds[i]) + 1, int(bounds[i + 1])
         text = _text(codes[start:end])
         try:
@@ -283,18 +280,18 @@ def _entry_lines(codes: np.ndarray, path):
             raise ValueError(f"{path}: line {i + 1}: expected 'word<TAB>count'") from None
         if count >= _COUNT_LIMIT:
             raise ValueError(f"{path}: line {i + 1}: {_too_large(word, count)}")
-        k = line.searchsorted(i)  # one tab, so the line is among those found above
-        ok[k], counts[k] = True, max(count, -_COUNT_LIMIT)
+        ok[i], tabs[i], counts[i] = True, start + len(word), max(count, -_COUNT_LIMIT)
     if len(over):
-        k = over[0]
-        word, count = _text(codes[starts[k]:tabs[k]]), int(_text(codes[tabs[k] + 1:ends[k]]))
-        raise ValueError(f"{path}: line {first_over + 1}: {_too_large(word, count)}")
-    return starts[ok], tabs[ok], ends[ok], counts[ok], line[ok] + 1
+        word, count = _line_at(codes, int(bounds[over[0]]) + 1)[1].split("\t")
+        raise ValueError(f"{path}: line {first_over + 1}: {_too_large(word, int(count))}")
+    starts = bounds[:-1][ok] + 1
+    return starts, tabs[ok] - starts, counts[ok]
 
 
-def _universal_newlines(s: str) -> str:
-    """Line ends as text-mode reading gives them: CRLF and a lone CR become LF."""
-    return s.replace("\r\n", "\n").replace("\r", "\n") if "\r" in s else s
+def _line_at(codes: np.ndarray, start: int) -> tuple[int, str]:
+    """The number and the text of the line starting at offset start."""
+    end = start + int(np.argmax(codes[start:] == 10))
+    return int(np.count_nonzero(codes[:start] == 10)) + 1, _text(codes[start:end])
 
 
 def _read_codes(path) -> tuple[np.ndarray, str]:
@@ -304,16 +301,19 @@ def _read_codes(path) -> tuple[np.ndarray, str]:
     line is malformed as a lexicon line."""
     with open(path, "rb") as f:
         raw = f.read()
+    sha256 = hashlib.sha256(raw).hexdigest()
+    if b"\r" in raw:  # line ends as text mode gives them; a CR is part of no multibyte character
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        text = _universal_newlines(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        head = _universal_newlines(raw[:e.start].decode("utf-8"))
+        head = raw[:e.start].decode("utf-8")
         _entry_lines(_codes(head[:head.rfind("\n") + 1]), path)
         line_no = head.count("\n") + 1
         raise ValueError(f"{path}: line {line_no}: invalid UTF-8 ({e.reason})") from None
     if text and text[-1] != "\n":
         text += "\n"
-    return _codes(text), hashlib.sha256(raw).hexdigest()
+    return _codes(text), sha256
 
 
 @dataclass(frozen=True)
@@ -349,12 +349,12 @@ class Lexicon:
         the bytes read, so it names exactly the table that was parsed.
         """
         codes, sha256 = _read_codes(path)
-        starts, tabs, ends, counts, line_nos = _entry_lines(codes, path)
-        table = _Table(codes, starts, tabs - starts, counts)
-        i = table.invalid_at
-        if i is not None:
-            word, count = _text(codes[starts[i]:tabs[i]]), int(_text(codes[tabs[i] + 1:ends[i]]))
-            raise ValueError(f"{path}: line {line_nos[i]}: {_invalid_entry(word, count)}")
+        starts, lens, counts = _entry_lines(codes, path)
+        table = _Table(codes, starts, lens, counts)
+        if table.invalid_at is not None:
+            line_no, text = _line_at(codes, int(starts[table.invalid_at]))
+            word, count = text.split("\t")
+            raise ValueError(f"{path}: line {line_no}: {_invalid_entry(word, int(count))}")
         lex = cls(table)
         object.__setattr__(lex, "sha256", sha256)
         return lex

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -142,11 +144,14 @@ def test_cli_experiment_and_exit_codes(tiny_dataset, tmp_path, capsys):
     assert report["runs"]["char_char"]["failed_seeds"] == []
     assert "char_char" in capsys.readouterr().out
 
-    # a config that cannot split (n_validation too big) exits nonzero
+    # a config that cannot split (n_validation too big) is a data error, raised
+    # once before any seed trains
     cfg["n_validation"] = 999
     cfg["name"] = "cli-exp-bad"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 1
+    with pytest.raises(ValueError, match="n_validation=999 must be smaller than the training pool"):
+        main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+    assert not (tmp_path / "runs" / "cli-exp-bad").exists()
 
 
 def test_cli_seed_override(tiny_dataset, tmp_path):
@@ -212,6 +217,94 @@ def test_cli_config_refusal_is_a_usage_error(tiny_dataset, tmp_path, capsys, com
     _assert_usage_error(capsys, [command, "--config", str(cfg_path),
                                  "--out", str(tmp_path / "runs"), *extra], message)
     assert not (tmp_path / "runs").exists()
+
+
+def _record_corpus_reads(monkeypatch):
+    """Wrap load_corpus_file where the harness and the CLI call it; returns
+    the paths it is asked to read."""
+    opened, original = [], harness.load_corpus_file
+
+    def recording(path, *args, **kwargs):
+        opened.append(path)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_corpus_file", recording)
+    monkeypatch.setattr(cli, "load_corpus_file", recording)
+    return opened
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"epochs": "2"}, "epochs must be an integer >= 1, got '2'"),
+    ({"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
+    ({"beam_width": 0}, "beam_width must be an integer >= 1, got 0"),
+    ({"min_score": 9}, "min_score must be an integer in [1, 5], got 9"),
+    ({"n_validation": -1}, "n_validation must be an integer >= 0, got -1"),
+    ({"learning_rate": 0}, "learning_rate must be a positive finite number, got 0"),
+    ({"max_suffix_delta": 1.5}, "max_suffix_delta must be an integer >= 0, got 1.5"),
+    ({"vocab_min_count": 0}, "vocab_min_count must be an integer >= 1, got 0"),
+    ({"dedup": "yes"}, "dedup must be true or false, got 'yes'"),
+    ({"seeds": ["1"]}, "seeds must be in [0, 2**32), got ['1']"),
+    ({"encoder_vocab_size": True}, "encoder_vocab_size must be an integer >= 1, got True"),
+    ({"model": {"hidden_dim": 0}}, "embed_dim and hidden_dim must be positive"),
+    ({"model": {"dropout": 1.0}}, "dropout must be in [0, 1), got 1.0"),
+    ({"model": {"embed_dim": "8"}}, "model embed_dim must be an integer, got '8'"),
+    ({"model": {"seed": 3}}, "unknown model config keys: ['seed']"),
+], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
+        "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "encoder-vocab-size",
+        "hidden-dim", "dropout", "embed-dim-type", "model-seed"])
+def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path, capsys,
+                                                          monkeypatch, change, message):
+    opened = _record_corpus_reads(monkeypatch)
+    cfg = {"name": "refused", "part1": str(tiny_dataset / "part1.txt"),
+           "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv")}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**cfg, **change}))
+    for command, extra in (("experiment", []), ("sweep", ["--sizes", "5"])):
+        _assert_usage_error(capsys, [command, "--config", str(cfg_path),
+                                     "--out", str(tmp_path / "runs"), *extra], message)
+    assert opened == [] and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+    ({"batch_size": "8"}, "batch_size must be an integer >= 1, got '8'"),
+    ({"learning_rate": -0.1}, "learning_rate must be a positive finite number, got -0.1"),
+    ({"model": {"hidden_dim": 0}}, "embed_dim and hidden_dim must be positive"),
+], ids=["epochs", "batch-size", "learning-rate", "hidden-dim"])
+def test_train_config_value_is_refused_before_any_input_is_read(word_char_model, capsys,
+                                                                monkeypatch, change, message):
+    d = word_char_model
+    opened = _record_corpus_reads(monkeypatch)
+    cfg = json.loads((d / "train_cfg.json").read_text())
+    (d / "train_cfg.json").write_text(json.dumps({**cfg, **change}))
+    capsys.readouterr()
+    _assert_usage_error(capsys, [
+        "train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+        "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+        "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")], message)
+    assert opened == [] and not (d / "model2").exists()
+
+
+@pytest.mark.parametrize("labels, change, message", [
+    ((5, 4, 2), {"n_validation": 22}, "n_validation=22 must be smaller than the training pool "
+                                      "of 22 pairs"),
+    ((2, 2, 1), {"min_score": 3}, "part3.txt: no test pair has a label >= 3"),
+], ids=["n-validation-at-pool-size", "empty-test-set"])
+def test_data_check_fails_once_before_any_seed_trains(tiny_dataset, tmp_path, monkeypatch,
+                                                      labels, change, message):
+    part3 = tiny_dataset / "part3.txt"
+    part3.write_text("".join(_block(100 + i, "发展项目投资交通", "发展项目", label=label)
+                             for i, label in enumerate(labels)), encoding="utf-8")
+    trained = []
+    monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"name": "data", "part1": str(tiny_dataset / "part1.txt"),
+                                    "part3": str(part3), "representation": "char_char",
+                                    "seeds": [0, 1], **change}))
+    for command, extra in (("experiment", []), ("sweep", ["--sizes", "5,6"])):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "runs"), *extra])
+    assert trained == [] and not (tmp_path / "runs").exists()
 
 
 def test_cli_data_errors_still_raise(tiny_dataset, tmp_path):
@@ -439,7 +532,7 @@ def test_char_char_model_needs_no_lexicon_file(tiny_dataset):
                  "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
                  "--out", str(d / "model")]) == 0
     meta = json.loads((d / "model" / "meta.json").read_text())
-    assert meta == {"representation": "char_char", "lexicon": str(d / "lexicon.tsv"),
+    assert meta == {"representation": "char_char", "lexicon": os.path.join("..", "lexicon.tsv"),
                     "lexicon_sha256": None}
     (d / "lexicon.tsv").unlink()
     assert _summarize(d) == 0
@@ -498,7 +591,8 @@ def test_summarize_in_chunks_equals_per_article_decoding(word_char_model, synthe
     articles = load_corpus_file(d / "many.jsonl")[0].pairs
     assert len(articles) == 200 > 2 * harness.DECODE_CHUNK
     params, rep, src_vocab, tgt_vocab = load_model_dir(d / "model")
-    assert rep.name == "word_char" and rep.lexicon_path == str(d / "lexicon.tsv")
+    assert rep.name == "word_char"
+    assert Path(rep.lexicon_path).resolve() == (d / "lexicon.tsv").resolve()
     assert [r["id"] for r in rows] == [a.id for a in articles]
     for row, article in zip(rows, articles):
         ids = beam_search(src_vocab.encode(rep.tokens(article.short_text)), params, 3, 6)
@@ -550,6 +644,33 @@ def test_summarize_reproduces_a_harness_seed(tmp_path, synthetic_dir):
         assert main(["summarize", "--model", str(seed_dir), "--in", str(tmp_path / "test.jsonl"),
                      "--beam", str(cfg.beam_width), "--out", str(out)]) == 0
         assert out.read_bytes() == (seed_dir / "candidates.jsonl").read_bytes()
+
+
+def test_summarize_a_sweep_seed_from_another_directory(tmp_path, synthetic_dir, monkeypatch):
+    """meta.json names the lexicon relative to the model directory, so a
+    seed of a sweep run with a relative lexicon path decodes, with no
+    --lexicon, from any working directory."""
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    (run_dir / "data").mkdir(parents=True)
+    elsewhere.mkdir()
+    for name in ("part1.txt", "part3.txt", "lexicon.tsv"):
+        (run_dir / "data" / name).write_bytes((synthetic_dir / name).read_bytes())
+    (run_dir / "exp.json").write_text(json.dumps({
+        "name": "x", "part1": "data/part1.txt", "part3": "data/part3.txt",
+        "lexicon": "data/lexicon.tsv", "representation": "word_char", "seeds": [0],
+        "n_validation": 20, "epochs": 1, "beam_width": 3,
+        "model": {"embed_dim": 8, "hidden_dim": 8, "dropout": 0.0, "max_decode_len": 8}}))
+    monkeypatch.chdir(run_dir)
+    assert main(["sweep", "--config", "exp.json", "--sizes", "20", "--out", "runs"]) == 0
+    assert main(["parse", "--in", "data/part3.txt", "--part", "III", "--out", "p3.jsonl"]) == 0
+    assert main(["filter", "--in", "p3.jsonl", "--min-score", "3", "--out", "test.jsonl"]) == 0
+    seed_dir = run_dir / "runs" / "x-vocab20" / "word_char" / "seed0"
+    meta = json.loads((seed_dir / "meta.json").read_text())
+    assert meta["lexicon"] == os.path.join("..", "..", "..", "..", "data", "lexicon.tsv")
+    monkeypatch.chdir(elsewhere)
+    assert main(["summarize", "--model", str(seed_dir), "--in", str(run_dir / "test.jsonl"),
+                 "--beam", "3", "--out", "candidates.jsonl"]) == 0
+    assert (elsewhere / "candidates.jsonl").read_bytes() == (seed_dir / "candidates.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("line, message", [

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -136,7 +137,8 @@ def test_run_experiment_both_representations(tmp_path, synthetic_dir):
             "candidates.jsonl", "meta.json", "model.npz", "scores.jsonl", "src_vocab.txt",
             "tgt_vocab.txt", "train_log.jsonl"]
         meta = json.loads((seed_dir / "meta.json").read_text(encoding="utf-8"))
-        assert meta == {"representation": representation, "lexicon": cfg.lexicon,
+        assert meta == {"representation": representation,
+                        "lexicon": os.path.relpath(Path(cfg.lexicon).resolve(), seed_dir.resolve()),
                         "lexicon_sha256": report["input_hashes"]["lexicon"]
                         if representation == "word_char" else None}
 
@@ -180,8 +182,15 @@ def test_report_is_self_describing(tmp_path, synthetic_dir):
     assert replay["input_hashes"] == report["input_hashes"]
 
 
-def test_failed_seed_is_recorded_not_fatal(tmp_path, synthetic_dir):
-    cfg = small_config(synthetic_dir, representations=["char_char"], n_validation=200)
+def _diverging_train(*args, **kwargs):
+    """A seed's training failing as a diverging run does: every config value
+    is checked before any input is read, so no config makes a seed fail."""
+    raise RuntimeError("training diverged: loss=nan at epoch 1, batch starting at position 0")
+
+
+def test_failed_seed_is_recorded_not_fatal(tmp_path, synthetic_dir, monkeypatch):
+    monkeypatch.setattr(harness, "train", _diverging_train)
+    cfg = small_config(synthetic_dir, representations=["char_char"])
     report, all_ok = run_experiment(cfg, tmp_path)
     assert not all_ok
     run = report["runs"]["char_char"]
@@ -191,8 +200,9 @@ def test_failed_seed_is_recorded_not_fatal(tmp_path, synthetic_dir):
     assert run["mean_scores"] is None
 
 
-def test_failed_seed_writes_its_traceback(tmp_path, synthetic_dir):
-    cfg = small_config(synthetic_dir, representations=["char_char"], n_validation=200, seeds=[0, 3])
+def test_failed_seed_writes_its_traceback(tmp_path, synthetic_dir, monkeypatch):
+    monkeypatch.setattr(harness, "train", _diverging_train)
+    cfg = small_config(synthetic_dir, representations=["char_char"], seeds=[0, 3])
     report, _ = run_experiment(cfg, tmp_path)
     for seed in (0, 3):
         text = (tmp_path / "t" / "char_char" / f"seed{seed}" / "error.txt").read_text(encoding="utf-8")
