@@ -49,15 +49,11 @@ class ModelConfig:
 
 
 def _param_shapes(cfg: ModelConfig):
+    # a side's cell tensors hold the gates z, r, h in column blocks of width H
     s, t, e, h = cfg.src_vocab_size, cfg.tgt_vocab_size, cfg.embed_dim, cfg.hidden_dim
     shapes = [("src_emb", (s, e)), ("tgt_emb", (t, e))]
     for side in ("enc", "dec"):
-        for gate in ("z", "r", "h"):
-            shapes += [
-                (f"{side}_w{gate}", (e, h)),
-                (f"{side}_u{gate}", (h, h)),
-                (f"{side}_b{gate}", (h,)),
-            ]
+        shapes += [(f"{side}_w", (e, 3 * h)), (f"{side}_u", (h, 3 * h)), (f"{side}_b", (3 * h,))]
     shapes += [("att_w", (h, h)), ("comb_w", (2 * h, h)), ("out_w", (h, t))]
     return shapes
 
@@ -75,9 +71,19 @@ class ModelParams:
 
 
 def init_params(config: ModelConfig, rng: MT19937 | None = None) -> ModelParams:
-    """Fresh parameters, uniform(-0.1, 0.1), drawn in a fixed name order."""
+    """Fresh parameters, uniform(-0.1, 0.1), drawn in a fixed name order; a side's
+    cell draws w, u, b of gate z, then r, then h, each into its gate's column block."""
     rng = rng or MT19937(config.seed)
-    tensors = {name: init_uniform(shape, rng) for name, shape in _param_shapes(config)}
+    e, h = config.embed_dim, config.hidden_dim
+    tensors = {}
+    for name, shape in _param_shapes(config):
+        side, _, kind = name.partition("_")
+        if side not in ("enc", "dec"):
+            tensors[name] = init_uniform(shape, rng)
+        elif kind == "w":  # the side's u and b are drawn with it
+            gates = [[init_uniform(s, rng).data for s in ((e, h), (h, h), (h,))] for _ in "zrh"]
+            for k, parts in zip("wub", zip(*gates)):
+                tensors[f"{side}_{k}"] = Tensor(np.concatenate(parts, axis=-1))
     return ModelParams(config, tensors)
 
 
@@ -88,26 +94,19 @@ def init_params(config: ModelConfig, rng: MT19937 | None = None) -> ModelParams:
 # whole batch; the public batch-of-one functions further down wrap them.
 
 
-def _cells(tape: Tape, params: ModelParams) -> dict:
-    """Each side's cell weights fused per gate set: [Wz|Wr|Wh], [Uz|Ur|Uh], [bz|br|bh]."""
-    p = params.tensors
-    return {side: [tape.concat(*(p[f"{side}_{m}{g}"] for g in "zrh")) for m in "wub"]
-            for side in ("enc", "dec")}
-
-
-def _gru(tape: Tape, cell, x: Tensor, h0: Tensor, mask) -> Tensor:
+def _gru(tape: Tape, params: ModelParams, side: str, x: Tensor, h0: Tensor, mask) -> Tensor:
     # one GEMM projects every step's input; only the recurrence stays in the loop
-    w, u, b = cell
-    return tape.gru(tape.matmul(x, w), u, b, h0, mask)
+    p = params.tensors
+    return tape.gru(tape.matmul(x, p[f"{side}_w"]), p[f"{side}_u"], p[f"{side}_b"], h0, mask)
 
 
-def _encode(tape: Tape, params: ModelParams, cells, src, src_mask, drop=None):
+def _encode(tape: Tape, params: ModelParams, src, src_mask, drop=None):
     """Encoder states (T, B, H) and final states (B, H) of padded source ids."""
     x = tape.embedding_lookup(params["src_emb"], src)
     if drop is not None:
         x = tape.scale(x, drop)
     h0 = Tensor(np.zeros((src.shape[1], params.config.hidden_dim)))
-    states = _gru(tape, cells["enc"], x, h0, src_mask)
+    states = _gru(tape, params, "enc", x, h0, src_mask)
     return states, tape.embedding_lookup(states, src.shape[0] - 1)
 
 
@@ -121,7 +120,7 @@ def _attend(tape: Tape, dec_h: Tensor, enc: Tensor, params: ModelParams, src_mas
     return tape.transpose(tape.bmm(weights, enc), (1, 0, 2)), weights
 
 
-def _decode(tape: Tape, params: ModelParams, cells, prev, state: Tensor, enc: Tensor,
+def _decode(tape: Tape, params: ModelParams, prev, state: Tensor, enc: Tensor,
             src_mask=None, tgt_mask=None, drop_emb=None, drop_comb=None):
     """Teacher-forced decoder over input ids prev (Td, B) from state (B, H),
     attending to batch-major encoder states enc (B, Ts, H).
@@ -134,7 +133,7 @@ def _decode(tape: Tape, params: ModelParams, cells, prev, state: Tensor, enc: Te
         x = tape.scale(x, drop_emb)
     if tgt_mask is None:
         tgt_mask = np.ones(prev.shape)
-    h = _gru(tape, cells["dec"], x, state, tgt_mask)
+    h = _gru(tape, params, "dec", x, state, tgt_mask)
     context, weights = _attend(tape, h, enc, params, src_mask)
     comb = tape.tanh(tape.matmul(tape.concat(context, h), params["comb_w"]))
     if drop_comb is not None:
@@ -195,10 +194,9 @@ def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | No
         drop = _dropout_masks(rng, cfg.dropout, [len(p.src_ids) for p in pairs],
                               [len(p.tgt_ids) - 1 for p in pairs],
                               cfg.embed_dim, cfg.hidden_dim)
-    cells = _cells(tape, params)
-    enc, final = _encode(tape, params, cells, src, src_mask, drop[0])
+    enc, final = _encode(tape, params, src, src_mask, drop[0])
     out_mask = tgt_mask[1:]
-    logits, _, _ = _decode(tape, params, cells, tgt[:-1], final,
+    logits, _, _ = _decode(tape, params, tgt[:-1], final,
                            tape.transpose(enc, (1, 0, 2)), src_mask, out_mask, drop[1], drop[2])
     weights = out_mask / (out_mask.sum(axis=0) * len(pairs))
     return tape.nll(logits, tgt[1:], weights)
@@ -221,7 +219,7 @@ def encode_sequence(src_ids, params: ModelParams, *, tape: Tape | None = None,
     drop = None
     if training and cfg.dropout > 0.0:
         drop, _, _ = _dropout_masks(rng, cfg.dropout, [len(src_ids)], [0], cfg.embed_dim, 0)
-    enc, _ = _encode(tape, params, _cells(tape, params), src, mask, drop)
+    enc, _ = _encode(tape, params, src, mask, drop)
     flat = tape.reshape(enc, (len(src_ids), cfg.hidden_dim))
     states = [tape.embedding_lookup(flat, i) for i in range(len(src_ids))]
     return states, states[-1]
@@ -256,8 +254,8 @@ def decode_step(prev_id: int, decoder_state: Tensor, encoder_states, params: Mod
     if training and cfg.dropout > 0.0:
         drop = _dropout_masks(rng, cfg.dropout, [0], [1], cfg.embed_dim, cfg.hidden_dim)
     state = tape.reshape(decoder_state, (1, -1))
-    logits, h, weights = _decode(tape, params, _cells(tape, params), np.array([[prev_id]]),
-                                 state, enc, drop_emb=drop[1], drop_comb=drop[2])
+    logits, h, weights = _decode(tape, params, np.array([[prev_id]]), state, enc,
+                                 drop_emb=drop[1], drop_comb=drop[2])
     logits = tape.reshape(logits, (-1,))
     return tape.log_softmax(logits), tape.reshape(h, (-1,)), tape.reshape(weights, (-1,))
 
@@ -361,9 +359,8 @@ def _search(sources, params: ModelParams, beam_width: int,
     if not sources:
         return []
     tape = Tape(recording=False)
-    cells = _cells(tape, params)
     src, src_mask = _pad(sources)
-    enc, final = _encode(tape, params, cells, src, src_mask)
+    enc, final = _encode(tape, params, src, src_mask)
     enc = tape.transpose(enc, (1, 0, 2))  # batch-major (B, Ts, H), as _attend takes it
     h = params.config.hidden_dim
     live = [enc, src_mask]  # encoder states and mask of the articles still decoding
@@ -373,7 +370,7 @@ def _search(sources, params: ModelParams, beam_width: int,
             live[:] = Tensor(enc.data[cols]), src_mask[:, cols]
         s, a = prev.shape
         x = tape.embedding_lookup(params["tgt_emb"], prev.reshape(1, s * a))
-        out = _gru(tape, cells["dec"], x, Tensor(states.reshape(s * a, h)), np.ones((1, s * a)))
+        out = _gru(tape, params, "dec", x, Tensor(states.reshape(s * a, h)), np.ones((1, s * a)))
         out = tape.reshape(out, (s, a, h))
         # the slot axis stands in for _attend's decoder-time axis
         context, _ = _attend(tape, out, live[0], params, live[1])
@@ -490,7 +487,7 @@ def _mean_loss(pairs: list[EncodedPair], params: ModelParams, batch_size: int) -
     return total / len(pairs)
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: fused gate tensors; 1 held one tensor per gate
 
 
 def save_checkpoint(params: ModelParams, path):
@@ -506,7 +503,8 @@ def load_checkpoint(path) -> ModelParams:
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["__meta__"]))
         if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
+            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}: "
+                             f"only version {CHECKPOINT_VERSION} is supported")
         config = ModelConfig(**meta["config"])
         tensors = {k: Tensor(archive[k]) for k in archive.files if k != "__meta__"}
     expected = dict(_param_shapes(config))

@@ -7,6 +7,12 @@ gradients additively into ``Tensor.grad``. Each closure is released as
 soon as it has run, so the memory a forward pass holds falls during
 the backward pass and a tape is replayed once. A non-recording tape
 turns the same code paths into plain forward evaluation.
+
+Gradient hand-over: ``_accum`` keeps a first gradient as ``.grad``
+without a copy (``owned=True``) only when its closure has just computed
+it and hands it to no other tensor. Views and shared arrays (``add``,
+``concat``, ``stack``, ``reshape``, ``transpose``) are copied, so no two
+``.grad`` arrays share memory.
 """
 
 import math
@@ -36,9 +42,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _accum(t: Tensor, g):
+def _accum(t: Tensor, g, owned: bool = False):
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        # asarray only wraps the numpy scalar that an op on a 0-d array returns
+        t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad += g
 
@@ -55,9 +62,10 @@ class Tape:
         self.recording = recording
         self.nodes = []
 
-    def _emit(self, backward_fn):
+    def _emit(self, out: Tensor, backward_fn):
+        # backward_fn(g) passes out's gradient g back to out's inputs
         if self.recording:
-            self.nodes.append(backward_fn)
+            self.nodes.append((out, backward_fn))
 
     def backward(self, loss: Tensor, params=None):
         """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
@@ -71,13 +79,14 @@ class Tape:
             raise ValueError("backward on a non-recording tape")
         if self.nodes and self.nodes[-1] is None:
             raise ValueError("backward: this tape was already replayed")
-        _accum(loss, np.ones_like(loss.data))
+        _accum(loss, np.ones_like(loss.data), owned=True)
         nodes = self.nodes
         for i in range(len(nodes) - 1, -1, -1):
-            # dropping the closure frees what only its gradient needed;
+            # dropping the node frees what only its gradient needed;
             # the slot stays, so len(nodes) still counts the recorded ops
-            fn, nodes[i] = nodes[i], None
-            fn()
+            (out, fn), nodes[i] = nodes[i], None
+            if out.grad is not None:  # None: the loss does not depend on out
+                fn(out.grad)
         if params is not None:
             for p in params:
                 if p.grad is None:
@@ -92,14 +101,11 @@ class Tape:
             raise ValueError(f"matmul: shape mismatch {ad.shape} vs {bd.shape}")
         out = Tensor(ad @ bd)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g @ bd.T)
-            _accum(b, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]))
+        def backward(g):
+            _accum(a, g @ bd.T, owned=True)
+            _accum(b, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]), owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def bmm(self, a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
@@ -114,54 +120,42 @@ class Tape:
             raise ValueError(f"bmm: shape mismatch {ad.shape} vs {bt.shape}")
         out = Tensor(np.matmul(ad, bt))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, np.matmul(g, bt.swapaxes(-1, -2)))
+        def backward(g):
+            _accum(a, np.matmul(g, bt.swapaxes(-1, -2)), owned=True)
             _accum(b, np.matmul(g.swapaxes(-1, -2), ad) if transpose_b
-                   else np.matmul(ad.swapaxes(-1, -2), g))
+                   else np.matmul(ad.swapaxes(-1, -2), g), owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def transpose(self, a: Tensor, axes) -> Tensor:
         """a with its axes permuted, copied to C order for the products that follow."""
         out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             _accum(a, g.transpose(np.argsort(axes)))
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def reshape(self, a: Tensor, shape) -> Tensor:
         out = Tensor(a.data.reshape(shape))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             _accum(a, g.reshape(a.data.shape))
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         _check_same_shape("add", a, b)
         out = Tensor(a.data + b.data)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             _accum(a, g)
             _accum(b, g)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -169,65 +163,50 @@ class Tape:
         ad, bd = a.data, b.data
         out = Tensor(ad * bd)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * bd)
-            _accum(b, g * ad)
+        def backward(g):
+            _accum(a, g * bd, owned=True)
+            _accum(b, g * ad, owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def scale(self, a: Tensor, k) -> Tensor:
         """a * k for a constant k: a float, or an array of a's shape (a mask)."""
         out = Tensor(a.data * k)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * k)
+        def backward(g):
+            _accum(a, g * k, owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def one_minus(self, a: Tensor) -> Tensor:
         out = Tensor(1.0 - a.data)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, -g)
+        def backward(g):
+            _accum(a, -g, owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.data)
         out = Tensor(y)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * (1.0 - y * y))
+        def backward(g):
+            _accum(a, g * (1.0 - y * y), owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def sigmoid(self, a: Tensor) -> Tensor:
         y = 1.0 / (1.0 + np.exp(-a.data))
         out = Tensor(y)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g * y * (1.0 - y))
+        def backward(g):
+            _accum(a, g * y * (1.0 - y), owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def concat(self, *parts: Tensor) -> Tensor:
@@ -237,17 +216,14 @@ class Tape:
             raise ValueError(f"concat: incompatible shapes {[p.data.shape for p in parts]}")
         out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             start = 0
             for p in parts:
                 end = start + p.data.shape[-1]
                 _accum(p, g[..., start:end])
                 start = end
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def stack(self, rows: list[Tensor]) -> Tensor:
@@ -255,14 +231,11 @@ class Tape:
             raise ValueError("stack: empty input")
         out = Tensor(np.stack([r.data for r in rows]))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             for i, r in enumerate(rows):
                 _accum(r, g[i])
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def embedding_lookup(self, table: Tensor, index) -> Tensor:
@@ -278,15 +251,15 @@ class Tape:
             raise ValueError(f"embedding_lookup: index {index} out of range for {table.data.shape}")
         out = Tensor(np.take(table.data, idx, axis=0))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            if idx.ndim:
+                np.add.at(table.grad, idx, g)
+            else:
+                table.grad[idx] += g
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def dropout(self, a: Tensor, rate: float, rng: MT19937, training: bool) -> Tensor:
@@ -311,14 +284,11 @@ class Tape:
         y = e / e.sum(axis=-1, keepdims=True)
         out = Tensor(y)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             s = (g * y).sum(axis=-1, keepdims=True)
-            _accum(a, y * (g - s))
+            _accum(a, y * (g - s), owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def log_softmax(self, a: Tensor) -> Tensor:
@@ -327,25 +297,19 @@ class Tape:
         y = z - lse
         out = Tensor(y)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+        def backward(g):
+            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True), owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def sum_all(self, a: Tensor) -> Tensor:
         out = Tensor(a.data.sum())
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            _accum(a, np.full_like(a.data, float(g)))
+        def backward(g):
+            _accum(a, np.full_like(a.data, float(g)), owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def cross_entropy(self, probs: Tensor, target_id: int) -> Tensor:
@@ -358,16 +322,13 @@ class Tape:
         clamped = max(p[target_id], 1e-12)
         out = Tensor(-math.log(clamped))
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             gp = np.zeros_like(p)
             if p[target_id] > 1e-12:
                 gp[target_id] = -float(g) / p[target_id]
-            _accum(probs, gp)
+            _accum(probs, gp, owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def nll(self, logits: Tensor, targets, weights) -> Tensor:
@@ -390,19 +351,16 @@ class Tape:
             raise ValueError(f"nll: target out of range for {x.shape[-1]} classes")
         z = x - x.max(axis=-1, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        target_z = np.take_along_axis(z, targets[..., None], axis=-1)
-        out = Tensor(-(weights * (target_z - lse)[..., 0]).sum())
+        at = np.arange(0, z.size, x.shape[-1]) + targets.ravel()  # flat, in C order
+        target_z = z.reshape(-1)[at].reshape(targets.shape)
+        out = Tensor(-(weights * (target_z - lse[..., 0])).sum())
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            d = np.exp(z - lse)
-            np.put_along_axis(d, targets[..., None],
-                              np.take_along_axis(d, targets[..., None], axis=-1) - 1.0, axis=-1)
-            _accum(logits, d * (float(g) * weights)[..., None])
+        def backward(g):
+            d = np.exp(z - lse, order="C")  # C order: the reshape is a view to write through
+            d.reshape(-1)[at] -= 1.0
+            _accum(logits, d * (float(g) * weights)[..., None], owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
     def gru(self, xproj: Tensor, u: Tensor, b: Tensor, h0: Tensor, mask) -> Tensor:
@@ -454,10 +412,7 @@ class Tape:
             h = new
         out = Tensor(states)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             # everything but the recurrence in dh, over all steps at once
             g = np.ascontiguousarray(g)
             z, r = zr[..., :H], zr[..., H:]
@@ -481,13 +436,14 @@ class Tape:
                 back += drh * r[t]
                 dh = np.where(keep[t][:, None], back, dh) if padded[t] else back
             flat, rows = dx.reshape(T * B, H3), prev.reshape(T * B, H)
-            _accum(xproj, dx)
+            _accum(xproj, dx, owned=True)
             _accum(u, np.concatenate([rows.T @ flat[:, :2 * H],
-                                      (r.reshape(T * B, H) * rows).T @ flat[:, 2 * H:]], axis=1))
-            _accum(b, flat.sum(axis=0))
-            _accum(h0, dh)
+                                      (r.reshape(T * B, H) * rows).T @ flat[:, 2 * H:]], axis=1),
+                   owned=True)
+            _accum(b, flat.sum(axis=0), owned=True)
+            _accum(h0, dh, owned=True)
 
-        self._emit(backward)
+        self._emit(out, backward)
         return out
 
 

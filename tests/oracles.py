@@ -11,6 +11,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from hwcsum.model import ModelConfig, ModelParams
+from hwcsum.numerics import init_uniform
+from hwcsum.rng import MT19937
+
 
 def enumerate_segmentations(chars, lexicon_entries):
     """Every way to cover chars with lexicon words or single-char fallbacks."""
@@ -178,6 +182,28 @@ def reference_gru(x, U, b, h0, mask, g):
         du[:, 2 * H:] += (r * hp).T @ dc
         dh = np.where(m, dnew * z + drh * r + dzr @ u_zr.T, dh)
     return states, dx, du, dx.sum(axis=(0, 1)), dh
+
+
+def _param_shapes(cfg: ModelConfig):
+    s, t, e, h = cfg.src_vocab_size, cfg.tgt_vocab_size, cfg.embed_dim, cfg.hidden_dim
+    shapes = [("src_emb", (s, e)), ("tgt_emb", (t, e))]
+    for side in ("enc", "dec"):
+        for gate in ("z", "r", "h"):
+            shapes += [
+                (f"{side}_w{gate}", (e, h)),
+                (f"{side}_u{gate}", (h, h)),
+                (f"{side}_b{gate}", (h,)),
+            ]
+    shapes += [("att_w", (h, h)), ("comb_w", (2 * h, h)), ("out_w", (h, t))]
+    return shapes
+
+
+def reference_init_params(config: ModelConfig, rng: MT19937 | None = None) -> ModelParams:
+    """The per-gate parameter init as first written: one tensor per gate,
+    {side}_{w,u,b}{z,r,h}, each drawn whole in _param_shapes order."""
+    rng = rng or MT19937(config.seed)
+    tensors = {name: init_uniform(shape, rng) for name, shape in _param_shapes(config)}
+    return ModelParams(config, tensors)
 
 
 @lru_cache(maxsize=None)

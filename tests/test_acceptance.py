@@ -19,6 +19,7 @@ from hwcsum.corpus import CorpusPart, DocumentPair, SplitSpec, filter_by_score, 
 from hwcsum.dedup import DedupConfig, clean_part1, is_overlapping
 from hwcsum.model import (
     ModelConfig,
+    batch_loss,
     beam_search_full,
     decode_step,
     encode_sequence,
@@ -166,37 +167,44 @@ def _fd_subset(build_loss, tensors, gen, n_elements, h=1e-5):
     return worst
 
 
-def test_acceptance_gradient_correctness():
-    t0 = time.perf_counter()
-    gen = MT19937(400)
+def _primitives_loss(tape, a, b, w3, w4, table, trial):
+    """A scalar loss through every primitive but the model-only ones."""
+    y = tape.matmul(a, b)                                   # matmul
+    y = tape.add(y, w3)                                     # add
+    y = tape.mul(tape.tanh(y), tape.sigmoid(w3))            # mul, tanh, sigmoid
+    e = tape.embedding_lookup(table, trial % 5)             # embedding_lookup
+    cat = tape.concat(y, e)                                 # concat
+    stk = tape.stack([y, e])                                # stack
+    z = tape.scale(tape.one_minus(tape.sum_all(stk)), 0.5)  # one_minus, scale
+    drop = tape.dropout(cat, 0.35, MT19937(trial), True)    # dropout, fixed mask
+    probs = tape.softmax(tape.mul(drop, drop))              # softmax
+    ce = tape.cross_entropy(probs, trial % 3)               # cross_entropy
+    lsm = tape.sum_all(tape.mul(tape.log_softmax(a), w4))   # log_softmax
+    return tape.add(tape.add(ce, z), lsm)
 
+
+def _primitive_inputs(gen):
+    """The tensors a, b, w3, w4 and table of _primitives_loss, uniform(-1.5, 1.5)."""
     def rnd(shape):
         n = int(np.prod(shape))
         return Tensor(np.array([gen.uniform(-1.5, 1.5) for _ in range(n)]).reshape(shape))
 
+    return [rnd((4,)), rnd((4, 3)), rnd((3,)), rnd((4,)), rnd((5, 3))]
+
+
+def test_acceptance_gradient_correctness():
+    t0 = time.perf_counter()
+    gen = MT19937(400)
+
     worst = 0.0
     # every primitive, 100 randomized trials each
     for trial in range(100):
-        a, b = rnd((4,)), rnd((4, 3))
-        w3, w4 = rnd((3,)), rnd((4,))
-        table = rnd((5, 3))
-        target = trial % 3
+        inputs = _primitive_inputs(gen)
 
         def primitives_loss(tape):
-            y = tape.matmul(a, b)                                   # matmul
-            y = tape.add(y, w3)                                     # add
-            y = tape.mul(tape.tanh(y), tape.sigmoid(w3))            # mul, tanh, sigmoid
-            e = tape.embedding_lookup(table, trial % 5)             # embedding_lookup
-            cat = tape.concat(y, e)                                 # concat
-            stk = tape.stack([y, e])                                # stack
-            z = tape.scale(tape.one_minus(tape.sum_all(stk)), 0.5)  # one_minus, scale
-            drop = tape.dropout(cat, 0.35, MT19937(trial), True)    # dropout, fixed mask
-            probs = tape.softmax(tape.mul(drop, drop))              # softmax
-            ce = tape.cross_entropy(probs, target)                  # cross_entropy
-            lsm = tape.sum_all(tape.mul(tape.log_softmax(a), w4))   # log_softmax
-            return tape.add(tape.add(ce, z), lsm)
+            return _primitives_loss(tape, *inputs, trial)
 
-        worst = max(worst, _fd_subset(primitives_loss, [a, b, w3, w4, table], gen, 4))
+        worst = max(worst, _fd_subset(primitives_loss, inputs, gen, 4))
 
     # end-to-end sequence loss, 100 randomized trials
     for trial in range(100):
@@ -217,6 +225,35 @@ def test_acceptance_gradient_correctness():
     assert worst < 1e-4, f"max relative error {worst}"
     assert elapsed < 30.0, f"gradient checks took {elapsed:.1f}s, budget 30s"
     _report(f"gradient correctness (max rel err {worst:.2e}, < 1e-4)", t0)
+
+
+def test_acceptance_gradients_share_no_memory(monkeypatch):
+    # _accum keeps a gradient without a copy only where its op hands a fresh
+    # array to one tensor; a shared or viewed gradient would let one
+    # tensor's accumulation write into another's
+    t0 = time.perf_counter()
+    made = []
+    init = Tensor.__init__
+
+    def recording_init(self, data):
+        init(self, data)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    tape = Tape()
+    primitives = _primitives_loss(tape, *_primitive_inputs(MT19937(401)), 7)
+    params = init_params(ModelConfig(src_vocab_size=8, tgt_vocab_size=7, embed_dim=3,
+                                     hidden_dim=4, dropout=0.3, seed=5))
+    ragged = [EncodedPair([4, 5, 6, 7], [BOS, 4, 5, EOS]), EncodedPair([5], [BOS, 6, EOS]),
+              EncodedPair([6, 4], [BOS, 5, 6, 4, EOS])]
+    model = batch_loss(ragged, params, tape=tape, training=True, rng=MT19937(3))
+    tape.backward(tape.sum_all(tape.reshape(tape.stack([primitives, model]), (2, 1))))
+    grads = [t.grad for t in made if t.grad is not None]
+    assert len(grads) > 50 and all(p.grad is not None for p in params.tensors.values())
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(g, t.data) for t in made)
+    _report(f"{len(grads)} gradients share no memory with each other or any tensor", t0)
 
 
 # --- beam search -------------------------------------------------------------

@@ -4,10 +4,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hwcsum
 from hwcsum import harness, model, tokenizer
 from hwcsum.corpus import filter_by_score
 from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, run_experiment,
@@ -375,6 +378,34 @@ def test_sweep_size_equals_a_run_of_that_size(tmp_path, synthetic_dir):
         assert swept["report.json"]["config"]["encoder_vocab_size"] == size
         assert "word_char/seed1/model.npz" in swept
         assert swept == _masked_tree(tmp_path / f"run{size}" / "t")
+
+
+def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
+    """The bundled fixture run in fresh processes at OPENBLAS_NUM_THREADS 1
+    and 2: every checkpoint and decode byte for byte, and report.json with
+    its timestamp and timings masked."""
+
+    def masked(obj):
+        if isinstance(obj, dict):
+            return {k: masked(v) for k, v in obj.items()
+                    if k not in ("created_at", "timing") and "seconds" not in k}
+        return [masked(v) for v in obj] if isinstance(obj, list) else obj
+
+    src = str(Path(hwcsum.__file__).resolve().parent.parent)
+    trees = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "hwcsum.cli", "experiment",
+                        "--config", "tests/data/synthetic/experiment.json", "--out", str(out)],
+                       cwd=REPO_ROOT, env=env, check=True, capture_output=True, timeout=120)
+        run = out / "synthetic-demo"
+        files = {p.relative_to(run).as_posix(): p.read_bytes()
+                 for p in sorted(run.rglob("*")) if p.name in ("model.npz", "candidates.jsonl")}
+        trees.append((files, masked(json.loads((run / "report.json").read_text(encoding="utf-8")))))
+    assert len(trees[0][0]) == 8
+    assert trees[0] == trees[1]
 
 
 def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synthetic_dir):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 
@@ -27,7 +29,7 @@ from hwcsum.model import (
 from hwcsum.numerics import Tape, Tensor
 from hwcsum.rng import MT19937
 from hwcsum.tokenizer import BOS, EOS, PAD, EncodedPair
-from oracles import best_decode
+from oracles import best_decode, reference_init_params
 
 TINY = dict(embed_dim=3, hidden_dim=3, dropout=0.0)
 
@@ -40,6 +42,34 @@ def tiny_config(seed=0, src=6, tgt=6, **overrides):
 
 def rand_params(seed, **overrides):
     return init_params(tiny_config(seed=seed, **overrides))
+
+
+def gate_views(params, side):
+    """{side}_{w,u,b}{z,r,h}: views of each gate's column block of a side's fused tensors."""
+    h = params.config.hidden_dim
+    return {f"{side}_{k}{g}": params[f"{side}_{k}"].data[..., i * h:(i + 1) * h]
+            for k in "wub" for i, g in enumerate("zrh")}
+
+
+# ---- parameters -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_config(seed=3),
+    tiny_config(seed=11, src=9, tgt=7, embed_dim=5, hidden_dim=2),
+    ModelConfig(src_vocab_size=30, tgt_vocab_size=20, embed_dim=8, hidden_dim=12, seed=2**32 - 1),
+], ids=["tiny", "e5-h2", "e8-h12"])
+def test_fused_params_equal_the_per_gate_reference_init(cfg):
+    fused, ref = init_params(cfg), reference_init_params(cfg)
+    joined = {name: t.data for name, t in ref.tensors.items() if name[:4] not in ("enc_", "dec_")}
+    for side in ("enc", "dec"):
+        for kind in "wub":
+            joined[f"{side}_{kind}"] = np.concatenate(
+                [ref[f"{side}_{kind}{g}"].data for g in "zrh"], axis=-1)
+    assert list(fused.tensors) == ["src_emb", "tgt_emb", "enc_w", "enc_u", "enc_b",
+                                   "dec_w", "dec_u", "dec_b", "att_w", "comb_w", "out_w"]
+    for name, t in fused.tensors.items():
+        assert t.data.dtype == np.float64 and np.array_equal(t.data, joined[name]), name
 
 
 # ---- encoder ----------------------------------------------------------------
@@ -57,6 +87,7 @@ def test_encode_length_one_matches_manual_cell():
 
     # independent numpy computation of one gated-cell step from the zero state
     p = {k: t.data for k, t in params.tensors.items()}
+    p.update(gate_views(params, "enc"))
     x = p["src_emb"][4]
     h = np.zeros(3)
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -281,7 +312,8 @@ def test_loss_gradient_survives_tiny_target_probability():
     # target's logit to about -90: p(target) ~ 1e-39. A cross-entropy
     # clamped at 1e-12 would pass no gradient back from that token.
     params = rand_params(25)
-    p = params.tensors
+    p = dict(params.tensors)
+    p.update((k, Tensor(v)) for k, v in gate_views(params, "dec").items())
     for name in ("dec_wz", "dec_uz", "dec_wh", "dec_uh", "comb_w", "out_w"):
         p[name].data[:] = 0.0
     p["dec_bz"].data[:] = -50.0  # z = 0: the state is the candidate
@@ -373,11 +405,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = rand_params(13)
     path = tmp_path / "model.npz"
     save_checkpoint(params, path)
+    with np.load(path) as archive:
+        assert json.loads(str(archive["__meta__"]))["format_version"] == 2
+        assert len(archive.files) == 12  # the 11 parameters and __meta__
     loaded = load_checkpoint(path)
     assert loaded.config == params.config
+    assert list(loaded.tensors) == list(params.tensors)
     for name, t in params.tensors.items():
         assert np.array_equal(loaded[name].data, t.data)
         assert loaded[name].data.dtype == np.float64
+
+
+def test_checkpoint_version_1_is_refused(tmp_path):
+    # a version-1 archive: one tensor per gate
+    params = reference_init_params(tiny_config(seed=13))
+    meta = json.dumps({"format_version": 1, "config": dataclasses.asdict(params.config)})
+    path = tmp_path / "model.npz"
+    np.savez(path, __meta__=meta, **{k: t.data for k, t in params.tensors.items()})
+    with pytest.raises(ValueError, match="unsupported checkpoint version 1: only version 2"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_save_load_save_identical(tmp_path):
