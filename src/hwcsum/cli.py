@@ -203,15 +203,17 @@ def _experiment_config(args):
         return replace(cfg, seeds=args.seeds) if args.seeds else cfg
 
 
+def _mean_f1(label, mean):
+    return f"{label}: " + " ".join(f"{m}={mean[m]['f1']:.4f}" for m in METRICS)
+
+
 def _cmd_experiment(args):
     report, all_ok = run_experiment(_experiment_config(args), args.out)
     for representation, run in report["runs"].items():
-        mean = run["mean_scores"]
-        if mean is None:
+        if run["mean_scores"] is None:
             print(f"{representation}: all seeds failed", file=sys.stderr)
-            continue
-        line = " ".join(f"{m}={mean[m]['f1']:.4f}" for m in METRICS)
-        print(f"{representation}: {line}")
+        else:
+            print(_mean_f1(representation, run["mean_scores"]))
     return 0 if all_ok else 1
 
 
@@ -222,13 +224,27 @@ def _cmd_sweep(args):
     table, all_ok = sweep_vocab(cfg, args.sizes, args.out)
     for row in table:
         for representation, cell in row["runs"].items():
-            mean = cell["mean_scores"]
-            if mean is None:
-                print(f"size {row['requested_size']} {representation}: failed")
-                continue
-            line = " ".join(f"{m}={mean[m]['f1']:.4f}" for m in METRICS)
-            print(f"size {row['requested_size']} {representation}: {line}")
+            label = f"size {row['requested_size']} {representation}"
+            print(f"{label}: failed" if cell["mean_scores"] is None
+                  else _mean_f1(label, cell["mean_scores"]))
     return 0 if all_ok else 1
+
+
+def _setting(key, wrap=lambda value: value):
+    """An argparse type: an integer that check_settings accepts as config
+    key ``key`` (given as ``wrap(value)``), so the flag shares its range."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        try:
+            check_settings({key: wrap(value)})
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+
+    return parse
 
 
 def _parse_arguments(p):
@@ -242,15 +258,16 @@ def _parse_arguments(p):
 
 def _filter_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--min-score", type=int, default=3)
+    p.add_argument("--min-score", type=_setting("min_score"), default=ExperimentConfig.min_score)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_filter)
 
 
 def _split_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--n-validation", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-validation", type=_setting("n_validation"),
+                   default=ExperimentConfig.n_validation)
+    p.add_argument("--seed", type=_setting("seeds", lambda seed: [seed]), default=0)
     p.add_argument("--train-out", required=True)
     p.add_argument("--valid-out", required=True)
     p.set_defaults(func=_cmd_split)
@@ -259,7 +276,8 @@ def _split_arguments(p):
 def _clean_arguments(p):
     p.add_argument("--part1", required=True)
     p.add_argument("--part3", required=True)
-    p.add_argument("--max-suffix-delta", type=int, default=15)
+    p.add_argument("--max-suffix-delta", type=_setting("max_suffix_delta"),
+                   default=ExperimentConfig.max_suffix_delta)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write removal ledger (JSONL)")
     p.set_defaults(func=_cmd_clean)
@@ -267,8 +285,9 @@ def _clean_arguments(p):
 
 def _vocab_arguments(p):
     p.add_argument("--unit", choices=["word", "char"], required=True)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--max-size", type=int)
+    p.add_argument("--min-count", type=_setting("vocab_min_count"),
+                   default=ExperimentConfig.vocab_min_count)
+    p.add_argument("--max-size", type=_setting("encoder_vocab_size"))
     p.add_argument("--field", choices=["text", "summary"],
                    help="which record field to tokenize (default: text for word, summary for char)")
     p.add_argument("--lexicon", help="word-count file for the word unit")
@@ -285,7 +304,7 @@ def _train_arguments(p):
     p.add_argument("--tgt-vocab", required=True)
     p.add_argument("--representation", choices=REPRESENTATIONS)
     p.add_argument("--lexicon")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_setting("seeds", lambda seed: [seed]), default=0)
     p.add_argument("--out", required=True, help="output model directory")
     p.set_defaults(func=_cmd_train)
 
@@ -293,8 +312,8 @@ def _train_arguments(p):
 def _summarize_arguments(p):
     p.add_argument("--model", required=True, help="model directory: `train` --out or a seed<k>/")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--beam", type=_setting("beam_width"), default=ExperimentConfig.beam_width)
+    p.add_argument("--max-len", type=_setting("model", lambda n: {"max_decode_len": n}))
     p.add_argument("--lexicon")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_summarize)

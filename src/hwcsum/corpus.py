@@ -77,42 +77,31 @@ class ParseError(Exception):
     pass
 
 
-def _finish_record(part, rec, line_no, issues, pairs, strict):
-    def fail(msg):
-        if strict:
-            raise ParseError(f"line {line_no}: {msg}")
-        issues.append(ParseIssue(line_no, msg))
+def _pair(pid, text, summary, label) -> DocumentPair:
+    """A normalized pair; ValueError if it is not a valid one."""
+    pair = DocumentPair(pid, normalize_text(text), normalize_text(summary), label)
+    pair.validate()
+    return pair
 
+
+def _finish_record(part, rec) -> DocumentPair:
+    """The pair of a closed block; a defect raises ValueError naming it."""
     for key in ("summary", "short_text"):
         if key not in rec:
-            fail(f"doc id={rec.get('id')}: missing <{key}>")
-            return
+            raise ValueError(f"doc id={rec.get('id')}: missing <{key}>")
     label = None
     if "human_label" in rec:
         raw = rec["human_label"].strip()
-        if not raw.isdigit() or int(raw) not in (1, 2, 3, 4, 5):
-            fail(f"doc id={rec.get('id')}: bad human_label {raw!r}")
-            return
+        if not raw.isdecimal() or int(raw) not in (1, 2, 3, 4, 5):
+            raise ValueError(f"doc id={rec.get('id')}: bad human_label {raw!r}")
         label = int(raw)
     elif part in LABELED_PARTS:
-        fail(f"doc id={rec.get('id')}: part {part} record has no <human_label>")
-        return
-    pair = DocumentPair(
-        id=rec["id"],
-        short_text=normalize_text(rec["short_text"]),
-        summary=normalize_text(rec["summary"]),
-        human_label=label,
-    )
-    try:
-        pair.validate()
-    except ValueError as exc:
-        fail(str(exc))
-        return
-    pairs.append(pair)
+        raise ValueError(f"doc id={rec.get('id')}: part {part} record has no <human_label>")
+    return _pair(rec["id"], rec["short_text"], rec["summary"], label)
 
 
 def parse_lcsts(stream, part: str, strict: bool = False):
-    """Parse a pseudo-XML dataset stream into a CorpusPart.
+    """Parse a pseudo-XML dataset text stream into a CorpusPart.
 
     Returns (CorpusPart, issues). Malformed blocks are skipped and
     reported as ParseIssue entries unless strict, in which case the
@@ -130,9 +119,12 @@ def parse_lcsts(stream, part: str, strict: bool = False):
     open_tag = None
     content: list[str] = []
 
+    def fail(line_no, msg):
+        if strict:
+            raise ParseError(f"line {line_no}: {msg}")
+        issues.append(ParseIssue(line_no, msg))
+
     for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
         line = raw.rstrip("\n")
 
         if open_tag is not None:
@@ -149,24 +141,21 @@ def parse_lcsts(stream, part: str, strict: bool = False):
         m = _DOC_OPEN.match(line)
         if m:
             if rec is not None:
-                msg = f"doc id={rec.get('id')}: unterminated block"
-                if strict:
-                    raise ParseError(f"line {rec_line}: {msg}")
-                issues.append(ParseIssue(rec_line, msg))
+                fail(rec_line, f"doc id={rec.get('id')}: unterminated block")
             rec = {"id": int(m.group(1))}
             rec_line = line_no
             continue
 
         if rec is None:
             if line.strip():
-                msg = f"content outside <doc> block: {line.strip()[:40]!r}"
-                if strict:
-                    raise ParseError(f"line {line_no}: {msg}")
-                issues.append(ParseIssue(line_no, msg))
+                fail(line_no, f"content outside <doc> block: {line.strip()[:40]!r}")
             continue
 
         if _DOC_CLOSE.match(line):
-            _finish_record(part, rec, rec_line, issues, pairs, strict)
+            try:
+                pairs.append(_finish_record(part, rec))
+            except ValueError as exc:
+                fail(rec_line, str(exc))
             rec = None
             continue
 
@@ -182,17 +171,11 @@ def parse_lcsts(stream, part: str, strict: bool = False):
             continue
 
         if line.strip():
-            msg = f"doc id={rec.get('id')}: unrecognized line {line.strip()[:40]!r}"
-            if strict:
-                raise ParseError(f"line {line_no}: {msg}")
-            issues.append(ParseIssue(line_no, msg))
+            fail(line_no, f"doc id={rec.get('id')}: unrecognized line {line.strip()[:40]!r}")
             rec = None  # resync at the next <doc>
 
     if rec is not None:
-        msg = f"doc id={rec.get('id')}: unterminated block at end of input"
-        if strict:
-            raise ParseError(f"line {rec_line}: {msg}")
-        issues.append(ParseIssue(rec_line, msg))
+        fail(rec_line, f"doc id={rec.get('id')}: unterminated block at end of input")
 
     return CorpusPart(part, pairs), issues
 
@@ -213,12 +196,10 @@ def _json_int(value) -> bool:
 
 
 def read_jsonl(stream, part: str = "I") -> CorpusPart:
-    """Read the JSONL interchange format; any bad record raises ParseError
-    naming its line."""
+    """Read the JSONL interchange format from a text stream; any bad record
+    raises ParseError naming its line."""
     pairs = []
     for line_no, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         if not line.strip():
             continue
         try:
@@ -237,17 +218,10 @@ def read_jsonl(stream, part: str = "I") -> CorpusPart:
             raise ParseError(f"line {line_no}: label {label!r} is not an integer")
         if not isinstance(obj["text"], str) or not isinstance(obj["summary"], str):
             raise ParseError(f"line {line_no}: text and summary must be strings")
-        pair = DocumentPair(
-            id=obj["id"],
-            short_text=normalize_text(obj["text"]),
-            summary=normalize_text(obj["summary"]),
-            human_label=label,
-        )
         try:
-            pair.validate()
+            pairs.append(_pair(obj["id"], obj["text"], obj["summary"], label))
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from None
-        pairs.append(pair)
     return CorpusPart(part, pairs)
 
 

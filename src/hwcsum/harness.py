@@ -51,10 +51,14 @@ def _is_int(value) -> bool:
 
 
 def check_settings(settings: dict):
-    """Raise ValueError unless each run setting in settings has a type and a
-    range a run accepts, so that a config is refused before any input is
-    read. The model object may name only the ModelConfig settings a config
-    sets, each of its type and with a value ModelConfig accepts."""
+    """Raise ValueError unless each run setting in settings, seeds included,
+    has a type and a range a run accepts, so that a config is refused before
+    any input is read. The model object may name only the ModelConfig
+    settings a config sets, each of its type and with a value ModelConfig
+    accepts."""
+    out_of_range = [s for s in settings.get("seeds", []) if not (_is_int(s) and 0 <= s < 2**32)]
+    if out_of_range:
+        raise ValueError(f"seeds must be in [0, 2**32), got {out_of_range}")
     for name, (low, high) in _INT_RANGES.items():
         value = settings.get(name, low)
         if value is None and name.endswith("vocab_size"):
@@ -117,9 +121,6 @@ class ExperimentConfig:
             Representation.check(name, self.lexicon, "a lexicon entry in the config")
         _refuse_repeats("representations", self.representations)
         _refuse_repeats("seeds", self.seeds)
-        out_of_range = [s for s in self.seeds if not (_is_int(s) and 0 <= s < 2**32)]
-        if out_of_range:
-            raise ValueError(f"seeds must be in [0, 2**32), got {out_of_range}")
         check_settings(vars(self))
 
     @classmethod

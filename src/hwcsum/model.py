@@ -45,7 +45,7 @@ class ModelConfig:
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.max_decode_len < 0:
-            raise ValueError("max_decode_len must be >= 0")
+            raise ValueError(f"max_decode_len must be >= 0, got {self.max_decode_len}")
 
 
 def _param_shapes(cfg: ModelConfig):

@@ -252,12 +252,12 @@ class Tape:
         out = Tensor(np.take(table.data, idx, axis=0))
 
         def backward(g):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            if idx.ndim:
-                np.add.at(table.grad, idx, g)
-            else:
-                table.grad[idx] += g
+            # one bin per (row, column) of the table; bincount adds each
+            # bin's entries in input order from 0.0, as a scatter-add would
+            cols = math.prod(table.data.shape[1:])
+            bins = (idx.reshape(-1, 1).astype(np.intp, copy=False) * cols + np.arange(cols)).ravel()
+            flat = np.bincount(bins, g.ravel(), n * cols)
+            _accum(table, flat.reshape(table.data.shape), owned=True)
 
         self._emit(out, backward)
         return out

@@ -285,6 +285,40 @@ def test_train_config_value_is_refused_before_any_input_is_read(word_char_model,
     assert opened == [] and not (d / "model2").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["vocab", "--unit", "char", "--max-size", "0", "--in", "{d}/part1.txt"],
+     "--max-size: encoder_vocab_size must be an integer >= 1, got 0"),
+    (["vocab", "--unit", "char", "--min-count", "0", "--in", "{d}/part1.txt"],
+     "--min-count: vocab_min_count must be an integer >= 1, got 0"),
+    (["filter", "--min-score", "9", "--in", "{d}/part3.txt"],
+     "--min-score: min_score must be an integer in [1, 5], got 9"),
+    (["split", "--n-validation", "-1", "--in", "{d}/part1.txt", "--train-out", "{d}/out_train"],
+     "--n-validation: n_validation must be an integer >= 0, got -1"),
+    (["split", "--seed", "-1", "--in", "{d}/part1.txt", "--train-out", "{d}/out_train"],
+     "--seed: seeds must be in [0, 2**32), got [-1]"),
+    (["split", "--seed", "4294967296", "--in", "{d}/part1.txt", "--train-out", "{d}/out_train"],
+     "--seed: seeds must be in [0, 2**32), got [4294967296]"),
+    (["clean", "--max-suffix-delta", "-1", "--part1", "{d}/part1.txt", "--part3", "{d}/part3.txt"],
+     "--max-suffix-delta: max_suffix_delta must be an integer >= 0, got -1"),
+    (["summarize", "--beam", "0", "--model", "{d}", "--in", "{d}/part3.txt"],
+     "--beam: beam_width must be an integer >= 1, got 0"),
+    (["train", "--seed", "4294967296", "--config", "{d}/train.json", "--train", "{d}/part1.txt",
+      "--src-vocab", "{d}/v", "--tgt-vocab", "{d}/v", "--representation", "char_char"],
+     "--seed: seeds must be in [0, 2**32), got [4294967296]"),
+], ids=["vocab-max-size", "vocab-min-count", "filter-min-score", "split-n-validation",
+        "split-seed-negative", "split-seed-too-large", "clean-max-suffix-delta", "summarize-beam",
+        "train-seed"])
+def test_numeric_flag_out_of_range_is_refused_before_any_input_is_read(
+        tiny_dataset, capsys, monkeypatch, argv, message):
+    # summarize --max-len: test_summarize_refuses_a_negative_max_len
+    d = tiny_dataset
+    (d / "train.json").write_text(json.dumps({"epochs": 1}))
+    opened = _record_corpus_reads(monkeypatch)
+    out = ["--valid-out", "{d}/out_valid"] if argv[0] == "split" else ["--out", "{d}/out"]
+    _assert_usage_error(capsys, [a.format(d=d) for a in argv + out], f"argument {message}")
+    assert opened == [] and not list(d.glob("out*"))
+
+
 @pytest.mark.parametrize("labels, change, message", [
     ((5, 4, 2), {"n_validation": 22}, "n_validation=22 must be smaller than the training pool "
                                       "of 22 pairs"),
@@ -570,12 +604,16 @@ def test_summarize_failing_mid_write_leaves_no_file(word_char_model, monkeypatch
     assert not list(d.rglob("*.tmp"))
 
 
-def test_summarize_refuses_a_negative_max_len(word_char_model):
+def test_summarize_refuses_a_negative_max_len(word_char_model, capsys, monkeypatch):
     d = word_char_model
-    with pytest.raises(ValueError, match="max_len must be >= 0, got -1"):
-        main(["summarize", "--model", str(d / "model"), "--in", str(d / "train.jsonl"),
-              "--max-len", "-1", "--out", str(d / "candidates.jsonl")])
-    assert not (d / "candidates.jsonl").exists()
+    opened = _record_corpus_reads(monkeypatch)
+    monkeypatch.setattr(cli, "load_model_dir", lambda *args: pytest.fail("model loaded"))
+    capsys.readouterr()
+    _assert_usage_error(capsys, [
+        "summarize", "--model", str(d / "model"), "--in", str(d / "train.jsonl"),
+        "--max-len", "-1", "--out", str(d / "candidates.jsonl")],
+        "argument --max-len: max_decode_len must be >= 0, got -1")
+    assert opened == [] and not (d / "candidates.jsonl").exists()
     assert not list(d.rglob("*.tmp"))
 
 

@@ -118,9 +118,11 @@ def test_labeled_part_requires_label():
 
 
 def test_label_out_of_range_rejected():
-    text = SINGLE_BLOCK.replace(">5<", ">9<")
-    part, issues = parse_lcsts(io.StringIO(text), "III")
-    assert part.pairs == [] and "bad human_label" in issues[0].message
+    # "²" is a digit to str.isdigit but not a number int() reads
+    for label in ("9", "²"):
+        text = SINGLE_BLOCK.replace(">5<", f">{label}<")
+        part, issues = parse_lcsts(io.StringIO(text), "III")
+        assert part.pairs == [] and issues[0].message == f"doc id=0: bad human_label {label!r}"
 
 
 def test_text_is_nfc_normalized_and_stripped():

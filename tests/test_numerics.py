@@ -302,6 +302,71 @@ def test_fd_embedding_lookup_id_matrix():
         assert np.array_equal(table.grad[[3, 5]], np.zeros((2, 3)))
 
 
+def _scatter_add_reference(table, idx, g):
+    # the table gradient as embedding_lookup's backward formed it before
+    # np.bincount: a zero fill, then np.add.at for an index array or a row
+    # add for a scalar index
+    grad = np.zeros_like(table)
+    if np.ndim(idx):
+        np.add.at(grad, idx, g)
+    else:
+        grad[idx] += g
+    return grad
+
+
+def _lookup_grad(table, lookups, seed):
+    """table's gradient after one tape looks up each index in lookups, each
+    output weighted by a random upstream gradient; also those gradients."""
+    gen = MT19937(seed)
+    t, tape = Tensor(table), Tape()
+    loss, upstream = None, []
+    for idx in lookups:
+        out = tape.embedding_lookup(t, idx)
+        # uniform draws sit on a fixed-point grid, where short sums are exact
+        # in any order; sinh spreads them over many binades so that the
+        # order of a sum shows in its rounding
+        upstream.append(np.sinh(gen.uniform_array(out.data.size, -8.0, 8.0)).reshape(out.shape))
+        term = tape.sum_all(tape.mul(out, Tensor(upstream[-1])))
+        loss = term if loss is None else tape.add(loss, term)
+    tape.backward(loss)
+    return t.grad, upstream
+
+
+def _random_case(seed, table_shape, idx_shape):
+    gen = MT19937(seed)
+    table = gen.uniform_array(math.prod(table_shape), -1.0, 1.0).reshape(table_shape)
+    ids = (gen.u32_array(math.prod(idx_shape)) % table_shape[0]).astype(np.int64)
+    return table, ids.reshape(idx_shape)
+
+
+@pytest.mark.parametrize("table_shape, idx_shape", [
+    ((5, 3), (40,)),
+    ((6, 4), (7, 9)),
+    ((6, 4), ()),
+    ((9,), (30,)),
+    ((3, 2, 4), (5, 6)),
+    ((4000, 500), (60, 32)),
+], ids=["repeated-rows", "id-matrix", "scalar-index", "1-d-table", "3-d-table", "paper-shape"])
+def test_embedding_backward_equals_the_scatter_add_byte_for_byte(table_shape, idx_shape):
+    table, ids = _random_case(113, table_shape, idx_shape)
+    idx = int(ids) if idx_shape == () else ids
+    grad, (g,) = _lookup_grad(table, [idx], 114)
+    if idx_shape and table_shape[0] < math.prod(idx_shape):
+        assert len(np.unique(ids)) < ids.size  # some row is looked up more than once
+    assert grad.tobytes() == _scatter_add_reference(table, idx, g).tobytes()
+
+
+def test_embedding_backward_of_a_table_looked_up_twice():
+    # each lookup's gradient is summed from 0.0 on its own and added to the
+    # table's like any op's (the later lookup's first, as backward replays
+    # in reverse); the scatter-add went on adding into one array, which can
+    # differ from this in the last bit where both lookups hit a row
+    table, ids = _random_case(115, (5, 3), (2, 40))
+    grad, (g1, g2) = _lookup_grad(table, [ids[0], ids[1]], 116)
+    want = _scatter_add_reference(table, ids[1], g2) + _scatter_add_reference(table, ids[0], g1)
+    assert grad.tobytes() == want.tobytes()
+
+
 def test_embedding_lookup_rejects_out_of_range_ids():
     t = Tape()
     with pytest.raises(ValueError):
