@@ -1,0 +1,164 @@
+#!/usr/bin/env python3
+"""Memory and time of the experiment harness's tokenized pool at scale.
+
+Generates a deterministic LCSTS-shape corpus in a temporary directory
+with the benchmark's generators (``perfbench/gen.py``, imported
+read-only): articles of about 110 characters, summaries of about 20, a
+300k-entry lexicon, N pool pairs and N/20 scored test pairs (about 60%
+of which pass the test filter). Generation runs in a child process, so
+the peak RSS below is the harness's alone. Then, for the ``word_char``
+representation:
+
+1. ``harness._prepare`` reads both parts and loads the lexicon;
+2. the first call of the cached tokenizer segments every pool and test
+   text once: ``tokenize_s`` is its time, ``pool_mb`` what its result
+   holds, every object it reaches counted once and the parsed records
+   left out (1 MB = 10**6 bytes), and ``pool_kb_per_pair`` that over the
+   pool and test pairs (``pool_entries``);
+3. ``harness._run_seed`` builds one seed's vocabularies and encodes its
+   pairs, with ``train`` stubbed to take each train and validation pair
+   once, as an epoch does, and stop the seed: ``seed_vocab_encode_s`` is
+   its time, and ``seed_vocab_encode_mb`` the most it held above what was
+   held before it, from tracemalloc in a second run of the seed;
+4. ``peak_rss_mb`` is the process's peak RSS after steps 1-3.
+
+Prints one JSON line. Run from the repo root:
+
+    python3 scripts/pool_memory.py --pairs 20000
+"""
+
+import argparse
+import json
+import multiprocessing
+import resource
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from hwcsum import harness  # noqa: E402
+from hwcsum.corpus import CorpusPart, DocumentPair, filter_by_score  # noqa: E402
+
+LEXICON_ENTRIES = 300_000
+SEED = 0
+
+
+def generate(work: str, n_pairs: int):
+    """Write lexicon.tsv, part1.txt and part3.txt into work."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+
+    words, counts = gen.lexicon(SEED, LEXICON_ENTRIES)
+    with open(Path(work) / "lexicon.tsv", "w", encoding="utf-8") as f:
+        f.writelines(f"{w}\t{c}\n" for w, c in zip(words, counts))
+    corpus = gen.lcsts_corpus(SEED, words, n_part1=n_pairs, n_part3=max(n_pairs // 20, 20),
+                              n_dup=0, n_decoy=0, n_bad1=0, n_bad3=0)
+    for part in ("part1", "part3"):
+        (Path(work) / f"{part}.txt").write_text(corpus[part], encoding="utf-8")
+
+
+class _Stop(Exception):
+    pass
+
+
+def walk_pairs(pairs, config, *, valid_pairs=None, **settings):
+    """Stands in for model.train: take each pair once, then stop the seed."""
+    for part in (pairs, valid_pairs or ()):
+        for i in range(len(part)):
+            part[i]
+    raise _Stop
+
+
+def deep_size(obj, seen=None) -> int:
+    """Bytes held by obj and everything it references, each object counted
+    once. Parsed corpus records are skipped: the parsed parts hold them,
+    not the tokenized pool."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (DocumentPair, CorpusPart, type)):
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, np.ndarray):
+        return size + (deep_size(obj.base, seen) if obj.base is not None else 0)
+    if isinstance(obj, memoryview):
+        return size + deep_size(obj.obj, seen)
+    if isinstance(obj, dict):
+        return size + sum(deep_size(k, seen) + deep_size(v, seen) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return size + sum(deep_size(item, seen) for item in obj)
+    if hasattr(obj, "__dict__"):
+        return size + deep_size(vars(obj), seen)
+    return size
+
+
+def run_seed(cfg, rep, tokenized, seed_dir: Path):
+    try:
+        harness._run_seed(cfg, rep, SEED, tokenized, seed_dir)
+    except _Stop:
+        pass
+
+
+def measure(work: Path, n_pairs: int) -> dict:
+    cfg = harness.ExperimentConfig(
+        name="pool", part1=str(work / "part1.txt"), part3=str(work / "part3.txt"),
+        lexicon=str(work / "lexicon.tsv"), representations=["word_char"], seeds=[SEED],
+        n_validation=min(1000, n_pairs // 10))
+    _, _, [(rep, tokenized)] = harness._prepare(cfg)
+    t0 = time.perf_counter()
+    tokenized()
+    tokenize_s = time.perf_counter() - t0
+
+    harness.train = walk_pairs
+    t0 = time.perf_counter()
+    run_seed(cfg, rep, tokenized, work / "seed")
+    seed_s = time.perf_counter() - t0
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    pool_bytes = deep_size(tokenized())
+    pool, _ = harness.load_corpus_file(cfg.part1, "I")
+    test, _ = harness.load_corpus_file(cfg.part3, "III")
+    n_entries = len(pool) + len(filter_by_score(test, cfg.min_score))  # pairs the pool tokenizes
+    del pool, test
+
+    tracemalloc.start()  # the same seed again, for what it holds
+    start = tracemalloc.get_traced_memory()[0]
+    run_seed(cfg, rep, tokenized, work / "seed")
+    seed_bytes = tracemalloc.get_traced_memory()[1] - start
+    tracemalloc.stop()
+
+    return {
+        "pairs": n_pairs,
+        "pool_entries": n_entries,
+        "pool_mb": round(pool_bytes / 1e6, 2),
+        "pool_kb_per_pair": round(pool_bytes / n_entries / 1e3, 3),
+        "tokenize_s": round(tokenize_s, 3),
+        "seed_vocab_encode_s": round(seed_s, 3),
+        "seed_vocab_encode_mb": round(seed_bytes / 1e6, 2),
+        "peak_rss_mb": round(peak_rss_mb, 1),
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pairs", type=int, default=20_000, help="pool pairs to generate")
+    args = parser.parse_args()
+    if args.pairs < 20:
+        parser.error("--pairs must be at least 20")
+    with tempfile.TemporaryDirectory() as work:
+        child = multiprocessing.get_context("spawn").Process(target=generate,
+                                                             args=(work, args.pairs))
+        child.start()
+        child.join()
+        if child.exitcode != 0:
+            sys.exit(f"corpus generation failed with exit code {child.exitcode}")
+        print(json.dumps(measure(Path(work), args.pairs)))
+
+
+if __name__ == "__main__":
+    main()

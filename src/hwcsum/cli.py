@@ -225,8 +225,10 @@ def _cmd_sweep(args):
     for row in table:
         for representation, cell in row["runs"].items():
             label = f"size {row['requested_size']} {representation}"
-            print(f"{label}: failed" if cell["mean_scores"] is None
-                  else _mean_f1(label, cell["mean_scores"]))
+            if cell["mean_scores"] is None:
+                print(f"{label}: failed", file=sys.stderr)
+            else:
+                print(_mean_f1(label, cell["mean_scores"]))
     return 0 if all_ok else 1
 
 

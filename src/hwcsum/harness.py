@@ -14,6 +14,7 @@ once and runs each size as one experiment on them.
 
 import datetime
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -29,8 +30,8 @@ from .corpus import (CorpusPart, ParseError, ParseIssue, SplitSpec, atomic_write
                      parse_lcsts, read_jsonl, split_indices, write_rows)
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize,
-                        encode_tokens, load_representations)
+from .tokenizer import (BOS, EOS, REPRESENTATIONS, EncodedPair, Representation, TokenRows,
+                        TokenTable, Vocabulary, char_tokenize, load_representations, rank_vocab)
 
 DECODE_CHUNK = 32  # articles per beam_search_batch call in write_decodes
 _CONFIG_KEYS = {
@@ -159,16 +160,40 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _tokenizer(rep: Representation, *parts: CorpusPart):
-    """A function giving each part's [(pair, source tokens, summary chars)],
-    tokenized once by the first call that succeeds (a failure fails each seed)."""
+def _tokenizer(rep: Representation, pool: CorpusPart, test: CorpusPart):
+    """A function giving (token strings, pool source rows, pool summary rows,
+    test pairs, test source rows): each text tokenized once, into TokenRows
+    over one table, by the first call that succeeds (a failure fails each
+    seed)."""
 
     @functools.cache
     def tokens():
-        return [[(p, rep.tokens(p.short_text), char_tokenize(p.summary)) for p in part.pairs]
-                for part in parts]
+        table = TokenTable()
+        pool_src = TokenRows((rep.tokens(p.short_text) for p in pool.pairs), table)
+        pool_tgt = TokenRows((char_tokenize(p.summary) for p in pool.pairs), table)
+        test_src = TokenRows((rep.tokens(p.short_text) for p in test.pairs), table)
+        return list(table), pool_src, pool_tgt, test.pairs, test_src
 
     return tokens
+
+
+class _Encoded:
+    """The EncodedPairs of some rows under one seed's token-id -> vocabulary-id
+    maps, each built from its rows when indexed (by an index or a slice), so
+    that train takes a batch at a time and no seed holds encoded copies."""
+
+    def __init__(self, src: TokenRows, tgt: TokenRows, rows, src_map, tgt_map):
+        self.src, self.tgt, self.rows, self.src_map, self.tgt_map = src, tgt, rows, src_map, tgt_map
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self.rows)))]
+        row = self.rows[k]
+        return EncodedPair(self.src_map[self.src[row]].tolist(),
+                           [BOS, *self.tgt_map[self.tgt[row]].tolist(), EOS])
 
 
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
@@ -214,20 +239,15 @@ def write_decodes(f, articles, params, tgt_vocab: Vocabulary, beam_width: int, m
 
 def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
-    pool, test = tokenized()
-    train_idx, valid_idx = split_indices(len(pool), SplitSpec(cfg.n_validation, seed))
-    train_items = [pool[i] for i in train_idx]
+    tokens, pool_src, pool_tgt, test, test_src = tokenized()
+    train_idx, valid_idx = split_indices(len(pool_src), SplitSpec(cfg.n_validation, seed))
 
-    src_vocab = build_vocab((tok for _, src, _ in train_items for tok in src), rep.src_unit,
-                            min_count=cfg.vocab_min_count, max_size=cfg.encoder_vocab_size)
-    tgt_vocab = build_vocab((ch for _, _, tgt in train_items for ch in tgt), "char",
-                            min_count=cfg.vocab_min_count, max_size=cfg.decoder_vocab_size)
-
-    def encode(items):
-        return [encode_tokens(src, tgt, src_vocab, tgt_vocab, p.id) for p, src, tgt in items]
-
-    train_pairs = encode(train_items)
-    valid_pairs = encode(pool[i] for i in valid_idx)
+    src_vocab, src_map = rank_vocab(pool_src.stream(train_idx), tokens, rep.src_unit,
+                                    cfg.vocab_min_count, cfg.encoder_vocab_size)
+    tgt_vocab, tgt_map = rank_vocab(pool_tgt.stream(train_idx), tokens, "char",
+                                    cfg.vocab_min_count, cfg.decoder_vocab_size)
+    train_pairs, valid_pairs = (_Encoded(pool_src, pool_tgt, rows, src_map, tgt_map)
+                                for rows in (train_idx, valid_idx))
 
     model_cfg = ModelConfig(
         src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), seed=seed,
@@ -238,13 +258,12 @@ def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) 
     save_model_dir(seed_dir, params, rep, src_vocab, tgt_vocab, history)
 
     with atomic_write(seed_dir / "candidates.jsonl") as f:
-        candidates = write_decodes(f, [(p, src_vocab.encode(src)) for p, src, _ in test], params,
-                                   tgt_vocab, cfg.beam_width)
+        articles = [(p, src_map[test_src[i]].tolist()) for i, p in enumerate(test)]
+        candidates = write_decodes(f, articles, params, tgt_vocab, cfg.beam_width)
 
-    references = [p.summary for p, _, _ in test]
-    means, per_pair = evaluate_corpus(candidates, references, unit="char")
+    means, per_pair = evaluate_corpus(candidates, [p.summary for p in test], unit="char")
     write_rows(seed_dir / "scores.jsonl",
-               ({"id": pair.id, **scores_dict(scores)} for (pair, _, _), scores in zip(test, per_pair)))
+               ({"id": pair.id, **scores_dict(scores)} for pair, scores in zip(test, per_pair)))
 
     return {
         "status": "ok",
@@ -323,6 +342,11 @@ def _run_size(cfg: ExperimentConfig, prepared, out: Path):
               "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     with atomic_write(out / "report.json") as f:
         json.dump(report, f, sort_keys=True, ensure_ascii=False, indent=2)
+    # free the run's cyclic garbage (the JSON encoder's closures) and the
+    # objects parked on CPython's free lists now: a full collection waits
+    # for far more long-lived containers than the array-backed pools make,
+    # so a process running many experiments would keep them run after run
+    gc.collect()
     return report, all_ok
 
 

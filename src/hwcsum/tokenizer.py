@@ -9,9 +9,9 @@ back to singleton words with count 1, so segmentation never fails.
 
 import hashlib
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -524,29 +524,99 @@ class Vocabulary:
         return cls(tokens, counts, unit)
 
 
-def build_vocab(token_stream, unit: str, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
-    """Count tokens and assemble a Vocabulary.
+class TokenTable(dict):
+    """Token -> id, where looking up a token new to the table adds it with
+    the next id, so the keys stay in first-occurrence order."""
 
-    Keeps tokens with count >= min_count, sorted by descending count
-    with ties in first-occurrence order, truncated to max_size content
-    tokens when given, then prepends the specials.
+    def __missing__(self, token: str) -> int:
+        self[token] = new = len(self)
+        return new
+
+
+class TokenRows:
+    """Token lists held as rows of int32 ids into a TokenTable, with no
+    string per token: row i is ``ids[at[i]:at[i + 1]]``. The ids are read
+    straight into the array, so no token string or Python int outlives its
+    list; rows built with one table share its ids.
+    """
+
+    def __init__(self, token_lists, table: TokenTable):
+        lens = []
+
+        def rows():
+            for tokens in token_lists:
+                lens.append(len(tokens))
+                yield tokens
+
+        self.ids = np.fromiter(map(table.__getitem__, chain.from_iterable(rows())), dtype=np.int32)
+        self.at = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+
+    def __len__(self):
+        return len(self.at) - 1
+
+    def __getitem__(self, i) -> np.ndarray:
+        return self.ids[self.at[i]:self.at[i + 1]]
+
+    def stream(self, rows, chunk: int = 1024):
+        """The ids of the given rows in their order, as arrays of at most
+        chunk rows each."""
+        for k in range(0, len(rows), chunk):
+            picked = np.asarray(rows[k:k + chunk], dtype=np.intp)
+            lens = self.at[picked + 1] - self.at[picked]
+            shift = np.repeat(self.at[picked] - (np.cumsum(lens) - lens), lens)
+            yield self.ids[shift + np.arange(len(shift))]
+
+
+def rank_vocab(streams, tokens, unit: str, min_count: int = 1,
+               max_size: int | None = None) -> tuple[Vocabulary, np.ndarray]:
+    """The Vocabulary of a token stream given as ids into tokens (a list, or
+    a TokenTable that grows as the stream is read), and the map from each
+    token id to its vocabulary id, <unk> where it has none.
+
+    The stream comes as arrays of ids in stream order. Keeps tokens with
+    count >= min_count, sorted by descending count with ties in order of
+    first occurrence, truncated to max_size content tokens when given,
+    then prepends the specials. Counts and first occurrences add up one
+    array at a time, so the stream is never held whole; only the ids not
+    seen before an array are sorted for their first occurrence.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counter: Counter[str] = Counter()
-    for tok in token_stream:
-        counter[tok] += 1
-    if not counter:
+    counts = first = np.zeros(0, dtype=np.int64)  # first: stream position of each first occurrence
+    seen = 0
+    for ids in streams:
+        if len(tokens) > len(counts):  # room for every id: a TokenTable grows as it is read
+            grow = max(len(tokens), 2 * len(counts)) - len(counts)
+            counts = np.concatenate((counts, np.zeros(grow, dtype=np.int64)))
+            first = np.concatenate((first, np.full(grow, -1, dtype=np.int64)))
+        counts += np.bincount(ids, minlength=len(counts))
+        fresh = np.flatnonzero(first[ids] < 0)  # positions of ids not seen before this array
+        distinct, at = np.unique(ids[fresh], return_index=True)
+        first[distinct] = seen + fresh[at]
+        seen += len(ids)
+    if not seen:
         raise ValueError("token stream is empty")
-    # dict order of a streamed Counter is first-occurrence order
-    occurrence = {tok: i for i, tok in enumerate(counter)}
-    ranked = sorted(counter.items(), key=lambda tc: (-tc[1], occurrence[tc[0]]))
-    kept = [(t, c) for t, c in ranked if c >= min_count]
-    if max_size is not None:
-        kept = kept[:max_size]
-    tokens = list(SPECIAL_TOKENS) + [t for t, _ in kept]
-    counts = [0, 0, 0, 0] + [c for _, c in kept]
-    return Vocabulary(tokens, counts, unit)
+    kept = np.flatnonzero(counts >= min_count)
+    kept = kept[np.lexsort((first[kept], -counts[kept]))][:max_size]
+    to_vocab = np.full(len(tokens), UNK, dtype=np.int32)
+    to_vocab[kept] = np.arange(len(SPECIAL_TOKENS), len(SPECIAL_TOKENS) + len(kept))
+    names = list(tokens)
+    vocab = Vocabulary(list(SPECIAL_TOKENS) + [names[i] for i in kept.tolist()],
+                       [0] * len(SPECIAL_TOKENS) + counts[kept].tolist(), unit)
+    return vocab, to_vocab
+
+
+def build_vocab(token_stream, unit: str, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
+    """Count a stream of token strings and assemble a Vocabulary in
+    rank_vocab's order, reading the stream 65,536 tokens at a time."""
+    stream, table = iter(token_stream), TokenTable()
+
+    def chunks():
+        while (ids := np.fromiter(map(table.__getitem__, islice(stream, 1 << 16)),
+                                  dtype=np.int32)).size:
+            yield ids
+
+    return rank_vocab(chunks(), table, unit, min_count, max_size)[0]
 
 
 @dataclass

@@ -417,6 +417,30 @@ def test_cli_sweep(tiny_dataset, tmp_path, capsys):
         assert report["config"]["seeds"] == [0]
 
 
+def test_cli_sweep_reports_failed_cells_on_stderr(tiny_dataset, tmp_path, capsys, monkeypatch):
+    """A cell whose seeds all failed is one line on stderr, as `experiment`
+    reports a failed representation; stdout carries score lines only."""
+    d = tiny_dataset
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "name": "sw", "part1": str(d / "part1.txt"), "part3": str(d / "part3.txt"),
+        "lexicon": str(d / "lexicon.tsv"), "n_validation": 3, "epochs": 1,
+        "model": {"embed_dim": 8, "hidden_dim": 8},
+    }))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("training failed")
+
+    monkeypatch.setattr(harness, "train", fail)
+    assert main(["sweep", "--config", str(cfg_path), "--sizes", "5,3", "--seeds", "0",
+                 "--out", str(tmp_path / "runs")]) == 1
+    captured = capsys.readouterr()
+    assert "failed" not in captured.out
+    assert [line for line in captured.err.splitlines() if "failed" in line] == [
+        "size 5 char_char: failed", "size 5 word_char: failed",
+        "size 3 char_char: failed", "size 3 word_char: failed"]
+
+
 @pytest.fixture
 def word_char_model(tiny_dataset):
     """A small word_char model trained through the CLI, plus its inputs."""

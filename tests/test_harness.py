@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,28 @@ def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatc
     _, all_ok = sweep_vocab(cfg, [10, 20, 40], tmp_path / "sweep")
     assert all_ok
     assert len(calls) == n_pool + n_test
+
+
+def test_tokenized_pool_holds_ids_not_token_strings(synthetic_dir):
+    """The fixture's tokenized pool and test set, both representations, take
+    under 0.4 KB a pair: int32 ids and one string per distinct token. Holding
+    a string per token took about 1.7 KB a pair here."""
+    cfg = small_config(synthetic_dir)
+    _, _, tokenizers = harness._prepare(cfg)
+    n_pool = len(load_corpus_file(cfg.part1, "I")[0])
+    n_test = len(filter_by_score(load_corpus_file(cfg.part3, "III")[0], cfg.min_score))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pools = [tokenized() for _, tokenized in tokenizers]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(pools) == 2
+    assert held / (len(pools) * (n_pool + n_test)) < 400
 
 
 def test_lexicon_is_loaded_once_per_run(tmp_path, synthetic_dir, monkeypatch):

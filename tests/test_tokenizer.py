@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -16,12 +18,15 @@ from hwcsum.tokenizer import (
     EncodedPair,
     Lexicon,
     Representation,
+    TokenRows,
+    TokenTable,
     Vocabulary,
     build_vocab,
     char_tokenize,
     load_representations,
     encode_pair_chars,
     encode_pair_hwc,
+    rank_vocab,
     word_segment,
 )
 from oracles import (
@@ -458,6 +463,67 @@ def test_build_vocab_max_size():
 def test_build_vocab_empty_stream_errors():
     with pytest.raises(ValueError):
         build_vocab(iter([]), "char")
+
+
+def counter_ranking(stream, min_count, max_size):
+    """The (token, count) ranking build_vocab made with a Counter: count
+    descending, ties in first-occurrence order, min_count, then max_size."""
+    counter = Counter()
+    for tok in stream:
+        counter[tok] += 1
+    occurrence = {tok: i for i, tok in enumerate(counter)}
+    ranked = sorted(counter.items(), key=lambda tc: (-tc[1], occurrence[tc[0]]))
+    kept = [(t, c) for t, c in ranked if c >= min_count]
+    return kept if max_size is None else kept[:max_size]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_vocab_matches_the_counter_ranking(seed):
+    """build_vocab and rank_vocab over rows streamed in small chunks rank as
+    a Counter does, on streams where many tokens tie on count; gathering
+    ids through the id map encodes as Vocabulary.encode, <unk> included."""
+    rnd = random.Random(seed)
+    alphabet = [chr(0x4E00 + i) for i in range(rnd.randint(1, 12))] + ["ab", "a", "词语"]
+    rows = [[rnd.choice(alphabet) for _ in range(rnd.randint(0, 6))] for _ in range(rnd.randint(1, 30))]
+    held = [[rnd.choice(alphabet + ["新", "外"]) for _ in range(5)] for _ in range(4)]
+    stream = [tok for row in rows for tok in row]
+    if not stream:
+        rows[0], stream = ["a"], ["a"]
+    table = TokenTable()
+    train, other = TokenRows(rows, table), TokenRows(held, table)
+    assert list(table)[:len(set(stream))] == list(dict.fromkeys(stream))
+    for min_count in (1, 2, 3):
+        for max_size in (None, 1, 2, 5):
+            expected = counter_ranking(stream, min_count, max_size)
+            vocab = build_vocab(iter(stream), "word", min_count=min_count, max_size=max_size)
+            ranked, to_vocab = rank_vocab(train.stream(range(len(rows)), chunk=3), list(table),
+                                          "word", min_count, max_size)
+            for v in (vocab, ranked):
+                assert list(zip(v.tokens[4:], v.counts[4:])) == expected
+            for k, tokens in enumerate(rows + held):
+                ids = (train[k] if k < len(rows) else other[k - len(rows)])
+                assert to_vocab[ids].tolist() == vocab.encode(tokens)
+
+
+def test_build_vocab_ranks_a_stream_longer_than_one_chunk():
+    """build_vocab reads 65,536 tokens at a time; tokens first seen in a
+    later chunk grow the table and still rank as a Counter ranks them."""
+    rnd = random.Random(7)
+    stream = [str(rnd.randrange(50)) for _ in range(70_000)]
+    stream += [str(rnd.randrange(40, 300)) for _ in range(70_000)]
+    for min_count, max_size in ((1, None), (2, 100), (3, 7)):
+        vocab = build_vocab(iter(stream), "word", min_count=min_count, max_size=max_size)
+        assert list(zip(vocab.tokens[4:], vocab.counts[4:])) == counter_ranking(
+            stream, min_count, max_size)
+
+
+def test_rank_vocab_refuses_an_empty_stream_and_a_min_count_below_one():
+    table = TokenTable()
+    rows = TokenRows([["a"], []], table)
+    with pytest.raises(ValueError, match="token stream is empty"):
+        rank_vocab(rows.stream([1]), list(table), "char")
+    with pytest.raises(ValueError, match="min_count must be >= 1"):
+        rank_vocab(rows.stream([0]), list(table), "char", min_count=0)
 
 
 def test_special_ids_are_fixed():
