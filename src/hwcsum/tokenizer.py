@@ -29,6 +29,7 @@ def char_tokenize(text: str) -> list[str]:
 
 _COUNT_LIMIT = 2**63  # counts are held as int64
 _DIGITS_MAX = 19  # longest count parsed in bulk: 10**19 - 1 fits a uint64
+STREAM_CHUNK = 1 << 15  # ids in each array a token stream is ranked from
 
 
 def _codes(s: str) -> np.ndarray:
@@ -557,14 +558,18 @@ class TokenRows:
     def __getitem__(self, i) -> np.ndarray:
         return self.ids[self.at[i]:self.at[i + 1]]
 
-    def stream(self, rows, chunk: int = 1024):
-        """The ids of the given rows in their order, as arrays of at most
-        chunk rows each."""
-        for k in range(0, len(rows), chunk):
-            picked = np.asarray(rows[k:k + chunk], dtype=np.intp)
-            lens = self.at[picked + 1] - self.at[picked]
-            shift = np.repeat(self.at[picked] - (np.cumsum(lens) - lens), lens)
-            yield self.ids[shift + np.arange(len(shift))]
+    def stream(self, rows):
+        """The ids of the given rows in their order, as arrays cut between
+        rows every STREAM_CHUNK ids (an array ends with the row that
+        crosses the cut)."""
+        picked = np.asarray(rows, dtype=np.intp)
+        gap = self.at[picked]  # where each row starts in ids, less where it starts in the stream
+        lens = self.at[picked + 1] - gap
+        pos = np.concatenate(([0], np.cumsum(lens)))  # where each row starts in the stream
+        gap -= pos[:-1]
+        cuts = np.searchsorted(pos, np.arange(0, pos[-1], STREAM_CHUNK))
+        for a, b in zip(cuts, chain(cuts[1:], [len(picked)])):
+            yield self.ids[np.repeat(gap[a:b], lens[a:b]) + np.arange(pos[a], pos[b])]
 
 
 def rank_vocab(streams, tokens, unit: str, min_count: int = 1,
@@ -608,11 +613,11 @@ def rank_vocab(streams, tokens, unit: str, min_count: int = 1,
 
 def build_vocab(token_stream, unit: str, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
     """Count a stream of token strings and assemble a Vocabulary in
-    rank_vocab's order, reading the stream 65,536 tokens at a time."""
+    rank_vocab's order, reading the stream STREAM_CHUNK tokens at a time."""
     stream, table = iter(token_stream), TokenTable()
 
     def chunks():
-        while (ids := np.fromiter(map(table.__getitem__, islice(stream, 1 << 16)),
+        while (ids := np.fromiter(map(table.__getitem__, islice(stream, STREAM_CHUNK)),
                                   dtype=np.int32)).size:
             yield ids
 

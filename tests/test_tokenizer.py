@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from hwcsum import tokenizer
 from hwcsum.corpus import DocumentPair
 from hwcsum.rng import MT19937
 from hwcsum.tokenizer import (
@@ -478,10 +479,11 @@ def counter_ranking(stream, min_count, max_size):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_rank_vocab_matches_the_counter_ranking(seed):
+def test_rank_vocab_matches_the_counter_ranking(seed, monkeypatch):
     """build_vocab and rank_vocab over rows streamed in small chunks rank as
     a Counter does, on streams where many tokens tie on count; gathering
     ids through the id map encodes as Vocabulary.encode, <unk> included."""
+    monkeypatch.setattr(tokenizer, "STREAM_CHUNK", 4)  # rows of up to 6 tokens cross the cuts
     rnd = random.Random(seed)
     alphabet = [chr(0x4E00 + i) for i in range(rnd.randint(1, 12))] + ["ab", "a", "词语"]
     rows = [[rnd.choice(alphabet) for _ in range(rnd.randint(0, 6))] for _ in range(rnd.randint(1, 30))]
@@ -496,7 +498,7 @@ def test_rank_vocab_matches_the_counter_ranking(seed):
         for max_size in (None, 1, 2, 5):
             expected = counter_ranking(stream, min_count, max_size)
             vocab = build_vocab(iter(stream), "word", min_count=min_count, max_size=max_size)
-            ranked, to_vocab = rank_vocab(train.stream(range(len(rows)), chunk=3), list(table),
+            ranked, to_vocab = rank_vocab(train.stream(range(len(rows))), list(table),
                                           "word", min_count, max_size)
             for v in (vocab, ranked):
                 assert list(zip(v.tokens[4:], v.counts[4:])) == expected
@@ -506,11 +508,12 @@ def test_rank_vocab_matches_the_counter_ranking(seed):
 
 
 def test_build_vocab_ranks_a_stream_longer_than_one_chunk():
-    """build_vocab reads 65,536 tokens at a time; tokens first seen in a
-    later chunk grow the table and still rank as a Counter ranks them."""
+    """build_vocab reads STREAM_CHUNK tokens at a time; tokens first seen in
+    a later chunk grow the table and still rank as a Counter ranks them."""
     rnd = random.Random(7)
     stream = [str(rnd.randrange(50)) for _ in range(70_000)]
     stream += [str(rnd.randrange(40, 300)) for _ in range(70_000)]
+    assert 70_000 > tokenizer.STREAM_CHUNK
     for min_count, max_size in ((1, None), (2, 100), (3, 7)):
         vocab = build_vocab(iter(stream), "word", min_count=min_count, max_size=max_size)
         assert list(zip(vocab.tokens[4:], vocab.counts[4:])) == counter_ranking(
