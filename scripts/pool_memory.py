@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Memory and time of the experiment harness's tokenized pool at scale.
+"""Memory and time of the tokenized pool and of `hwcsum train`'s input at scale.
 
 Generates a deterministic LCSTS-shape corpus in a temporary directory
 with the benchmark's generators (``perfbench/gen.py``, imported
@@ -9,18 +9,23 @@ of which pass the test filter). Generation runs in a child process, so
 the peak RSS below is the harness's alone. Then, for the ``word_char``
 representation:
 
-1. ``harness._prepare`` reads both parts and loads the lexicon;
-2. the first call of the cached tokenizer segments every pool and test
-   text once: ``tokenize_s`` is its time, ``pool_mb`` what its result
+1. ``harness._prepare`` reads both parts, loads the lexicon and, through
+   ``harness._tokenize``, segments every pool and test text once:
+   ``tokenize_s`` is the time of ``_tokenize``, ``pool_mb`` what its result
    holds, every object it reaches counted once and the parsed records
    left out (1 MB = 10**6 bytes), and ``pool_kb_per_pair`` that over the
    pool and test pairs (``pool_entries``);
-3. ``harness._run_seed`` builds one seed's vocabularies and encodes its
+2. ``harness._run_seed`` builds one seed's vocabularies and encodes its
    pairs, with ``train`` stubbed to take each train and validation pair
    once, as an epoch does, and stop the seed: ``seed_vocab_encode_s`` is
    its time, and ``seed_vocab_encode_mb`` the most it held above what was
    held before it, from tracemalloc in a second run of the seed;
-4. ``peak_rss_mb`` is the process's peak RSS after steps 1-3.
+3. ``peak_rss_mb`` is the process's peak RSS after steps 1-2;
+4. ``hwcsum train`` reads the pool's Part I file as its training corpus
+   (no ``--valid``), with vocabularies ranked from the whole pool and
+   ``train`` stubbed to stop it: ``train_input_kb_per_pair`` is what it
+   holds when it calls ``train``, per pool pair, from tracemalloc started
+   at its first corpus read (vocabularies and lexicon already loaded).
 
 Prints one JSON line. Run from the repo root:
 
@@ -42,8 +47,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from hwcsum import harness  # noqa: E402
+from hwcsum import cli, harness, model  # noqa: E402
 from hwcsum.corpus import CorpusPart, DocumentPair, filter_by_score  # noqa: E402
+from hwcsum.tokenizer import rank_vocab  # noqa: E402
 
 LEXICON_ENTRIES = 300_000
 SEED = 0
@@ -104,15 +110,55 @@ def run_seed(cfg, rep, tokenized, seed_dir: Path):
         pass
 
 
+def train_input_bytes(work: Path, rep, tokenized) -> int:
+    """Bytes `hwcsum train` holds when it calls train on the pool's Part I,
+    traced from its first corpus read."""
+    tokens, pool_src, pool_tgt, _, _ = tokenized
+    every = range(len(pool_src))
+    rank_vocab(pool_src.stream(every), tokens, rep.src_unit)[0].save(work / "src_vocab.txt")
+    rank_vocab(pool_tgt.stream(every), tokens, "char")[0].save(work / "tgt_vocab.txt")
+    (work / "train.json").write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    read, held = cli.load_corpus_file, []
+
+    def traced_read(*args):
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        return read(*args)
+
+    def held_at_train(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.stop()
+        raise _Stop
+
+    cli.load_corpus_file, cli.train = traced_read, held_at_train
+    try:
+        cli.main(["train", "--config", str(work / "train.json"), "--train", str(work / "part1.txt"),
+                  "--src-vocab", str(work / "src_vocab.txt"),
+                  "--tgt-vocab", str(work / "tgt_vocab.txt"), "--representation", rep.name,
+                  "--lexicon", rep.lexicon_path, "--out", str(work / "model")])
+    except _Stop:
+        pass
+    finally:
+        cli.load_corpus_file, cli.train = read, model.train
+    return held[0]
+
+
 def measure(work: Path, n_pairs: int) -> dict:
     cfg = harness.ExperimentConfig(
         name="pool", part1=str(work / "part1.txt"), part3=str(work / "part3.txt"),
         lexicon=str(work / "lexicon.tsv"), representations=["word_char"], seeds=[SEED],
         n_validation=min(1000, n_pairs // 10))
+    tokenize, tokenize_s = harness._tokenize, []
+
+    def timed_tokenize(*args):
+        t0 = time.perf_counter()
+        result = tokenize(*args)
+        tokenize_s.append(time.perf_counter() - t0)
+        return result
+
+    harness._tokenize = timed_tokenize
     _, _, [(rep, tokenized)] = harness._prepare(cfg)
-    t0 = time.perf_counter()
-    tokenized()
-    tokenize_s = time.perf_counter() - t0
+    harness._tokenize = tokenize
 
     harness.train = walk_pairs
     t0 = time.perf_counter()
@@ -120,27 +166,29 @@ def measure(work: Path, n_pairs: int) -> dict:
     seed_s = time.perf_counter() - t0
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
-    pool_bytes = deep_size(tokenized())
-    pool, _ = harness.load_corpus_file(cfg.part1, "I")
-    test, _ = harness.load_corpus_file(cfg.part3, "III")
-    n_entries = len(pool) + len(filter_by_score(test, cfg.min_score))  # pairs the pool tokenizes
-    del pool, test
+    pool_bytes = deep_size(tokenized)
+    n_pool = len(harness.load_corpus_file(cfg.part1, "I")[0])
+    test = harness.load_corpus_file(cfg.part3, "III")[0]
+    n_entries = n_pool + len(filter_by_score(test, cfg.min_score))  # pairs the pool tokenizes
+    del test
 
     tracemalloc.start()  # the same seed again, for what it holds
     start = tracemalloc.get_traced_memory()[0]
     run_seed(cfg, rep, tokenized, work / "seed")
     seed_bytes = tracemalloc.get_traced_memory()[1] - start
     tracemalloc.stop()
+    input_bytes = train_input_bytes(work, rep, tokenized)
 
     return {
         "pairs": n_pairs,
         "pool_entries": n_entries,
         "pool_mb": round(pool_bytes / 1e6, 2),
         "pool_kb_per_pair": round(pool_bytes / n_entries / 1e3, 3),
-        "tokenize_s": round(tokenize_s, 3),
+        "tokenize_s": round(tokenize_s[0], 3),
         "seed_vocab_encode_s": round(seed_s, 3),
         "seed_vocab_encode_mb": round(seed_bytes / 1e6, 2),
         "peak_rss_mb": round(peak_rss_mb, 1),
+        "train_input_kb_per_pair": round(input_bytes / n_pool / 1e3, 3),
     }
 
 

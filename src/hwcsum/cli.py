@@ -11,6 +11,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, split_train_validation,
                      write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
@@ -18,8 +20,8 @@ from .harness import (ExperimentConfig, check_settings, check_sweep_sizes, load_
                       load_model_dir, run_experiment, save_model_dir, sweep_vocab, write_decodes)
 from .model import ModelConfig, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import (REPRESENTATIONS, Representation, Vocabulary, build_vocab, char_tokenize,
-                        encode_tokens, word_segment)
+from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenTable, Vocabulary,
+                        build_vocab, word_segment)
 
 # Stages segment through this module's word_segment binding (passed to
 # Representation.tokens), so a wrapper set on hwcsum.cli.word_segment reaches them all.
@@ -57,7 +59,7 @@ def _cmd_parse(args):
 
 
 def _cmd_filter(args):
-    corpus, _ = load_corpus_file(args.infile, "III")
+    corpus, _, _ = load_corpus_file(args.infile, "III")
     kept = filter_by_score(corpus, args.min_score)
     _write_corpus(args.out, kept)
     print(f"kept {len(kept)} of {len(corpus)} pairs with label >= {args.min_score}", file=sys.stderr)
@@ -65,7 +67,7 @@ def _cmd_filter(args):
 
 
 def _cmd_split(args):
-    corpus, _ = load_corpus_file(args.infile)
+    corpus, _, _ = load_corpus_file(args.infile)
     train_part, valid_part = split_train_validation(corpus, SplitSpec(args.n_validation, args.seed))
     _write_corpus(args.train_out, train_part)
     _write_corpus(args.valid_out, valid_part)
@@ -75,8 +77,8 @@ def _cmd_split(args):
 
 
 def _cmd_clean(args):
-    part1, _ = load_corpus_file(args.part1, "I")
-    part3, _ = load_corpus_file(args.part3, "III")
+    part1, _, _ = load_corpus_file(args.part1, "I")
+    part3, _, _ = load_corpus_file(args.part3, "III")
     result = clean_part1(part1, part3, DedupConfig(max_suffix_delta=args.max_suffix_delta))
     _write_corpus(args.out, result.kept)
     if args.report:
@@ -88,7 +90,7 @@ def _cmd_clean(args):
 
 def _cmd_vocab(args):
     rep = Representation(f"{args.unit}_char", args.lexicon)  # the one with this source unit
-    corpus, _ = load_corpus_file(args.infile)
+    corpus, _, _ = load_corpus_file(args.infile)
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"
     tokens = (tok for p in corpus.pairs for tok in rep.tokens(getattr(p, attr), word_segment))
@@ -122,13 +124,12 @@ def _cmd_train(args):
     src_vocab = Vocabulary.load(args.src_vocab, rep.src_unit)
     tgt_vocab = Vocabulary.load(args.tgt_vocab, "char")
 
-    def encode_corpus(path):
-        corpus, _ = load_corpus_file(path)
-        return [encode_tokens(rep.tokens(p.short_text, word_segment), char_tokenize(p.summary),
-                              src_vocab, tgt_vocab, p.id) for p in corpus.pairs]
-
-    train_pairs = encode_corpus(args.train)
-    valid_pairs = encode_corpus(args.valid) if args.valid else None
+    table = TokenTable()  # the texts of both files, as token rows over one table
+    train_rows, valid_rows = (rep.token_rows(load_corpus_file(path)[0].pairs, table, word_segment)
+                              if path else None for path in (args.train, args.valid))
+    maps = [np.array(vocab.encode(list(table)), dtype=np.int32) for vocab in (src_vocab, tgt_vocab)]
+    train_pairs, valid_pairs = (EncodedRows(*rows, range(len(rows[0])), *maps) if rows else None
+                                for rows in (train_rows, valid_rows))
 
     model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
                             seed=args.seed, **cfg.get("model", {}))
@@ -148,7 +149,7 @@ def _cmd_train(args):
 
 def _cmd_summarize(args):
     params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
-    corpus, _ = load_corpus_file(args.infile)
+    corpus, _, _ = load_corpus_file(args.infile)
     articles = [(p, src_vocab.encode(rep.tokens(p.short_text, word_segment))) for p in corpus.pairs]
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         write_decodes(out, articles, params, tgt_vocab, args.beam, args.max_len)

@@ -7,15 +7,15 @@ beam-decode the score-filtered test set, and score with character
 ROUGE. Each seed directory ``<out>/<name>/<representation>/seed<k>/`` is
 a model directory plus its candidates and scores, and the report is
 ``<out>/<name>/report.json``. Failed seeds are recorded, with their
-traceback in ``seed<k>/error.txt``, and skipped in the means. A sweep
-over encoder vocabulary sizes reads, dedups and tokenizes its inputs
-once and runs each size as one experiment on them.
+traceback in ``seed<k>/error.txt``, and skipped in the means. A run reads,
+dedups and tokenizes its inputs once, before any seed trains; a sweep
+over encoder vocabulary sizes runs each size as one experiment on them.
 """
 
 import datetime
-import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -30,8 +30,8 @@ from .corpus import (CorpusPart, ParseError, ParseIssue, SplitSpec, atomic_write
                      parse_lcsts, read_jsonl, split_indices, write_rows)
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import (BOS, EOS, REPRESENTATIONS, EncodedPair, Representation, TokenRows,
-                        TokenTable, Vocabulary, char_tokenize, load_representations, rank_vocab)
+from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenRows, TokenTable,
+                        Vocabulary, load_representations, rank_vocab)
 
 DECODE_CHUNK = 32  # articles per beam_search_batch call in write_decodes
 _CONFIG_KEYS = {
@@ -137,63 +137,43 @@ class ExperimentConfig:
         return cls(representations=rep, **raw)
 
 
-def load_corpus_file(path, part: str = "I") -> tuple[CorpusPart, list[ParseIssue]]:
+class _HashingReader(io.BufferedReader):
+    """A buffered binary reader of a file that hashes each byte it hands out."""
+
+    def __init__(self, path):
+        super().__init__(open(path, "rb", buffering=0))
+        self.sha256 = hashlib.sha256()
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.sha256.update(data)
+        return data
+
+
+def load_corpus_file(path, part: str = "I") -> tuple[CorpusPart, list[ParseIssue], str]:
     """Read a dataset file: .jsonl is canonical records (no issues; a bad
     record raises a ParseError naming the file and line), anything else
     pseudo-XML, whose malformed blocks are skipped and returned as parse
-    issues."""
+    issues. Returns (corpus, parse issues, sha256 of the bytes parsed)."""
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        if path.suffix != ".jsonl":
-            return parse_lcsts(f, part)
+    with io.TextIOWrapper(_HashingReader(path), encoding="utf-8") as f:
         try:
-            return read_jsonl(f, part), []
+            parsed = (read_jsonl(f, part), []) if path.suffix == ".jsonl" else parse_lcsts(f, part)
         except ParseError as e:
             raise ParseError(f"{path}: {e}") from None
+        return (*parsed, f.buffer.sha256.hexdigest())
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _tokenizer(rep: Representation, pool: CorpusPart, test: CorpusPart):
-    """A function giving (token strings, pool source rows, pool summary rows,
-    test pairs, test source rows): each text tokenized once, into TokenRows
-    over one table, by the first call that succeeds (a failure fails each
-    seed)."""
-
-    @functools.cache
-    def tokens():
-        table = TokenTable()
-        pool_src = TokenRows((rep.tokens(p.short_text) for p in pool.pairs), table)
-        pool_tgt = TokenRows((char_tokenize(p.summary) for p in pool.pairs), table)
+def _tokenize(rep: Representation, pool: CorpusPart, test: CorpusPart):
+    """(token strings, pool source rows, pool summary rows, test pairs, test source rows),
+    each text tokenized once over one table; a text rep cannot tokenize fails naming rep."""
+    table = TokenTable()
+    try:
+        pool_src, pool_tgt = rep.token_rows(pool.pairs, table)
         test_src = TokenRows((rep.tokens(p.short_text) for p in test.pairs), table)
-        return list(table), pool_src, pool_tgt, test.pairs, test_src
-
-    return tokens
-
-
-class _Encoded:
-    """The EncodedPairs of some rows under one seed's token-id -> vocabulary-id
-    maps, each built from its rows when indexed (by an index or a slice), so
-    that train takes a batch at a time and no seed holds encoded copies."""
-
-    def __init__(self, src: TokenRows, tgt: TokenRows, rows, src_map, tgt_map):
-        self.src, self.tgt, self.rows, self.src_map, self.tgt_map = src, tgt, rows, src_map, tgt_map
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self.rows)))]
-        row = self.rows[k]
-        return EncodedPair(self.src_map[self.src[row]].tolist(),
-                           [BOS, *self.tgt_map[self.tgt[row]].tolist(), EOS])
+    except ValueError as e:
+        raise ValueError(f"{rep.name}: {e}") from None
+    return list(table), pool_src, pool_tgt, test.pairs, test_src
 
 
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
@@ -239,14 +219,14 @@ def write_decodes(f, articles, params, tgt_vocab: Vocabulary, beam_width: int, m
 
 def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
-    tokens, pool_src, pool_tgt, test, test_src = tokenized()
+    tokens, pool_src, pool_tgt, test, test_src = tokenized
     train_idx, valid_idx = split_indices(len(pool_src), SplitSpec(cfg.n_validation, seed))
 
     src_vocab, src_map = rank_vocab(pool_src.stream(train_idx), tokens, rep.src_unit,
                                     cfg.vocab_min_count, cfg.encoder_vocab_size)
     tgt_vocab, tgt_map = rank_vocab(pool_tgt.stream(train_idx), tokens, "char",
                                     cfg.vocab_min_count, cfg.decoder_vocab_size)
-    train_pairs, valid_pairs = (_Encoded(pool_src, pool_tgt, rows, src_map, tgt_map)
+    train_pairs, valid_pairs = (EncodedRows(pool_src, pool_tgt, rows, src_map, tgt_map)
                                 for rows in (train_idx, valid_idx))
 
     model_cfg = ModelConfig(
@@ -289,11 +269,11 @@ def _mean_scores(seed_records: list[dict]) -> dict | None:
 
 
 def _prepare(cfg: ExperimentConfig):
-    """A run's or sweep's size-independent work, done once: read both parts,
-    load the lexicon, dedup the pool, filter the test set, hash the inputs.
-    Returns (report fields, dedup removals or None, [(representation, cached tokenizer)])."""
-    pool, issues1 = load_corpus_file(cfg.part1, "I")
-    part3, issues3 = load_corpus_file(cfg.part3, "III")
+    """A run's or sweep's size-independent work, done once before any seed trains: read
+    and hash both parts, load the lexicon, dedup the pool, filter the test set, tokenize.
+    Returns (report fields, dedup removals or None, [(representation, _tokenize tuple)])."""
+    pool, issues1, part1_sha256 = load_corpus_file(cfg.part1, "I")
+    part3, issues3, part3_sha256 = load_corpus_file(cfg.part3, "III")
     reps, lexicon_sha256 = load_representations(cfg.representations, cfg.lexicon)
     removed = None
     if cfg.dedup:
@@ -305,24 +285,23 @@ def _prepare(cfg: ExperimentConfig):
     if cfg.n_validation >= len(pool.pairs):
         raise ValueError(f"n_validation={cfg.n_validation} must be smaller than the training "
                          f"pool of {len(pool.pairs)} pairs")
-    hashes = {"part1": _sha256(cfg.part1), "part3": _sha256(cfg.part3)}
-    if cfg.lexicon:
-        hashes["lexicon"] = lexicon_sha256
-    fields = {"input_hashes": hashes, "parse_issues": {"part1": len(issues1), "part3": len(issues3)}}
-    return fields, removed, [(rep, _tokenizer(rep, pool, test)) for rep in reps]
+    hashes = {"part1": part1_sha256, "part3": part3_sha256, "lexicon": lexicon_sha256}
+    fields = {"input_hashes": {k: h for k, h in hashes.items() if h is not None},
+              "parse_issues": {"part1": len(issues1), "part3": len(issues3)}}
+    return fields, removed, [(rep, _tokenize(rep, pool, test)) for rep in reps]
 
 
 def _run_size(cfg: ExperimentConfig, prepared, out: Path):
     """Every representation and seed of cfg, at its encoder_vocab_size, on
     inputs from _prepare, into run directory out; returns (report, all_seeds_ok)."""
-    fields, removed, tokenizers = prepared
+    fields, removed, tokenized_reps = prepared
     out.mkdir(parents=True, exist_ok=True)
     if removed is not None:
         write_rows(out / "dedup_removals.jsonl", map(asdict, removed))
 
     runs = {}
     all_ok = True
-    for rep, tokenized in tokenizers:
+    for rep, tokenized in tokenized_reps:
         seed_records = {}
         failed = []
         for seed in cfg.seeds:

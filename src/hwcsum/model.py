@@ -479,10 +479,10 @@ def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,
 
 
 def _mean_loss(pairs: list[EncodedPair], params: ModelParams, batch_size: int) -> float:
-    """Mean per-pair loss, evaluated batch_size pairs at a time."""
+    """Mean per-pair loss, taking pairs by index batch_size at a time."""
     total = 0.0
     for start in range(0, len(pairs), batch_size):
-        batch = pairs[start:start + batch_size]
+        batch = [pairs[i] for i in range(start, min(start + batch_size, len(pairs)))]
         total += float(batch_loss(batch, params).data) * len(batch)
     return total / len(pairs)
 

@@ -440,6 +440,11 @@ class Representation:
             return char_tokenize(text)
         return (segment or word_segment)(text, self.lexicon)
 
+    def token_rows(self, pairs, table, segment=None) -> tuple["TokenRows", "TokenRows"]:
+        """The source and summary TokenRows of pairs over table (``segment`` as in ``tokens``)."""
+        return (TokenRows((self.tokens(p.short_text, segment) for p in pairs), table),
+                TokenRows((char_tokenize(p.summary) for p in pairs), table))
+
     def check_lexicon(self, trained_sha256: str | None):
         """Refuse a lexicon other than the one a model was trained with;
         accept any when no hash was recorded or no lexicon is used."""
@@ -570,6 +575,21 @@ class TokenRows:
         cuts = np.searchsorted(pos, np.arange(0, pos[-1], STREAM_CHUNK))
         for a, b in zip(cuts, chain(cuts[1:], [len(picked)])):
             yield self.ids[np.repeat(gap[a:b], lens[a:b]) + np.arange(pos[a], pos[b])]
+
+
+class EncodedRows:
+    """The EncodedPairs of some rows under token-id -> vocabulary-id maps, built when indexed."""
+
+    def __init__(self, src: TokenRows, tgt: TokenRows, rows, src_map, tgt_map):
+        self.src, self.tgt, self.rows, self.src_map, self.tgt_map = src, tgt, rows, src_map, tgt_map
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        row = self.rows[k]
+        return EncodedPair(self.src_map[self.src[row]].tolist(),
+                           [BOS, *self.tgt_map[self.tgt[row]].tolist(), EOS])
 
 
 def rank_vocab(streams, tokens, unit: str, min_count: int = 1,

@@ -9,8 +9,10 @@ import pytest
 from hwcsum import cli, harness
 from hwcsum.cli import main
 from hwcsum.corpus import ParseError
-from hwcsum.harness import ExperimentConfig, load_corpus_file, load_model_dir, run_experiment
-from hwcsum.model import beam_search
+from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, run_experiment,
+                            save_model_dir)
+from hwcsum.model import ModelConfig, beam_search, train
+from hwcsum.tokenizer import Representation, Vocabulary, char_tokenize, encode_tokens
 
 WORDS = ["城市", "交通", "建设", "项目", "投资", "发展"]
 
@@ -337,6 +339,26 @@ def test_data_check_fails_once_before_any_seed_trains(tiny_dataset, tmp_path, mo
                                     "seeds": [0, 1], **change}))
     for command, extra in (("experiment", []), ("sweep", ["--sizes", "5,6"])):
         with pytest.raises(ValueError, match=re.escape(message)):
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "runs"), *extra])
+    assert trained == [] and not (tmp_path / "runs").exists()
+
+
+def test_untokenizable_text_fails_once_before_any_seed_trains(tiny_dataset, tmp_path,
+                                                              monkeypatch):
+    """word_char cannot segment a text with an empty lexicon: an experiment
+    and a sweep each fail once, naming the representation, before any seed
+    trains and before any run directory is made."""
+    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+    trained = []
+    monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"name": "data", "part1": str(tiny_dataset / "part1.txt"),
+                                    "part3": str(tiny_dataset / "part3.txt"),
+                                    "representation": "word_char",
+                                    "lexicon": str(tmp_path / "empty.tsv"), "n_validation": 4,
+                                    "seeds": [0, 1]}))
+    for command, extra in (("experiment", []), ("sweep", ["--sizes", "5,6"])):
+        with pytest.raises(ValueError, match="^word_char: lexicon is empty$"):
             main([command, "--config", str(cfg_path), "--out", str(tmp_path / "runs"), *extra])
     assert trained == [] and not (tmp_path / "runs").exists()
 
@@ -684,6 +706,63 @@ def test_cli_and_harness_vocabularies_are_identical(tmp_path, synthetic_dir, see
     seed_dir = tmp_path / "runs" / "x" / "word_char" / f"seed{seed}"
     for name in ("src_vocab.txt", "tgt_vocab.txt"):
         assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes()
+
+
+def _reference_train(d, cfg, out, valid):
+    """What `hwcsum train` on d's walk did with one encode_tokens pair list
+    per record: model.train on those lists, saved through save_model_dir."""
+    rep = Representation(cfg["representation"], cfg["lexicon"])
+    src_vocab = Vocabulary.load(d / "src_vocab.txt", rep.src_unit)
+    tgt_vocab = Vocabulary.load(d / "tgt_vocab.txt", "char")
+
+    def encode_corpus(path):
+        return [encode_tokens(rep.tokens(p.short_text), char_tokenize(p.summary), src_vocab,
+                              tgt_vocab, p.id) for p in load_corpus_file(path)[0].pairs]
+
+    model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), seed=0,
+                            **cfg["model"])
+    params, history = train(encode_corpus(d / "train.jsonl"), model_cfg, epochs=cfg["epochs"],
+                            batch_size=cfg["batch_size"], learning_rate=cfg["learning_rate"],
+                            valid_pairs=encode_corpus(d / "valid.jsonl") if valid else None)
+    save_model_dir(out, params, rep, src_vocab, tgt_vocab, history)
+
+
+@pytest.mark.parametrize("representation, valid", [
+    ("word_char", True), ("word_char", False), ("char_char", True)])
+def test_train_equals_training_on_encoded_pair_lists(tmp_path, synthetic_dir, representation,
+                                                     valid):
+    """`hwcsum train` on the fixture walk, which reads its corpora as token
+    rows, writes the model directory that training on per-record EncodedPair
+    lists writes: the same bytes, and the same log once seconds are masked."""
+    d, syn = tmp_path, synthetic_dir
+    for name, part in (("part1", "I"), ("part3", "III")):
+        assert main(["parse", "--in", str(syn / f"{name}.txt"), "--part", part,
+                     "--out", str(d / f"{name}.jsonl")]) == 0
+    assert main(["clean", "--part1", str(d / "part1.jsonl"), "--part3", str(d / "part3.jsonl"),
+                 "--out", str(d / "clean.jsonl")]) == 0
+    assert main(["split", "--in", str(d / "clean.jsonl"), "--n-validation", "20",
+                 "--train-out", str(d / "train.jsonl"), "--valid-out", str(d / "valid.jsonl")]) == 0
+    unit = representation.split("_")[0]
+    assert main(["vocab", "--unit", unit, "--field", "text", "--lexicon", str(syn / "lexicon.tsv"),
+                 "--in", str(d / "train.jsonl"), "--out", str(d / "src_vocab.txt")]) == 0
+    assert main(["vocab", "--unit", "char", "--in", str(d / "train.jsonl"),
+                 "--out", str(d / "tgt_vocab.txt")]) == 0
+    cfg = {"model": {"embed_dim": 16, "hidden_dim": 16, "dropout": 0.1, "max_decode_len": 12},
+           "epochs": 2, "batch_size": 16, "learning_rate": 0.15, "representation": representation,
+           "lexicon": str(syn / "lexicon.tsv")}
+    (d / "train_cfg.json").write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+                 *(["--valid", str(d / "valid.jsonl")] if valid else []),
+                 "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+                 "--out", str(d / "model")]) == 0
+    _reference_train(d, cfg, d / "reference", valid)
+
+    for name in ("model.npz", "src_vocab.txt", "tgt_vocab.txt", "meta.json"):
+        assert (d / "model" / name).read_bytes() == (d / "reference" / name).read_bytes(), name
+    logs = [[{k: v for k, v in json.loads(line).items() if k != "seconds"}
+             for line in (d / out / "train_log.jsonl").read_text().splitlines()]
+            for out in ("model", "reference")]
+    assert logs[0] == logs[1] and len(logs[0]) == 2 and ("valid_loss" in logs[0][0]) == valid
 
 
 def test_summarize_reproduces_a_harness_seed(tmp_path, synthetic_dir):

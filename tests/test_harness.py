@@ -1,6 +1,8 @@
+import builtins
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -43,7 +45,7 @@ def small_config(synthetic_dir, **overrides):
 def planted_part1(tmp_path, synthetic_dir, n=3) -> str:
     """The fixture's Part I plus copies of its first n Part III items
     (ids 900 on), which dedup removes."""
-    part3, _ = load_corpus_file(synthetic_dir / "part3.txt", "III")
+    part3 = load_corpus_file(synthetic_dir / "part3.txt", "III")[0]
     path = tmp_path / "part1_planted.txt"
     path.write_text((synthetic_dir / "part1.txt").read_text(encoding="utf-8") + "".join(
         f"<doc id={900 + i}>\n<summary>{p.summary}</summary>\n<short_text>{p.short_text}</short_text>\n"
@@ -52,12 +54,14 @@ def planted_part1(tmp_path, synthetic_dir, n=3) -> str:
 
 
 def test_load_corpus_file_pseudo_xml(synthetic_dir):
-    part1, issues1 = load_corpus_file(synthetic_dir / "part1.txt", "I")
+    part1, issues1, sha1 = load_corpus_file(synthetic_dir / "part1.txt", "I")
     assert len(part1) == 200
-    part3, issues3 = load_corpus_file(synthetic_dir / "part3.txt", "III")
+    part3, issues3, sha3 = load_corpus_file(synthetic_dir / "part3.txt", "III")
     assert len(part3) == 30
     assert all(p.human_label is not None for p in part3.pairs)
     assert issues1 == issues3 == []
+    assert [sha1, sha3] == [hashlib.sha256((synthetic_dir / f"part{k}.txt").read_bytes()).hexdigest()
+                            for k in (1, 3)]
 
 
 def test_config_validation():
@@ -254,6 +258,32 @@ def test_report_counts_parse_issues(tmp_path, synthetic_dir):
     assert on_disk["parse_issues"] == {"part1": 1, "part3": 0}
 
 
+def test_each_part_file_is_read_once_per_run(tmp_path, synthetic_dir, monkeypatch):
+    """A run, and a sweep, opens Part I and Part III once each: input_hashes
+    is the sha256 of the bytes that one read parsed."""
+    cfg = small_config(synthetic_dir, representations=["char_char"])
+    parts = [Path(cfg.part1), Path(cfg.part3)]
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) in parts:
+            opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    report, all_ok = run_experiment(cfg, tmp_path / "run")
+    assert all_ok and opened == parts
+    opened.clear()
+    _, all_ok = sweep_vocab(cfg, [10, 20], tmp_path / "sweep")
+    assert all_ok and opened == parts
+    monkeypatch.undo()
+    assert report["input_hashes"] == {
+        key: hashlib.sha256(Path(getattr(cfg, key)).read_bytes()).hexdigest()
+        for key in ("part1", "part3", "lexicon")}
+
+
 def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatch):
     calls = []
 
@@ -284,15 +314,16 @@ def test_tokenized_pool_holds_ids_not_token_strings(synthetic_dir):
     under 0.4 KB a pair: int32 ids and one string per distinct token. Holding
     a string per token took about 1.7 KB a pair here."""
     cfg = small_config(synthetic_dir)
-    _, _, tokenizers = harness._prepare(cfg)
-    n_pool = len(load_corpus_file(cfg.part1, "I")[0])
-    n_test = len(filter_by_score(load_corpus_file(cfg.part3, "III")[0], cfg.min_score))
+    reps, _ = tokenizer.load_representations(cfg.representations, cfg.lexicon)
+    pool = load_corpus_file(cfg.part1, "I")[0]
+    test = filter_by_score(load_corpus_file(cfg.part3, "III")[0], cfg.min_score)
+    n_pool, n_test = len(pool), len(test)
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pools = [tokenized() for _, tokenized in tokenizers]
+        pools = [harness._tokenize(rep, pool, test) for rep in reps]
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:
@@ -440,7 +471,7 @@ def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synt
                                       for k in ("part1", "part3", "lexicon")})
     _, all_ok = run_experiment(cfg, tmp_path)
     assert all_ok
-    part3, _ = load_corpus_file(cfg.part3, "III")
+    part3 = load_corpus_file(cfg.part3, "III")[0]
     test = filter_by_score(part3, cfg.min_score).pairs
     for name in cfg.representations:
         for seed in cfg.seeds:
