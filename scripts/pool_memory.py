@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Memory and time of the tokenized pool and of `hwcsum train`'s input at scale.
+"""Memory and time of the tokenized pool and of the CLI's inputs at scale.
 
 Generates a deterministic LCSTS-shape corpus in a temporary directory
 with the benchmark's generators (``perfbench/gen.py``, imported
@@ -21,11 +21,19 @@ representation:
    its time, and ``seed_vocab_encode_mb`` the most it held above what was
    held before it, from tracemalloc in a second run of the seed;
 3. ``peak_rss_mb`` is the process's peak RSS after steps 1-2;
-4. ``hwcsum train`` reads the pool's Part I file as its training corpus
+4. ``harness._prepare`` again, for both representations:
+   ``pool_both_kb_per_pair`` is what their tokenized pools hold together,
+   per pool and test pair, counted as in step 1 (one token table and one
+   set of summary rows serve both);
+5. ``hwcsum train`` reads the pool's Part I file as its training corpus
    (no ``--valid``), with vocabularies ranked from the whole pool and
    ``train`` stubbed to stop it: ``train_input_kb_per_pair`` is what it
    holds when it calls ``train``, per pool pair, from tracemalloc started
-   at its first corpus read (vocabularies and lexicon already loaded).
+   at its first corpus read (vocabularies and lexicon already loaded);
+6. ``hwcsum summarize`` decodes the same file with a model over those
+   vocabularies, ``beam_search_batch`` stubbed to stop it:
+   ``summarize_input_kb_per_pair`` is what it holds at its first
+   ``beam_search_batch`` call, per article, traced as in step 5.
 
 Prints one JSON line. Run from the repo root:
 
@@ -33,6 +41,7 @@ Prints one JSON line. Run from the repo root:
 """
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import resource
@@ -110,37 +119,54 @@ def run_seed(cfg, rep, tokenized, seed_dir: Path):
         pass
 
 
-def train_input_bytes(work: Path, rep, tokenized) -> int:
-    """Bytes `hwcsum train` holds when it calls train on the pool's Part I,
-    traced from its first corpus read."""
-    tokens, pool_src, pool_tgt, _, _ = tokenized
-    every = range(len(pool_src))
-    rank_vocab(pool_src.stream(every), tokens, rep.src_unit)[0].save(work / "src_vocab.txt")
-    rank_vocab(pool_tgt.stream(every), tokens, "char")[0].save(work / "tgt_vocab.txt")
-    (work / "train.json").write_text(json.dumps({"epochs": 1}), encoding="utf-8")
-    read, held = cli.load_corpus_file, []
+def held_at(argv, module, name) -> int:
+    """Bytes the CLI command argv holds when it calls module.name, traced from
+    its first corpus read; that call stops the command."""
+    read, call, held = cli.load_corpus_file, getattr(module, name), []
 
     def traced_read(*args):
         if not tracemalloc.is_tracing():
             tracemalloc.start()
         return read(*args)
 
-    def held_at_train(*args, **kwargs):
+    def held_at_call(*args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.stop()
         raise _Stop
 
-    cli.load_corpus_file, cli.train = traced_read, held_at_train
+    cli.load_corpus_file = traced_read
+    setattr(module, name, held_at_call)
     try:
-        cli.main(["train", "--config", str(work / "train.json"), "--train", str(work / "part1.txt"),
-                  "--src-vocab", str(work / "src_vocab.txt"),
-                  "--tgt-vocab", str(work / "tgt_vocab.txt"), "--representation", rep.name,
-                  "--lexicon", rep.lexicon_path, "--out", str(work / "model")])
+        cli.main(argv)
     except _Stop:
         pass
     finally:
-        cli.load_corpus_file, cli.train = read, model.train
+        cli.load_corpus_file = read
+        setattr(module, name, call)
     return held[0]
+
+
+def cli_input_bytes(work: Path, rep, tokenized) -> tuple[int, int]:
+    """Bytes `hwcsum train` holds when it calls train on the pool's Part I,
+    and bytes `hwcsum summarize` holds when it first decodes that file."""
+    tokens, pool_src, pool_tgt, _, _ = tokenized
+    every = range(len(pool_src))
+    vocabs = (rank_vocab(pool_src.stream(every), tokens, rep.src_unit),
+              rank_vocab(pool_tgt.stream(every), tokens, "char"))
+    for vocab, name in zip(vocabs, ("src_vocab.txt", "tgt_vocab.txt")):
+        vocab.save(work / name)
+    (work / "train.json").write_text(json.dumps({"epochs": 1}), encoding="utf-8")
+    train_bytes = held_at(
+        ["train", "--config", str(work / "train.json"), "--train", str(work / "part1.txt"),
+         "--src-vocab", str(work / "src_vocab.txt"), "--tgt-vocab", str(work / "tgt_vocab.txt"),
+         "--representation", rep.name, "--lexicon", rep.lexicon_path, "--out", str(work / "model")],
+        cli, "train")
+    params = model.init_params(model.ModelConfig(*map(len, vocabs), embed_dim=2, hidden_dim=2))
+    harness.save_model_dir(work / "summarizer", params, rep, *vocabs, [])
+    summarize_bytes = held_at(
+        ["summarize", "--model", str(work / "summarizer"), "--in", str(work / "part1.txt"),
+         "--out", str(work / "candidates.jsonl")], harness, "beam_search_batch")
+    return train_bytes, summarize_bytes
 
 
 def measure(work: Path, n_pairs: int) -> dict:
@@ -177,7 +203,10 @@ def measure(work: Path, n_pairs: int) -> dict:
     run_seed(cfg, rep, tokenized, work / "seed")
     seed_bytes = tracemalloc.get_traced_memory()[1] - start
     tracemalloc.stop()
-    input_bytes = train_input_bytes(work, rep, tokenized)
+    both = harness._prepare(dataclasses.replace(cfg, representations=["char_char", "word_char"]))
+    both_bytes = deep_size([tokenized for _, tokenized in both[2]])
+    del both
+    train_bytes, summarize_bytes = cli_input_bytes(work, rep, tokenized)
 
     return {
         "pairs": n_pairs,
@@ -188,7 +217,9 @@ def measure(work: Path, n_pairs: int) -> dict:
         "seed_vocab_encode_s": round(seed_s, 3),
         "seed_vocab_encode_mb": round(seed_bytes / 1e6, 2),
         "peak_rss_mb": round(peak_rss_mb, 1),
-        "train_input_kb_per_pair": round(input_bytes / n_pool / 1e3, 3),
+        "pool_both_kb_per_pair": round(both_bytes / n_entries / 1e3, 3),
+        "train_input_kb_per_pair": round(train_bytes / n_pool / 1e3, 3),
+        "summarize_input_kb_per_pair": round(summarize_bytes / n_pool / 1e3, 3),
     }
 
 

@@ -11,8 +11,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, split_train_validation,
                      write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
@@ -21,7 +19,7 @@ from .harness import (ExperimentConfig, check_settings, check_sweep_sizes, load_
 from .model import ModelConfig, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenTable, Vocabulary,
-                        build_vocab, word_segment)
+                        build_vocab, summary_rows, word_segment)
 
 # Stages segment through this module's word_segment binding (passed to
 # Representation.tokens), so a wrapper set on hwcsum.cli.word_segment reaches them all.
@@ -125,9 +123,11 @@ def _cmd_train(args):
     tgt_vocab = Vocabulary.load(args.tgt_vocab, "char")
 
     table = TokenTable()  # the texts of both files, as token rows over one table
-    train_rows, valid_rows = (rep.token_rows(load_corpus_file(path)[0].pairs, table, word_segment)
-                              if path else None for path in (args.train, args.valid))
-    maps = [np.array(vocab.encode(list(table)), dtype=np.int32) for vocab in (src_vocab, tgt_vocab)]
+    parts = (load_corpus_file(path)[0].pairs if path else None for path in (args.train, args.valid))
+    train_rows, valid_rows = ((rep.source_rows(pairs, table, word_segment),
+                               summary_rows(pairs, table)) if pairs is not None else None
+                              for pairs in parts)
+    maps = src_vocab.id_map(table), tgt_vocab.id_map(table)
     train_pairs, valid_pairs = (EncodedRows(*rows, range(len(rows[0])), *maps) if rows else None
                                 for rows in (train_rows, valid_rows))
 
@@ -149,10 +149,12 @@ def _cmd_train(args):
 
 def _cmd_summarize(args):
     params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
-    corpus, _, _ = load_corpus_file(args.infile)
-    articles = [(p, src_vocab.encode(rep.tokens(p.short_text, word_segment))) for p in corpus.pairs]
+    table, pairs = TokenTable(), load_corpus_file(args.infile)[0].pairs
+    ids, src = [p.id for p in pairs], rep.source_rows(pairs, table, word_segment)
+    del pairs  # the decodes read the ids and token rows alone
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
-        write_decodes(out, articles, params, tgt_vocab, args.beam, args.max_len)
+        write_decodes(out, ids, src, src_vocab.id_map(table), params, tgt_vocab, args.beam,
+                      args.max_len)
     return 0
 
 

@@ -31,7 +31,7 @@ from .corpus import (CorpusPart, ParseError, ParseIssue, SplitSpec, atomic_write
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenRows, TokenTable,
-                        Vocabulary, load_representations, rank_vocab)
+                        Vocabulary, load_representations, rank_vocab, summary_rows)
 
 DECODE_CHUNK = 32  # articles per beam_search_batch call in write_decodes
 _CONFIG_KEYS = {
@@ -164,16 +164,16 @@ def load_corpus_file(path, part: str = "I") -> tuple[CorpusPart, list[ParseIssue
         return (*parsed, f.buffer.sha256.hexdigest())
 
 
-def _tokenize(rep: Representation, pool: CorpusPart, test: CorpusPart):
-    """(token strings, pool source rows, pool summary rows, test pairs, test source rows),
-    each text tokenized once over one table; a text rep cannot tokenize fails naming rep."""
+def _tokenize(reps: list[Representation], pool: CorpusPart, test: CorpusPart):
+    """[(rep, (token strings, pool source rows, pool summary rows, test pairs, test source
+    rows))]: each text tokenized once over one table, the summary rows shared by every rep."""
     table = TokenTable()
-    try:
-        pool_src, pool_tgt = rep.token_rows(pool.pairs, table)
-        test_src = TokenRows((rep.tokens(p.short_text) for p in test.pairs), table)
-    except ValueError as e:
-        raise ValueError(f"{rep.name}: {e}") from None
-    return list(table), pool_src, pool_tgt, test.pairs, test_src
+    pool_tgt = summary_rows(pool.pairs, table)
+    sources = [[rep.source_rows(pairs, table) for pairs in (pool.pairs, test.pairs)]
+               for rep in reps]
+    tokens = list(table)
+    return [(rep, (tokens, pool_src, pool_tgt, test.pairs, test_src))
+            for rep, (pool_src, test_src) in zip(reps, sources)]
 
 
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
@@ -203,17 +203,20 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
             Vocabulary.load(model_dir / "tgt_vocab.txt", "char"))
 
 
-def write_decodes(f, articles, params, tgt_vocab: Vocabulary, beam_width: int, max_len=None):
-    """Beam-decode (pair, source ids) articles DECODE_CHUNK at a time, writing one
-    {"id", "candidate"} JSON line each to the open file f; returns the candidates."""
+def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary,
+                  beam_width: int, max_len=None):
+    """Beam-decode the source rows, mapped through the token-id -> vocabulary-id map
+    src_map DECODE_CHUNK rows at a time, writing one {"id", "candidate"} JSON line per
+    row, its id from the pair ids, to the open file f; returns the candidates."""
     candidates = []
-    for start in range(0, len(articles), DECODE_CHUNK):
-        chunk = articles[start:start + DECODE_CHUNK]
-        decodes = beam_search_batch([src for _, src in chunk], params, beam_width, max_len)
-        for (pair, _), out_ids in zip(chunk, decodes):
+    for start in range(0, len(src), DECODE_CHUNK):
+        rows = range(start, min(start + DECODE_CHUNK, len(src)))
+        decodes = beam_search_batch([src_map[src[i]].tolist() for i in rows], params,
+                                    beam_width, max_len)
+        for i, out_ids in zip(rows, decodes):
             text = "".join(tgt_vocab.decode(out_ids, strip_special=True))
             candidates.append(text)
-            f.write(json.dumps({"id": pair.id, "candidate": text}, ensure_ascii=False) + "\n")
+            f.write(json.dumps({"id": ids[i], "candidate": text}, ensure_ascii=False) + "\n")
     return candidates
 
 
@@ -222,10 +225,11 @@ def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) 
     tokens, pool_src, pool_tgt, test, test_src = tokenized
     train_idx, valid_idx = split_indices(len(pool_src), SplitSpec(cfg.n_validation, seed))
 
-    src_vocab, src_map = rank_vocab(pool_src.stream(train_idx), tokens, rep.src_unit,
-                                    cfg.vocab_min_count, cfg.encoder_vocab_size)
-    tgt_vocab, tgt_map = rank_vocab(pool_tgt.stream(train_idx), tokens, "char",
-                                    cfg.vocab_min_count, cfg.decoder_vocab_size)
+    src_vocab = rank_vocab(pool_src.stream(train_idx), tokens, rep.src_unit, cfg.vocab_min_count,
+                           cfg.encoder_vocab_size)
+    tgt_vocab = rank_vocab(pool_tgt.stream(train_idx), tokens, "char", cfg.vocab_min_count,
+                           cfg.decoder_vocab_size)
+    src_map, tgt_map = src_vocab.id_map(tokens), tgt_vocab.id_map(tokens)
     train_pairs, valid_pairs = (EncodedRows(pool_src, pool_tgt, rows, src_map, tgt_map)
                                 for rows in (train_idx, valid_idx))
 
@@ -238,8 +242,8 @@ def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) 
     save_model_dir(seed_dir, params, rep, src_vocab, tgt_vocab, history)
 
     with atomic_write(seed_dir / "candidates.jsonl") as f:
-        articles = [(p, src_map[test_src[i]].tolist()) for i, p in enumerate(test)]
-        candidates = write_decodes(f, articles, params, tgt_vocab, cfg.beam_width)
+        candidates = write_decodes(f, [p.id for p in test], test_src, src_map, params, tgt_vocab,
+                                   cfg.beam_width)
 
     means, per_pair = evaluate_corpus(candidates, [p.summary for p in test], unit="char")
     write_rows(seed_dir / "scores.jsonl",
@@ -271,7 +275,7 @@ def _mean_scores(seed_records: list[dict]) -> dict | None:
 def _prepare(cfg: ExperimentConfig):
     """A run's or sweep's size-independent work, done once before any seed trains: read
     and hash both parts, load the lexicon, dedup the pool, filter the test set, tokenize.
-    Returns (report fields, dedup removals or None, [(representation, _tokenize tuple)])."""
+    Returns (report fields, dedup removals or None, _tokenize's list)."""
     pool, issues1, part1_sha256 = load_corpus_file(cfg.part1, "I")
     part3, issues3, part3_sha256 = load_corpus_file(cfg.part3, "III")
     reps, lexicon_sha256 = load_representations(cfg.representations, cfg.lexicon)
@@ -288,7 +292,7 @@ def _prepare(cfg: ExperimentConfig):
     hashes = {"part1": part1_sha256, "part3": part3_sha256, "lexicon": lexicon_sha256}
     fields = {"input_hashes": {k: h for k, h in hashes.items() if h is not None},
               "parse_issues": {"part1": len(issues1), "part3": len(issues3)}}
-    return fields, removed, [(rep, _tokenize(rep, pool, test)) for rep in reps]
+    return fields, removed, _tokenize(reps, pool, test)
 
 
 def _run_size(cfg: ExperimentConfig, prepared, out: Path):

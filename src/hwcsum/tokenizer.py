@@ -440,10 +440,13 @@ class Representation:
             return char_tokenize(text)
         return (segment or word_segment)(text, self.lexicon)
 
-    def token_rows(self, pairs, table, segment=None) -> tuple["TokenRows", "TokenRows"]:
-        """The source and summary TokenRows of pairs over table (``segment`` as in ``tokens``)."""
-        return (TokenRows((self.tokens(p.short_text, segment) for p in pairs), table),
-                TokenRows((char_tokenize(p.summary) for p in pairs), table))
+    def source_rows(self, pairs, table, segment=None) -> "TokenRows":
+        """The source TokenRows of pairs over table (``segment`` as in ``tokens``);
+        a text this representation cannot tokenize fails naming it."""
+        try:
+            return TokenRows((self.tokens(p.short_text, segment) for p in pairs), table)
+        except ValueError as e:
+            raise ValueError(f"{self.name}: {e}") from None
 
     def check_lexicon(self, trained_sha256: str | None):
         """Refuse a lexicon other than the one a model was trained with;
@@ -494,6 +497,11 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> list[int]:
         """Map tokens to ids; out-of-vocabulary tokens become <unk>."""
         return [self.ids.get(t, UNK) for t in tokens]
+
+    def id_map(self, tokens) -> np.ndarray:
+        """The token-id -> vocabulary-id map of tokens (a TokenTable, or its
+        token strings in id order) as an int32 array, <unk> where it has none."""
+        return np.array(self.encode(list(tokens)), dtype=np.int32)
 
     def decode(self, ids: list[int], strip_special: bool = False) -> list[str]:
         out = []
@@ -577,6 +585,11 @@ class TokenRows:
             yield self.ids[np.repeat(gap[a:b], lens[a:b]) + np.arange(pos[a], pos[b])]
 
 
+def summary_rows(pairs, table) -> TokenRows:
+    """The character TokenRows of the pairs' summaries over table."""
+    return TokenRows((char_tokenize(p.summary) for p in pairs), table)
+
+
 class EncodedRows:
     """The EncodedPairs of some rows under token-id -> vocabulary-id maps, built when indexed."""
 
@@ -593,10 +606,9 @@ class EncodedRows:
 
 
 def rank_vocab(streams, tokens, unit: str, min_count: int = 1,
-               max_size: int | None = None) -> tuple[Vocabulary, np.ndarray]:
+               max_size: int | None = None) -> Vocabulary:
     """The Vocabulary of a token stream given as ids into tokens (a list, or
-    a TokenTable that grows as the stream is read), and the map from each
-    token id to its vocabulary id, <unk> where it has none.
+    a TokenTable that grows as the stream is read).
 
     The stream comes as arrays of ids in stream order. Keeps tokens with
     count >= min_count, sorted by descending count with ties in order of
@@ -623,12 +635,9 @@ def rank_vocab(streams, tokens, unit: str, min_count: int = 1,
         raise ValueError("token stream is empty")
     kept = np.flatnonzero(counts >= min_count)
     kept = kept[np.lexsort((first[kept], -counts[kept]))][:max_size]
-    to_vocab = np.full(len(tokens), UNK, dtype=np.int32)
-    to_vocab[kept] = np.arange(len(SPECIAL_TOKENS), len(SPECIAL_TOKENS) + len(kept))
     names = list(tokens)
-    vocab = Vocabulary(list(SPECIAL_TOKENS) + [names[i] for i in kept.tolist()],
-                       [0] * len(SPECIAL_TOKENS) + counts[kept].tolist(), unit)
-    return vocab, to_vocab
+    return Vocabulary(list(SPECIAL_TOKENS) + [names[i] for i in kept.tolist()],
+                      [0] * len(SPECIAL_TOKENS) + counts[kept].tolist(), unit)
 
 
 def build_vocab(token_stream, unit: str, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
@@ -641,7 +650,7 @@ def build_vocab(token_stream, unit: str, min_count: int = 1, max_size: int | Non
                                   dtype=np.int32)).size:
             yield ids
 
-    return rank_vocab(chunks(), table, unit, min_count, max_size)[0]
+    return rank_vocab(chunks(), table, unit, min_count, max_size)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import builtins
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -11,6 +12,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hwcsum
@@ -309,6 +311,62 @@ def test_each_text_is_segmented_once_per_run(tmp_path, synthetic_dir, monkeypatc
     assert len(calls) == n_pool + n_test
 
 
+def test_each_pool_summary_is_char_tokenized_once_per_run(tmp_path, synthetic_dir, monkeypatch):
+    """Both representations decode the same characters: their seeds share
+    one tokenization of the pool summaries, in a run and in a sweep."""
+    calls = []
+
+    def counting_char_tokenize(text):
+        calls.append(text)
+        return char_tokenize(text)
+
+    char_tokenize = tokenizer.char_tokenize
+    monkeypatch.setattr(tokenizer, "char_tokenize", counting_char_tokenize)
+    cfg = small_config(synthetic_dir, seeds=[0, 1])
+    pool = load_corpus_file(cfg.part1, "I")[0].pairs
+    summaries = collections.Counter(p.summary for p in pool)
+    assert not set(summaries) & {p.short_text for p in pool}  # a call names its text
+    for run in (lambda: run_experiment(cfg, tmp_path / "run"),
+                lambda: sweep_vocab(cfg, [10, 20], tmp_path / "sweep")):
+        calls.clear()
+        assert run()[1]
+        assert collections.Counter(t for t in calls if t in summaries) == summaries
+
+
+def test_write_decodes_maps_one_chunk_before_each_decode(monkeypatch):
+    """write_decodes maps DECODE_CHUNK rows, decodes them, then maps the
+    next: the mapped ids of the whole input are never held at once."""
+    table = tokenizer.TokenTable()
+    src = tokenizer.TokenRows(([f"w{i % 7}", f"w{i % 5}"] for i in range(70)), table)
+    mapped, per_decode = [], []
+
+    class CountingMap:
+        def __getitem__(self, ids):
+            mapped.append(len(ids))
+            return (np.asarray(ids) % 5) + 4
+
+    def decoding(sources, *args):
+        per_decode.append(len(mapped))
+        mapped.clear()
+        return original(sources, *args)
+
+    original = harness.beam_search_batch
+    monkeypatch.setattr(harness, "beam_search_batch", decoding)
+    params = model.init_params(model.ModelConfig(src_vocab_size=9, tgt_vocab_size=9, embed_dim=4,
+                                                 hidden_dim=4, max_decode_len=3))
+    tgt_vocab = tokenizer.Vocabulary(list(tokenizer.SPECIAL_TOKENS) + list("abcde"), [0] * 9, "char")
+    out = io.StringIO()
+    ids = [100 + i for i in range(len(src))]
+    candidates = harness.write_decodes(out, ids, src, CountingMap(), params, tgt_vocab, 2)
+    assert per_decode == [32, 32, 6] and harness.DECODE_CHUNK == 32
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["id"] for r in rows] == ids and [r["candidate"] for r in rows] == candidates
+    monkeypatch.undo()
+    for i in (0, 33, 69):  # a row decodes as its own beam search of its mapped ids
+        alone = model.beam_search((src[i] % 5 + 4).tolist(), params, 2)
+        assert candidates[i] == "".join(tgt_vocab.decode(alone, strip_special=True))
+
+
 def test_tokenized_pool_holds_ids_not_token_strings(synthetic_dir):
     """The fixture's tokenized pool and test set, both representations, take
     under 0.4 KB a pair: int32 ids and one string per distinct token. Holding
@@ -323,7 +381,7 @@ def test_tokenized_pool_holds_ids_not_token_strings(synthetic_dir):
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pools = [harness._tokenize(rep, pool, test) for rep in reps]
+        pools = harness._tokenize(reps, pool, test)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:

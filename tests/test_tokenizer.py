@@ -498,8 +498,9 @@ def test_rank_vocab_matches_the_counter_ranking(seed, monkeypatch):
         for max_size in (None, 1, 2, 5):
             expected = counter_ranking(stream, min_count, max_size)
             vocab = build_vocab(iter(stream), "word", min_count=min_count, max_size=max_size)
-            ranked, to_vocab = rank_vocab(train.stream(range(len(rows))), list(table),
-                                          "word", min_count, max_size)
+            ranked = rank_vocab(train.stream(range(len(rows))), list(table), "word", min_count,
+                                max_size)
+            to_vocab = ranked.id_map(table)
             for v in (vocab, ranked):
                 assert list(zip(v.tokens[4:], v.counts[4:])) == expected
             for k, tokens in enumerate(rows + held):
