@@ -23,8 +23,8 @@ representation:
 3. ``peak_rss_mb`` is the process's peak RSS after steps 1-2;
 4. ``harness._prepare`` again, for both representations:
    ``pool_both_kb_per_pair`` is what their tokenized pools hold together,
-   per pool and test pair, counted as in step 1 (one token table and one
-   set of summary rows serve both);
+   per pool and test pair, counted as in step 1 (one set of summary rows
+   serves both);
 5. ``hwcsum train`` reads the pool's Part I file as its training corpus
    (no ``--valid``), with vocabularies ranked from the whole pool and
    ``train`` stubbed to stop it: ``train_input_kb_per_pair`` is what it
@@ -149,10 +149,10 @@ def held_at(argv, module, name) -> int:
 def cli_input_bytes(work: Path, rep, tokenized) -> tuple[int, int]:
     """Bytes `hwcsum train` holds when it calls train on the pool's Part I,
     and bytes `hwcsum summarize` holds when it first decodes that file."""
-    tokens, pool_src, pool_tgt, _, _ = tokenized
+    src_tokens, tgt_tokens, pool_src, pool_tgt, _, _ = tokenized
     every = range(len(pool_src))
-    vocabs = (rank_vocab(pool_src.stream(every), tokens, rep.src_unit),
-              rank_vocab(pool_tgt.stream(every), tokens, "char"))
+    vocabs = (rank_vocab(pool_src.stream(every), src_tokens, rep.src_unit),
+              rank_vocab(pool_tgt.stream(every), tgt_tokens, "char"))
     for vocab, name in zip(vocabs, ("src_vocab.txt", "tgt_vocab.txt")):
         vocab.save(work / name)
     (work / "train.json").write_text(json.dumps({"epochs": 1}), encoding="utf-8")

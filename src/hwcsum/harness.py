@@ -165,15 +165,17 @@ def load_corpus_file(path, part: str = "I") -> tuple[CorpusPart, list[ParseIssue
 
 
 def _tokenize(reps: list[Representation], pool: CorpusPart, test: CorpusPart):
-    """[(rep, (token strings, pool source rows, pool summary rows, test pairs, test source
-    rows))]: each text tokenized once over one table, the summary rows shared by every rep."""
-    table = TokenTable()
-    pool_tgt = summary_rows(pool.pairs, table)
-    sources = [[rep.source_rows(pairs, table) for pairs in (pool.pairs, test.pairs)]
-               for rep in reps]
-    tokens = list(table)
-    return [(rep, (tokens, pool_src, pool_tgt, test.pairs, test_src))
-            for rep, (pool_src, test_src) in zip(reps, sources)]
+    """[(rep, (source tokens, summary tokens, pool source rows, pool summary rows, test
+    pairs, test source rows))], each text tokenized once: the summaries over one table,
+    their rows shared by every rep, and each rep's sources over a table of its own."""
+    summaries = TokenTable()
+    pool_tgt = summary_rows(pool.pairs, summaries)
+    tgt_tokens, tokenized = list(summaries), []
+    for rep in reps:
+        table = TokenTable()
+        pool_src, test_src = (rep.source_rows(pairs, table) for pairs in (pool.pairs, test.pairs))
+        tokenized.append((rep, (list(table), tgt_tokens, pool_src, pool_tgt, test.pairs, test_src)))
+    return tokenized
 
 
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
@@ -222,14 +224,14 @@ def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary
 
 def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
-    tokens, pool_src, pool_tgt, test, test_src = tokenized
+    src_tokens, tgt_tokens, pool_src, pool_tgt, test, test_src = tokenized
     train_idx, valid_idx = split_indices(len(pool_src), SplitSpec(cfg.n_validation, seed))
 
-    src_vocab = rank_vocab(pool_src.stream(train_idx), tokens, rep.src_unit, cfg.vocab_min_count,
-                           cfg.encoder_vocab_size)
-    tgt_vocab = rank_vocab(pool_tgt.stream(train_idx), tokens, "char", cfg.vocab_min_count,
+    src_vocab = rank_vocab(pool_src.stream(train_idx), src_tokens, rep.src_unit,
+                           cfg.vocab_min_count, cfg.encoder_vocab_size)
+    tgt_vocab = rank_vocab(pool_tgt.stream(train_idx), tgt_tokens, "char", cfg.vocab_min_count,
                            cfg.decoder_vocab_size)
-    src_map, tgt_map = src_vocab.id_map(tokens), tgt_vocab.id_map(tokens)
+    src_map, tgt_map = src_vocab.id_map(src_tokens), tgt_vocab.id_map(tgt_tokens)
     train_pairs, valid_pairs = (EncodedRows(pool_src, pool_tgt, rows, src_map, tgt_map)
                                 for rows in (train_idx, valid_idx))
 

@@ -8,7 +8,6 @@ single 32-bit seed reproduces a whole run on any machine.
 import numpy as np
 
 _TWO32 = 1 << 32
-_SHUFFLE_BLOCK = 256  # shuffle steps a bulk draw serves; fewer draw one word a step
 
 
 class MT19937:
@@ -70,22 +69,8 @@ class MT19937:
 
         Each step swaps position i with j = bounded(i + 1). The direction
         and the bounded sampling rule are fixed so that identical seeds
-        give identical permutations everywhere. Whole blocks of steps draw
-        their words at once, and a rejected word shifts the rest of its
-        block one word on, so the draws are those of bounded() step by step.
+        give identical permutations everywhere.
         """
-        i = len(items) - 1
-        while i >= _SHUFFLE_BLOCK:
-            m = np.arange(i + 1, i + 1 - _SHUFFLE_BLOCK, -1)  # each step's bound
-            limit = (_TWO32 // m) * m
-            words = self.u32_array(_SHUFFLE_BLOCK).astype(np.int64)
-            k = 0
-            while (rejected := np.flatnonzero(words[k:] >= limit[k:])).size:
-                k += rejected[0]
-                words[k:] = np.append(words[k + 1:], self.next_u32())
-            for step, j in zip(range(i, i - _SHUFFLE_BLOCK, -1), (words % m).tolist()):
-                items[step], items[j] = items[j], items[step]
-            i -= _SHUFFLE_BLOCK
-        for i in range(i, 0, -1):
+        for i in range(len(items) - 1, 0, -1):
             j = self.bounded(i + 1)
             items[i], items[j] = items[j], items[i]

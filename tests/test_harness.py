@@ -333,6 +333,23 @@ def test_each_pool_summary_is_char_tokenized_once_per_run(tmp_path, synthetic_di
         assert collections.Counter(t for t in calls if t in summaries) == summaries
 
 
+def test_each_representation_has_a_source_table_of_its_own(synthetic_dir):
+    """A char_char seed counts and maps its characters alone, not the
+    hybrid's words too: each representation's sources are ids into a table
+    of their own, and both share one set of summary rows and its table."""
+    cfg = small_config(synthetic_dir)
+    reps, _ = tokenizer.load_representations(cfg.representations, cfg.lexicon)
+    pool = load_corpus_file(cfg.part1, "I")[0]
+    test = filter_by_score(load_corpus_file(cfg.part3, "III")[0], cfg.min_score)
+    pools = harness._tokenize(reps, pool, test)
+    assert [rep.name for rep, _ in pools] == ["char_char", "word_char"]
+    sources = pool.pairs + test.pairs
+    for rep, (src_tokens, *_) in pools:
+        assert set(src_tokens) == {t for p in sources for t in rep.tokens(p.short_text)}
+    (_, chars), (_, words) = pools
+    assert chars[1] is words[1] and chars[3] is words[3]  # the summary tokens and rows
+
+
 def test_write_decodes_maps_one_chunk_before_each_decode(monkeypatch):
     """write_decodes maps DECODE_CHUNK rows, decodes them, then maps the
     next: the mapped ids of the whole input are never held at once."""

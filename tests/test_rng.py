@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from hwcsum.rng import MT19937
@@ -122,65 +121,3 @@ def test_interleaved_draws_match_reference_stream(mt_reference):
 def test_bulk_draw_count_must_be_nonnegative():
     with pytest.raises(ValueError):
         MT19937(0).u32_array(-1)
-
-
-# ---- bulk shuffle -------------------------------------------------------------
-
-
-def _scalar_shuffle(gen, items):
-    """Fisher-Yates with one bounded() draw a step: the oracle of the bulk
-    draws in MT19937.shuffle."""
-    for i in range(len(items) - 1, 0, -1):
-        j = gen.bounded(i + 1)
-        items[i], items[j] = items[j], items[i]
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 255, 256, 257, 300, 511, 512, 513, 1500])
-def test_shuffle_equals_one_bounded_draw_a_step(n):
-    for seed in (0, 1, 7, 2**31, 2**32 - 1):
-        bulk, scalar = MT19937(seed), MT19937(seed)
-        got, expected = list(range(n)), list(range(n))
-        bulk.shuffle(got)
-        _scalar_shuffle(scalar, expected)
-        assert got == expected
-        assert bulk.next_u32() == scalar.next_u32()  # the same stream position after
-
-
-class _ScriptedBits:
-    """Stands in for the bit generator: hands out the scripted words, then
-    words that every bound accepts."""
-
-    def __init__(self, words):
-        self.words = iter(words)
-        self.drawn = 0
-
-    def _next(self):
-        self.drawn += 1
-        return next(self.words, self.drawn * 7919)
-
-    def random_raw(self, size=None):
-        if size is None:
-            return self._next()
-        return np.array([self._next() for _ in range(size)], dtype=np.uint64)
-
-
-def test_shuffle_rejections_shift_the_rest_of_their_block():
-    """2**32 - 1 is at or above the rejection limit of every bound that is
-    not a power of two. Each such word is rejected as one bounded() draw a
-    step rejects it: alone and in runs, at the first step of each block (words
-    0 and 266), at the last step of the first (263-264), past a block's own
-    words (256, 263-264), and in the scalar steps after the blocks."""
-    top = (1 << 32) - 1
-    rejected_at = {0, 10, 11, 12, 100, 254, 255, 256, 263, 264, 266, 300, 509, 510, 511, 512,
-                   513, 514, 515, 600, 650, 651, 698}
-    words = [top if k in rejected_at else k * 104729 for k in range(720)]
-    n = 700  # blocks of steps 699..444 and 443..188, then 187 steps one draw at a time
-    results = []
-    for shuffle in (MT19937.shuffle, _scalar_shuffle):
-        gen = MT19937(0)
-        gen._bits = _ScriptedBits(words)
-        items = list(range(n))
-        shuffle(gen, items)
-        results.append((items, gen._bits.drawn))
-    assert results[0] == results[1]
-    assert results[1][1] == n - 1 + len(rejected_at)  # every scripted word was rejected
