@@ -14,6 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from hwcsum.corpus import CorpusPart, DocumentPair, write_lcsts
 from hwcsum.rng import MT19937
 
 WORDS = [
@@ -38,15 +39,11 @@ def make_pair(rng, pair_id):
     return pair_id, "".join(words), "".join(summary)
 
 
-def write_part(path, pairs, labels=None):
+def write_part(path, part, pairs, labels=None):
+    labels = labels or [None] * len(pairs)
+    corpus = CorpusPart(part, [DocumentPair(*pair, label) for pair, label in zip(pairs, labels)])
     with open(path, "w", encoding="utf-8") as f:
-        for i, (pair_id, text, summary) in enumerate(pairs):
-            f.write(f"<doc id={pair_id}>\n")
-            if labels is not None:
-                f.write(f"<human_label>{labels[i]}</human_label>\n")
-            f.write(f"<summary>{summary}</summary>\n")
-            f.write(f"<short_text>{text}</short_text>\n")
-            f.write("</doc>\n")
+        write_lcsts(corpus, f)
 
 
 def main():
@@ -55,11 +52,11 @@ def main():
     rng = MT19937(12345)
 
     part1 = [make_pair(rng, i) for i in range(200)]
-    write_part(out_dir / "part1.txt", part1)
+    write_part(out_dir / "part1.txt", "I", part1)
 
     part3 = [make_pair(rng, i) for i in range(30)]
     labels = [1 + rng.bounded(5) for _ in part3]
-    write_part(out_dir / "part3.txt", part3, labels)
+    write_part(out_dir / "part3.txt", "III", part3, labels)
 
     with open(out_dir / "lexicon.tsv", "w", encoding="utf-8") as f:
         for i, word in enumerate(WORDS):

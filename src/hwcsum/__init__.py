@@ -33,7 +33,6 @@ from .tokenizer import (
     build_vocab,
     char_tokenize,
     encode_pair_chars,
-    encode_pair_hwc,
     word_segment,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "char_tokenize",
     "word_segment",
     "build_vocab",
-    "encode_pair_hwc",
     "encode_pair_chars",
     "ModelConfig",
     "ModelParams",

@@ -15,7 +15,8 @@ from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, spli
                      write_jsonl, write_rows)
 from .dedup import DedupConfig, clean_part1
 from .harness import (ExperimentConfig, check_settings, check_sweep_sizes, load_corpus_file,
-                      load_model_dir, run_experiment, save_model_dir, sweep_vocab, write_decodes)
+                      load_model_dir, read_config, run_experiment, save_model_dir, sweep_vocab,
+                      write_decodes)
 from .model import ModelConfig, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenTable, Vocabulary,
@@ -103,11 +104,7 @@ _TRAIN_SETTINGS = ("epochs", "batch_size", "learning_rate")  # defaults: Experim
 
 
 def _load_train_config(path):
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    unknown = set(raw) - {"model", *_TRAIN_SETTINGS, "representation", "lexicon"}
-    if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
+    raw = read_config(path, {"model", *_TRAIN_SETTINGS, "representation", "lexicon"}, "train")
     check_settings(raw)
     return raw
 

@@ -22,7 +22,7 @@ import os
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import dedup as dedup_mod
@@ -34,11 +34,6 @@ from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenRows,
                         Vocabulary, load_representations, rank_vocab, summary_rows)
 
 DECODE_CHUNK = 32  # articles per beam_search_batch call in write_decodes
-_CONFIG_KEYS = {
-    "name", "part1", "part3", "lexicon", "representation", "seeds", "n_validation",
-    "min_score", "dedup", "max_suffix_delta", "encoder_vocab_size", "decoder_vocab_size",
-    "vocab_min_count", "epochs", "batch_size", "learning_rate", "beam_width", "model",
-}
 # integer settings -> (lowest, highest or None) allowed; a vocabulary size may also be None
 _INT_RANGES = {"epochs": (1, None), "batch_size": (1, None), "beam_width": (1, None),
                "n_validation": (0, None), "min_score": (1, 5), "max_suffix_delta": (0, None),
@@ -52,11 +47,18 @@ def _is_int(value) -> bool:
 
 
 def check_settings(settings: dict):
-    """Raise ValueError unless each run setting in settings, seeds included,
-    has a type and a range a run accepts, so that a config is refused before
-    any input is read. The model object may name only the ModelConfig
-    settings a config sets, each of its type and with a value ModelConfig
-    accepts."""
+    """Raise ValueError unless each run setting in settings has a type and a
+    range a run accepts (seeds a list, the name, parts and lexicon strings,
+    a lexicon also None), so that a config is refused before any input is
+    read or a path of the wrong type is opened. The model object may name
+    only the ModelConfig settings a config sets, each of its type and with a
+    value ModelConfig accepts."""
+    for name in ("name", "part1", "part3", "lexicon"):
+        value = settings.get(name, "")
+        if not (isinstance(value, str) or (name == "lexicon" and value is None)):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    if not isinstance(settings.get("seeds", []), list):
+        raise ValueError(f"seeds must be a list, got {settings['seeds']!r}")
     out_of_range = [s for s in settings.get("seeds", []) if not (_is_int(s) and 0 <= s < 2**32)]
     if out_of_range:
         raise ValueError(f"seeds must be in [0, 2**32), got {out_of_range}")
@@ -84,6 +86,21 @@ def check_settings(settings: dict):
             kind = "a number" if kinds[name] is float else "an integer"
             raise ValueError(f"model {name} must be {kind}, got {value!r}")
     ModelConfig(src_vocab_size=5, tgt_vocab_size=5, **model)  # the smallest vocabularies a run builds
+
+
+def read_config(path, keys, what: str, required=()) -> dict:
+    """The JSON object in the config file at path; a ValueError refuses any
+    other JSON value, a key outside keys and a missing required key."""
+    with open(path, encoding="utf-8") as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} config must be a JSON object, got {raw!r}")
+    unknown, missing = set(raw) - set(keys), set(required) - set(raw)
+    if unknown:
+        raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
+    if missing:
+        raise ValueError(f"missing {what} config keys: {sorted(missing)}")
+    return raw
 
 
 def _refuse_repeats(what: str, values: list):
@@ -114,6 +131,7 @@ class ExperimentConfig:
     model: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_settings(vars(self))
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if not self.representations:
@@ -122,19 +140,17 @@ class ExperimentConfig:
             Representation.check(name, self.lexicon, "a lexicon entry in the config")
         _refuse_repeats("representations", self.representations)
         _refuse_repeats("seeds", self.seeds)
-        check_settings(vars(self))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
+        """The config in a JSON file whose keys are the fields, with
+        ``representation`` (one name or a list; default all) for ``representations``."""
+        keys = {f.name for f in fields(cls)} - {"representations"} | {"representation"}
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING} & keys
+        raw = read_config(path, keys, "experiment", required)
         rep = raw.pop("representation", list(REPRESENTATIONS))
-        if isinstance(rep, str):
-            rep = [rep]
-        return cls(representations=rep, **raw)
+        return cls(representations=rep if isinstance(rep, list) else [rep], **raw)
 
 
 class _HashingReader(io.BufferedReader):

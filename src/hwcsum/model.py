@@ -205,8 +205,7 @@ def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | No
 # ---- batch-of-one interface --------------------------------------------------
 
 
-def encode_sequence(src_ids, params: ModelParams, *, tape: Tape | None = None,
-                    training: bool = False, rng: MT19937 | None = None):
+def encode_sequence(src_ids, params: ModelParams, *, tape: Tape | None = None):
     """Run the encoder cell left to right; returns (states, final_state).
 
     states is a list with one (H,) tensor per source position.
@@ -214,48 +213,24 @@ def encode_sequence(src_ids, params: ModelParams, *, tape: Tape | None = None,
     if not src_ids:
         raise ValueError("cannot encode an empty source sequence")
     tape = tape if tape is not None else Tape(recording=False)
-    cfg = params.config
     src, mask = _pad([src_ids])
-    drop = None
-    if training and cfg.dropout > 0.0:
-        drop, _, _ = _dropout_masks(rng, cfg.dropout, [len(src_ids)], [0], cfg.embed_dim, 0)
-    enc, _ = _encode(tape, params, src, mask, drop)
-    flat = tape.reshape(enc, (len(src_ids), cfg.hidden_dim))
+    enc, _ = _encode(tape, params, src, mask)
+    flat = tape.reshape(enc, (len(src_ids), params.config.hidden_dim))
     states = [tape.embedding_lookup(flat, i) for i in range(len(src_ids))]
     return states, states[-1]
 
 
-def _as_source(tape: Tape, encoder_states) -> Tensor:
-    # a list of (H,) states or a stacked (Ts, H) tensor -> (1, Ts, H)
-    enc = tape.stack(encoder_states) if isinstance(encoder_states, list) else encoder_states
-    return tape.reshape(enc, (1,) + enc.data.shape)
-
-
-def attention(decoder_hidden: Tensor, encoder_states: list[Tensor], params: ModelParams,
-              *, tape: Tape | None = None):
-    """Context vector and attention weights for one decoder state."""
+def decode_step(prev_id: int, decoder_state: Tensor, encoder_states: list[Tensor],
+                params: ModelParams, *, tape: Tape | None = None):
+    """One decoder step: (log-prob row, new state, attention weights over
+    the encoder states)."""
     if not encoder_states:
-        raise ValueError("attention needs at least one encoder state")
+        raise ValueError("decode_step needs at least one encoder state")
     tape = tape if tape is not None else Tape(recording=False)
-    enc = _as_source(tape, encoder_states)
-    h = tape.reshape(decoder_hidden, (1, 1, -1))
-    context, weights = _attend(tape, h, enc, params)
-    return tape.reshape(context, (-1,)), tape.reshape(weights, (-1,))
-
-
-def decode_step(prev_id: int, decoder_state: Tensor, encoder_states, params: ModelParams,
-                *, tape: Tape | None = None, training: bool = False,
-                rng: MT19937 | None = None):
-    """One decoder step: (log-prob row, new state, attention weights)."""
-    tape = tape if tape is not None else Tape(recording=False)
-    cfg = params.config
-    enc = _as_source(tape, encoder_states)
-    drop = [None, None, None]
-    if training and cfg.dropout > 0.0:
-        drop = _dropout_masks(rng, cfg.dropout, [0], [1], cfg.embed_dim, cfg.hidden_dim)
+    enc = tape.stack(encoder_states)
+    enc = tape.reshape(enc, (1,) + enc.data.shape)
     state = tape.reshape(decoder_state, (1, -1))
-    logits, h, weights = _decode(tape, params, np.array([[prev_id]]), state, enc,
-                                 drop_emb=drop[1], drop_comb=drop[2])
+    logits, h, weights = _decode(tape, params, np.array([[prev_id]]), state, enc)
     logits = tape.reshape(logits, (-1,))
     return tape.log_softmax(logits), tape.reshape(h, (-1,)), tape.reshape(weights, (-1,))
 

@@ -665,30 +665,15 @@ class EncodedPair:
             raise ValueError("tgt_ids must start with <s> and end with </s>")
 
 
-def encode_tokens(src_tokens: list[str], tgt_chars: list[str], src_vocab: Vocabulary,
-                  tgt_vocab: Vocabulary, pair_id=None) -> EncodedPair:
-    """Ids of a tokenized pair: the source tokens as they are, the summary
-    characters bracketed by <s> ... </s>."""
-    if not src_tokens:
-        raise ValueError(f"pair id={pair_id}: source text is empty after whitespace removal")
-    if not tgt_chars:
-        raise ValueError("summary is empty after whitespace removal")
-    return EncodedPair(src_vocab.encode(src_tokens), [BOS] + tgt_vocab.encode(tgt_chars) + [EOS])
-
-
-def encode_pair_hwc(pair: DocumentPair, lex: Lexicon, word_vocab: Vocabulary,
-                    char_vocab: Vocabulary) -> EncodedPair:
-    """Hybrid encoding: word ids on the source side, char ids on the target."""
-    if word_vocab.unit != "word" or char_vocab.unit != "char":
-        raise ValueError("encode_pair_hwc needs a word source vocabulary and a char target vocabulary")
-    return encode_tokens(word_segment(pair.short_text, lex), char_tokenize(pair.summary),
-                         word_vocab, char_vocab, pair.id)
-
-
 def encode_pair_chars(pair: DocumentPair, src_vocab: Vocabulary,
                       char_vocab: Vocabulary) -> EncodedPair:
-    """Character encoding on both sides (the char/char baseline)."""
+    """Character encoding on both sides (the char/char baseline): the source
+    characters as they are, the summary characters bracketed by <s> ... </s>."""
     if src_vocab.unit != "char" or char_vocab.unit != "char":
         raise ValueError("encode_pair_chars needs char vocabularies on both sides")
-    return encode_tokens(char_tokenize(pair.short_text), char_tokenize(pair.summary),
-                         src_vocab, char_vocab, pair.id)
+    src_chars, tgt_chars = char_tokenize(pair.short_text), char_tokenize(pair.summary)
+    if not src_chars:
+        raise ValueError(f"pair id={pair.id}: source text is empty after whitespace removal")
+    if not tgt_chars:
+        raise ValueError("summary is empty after whitespace removal")
+    return EncodedPair(src_vocab.encode(src_chars), [BOS] + char_vocab.encode(tgt_chars) + [EOS])

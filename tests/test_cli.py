@@ -12,7 +12,7 @@ from hwcsum.corpus import ParseError
 from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, run_experiment,
                             save_model_dir)
 from hwcsum.model import ModelConfig, beam_search, train
-from hwcsum.tokenizer import Representation, Vocabulary, char_tokenize, encode_tokens
+from hwcsum.tokenizer import BOS, EOS, EncodedPair, Representation, Vocabulary, char_tokenize
 
 WORDS = ["城市", "交通", "建设", "项目", "投资", "发展"]
 
@@ -209,13 +209,20 @@ def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, ca
      "the word_char representation needs a lexicon entry in the config"),
     ("sweep", {}, ["--sizes", "5,3,5"], "sweep sizes must not repeat, got [5] more than once"),
     ("sweep", {}, ["--sizes", "5,0"], "sweep sizes must be positive"),
-], ids=["unknown-key", "word-char-without-lexicon", "repeated-size", "size-zero"])
+    ("experiment", {"representations": ["char_char"]}, [],
+     "unknown experiment config keys: ['representations']"),
+    ("experiment", lambda cfg: 5, [], "experiment config must be a JSON object, got 5"),
+    ("experiment", lambda cfg: "ab", [], "experiment config must be a JSON object, got 'ab'"),
+    ("experiment", lambda cfg: {k: v for k, v in cfg.items() if k != "name"}, [],
+     "missing experiment config keys: ['name']"),
+], ids=["unknown-key", "word-char-without-lexicon", "repeated-size", "size-zero",
+        "representations-plural", "number", "string", "no-name"])
 def test_cli_config_refusal_is_a_usage_error(tiny_dataset, tmp_path, capsys, command, change,
                                              extra, message):
     cfg = {"name": "refused", "part1": str(tiny_dataset / "part1.txt"),
            "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv")}
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({**cfg, **change}))
+    cfg_path.write_text(json.dumps(change(cfg) if callable(change) else {**cfg, **change}))
     _assert_usage_error(capsys, [command, "--config", str(cfg_path),
                                  "--out", str(tmp_path / "runs"), *extra], message)
     assert not (tmp_path / "runs").exists()
@@ -251,9 +258,15 @@ def _record_corpus_reads(monkeypatch):
     ({"model": {"dropout": 1.0}}, "dropout must be in [0, 1), got 1.0"),
     ({"model": {"embed_dim": "8"}}, "model embed_dim must be an integer, got '8'"),
     ({"model": {"seed": 3}}, "unknown model config keys: ['seed']"),
+    ({"lexicon": 3}, "lexicon must be a string, got 3"),
+    ({"name": 5}, "name must be a string, got 5"),
+    ({"part3": ["part3.txt"]}, "part3 must be a string, got ['part3.txt']"),
+    ({"seeds": 5}, "seeds must be a list, got 5"),
+    ({"representation": 5}, "unknown representation 5; expected one of ('char_char', 'word_char')"),
 ], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
         "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "encoder-vocab-size",
-        "hidden-dim", "dropout", "embed-dim-type", "model-seed"])
+        "hidden-dim", "dropout", "embed-dim-type", "model-seed", "lexicon-type", "name-type",
+        "part-type", "seeds-type", "representation-type"])
 def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path, capsys,
                                                           monkeypatch, change, message):
     opened = _record_corpus_reads(monkeypatch)
@@ -272,7 +285,8 @@ def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path
     ({"batch_size": "8"}, "batch_size must be an integer >= 1, got '8'"),
     ({"learning_rate": -0.1}, "learning_rate must be a positive finite number, got -0.1"),
     ({"model": {"hidden_dim": 0}}, "embed_dim and hidden_dim must be positive"),
-], ids=["epochs", "batch-size", "learning-rate", "hidden-dim"])
+    ({"lexicon": 7}, "lexicon must be a string, got 7"),
+], ids=["epochs", "batch-size", "learning-rate", "hidden-dim", "lexicon-type"])
 def test_train_config_value_is_refused_before_any_input_is_read(word_char_model, capsys,
                                                                 monkeypatch, change, message):
     d = word_char_model
@@ -709,15 +723,17 @@ def test_cli_and_harness_vocabularies_are_identical(tmp_path, synthetic_dir, see
 
 
 def _reference_train(d, cfg, out, valid):
-    """What `hwcsum train` on d's walk did with one encode_tokens pair list
-    per record: model.train on those lists, saved through save_model_dir."""
+    """What `hwcsum train` on d's walk did with one EncodedPair per record,
+    encoded by the vocabularies themselves: model.train on those lists, saved
+    through save_model_dir."""
     rep = Representation(cfg["representation"], cfg["lexicon"])
     src_vocab = Vocabulary.load(d / "src_vocab.txt", rep.src_unit)
     tgt_vocab = Vocabulary.load(d / "tgt_vocab.txt", "char")
 
     def encode_corpus(path):
-        return [encode_tokens(rep.tokens(p.short_text), char_tokenize(p.summary), src_vocab,
-                              tgt_vocab, p.id) for p in load_corpus_file(path)[0].pairs]
+        return [EncodedPair(src_vocab.encode(rep.tokens(p.short_text)),
+                            [BOS, *tgt_vocab.encode(char_tokenize(p.summary)), EOS])
+                for p in load_corpus_file(path)[0].pairs]
 
     model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), seed=0,
                             **cfg["model"])

@@ -12,7 +12,6 @@ from hwcsum.model import (
     _beam,
     _search,
     _top,
-    attention,
     batch_loss,
     beam_search,
     beam_search_batch,
@@ -119,22 +118,21 @@ def test_encode_invalid_id_errors():
         encode_sequence([99], rand_params(0))
 
 
-# ---- attention --------------------------------------------------------------
+# ---- attention, through decode_step's weights --------------------------------
 
 
 def test_attention_single_state():
     params = rand_params(1)
     state = Tensor(np.array([0.3, -0.2, 0.9]))
-    context, weights = attention(Tensor(np.array([1.0, 0.0, -1.0])), [state], params)
+    _, _, weights = decode_step(4, Tensor(np.array([1.0, 0.0, -1.0])), [state], params)
     assert np.allclose(weights.data, [1.0])
-    assert np.allclose(context.data, state.data)
 
 
 def test_attention_identical_states_uniform():
     params = rand_params(2)
     state = Tensor(np.array([0.5, 0.5, -0.5]))
     states = [state, Tensor(state.data.copy()), Tensor(state.data.copy())]
-    _, weights = attention(Tensor(np.array([0.1, 0.2, 0.3])), states, params)
+    _, _, weights = decode_step(4, Tensor(np.array([0.1, 0.2, 0.3])), states, params)
     assert np.allclose(weights.data, [1 / 3] * 3)
 
 
@@ -144,14 +142,14 @@ def test_attention_weights_are_distribution():
     for _ in range(20):
         states = [Tensor(np.array([gen.uniform(-1, 1) for _ in range(3)])) for _ in range(5)]
         dec = Tensor(np.array([gen.uniform(-1, 1) for _ in range(3)]))
-        _, weights = attention(dec, states, params)
+        _, _, weights = decode_step(4, dec, states, params)
         assert np.all(weights.data > 0)
         assert math.isclose(weights.data.sum(), 1.0, abs_tol=1e-12)
 
 
 def test_attention_empty_states_errors():
-    with pytest.raises(ValueError):
-        attention(Tensor(np.zeros(3)), [], rand_params(0))
+    with pytest.raises(ValueError, match="decode_step needs at least one encoder state"):
+        decode_step(4, Tensor(np.zeros(3)), [], rand_params(0))
 
 
 # ---- decode step ------------------------------------------------------------
@@ -171,15 +169,6 @@ def test_decode_step_eval_deterministic():
     a = decode_step(4, final, states, params)[0]
     b = decode_step(4, final, states, params)[0]
     assert np.array_equal(a.data, b.data)
-
-
-def test_decode_step_training_dropout0_equals_eval():
-    params = init_params(tiny_config(seed=8, dropout=0.0))
-    states, final = encode_sequence([4], params)
-    eval_out = decode_step(4, final, states, params)[0]
-    train_out = decode_step(4, final, states, params, tape=Tape(), training=True,
-                            rng=MT19937(0))[0]
-    assert np.array_equal(eval_out.data, train_out.data)
 
 
 def test_decode_step_invalid_id():

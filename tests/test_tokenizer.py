@@ -26,7 +26,6 @@ from hwcsum.tokenizer import (
     char_tokenize,
     load_representations,
     encode_pair_chars,
-    encode_pair_hwc,
     rank_vocab,
     word_segment,
 )
@@ -589,47 +588,34 @@ def test_decode_strip_special():
     assert vocab.decode([BOS, 4, EOS, PAD, UNK], strip_special=True) == ["a"]
 
 
-def _hwc_fixtures():
-    lex = Lexicon({"奥委会": 10, "成立": 5, "今天": 8})
-    texts = ["奥委会今天成立", "今天成立"]
-    word_vocab = build_vocab((t for s in texts for t in word_segment(s, lex)), "word")
-    char_vocab = build_vocab((c for s in ["奥委会成立", "今天"] for c in char_tokenize(s)), "char")
-    return lex, word_vocab, char_vocab
-
-
-def test_encode_pair_hwc_shapes():
-    lex, word_vocab, char_vocab = _hwc_fixtures()
-    pair = DocumentPair(1, "奥委会今天成立", "奥委会成立")
-    enc = encode_pair_hwc(pair, lex, word_vocab, char_vocab)
-    assert len(enc.src_ids) == 3  # three words
-    assert len(enc.src_ids) <= len(char_tokenize(pair.short_text))
-    assert enc.tgt_ids[0] == BOS and enc.tgt_ids[-1] == EOS
-    assert len(enc.tgt_ids) == 2 + 5
-
-
-def test_encode_pair_single_char_lexicon_equality():
+def test_single_char_lexicon_segments_into_chars():
     lex = Lexicon({"次": 2})  # nothing matches, so every word is one char
-    pair = DocumentPair(1, "文本内容", "内容")
-    char_vocab = build_vocab(char_tokenize("文本内容"), "char")
-    word_vocab = build_vocab(word_segment("文本内容", lex), "word")
-    enc = encode_pair_hwc(pair, lex, word_vocab, char_vocab)
-    assert len(enc.src_ids) == len(char_tokenize(pair.short_text))
+    assert word_segment("文本内容", lex) == char_tokenize("文本内容")
+
+
+def test_encode_pair_chars_shapes():
+    vocab = build_vocab(char_tokenize("奥委会今天成立"), "char")
+    enc = encode_pair_chars(DocumentPair(1, "奥委会 今天成立", "奥委会成立"), vocab, vocab)
+    assert enc.src_ids == vocab.encode(char_tokenize("奥委会今天成立"))
+    assert enc.tgt_ids == [BOS, *vocab.encode(char_tokenize("奥委会成立")), EOS]
 
 
 def test_encode_pair_empty_summary_errors():
-    lex, word_vocab, char_vocab = _hwc_fixtures()
-    pair = DocumentPair(1, "奥委会", " ")
-    with pytest.raises(ValueError):
-        encode_pair_hwc(pair, lex, word_vocab, char_vocab)
+    vocab = build_vocab(char_tokenize("奥委会"), "char")
+    with pytest.raises(ValueError, match="^summary is empty after whitespace removal$"):
+        encode_pair_chars(DocumentPair(1, "奥委会", " "), vocab, vocab)
+    with pytest.raises(ValueError, match="^pair id=7: source text is empty after whitespace removal$"):
+        encode_pair_chars(DocumentPair(7, " ", "奥委会"), vocab, vocab)
 
 
 def test_encode_pair_unit_mismatch_rejected():
-    lex, word_vocab, char_vocab = _hwc_fixtures()
+    lex = Lexicon({"奥委会": 10, "成立": 5})
+    word_vocab = build_vocab(word_segment("奥委会成立", lex), "word")
+    char_vocab = build_vocab(char_tokenize("奥委会成立"), "char")
     pair = DocumentPair(1, "奥委会", "成立")
-    with pytest.raises(ValueError):
-        encode_pair_hwc(pair, lex, char_vocab, char_vocab)
-    with pytest.raises(ValueError):
-        encode_pair_chars(pair, word_vocab, char_vocab)
+    for src_vocab, tgt_vocab in ((word_vocab, char_vocab), (char_vocab, word_vocab)):
+        with pytest.raises(ValueError, match="needs char vocabularies on both sides"):
+            encode_pair_chars(pair, src_vocab, tgt_vocab)
 
 
 def test_encoded_pair_invariant():
