@@ -49,14 +49,19 @@ def _is_int(value) -> bool:
 def check_settings(settings: dict):
     """Raise ValueError unless each run setting in settings has a type and a
     range a run accepts (seeds a list, the name, parts and lexicon strings,
-    a lexicon also None), so that a config is refused before any input is
-    read or a path of the wrong type is opened. The model object may name
-    only the ModelConfig settings a config sets, each of its type and with a
-    value ModelConfig accepts."""
+    a lexicon also None, the name one directory name that keeps the run
+    inside its output directory), so that a config is refused before any
+    input is read or a path of the wrong type is opened. The model object
+    may name only the ModelConfig settings a config sets, each of its type
+    and with a value ModelConfig accepts."""
     for name in ("name", "part1", "part3", "lexicon"):
         value = settings.get(name, "")
         if not (isinstance(value, str) or (name == "lexicon" and value is None)):
             raise ValueError(f"{name} must be a string, got {value!r}")
+    run_name = settings.get("name", "run")
+    if run_name in ("", ".", "..") or os.path.isabs(run_name) or "/" in run_name or os.sep in run_name:
+        raise ValueError(f"name must be one directory name inside the output directory, "
+                         f"got {run_name!r}")
     if not isinstance(settings.get("seeds", []), list):
         raise ValueError(f"seeds must be a list, got {settings['seeds']!r}")
     out_of_range = [s for s in settings.get("seeds", []) if not (_is_int(s) and 0 <= s < 2**32)]
@@ -267,6 +272,8 @@ def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) 
     write_rows(seed_dir / "scores.jsonl",
                ({"id": pair.id, **scores_dict(scores)} for pair, scores in zip(test, per_pair)))
 
+    train_seconds = sum(e["seconds"] for e in history)
+    train_tokens = int((pool_tgt.at[1:] - pool_tgt.at[:-1])[train_idx].sum())  # summary tokens
     return {
         "status": "ok",
         "n_train": len(train_idx),
@@ -278,6 +285,8 @@ def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) 
         "timing": {
             "seconds_per_epoch": [e["seconds"] for e in history],
             "total_seconds": time.perf_counter() - t_start,
+            "train_pairs_per_second": len(history) * len(train_idx) / train_seconds,
+            "train_tokens_per_second": len(history) * train_tokens / train_seconds,
         },
     }
 

@@ -203,6 +203,15 @@ def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, ca
     assert not (tmp_path / "runs").exists()
 
 
+NAME_REFUSED = "name must be one directory name inside the output directory, got "
+
+
+def _in_tmp(text: str, tmp_path) -> str:
+    """text with each {tmp} replaced by the test's tmp_path, so that a refused
+    name can point into it."""
+    return text.replace("{tmp}", tmp_path.as_posix())
+
+
 @pytest.mark.parametrize("command, change, extra, message", [
     ("experiment", {"vocab_size": 5}, [], "unknown experiment config keys: ['vocab_size']"),
     ("experiment", {"representation": "word_char", "lexicon": None}, [],
@@ -215,17 +224,23 @@ def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, ca
     ("experiment", lambda cfg: "ab", [], "experiment config must be a JSON object, got 'ab'"),
     ("experiment", lambda cfg: {k: v for k, v in cfg.items() if k != "name"}, [],
      "missing experiment config keys: ['name']"),
+    ("experiment", {"name": "."}, [], NAME_REFUSED + "'.'"),
+    ("experiment", {"name": "{tmp}/elsewhere"}, [], NAME_REFUSED + "'{tmp}/elsewhere'"),
+    ("sweep", {"name": "../beside"}, ["--sizes", "5"], NAME_REFUSED + "'../beside'"),
 ], ids=["unknown-key", "word-char-without-lexicon", "repeated-size", "size-zero",
-        "representations-plural", "number", "string", "no-name"])
+        "representations-plural", "number", "string", "no-name", "name-dot", "name-absolute",
+        "name-parent"])
 def test_cli_config_refusal_is_a_usage_error(tiny_dataset, tmp_path, capsys, command, change,
                                              extra, message):
     cfg = {"name": "refused", "part1": str(tiny_dataset / "part1.txt"),
            "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv")}
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(change(cfg) if callable(change) else {**cfg, **change}))
+    cfg_path.write_text(_in_tmp(json.dumps(change(cfg) if callable(change) else {**cfg, **change}),
+                                tmp_path))
+    before = sorted(tmp_path.iterdir())
     _assert_usage_error(capsys, [command, "--config", str(cfg_path),
-                                 "--out", str(tmp_path / "runs"), *extra], message)
-    assert not (tmp_path / "runs").exists()
+                                 "--out", str(tmp_path / "runs"), *extra], _in_tmp(message, tmp_path))
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _record_corpus_reads(monkeypatch):
@@ -263,21 +278,29 @@ def _record_corpus_reads(monkeypatch):
     ({"part3": ["part3.txt"]}, "part3 must be a string, got ['part3.txt']"),
     ({"seeds": 5}, "seeds must be a list, got 5"),
     ({"representation": 5}, "unknown representation 5; expected one of ('char_char', 'word_char')"),
+    ({"name": ""}, NAME_REFUSED + "''"),
+    ({"name": ".."}, NAME_REFUSED + "'..'"),
+    ({"name": "../beside"}, NAME_REFUSED + "'../beside'"),
+    ({"name": "{tmp}/elsewhere"}, NAME_REFUSED + "'{tmp}/elsewhere'"),
+    ({"name": "runs/nested"}, NAME_REFUSED + "'runs/nested'"),
 ], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
         "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "encoder-vocab-size",
         "hidden-dim", "dropout", "embed-dim-type", "model-seed", "lexicon-type", "name-type",
-        "part-type", "seeds-type", "representation-type"])
+        "part-type", "seeds-type", "representation-type", "name-empty", "name-dot-dot",
+        "name-parent", "name-absolute", "name-nested"])
 def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path, capsys,
                                                           monkeypatch, change, message):
     opened = _record_corpus_reads(monkeypatch)
     cfg = {"name": "refused", "part1": str(tiny_dataset / "part1.txt"),
            "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv")}
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({**cfg, **change}))
+    cfg_path.write_text(_in_tmp(json.dumps({**cfg, **change}), tmp_path))
+    before = sorted(tmp_path.iterdir())
     for command, extra in (("experiment", []), ("sweep", ["--sizes", "5"])):
         _assert_usage_error(capsys, [command, "--config", str(cfg_path),
-                                     "--out", str(tmp_path / "runs"), *extra], message)
-    assert opened == [] and not (tmp_path / "runs").exists()
+                                     "--out", str(tmp_path / "runs"), *extra],
+                            _in_tmp(message, tmp_path))
+    assert opened == [] and sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("change, message", [

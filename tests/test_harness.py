@@ -133,6 +133,9 @@ def test_run_experiment_both_representations(tmp_path, synthetic_dir):
         assert record["status"] == "ok"
         assert record["n_train"] == 180 and record["n_validation"] == 20
         assert record["n_test"] == 17
+        # every training pair's summary has at least one token
+        timing = record["timing"]
+        assert 0 < timing["train_pairs_per_second"] < timing["train_tokens_per_second"]
         for m in METRICS:
             assert 0.0 <= run["mean_scores"][m]["f1"] <= 1.0
     # the hybrid encoder sees words, the baseline sees characters

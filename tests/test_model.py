@@ -1,11 +1,17 @@
+import ctypes
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hwcsum
+from hwcsum import model
 from hwcsum.model import (
     Hypothesis,
     ModelConfig,
@@ -385,6 +391,73 @@ def test_train_keeps_best_validation_params():
 def test_train_empty_errors():
     with pytest.raises(ValueError):
         train([], tiny_config(), epochs=1)
+
+
+_TRAIN_TWICE = """
+import resource, sys
+from hwcsum.harness import load_corpus_file
+from hwcsum.model import ModelConfig, train
+from hwcsum.tokenizer import build_vocab, char_tokenize, encode_pair_chars
+
+pool = load_corpus_file(sys.argv[1], "I")[0].pairs
+src = build_vocab((c for p in pool for c in char_tokenize(p.short_text)), "char")
+tgt = build_vocab((c for p in pool for c in char_tokenize(p.summary)), "char")
+pairs = [encode_pair_chars(p, src, tgt) for p in pool]
+cfg = ModelConfig(src_vocab_size=len(src), tgt_vocab_size=len(tgt), embed_dim=24, hidden_dim=24,
+                  dropout=0.1, seed=0)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(pairs[20:], cfg, epochs=3, batch_size=16, valid_pairs=pairs[:20])
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_second_train_call_reuses_the_heap(synthetic_dir):
+    """The bundled fixture's pool trained twice in a fresh process (the fixture
+    experiment's model shape and schedule): the second call finds the memory
+    the first one freed still mapped, instead of faulting it in again."""
+    src = str(Path(hwcsum.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _TRAIN_TWICE, str(synthetic_dir / "part1.txt")],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    first, second = map(int, done.stdout.split())
+    assert second < 1000, (first, second)
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [_no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"])
+def test_train_and_decode_do_not_need_mallopt(monkeypatch, libc):
+    """Where the C library or its mallopt is missing, training and decoding
+    run as they do with it, to the last bit."""
+    cfg = tiny_config(seed=4, dropout=0.2)
+    sources = [p.src_ids for p in _fixture_pairs()]
+    expected, history = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
+    decodes = beam_search_batch(sources, expected, 2, 5)
+    looked_up = []
+
+    def lookup(name):
+        looked_up.append(name)
+        return libc(name)
+
+    monkeypatch.setattr(model.ctypes, "CDLL", lookup)
+    params, again = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
+    assert looked_up == [None]
+    assert beam_search_batch(sources, params, 2, 5) == decodes and looked_up == [None, None]
+    assert [e["train_loss"] for e in again] == [e["train_loss"] for e in history]
+    for name in expected.tensors:
+        assert params[name].data.tobytes() == expected[name].data.tobytes()
 
 
 # ---- checkpoints ------------------------------------------------------------
