@@ -88,7 +88,10 @@ def _cmd_clean(args):
 
 
 def _cmd_vocab(args):
-    rep = Representation(f"{args.unit}_char", args.lexicon)  # the one with this source unit
+    name = f"{args.unit}_char"  # the representation with this source unit
+    with _config_checks():
+        Representation.check(name, args.lexicon)
+    rep = Representation(name, args.lexicon)
     corpus, _, _ = load_corpus_file(args.infile)
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"

@@ -14,6 +14,7 @@ fields ``id``, ``text``, ``summary`` and optional ``label``.
 """
 
 import contextlib
+import ctypes
 import json
 import os
 import re
@@ -247,6 +248,21 @@ def atomic_write(path, mode: str = "w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def keep_heap():
+    """Fix glibc's mmap and trim thresholds for the whole process at the values
+    its own dynamic rule reaches after freeing one 32 MiB block (setting one
+    alone turns that rule off), so that what a lexicon load or a batch frees
+    stays mapped for the next one instead of being faulted in again; a no-op
+    where the C library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the most glibc accepts on 64-bit
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def write_rows(path, rows):

@@ -15,14 +15,13 @@ Whether the source side is word ids or char ids is the caller's
 business; the model only sees id sequences.
 """
 
-import ctypes
 import json
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import atomic_write
+from .corpus import atomic_write, keep_heap
 from .numerics import Adagrad, Tape, Tensor, init_uniform
 from .rng import MT19937
 from .tokenizer import BOS, EOS, PAD, EncodedPair
@@ -322,25 +321,10 @@ def _beam(step_fn, n: int, vocab_size: int, beam_width: int, max_len: int,
     return best
 
 
-def _keep_heap():
-    """Fix glibc's mmap and trim thresholds for the whole process at the values
-    its own dynamic rule reaches after freeing one 32 MiB block (setting one
-    alone turns that rule off), so that what a batch frees stays mapped for
-    the next batch instead of being faulted in again; a no-op where the C
-    library has no mallopt."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, the most glibc accepts on 64-bit
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def _search(sources, params: ModelParams, beam_width: int,
             max_len: int | None) -> list[Hypothesis]:
     """Encode the sources in one padded pass and beam-search them together."""
-    _keep_heap()
+    keep_heap()
     max_len = params.config.max_decode_len if max_len is None else max_len
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
@@ -425,7 +409,7 @@ def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,
     """
     if not pairs:
         raise ValueError("training needs at least one pair")
-    _keep_heap()
+    keep_heap()
     rng = MT19937(config.seed)
     params = init_params(config, rng)
     opt = Adagrad(params.tensors, learning_rate=learning_rate)

@@ -16,7 +16,7 @@ from itertools import chain, islice
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import DocumentPair, atomic_write
+from .corpus import DocumentPair, atomic_write, keep_heap
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -347,8 +347,11 @@ class Lexicon:
 
         Blank lines are skipped and a repeated word keeps its last count.
         Every error names the file and the line. ``sha256`` is the hash of
-        the bytes read, so it names exactly the table that was parsed.
+        the bytes read, so it names exactly the table that was parsed. The
+        process keeps its freed heap from here on (``corpus.keep_heap``), so
+        a later load reuses what this one frees.
         """
+        keep_heap()
         codes, sha256 = _read_codes(path)
         starts, lens, counts = _entry_lines(codes, path)
         table = _Table(codes, starts, lens, counts)

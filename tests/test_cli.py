@@ -577,14 +577,20 @@ def test_summarize_loads_meta_without_lexicon_hash(word_char_model):
     assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
 
 
-def test_train_word_char_without_lexicon_is_refused(word_char_model, capsys):
+def test_train_word_char_without_lexicon_is_refused(word_char_model, capsys, monkeypatch):
+    """So is `vocab --unit word`: both refuse before reading any input."""
     d = word_char_model
+    opened = _record_corpus_reads(monkeypatch)
     capsys.readouterr()
     _assert_usage_error(capsys, [
         "train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
         "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
         "--out", str(d / "model2")], "the word_char representation needs --lexicon")
     assert not (d / "model2").exists()
+    _assert_usage_error(capsys, ["vocab", "--unit", "word", "--in", str(d / "train.jsonl"),
+                                 "--out", str(d / "word_vocab.txt")],
+                        "the word_char representation needs --lexicon")
+    assert opened == [] and not (d / "word_vocab.txt").exists()
 
 
 def test_train_unknown_config_key_is_a_usage_error(word_char_model, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hwcsum
-from hwcsum import model
+from hwcsum import corpus
 from hwcsum.model import (
     Hypothesis,
     ModelConfig,
@@ -33,7 +33,7 @@ from hwcsum.model import (
 )
 from hwcsum.numerics import Tape, Tensor
 from hwcsum.rng import MT19937
-from hwcsum.tokenizer import BOS, EOS, PAD, EncodedPair
+from hwcsum.tokenizer import BOS, EOS, PAD, EncodedPair, Lexicon
 from oracles import best_decode, reference_init_params
 
 TINY = dict(embed_dim=3, hidden_dim=3, dropout=0.0)
@@ -412,6 +412,17 @@ for _ in range(2):
 """
 
 
+def _run_fresh(script: str, path) -> list[int]:
+    """The integers script prints when run with path in a fresh interpreter
+    that imports this hwcsum."""
+    src = str(Path(hwcsum.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(path)],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    return [int(n) for n in done.stdout.split()]
+
+
 def _has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -424,13 +435,32 @@ def test_a_second_train_call_reuses_the_heap(synthetic_dir):
     """The bundled fixture's pool trained twice in a fresh process (the fixture
     experiment's model shape and schedule): the second call finds the memory
     the first one freed still mapped, instead of faulting it in again."""
-    src = str(Path(hwcsum.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _TRAIN_TWICE, str(synthetic_dir / "part1.txt")],
-                          env=env, check=True, capture_output=True, text=True, timeout=120)
-    first, second = map(int, done.stdout.split())
+    first, second = _run_fresh(_TRAIN_TWICE, synthetic_dir / "part1.txt")
     assert second < 1000, (first, second)
+
+
+_LOAD_THREE_TIMES = """
+import resource, sys
+from hwcsum.tokenizer import Lexicon
+
+with open(sys.argv[1], "w", encoding="utf-8") as f:  # 100k distinct CJK words
+    for i in range(100_000):
+        tail = "".join(chr(0x4E00 + i * 7919 % 20902) for _ in range(i % 3))
+        f.write(f"{chr(0x4E00 + i % 20902)}{chr(0x4E00 + i // 20902)}{tail}\\t{1 + i * 31 % 997}\\n")
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert len(Lexicon.from_file(sys.argv[1]).entries) == 100_000
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_second_lexicon_load_reuses_the_heap(tmp_path):
+    """A 100k-entry lexicon loaded three times in a fresh process: the first
+    load's large blocks are the process's first, so its freed temporaries
+    stay mapped for the later loads only if both thresholds are fixed."""
+    first, second, third = _run_fresh(_LOAD_THREE_TIMES, tmp_path / "lexicon.tsv")
+    assert second < 500 and third < 500, (first, second, third)
 
 
 def _no_libc(name):
@@ -438,23 +468,29 @@ def _no_libc(name):
 
 
 @pytest.mark.parametrize("libc", [_no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"])
-def test_train_and_decode_do_not_need_mallopt(monkeypatch, libc):
-    """Where the C library or its mallopt is missing, training and decoding
-    run as they do with it, to the last bit."""
+def test_train_and_decode_do_not_need_mallopt(monkeypatch, synthetic_dir, libc):
+    """Where the C library or its mallopt is missing, training, decoding and
+    a lexicon load run as they do with it, to the last bit."""
     cfg = tiny_config(seed=4, dropout=0.2)
     sources = [p.src_ids for p in _fixture_pairs()]
     expected, history = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
     decodes = beam_search_batch(sources, expected, 2, 5)
+    lex = Lexicon.from_file(synthetic_dir / "lexicon.tsv")
     looked_up = []
 
     def lookup(name):
         looked_up.append(name)
         return libc(name)
 
-    monkeypatch.setattr(model.ctypes, "CDLL", lookup)
+    monkeypatch.setattr(corpus.ctypes, "CDLL", lookup)
     params, again = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
     assert looked_up == [None]
     assert beam_search_batch(sources, params, 2, 5) == decodes and looked_up == [None, None]
+    loaded = Lexicon.from_file(synthetic_dir / "lexicon.tsv")
+    assert looked_up == [None, None, None]
+    assert list(loaded.entries.items()) == list(lex.entries.items())
+    assert (loaded.total, loaded.max_word_len, loaded.sha256) == (lex.total, lex.max_word_len,
+                                                                   lex.sha256)
     assert [e["train_loss"] for e in again] == [e["train_loss"] for e in history]
     for name in expected.tensors:
         assert params[name].data.tobytes() == expected[name].data.tobytes()
