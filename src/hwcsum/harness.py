@@ -216,14 +216,21 @@ def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab,
 def load_model_dir(model_dir: Path, lexicon_path=None):
     """(params, representation, source vocabulary, target vocabulary) of a model
     directory. meta.json's lexicon is resolved against model_dir (an absolute
-    path stays as it is); lexicon_path overrides it, and must hash the same."""
+    path stays as it is); lexicon_path overrides it, and must hash the same.
+    Each vocabulary must have the size the checkpoint was trained with."""
     meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
     lexicon = meta.get("lexicon") and model_dir / meta["lexicon"]
     rep = Representation(meta["representation"], lexicon_path or lexicon)
     rep.check_lexicon(meta.get("lexicon_sha256"))
-    return (load_checkpoint(model_dir / "model.npz"), rep,
-            Vocabulary.load(model_dir / "src_vocab.txt", rep.src_unit),
-            Vocabulary.load(model_dir / "tgt_vocab.txt", "char"))
+    params = load_checkpoint(model_dir / "model.npz")
+    vocabs = []
+    for name, unit, size in [("src_vocab.txt", rep.src_unit, params.config.src_vocab_size),
+                             ("tgt_vocab.txt", "char", params.config.tgt_vocab_size)]:
+        vocabs.append(Vocabulary.load(model_dir / name, unit))
+        if len(vocabs[-1]) != size:
+            raise ValueError(f"{model_dir / name} has {len(vocabs[-1])} entries, but the "
+                             f"checkpoint was trained with a vocabulary of {size}")
+    return (params, rep, *vocabs)
 
 
 def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary,

@@ -10,9 +10,9 @@ turns the same code paths into plain forward evaluation.
 
 Gradient hand-over: ``_accum`` keeps a first gradient as ``.grad``
 without a copy (``owned=True``) only when its closure has just computed
-it and hands it to no other tensor. Views and shared arrays (``add``,
-``concat``, ``stack``, ``reshape``, ``transpose``) are copied, so no two
-``.grad`` arrays share memory.
+it and hands it to no other tensor. Views (``concat``, ``stack``,
+``reshape``, ``transpose``) are copied, so no two ``.grad`` arrays share
+memory.
 """
 
 import math
@@ -48,11 +48,6 @@ def _accum(t: Tensor, g, owned: bool = False):
         t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad += g
-
-
-def _check_same_shape(op, a, b):
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shape mismatch {a.data.shape} vs {b.data.shape}")
 
 
 class Tape:
@@ -147,29 +142,6 @@ class Tape:
         self._emit(out, backward)
         return out
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        _check_same_shape("add", a, b)
-        out = Tensor(a.data + b.data)
-
-        def backward(g):
-            _accum(a, g)
-            _accum(b, g)
-
-        self._emit(out, backward)
-        return out
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        _check_same_shape("mul", a, b)
-        ad, bd = a.data, b.data
-        out = Tensor(ad * bd)
-
-        def backward(g):
-            _accum(a, g * bd, owned=True)
-            _accum(b, g * ad, owned=True)
-
-        self._emit(out, backward)
-        return out
-
     def scale(self, a: Tensor, k) -> Tensor:
         """a * k for a constant k: a float, or an array of a's shape (a mask)."""
         out = Tensor(a.data * k)
@@ -180,31 +152,12 @@ class Tape:
         self._emit(out, backward)
         return out
 
-    def one_minus(self, a: Tensor) -> Tensor:
-        out = Tensor(1.0 - a.data)
-
-        def backward(g):
-            _accum(a, -g, owned=True)
-
-        self._emit(out, backward)
-        return out
-
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.data)
         out = Tensor(y)
 
         def backward(g):
             _accum(a, g * (1.0 - y * y), owned=True)
-
-        self._emit(out, backward)
-        return out
-
-    def sigmoid(self, a: Tensor) -> Tensor:
-        y = 1.0 / (1.0 + np.exp(-a.data))
-        out = Tensor(y)
-
-        def backward(g):
-            _accum(a, g * y * (1.0 - y), owned=True)
 
         self._emit(out, backward)
         return out
@@ -248,7 +201,7 @@ class Tape:
             raise ValueError(f"embedding_lookup: index must be integral, got {idx.dtype}")
         n = table.data.shape[0]
         if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(f"embedding_lookup: index {index} out of range for {table.data.shape}")
+            raise ValueError(f"embedding_lookup: ids {idx.min()}..{idx.max()} out of range for {n} rows")
         out = Tensor(np.take(table.data, idx, axis=0))
 
         def backward(g):
@@ -261,16 +214,6 @@ class Tape:
 
         self._emit(out, backward)
         return out
-
-    def dropout(self, a: Tensor, rate: float, rng: MT19937, training: bool) -> Tensor:
-        """Inverted-scaling dropout; identity when not training or rate is 0."""
-        if not (0.0 <= rate < 1.0):
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        if not training or rate == 0.0:
-            return a
-        keep_p = 1.0 - rate
-        u = rng.uniform_array(a.data.size, 0.0, 1.0).reshape(a.data.shape)
-        return self.scale(a, np.where(u < keep_p, 1.0 / keep_p, 0.0))
 
     def softmax(self, a: Tensor, mask=None) -> Tensor:
         """Softmax over the last axis, max-subtracted for stability.
@@ -299,34 +242,6 @@ class Tape:
 
         def backward(g):
             _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True), owned=True)
-
-        self._emit(out, backward)
-        return out
-
-    def sum_all(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.sum())
-
-        def backward(g):
-            _accum(a, np.full_like(a.data, float(g)), owned=True)
-
-        self._emit(out, backward)
-        return out
-
-    def cross_entropy(self, probs: Tensor, target_id: int) -> Tensor:
-        """-ln p[target] with p clamped at 1e-12 before the log."""
-        p = probs.data
-        if p.ndim != 1:
-            raise ValueError(f"cross_entropy: expected a probability row, got shape {p.shape}")
-        if not (0 <= target_id < p.shape[0]):
-            raise ValueError(f"cross_entropy: target {target_id} out of range for {p.shape[0]} classes")
-        clamped = max(p[target_id], 1e-12)
-        out = Tensor(-math.log(clamped))
-
-        def backward(g):
-            gp = np.zeros_like(p)
-            if p[target_id] > 1e-12:
-                gp[target_id] = -float(g) / p[target_id]
-            _accum(probs, gp, owned=True)
 
         self._emit(out, backward)
         return out

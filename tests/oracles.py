@@ -3,6 +3,8 @@
 Everything here deliberately avoids the implementation paths it is used
 to check: segmentation scoring is enumerated, LCS comes from distinct
 subsequence sets, and decoding enumerates every emission sequence.
+Gradients are checked against central differences, through a reducer
+built from the same tape primitives the model runs.
 """
 
 import math
@@ -12,8 +14,42 @@ from types import SimpleNamespace
 import numpy as np
 
 from hwcsum.model import ModelConfig, ModelParams
-from hwcsum.numerics import init_uniform
+from hwcsum.numerics import Tensor, init_uniform
 from hwcsum.rng import MT19937
+
+
+def weighted_sum(tape, parts, weights) -> Tensor:
+    """The scalar sum over i of <parts[i], weights[i]>, for tensors of any
+    shape (weights[i] the size of parts[i]), from tape primitives only: the
+    parts and the weights flattened and joined into a row each, then one
+    (1, N) @ (N, 1) product, reshaped to () so that float() takes it."""
+    def row(tensors):
+        rows = [tape.reshape(t, (1, -1)) for t in tensors]
+        return rows[0] if len(rows) == 1 else tape.concat(*rows)
+
+    return tape.reshape(tape.matmul(row(parts), tape.reshape(row(weights), (-1, 1))), ())
+
+
+def finite_difference_error(loss_fn, elements, h=1e-5) -> float:
+    """Worst relative error of .grad against central differences.
+
+    elements are (tensor, flat index) pairs; each element's difference is
+    (loss_fn() at x + h - loss_fn() at x - h) / 2h, its data restored after.
+    The error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-6).
+    """
+    worst = 0.0
+    for t, i in elements:
+        flat = t.data.reshape(-1)
+        orig = flat[i]
+        flat[i] = orig + h
+        up = float(loss_fn().data)
+        flat[i] = orig - h
+        down = float(loss_fn().data)
+        flat[i] = orig
+        numeric = (up - down) / (2 * h)
+        analytic = t.grad.reshape(-1)[i]
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6))
+    return worst
 
 
 def enumerate_segmentations(chars, lexicon_entries):

@@ -20,6 +20,7 @@ from hwcsum.dedup import DedupConfig, clean_part1, is_overlapping
 from hwcsum.model import (
     ModelConfig,
     batch_loss,
+    beam_search_batch,
     beam_search_full,
     decode_step,
     encode_sequence,
@@ -41,7 +42,14 @@ from hwcsum.tokenizer import (
     encode_pair_chars,
     word_segment,
 )
-from oracles import best_decode, best_segmentation_score, brute_force_lcs, segmentation_log_prob
+from oracles import (
+    best_decode,
+    best_segmentation_score,
+    brute_force_lcs,
+    finite_difference_error,
+    segmentation_log_prob,
+    weighted_sum,
+)
 
 LCSTS_DIR = os.environ.get("LCSTS_DIR")
 needs_lcsts = pytest.mark.skipif(
@@ -145,51 +153,61 @@ def test_acceptance_mt19937_reference_and_split_stability(mt_reference):
 # --- gradients ---------------------------------------------------------------
 
 
-def _fd_subset(build_loss, tensors, gen, n_elements, h=1e-5):
+def _fd_subset(build_loss, tensors, gen, n_elements):
     """Central FD on a random element subset; returns the worst relative error."""
     tape = Tape()
-    loss = build_loss(tape)
-    tape.backward(loss, params=tensors)
-    worst = 0.0
+    tape.backward(build_loss(tape), params=tensors)
+    elements = []
     for _ in range(n_elements):
         t = tensors[gen.bounded(len(tensors))]
-        flat = t.data.reshape(-1)
-        i = gen.bounded(flat.shape[0])
-        orig = flat[i]
-        flat[i] = orig + h
-        up = float(build_loss(Tape(recording=False)).data)
-        flat[i] = orig - h
-        down = float(build_loss(Tape(recording=False)).data)
-        flat[i] = orig
-        numeric = (up - down) / (2 * h)
-        analytic = t.grad.reshape(-1)[i]
-        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6))
-    return worst
+        elements.append((t, gen.bounded(t.data.size)))
+    return finite_difference_error(lambda: build_loss(Tape(recording=False)), elements)
 
 
-def _primitives_loss(tape, a, b, w3, w4, table, trial):
-    """A scalar loss through every primitive but the model-only ones."""
-    y = tape.matmul(a, b)                                   # matmul
-    y = tape.add(y, w3)                                     # add
-    y = tape.mul(tape.tanh(y), tape.sigmoid(w3))            # mul, tanh, sigmoid
-    e = tape.embedding_lookup(table, trial % 5)             # embedding_lookup
-    cat = tape.concat(y, e)                                 # concat
-    stk = tape.stack([y, e])                                # stack
-    z = tape.scale(tape.one_minus(tape.sum_all(stk)), 0.5)  # one_minus, scale
-    drop = tape.dropout(cat, 0.35, MT19937(trial), True)    # dropout, fixed mask
-    probs = tape.softmax(tape.mul(drop, drop))              # softmax
-    ce = tape.cross_entropy(probs, trial % 3)               # cross_entropy
-    lsm = tape.sum_all(tape.mul(tape.log_softmax(a), w4))   # log_softmax
-    return tape.add(tape.add(ce, z), lsm)
+# time steps, batch rows, embedding and hidden widths, vocabulary
+T, B, E, H, V = 4, 3, 3, 2, 5
+RAGGED_MASK = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0], [1, 0, 0]])
+
+
+def _primitives_loss(tape, params, case):
+    """A scalar loss through every primitive the model runs, at shapes of its own.
+
+    params are the tensors of _primitive_inputs; case holds the constants:
+    ids (T, B) with repeats, a dropout-like mask, nll targets and weights
+    (0 at padded steps) and the reducer's weights.
+    """
+    table, w_in, u, b, h0, att, comb_w, out_w = params
+    x = tape.scale(tape.embedding_lookup(table, case["ids"]), case["drop"])
+    states = tape.gru(tape.matmul(x, w_in), u, b, h0, RAGGED_MASK)      # (T, B, H)
+    enc = tape.transpose(states, (1, 0, 2))                             # (B, T, H)
+    q = tape.transpose(tape.matmul(states, att), (1, 0, 2))
+    scores = tape.bmm(q, enc, transpose_b=True)                         # (B, T, T)
+    weights = tape.softmax(scores, RAGGED_MASK.T[:, None].astype(bool))
+    context = tape.transpose(tape.bmm(weights, enc), (1, 0, 2))         # (T, B, H)
+    comb = tape.tanh(tape.matmul(tape.concat(context, states), comb_w))
+    logits = tape.matmul(comb, out_w)                                   # (T, B, V)
+    nll = tape.nll(logits, case["targets"], case["target_weights"])
+    both = tape.stack([tape.log_softmax(logits), logits])
+    return weighted_sum(tape, [nll, both], [Tensor(1.0), Tensor(case["weights"])])
 
 
 def _primitive_inputs(gen):
-    """The tensors a, b, w3, w4 and table of _primitives_loss, uniform(-1.5, 1.5)."""
-    def rnd(shape):
-        n = int(np.prod(shape))
-        return Tensor(np.array([gen.uniform(-1.5, 1.5) for _ in range(n)]).reshape(shape))
+    """The tensors of _primitives_loss, uniform(-1.5, 1.5), and its constants."""
+    def rnd(*shape):
+        return Tensor(gen.uniform_array(math.prod(shape), -1.5, 1.5).reshape(shape))
 
-    return [rnd((4,)), rnd((4, 3)), rnd((3,)), rnd((4,)), rnd((5, 3))]
+    params = [rnd(V, E), rnd(E, 3 * H), rnd(H, 3 * H), rnd(3 * H), rnd(B, H), rnd(H, H),
+              rnd(2 * H, H), rnd(H, V)]
+    # T * B > V ids, so some id repeats
+    ids = (gen.u32_array(T * B) % V).astype(np.int64).reshape(T, B)
+    drop = np.where(gen.uniform_array(T * B * E, 0.0, 1.0) < 0.7, 1.0 / 0.7, 0.0)
+    case = {
+        "ids": ids, "drop": drop.reshape(T, B, E),
+        "targets": (gen.u32_array(T * B) % V).astype(np.int64).reshape(T, B),
+        "target_weights": RAGGED_MASK * gen.uniform_array(T * B, 0.1, 1.0).reshape(T, B),
+        "weights": gen.uniform_array(2 * T * B * V, -1.5, 1.5).reshape(2, T, B, V),
+    }
+    return params, case
 
 
 def test_acceptance_gradient_correctness():
@@ -197,14 +215,14 @@ def test_acceptance_gradient_correctness():
     gen = MT19937(400)
 
     worst = 0.0
-    # every primitive, 100 randomized trials each
-    for trial in range(100):
-        inputs = _primitive_inputs(gen)
+    # every primitive the model runs, 100 randomized trials
+    for _ in range(100):
+        params, case = _primitive_inputs(gen)
 
         def primitives_loss(tape):
-            return _primitives_loss(tape, *inputs, trial)
+            return _primitives_loss(tape, params, case)
 
-        worst = max(worst, _fd_subset(primitives_loss, inputs, gen, 4))
+        worst = max(worst, _fd_subset(primitives_loss, params, gen, 4))
 
     # end-to-end sequence loss, 100 randomized trials
     for trial in range(100):
@@ -241,19 +259,54 @@ def test_acceptance_gradients_share_no_memory(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", recording_init)
     tape = Tape()
-    primitives = _primitives_loss(tape, *_primitive_inputs(MT19937(401)), 7)
+    primitives = _primitives_loss(tape, *_primitive_inputs(MT19937(401)))
     params = init_params(ModelConfig(src_vocab_size=8, tgt_vocab_size=7, embed_dim=3,
                                      hidden_dim=4, dropout=0.3, seed=5))
     ragged = [EncodedPair([4, 5, 6, 7], [BOS, 4, 5, EOS]), EncodedPair([5], [BOS, 6, EOS]),
               EncodedPair([6, 4], [BOS, 5, 6, 4, EOS])]
     model = batch_loss(ragged, params, tape=tape, training=True, rng=MT19937(3))
-    tape.backward(tape.sum_all(tape.reshape(tape.stack([primitives, model]), (2, 1))))
+    tape.backward(weighted_sum(tape, [tape.stack([primitives, model])], [Tensor(np.ones(2))]))
     grads = [t.grad for t in made if t.grad is not None]
     assert len(grads) > 50 and all(p.grad is not None for p in params.tensors.values())
     for i, g in enumerate(grads):
         assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
         assert not any(np.shares_memory(g, t.data) for t in made)
     _report(f"{len(grads)} gradients share no memory with each other or any tensor", t0)
+
+
+def test_acceptance_gradient_chain_reaches_every_primitive_the_model_runs(monkeypatch):
+    # the Tape's public primitives, what the model's entry points call and
+    # what the FD chain above checks are one set: a primitive nothing runs,
+    # or one the chain leaves out, fails here
+    t0 = time.perf_counter()
+    primitives = {name for name, f in vars(Tape).items()
+                  if callable(f) and not name.startswith("_") and name != "backward"}
+    called = set()
+
+    def recording(name, f):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in primitives:
+        monkeypatch.setattr(Tape, name, recording(name, getattr(Tape, name)))
+
+    params = init_params(ModelConfig(src_vocab_size=8, tgt_vocab_size=7, embed_dim=3,
+                                     hidden_dim=4, dropout=0.3, seed=5))
+    tape = Tape()
+    pairs = [EncodedPair([4, 5, 6], [BOS, 4, EOS]), EncodedPair([5], [BOS, 6, 5, EOS])]
+    tape.backward(batch_loss(pairs, params, tape=tape, training=True, rng=MT19937(3)))
+    beam_search_batch([[4, 5], [6]], params, beam_width=2, max_len=3)
+    states, final = encode_sequence([4, 5], params)
+    decode_step(BOS, final, states, params)
+    model_runs, called = called, set()
+
+    tape = Tape()
+    tape.backward(_primitives_loss(tape, *_primitive_inputs(MT19937(402))))
+    assert model_runs == primitives, f"not run by the model: {sorted(primitives - model_runs)}"
+    assert called == primitives, f"not in the FD chain: {sorted(primitives - called)}"
+    _report(f"the FD chain reaches all {len(primitives)} primitives the model runs", t0)
 
 
 # --- beam search -------------------------------------------------------------

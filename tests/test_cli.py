@@ -567,6 +567,29 @@ def test_summarize_refuses_a_different_lexicon(word_char_model, writer):
     assert not (d / "candidates.jsonl").exists()
 
 
+@pytest.mark.parametrize("writer", ["train", "harness"])
+def test_summarize_refuses_a_vocabulary_of_another_size(word_char_model, writer):
+    d = word_char_model
+    model = d / "model" if writer == "train" else _harness_model(d)
+    config = load_model_dir(model)[0].config
+    src, tgt = model / "src_vocab.txt", model / "tgt_vocab.txt"
+    trained = src.read_text(encoding="utf-8")
+    # a source vocabulary cut short, then a target vocabulary with one more entry
+    src.write_text("".join(trained.splitlines(keepends=True)[:5]), encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        _summarize(d, model=model)
+    assert str(err.value) == (f"{src} has 5 entries, but the checkpoint was trained with a "
+                              f"vocabulary of {config.src_vocab_size}")
+    src.write_text(trained, encoding="utf-8")
+    with open(tgt, "a", encoding="utf-8") as f:
+        f.write("新\t1\n")
+    with pytest.raises(ValueError) as err:
+        _summarize(d, model=model)
+    assert str(err.value) == (f"{tgt} has {config.tgt_vocab_size + 1} entries, but the checkpoint "
+                              f"was trained with a vocabulary of {config.tgt_vocab_size}")
+    assert not (d / "candidates.jsonl").exists()
+
+
 def test_summarize_loads_meta_without_lexicon_hash(word_char_model):
     d = word_char_model
     meta_path = d / "model" / "meta.json"

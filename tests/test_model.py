@@ -34,7 +34,7 @@ from hwcsum.model import (
 from hwcsum.numerics import Tape, Tensor
 from hwcsum.rng import MT19937
 from hwcsum.tokenizer import BOS, EOS, PAD, EncodedPair, Lexicon
-from oracles import best_decode, reference_init_params
+from oracles import best_decode, finite_difference_error, reference_init_params
 
 TINY = dict(embed_dim=3, hidden_dim=3, dropout=0.0)
 
@@ -205,6 +205,10 @@ def test_loss_nonnegative():
         assert float(sequence_loss(pair, params).data) >= 0.0
 
 
+def _every_element(params):
+    return [(p, i) for p in params.tensors.values() for i in range(p.data.size)]
+
+
 def test_end_to_end_gradient_matches_finite_differences():
     h_step, tol = 1e-5, 1e-4
     pair = EncodedPair([4, 5], [BOS, 5, EOS])
@@ -212,20 +216,8 @@ def test_end_to_end_gradient_matches_finite_differences():
     tape = Tape()
     loss = sequence_loss(pair, params, tape=tape, training=True)
     tape.backward(loss, params=list(params.tensors.values()))
-    worst = 0.0
-    for name, p in params.tensors.items():
-        flat = p.data.reshape(-1)
-        grad = p.grad.reshape(-1)
-        for i in range(flat.shape[0]):
-            orig = flat[i]
-            flat[i] = orig + h_step
-            up = float(sequence_loss(pair, params).data)
-            flat[i] = orig - h_step
-            down = float(sequence_loss(pair, params).data)
-            flat[i] = orig
-            numeric = (up - down) / (2 * h_step)
-            denom = max(abs(grad[i]), abs(numeric), 1e-6)
-            worst = max(worst, abs(grad[i] - numeric) / denom)
+    worst = finite_difference_error(lambda: sequence_loss(pair, params), _every_element(params),
+                                    h_step)
     assert worst < tol, f"max relative error {worst}"
 
 
@@ -276,20 +268,8 @@ def test_ragged_batch_gradient_matches_finite_differences():
     def loss(tape=None):
         return batch_loss(RAGGED, params, tape=tape, training=True, rng=MT19937(3))
 
-    _, grads = _loss_and_grads(loss, params)
-    worst = 0.0
-    for name, p in params.tensors.items():
-        flat = p.data.reshape(-1)
-        grad = grads[name].reshape(-1)
-        for i in range(flat.shape[0]):
-            orig = flat[i]
-            flat[i] = orig + h_step
-            up = float(loss().data)
-            flat[i] = orig - h_step
-            down = float(loss().data)
-            flat[i] = orig
-            numeric = (up - down) / (2 * h_step)
-            worst = max(worst, abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-6))
+    _loss_and_grads(loss, params)  # leaves each gradient in its tensor's .grad
+    worst = finite_difference_error(loss, _every_element(params), h_step)
     assert worst < tol, f"max relative error {worst}"
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hwcsum.model import ModelConfig, _dropout_masks, batch_loss, init_params
 from hwcsum.numerics import Adagrad, Tape, Tensor, init_uniform
 from hwcsum.rng import MT19937
-from oracles import reference_gru
+from hwcsum.tokenizer import BOS, EOS, EncodedPair
+from oracles import finite_difference_error, reference_gru, weighted_sum
 
 H = 1e-5
 TOL = 1e-4
@@ -17,31 +19,13 @@ def rand_array(gen, shape, lo=-2.0, hi=2.0):
     return data.reshape(shape)
 
 
-def max_rel_err(analytic, numeric):
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-
-
 def fd_check(build_loss, inputs, trials_note=""):
     """Central finite differences on every element of every input tensor."""
     tape = Tape()
-    loss = build_loss(tape, inputs)
-    tape.backward(loss, params=inputs)
-    for x in inputs:
-        grad = x.grad.copy()
-        numeric = np.zeros_like(x.data)
-        flat = x.data.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for i in range(flat.shape[0]):
-            orig = flat[i]
-            flat[i] = orig + H
-            up = float(build_loss(Tape(recording=False), inputs).data)
-            flat[i] = orig - H
-            down = float(build_loss(Tape(recording=False), inputs).data)
-            flat[i] = orig
-            num_flat[i] = (up - down) / (2 * H)
-        err = max_rel_err(grad, numeric)
-        assert err < TOL, f"{trials_note}: rel err {err}"
+    tape.backward(build_loss(tape, inputs), params=inputs)
+    err = finite_difference_error(lambda: build_loss(Tape(recording=False), inputs),
+                                  [(x, i) for x in inputs for i in range(x.data.size)], H)
+    assert err < TOL, f"{trials_note}: rel err {err}"
 
 
 # ---- forward values ---------------------------------------------------------
@@ -57,24 +41,28 @@ def test_matmul_identity():
 def test_pointwise_values():
     t = Tape(recording=False)
     assert t.tanh(Tensor([0.0])).data[0] == 0.0
-    assert t.sigmoid(Tensor([0.0])).data[0] == 0.5
-    assert np.allclose(t.one_minus(Tensor([0.25, 1.0])).data, [0.75, 0.0])
+    assert math.isclose(t.tanh(Tensor([math.log(3)])).data[0], 0.8, rel_tol=1e-12)
+
+
+PAIRS = [EncodedPair([4, 5, 6], [BOS, 4, EOS]), EncodedPair([5], [BOS, 6, 5, EOS])]
 
 
 def test_dropout_rate_zero_is_identity():
-    t = Tape()
-    x = Tensor([1.0, 2.0, 3.0])
-    out = t.dropout(x, 0.0, MT19937(0), training=True)
-    assert out is x
-    out = t.dropout(x, 0.5, MT19937(0), training=False)
-    assert out is x
+    # the model draws dropout masks only when training at a rate above 0;
+    # otherwise the training loss is the evaluation loss and no draw is taken
+    for dropout, training in [(0.0, True), (0.5, False)]:
+        params = init_params(ModelConfig(src_vocab_size=8, tgt_vocab_size=7, embed_dim=3,
+                                         hidden_dim=4, dropout=dropout, seed=2))
+        rng, ref = MT19937(0), MT19937(0)
+        loss = batch_loss(PAIRS, params, training=training, rng=rng)
+        assert loss.data == batch_loss(PAIRS, params).data
+        assert rng.next_u32() == ref.next_u32()
 
 
 def test_dropout_inverted_scaling():
-    t = Tape()
-    x = Tensor(np.ones(1000))
-    out = t.dropout(x, 0.3, MT19937(3), training=True)
-    kept = out.data[out.data > 0]
+    enc, emb, comb = _dropout_masks(MT19937(3), 0.3, [400], [200], 1, 2)
+    drawn = np.concatenate([enc.ravel(), emb.ravel(), comb.ravel()])
+    kept = drawn[drawn > 0]
     assert np.allclose(kept, 1.0 / 0.7)
     # kept fraction is near the keep probability
     assert abs(len(kept) / 1000 - 0.7) < 0.05
@@ -98,40 +86,26 @@ def test_softmax_shift_invariance_and_rows():
         assert np.max(np.abs(y.sum(axis=-1) - 1.0)) <= 1e-12
 
 
-def test_cross_entropy_hand_values():
-    t = Tape(recording=False)
-    assert float(t.cross_entropy(Tensor([0.0, 1.0]), 1).data) == 0.0
-    k = 7
-    uniform = Tensor(np.full(k, 1.0 / k))
-    assert math.isclose(float(t.cross_entropy(uniform, 3).data), math.log(k), rel_tol=1e-12)
-    assert math.isclose(float(t.cross_entropy(Tensor([0.25, 0.75]), 0).data), math.log(4),
-                        rel_tol=1e-12)
-
-
-def test_cross_entropy_target_out_of_range():
-    t = Tape()
-    with pytest.raises(ValueError):
-        t.cross_entropy(Tensor([1.0]), 1)
-
-
 def test_shape_mismatch_messages():
     t = Tape()
-    with pytest.raises(ValueError, match=r"\(2,\).*\(3,\)"):
-        t.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError, match="matmul"):
+    with pytest.raises(ValueError, match=r"matmul.*\(2, 3\) vs \(2, 3\)"):
         t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    with pytest.raises(ValueError, match="matmul"):
+    with pytest.raises(ValueError, match=r"matmul.*\(2, 3\) vs \(3,\)"):
         t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
 
 # ---- backward ---------------------------------------------------------------
 
 
+def _sum_of_squares(t, x):
+    # x . x as a row times a column: x reaches the loss twice, as each factor
+    return t.matmul(t.reshape(x, (1, -1)), t.reshape(x, (-1, 1)))
+
+
 def test_grad_of_sum_of_squares():
     t = Tape()
     x = Tensor([1.0, -2.0, 3.0])
-    loss = t.sum_all(t.mul(x, x))
-    t.backward(loss)
+    t.backward(_sum_of_squares(t, x))
     assert np.allclose(x.grad, 2 * x.data)
 
 
@@ -139,7 +113,7 @@ def test_unreached_params_get_zero_grad():
     t = Tape()
     x = Tensor([1.0, 2.0])
     unused = Tensor([5.0])
-    loss = t.sum_all(x)
+    loss = weighted_sum(t, [x], [Tensor(np.ones(2))])
     t.backward(loss, params=[x, unused])
     assert np.array_equal(unused.grad, np.zeros(1))
     assert np.allclose(x.grad, np.ones(2))
@@ -148,30 +122,30 @@ def test_unreached_params_get_zero_grad():
 def test_backward_requires_scalar():
     t = Tape()
     x = Tensor([1.0, 2.0])
-    y = t.mul(x, x)
-    with pytest.raises(ValueError):
+    y = t.tanh(x)
+    with pytest.raises(ValueError, match="scalar"):
         t.backward(y)
 
 
 def test_backward_releases_closures_and_runs_once():
     t = Tape()
     x = Tensor([1.0, 2.0])
-    loss = t.sum_all(t.mul(x, x))
+    loss = _sum_of_squares(t, x)
     t.backward(loss)
     assert np.array_equal(x.grad, [2.0, 4.0])
     # the slots stay, so the tape still counts its recorded ops
-    assert t.nodes == [None, None]
+    assert t.nodes == [None, None, None]
     with pytest.raises(ValueError, match="already replayed"):
         t.backward(loss)
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_grad_accumulates_across_reuse():
+    # the first gradient to reach x is copied in, the second added to it
     t = Tape()
     x = Tensor([2.0])
-    loss = t.sum_all(t.add(t.mul(x, x), x))  # x^2 + x -> 2x + 1
-    t.backward(loss)
-    assert np.allclose(x.grad, [5.0])
+    t.backward(_sum_of_squares(t, x))
+    assert np.array_equal(x.grad, [4.0])
 
 
 # ---- randomized finite-difference checks, 100 trials per primitive ---------
@@ -190,39 +164,36 @@ def test_fd_matmul_all_shapes():
         w = Tensor(rand_array(gen, (a.data @ b.data).shape))
 
         def loss(tape, inputs):
-            return tape.sum_all(tape.mul(tape.matmul(inputs[0], inputs[1]), inputs[2]))
+            return weighted_sum(tape, [tape.matmul(inputs[0], inputs[1])], [inputs[2]])
 
         fd_check(loss, [a, b, w], f"matmul case {case}")
 
 
-def test_fd_add_mul_scale_one_minus():
+def test_fd_scale():
+    # by a constant and by an array of the operand's shape (a mask)
     gen = MT19937(102)
-    for trial in range(100):
+    for _ in range(100):
         a = Tensor(rand_array(gen, (5,)))
-        b = Tensor(rand_array(gen, (5,)))
-        w = Tensor(rand_array(gen, (5,)))
-        k = gen.uniform(-2, 2)
+        w = Tensor(rand_array(gen, (2, 5)))
+        k, mask = gen.uniform(-2, 2), rand_array(gen, (5,))
 
         def loss(tape, inputs):
-            s = tape.add(inputs[0], inputs[1])
-            s = tape.mul(s, inputs[2])
-            s = tape.scale(s, k)
-            return tape.sum_all(tape.one_minus(s))
+            return weighted_sum(tape, [tape.stack([tape.scale(inputs[0], k),
+                                                   tape.scale(inputs[0], mask)])], [inputs[1]])
 
-        fd_check(loss, [a, b, w], "add/mul/scale/one_minus")
+        fd_check(loss, [a, w], "scale")
 
 
-def test_fd_tanh_sigmoid():
+def test_fd_tanh():
     gen = MT19937(103)
     for _ in range(100):
         x = Tensor(rand_array(gen, (6,)))
         w = Tensor(rand_array(gen, (6,)))
 
         def loss(tape, inputs):
-            return tape.sum_all(
-                tape.mul(tape.tanh(inputs[0]), tape.sigmoid(tape.mul(inputs[0], inputs[1]))))
+            return weighted_sum(tape, [tape.tanh(inputs[0])], [inputs[1]])
 
-        fd_check(loss, [x, w], "tanh/sigmoid")
+        fd_check(loss, [x, w], "tanh")
 
 
 def test_fd_concat_stack():
@@ -235,9 +206,8 @@ def test_fd_concat_stack():
         w23 = Tensor(rand_array(gen, (2, 3)))
 
         def loss(tape, inputs):
-            cat = tape.sum_all(tape.mul(tape.concat(inputs[0], inputs[1]), inputs[3]))
-            stk = tape.sum_all(tape.mul(tape.stack([inputs[0], inputs[2]]), inputs[4]))
-            return tape.add(cat, stk)
+            return weighted_sum(tape, [tape.concat(inputs[0], inputs[1]),
+                                       tape.stack([inputs[0], inputs[2]])], inputs[3:])
 
         fd_check(loss, [a, b, c, w5, w23], "concat/stack")
 
@@ -250,23 +220,23 @@ def test_fd_embedding_lookup():
         idx = trial % 6
 
         def loss(tape, inputs):
-            return tape.sum_all(tape.mul(tape.embedding_lookup(inputs[0], idx), inputs[1]))
+            return weighted_sum(tape, [tape.embedding_lookup(inputs[0], idx)], [inputs[1]])
 
         fd_check(loss, [table, w], "embedding_lookup")
 
 
 def test_fd_softmax_log_softmax_cross_entropy():
+    # the cross-entropy is nll's, of one row at unit weight
     gen = MT19937(106)
     for trial in range(100):
         x = Tensor(rand_array(gen, (7,)))
-        w = Tensor(rand_array(gen, (7,)))
-        target = trial % 7
+        w = Tensor(rand_array(gen, (2, 7)))
+        target = np.array(trial % 7)
 
         def loss(tape, inputs):
-            probs = tape.softmax(inputs[0])
-            ce = tape.cross_entropy(probs, target)
-            lsm = tape.sum_all(tape.mul(tape.log_softmax(inputs[0]), inputs[1]))
-            return tape.add(ce, lsm)
+            rows = tape.stack([tape.softmax(inputs[0]), tape.log_softmax(inputs[0])])
+            ce = tape.nll(inputs[0], target, np.array(1.0))
+            return weighted_sum(tape, [rows, ce], [inputs[1], Tensor(1.0)])
 
         fd_check(loss, [x, w], "softmax/log_softmax/cross_entropy")
 
@@ -282,7 +252,7 @@ def test_fd_concat_last_axis_and_reshape():
         def loss(tape, inputs):
             cat = tape.concat(inputs[0], inputs[1], inputs[2])
             flat = tape.reshape(cat, (3, 12))
-            return tape.sum_all(tape.mul(tape.tanh(flat), inputs[3]))
+            return weighted_sum(tape, [tape.tanh(flat)], [inputs[3]])
 
         fd_check(loss, [a, b, c, w], "concat/reshape")
 
@@ -296,7 +266,7 @@ def test_fd_embedding_lookup_id_matrix():
         w = Tensor(rand_array(gen, (2, 3, 3)))
 
         def loss(tape, inputs):
-            return tape.sum_all(tape.mul(tape.embedding_lookup(inputs[0], ids), inputs[1]))
+            return weighted_sum(tape, [tape.embedding_lookup(inputs[0], ids)], [inputs[1]])
 
         fd_check(loss, [table, w], "embedding_lookup ids")
         assert np.array_equal(table.grad[[3, 5]], np.zeros((2, 3)))
@@ -319,16 +289,13 @@ def _lookup_grad(table, lookups, seed):
     output weighted by a random upstream gradient; also those gradients."""
     gen = MT19937(seed)
     t, tape = Tensor(table), Tape()
-    loss, upstream = None, []
-    for idx in lookups:
-        out = tape.embedding_lookup(t, idx)
-        # uniform draws sit on a fixed-point grid, where short sums are exact
-        # in any order; sinh spreads them over many binades so that the
-        # order of a sum shows in its rounding
-        upstream.append(np.sinh(gen.uniform_array(out.data.size, -8.0, 8.0)).reshape(out.shape))
-        term = tape.sum_all(tape.mul(out, Tensor(upstream[-1])))
-        loss = term if loss is None else tape.add(loss, term)
-    tape.backward(loss)
+    outs = [tape.embedding_lookup(t, idx) for idx in lookups]
+    # uniform draws sit on a fixed-point grid, where short sums are exact
+    # in any order; sinh spreads them over many binades so that the
+    # order of a sum shows in its rounding
+    upstream = [np.sinh(gen.uniform_array(out.data.size, -8.0, 8.0)).reshape(out.shape)
+                for out in outs]
+    tape.backward(weighted_sum(tape, outs, [Tensor(g) for g in upstream]))
     return t.grad, upstream
 
 
@@ -369,8 +336,15 @@ def test_embedding_backward_of_a_table_looked_up_twice():
 
 def test_embedding_lookup_rejects_out_of_range_ids():
     t = Tape()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ids 0\.\.4 out of range for 4 rows"):
         t.embedding_lookup(Tensor(np.ones((4, 2))), np.array([[0, 4]]))
+    with pytest.raises(ValueError, match=r"ids -1\.\.2 "):
+        t.embedding_lookup(Tensor(np.ones((4, 2))), np.array([2, -1]))
+    # a paper-shape id matrix with one id past the table: the message names it
+    ids = np.zeros((60, 32), dtype=np.int64)
+    ids[17, 5] = 4000
+    with pytest.raises(ValueError, match=r"ids 0\.\.4000 out of range for 4000 rows"):
+        t.embedding_lookup(Tensor(np.ones((4000, 1))), ids)
 
 
 def test_fd_bmm_attention_shapes():
@@ -384,7 +358,7 @@ def test_fd_bmm_attention_shapes():
         def loss(tape, inputs):
             scores = tape.bmm(inputs[0], inputs[1], transpose_b=True)
             context = tape.bmm(tape.tanh(scores), inputs[1])
-            return tape.sum_all(tape.mul(context, inputs[2]))
+            return weighted_sum(tape, [context], [inputs[2]])
 
         fd_check(loss, [q, k, w], "bmm")
     t = Tape(recording=False)
@@ -408,7 +382,7 @@ def test_fd_transpose():
         w = Tensor(rand_array(gen, (3, 4, 2)))
 
         def loss(tape, inputs):
-            return tape.sum_all(tape.mul(tape.transpose(inputs[0], (1, 2, 0)), inputs[1]))
+            return weighted_sum(tape, [tape.transpose(inputs[0], (1, 2, 0))], [inputs[1]])
 
         fd_check(loss, [x, w], "transpose")
     y = Tape(recording=False).transpose(x, (1, 0, 2)).data
@@ -423,8 +397,7 @@ def test_fd_masked_softmax():
         w = Tensor(rand_array(gen, (2, 3, 4)))
 
         def loss(tape, inputs):
-            y = tape.softmax(inputs[0], mask)
-            return tape.sum_all(tape.mul(y, inputs[1]))
+            return weighted_sum(tape, [tape.softmax(inputs[0], mask)], [inputs[1]])
 
         fd_check(loss, [x, w], "masked softmax")
         y = Tape(recording=False).softmax(x, mask).data
@@ -453,7 +426,7 @@ def test_nll_hand_values_and_checks():
     uniform = Tensor(np.zeros((2, 5)))
     assert math.isclose(float(t.nll(uniform, np.array([1, 4]), np.array([0.5, 0.5])).data),
                         math.log(5), rel_tol=1e-12)
-    ce = float(t.cross_entropy(t.softmax(Tensor([0.3, -1.0, 2.0])), 2).data)
+    ce = -t.log_softmax(Tensor([0.3, -1.0, 2.0])).data[2]
     nll = float(t.nll(Tensor([0.3, -1.0, 2.0]), np.array(2), np.array(1.0)).data)
     assert math.isclose(nll, ce, rel_tol=1e-12)
     with pytest.raises(ValueError):
@@ -463,13 +436,9 @@ def test_nll_hand_values_and_checks():
 
 
 def test_nll_gradient_survives_tiny_target_probability():
-    # p(target) = e^-60 / (1 + e^-60) ~ 9e-27: the cross_entropy clamp at
-    # 1e-12 returns no gradient here, the fused loss the full -(1 - p)
-    logits = Tensor([60.0, 0.0])
-    tape = Tape()
-    probs = tape.softmax(logits)
-    tape.backward(tape.cross_entropy(probs, 1))
-    assert np.array_equal(logits.grad, np.zeros(2))
+    # p(target) = e^-60 / (1 + e^-60) ~ 9e-27: a cross-entropy that clamps p
+    # (at 1e-12, say) before its log passes no gradient back here; the fused
+    # loss passes the full softmax - onehot = (1 - p, p - 1)
     logits = Tensor([60.0, 0.0])
     tape = Tape()
     loss = tape.nll(logits, np.array(1), np.array(1.0))
@@ -509,7 +478,7 @@ def test_fd_gru_ragged_batch():
 
         def loss(tape, inputs):
             states = tape.gru(inputs[0], inputs[1], inputs[2], inputs[3], mask)
-            return tape.sum_all(tape.mul(states, inputs[4]))
+            return weighted_sum(tape, [states], [inputs[4]])
 
         fd_check(loss, [x, u, b, h0, w], "gru")
         states = Tape(recording=False).gru(x, u, b, h0, mask).data
@@ -532,25 +501,10 @@ def test_gru_matches_reference_loop(mask):
         w = rand_array(gen, (5, 4, 3))
         tape = Tape()
         states = tape.gru(x, u, b, h0, mask)
-        tape.backward(tape.sum_all(tape.mul(states, Tensor(w))))
+        tape.backward(weighted_sum(tape, [states], [Tensor(w)]))
         want = reference_gru(x.data, u.data, b.data, h0.data, mask, w)
         for got, ref in zip([states.data, x.grad, u.grad, b.grad, h0.grad], want, strict=True):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_fd_dropout_fixed_mask():
-    # the mask is a function of the rng seed, so re-seeding per forward
-    # evaluation keeps it constant for finite differences
-    gen = MT19937(107)
-    for trial in range(100):
-        x = Tensor(rand_array(gen, (8,)))
-        w = Tensor(rand_array(gen, (8,)))
-
-        def loss(tape, inputs):
-            dropped = tape.dropout(inputs[0], 0.4, MT19937(trial), training=True)
-            return tape.sum_all(tape.mul(dropped, inputs[1]))
-
-        fd_check(loss, [x, w], "dropout")
 
 
 # ---- Adagrad ----------------------------------------------------------------
@@ -614,11 +568,19 @@ def test_init_uniform_equals_scalar_draws():
 
 
 def test_dropout_mask_equals_scalar_draws():
+    # example by example: its encoder steps, then each decoder step's
+    # embedding mask and comb mask; padded positions take no draw
     rng, ref = MT19937(8), MT19937(8)
-    x = Tensor(np.ones((4, 5)))
-    out = Tape().dropout(x, 0.3, rng, training=True)
-    expected = [(1.0 / 0.7) if ref.random_float() < 0.7 else 0.0 for _ in range(20)]
-    assert np.array_equal(out.data, np.array(expected).reshape(4, 5))
+    enc, emb, comb = _dropout_masks(rng, 0.3, [2, 1], [1, 2], 2, 3)
+    expected = iter([(1.0 / 0.7) if ref.random_float() < 0.7 else 0.0 for _ in range(21)])
+    want = np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2, 3))
+    for b, (ls, ld) in enumerate([(2, 1), (1, 2)]):
+        for t in range(ls):
+            want[0][t, b] = [next(expected) for _ in range(2)]
+        for t in range(ld):
+            want[1][t, b] = [next(expected) for _ in range(2)]
+            want[2][t, b] = [next(expected) for _ in range(3)]
+    assert all(np.array_equal(got, w) for got, w in zip((enc, emb, comb), want))
     assert rng.next_u32() == ref.next_u32()
 
 
@@ -627,11 +589,12 @@ def test_dropout_mask_equals_scalar_draws():
 
 def _run_session(seed):
     rng = MT19937(seed)
-    x = init_uniform((6,), rng)
+    x = init_uniform((2, 1, 6), rng)
     w = init_uniform((6, 4), rng)
+    drop, _, _ = _dropout_masks(rng, 0.25, [2], [1], 6, 4)
     tape = Tape()
-    h = tape.tanh(tape.matmul(tape.dropout(x, 0.25, rng, training=True), w))
-    loss = tape.cross_entropy(tape.softmax(h), 2)
+    h = tape.tanh(tape.matmul(tape.scale(x, drop), w))
+    loss = tape.nll(h, np.array([[2], [1]]), np.ones((2, 1)))
     tape.backward(loss, params=[x, w])
     return float(loss.data), x.grad.copy(), w.grad.copy()
 
