@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hwcsum.corpus import CorpusPart, DocumentPair, write_lcsts
+from hwcsum.corpus import DocumentPair, write_lcsts
 from hwcsum.rng import MT19937
 
 WORDS = [
@@ -39,11 +39,10 @@ def make_pair(rng, pair_id):
     return pair_id, "".join(words), "".join(summary)
 
 
-def write_part(path, part, pairs, labels=None):
+def write_part(path, pairs, labels=None):
     labels = labels or [None] * len(pairs)
-    corpus = CorpusPart(part, [DocumentPair(*pair, label) for pair, label in zip(pairs, labels)])
     with open(path, "w", encoding="utf-8") as f:
-        write_lcsts(corpus, f)
+        write_lcsts([DocumentPair(*pair, label) for pair, label in zip(pairs, labels)], f)
 
 
 def main():
@@ -52,11 +51,11 @@ def main():
     rng = MT19937(12345)
 
     part1 = [make_pair(rng, i) for i in range(200)]
-    write_part(out_dir / "part1.txt", "I", part1)
+    write_part(out_dir / "part1.txt", part1)
 
     part3 = [make_pair(rng, i) for i in range(30)]
     labels = [1 + rng.bounded(5) for _ in part3]
-    write_part(out_dir / "part3.txt", "III", part3, labels)
+    write_part(out_dir / "part3.txt", part3, labels)
 
     with open(out_dir / "lexicon.tsv", "w", encoding="utf-8") as f:
         for i, word in enumerate(WORDS):

@@ -57,7 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from hwcsum import cli, harness, model  # noqa: E402
-from hwcsum.corpus import CorpusPart, DocumentPair, filter_by_score  # noqa: E402
+from hwcsum.corpus import DocumentPair, filter_by_score  # noqa: E402
 from hwcsum.tokenizer import rank_vocab  # noqa: E402
 
 LEXICON_ENTRIES = 300_000
@@ -95,7 +95,7 @@ def deep_size(obj, seen=None) -> int:
     once. Parsed corpus records are skipped: the parsed parts hold them,
     not the tokenized pool."""
     seen = set() if seen is None else seen
-    if id(obj) in seen or isinstance(obj, (DocumentPair, CorpusPart, type)):
+    if id(obj) in seen or isinstance(obj, (DocumentPair, type)):
         return 0
     seen.add(id(obj))
     size = sys.getsizeof(obj)

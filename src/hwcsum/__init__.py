@@ -2,15 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    CorpusPart,
-    DocumentPair,
-    SplitSpec,
-    filter_by_score,
-    parse_lcsts,
-    split_train_validation,
-)
-from .dedup import CleanResult, DedupConfig, clean_part1, is_overlapping, normalize_for_match
+from .corpus import DocumentPair, filter_by_score, parse_lcsts, split_train_validation
+from .dedup import CleanResult, clean_part1, is_overlapping, normalize_for_match
 from .harness import ExperimentConfig, run_experiment, sweep_vocab
 from .model import (
     ModelConfig,
@@ -41,13 +34,10 @@ __all__ = [
     "Adagrad",
     "Tape",
     "Tensor",
-    "CorpusPart",
     "DocumentPair",
-    "SplitSpec",
     "parse_lcsts",
     "filter_by_score",
     "split_train_validation",
-    "DedupConfig",
     "CleanResult",
     "normalize_for_match",
     "is_overlapping",

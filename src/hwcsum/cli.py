@@ -11,9 +11,9 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .corpus import (SplitSpec, atomic_write, filter_by_score, parse_lcsts, split_train_validation,
-                     write_jsonl, write_rows)
-from .dedup import DedupConfig, clean_part1
+from .corpus import (atomic_write, filter_by_score, parse_lcsts, split_train_validation, write_jsonl,
+                     write_rows)
+from .dedup import clean_part1
 from .harness import (ExperimentConfig, check_settings, check_sweep_sizes, load_corpus_file,
                       load_model_dir, read_config, run_experiment, save_model_dir, sweep_vocab,
                       write_decodes)
@@ -42,9 +42,9 @@ def _config_checks():
         raise _Refused(str(e)) from None
 
 
-def _write_corpus(path, corpus):
+def _write_corpus(path, pairs):
     with atomic_write(path) as f:
-        write_jsonl(corpus, f)
+        write_jsonl(pairs, f)
 
 
 def _cmd_parse(args):
@@ -67,7 +67,7 @@ def _cmd_filter(args):
 
 def _cmd_split(args):
     corpus, _, _ = load_corpus_file(args.infile)
-    train_part, valid_part = split_train_validation(corpus, SplitSpec(args.n_validation, args.seed))
+    train_part, valid_part = split_train_validation(corpus, args.n_validation, args.seed)
     _write_corpus(args.train_out, train_part)
     _write_corpus(args.valid_out, valid_part)
     print(f"split {len(corpus)} pairs into {len(train_part)} train / {len(valid_part)} validation "
@@ -78,7 +78,7 @@ def _cmd_split(args):
 def _cmd_clean(args):
     part1, _, _ = load_corpus_file(args.part1, "I")
     part3, _, _ = load_corpus_file(args.part3, "III")
-    result = clean_part1(part1, part3, DedupConfig(max_suffix_delta=args.max_suffix_delta))
+    result = clean_part1(part1, part3, args.max_suffix_delta)
     _write_corpus(args.out, result.kept)
     if args.report:
         write_rows(args.report, map(asdict, result.removed))
@@ -95,7 +95,7 @@ def _cmd_vocab(args):
     corpus, _, _ = load_corpus_file(args.infile)
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"
-    tokens = (tok for p in corpus.pairs for tok in rep.tokens(getattr(p, attr), word_segment))
+    tokens = (tok for p in corpus for tok in rep.tokens(getattr(p, attr), word_segment))
     vocab = build_vocab(tokens, args.unit, min_count=args.min_count, max_size=args.max_size)
     vocab.save(args.out)
     print(f"wrote {vocab.n_content} {args.unit} tokens (plus 4 specials) to {args.out}",
@@ -123,7 +123,7 @@ def _cmd_train(args):
     tgt_vocab = Vocabulary.load(args.tgt_vocab, "char")
 
     table = TokenTable()  # the texts of both files, as token rows over one table
-    parts = (load_corpus_file(path)[0].pairs if path else None for path in (args.train, args.valid))
+    parts = (load_corpus_file(path)[0] if path else None for path in (args.train, args.valid))
     train_rows, valid_rows = ((rep.source_rows(pairs, table, word_segment),
                                summary_rows(pairs, table)) if pairs is not None else None
                               for pairs in parts)
@@ -149,7 +149,7 @@ def _cmd_train(args):
 
 def _cmd_summarize(args):
     params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
-    table, pairs = TokenTable(), load_corpus_file(args.infile)[0].pairs
+    table, pairs = TokenTable(), load_corpus_file(args.infile)[0]
     ids, src = [p.id for p in pairs], rep.source_rows(pairs, table, word_segment)
     del pairs  # the decodes read the ids and token rows alone
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
@@ -158,10 +158,10 @@ def _cmd_summarize(args):
     return 0
 
 
-def _read_texts(path, fields):
-    """The first of the fields present in each JSON object line; a bad line
-    raises a ValueError naming path and line."""
-    texts = []
+def _read_rows(path, fields):
+    """(line number, id or None, the first of the fields present) of each JSON
+    object line; a bad line raises a ValueError naming path and line."""
+    rows = []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -177,14 +177,19 @@ def _read_texts(path, fields):
                 raise ValueError(f"{path}: line {line_no}: none of {fields} present")
             if not isinstance(obj[field], str):
                 raise ValueError(f"{path}: line {line_no}: {field} must be a string")
-            texts.append(obj[field])
-    return texts
+            rows.append((line_no, obj.get("id"), obj[field]))
+    return rows
 
 
 def _cmd_eval(args):
-    candidates = _read_texts(args.candidates, ("candidate", "summary"))
-    references = _read_texts(args.references, ("summary", "candidate"))
-    means, per_pair = evaluate_corpus(candidates, references, unit=args.unit)
+    candidates = _read_rows(args.candidates, ("candidate", "summary"))
+    references = _read_rows(args.references, ("summary", "candidate"))
+    for (line, cand_id, _), (ref_line, ref_id, _) in zip(candidates, references):
+        if cand_id is not None and ref_id is not None and cand_id != ref_id:
+            raise ValueError(f"{args.candidates}: line {line} has id {cand_id!r}, but "
+                             f"{args.references}: line {ref_line} has id {ref_id!r}")
+    means, per_pair = evaluate_corpus([row[2] for row in candidates],
+                                      [row[2] for row in references], unit=args.unit)
     if args.report:
         rows = [{"index": i, **scores_dict(scores)} for i, scores in enumerate(per_pair)]
         write_rows(args.report, rows + [{"mean": scores_dict(means)}])

@@ -19,7 +19,7 @@ import json
 import os
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rng import MT19937
 
@@ -51,19 +51,6 @@ class DocumentPair:
             raise ValueError(f"pair id={self.id}: empty text or summary")
         if self.human_label is not None and self.human_label not in (1, 2, 3, 4, 5):
             raise ValueError(f"pair id={self.id}: human_label {self.human_label} not in 1..5")
-
-
-@dataclass
-class CorpusPart:
-    part: str
-    pairs: list[DocumentPair] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.part not in VALID_PARTS:
-            raise ValueError(f"part must be one of {VALID_PARTS}, got {self.part!r}")
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 @dataclass
@@ -102,9 +89,9 @@ def _finish_record(part, rec) -> DocumentPair:
 
 
 def parse_lcsts(stream, part: str, strict: bool = False):
-    """Parse a pseudo-XML dataset text stream into a CorpusPart.
+    """Parse a pseudo-XML dataset text stream of the given part.
 
-    Returns (CorpusPart, issues). Malformed blocks are skipped and
+    Returns (pairs, issues). Malformed blocks are skipped and
     reported as ParseIssue entries unless strict, in which case the
     first defect raises ParseError. Pair order is file order. Content
     may sit on the tag line or on its own lines before the closing tag;
@@ -178,12 +165,12 @@ def parse_lcsts(stream, part: str, strict: bool = False):
     if rec is not None:
         fail(rec_line, f"doc id={rec.get('id')}: unterminated block at end of input")
 
-    return CorpusPart(part, pairs), issues
+    return pairs, issues
 
 
-def write_lcsts(corpus: CorpusPart, stream):
+def write_lcsts(pairs: list[DocumentPair], stream):
     """Serialize back to the pseudo-XML block format, one tag per line."""
-    for p in corpus.pairs:
+    for p in pairs:
         stream.write(f"<doc id={p.id}>\n")
         if p.human_label is not None:
             stream.write(f"<human_label>{p.human_label}</human_label>\n")
@@ -196,7 +183,7 @@ def _json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def read_jsonl(stream, part: str = "I") -> CorpusPart:
+def read_jsonl(stream) -> list[DocumentPair]:
     """Read the JSONL interchange format from a text stream; any bad record
     raises ParseError naming its line."""
     pairs = []
@@ -223,11 +210,11 @@ def read_jsonl(stream, part: str = "I") -> CorpusPart:
             pairs.append(_pair(obj["id"], obj["text"], obj["summary"], label))
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from None
-    return CorpusPart(part, pairs)
+    return pairs
 
 
-def write_jsonl(corpus: CorpusPart, stream):
-    for p in corpus.pairs:
+def write_jsonl(pairs: list[DocumentPair], stream):
+    for p in pairs:
         obj = {"id": p.id, "text": p.short_text, "summary": p.summary}
         if p.human_label is not None:
             obj["label"] = p.human_label
@@ -273,45 +260,36 @@ def write_rows(path, rows):
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def filter_by_score(corpus: CorpusPart, min_score: int) -> CorpusPart:
+def filter_by_score(pairs: list[DocumentPair], min_score: int) -> list[DocumentPair]:
     """Keep pairs with human_label >= min_score, order preserved."""
     kept = []
-    for p in corpus.pairs:
+    for p in pairs:
         if p.human_label is None:
             raise ValueError(f"pair id={p.id} has no human_label; cannot filter by score")
         if p.human_label >= min_score:
             kept.append(p)
-    return CorpusPart(corpus.part, kept)
+    return kept
 
 
-@dataclass
-class SplitSpec:
-    n_validation: int = 1000
-    seed: int = 0
-
-
-def split_indices(n: int, spec: SplitSpec) -> tuple[list[int], list[int]]:
+def split_indices(n: int, n_validation: int, seed: int) -> tuple[list[int], list[int]]:
     """Positions (train, validation) of a seeded split of n items.
 
     The validation set is the first n_validation positions of a
     Fisher-Yates shuffle of range(n) driven by MT19937(seed) with
     rejection-bounded sampling; both lists are ascending. Fully
-    determined by (n, seed).
+    determined by (n, n_validation, seed).
     """
-    if spec.n_validation < 0:
-        raise ValueError(f"n_validation must be >= 0, got {spec.n_validation}")
-    if spec.n_validation >= n:
-        raise ValueError(
-            f"n_validation={spec.n_validation} must be smaller than the corpus size {n}"
-        )
+    if n_validation < 0:
+        raise ValueError(f"n_validation must be >= 0, got {n_validation}")
+    if n_validation >= n:
+        raise ValueError(f"n_validation={n_validation} must be smaller than the corpus size {n}")
     indices = list(range(n))
-    MT19937(spec.seed).shuffle(indices)
-    chosen = set(indices[: spec.n_validation])
+    MT19937(seed).shuffle(indices)
+    chosen = set(indices[:n_validation])
     return [i for i in range(n) if i not in chosen], sorted(chosen)
 
 
-def split_train_validation(corpus: CorpusPart, spec: SplitSpec):
-    """The split_indices split as (train, validation) parts, in corpus order."""
-    train, valid = split_indices(len(corpus.pairs), spec)
-    return (CorpusPart(corpus.part, [corpus.pairs[i] for i in train]),
-            CorpusPart(corpus.part, [corpus.pairs[i] for i in valid]))
+def split_train_validation(pairs: list[DocumentPair], n_validation: int, seed: int):
+    """The split_indices split as (train, validation) lists, in corpus order."""
+    train, valid = split_indices(len(pairs), n_validation, seed)
+    return [pairs[i] for i in train], [pairs[i] for i in valid]

@@ -10,16 +10,7 @@ corpus sizes.
 import unicodedata
 from dataclasses import dataclass, field
 
-from .corpus import CorpusPart, DocumentPair
-
-
-@dataclass
-class DedupConfig:
-    max_suffix_delta: int = 15
-
-    def __post_init__(self):
-        if self.max_suffix_delta < 0:
-            raise ValueError("max_suffix_delta must be >= 0")
+from .corpus import DocumentPair
 
 
 @dataclass
@@ -31,7 +22,7 @@ class RemovedItem:
 
 @dataclass
 class CleanResult:
-    kept: CorpusPart
+    kept: list[DocumentPair]
     removed: list[RemovedItem] = field(default_factory=list)
 
 
@@ -51,17 +42,21 @@ def _articles_overlap(a: str, b: str, max_delta: int):
     return False, ""
 
 
-def is_overlapping(a: DocumentPair, b: DocumentPair, cfg: DedupConfig) -> bool:
-    """True iff the two pairs count as the same item under cfg."""
+def is_overlapping(a: DocumentPair, b: DocumentPair, max_suffix_delta: int = 15) -> bool:
+    """True iff the two pairs count as the same item: equal summaries, and
+    articles equal or one a prefix of the other within max_suffix_delta chars."""
+    if max_suffix_delta < 0:
+        raise ValueError("max_suffix_delta must be >= 0")
     if normalize_for_match(a.summary) != normalize_for_match(b.summary):
         return False
     hit, _ = _articles_overlap(
-        normalize_for_match(a.short_text), normalize_for_match(b.short_text), cfg.max_suffix_delta
+        normalize_for_match(a.short_text), normalize_for_match(b.short_text), max_suffix_delta
     )
     return hit
 
 
-def clean_part1(part1: CorpusPart, part3: CorpusPart, cfg: DedupConfig | None = None) -> CleanResult:
+def clean_part1(part1: list[DocumentPair], part3: list[DocumentPair],
+                max_suffix_delta: int = 15) -> CleanResult:
     """Remove every Part I pair that overlaps any Part III pair.
 
     Part III is indexed by normalized summary, so each Part I record
@@ -69,21 +64,21 @@ def clean_part1(part1: CorpusPart, part3: CorpusPart, cfg: DedupConfig | None = 
     summary. The first matching witness, in Part III file order, is
     recorded.
     """
-    cfg = cfg or DedupConfig()
-
+    if max_suffix_delta < 0:
+        raise ValueError("max_suffix_delta must be >= 0")
     index: dict[str, list[tuple[int, str]]] = {}
-    for p3 in part3.pairs:
+    for p3 in part3:
         index.setdefault(normalize_for_match(p3.summary), []).append(
             (p3.id, normalize_for_match(p3.short_text)))
 
     kept: list[DocumentPair] = []
     removed: list[RemovedItem] = []
-    for p1 in part1.pairs:
+    for p1 in part1:
         candidates = index.get(normalize_for_match(p1.summary), ())
         article = normalize_for_match(p1.short_text) if candidates else ""
         witness = None
         for p3_id, p3_article in candidates:
-            hit, reason = _articles_overlap(article, p3_article, cfg.max_suffix_delta)
+            hit, reason = _articles_overlap(article, p3_article, max_suffix_delta)
             if hit:
                 witness = RemovedItem(p1.id, p3_id, reason)
                 break
@@ -92,4 +87,4 @@ def clean_part1(part1: CorpusPart, part3: CorpusPart, cfg: DedupConfig | None = 
         else:
             removed.append(witness)
 
-    return CleanResult(CorpusPart(part1.part, kept), removed)
+    return CleanResult(kept, removed)

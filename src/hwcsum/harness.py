@@ -25,9 +25,9 @@ import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from . import dedup as dedup_mod
-from .corpus import (CorpusPart, ParseError, ParseIssue, SplitSpec, atomic_write, filter_by_score,
-                     parse_lcsts, read_jsonl, split_indices, write_rows)
+from .corpus import (DocumentPair, ParseError, ParseIssue, atomic_write, filter_by_score, parse_lcsts,
+                     read_jsonl, split_indices, write_rows)
+from .dedup import clean_part1
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenRows, TokenTable,
@@ -171,45 +171,49 @@ class _HashingReader(io.BufferedReader):
         return data
 
 
-def load_corpus_file(path, part: str = "I") -> tuple[CorpusPart, list[ParseIssue], str]:
+def load_corpus_file(path, part: str = "I") -> tuple[list[DocumentPair], list[ParseIssue], str]:
     """Read a dataset file: .jsonl is canonical records (no issues; a bad
     record raises a ParseError naming the file and line), anything else
     pseudo-XML, whose malformed blocks are skipped and returned as parse
-    issues. Returns (corpus, parse issues, sha256 of the bytes parsed)."""
+    issues; part decides whether a label is required. Returns (pairs, parse
+    issues, sha256 of the bytes parsed)."""
     path = Path(path)
     with io.TextIOWrapper(_HashingReader(path), encoding="utf-8") as f:
         try:
-            parsed = (read_jsonl(f, part), []) if path.suffix == ".jsonl" else parse_lcsts(f, part)
+            parsed = (read_jsonl(f), []) if path.suffix == ".jsonl" else parse_lcsts(f, part)
         except ParseError as e:
             raise ParseError(f"{path}: {e}") from None
         return (*parsed, f.buffer.sha256.hexdigest())
 
 
-def _tokenize(reps: list[Representation], pool: CorpusPart, test: CorpusPart):
+def _tokenize(reps: list[Representation], pool: list[DocumentPair], test: list[DocumentPair]):
     """[(rep, (source tokens, summary tokens, pool source rows, pool summary rows, test
     pairs, test source rows))], each text tokenized once: the summaries over one table,
     their rows shared by every rep, and each rep's sources over a table of its own."""
     summaries = TokenTable()
-    pool_tgt = summary_rows(pool.pairs, summaries)
+    pool_tgt = summary_rows(pool, summaries)
     tgt_tokens, tokenized = list(summaries), []
     for rep in reps:
         table = TokenTable()
-        pool_src, test_src = (rep.source_rows(pairs, table) for pairs in (pool.pairs, test.pairs))
-        tokenized.append((rep, (list(table), tgt_tokens, pool_src, pool_tgt, test.pairs, test_src)))
+        pool_src, test_src = (rep.source_rows(pairs, table) for pairs in (pool, test))
+        tokenized.append((rep, (list(table), tgt_tokens, pool_src, pool_tgt, test, test_src)))
     return tokenized
 
 
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
     """Write the checkpoint, vocabularies, meta.json and train log into out,
     each atomically. meta.json names the lexicon by its path relative to
-    out, so the directory loads from any working directory."""
+    out, so the directory loads from any working directory, and records the
+    sha256 of the lexicon and of each vocabulary file."""
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "model.npz")
     src_vocab.save(out / "src_vocab.txt")
     tgt_vocab.save(out / "tgt_vocab.txt")
     lexicon = rep.lexicon_path and os.path.relpath(Path(rep.lexicon_path).resolve(), out.resolve())
+    hashes = {f"{name}_sha256": hashlib.sha256((out / f"{name}.txt").read_bytes()).hexdigest()
+              for name in ("src_vocab", "tgt_vocab")}
     write_rows(out / "meta.json", [{"representation": rep.name, "lexicon": lexicon,
-                                    "lexicon_sha256": rep.lexicon_sha256}])
+                                    "lexicon_sha256": rep.lexicon_sha256, **hashes}])
     write_rows(out / "train_log.jsonl", history)
 
 
@@ -217,19 +221,25 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
     """(params, representation, source vocabulary, target vocabulary) of a model
     directory. meta.json's lexicon is resolved against model_dir (an absolute
     path stays as it is); lexicon_path overrides it, and must hash the same.
-    Each vocabulary must have the size the checkpoint was trained with."""
+    Each vocabulary must have the size the checkpoint was trained with, and
+    the sha256 meta.json records for it, if it records one."""
     meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
     lexicon = meta.get("lexicon") and model_dir / meta["lexicon"]
     rep = Representation(meta["representation"], lexicon_path or lexicon)
     rep.check_lexicon(meta.get("lexicon_sha256"))
     params = load_checkpoint(model_dir / "model.npz")
     vocabs = []
-    for name, unit, size in [("src_vocab.txt", rep.src_unit, params.config.src_vocab_size),
-                             ("tgt_vocab.txt", "char", params.config.tgt_vocab_size)]:
-        vocabs.append(Vocabulary.load(model_dir / name, unit))
+    for name, unit, size in [("src_vocab", rep.src_unit, params.config.src_vocab_size),
+                             ("tgt_vocab", "char", params.config.tgt_vocab_size)]:
+        path = model_dir / f"{name}.txt"
+        vocabs.append(Vocabulary.load(path, unit))
         if len(vocabs[-1]) != size:
-            raise ValueError(f"{model_dir / name} has {len(vocabs[-1])} entries, but the "
+            raise ValueError(f"{path} has {len(vocabs[-1])} entries, but the "
                              f"checkpoint was trained with a vocabulary of {size}")
+        trained, found = meta.get(f"{name}_sha256"), hashlib.sha256(path.read_bytes()).hexdigest()
+        if trained and trained != found:
+            raise ValueError(f"{path} has sha256 {found}, but the model was trained with a "
+                             f"vocabulary of sha256 {trained}")
     return (params, rep, *vocabs)
 
 
@@ -253,7 +263,7 @@ def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary
 def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
     src_tokens, tgt_tokens, pool_src, pool_tgt, test, test_src = tokenized
-    train_idx, valid_idx = split_indices(len(pool_src), SplitSpec(cfg.n_validation, seed))
+    train_idx, valid_idx = split_indices(len(pool_src), cfg.n_validation, seed)
 
     src_vocab = rank_vocab(pool_src.stream(train_idx), src_tokens, rep.src_unit,
                            cfg.vocab_min_count, cfg.encoder_vocab_size)
@@ -315,14 +325,14 @@ def _prepare(cfg: ExperimentConfig):
     reps, lexicon_sha256 = load_representations(cfg.representations, cfg.lexicon)
     removed = None
     if cfg.dedup:
-        result = dedup_mod.clean_part1(pool, part3, dedup_mod.DedupConfig(cfg.max_suffix_delta))
+        result = clean_part1(pool, part3, cfg.max_suffix_delta)
         pool, removed = result.kept, result.removed
     test = filter_by_score(part3, cfg.min_score)
-    if not test.pairs:  # checks that need the data, made once before any seed trains
+    if not test:  # checks that need the data, made once before any seed trains
         raise ValueError(f"{cfg.part3}: no test pair has a label >= {cfg.min_score}")
-    if cfg.n_validation >= len(pool.pairs):
+    if cfg.n_validation >= len(pool):
         raise ValueError(f"n_validation={cfg.n_validation} must be smaller than the training "
-                         f"pool of {len(pool.pairs)} pairs")
+                         f"pool of {len(pool)} pairs")
     hashes = {"part1": part1_sha256, "part3": part3_sha256, "lexicon": lexicon_sha256}
     fields = {"input_hashes": {k: h for k, h in hashes.items() if h is not None},
               "parse_issues": {"part1": len(issues1), "part3": len(issues3)}}

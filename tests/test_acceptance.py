@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from hwcsum.cli import main as cli_main
-from hwcsum.corpus import CorpusPart, DocumentPair, SplitSpec, filter_by_score, parse_lcsts, split_train_validation, write_jsonl
-from hwcsum.dedup import DedupConfig, clean_part1, is_overlapping
+from hwcsum.corpus import DocumentPair, filter_by_score, parse_lcsts, split_train_validation, write_jsonl
+from hwcsum.dedup import clean_part1, is_overlapping
 from hwcsum.model import (
     ModelConfig,
     batch_loss,
@@ -71,25 +71,23 @@ def test_acceptance_dedup_synthetic_fixture():
     def text(n):
         return "".join(chars[gen.bounded(len(chars))] for _ in range(n))
 
-    part3 = CorpusPart("III", [DocumentPair(300 + i, text(40), text(10), 5) for i in range(20)])
-    part1_pairs = [DocumentPair(i, text(40), text(10)) for i in range(97)]
+    part3 = [DocumentPair(300 + i, text(40), text(10), 5) for i in range(20)]
+    part1 = [DocumentPair(i, text(40), text(10)) for i in range(97)]
     planted = {
-        900: DocumentPair(900, part3.pairs[2].short_text, part3.pairs[2].summary),
-        901: DocumentPair(901, part3.pairs[5].short_text + "新闻晨报", part3.pairs[5].summary),
-        902: DocumentPair(902, part3.pairs[9].short_text + "某某日报社编辑部", part3.pairs[9].summary),
+        900: DocumentPair(900, part3[2].short_text, part3[2].summary),
+        901: DocumentPair(901, part3[5].short_text + "新闻晨报", part3[5].summary),
+        902: DocumentPair(902, part3[9].short_text + "某某日报社编辑部", part3[9].summary),
     }
     for pos, pair in zip((11, 47, 83), planted.values()):
-        part1_pairs.insert(pos, pair)
-    part1 = CorpusPart("I", part1_pairs)
+        part1.insert(pos, pair)
 
-    result = clean_part1(part1, part3, DedupConfig(max_suffix_delta=15))
+    result = clean_part1(part1, part3, 15)
     removed_ids = {r.part1_id for r in result.removed}
     assert removed_ids == set(planted), "exact removal set required"
     assert len(result.kept) + len(result.removed) == len(part1)
-    cfg = DedupConfig()
-    witnesses = {p.id: p for p in part3.pairs}
+    witnesses = {p.id: p for p in part3}
     for item in result.removed:
-        assert is_overlapping(planted[item.part1_id], witnesses[item.part3_id], cfg)
+        assert is_overlapping(planted[item.part1_id], witnesses[item.part3_id], 15)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"dedup fixture took {elapsed:.2f}s, budget 1s"
     _report("dedup synthetic fixture (100% precision/recall, < 1s)", t0)
@@ -103,7 +101,7 @@ def test_acceptance_dedup_real_lcsts():
     with open(os.path.join(LCSTS_DIR, "PART_III.txt"), encoding="utf-8") as f:
         part3, _ = parse_lcsts(f, "III")
     assert len(part1) == 2400591
-    result = clean_part1(part1, part3, DedupConfig())
+    result = clean_part1(part1, part3)
     if len(result.kept) != 2400275:
         detail = [(r.part1_id, r.part3_id, r.reason) for r in result.removed]
         pytest.fail(
@@ -138,10 +136,10 @@ def test_acceptance_mt19937_reference_and_split_stability(mt_reference):
         got = [gen.next_u32() for _ in range(1000)]
         assert got == mt_reference[seed], f"seed {seed} diverges from the reference stream"
 
-    part = CorpusPart("I", [DocumentPair(i, f"t{i}", f"s{i}") for i in range(5000)])
+    part = [DocumentPair(i, f"t{i}", f"s{i}") for i in range(5000)]
     outputs = []
     for _ in range(2):
-        train_part, valid_part = split_train_validation(part, SplitSpec(1000, 3))
+        train_part, valid_part = split_train_validation(part, 1000, 3)
         buf = io.StringIO()
         write_jsonl(train_part, buf)
         write_jsonl(valid_part, buf)

@@ -525,6 +525,11 @@ def _summarize(d, *extra, model=None):
                  "--beam", "2", "--max-len", "4", "--out", str(d / "candidates.jsonl"), *extra])
 
 
+def _vocab_hashes(model_dir):
+    return {f"{name}_sha256": hashlib.sha256((model_dir / f"{name}.txt").read_bytes()).hexdigest()
+            for name in ("src_vocab", "tgt_vocab")}
+
+
 def _harness_model(d):
     """A small word_char model of the experiment harness: its seed directory."""
     cfg = ExperimentConfig(
@@ -588,6 +593,36 @@ def test_summarize_refuses_a_vocabulary_of_another_size(word_char_model, writer)
     assert str(err.value) == (f"{tgt} has {config.tgt_vocab_size + 1} entries, but the checkpoint "
                               f"was trained with a vocabulary of {config.tgt_vocab_size}")
     assert not (d / "candidates.jsonl").exists()
+
+
+@pytest.mark.parametrize("writer", ["train", "harness"])
+def test_summarize_refuses_a_vocabulary_of_other_content(word_char_model, writer):
+    d = word_char_model
+    model = d / "model" if writer == "train" else _harness_model(d)
+    meta = json.loads((model / "meta.json").read_text())
+    assert {k: meta[k] for k in ("src_vocab_sha256", "tgt_vocab_sha256")} == _vocab_hashes(model)
+    for name in ("src_vocab", "tgt_vocab"):
+        path = model / f"{name}.txt"
+        trained = path.read_text(encoding="utf-8")
+        lines = trained.splitlines(keepends=True)  # the 4 specials, then the content entries
+        path.write_text("".join(lines[:4] + lines[:3:-1]), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            _summarize(d, model=model)
+        assert str(err.value) == (f"{path} has sha256 {hashlib.sha256(path.read_bytes()).hexdigest()}"
+                                  f", but the model was trained with a vocabulary of sha256 "
+                                  f"{meta[f'{name}_sha256']}")
+        path.write_text(trained, encoding="utf-8")
+    assert not (d / "candidates.jsonl").exists()
+
+
+def test_summarize_loads_meta_without_vocabulary_hashes(word_char_model):
+    d = word_char_model
+    meta_path = d / "model" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["src_vocab_sha256"], meta["tgt_vocab_sha256"]
+    meta_path.write_text(json.dumps(meta))
+    assert _summarize(d) == 0
+    assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
 
 
 def test_summarize_loads_meta_without_lexicon_hash(word_char_model):
@@ -679,7 +714,7 @@ def test_char_char_model_needs_no_lexicon_file(tiny_dataset):
                  "--out", str(d / "model")]) == 0
     meta = json.loads((d / "model" / "meta.json").read_text())
     assert meta == {"representation": "char_char", "lexicon": os.path.join("..", "lexicon.tsv"),
-                    "lexicon_sha256": None}
+                    "lexicon_sha256": None, **_vocab_hashes(d / "model")}
     (d / "lexicon.tsv").unlink()
     assert _summarize(d) == 0
     assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
@@ -738,7 +773,7 @@ def test_summarize_in_chunks_equals_per_article_decoding(word_char_model, synthe
     assert main(["summarize", "--model", str(d / "model"), "--in", str(d / "many.jsonl"),
                  "--beam", "3", "--max-len", "6", "--out", str(d / "candidates.jsonl")]) == 0
     rows = [json.loads(line) for line in (d / "candidates.jsonl").read_text().splitlines()]
-    articles = load_corpus_file(d / "many.jsonl")[0].pairs
+    articles = load_corpus_file(d / "many.jsonl")[0]
     assert len(articles) == 200 > 2 * harness.DECODE_CHUNK
     params, rep, src_vocab, tgt_vocab = load_model_dir(d / "model")
     assert rep.name == "word_char"
@@ -785,7 +820,7 @@ def _reference_train(d, cfg, out, valid):
     def encode_corpus(path):
         return [EncodedPair(src_vocab.encode(rep.tokens(p.short_text)),
                             [BOS, *tgt_vocab.encode(char_tokenize(p.summary)), EOS])
-                for p in load_corpus_file(path)[0].pairs]
+                for p in load_corpus_file(path)[0]]
 
     model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), seed=0,
                             **cfg["model"])
@@ -894,6 +929,20 @@ def test_eval_bad_line_names_file_and_line(tmp_path, line, message):
     with pytest.raises(ValueError) as err:
         main(["eval", "--candidates", str(candidates), "--references", str(references)])
     assert str(err.value) == f"{candidates}: line 3: {message}"
+
+
+def test_eval_refuses_rows_whose_ids_differ(tmp_path):
+    candidates, references = tmp_path / "candidates.jsonl", tmp_path / "references.jsonl"
+    candidates.write_text('{"id": 1, "candidate": "城市"}\n{"id": 2, "candidate": "交通"}\n',
+                          encoding="utf-8")
+    references.write_text('{"id": 2, "summary": "城市"}\n\n{"id": 1, "summary": "交通"}\n',
+                          encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        main(["eval", "--candidates", str(candidates), "--references", str(references)])
+    assert str(err.value) == f"{candidates}: line 1 has id 1, but {references}: line 1 has id 2"
+    # rows without an id on either side are still paired by position
+    references.write_text('{"summary": "城市"}\n{"id": 2, "summary": "交通"}\n', encoding="utf-8")
+    assert main(["eval", "--candidates", str(candidates), "--references", str(references)]) == 0
 
 
 # a valid argument list for each command

@@ -5,10 +5,8 @@ import re
 import pytest
 
 from hwcsum.corpus import (
-    CorpusPart,
     DocumentPair,
     ParseError,
-    SplitSpec,
     atomic_write,
     filter_by_score,
     parse_lcsts,
@@ -28,30 +26,26 @@ SINGLE_BLOCK = """<doc id=0>
 """
 
 
-def make_part(n, part="I", labels=None):
-    pairs = [
-        DocumentPair(i, f"text{i}", f"sum{i}", labels[i] if labels else None)
-        for i in range(n)
-    ]
-    return CorpusPart(part, pairs)
+def make_pairs(n, labels=None):
+    return [DocumentPair(i, f"text{i}", f"sum{i}", labels[i] if labels else None) for i in range(n)]
 
 
 def test_single_block():
     part, issues = parse_lcsts(io.StringIO(SINGLE_BLOCK), "III")
     assert issues == []
-    assert part.pairs == [DocumentPair(0, "t", "s", 5)]
+    assert part == [DocumentPair(0, "t", "s", 5)]
 
 
 def test_block_content_on_own_lines():
     text = "<doc id=3>\n<summary>\n  headline here\n</summary>\n<short_text>\nbody\nmore body\n</short_text>\n</doc>\n"
     part, issues = parse_lcsts(io.StringIO(text), "I")
     assert issues == []
-    assert part.pairs[0].summary == "headline here"
-    assert part.pairs[0].short_text == "body more body"
+    assert part[0].summary == "headline here"
+    assert part[0].short_text == "body more body"
 
 
 def test_serialize_reparse_identity():
-    original = make_part(7, "II", labels=[1, 2, 3, 4, 5, 3, 2])
+    original = make_pairs(7, labels=[1, 2, 3, 4, 5, 3, 2])
     buf = io.StringIO()
     write_lcsts(original, buf)
     buf.seek(0)
@@ -61,7 +55,7 @@ def test_serialize_reparse_identity():
 
 
 def test_serialize_reparse_identity_unlabeled():
-    original = make_part(4, "I")
+    original = make_pairs(4)
     buf = io.StringIO()
     write_lcsts(original, buf)
     buf.seek(0)
@@ -70,11 +64,11 @@ def test_serialize_reparse_identity_unlabeled():
 
 
 def test_jsonl_round_trip():
-    original = make_part(5, "III", labels=[5, 4, 3, 2, 1])
+    original = make_pairs(5, labels=[5, 4, 3, 2, 1])
     buf = io.StringIO()
     write_jsonl(original, buf)
     buf.seek(0)
-    assert read_jsonl(buf, "III") == original
+    assert read_jsonl(buf) == original
 
 
 @pytest.mark.parametrize("line,message", [
@@ -90,13 +84,13 @@ def test_jsonl_round_trip():
 def test_jsonl_bad_record_names_its_line(line, message):
     good = '{"id": 0, "text": "t", "summary": "s"}\n'
     with pytest.raises(ParseError, match=r"^line 3: " + re.escape(message)):
-        read_jsonl(io.StringIO(good + "\n" + line + "\n"), "III")
+        read_jsonl(io.StringIO(good + "\n" + line + "\n"))
 
 
 def test_malformed_block_is_reported_not_fatal():
     text = "<doc id=0>\n<summary>a</summary>\n</doc>\n" + SINGLE_BLOCK.replace("id=0", "id=1")
     part, issues = parse_lcsts(io.StringIO(text), "I")
-    assert len(part.pairs) == 1 and part.pairs[0].id == 1
+    assert len(part) == 1 and part[0].id == 1
     assert len(issues) == 1 and "missing <short_text>" in issues[0].message
     assert issues[0].line == 1
 
@@ -110,11 +104,11 @@ def test_strict_mode_raises():
 def test_labeled_part_requires_label():
     text = "<doc id=0>\n<summary>a</summary>\n<short_text>b</short_text>\n</doc>\n"
     part, issues = parse_lcsts(io.StringIO(text), "III")
-    assert len(part.pairs) == 0
+    assert len(part) == 0
     assert any("no <human_label>" in i.message for i in issues)
     # same block is fine for Part I
     part, issues = parse_lcsts(io.StringIO(text), "I")
-    assert len(part.pairs) == 1 and issues == []
+    assert len(part) == 1 and issues == []
 
 
 def test_label_out_of_range_rejected():
@@ -122,40 +116,40 @@ def test_label_out_of_range_rejected():
     for label in ("9", "²"):
         text = SINGLE_BLOCK.replace(">5<", f">{label}<")
         part, issues = parse_lcsts(io.StringIO(text), "III")
-        assert part.pairs == [] and issues[0].message == f"doc id=0: bad human_label {label!r}"
+        assert part == [] and issues[0].message == f"doc id=0: bad human_label {label!r}"
 
 
 def test_text_is_nfc_normalized_and_stripped():
     # U+0041 U+030A composes to U+00C5
     text = "<doc id=0>\n<summary>  Å  </summary>\n<short_text> t </short_text>\n</doc>\n"
     part, _ = parse_lcsts(io.StringIO(text), "I")
-    assert part.pairs[0].summary == "Å"
-    assert part.pairs[0].short_text == "t"
+    assert part[0].summary == "Å"
+    assert part[0].short_text == "t"
 
 
 def test_filter_by_score_counts():
-    part = make_part(6, "III", labels=[1, 2, 3, 4, 5, 3])
+    part = make_pairs(6, labels=[1, 2, 3, 4, 5, 3])
     kept = filter_by_score(part, 3)
-    assert [p.id for p in kept.pairs] == [2, 3, 4, 5]
+    assert [p.id for p in kept] == [2, 3, 4, 5]
 
 
 def test_filter_min_score_1_is_identity():
-    part = make_part(5, "II", labels=[1, 5, 2, 3, 4])
+    part = make_pairs(5, labels=[1, 5, 2, 3, 4])
     assert filter_by_score(part, 1) == part
 
 
 def test_filter_monotone_in_score():
     gen = MT19937(5)
-    part = make_part(50, "III", labels=[1 + gen.bounded(5) for _ in range(50)])
-    previous = {p.id for p in filter_by_score(part, 1).pairs}
+    part = make_pairs(50, labels=[1 + gen.bounded(5) for _ in range(50)])
+    previous = {p.id for p in filter_by_score(part, 1)}
     for s in (2, 3, 4, 5):
-        current = {p.id for p in filter_by_score(part, s).pairs}
+        current = {p.id for p in filter_by_score(part, s)}
         assert current <= previous
         previous = current
 
 
 def test_filter_requires_labels():
-    part = make_part(3, "I")
+    part = make_pairs(3)
     with pytest.raises(ValueError, match="id=0"):
         filter_by_score(part, 3)
 
@@ -163,44 +157,44 @@ def test_filter_requires_labels():
 def test_split_golden_seed0():
     # frozen oracle: the seed-0 reference shuffle of range(5) is [1, 0, 2, 3, 4],
     # so the validation picks are original indices {0, 1}
-    part = make_part(5)
-    train, valid = split_train_validation(part, SplitSpec(n_validation=2, seed=0))
-    assert [p.id for p in valid.pairs] == [0, 1]
-    assert [p.id for p in train.pairs] == [2, 3, 4]
+    part = make_pairs(5)
+    train, valid = split_train_validation(part, 2, 0)
+    assert [p.id for p in valid] == [0, 1]
+    assert [p.id for p in train] == [2, 3, 4]
 
 
 def test_split_partitions_input():
-    part = make_part(237)
-    train, valid = split_train_validation(part, SplitSpec(n_validation=41, seed=3))
+    part = make_pairs(237)
+    train, valid = split_train_validation(part, 41, 3)
     assert len(valid) == 41 and len(train) == 237 - 41
-    train_ids = {p.id for p in train.pairs}
-    valid_ids = {p.id for p in valid.pairs}
+    train_ids = {p.id for p in train}
+    valid_ids = {p.id for p in valid}
     assert train_ids.isdisjoint(valid_ids)
-    assert train_ids | valid_ids == {p.id for p in part.pairs}
+    assert train_ids | valid_ids == {p.id for p in part}
 
 
 def test_split_zero_validation():
-    part = make_part(5)
-    train, valid = split_train_validation(part, SplitSpec(n_validation=0, seed=0))
-    assert valid.pairs == [] and train == part
+    part = make_pairs(5)
+    train, valid = split_train_validation(part, 0, 0)
+    assert valid == [] and train == part
 
 
 def test_split_negative_validation_errors():
-    part = make_part(10)
+    part = make_pairs(10)
     with pytest.raises(ValueError, match="n_validation must be >= 0"):
-        split_train_validation(part, SplitSpec(n_validation=-3, seed=0))
+        split_train_validation(part, -3, 0)
 
 
 def test_split_too_large_errors():
-    part = make_part(5)
+    part = make_pairs(5)
     with pytest.raises(ValueError):
-        split_train_validation(part, SplitSpec(n_validation=5, seed=0))
+        split_train_validation(part, 5, 0)
 
 
 def test_split_deterministic():
-    part = make_part(100)
-    a = split_train_validation(part, SplitSpec(10, 4))
-    b = split_train_validation(part, SplitSpec(10, 4))
+    part = make_pairs(100)
+    a = split_train_validation(part, 10, 4)
+    b = split_train_validation(part, 10, 4)
     assert a == b
 
 
@@ -247,11 +241,11 @@ def test_real_part2_counts():
 
 
 def test_split_indices_match_split_train_validation():
-    part = CorpusPart("I", [DocumentPair(i, f"t{i}", f"s{i}") for i in range(30)])
-    train_idx, valid_idx = split_indices(30, SplitSpec(n_validation=7, seed=11))
-    train, valid = split_train_validation(part, SplitSpec(n_validation=7, seed=11))
-    assert [part.pairs[i] for i in train_idx] == train.pairs
-    assert [part.pairs[i] for i in valid_idx] == valid.pairs
+    part = [DocumentPair(i, f"t{i}", f"s{i}") for i in range(30)]
+    train_idx, valid_idx = split_indices(30, 7, 11)
+    train, valid = split_train_validation(part, 7, 11)
+    assert [part[i] for i in train_idx] == train
+    assert [part[i] for i in valid_idx] == valid
     assert sorted(train_idx + valid_idx) == list(range(30))
 
 

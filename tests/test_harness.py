@@ -51,7 +51,7 @@ def planted_part1(tmp_path, synthetic_dir, n=3) -> str:
     path = tmp_path / "part1_planted.txt"
     path.write_text((synthetic_dir / "part1.txt").read_text(encoding="utf-8") + "".join(
         f"<doc id={900 + i}>\n<summary>{p.summary}</summary>\n<short_text>{p.short_text}</short_text>\n"
-        "</doc>\n" for i, p in enumerate(part3.pairs[:n])), encoding="utf-8")
+        "</doc>\n" for i, p in enumerate(part3[:n])), encoding="utf-8")
     return str(path)
 
 
@@ -60,7 +60,7 @@ def test_load_corpus_file_pseudo_xml(synthetic_dir):
     assert len(part1) == 200
     part3, issues3, sha3 = load_corpus_file(synthetic_dir / "part3.txt", "III")
     assert len(part3) == 30
-    assert all(p.human_label is not None for p in part3.pairs)
+    assert all(p.human_label is not None for p in part3)
     assert issues1 == issues3 == []
     assert [sha1, sha3] == [hashlib.sha256((synthetic_dir / f"part{k}.txt").read_bytes()).hexdigest()
                             for k in (1, 3)]
@@ -153,7 +153,10 @@ def test_run_experiment_both_representations(tmp_path, synthetic_dir):
         assert meta == {"representation": representation,
                         "lexicon": os.path.relpath(Path(cfg.lexicon).resolve(), seed_dir.resolve()),
                         "lexicon_sha256": report["input_hashes"]["lexicon"]
-                        if representation == "word_char" else None}
+                        if representation == "word_char" else None,
+                        **{f"{name}_sha256": hashlib.sha256(
+                            (seed_dir / f"{name}.txt").read_bytes()).hexdigest()
+                           for name in ("src_vocab", "tgt_vocab")}}
 
 
 def test_mean_is_arithmetic_over_seeds(tmp_path, synthetic_dir):
@@ -326,7 +329,7 @@ def test_each_pool_summary_is_char_tokenized_once_per_run(tmp_path, synthetic_di
     char_tokenize = tokenizer.char_tokenize
     monkeypatch.setattr(tokenizer, "char_tokenize", counting_char_tokenize)
     cfg = small_config(synthetic_dir, seeds=[0, 1])
-    pool = load_corpus_file(cfg.part1, "I")[0].pairs
+    pool = load_corpus_file(cfg.part1, "I")[0]
     summaries = collections.Counter(p.summary for p in pool)
     assert not set(summaries) & {p.short_text for p in pool}  # a call names its text
     for run in (lambda: run_experiment(cfg, tmp_path / "run"),
@@ -346,7 +349,7 @@ def test_each_representation_has_a_source_table_of_its_own(synthetic_dir):
     test = filter_by_score(load_corpus_file(cfg.part3, "III")[0], cfg.min_score)
     pools = harness._tokenize(reps, pool, test)
     assert [rep.name for rep, _ in pools] == ["char_char", "word_char"]
-    sources = pool.pairs + test.pairs
+    sources = pool + test
     for rep, (src_tokens, *_) in pools:
         assert set(src_tokens) == {t for p in sources for t in rep.tokens(p.short_text)}
     (_, chars), (_, words) = pools
@@ -550,7 +553,7 @@ def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synt
     _, all_ok = run_experiment(cfg, tmp_path)
     assert all_ok
     part3 = load_corpus_file(cfg.part3, "III")[0]
-    test = filter_by_score(part3, cfg.min_score).pairs
+    test = filter_by_score(part3, cfg.min_score)
     for name in cfg.representations:
         for seed in cfg.seeds:
             seed_dir = tmp_path / cfg.name / name / f"seed{seed}"

@@ -379,7 +379,7 @@ from hwcsum.harness import load_corpus_file
 from hwcsum.model import ModelConfig, train
 from hwcsum.tokenizer import build_vocab, char_tokenize, encode_pair_chars
 
-pool = load_corpus_file(sys.argv[1], "I")[0].pairs
+pool = load_corpus_file(sys.argv[1], "I")[0]
 src = build_vocab((c for p in pool for c in char_tokenize(p.short_text)), "char")
 tgt = build_vocab((c for p in pool for c in char_tokenize(p.summary)), "char")
 pairs = [encode_pair_chars(p, src, tgt) for p in pool]
