@@ -96,7 +96,7 @@ def _cmd_vocab(args):
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"
     tokens = (tok for p in corpus for tok in rep.tokens(getattr(p, attr), word_segment))
-    vocab = build_vocab(tokens, args.unit, min_count=args.min_count, max_size=args.max_size)
+    vocab = build_vocab(tokens, min_count=args.min_count, max_size=args.max_size)
     vocab.save(args.out)
     print(f"wrote {vocab.n_content} {args.unit} tokens (plus 4 specials) to {args.out}",
           file=sys.stderr)
@@ -119,8 +119,8 @@ def _cmd_train(args):
         lexicon = args.lexicon or cfg.get("lexicon")
         Representation.check(name, lexicon)
     rep = Representation(name, lexicon)
-    src_vocab = Vocabulary.load(args.src_vocab, rep.src_unit)
-    tgt_vocab = Vocabulary.load(args.tgt_vocab, "char")
+    src_vocab = Vocabulary.load(args.src_vocab)
+    tgt_vocab = Vocabulary.load(args.tgt_vocab)
 
     table = TokenTable()  # the texts of both files, as token rows over one table
     parts = (load_corpus_file(path)[0] if path else None for path in (args.train, args.valid))
@@ -184,6 +184,9 @@ def _read_rows(path, fields):
 def _cmd_eval(args):
     candidates = _read_rows(args.candidates, ("candidate", "summary"))
     references = _read_rows(args.references, ("summary", "candidate"))
+    if len(candidates) != len(references):
+        raise ValueError(f"candidates {args.candidates} ({len(candidates)}) and references "
+                         f"{args.references} ({len(references)}) differ in length")
     for (line, cand_id, _), (ref_line, ref_id, _) in zip(candidates, references):
         if cand_id is not None and ref_id is not None and cand_id != ref_id:
             raise ValueError(f"{args.candidates}: line {line} has id {cand_id!r}, but "
@@ -294,7 +297,8 @@ def _clean_arguments(p):
 
 
 def _vocab_arguments(p):
-    p.add_argument("--unit", choices=["word", "char"], required=True)
+    p.add_argument("--unit", choices=["word", "char"], required=True,
+                   help="picks the representation; vocabulary files carry no unit")
     p.add_argument("--min-count", type=_setting("vocab_min_count"),
                    default=ExperimentConfig.vocab_min_count)
     p.add_argument("--max-size", type=_setting("encoder_vocab_size"))

@@ -229,10 +229,10 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
     rep.check_lexicon(meta.get("lexicon_sha256"))
     params = load_checkpoint(model_dir / "model.npz")
     vocabs = []
-    for name, unit, size in [("src_vocab", rep.src_unit, params.config.src_vocab_size),
-                             ("tgt_vocab", "char", params.config.tgt_vocab_size)]:
+    for name, size in [("src_vocab", params.config.src_vocab_size),
+                       ("tgt_vocab", params.config.tgt_vocab_size)]:
         path = model_dir / f"{name}.txt"
-        vocabs.append(Vocabulary.load(path, unit))
+        vocabs.append(Vocabulary.load(path))
         if len(vocabs[-1]) != size:
             raise ValueError(f"{path} has {len(vocabs[-1])} entries, but the "
                              f"checkpoint was trained with a vocabulary of {size}")
@@ -265,9 +265,9 @@ def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) 
     src_tokens, tgt_tokens, pool_src, pool_tgt, test, test_src = tokenized
     train_idx, valid_idx = split_indices(len(pool_src), cfg.n_validation, seed)
 
-    src_vocab = rank_vocab(pool_src.stream(train_idx), src_tokens, rep.src_unit,
-                           cfg.vocab_min_count, cfg.encoder_vocab_size)
-    tgt_vocab = rank_vocab(pool_tgt.stream(train_idx), tgt_tokens, "char", cfg.vocab_min_count,
+    src_vocab = rank_vocab(pool_src.stream(train_idx), src_tokens, cfg.vocab_min_count,
+                           cfg.encoder_vocab_size)
+    tgt_vocab = rank_vocab(pool_tgt.stream(train_idx), tgt_tokens, cfg.vocab_min_count,
                            cfg.decoder_vocab_size)
     src_map, tgt_map = src_vocab.id_map(src_tokens), tgt_vocab.id_map(tgt_tokens)
     train_pairs, valid_pairs = (EncodedRows(pool_src, pool_tgt, rows, src_map, tgt_map)

@@ -9,8 +9,7 @@ back to singleton words with count 1, so segmentation never fails.
 
 import hashlib
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -55,166 +54,6 @@ def _invalid_entry(word: str, count: int) -> str:
 
 def _too_large(word: str, count: int) -> str:
     return f"lexicon count for {word!r} must be below 2**63, got {count}"
-
-
-class _Table(Mapping):
-    """Read-only word -> count table held in numpy arrays.
-
-    Words are grouped by length. Within a group each word is an exact
-    sort key: its code points packed into one uint64 when the group's
-    words fit (``bits`` per code point, from the largest code point of
-    the text the words come from, so 64 // bits characters), else its
-    big-endian UTF-32 bytes. The keys are sorted with the counts aligned,
-    so a lookup is a ``searchsorted`` and an equality test; nothing is
-    hashed. Iteration is in first-occurrence order.
-    """
-
-    def __init__(self, chars, starts, lens, counts):
-        """The words chars[starts[i]:starts[i] + lens[i]] with counts[i]; a
-        repeated word keeps its last count. ``invalid_at`` is the index of
-        the entry that makes the table invalid, or None: the last
-        occurrence of the empty word, else of the first-seen word whose
-        count is not positive."""
-        bits = max(1, int(chars.max(initial=0)).bit_length())
-        self._shift, self._limit, self._per_key = np.uint64(bits), 1 << bits, 64 // bits
-        self._groups = {}  # length -> (sorted keys, counts, first occurrences)
-        invalid = []  # (rank, last occurrence): the empty word, then words with a count <= 0
-        for length in np.flatnonzero(np.bincount(lens)).tolist():
-            at = np.flatnonzero(lens == length)
-            begin = starts[at].astype(np.intp)
-            keys = self._pack([chars[c:][begin] for c in range(length)], len(at))
-            order = np.argsort(keys)
-            keys, first, count = keys[order], at[order], counts[at][order]
-            # a word's occurrences sort together, in no set order, so only the
-            # repeated words need their first and last occurrence looked for
-            again = np.flatnonzero(keys[1:] == keys[:-1]) + 1  # sorted places repeating the one before
-            last = first
-            if again.size:
-                word = again - np.arange(1, len(again) + 1)  # the distinct word each repeat belongs to
-                keys, first, rest = np.delete(keys, again), np.delete(first, again), first[again]
-                last = first.copy()
-                np.minimum.at(first, word, rest)
-                np.maximum.at(last, word, rest)
-                count = counts[last]
-            self._groups[length] = (keys, count, first)
-            if length == 0:
-                invalid.append((-1, int(last[0])))
-            bad = np.flatnonzero(count <= 0)
-            if bad.size:
-                k = bad[np.argmin(first[bad])]
-                invalid.append((int(first[k]), int(last[k])))
-        self.invalid_at = min(invalid)[1] if invalid else None
-        self._size = sum(len(keys) for keys, _, _ in self._groups.values())
-        self.total = sum(_exact_sum(c) for _, c, _ in self._groups.values())
-        self.max_word_len = max(self._groups, default=1)
-
-    def _pack(self, columns, m: int) -> np.ndarray:
-        """Sort keys of m words of L code points, given as L columns:
-        column c holds the c-th code point of every word."""
-        if len(columns) > self._per_key:
-            rows = np.ascontiguousarray(np.transpose(columns), dtype=">u4")
-            return rows.view(f"S{4 * len(columns)}").ravel()
-        key = np.zeros(m, dtype=np.uint64)
-        for column in columns:
-            key <<= self._shift
-            key |= column
-        return key
-
-    def _lookup(self, length: int, key: np.ndarray) -> np.ndarray:
-        """Counts of the words of this length with the given sort keys, 0
-        where a key is no word's."""
-        keys, counts, _ = self._groups[length]
-        pos = keys.searchsorted(key)
-        return counts.take(pos, mode="clip") * (keys.take(pos, mode="clip") == key)
-
-    def matches(self, s: str):
-        """Every word of the table inside s, looked up one length at a time.
-
-        Returns the count of the one-character word at each position (0
-        where none) and, at each position, the (end, count) of every
-        longer word starting there. A stretch holding a code point wider
-        than the packing is a miss, so it never aliases a word.
-        """
-        codes = _codes(s)
-        n = len(codes)
-        wide = codes >= self._limit if n and ord(max(s)) >= self._limit else None
-        span = wide  # windows of the current length holding a wide code point
-        codes = codes.astype(np.uint64)
-        key = codes  # packed windows of the current length
-        single, longer = [0] * n, [()] * n
-        for length in range(1, min(self.max_word_len, n) + 1):
-            m = n - length + 1
-            if length > 1 and length <= self._per_key:
-                key = (key[:m] << self._shift) | codes[length - 1:]
-            if length > 1 and span is not None:
-                span = span[:m] | wide[length - 1:]
-            if length not in self._groups:
-                continue
-            count = self._lookup(length, key if length <= self._per_key
-                                 else self._pack(sliding_window_view(codes, length).T, m))
-            if span is not None:
-                count[span] = 0
-            if length == 1:
-                single = count.tolist()
-                continue
-            for i, c in enumerate(count.tolist()):
-                if c:
-                    longer[i] += ((i + length, c),)
-        return single, longer
-
-    def _words(self, length: int, keys: np.ndarray) -> list[str]:
-        if length > self._per_key:
-            mat = keys.view(">u4")
-        else:
-            shifts = self._shift * np.arange(length - 1, -1, -1, dtype=np.uint64)
-            mat = (keys[:, None] >> shifts) & np.uint64(self._limit - 1)
-        text = _text(mat)
-        return [text[i:i + length] for i in range(0, len(text), length)]
-
-    def _ordered(self) -> tuple[list[str], list[int]]:
-        """Words and counts in first-occurrence order."""
-        if not self._groups:
-            return [], []
-        words = [w for length, (keys, _, _) in self._groups.items() for w in self._words(length, keys)]
-        order = np.argsort(np.concatenate([first for _, _, first in self._groups.values()]))
-        counts = np.concatenate([c for _, c, _ in self._groups.values()])
-        return [words[i] for i in order.tolist()], counts[order].tolist()
-
-    def __getitem__(self, word):
-        if isinstance(word, str) and len(word) in self._groups:
-            codes = _codes(word)
-            if not (codes >= self._limit).any():
-                count = int(self._lookup(len(word), self._pack(codes[:, None], 1))[0])
-                if count:
-                    return count
-        raise KeyError(word)
-
-    def __iter__(self):
-        return iter(self._ordered()[0])
-
-    def __len__(self):
-        return self._size
-
-    # whole-table views decode every word once, not one lookup per word
-    def items(self):
-        return dict(zip(*self._ordered())).items()
-
-    def values(self):
-        return self._ordered()[1]
-
-
-def _table_of(entries: Mapping[str, int]) -> _Table:
-    """The table of a word -> count mapping; raises ValueError if invalid."""
-    words, counts = list(entries), list(entries.values())
-    for word, count in zip(words, counts):
-        if count >= _COUNT_LIMIT:
-            raise ValueError(_too_large(word, count))
-    lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    table = _Table(_codes("".join(words)), np.cumsum(lens) - lens, lens,
-                   np.array([max(c, -_COUNT_LIMIT) for c in counts], dtype=np.int64))
-    if table.invalid_at is not None:
-        raise ValueError(_invalid_entry(words[table.invalid_at], counts[table.invalid_at]))
-    return table
 
 
 def _text(codes: np.ndarray) -> str:
@@ -317,29 +156,37 @@ def _read_codes(path) -> tuple[np.ndarray, str]:
     return _codes(text), sha256
 
 
-@dataclass(frozen=True)
 class Lexicon:
-    """Read-only word -> count table driving the segmenter.
+    """Read-only word -> count table driving the segmenter, held in numpy arrays.
 
-    ``entries`` is a read-only Mapping view over numpy arrays, built at
-    construction from the mapping passed in (which is not kept); it
-    iterates in first-occurrence order and looks words up exactly by
-    binary search. ``total`` (the exact sum of the counts) and
-    ``max_word_len`` (1 when empty) are fixed at construction. Counts
-    must be below 2**63. ``sha256`` is the hash of the bytes a lexicon
-    was loaded from (None when built from a mapping).
+    Words are grouped by length. Within a group each word is an exact
+    sort key: its code points packed into one uint64 when the group's
+    words fit (``bits`` per code point, from the largest code point of
+    the text the words come from, so 64 // bits characters), else its
+    big-endian UTF-32 bytes. The keys are sorted with the counts aligned,
+    so a lookup is a ``searchsorted`` and an equality test; nothing is
+    hashed. ``count(word)`` looks one word up. ``total`` (the exact sum of
+    the counts) and ``max_word_len`` (1 when empty) are fixed at
+    construction. Counts must be below 2**63. ``sha256`` is the hash of
+    the bytes a lexicon was loaded from (None when built from a mapping).
     """
 
-    entries: Mapping[str, int] = field(default_factory=dict)
-    total: int = field(init=False)
-    max_word_len: int = field(init=False)
-    sha256: str | None = field(default=None, init=False, compare=False)
+    total = property(lambda self: self._total)
+    max_word_len = property(lambda self: self._max_word_len)
+    sha256 = property(lambda self: self._sha256)
 
-    def __post_init__(self):
-        table = self.entries if isinstance(self.entries, _Table) else _table_of(self.entries)
-        object.__setattr__(self, "entries", table)
-        object.__setattr__(self, "total", table.total)
-        object.__setattr__(self, "max_word_len", table.max_word_len)
+    def __init__(self, entries: dict[str, int]):
+        """The table of a word -> count mapping (not kept); raises ValueError if invalid."""
+        words, counts = list(entries), list(entries.values())
+        for word, count in zip(words, counts):
+            if count >= _COUNT_LIMIT:
+                raise ValueError(_too_large(word, count))
+        lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        bad = self._build(_codes("".join(words)), np.cumsum(lens) - lens, lens,
+                          np.array([max(c, -_COUNT_LIMIT) for c in counts], dtype=np.int64))
+        if bad is not None:
+            raise ValueError(_invalid_entry(words[bad], counts[bad]))
+        self._sha256 = None
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
@@ -354,27 +201,129 @@ class Lexicon:
         keep_heap()
         codes, sha256 = _read_codes(path)
         starts, lens, counts = _entry_lines(codes, path)
-        table = _Table(codes, starts, lens, counts)
-        if table.invalid_at is not None:
-            line_no, text = _line_at(codes, int(starts[table.invalid_at]))
+        lex = cls.__new__(cls)
+        bad = lex._build(codes, starts, lens, counts)
+        if bad is not None:
+            line_no, text = _line_at(codes, int(starts[bad]))
             word, count = text.split("\t")
             raise ValueError(f"{path}: line {line_no}: {_invalid_entry(word, int(count))}")
-        lex = cls(table)
-        object.__setattr__(lex, "sha256", sha256)
+        lex._sha256 = sha256
         return lex
+
+    def _build(self, chars, starts, lens, counts) -> int | None:
+        """Hold the words chars[starts[i]:starts[i] + lens[i]] with counts[i];
+        a repeated word keeps its last count. Returns the index of the entry
+        that makes the table invalid, or None: the last occurrence of the
+        empty word, else of the first-seen word whose count is not positive."""
+        bits = max(1, int(chars.max(initial=0)).bit_length())
+        self._shift, self._limit, self._per_key = np.uint64(bits), 1 << bits, 64 // bits
+        self._groups = {}  # length -> (sorted keys, counts)
+        invalid = []  # (rank, last occurrence): the empty word, then words with a count <= 0
+        for length in np.flatnonzero(np.bincount(lens)).tolist():
+            at = np.flatnonzero(lens == length)
+            begin = starts[at].astype(np.intp)
+            keys = self._pack([chars[c:][begin] for c in range(length)], len(at))
+            order = np.argsort(keys)
+            keys, first, count = keys[order], at[order], counts[at][order]
+            # a word's occurrences sort together, in no set order, so only the
+            # repeated words need their first and last occurrence looked for
+            again = np.flatnonzero(keys[1:] == keys[:-1]) + 1  # sorted places repeating the one before
+            last = first
+            if again.size:
+                word = again - np.arange(1, len(again) + 1)  # the distinct word each repeat belongs to
+                keys, first, rest = np.delete(keys, again), np.delete(first, again), first[again]
+                last = first.copy()
+                np.minimum.at(first, word, rest)
+                np.maximum.at(last, word, rest)
+                count = counts[last]
+            self._groups[length] = (keys, count)
+            if length == 0:
+                invalid.append((-1, int(last[0])))
+            bad = np.flatnonzero(count <= 0)
+            if bad.size:
+                k = bad[np.argmin(first[bad])]
+                invalid.append((int(first[k]), int(last[k])))
+        self._total = sum(_exact_sum(c) for _, c in self._groups.values())
+        self._max_word_len = max(self._groups, default=1)
+        return min(invalid)[1] if invalid else None
+
+    def __len__(self):
+        return sum(len(keys) for keys, _ in self._groups.values())
+
+    def count(self, word: str) -> int:
+        """The count of word, 0 when it is not in the lexicon."""
+        codes = _codes(word)
+        if len(word) not in self._groups or (codes >= self._limit).any():
+            return 0
+        return int(self._lookup(len(word), self._pack(codes[:, None], 1))[0])
+
+    def _pack(self, columns, m: int) -> np.ndarray:
+        """Sort keys of m words of L code points, given as L columns:
+        column c holds the c-th code point of every word."""
+        if len(columns) > self._per_key:
+            rows = np.ascontiguousarray(np.transpose(columns), dtype=">u4")
+            return rows.view(f"S{4 * len(columns)}").ravel()
+        key = np.zeros(m, dtype=np.uint64)
+        for column in columns:
+            key <<= self._shift
+            key |= column
+        return key
+
+    def _lookup(self, length: int, key: np.ndarray) -> np.ndarray:
+        """Counts of the words of this length with the given sort keys, 0
+        where a key is no word's."""
+        keys, counts = self._groups[length]
+        pos = keys.searchsorted(key)
+        return counts.take(pos, mode="clip") * (keys.take(pos, mode="clip") == key)
+
+    def _matches(self, s: str):
+        """Every word of the lexicon inside s, looked up one length at a time.
+
+        Returns the count of the one-character word at each position (0
+        where none) and, at each position, the (end, count) of every
+        longer word starting there. A stretch holding a code point wider
+        than the packing is a miss, so it never aliases a word.
+        """
+        codes = _codes(s)
+        n = len(codes)
+        wide = codes >= self._limit if n and ord(max(s)) >= self._limit else None
+        span = wide  # windows of the current length holding a wide code point
+        codes = codes.astype(np.uint64)
+        key = codes  # packed windows of the current length
+        single, longer = [0] * n, [()] * n
+        for length in range(1, min(self._max_word_len, n) + 1):
+            m = n - length + 1
+            if length > 1 and length <= self._per_key:
+                key = (key[:m] << self._shift) | codes[length - 1:]
+            if length > 1 and span is not None:
+                span = span[:m] | wide[length - 1:]
+            if length not in self._groups:
+                continue
+            count = self._lookup(length, key if length <= self._per_key
+                                 else self._pack(sliding_window_view(codes, length).T, m))
+            if span is not None:
+                count[span] = 0
+            if length == 1:
+                single = count.tolist()
+                continue
+            for i, c in enumerate(count.tolist()):
+                if c:
+                    longer[i] += ((i + length, c),)
+        return single, longer
 
 
 def word_segment(text: str, lex: Lexicon) -> list[str]:
     """Best unigram segmentation of text under the lexicon.
 
     Builds the DAG of all lexicon matches over the whitespace-stripped
-    character sequence plus single-character fallback edges (count 1),
+    character sequence (found by the lexicon one word length at a time)
+    plus single-character fallback edges (count 1),
     scores each edge log(count / lexicon total), and returns the path
     with maximal total log-probability. Equal-score ties prefer the
     longer word at each position. Concatenating the returned tokens
     reproduces the whitespace-stripped input.
     """
-    if not lex.entries:
+    if not len(lex):
         raise ValueError("lexicon is empty")
     s = "".join(char_tokenize(text))
     n = len(s)
@@ -382,7 +331,7 @@ def word_segment(text: str, lex: Lexicon) -> list[str]:
         return []
 
     log_total = math.log(lex.total)
-    single, longer = lex.entries.matches(s)
+    single, longer = lex._matches(s)
 
     # best[i] = (score, end) of the best path for s[i:], computed back to front
     best: list[tuple[float, int]] = [(0.0, n)] * (n + 1)
@@ -418,7 +367,6 @@ class Representation:
     def __init__(self, name: str, lexicon_path=None, lexicon: Lexicon | None = None):
         self.check(name, lexicon_path)
         self.name = name
-        self.src_unit = "word" if name == "word_char" else "char"
         self.lexicon_path = lexicon_path
         self.lexicon = (lexicon or Lexicon.from_file(lexicon_path)) if name == "word_char" else None
 
@@ -475,16 +423,13 @@ class Vocabulary:
     in the building stream.
     """
 
-    def __init__(self, tokens: list[str], counts: list[int], unit: str):
-        if unit not in ("word", "char"):
-            raise ValueError(f"unit must be 'word' or 'char', got {unit!r}")
+    def __init__(self, tokens: list[str], counts: list[int]):
         if tokens[:4] != list(SPECIAL_TOKENS):
             raise ValueError("vocabulary must start with the four special tokens")
         if len(tokens) != len(counts):
             raise ValueError("tokens and counts length mismatch")
         self.tokens = tokens
         self.counts = counts
-        self.unit = unit
         self.ids = {tok: i for i, tok in enumerate(tokens)}
         if len(self.ids) != len(tokens):
             raise ValueError("duplicate token in vocabulary")
@@ -524,8 +469,9 @@ class Vocabulary:
                 f.write(f"{tok}\t{count}\n".encode("utf-8"))
 
     @classmethod
-    def load(cls, path, unit: str) -> "Vocabulary":
-        tokens, counts = [], []
+    def load(cls, path) -> "Vocabulary":
+        """Read a file save wrote; every error names the file (and line, if any)."""
+        tokens, counts, line_of = [], [], {}
         with open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
@@ -536,9 +482,15 @@ class Vocabulary:
                     count = int(count)
                 except ValueError:
                     raise ValueError(f"{path}: line {line_no}: expected 'token<TAB>count'") from None
+                if line_of.setdefault(tok, line_no) != line_no:
+                    raise ValueError(f"{path}: line {line_no}: duplicate token in vocabulary "
+                                     f"(first on line {line_of[tok]})")
                 tokens.append(tok)
                 counts.append(count)
-        return cls(tokens, counts, unit)
+        try:
+            return cls(tokens, counts)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 class TokenTable(dict):
@@ -608,8 +560,7 @@ class EncodedRows:
                            [BOS, *self.tgt_map[self.tgt[row]].tolist(), EOS])
 
 
-def rank_vocab(streams, tokens, unit: str, min_count: int = 1,
-               max_size: int | None = None) -> Vocabulary:
+def rank_vocab(streams, tokens, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
     """The Vocabulary of a token stream given as ids into tokens (a list, or
     a TokenTable that grows as the stream is read).
 
@@ -640,10 +591,10 @@ def rank_vocab(streams, tokens, unit: str, min_count: int = 1,
     kept = kept[np.lexsort((first[kept], -counts[kept]))][:max_size]
     names = list(tokens)
     return Vocabulary(list(SPECIAL_TOKENS) + [names[i] for i in kept.tolist()],
-                      [0] * len(SPECIAL_TOKENS) + counts[kept].tolist(), unit)
+                      [0] * len(SPECIAL_TOKENS) + counts[kept].tolist())
 
 
-def build_vocab(token_stream, unit: str, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
+def build_vocab(token_stream, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
     """Count a stream of token strings and assemble a Vocabulary in
     rank_vocab's order, reading the stream STREAM_CHUNK tokens at a time."""
     stream, table = iter(token_stream), TokenTable()
@@ -653,7 +604,7 @@ def build_vocab(token_stream, unit: str, min_count: int = 1, max_size: int | Non
                                   dtype=np.int32)).size:
             yield ids
 
-    return rank_vocab(chunks(), table, unit, min_count, max_size)
+    return rank_vocab(chunks(), table, min_count, max_size)
 
 
 @dataclass
@@ -672,8 +623,6 @@ def encode_pair_chars(pair: DocumentPair, src_vocab: Vocabulary,
                       char_vocab: Vocabulary) -> EncodedPair:
     """Character encoding on both sides (the char/char baseline): the source
     characters as they are, the summary characters bracketed by <s> ... </s>."""
-    if src_vocab.unit != "char" or char_vocab.unit != "char":
-        raise ValueError("encode_pair_chars needs char vocabularies on both sides")
     src_chars, tgt_chars = char_tokenize(pair.short_text), char_tokenize(pair.summary)
     if not src_chars:
         raise ValueError(f"pair id={pair.id}: source text is empty after whitespace removal")

@@ -401,7 +401,7 @@ OVERFIT_PAIRS = [
 def _run_overfit():
     pairs = [DocumentPair(i, t, s) for i, (t, s) in enumerate(OVERFIT_PAIRS)]
     vocab = build_vocab(
-        (c for p in pairs for c in char_tokenize(p.short_text + p.summary)), "char")
+        c for p in pairs for c in char_tokenize(p.short_text + p.summary))
     encoded = [encode_pair_chars(p, vocab, vocab) for p in pairs]
     cfg = ModelConfig(src_vocab_size=len(vocab), tgt_vocab_size=len(vocab),
                       embed_dim=32, hidden_dim=32, dropout=0.0, max_decode_len=8, seed=0)
@@ -469,8 +469,8 @@ def test_acceptance_segmenter_optimality():
         lex = Lexicon(entries)
         text = "".join(alphabet[gen.bounded(3)] for _ in range(1 + gen.bounded(6)))
         tokens = word_segment(text, lex)
-        got = segmentation_log_prob(tokens, lex.entries, lex.total)
-        best = best_segmentation_score(list(text), lex.entries, lex.total)
+        got = segmentation_log_prob(tokens, entries, lex.total)
+        best = best_segmentation_score(list(text), entries, lex.total)
         assert math.isclose(got, best, abs_tol=1e-9), f"{text!r} under {entries}"
     _report("segmenter optimality (1000 random cases, length <= 6)", t0)
 

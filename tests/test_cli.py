@@ -814,8 +814,8 @@ def _reference_train(d, cfg, out, valid):
     encoded by the vocabularies themselves: model.train on those lists, saved
     through save_model_dir."""
     rep = Representation(cfg["representation"], cfg["lexicon"])
-    src_vocab = Vocabulary.load(d / "src_vocab.txt", rep.src_unit)
-    tgt_vocab = Vocabulary.load(d / "tgt_vocab.txt", "char")
+    src_vocab = Vocabulary.load(d / "src_vocab.txt")
+    tgt_vocab = Vocabulary.load(d / "tgt_vocab.txt")
 
     def encode_corpus(path):
         return [EncodedPair(src_vocab.encode(rep.tokens(p.short_text)),
@@ -943,6 +943,20 @@ def test_eval_refuses_rows_whose_ids_differ(tmp_path):
     # rows without an id on either side are still paired by position
     references.write_text('{"summary": "城市"}\n{"id": 2, "summary": "交通"}\n', encoding="utf-8")
     assert main(["eval", "--candidates", str(candidates), "--references", str(references)]) == 0
+
+
+def test_eval_refuses_files_whose_row_counts_differ(tmp_path):
+    candidates, references = tmp_path / "candidates.jsonl", tmp_path / "references.jsonl"
+    candidates.write_text('{"candidate": "城市"}\n{"candidate": "交通"}\n', encoding="utf-8")
+    references.write_text('{"summary": "城市"}\n\n', encoding="utf-8")
+    for argv, message in (
+            ([candidates, references],
+             f"candidates {candidates} (2) and references {references} (1) differ in length"),
+            ([references, candidates],
+             f"candidates {references} (1) and references {candidates} (2) differ in length")):
+        with pytest.raises(ValueError) as err:
+            main(["eval", "--candidates", str(argv[0]), "--references", str(argv[1])])
+        assert str(err.value) == message
 
 
 # a valid argument list for each command

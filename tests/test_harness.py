@@ -377,7 +377,7 @@ def test_write_decodes_maps_one_chunk_before_each_decode(monkeypatch):
     monkeypatch.setattr(harness, "beam_search_batch", decoding)
     params = model.init_params(model.ModelConfig(src_vocab_size=9, tgt_vocab_size=9, embed_dim=4,
                                                  hidden_dim=4, max_decode_len=3))
-    tgt_vocab = tokenizer.Vocabulary(list(tokenizer.SPECIAL_TOKENS) + list("abcde"), [0] * 9, "char")
+    tgt_vocab = tokenizer.Vocabulary(list(tokenizer.SPECIAL_TOKENS) + list("abcde"), [0] * 9)
     out = io.StringIO()
     ids = [100 + i for i in range(len(src))]
     candidates = harness.write_decodes(out, ids, src, CountingMap(), params, tgt_vocab, 2)

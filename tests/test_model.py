@@ -34,7 +34,8 @@ from hwcsum.model import (
 from hwcsum.numerics import Tape, Tensor
 from hwcsum.rng import MT19937
 from hwcsum.tokenizer import BOS, EOS, PAD, EncodedPair, Lexicon
-from oracles import best_decode, finite_difference_error, reference_init_params
+from oracles import (best_decode, finite_difference_error, reference_init_params,
+                     reference_lexicon_load)
 
 TINY = dict(embed_dim=3, hidden_dim=3, dropout=0.0)
 
@@ -380,8 +381,8 @@ from hwcsum.model import ModelConfig, train
 from hwcsum.tokenizer import build_vocab, char_tokenize, encode_pair_chars
 
 pool = load_corpus_file(sys.argv[1], "I")[0]
-src = build_vocab((c for p in pool for c in char_tokenize(p.short_text)), "char")
-tgt = build_vocab((c for p in pool for c in char_tokenize(p.summary)), "char")
+src = build_vocab(c for p in pool for c in char_tokenize(p.short_text))
+tgt = build_vocab(c for p in pool for c in char_tokenize(p.summary))
 pairs = [encode_pair_chars(p, src, tgt) for p in pool]
 cfg = ModelConfig(src_vocab_size=len(src), tgt_vocab_size=len(tgt), embed_dim=24, hidden_dim=24,
                   dropout=0.1, seed=0)
@@ -429,7 +430,7 @@ with open(sys.argv[1], "w", encoding="utf-8") as f:  # 100k distinct CJK words
         f.write(f"{chr(0x4E00 + i % 20902)}{chr(0x4E00 + i // 20902)}{tail}\\t{1 + i * 31 % 997}\\n")
 for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert len(Lexicon.from_file(sys.argv[1]).entries) == 100_000
+    assert len(Lexicon.from_file(sys.argv[1])) == 100_000
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -468,7 +469,9 @@ def test_train_and_decode_do_not_need_mallopt(monkeypatch, synthetic_dir, libc):
     assert beam_search_batch(sources, params, 2, 5) == decodes and looked_up == [None, None]
     loaded = Lexicon.from_file(synthetic_dir / "lexicon.tsv")
     assert looked_up == [None, None, None]
-    assert list(loaded.entries.items()) == list(lex.entries.items())
+    words = reference_lexicon_load(synthetic_dir / "lexicon.tsv").entries
+    assert len(loaded) == len(lex) == len(words)
+    assert [loaded.count(w) for w in words] == [lex.count(w) for w in words] == list(words.values())
     assert (loaded.total, loaded.max_word_len, loaded.sha256) == (lex.total, lex.max_word_len,
                                                                    lex.sha256)
     assert [e["train_loss"] for e in again] == [e["train_loss"] for e in history]

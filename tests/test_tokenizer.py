@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -52,13 +51,14 @@ def test_char_tokenize_empty_and_whitespace():
 
 
 def test_segment_prefers_lexicon_words():
-    lex = Lexicon({"奥委会": 10, "成立": 5})
+    entries = {"奥委会": 10, "成立": 5}
+    lex = Lexicon(entries)
     tokens = word_segment("奥委会成立", lex)
     assert tokens == ["奥委会", "成立"]
     # and the score really is the global optimum
     assert math.isclose(
-        segmentation_log_prob(tokens, lex.entries, lex.total),
-        best_segmentation_score(list("奥委会成立"), lex.entries, lex.total),
+        segmentation_log_prob(tokens, entries, lex.total),
+        best_segmentation_score(list("奥委会成立"), entries, lex.total),
         abs_tol=1e-9,
     )
 
@@ -84,14 +84,15 @@ def _random_lexicon(gen, alphabet):
         length = 1 + gen.bounded(3)
         word = "".join(alphabet[gen.bounded(len(alphabet))] for _ in range(length))
         entries[word] = 1 + gen.bounded(50)
-    return Lexicon(entries)
+    return entries
 
 
 def test_segment_optimality_random_cases():
     gen = MT19937(13)
     alphabet = "甲乙丙"
     for _ in range(1000):
-        lex = _random_lexicon(gen, alphabet)
+        entries = _random_lexicon(gen, alphabet)
+        lex = Lexicon(entries)
         n = gen.bounded(7)
         text = "".join(alphabet[gen.bounded(3)] for _ in range(n))
         tokens = word_segment(text, lex)
@@ -99,8 +100,8 @@ def test_segment_optimality_random_cases():
         if n == 0:
             assert tokens == []
             continue
-        got = segmentation_log_prob(tokens, lex.entries, lex.total)
-        best = best_segmentation_score(list(text), lex.entries, lex.total)
+        got = segmentation_log_prob(tokens, entries, lex.total)
+        best = best_segmentation_score(list(text), entries, lex.total)
         assert math.isclose(got, best, abs_tol=1e-9)
 
 
@@ -162,9 +163,9 @@ def test_wide_code_points_never_alias_a_word():
     # ASCII words pack 7 bits a character, so (ord('a') << 7) | 0xE2 is the
     # key of "ab"; the wider 'â' (0xE2) must miss, not match "ab"
     lex = Lexicon({"ab": 5, "a": 3})
-    assert (lex.entries._per_key, lex.entries._limit) == (9, 128)
+    assert (lex._per_key, lex._limit) == (9, 128)
     assert word_segment("aâ", lex) == ["a", "â"]
-    assert "aâ" not in lex.entries and lex.entries.get(chr((97 << 7) | 98)) is None
+    assert lex.count("aâ") == 0 and lex.count(chr((97 << 7) | 98)) == 0
     assert word_segment("âab", lex) == ["â", "ab"]
 
 
@@ -185,18 +186,21 @@ def test_segment_matches_reference_packed_and_byte_keys():
         assert word_segment(text, lex) == reference_word_segment(text, ref)
 
 
+def _holds(lex, entries) -> bool:
+    """Whether lex holds exactly the words of entries, with their counts."""
+    return len(lex) == len(entries) and {w: lex.count(w) for w in entries} == entries
+
+
 def test_lexicon_is_frozen():
     entries = {"奥委会": 10, "成立": 5, "今": 1}
     lex = Lexicon(entries)
-    with pytest.raises(TypeError):
-        lex.entries["成立"] = 6
-    with pytest.raises(TypeError):
-        del lex.entries["今"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         lex.total = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         lex.max_word_len = 9
-    assert lex.entries == {"奥委会": 10, "成立": 5, "今": 1}
+    with pytest.raises(AttributeError):
+        lex.sha256 = "0" * 64
+    assert _holds(lex, {"奥委会": 10, "成立": 5, "今": 1})
     assert lex.total == sum(entries.values()) == 16
     assert lex.max_word_len == max(map(len, entries)) == 3
 
@@ -239,14 +243,14 @@ def test_lexicon_file_accepted_input(tmp_path):
     # blank and whitespace-only lines, CRLF endings, a repeated word, no final newline
     path.write_bytes("奥委会\t10\r\n\r\n \t \n成立\t5\n奥委会\t3\n\n今天\t8".encode("utf-8"))
     lex = Lexicon.from_file(path)
-    assert dict(lex.entries) == {"奥委会": 3, "成立": 5, "今天": 8}
+    assert _holds(lex, {"奥委会": 3, "成立": 5, "今天": 8})
     assert (lex.total, lex.max_word_len) == (16, 3)
 
 
 def test_lexicon_file_repeated_word_keeps_last_count(tmp_path):
     path = tmp_path / "lexicon.tsv"
     path.write_text("词\t0\n字\t2\n词\t4\n", encoding="utf-8")
-    assert dict(Lexicon.from_file(path).entries) == {"词": 4, "字": 2}
+    assert _holds(Lexicon.from_file(path), {"词": 4, "字": 2})
     # the error names the line whose count stands
     path.write_text("词\t4\n字\t2\n词\t0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r": line 3: lexicon count for '词'"):
@@ -295,9 +299,9 @@ def _assert_same_load(path):
         assert str(err.value) == str(e)
         return str(e)
     lex = Lexicon.from_file(path)
-    assert dict(lex.entries) == ref.entries
-    assert list(lex.entries.items()) == list(ref.entries.items())  # first-occurrence order
-    assert list(lex.entries) == list(ref.entries) and len(lex.entries) == len(ref.entries)
+    assert len(lex) == len(ref.entries)
+    for word, count in ref.entries.items():
+        assert lex.count(word) == count, word
     assert (lex.total, lex.max_word_len) == (ref.total, ref.max_word_len)
     return None
 
@@ -308,6 +312,21 @@ def test_lexicon_load_matches_reference_on_generated_files(tmp_path):
     for _ in range(300):
         path.write_bytes(_lexicon_text(gen, gen.bounded(40)).encode("utf-8"))
         assert _assert_same_load(path) is None
+
+
+def test_lexicon_from_a_mapping_matches_the_file_load_on_generated_files(tmp_path):
+    """Both constructors build through one table builder: a lexicon built
+    from the loaded words holds what the file load holds, word for word."""
+    gen = MT19937(6)
+    path = tmp_path / "lexicon.tsv"
+    for _ in range(300):
+        path.write_bytes(_lexicon_text(gen, gen.bounded(40)).encode("utf-8"))
+        entries = reference_lexicon_load(path).entries
+        loaded, built = Lexicon.from_file(path), Lexicon(entries)
+        assert len(loaded) == len(built) == len(entries)
+        assert [loaded.count(w) for w in entries] == [built.count(w) for w in entries]
+        assert (loaded.total, loaded.max_word_len) == (built.total, built.max_word_len)
+        assert built.sha256 is None
 
 
 @pytest.mark.parametrize("content", [
@@ -380,7 +399,7 @@ def test_lexicon_load_matches_reference_on_distinct_words(tmp_path, alphabet, od
     if odd_line == "two tabs":
         assert message.endswith(f": line {lines.index(line) + 1}: expected 'word<TAB>count'")
     else:
-        assert message is None and len(Lexicon.from_file(path).entries) == 3000
+        assert message is None and len(Lexicon.from_file(path)) == 3000
 
 
 def test_lexicon_count_of_2_63_or_more_names_its_line(tmp_path):
@@ -425,44 +444,40 @@ def test_lexicon_invalid_utf8_names_its_line(tmp_path):
         Lexicon.from_file(path)
 
 
-def test_lexicon_entries_view():
+def test_lexicon_count_looks_up_one_word():
     source = {"奥委会": 10, "成立": 5, "今": 1, "abcdefghijkl": 3}
     lex = Lexicon(source)
     source["成立"] = 99  # the table is a copy
-    view = lex.entries
-    assert list(view) == ["奥委会", "成立", "今", "abcdefghijkl"] and len(view) == 4
-    assert view["成立"] == 5 and view["abcdefghijkl"] == 3
-    assert "成" not in view and 5 not in view and view.get("成", 0) == 0
-    with pytest.raises(KeyError):
-        view["今天"]
-    assert view == {"奥委会": 10, "成立": 5, "今": 1, "abcdefghijkl": 3}
-    assert list(view.values()) == [10, 5, 1, 3] and sum(view.values()) == lex.total
-    assert Lexicon(view) == lex and Lexicon(view).entries is view
+    assert _holds(lex, {"奥委会": 10, "成立": 5, "今": 1, "abcdefghijkl": 3})  # packed and byte keys
+    assert (len(lex), lex.total, lex.max_word_len) == (4, 19, 12)
+    # absent: a prefix, a word of a held length, the empty word, a word past max_word_len
+    for word in ("成", "今天", "abcdefghijkm", "", "abcdefghijklm"):
+        assert lex.count(word) == 0, word
 
 
 def test_build_vocab_min_count():
-    vocab = build_vocab(iter(["a", "a", "b"]), "char", min_count=2)
+    vocab = build_vocab(iter(["a", "a", "b"]), min_count=2)
     assert vocab.tokens == ["<pad>", "<unk>", "<s>", "</s>", "a"]
     assert vocab.counts == [0, 0, 0, 0, 2]
 
 
 def test_build_vocab_order_count_then_first_occurrence():
     stream = ["b", "c", "c", "a", "b", "d"]
-    vocab = build_vocab(iter(stream), "char")
+    vocab = build_vocab(iter(stream))
     # b and c both occur twice; b appeared first
     assert vocab.tokens[4:] == ["b", "c", "a", "d"]
 
 
 def test_build_vocab_max_size():
     stream = ["a"] * 5 + ["b"] * 4 + ["c"] * 3 + ["d"]
-    vocab = build_vocab(iter(stream), "char", max_size=2)
+    vocab = build_vocab(iter(stream), max_size=2)
     assert vocab.tokens == ["<pad>", "<unk>", "<s>", "</s>", "a", "b"]
     assert vocab.n_content == 2
 
 
 def test_build_vocab_empty_stream_errors():
     with pytest.raises(ValueError):
-        build_vocab(iter([]), "char")
+        build_vocab(iter([]))
 
 
 def counter_ranking(stream, min_count, max_size):
@@ -496,9 +511,8 @@ def test_rank_vocab_matches_the_counter_ranking(seed, monkeypatch):
     for min_count in (1, 2, 3):
         for max_size in (None, 1, 2, 5):
             expected = counter_ranking(stream, min_count, max_size)
-            vocab = build_vocab(iter(stream), "word", min_count=min_count, max_size=max_size)
-            ranked = rank_vocab(train.stream(range(len(rows))), list(table), "word", min_count,
-                                max_size)
+            vocab = build_vocab(iter(stream), min_count=min_count, max_size=max_size)
+            ranked = rank_vocab(train.stream(range(len(rows))), list(table), min_count, max_size)
             to_vocab = ranked.id_map(table)
             for v in (vocab, ranked):
                 assert list(zip(v.tokens[4:], v.counts[4:])) == expected
@@ -515,7 +529,7 @@ def test_build_vocab_ranks_a_stream_longer_than_one_chunk():
     stream += [str(rnd.randrange(40, 300)) for _ in range(70_000)]
     assert 70_000 > tokenizer.STREAM_CHUNK
     for min_count, max_size in ((1, None), (2, 100), (3, 7)):
-        vocab = build_vocab(iter(stream), "word", min_count=min_count, max_size=max_size)
+        vocab = build_vocab(iter(stream), min_count=min_count, max_size=max_size)
         assert list(zip(vocab.tokens[4:], vocab.counts[4:])) == counter_ranking(
             stream, min_count, max_size)
 
@@ -524,13 +538,13 @@ def test_rank_vocab_refuses_an_empty_stream_and_a_min_count_below_one():
     table = TokenTable()
     rows = TokenRows([["a"], []], table)
     with pytest.raises(ValueError, match="token stream is empty"):
-        rank_vocab(rows.stream([1]), list(table), "char")
+        rank_vocab(rows.stream([1]), list(table))
     with pytest.raises(ValueError, match="min_count must be >= 1"):
-        rank_vocab(rows.stream([0]), list(table), "char", min_count=0)
+        rank_vocab(rows.stream([0]), list(table), min_count=0)
 
 
 def test_special_ids_are_fixed():
-    vocab = build_vocab(iter(["x"]), "word")
+    vocab = build_vocab(iter(["x"]))
     assert (vocab.ids["<pad>"], vocab.ids["<unk>"], vocab.ids["<s>"], vocab.ids["</s>"]) == (
         PAD, UNK, BOS, EOS)
 
@@ -539,30 +553,45 @@ def test_vocab_load_bad_count_names_its_line(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("<pad>\t0\n<unk>\t0\n<s>\t0\n</s>\t0\n词\tmany\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        Vocabulary.load(path, "word")
+        Vocabulary.load(path)
     assert str(err.value) == f"{path}: line 5: expected 'token<TAB>count'"
+
+
+def test_vocab_load_structure_errors_name_the_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("<pad>\t0\n<unk>\t0\n<s>\t0\n</s>\t0\n词\t5\n\n字\t3\n词\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Vocabulary.load(path)
+    assert str(err.value) == f"{path}: line 8: duplicate token in vocabulary (first on line 5)"
+    path.write_text("<pad>\t0\n<unk>\t0\n<s>\t0\n词\t5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Vocabulary.load(path)
+    assert str(err.value) == f"{path}: vocabulary must start with the four special tokens"
+    # built directly, with no file, the errors read as before
+    with pytest.raises(ValueError, match="^duplicate token in vocabulary$"):
+        Vocabulary(list(tokenizer.SPECIAL_TOKENS) + ["词", "词"], [0] * 6)
 
 
 def test_vocab_file_round_trip_and_determinism(tmp_path):
     stream = ["词", "词", "字", "b", "词", "字"]
-    vocab = build_vocab(iter(stream), "word")
+    vocab = build_vocab(iter(stream))
     p1, p2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
     vocab.save(p1)
-    build_vocab(iter(stream), "word").save(p2)
+    build_vocab(iter(stream)).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
-    loaded = Vocabulary.load(p1, "word")
+    loaded = Vocabulary.load(p1)
     assert loaded.tokens == vocab.tokens and loaded.counts == vocab.counts
 
 
 def test_vocab_save_failing_mid_write_leaves_no_file(tmp_path):
-    vocab = build_vocab(iter(["词", "字", "\ud800"]), "word")  # a lone surrogate is not UTF-8
+    vocab = build_vocab(iter(["词", "字", "\ud800"]))  # a lone surrogate is not UTF-8
     with pytest.raises(UnicodeEncodeError):
         vocab.save(tmp_path / "vocab.txt")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_encode_decode_round_trip():
-    vocab = build_vocab(iter(["a", "b", "c"]), "char")
+    vocab = build_vocab(iter(["a", "b", "c"]))
     tokens = ["a", "c", "b", "a"]
     assert vocab.decode(vocab.encode(tokens)) == tokens
     assert vocab.encode([]) == []
@@ -570,12 +599,12 @@ def test_encode_decode_round_trip():
 
 
 def test_encode_oov_maps_to_unk():
-    vocab = build_vocab(iter(["a"]), "char")
+    vocab = build_vocab(iter(["a"]))
     assert vocab.encode(["zzz"]) == [UNK]
 
 
 def test_decode_out_of_range_errors():
-    vocab = build_vocab(iter(["a"]), "char")
+    vocab = build_vocab(iter(["a"]))
     with pytest.raises(ValueError):
         vocab.decode([99])
     with pytest.raises(ValueError):
@@ -583,7 +612,7 @@ def test_decode_out_of_range_errors():
 
 
 def test_decode_strip_special():
-    vocab = build_vocab(iter(["a"]), "char")
+    vocab = build_vocab(iter(["a"]))
     assert vocab.decode([BOS, 4, EOS, PAD, UNK]) == ["<s>", "a", "</s>", "<pad>", "<unk>"]
     assert vocab.decode([BOS, 4, EOS, PAD, UNK], strip_special=True) == ["a"]
 
@@ -594,28 +623,18 @@ def test_single_char_lexicon_segments_into_chars():
 
 
 def test_encode_pair_chars_shapes():
-    vocab = build_vocab(char_tokenize("奥委会今天成立"), "char")
+    vocab = build_vocab(char_tokenize("奥委会今天成立"))
     enc = encode_pair_chars(DocumentPair(1, "奥委会 今天成立", "奥委会成立"), vocab, vocab)
     assert enc.src_ids == vocab.encode(char_tokenize("奥委会今天成立"))
     assert enc.tgt_ids == [BOS, *vocab.encode(char_tokenize("奥委会成立")), EOS]
 
 
 def test_encode_pair_empty_summary_errors():
-    vocab = build_vocab(char_tokenize("奥委会"), "char")
+    vocab = build_vocab(char_tokenize("奥委会"))
     with pytest.raises(ValueError, match="^summary is empty after whitespace removal$"):
         encode_pair_chars(DocumentPair(1, "奥委会", " "), vocab, vocab)
     with pytest.raises(ValueError, match="^pair id=7: source text is empty after whitespace removal$"):
         encode_pair_chars(DocumentPair(7, " ", "奥委会"), vocab, vocab)
-
-
-def test_encode_pair_unit_mismatch_rejected():
-    lex = Lexicon({"奥委会": 10, "成立": 5})
-    word_vocab = build_vocab(word_segment("奥委会成立", lex), "word")
-    char_vocab = build_vocab(char_tokenize("奥委会成立"), "char")
-    pair = DocumentPair(1, "奥委会", "成立")
-    for src_vocab, tgt_vocab in ((word_vocab, char_vocab), (char_vocab, word_vocab)):
-        with pytest.raises(ValueError, match="needs char vocabularies on both sides"):
-            encode_pair_chars(pair, src_vocab, tgt_vocab)
 
 
 def test_encoded_pair_invariant():
@@ -631,7 +650,7 @@ def test_compression_property_fuzz():
     gen = MT19937(31)
     alphabet = "甲乙丙丁戊 x7"
     for _ in range(2000):
-        lex = _random_lexicon(gen, "甲乙丙丁戊")
+        lex = Lexicon(_random_lexicon(gen, "甲乙丙丁戊"))
         s = "".join(alphabet[gen.bounded(len(alphabet))] for _ in range(gen.bounded(30)))
         words = word_segment(s, lex)
         chars = char_tokenize(s)
@@ -653,13 +672,12 @@ def test_lexicon_records_the_sha256_of_the_bytes_it_read(tmp_path):
     lex = Lexicon.from_file(path)
     assert lex.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     assert Lexicon({"城市": 5}).sha256 is None
-    assert lex == Lexicon({"城市": 5, "交通": 3})  # the hash takes no part in equality
+    assert _holds(lex, {"城市": 5, "交通": 3})
 
 
 def test_representation_tokens_by_name(tmp_path):
     path = _lexicon_file(tmp_path)
     hybrid, baseline = Representation("word_char", path), Representation("char_char", path)
-    assert (hybrid.src_unit, baseline.src_unit) == ("word", "char")
     assert hybrid.tokens("城市 交通好") == word_segment("城市交通好", Lexicon.from_file(path))
     assert hybrid.tokens("城市 交通好") == ["城市", "交通", "好"]
     assert baseline.tokens("城市 交通好") == char_tokenize("城市交通好")
