@@ -26,10 +26,11 @@ representation:
    per pool and test pair, counted as in step 1 (one set of summary rows
    serves both);
 5. ``hwcsum train`` reads the pool's Part I file as its training corpus
-   (no ``--valid``), with vocabularies ranked from the whole pool and
-   ``train`` stubbed to stop it: ``train_input_kb_per_pair`` is what it
-   holds when it calls ``train``, per pool pair, from tracemalloc started
-   at its first corpus read (vocabularies and lexicon already loaded);
+   (no ``--valid``), with vocabularies ranked from the whole pool, and
+   trains through ``harness.train_model_dir``, with ``harness.train``
+   stubbed to stop it: ``train_input_kb_per_pair`` is what it holds when
+   it calls ``train``, per pool pair, from tracemalloc started at its
+   first corpus read (vocabularies and lexicon already loaded);
 6. ``hwcsum summarize`` decodes the same file with a model over those
    vocabularies, ``beam_search_batch`` stubbed to stop it:
    ``summarize_input_kb_per_pair`` is what it holds at its first
@@ -160,7 +161,7 @@ def cli_input_bytes(work: Path, rep, tokenized) -> tuple[int, int]:
         ["train", "--config", str(work / "train.json"), "--train", str(work / "part1.txt"),
          "--src-vocab", str(work / "src_vocab.txt"), "--tgt-vocab", str(work / "tgt_vocab.txt"),
          "--representation", rep.name, "--lexicon", rep.lexicon_path, "--out", str(work / "model")],
-        cli, "train")
+        harness, "train")
     params = model.init_params(model.ModelConfig(*map(len, vocabs), embed_dim=2, hidden_dim=2))
     harness.save_model_dir(work / "summarizer", params, rep, *vocabs, [])
     summarize_bytes = held_at(

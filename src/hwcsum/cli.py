@@ -14,16 +14,15 @@ from pathlib import Path
 from .corpus import (atomic_write, filter_by_score, parse_lcsts, split_train_validation, write_jsonl,
                      write_rows)
 from .dedup import clean_part1
-from .harness import (ExperimentConfig, check_settings, check_sweep_sizes, load_corpus_file,
-                      load_model_dir, read_config, run_experiment, save_model_dir, sweep_vocab,
-                      write_decodes)
-from .model import ModelConfig, train
+from .harness import (TRAIN_SETTINGS, ExperimentConfig, _tokenize, check_settings,
+                      check_sweep_sizes, load_corpus_file, load_model_dir, read_config,
+                      run_experiment, sweep_vocab, train_model_dir, write_decodes)
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenTable, Vocabulary,
-                        build_vocab, summary_rows, word_segment)
+from .tokenizer import (REPRESENTATIONS, Representation, TokenTable, Vocabulary, build_vocab,
+                        word_segment)
 
-# Stages segment through this module's word_segment binding (passed to
-# Representation.tokens), so a wrapper set on hwcsum.cli.word_segment reaches them all.
+# Only `vocab` segments through this module's word_segment binding (passed to
+# Representation.tokens), so a wrapper set on hwcsum.cli.word_segment reaches it.
 
 
 class _Refused(Exception):
@@ -67,7 +66,10 @@ def _cmd_filter(args):
 
 def _cmd_split(args):
     corpus, _, _ = load_corpus_file(args.infile)
-    train_part, valid_part = split_train_validation(corpus, args.n_validation, args.seed)
+    try:
+        train_part, valid_part = split_train_validation(corpus, args.n_validation, args.seed)
+    except ValueError as e:
+        raise ValueError(f"{args.infile}: {e}") from None
     _write_corpus(args.train_out, train_part)
     _write_corpus(args.valid_out, valid_part)
     print(f"split {len(corpus)} pairs into {len(train_part)} train / {len(valid_part)} validation "
@@ -103,18 +105,18 @@ def _cmd_vocab(args):
     return 0
 
 
-_TRAIN_SETTINGS = ("epochs", "batch_size", "learning_rate")  # defaults: ExperimentConfig's
-
-
-def _load_train_config(path):
-    raw = read_config(path, {"model", *_TRAIN_SETTINGS, "representation", "lexicon"}, "train")
-    check_settings(raw)
-    return raw
+def _log_epoch(entry):
+    line = f"epoch {entry['epoch']}: train_loss={entry['train_loss']:.4f}"
+    if "valid_loss" in entry:
+        line += f" valid_loss={entry['valid_loss']:.4f}"
+    print(line + f" ({entry['seconds']:.1f}s)", file=sys.stderr)
 
 
 def _cmd_train(args):
     with _config_checks():
-        cfg = _load_train_config(args.config)
+        cfg = read_config(args.config, {"model", *TRAIN_SETTINGS, "representation", "lexicon"},
+                          "train")
+        check_settings(cfg)
         name = args.representation or cfg.get("representation", "word_char")
         lexicon = args.lexicon or cfg.get("lexicon")
         Representation.check(name, lexicon)
@@ -122,35 +124,26 @@ def _cmd_train(args):
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
 
-    table = TokenTable()  # the texts of both files, as token rows over one table
-    parts = (load_corpus_file(path)[0] if path else None for path in (args.train, args.valid))
-    train_rows, valid_rows = ((rep.source_rows(pairs, table, word_segment),
-                               summary_rows(pairs, table)) if pairs is not None else None
-                              for pairs in parts)
-    maps = src_vocab.id_map(table), tgt_vocab.id_map(table)
-    train_pairs, valid_pairs = (EncodedRows(*rows, range(len(rows[0])), *maps) if rows else None
-                                for rows in (train_rows, valid_rows))
-
-    model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
-                            seed=args.seed, **cfg.get("model", {}))
-
-    def log(entry):
-        line = f"epoch {entry['epoch']}: train_loss={entry['train_loss']:.4f}"
-        if "valid_loss" in entry:
-            line += f" valid_loss={entry['valid_loss']:.4f}"
-        line += f" ({entry['seconds']:.1f}s)"
-        print(line, file=sys.stderr)
-
-    settings = {k: cfg.get(k, getattr(ExperimentConfig, k)) for k in _TRAIN_SETTINGS}
-    params, history = train(train_pairs, model_cfg, valid_pairs=valid_pairs, log_fn=log, **settings)
-    save_model_dir(Path(args.out), params, rep, src_vocab, tgt_vocab, history)
+    pairs = load_corpus_file(args.train)[0]  # the training pairs, then the validation pairs
+    if not pairs:
+        raise ValueError(f"{args.train}: no pairs to train on")
+    n_train = len(pairs)
+    if args.valid:
+        pairs += load_corpus_file(args.valid)[0]
+        if len(pairs) == n_train:
+            raise ValueError(f"{args.valid}: no pairs to validate on")
+    [(_, tokenized)] = _tokenize([rep], pairs, [])
+    n = len(pairs)
+    del pairs  # training reads the token rows alone
+    train_model_dir(Path(args.out), rep, tokenized, range(n_train), range(n_train, n), src_vocab,
+                    tgt_vocab, args.seed, cfg, _log_epoch)
     return 0
 
 
 def _cmd_summarize(args):
     params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
     table, pairs = TokenTable(), load_corpus_file(args.infile)[0]
-    ids, src = [p.id for p in pairs], rep.source_rows(pairs, table, word_segment)
+    ids, src = [p.id for p in pairs], rep.source_rows(pairs, table)
     del pairs  # the decodes read the ids and token rows alone
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         write_decodes(out, ids, src, src_vocab.id_map(table), params, tgt_vocab, args.beam,
@@ -191,6 +184,8 @@ def _cmd_eval(args):
         if cand_id is not None and ref_id is not None and cand_id != ref_id:
             raise ValueError(f"{args.candidates}: line {line} has id {cand_id!r}, but "
                              f"{args.references}: line {ref_line} has id {ref_id!r}")
+    if not candidates:
+        raise ValueError(f"candidates {args.candidates} and references {args.references}: no rows")
     means, per_pair = evaluate_corpus([row[2] for row in candidates],
                                       [row[2] for row in references], unit=args.unit)
     if args.report:

@@ -45,14 +45,7 @@ def _articles_overlap(a: str, b: str, max_delta: int):
 def is_overlapping(a: DocumentPair, b: DocumentPair, max_suffix_delta: int = 15) -> bool:
     """True iff the two pairs count as the same item: equal summaries, and
     articles equal or one a prefix of the other within max_suffix_delta chars."""
-    if max_suffix_delta < 0:
-        raise ValueError("max_suffix_delta must be >= 0")
-    if normalize_for_match(a.summary) != normalize_for_match(b.summary):
-        return False
-    hit, _ = _articles_overlap(
-        normalize_for_match(a.short_text), normalize_for_match(b.short_text), max_suffix_delta
-    )
-    return hit
+    return bool(clean_part1([a], [b], max_suffix_delta).removed)
 
 
 def clean_part1(part1: list[DocumentPair], part3: list[DocumentPair],

@@ -25,8 +25,8 @@ import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import (DocumentPair, ParseError, ParseIssue, atomic_write, filter_by_score, parse_lcsts,
-                     read_jsonl, split_indices, write_rows)
+from .corpus import (DocumentPair, ParseError, ParseIssue, _json_int, atomic_write, filter_by_score,
+                     parse_lcsts, read_jsonl, split_indices, write_rows)
 from .dedup import clean_part1
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
@@ -40,10 +40,7 @@ _INT_RANGES = {"epochs": (1, None), "batch_size": (1, None), "beam_width": (1, N
                "vocab_min_count": (1, None), "encoder_vocab_size": (1, None),
                "decoder_vocab_size": (1, None)}
 _RUN_SET = ("src_vocab_size", "tgt_vocab_size", "seed")  # ModelConfig fields a run fills in
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+TRAIN_SETTINGS = ("epochs", "batch_size", "learning_rate")  # defaults: ExperimentConfig's
 
 
 def check_settings(settings: dict):
@@ -64,20 +61,20 @@ def check_settings(settings: dict):
                          f"got {run_name!r}")
     if not isinstance(settings.get("seeds", []), list):
         raise ValueError(f"seeds must be a list, got {settings['seeds']!r}")
-    out_of_range = [s for s in settings.get("seeds", []) if not (_is_int(s) and 0 <= s < 2**32)]
+    out_of_range = [s for s in settings.get("seeds", []) if not (_json_int(s) and 0 <= s < 2**32)]
     if out_of_range:
         raise ValueError(f"seeds must be in [0, 2**32), got {out_of_range}")
     for name, (low, high) in _INT_RANGES.items():
         value = settings.get(name, low)
         if value is None and name.endswith("vocab_size"):
             continue
-        if not _is_int(value) or value < low or (high is not None and value > high):
+        if not _json_int(value) or value < low or (high is not None and value > high):
             bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
     if not isinstance(settings.get("dedup", False), bool):
         raise ValueError(f"dedup must be true or false, got {settings['dedup']!r}")
     rate = settings.get("learning_rate", 1.0)
-    if not (_is_int(rate) or isinstance(rate, float)) or not 0 < rate < math.inf:
+    if not (_json_int(rate) or isinstance(rate, float)) or not 0 < rate < math.inf:
         raise ValueError(f"learning_rate must be a positive finite number, got {rate!r}")
     model = settings.get("model", {})
     if not isinstance(model, dict):
@@ -87,7 +84,7 @@ def check_settings(settings: dict):
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
     for name, value in model.items():
-        if not (_is_int(value) or (kinds[name] is float and isinstance(value, float))):
+        if not (_json_int(value) or (kinds[name] is float and isinstance(value, float))):
             kind = "a number" if kinds[name] is float else "an integer"
             raise ValueError(f"model {name} must be {kind}, got {value!r}")
     ModelConfig(src_vocab_size=5, tgt_vocab_size=5, **model)  # the smallest vocabularies a run builds
@@ -223,7 +220,13 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
     path stays as it is); lexicon_path overrides it, and must hash the same.
     Each vocabulary must have the size the checkpoint was trained with, and
     the sha256 meta.json records for it, if it records one."""
-    meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
+    path = model_dir / "meta.json"
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(meta, dict) or "representation" not in meta:
+        raise ValueError(f"{path}: expected a JSON object with a representation, got {meta!r}")
     lexicon = meta.get("lexicon") and model_dir / meta["lexicon"]
     rep = Representation(meta["representation"], lexicon_path or lexicon)
     rep.check_lexicon(meta.get("lexicon_sha256"))
@@ -260,6 +263,26 @@ def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary
     return candidates
 
 
+def train_model_dir(out: Path, rep: Representation, tokenized, train_rows, valid_rows,
+                    src_vocab: Vocabulary, tgt_vocab: Vocabulary, seed: int, settings: dict,
+                    log_fn=None):
+    """Train on the train rows of a _tokenize entry, validating on the valid rows
+    (none: no validation), and save model directory out; returns (params, history).
+    settings gives ``model`` and the TRAIN_SETTINGS, ExperimentConfig's defaults
+    standing in for any it lacks."""
+    src_tokens, tgt_tokens, pool_src, pool_tgt, _, _ = tokenized
+    maps = src_vocab.id_map(src_tokens), tgt_vocab.id_map(tgt_tokens)
+    train_pairs, valid_pairs = (EncodedRows(pool_src, pool_tgt, rows, *maps)
+                                for rows in (train_rows, valid_rows))
+    model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
+                            seed=seed, **settings.get("model", {}))
+    params, history = train(train_pairs, model_cfg, valid_pairs=valid_pairs, log_fn=log_fn,
+                            **{k: settings.get(k, getattr(ExperimentConfig, k))
+                               for k in TRAIN_SETTINGS})
+    save_model_dir(out, params, rep, src_vocab, tgt_vocab, history)
+    return params, history
+
+
 def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
     src_tokens, tgt_tokens, pool_src, pool_tgt, test, test_src = tokenized
@@ -269,21 +292,12 @@ def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) 
                            cfg.encoder_vocab_size)
     tgt_vocab = rank_vocab(pool_tgt.stream(train_idx), tgt_tokens, cfg.vocab_min_count,
                            cfg.decoder_vocab_size)
-    src_map, tgt_map = src_vocab.id_map(src_tokens), tgt_vocab.id_map(tgt_tokens)
-    train_pairs, valid_pairs = (EncodedRows(pool_src, pool_tgt, rows, src_map, tgt_map)
-                                for rows in (train_idx, valid_idx))
-
-    model_cfg = ModelConfig(
-        src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab), seed=seed,
-        **cfg.model)
-    params, history = train(
-        train_pairs, model_cfg, epochs=cfg.epochs, batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate, valid_pairs=valid_pairs)
-    save_model_dir(seed_dir, params, rep, src_vocab, tgt_vocab, history)
+    params, history = train_model_dir(seed_dir, rep, tokenized, train_idx, valid_idx, src_vocab,
+                                      tgt_vocab, seed, vars(cfg))
 
     with atomic_write(seed_dir / "candidates.jsonl") as f:
-        candidates = write_decodes(f, [p.id for p in test], test_src, src_map, params, tgt_vocab,
-                                   cfg.beam_width)
+        candidates = write_decodes(f, [p.id for p in test], test_src, src_vocab.id_map(src_tokens),
+                                   params, tgt_vocab, cfg.beam_width)
 
     means, per_pair = evaluate_corpus(candidates, [p.summary for p in test], unit="char")
     write_rows(seed_dir / "scores.jsonl",

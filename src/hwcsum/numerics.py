@@ -393,7 +393,4 @@ class Adagrad:
 
 def init_uniform(shape, rng: MT19937, lo: float = -0.1, hi: float = 0.1) -> Tensor:
     """Parameter init: uniform(lo, hi) drawn in one block, row-major."""
-    n = 1
-    for d in shape:
-        n *= d
-    return Tensor(rng.uniform_array(n, lo, hi).reshape(shape))
+    return Tensor(rng.uniform_array(math.prod(shape), lo, hi).reshape(shape))

@@ -391,11 +391,11 @@ class Representation:
             return char_tokenize(text)
         return (segment or word_segment)(text, self.lexicon)
 
-    def source_rows(self, pairs, table, segment=None) -> "TokenRows":
-        """The source TokenRows of pairs over table (``segment`` as in ``tokens``);
-        a text this representation cannot tokenize fails naming it."""
+    def source_rows(self, pairs, table) -> "TokenRows":
+        """The source TokenRows of pairs over table; a text this representation
+        cannot tokenize fails naming it."""
         try:
-            return TokenRows((self.tokens(p.short_text, segment) for p in pairs), table)
+            return TokenRows((self.tokens(p.short_text) for p in pairs), table)
         except ValueError as e:
             raise ValueError(f"{self.name}: {e}") from None
 

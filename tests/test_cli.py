@@ -8,7 +8,7 @@ import pytest
 
 from hwcsum import cli, harness
 from hwcsum.cli import main
-from hwcsum.corpus import ParseError
+from hwcsum.corpus import ParseError, split_train_validation, write_jsonl
 from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, run_experiment,
                             save_model_dir)
 from hwcsum.model import ModelConfig, beam_search, train
@@ -694,6 +694,34 @@ def test_train_refuses_an_unknown_representation(word_char_model, capsys):
     assert not (d / "model2").exists()
 
 
+@pytest.mark.parametrize("empty_part", ["train", "valid"])
+def test_train_refuses_a_file_with_no_pairs_naming_it(word_char_model, monkeypatch, empty_part):
+    """An empty --train or --valid file is refused, naming it, before any
+    text is tokenized: an empty --valid does not train without validation."""
+    d = word_char_model
+    (d / "empty.jsonl").write_text("\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_tokenize", lambda *args: pytest.fail("tokenized"))
+    files = {"train": d / "train.jsonl", "valid": d / "train.jsonl", empty_part: d / "empty.jsonl"}
+    with pytest.raises(ValueError) as err:
+        main(["train", "--config", str(d / "train_cfg.json"), "--train", str(files["train"]),
+              "--valid", str(files["valid"]), "--src-vocab", str(d / "src_vocab.txt"),
+              "--tgt-vocab", str(d / "tgt_vocab.txt"), "--lexicon", str(d / "lexicon.tsv"),
+              "--out", str(d / "model2")])
+    role = "train on" if empty_part == "train" else "validate on"
+    assert str(err.value) == f"{d / 'empty.jsonl'}: no pairs to {role}"
+    assert not (d / "model2").exists()
+
+
+def test_split_larger_than_the_corpus_names_the_file(tiny_dataset):
+    d = tiny_dataset
+    with pytest.raises(ValueError) as err:
+        main(["split", "--in", str(d / "part1.txt"), "--n-validation", "500",
+              "--train-out", str(d / "train.jsonl"), "--valid-out", str(d / "valid.jsonl")])
+    assert str(err.value) == (f"{d / 'part1.txt'}: n_validation=500 must be smaller than the "
+                              f"corpus size 22")
+    assert not (d / "train.jsonl").exists()
+
+
 def test_char_char_model_needs_no_lexicon_file(tiny_dataset):
     """A char_char model records the lexicon path it was given but never
     reads the file: summarizing works after the file is gone."""
@@ -728,6 +756,21 @@ def test_summarize_refuses_an_unknown_representation(word_char_model):
     with pytest.raises(ValueError, match="unknown representation 'word-char'"):
         _summarize(d)
     assert not (d / "candidates.jsonl").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{'representation': 'char_char'}",
+     "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+    ("[]", "expected a JSON object with a representation, got []"),
+    ('{"lexicon": null}', "expected a JSON object with a representation, got {'lexicon': None}"),
+], ids=["invalid-json", "not-an-object", "no-representation"])
+def test_summarize_refuses_a_broken_meta_json_naming_it(tmp_path, text, message):
+    (tmp_path / "meta.json").write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        main(["summarize", "--model", str(tmp_path), "--in", str(tmp_path / "test.jsonl"),
+              "--out", str(tmp_path / "candidates.jsonl")])
+    assert str(err.value) == f"{tmp_path / 'meta.json'}: {message}"
+    assert not (tmp_path / "candidates.jsonl").exists()
 
 
 def test_summarize_failing_mid_write_leaves_no_file(word_char_model, monkeypatch):
@@ -890,6 +933,43 @@ def test_summarize_reproduces_a_harness_seed(tmp_path, synthetic_dir):
         assert out.read_bytes() == (seed_dir / "candidates.jsonl").read_bytes()
 
 
+def _masked_log(model_dir):
+    return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
+            for line in (model_dir / "train_log.jsonl").read_text().splitlines()]
+
+
+def test_train_writes_the_model_directory_of_a_harness_seed(tmp_path, synthetic_dir):
+    """`hwcsum train` on an experiment seed's own split, with that seed's
+    vocabulary files, the config's settings and its seed, writes the seed's
+    model directory, for both representations: the same checkpoint and
+    vocabulary bytes, and the same log once seconds are masked."""
+    seed = 7
+    cfg = ExperimentConfig(
+        name="x", part1=str(synthetic_dir / "part1.txt"), part3=str(synthetic_dir / "part3.txt"),
+        lexicon=str(synthetic_dir / "lexicon.tsv"), representations=["char_char", "word_char"],
+        seeds=[seed], n_validation=20, epochs=2, batch_size=16, beam_width=1,
+        model={"embed_dim": 8, "hidden_dim": 8, "dropout": 0.1, "max_decode_len": 2})
+    _, all_ok = run_experiment(cfg, tmp_path / "runs")
+    assert all_ok
+    parts = split_train_validation(load_corpus_file(cfg.part1)[0], cfg.n_validation, seed)
+    for name, pairs in zip(("train", "valid"), parts):
+        with open(tmp_path / f"{name}.jsonl", "w", encoding="utf-8") as f:
+            write_jsonl(pairs, f)
+    settings = {k: getattr(cfg, k) for k in ("model", "epochs", "batch_size", "learning_rate")}
+    (tmp_path / "train_cfg.json").write_text(json.dumps(settings))
+    for name in cfg.representations:
+        seed_dir, out = tmp_path / "runs" / "x" / name / f"seed{seed}", tmp_path / name
+        assert main(["train", "--config", str(tmp_path / "train_cfg.json"),
+                     "--train", str(tmp_path / "train.jsonl"), "--valid", str(tmp_path / "valid.jsonl"),
+                     "--src-vocab", str(seed_dir / "src_vocab.txt"),
+                     "--tgt-vocab", str(seed_dir / "tgt_vocab.txt"), "--representation", name,
+                     "--lexicon", cfg.lexicon, "--seed", str(seed), "--out", str(out)]) == 0
+        for file in ("model.npz", "src_vocab.txt", "tgt_vocab.txt"):
+            assert (out / file).read_bytes() == (seed_dir / file).read_bytes(), (name, file)
+        log = _masked_log(out)
+        assert log == _masked_log(seed_dir) and len(log) == 2 and "valid_loss" in log[0]
+
+
 def test_summarize_a_sweep_seed_from_another_directory(tmp_path, synthetic_dir, monkeypatch):
     """meta.json names the lexicon relative to the model directory, so a
     seed of a sweep run with a relative lexicon path decodes, with no
@@ -943,6 +1023,15 @@ def test_eval_refuses_rows_whose_ids_differ(tmp_path):
     # rows without an id on either side are still paired by position
     references.write_text('{"summary": "城市"}\n{"id": 2, "summary": "交通"}\n', encoding="utf-8")
     assert main(["eval", "--candidates", str(candidates), "--references", str(references)]) == 0
+
+
+def test_eval_of_files_with_no_rows_names_both(tmp_path):
+    candidates, references = tmp_path / "candidates.jsonl", tmp_path / "references.jsonl"
+    candidates.write_text("\n", encoding="utf-8")
+    references.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        main(["eval", "--candidates", str(candidates), "--references", str(references)])
+    assert str(err.value) == f"candidates {candidates} and references {references}: no rows"
 
 
 def test_eval_refuses_files_whose_row_counts_differ(tmp_path):
