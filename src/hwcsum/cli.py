@@ -58,7 +58,10 @@ def _cmd_parse(args):
 
 def _cmd_filter(args):
     corpus, _, _ = load_corpus_file(args.infile, "III")
-    kept = filter_by_score(corpus, args.min_score)
+    try:
+        kept = filter_by_score(corpus, args.min_score)
+    except ValueError as e:  # a JSONL record without a label
+        raise ValueError(f"{args.infile}: {e}") from None
     _write_corpus(args.out, kept)
     print(f"kept {len(kept)} of {len(corpus)} pairs with label >= {args.min_score}", file=sys.stderr)
     return 0
@@ -95,6 +98,8 @@ def _cmd_vocab(args):
         Representation.check(name, args.lexicon)
     rep = Representation(name, args.lexicon)
     corpus, _, _ = load_corpus_file(args.infile)
+    if not corpus:
+        raise ValueError(f"{args.infile}: no pairs to build a vocabulary from")
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"
     tokens = (tok for p in corpus for tok in rep.tokens(getattr(p, attr), word_segment))
@@ -306,7 +311,9 @@ def _vocab_arguments(p):
 
 
 def _train_arguments(p):
-    p.add_argument("--config", required=True, help="JSON: model/epochs/batch_size/learning_rate")
+    p.add_argument("--config", required=True,
+                   help="JSON: model/epochs/batch_size/learning_rate; an omitted setting "
+                        "takes ExperimentConfig's default")
     p.add_argument("--train", required=True)
     p.add_argument("--valid")
     p.add_argument("--src-vocab", required=True)

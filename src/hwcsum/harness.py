@@ -227,6 +227,12 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
         raise ValueError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(meta, dict) or "representation" not in meta:
         raise ValueError(f"{path}: expected a JSON object with a representation, got {meta!r}")
+    if meta["representation"] not in REPRESENTATIONS:
+        raise ValueError(f"{path}: unknown representation {meta['representation']!r}; "
+                         f"expected one of {REPRESENTATIONS}")
+    for key in ("lexicon", "lexicon_sha256", "src_vocab_sha256", "tgt_vocab_sha256"):
+        if not isinstance(meta.get(key), (str, type(None))):
+            raise ValueError(f"{path}: {key} must be a string or null, got {meta[key]!r}")
     lexicon = meta.get("lexicon") and model_dir / meta["lexicon"]
     rep = Representation(meta["representation"], lexicon_path or lexicon)
     rep.check_lexicon(meta.get("lexicon_sha256"))
@@ -257,7 +263,7 @@ def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary
         decodes = beam_search_batch([src_map[src[i]].tolist() for i in rows], params,
                                     beam_width, max_len)
         for i, out_ids in zip(rows, decodes):
-            text = "".join(tgt_vocab.decode(out_ids, strip_special=True))
+            text = "".join(tgt_vocab.decode(out_ids))
             candidates.append(text)
             f.write(json.dumps({"id": ids[i], "candidate": text}, ensure_ascii=False) + "\n")
     return candidates
@@ -341,7 +347,10 @@ def _prepare(cfg: ExperimentConfig):
     if cfg.dedup:
         result = clean_part1(pool, part3, cfg.max_suffix_delta)
         pool, removed = result.kept, result.removed
-    test = filter_by_score(part3, cfg.min_score)
+    try:
+        test = filter_by_score(part3, cfg.min_score)
+    except ValueError as e:  # a JSONL record without a label
+        raise ValueError(f"{cfg.part3}: {e}") from None
     if not test:  # checks that need the data, made once before any seed trains
         raise ValueError(f"{cfg.part3}: no test pair has a label >= {cfg.min_score}")
     if cfg.n_validation >= len(pool):

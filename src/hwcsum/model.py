@@ -176,9 +176,10 @@ def _dropout_masks(rng: MT19937, rate: float, src_lens, dec_lens, e: int, h: int
 
 
 def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | None = None,
-               training: bool = False, rng: MT19937 | None = None) -> Tensor:
+               rng: MT19937 | None = None) -> Tensor:
     """Mean over the pairs of each pair's teacher-forced mean token
-    cross-entropy over tgt_ids[1:], in one padded, masked pass."""
+    cross-entropy over tgt_ids[1:], in one padded, masked pass. A pass
+    given an rng is a training pass and draws its dropout masks from it."""
     tape = tape if tape is not None else Tape(recording=False)
     if not pairs:
         raise ValueError("batch_loss needs at least one pair")
@@ -190,7 +191,7 @@ def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | No
     src, src_mask = _pad([p.src_ids for p in pairs])
     tgt, tgt_mask = _pad([p.tgt_ids for p in pairs])
     drop = [None] * 3
-    if training and cfg.dropout > 0.0:
+    if rng is not None and cfg.dropout > 0.0:
         drop = _dropout_masks(rng, cfg.dropout, [len(p.src_ids) for p in pairs],
                               [len(p.tgt_ids) - 1 for p in pairs],
                               cfg.embed_dim, cfg.hidden_dim)
@@ -236,9 +237,9 @@ def decode_step(prev_id: int, decoder_state: Tensor, encoder_states: list[Tensor
 
 
 def sequence_loss(pair: EncodedPair, params: ModelParams, *, tape: Tape | None = None,
-                  training: bool = False, rng: MT19937 | None = None) -> Tensor:
-    """Teacher-forced mean token cross-entropy over tgt_ids[1:]."""
-    return batch_loss([pair], params, tape=tape, training=training, rng=rng)
+                  rng: MT19937 | None = None) -> Tensor:
+    """batch_loss of one pair: its teacher-forced mean token cross-entropy."""
+    return batch_loss([pair], params, tape=tape, rng=rng)
 
 
 # ---- decoding ----------------------------------------------------------------
@@ -268,8 +269,7 @@ def _top(scores, k: int):
     return chosen
 
 
-def _beam(step_fn, n: int, vocab_size: int, beam_width: int, max_len: int,
-          init_state) -> list[Hypothesis]:
+def _beam(step_fn, beam_width: int, max_len: int, init_state) -> list[Hypothesis]:
     """Beam search for n articles at once; returns each article's best hypothesis.
 
     step_fn(prev, states, cols) takes the grid's last tokens (s, a), their
@@ -280,6 +280,7 @@ def _beam(step_fn, n: int, vocab_size: int, beam_width: int, max_len: int,
     finalizations on </s>, when no hypothesis is live, or after max_len
     emissions; its live hypotheses then compete as they stand.
     """
+    n = init_state.shape[1]
     cols = np.arange(n)
     scores, prefixes, states = np.zeros((1, n)), np.full((1, n, 1), BOS), init_state
     final = [[] for _ in range(n)]  # each article's hypotheses ended by </s>
@@ -300,7 +301,7 @@ def _beam(step_fn, n: int, vocab_size: int, beam_width: int, max_len: int,
             cols, scores = cols[keep], scores[:, keep]
             prefixes, states = prefixes[:, keep], states[:, keep]
         lp, new_states = step_fn(prefixes[:, :, -1], states, cols)
-        s, a = scores.shape
+        (s, a), vocab_size = scores.shape, lp.shape[-1]
         flat = (scores[:, :, None] + lp).transpose(1, 0, 2).reshape(a, s * vocab_size)
         rows, idx = np.nonzero(_top(flat, beam_width))  # each row's picks in flat order
         slot, tid = np.divmod(idx, vocab_size)
@@ -355,8 +356,7 @@ def _search(sources, params: ModelParams, beam_width: int,
         lp = tape.log_softmax(tape.matmul(comb, params["out_w"])).data
         return lp.reshape(s, a, -1), out.data
 
-    return _beam(step, len(sources), params.config.tgt_vocab_size, beam_width, max_len,
-                 final.data[None])
+    return _beam(step, beam_width, max_len, final.data[None])
 
 
 def _content(token_ids: list[int]) -> list[int]:
@@ -395,9 +395,8 @@ def greedy_decode(src_ids, params: ModelParams, max_len: int | None = None):
     return _content(hyp.token_ids), hyp.log_prob
 
 
-def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,
-          batch_size: int = 32, learning_rate: float = 0.15,
-          valid_pairs: list[EncodedPair] | None = None, log_fn=None):
+def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int, batch_size: int,
+          learning_rate: float, valid_pairs: list[EncodedPair] | None = None, log_fn=None):
     """Teacher-forced Adagrad training; returns (params, per-epoch history).
 
     One MT19937 session stream seeded from config.seed drives parameter
@@ -426,7 +425,7 @@ def train(pairs: list[EncodedPair], config: ModelConfig, *, epochs: int,
             batch = [pairs[i] for i in order[start:start + batch_size]]
             opt.zero_grad()
             tape = Tape()
-            loss = batch_loss(batch, params, tape=tape, training=True, rng=rng)
+            loss = batch_loss(batch, params, tape=tape, rng=rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise RuntimeError(

@@ -62,11 +62,10 @@ class Tape:
         if self.recording:
             self.nodes.append((out, backward_fn))
 
-    def backward(self, loss: Tensor, params=None):
+    def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
 
-        Parameters listed in ``params`` that the loss never touched get
-        explicit zero gradients.
+        A tensor the loss never touched keeps .grad None.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -82,10 +81,6 @@ class Tape:
             (out, fn), nodes[i] = nodes[i], None
             if out.grad is not None:  # None: the loss does not depend on out
                 fn(out.grad)
-        if params is not None:
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
 
     # ---- primitives ------------------------------------------------------
 
@@ -365,13 +360,12 @@ class Tape:
 class Adagrad:
     """Per-coordinate adaptive gradient descent.
 
-    accumulator += g^2; param -= lr * g / (sqrt(accumulator) + eps).
+    accumulator += g^2; param -= lr * g / (sqrt(accumulator) + 1e-8).
     """
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 0.15, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float):
         self.params = params
         self.learning_rate = learning_rate
-        self.epsilon = epsilon
         self.accumulators = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self):
@@ -384,13 +378,13 @@ class Adagrad:
                 raise ValueError(f"adagrad: gradient shape {g.shape} does not match param {name} {p.data.shape}")
             acc = self.accumulators[name]
             acc += g * g
-            p.data -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
+            p.data -= self.learning_rate * g / (np.sqrt(acc) + 1e-8)
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
 
-def init_uniform(shape, rng: MT19937, lo: float = -0.1, hi: float = 0.1) -> Tensor:
-    """Parameter init: uniform(lo, hi) drawn in one block, row-major."""
-    return Tensor(rng.uniform_array(math.prod(shape), lo, hi).reshape(shape))
+def init_uniform(shape, rng: MT19937) -> Tensor:
+    """Parameter init: uniform(-0.1, 0.1) drawn in one block, row-major."""
+    return Tensor(rng.uniform_array(math.prod(shape), -0.1, 0.1).reshape(shape))

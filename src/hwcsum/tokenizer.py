@@ -451,14 +451,14 @@ class Vocabulary:
         token strings in id order) as an int32 array, <unk> where it has none."""
         return np.array(self.encode(list(tokens)), dtype=np.int32)
 
-    def decode(self, ids: list[int], strip_special: bool = False) -> list[str]:
+    def decode(self, ids: list[int]) -> list[str]:
+        """The content tokens of ids: the four specials are dropped."""
         out = []
         for i in ids:
             if not (0 <= i < len(self.tokens)):
                 raise ValueError(f"id {i} out of range for vocabulary of size {len(self.tokens)}")
-            if strip_special and i in (PAD, UNK, BOS, EOS):
-                continue
-            out.append(self.tokens[i])
+            if i not in (PAD, UNK, BOS, EOS):
+                out.append(self.tokens[i])
         return out
 
     def save(self, path):

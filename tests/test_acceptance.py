@@ -154,7 +154,7 @@ def test_acceptance_mt19937_reference_and_split_stability(mt_reference):
 def _fd_subset(build_loss, tensors, gen, n_elements):
     """Central FD on a random element subset; returns the worst relative error."""
     tape = Tape()
-    tape.backward(build_loss(tape), params=tensors)
+    tape.backward(build_loss(tape))
     elements = []
     for _ in range(n_elements):
         t = tensors[gen.bounded(len(tensors))]
@@ -262,7 +262,7 @@ def test_acceptance_gradients_share_no_memory(monkeypatch):
                                      hidden_dim=4, dropout=0.3, seed=5))
     ragged = [EncodedPair([4, 5, 6, 7], [BOS, 4, 5, EOS]), EncodedPair([5], [BOS, 6, EOS]),
               EncodedPair([6, 4], [BOS, 5, 6, 4, EOS])]
-    model = batch_loss(ragged, params, tape=tape, training=True, rng=MT19937(3))
+    model = batch_loss(ragged, params, tape=tape, rng=MT19937(3))
     tape.backward(weighted_sum(tape, [tape.stack([primitives, model])], [Tensor(np.ones(2))]))
     grads = [t.grad for t in made if t.grad is not None]
     assert len(grads) > 50 and all(p.grad is not None for p in params.tensors.values())
@@ -294,7 +294,7 @@ def test_acceptance_gradient_chain_reaches_every_primitive_the_model_runs(monkey
                                      hidden_dim=4, dropout=0.3, seed=5))
     tape = Tape()
     pairs = [EncodedPair([4, 5, 6], [BOS, 4, EOS]), EncodedPair([5], [BOS, 6, 5, EOS])]
-    tape.backward(batch_loss(pairs, params, tape=tape, training=True, rng=MT19937(3)))
+    tape.backward(batch_loss(pairs, params, tape=tape, rng=MT19937(3)))
     beam_search_batch([[4, 5], [6]], params, beam_width=2, max_len=3)
     states, final = encode_sequence([4, 5], params)
     decode_step(BOS, final, states, params)
@@ -409,7 +409,7 @@ def _run_overfit():
     decodes = []
     for enc in encoded:
         ids, _ = greedy_decode(enc.src_ids, params)
-        decodes.append("".join(vocab.decode(ids, strip_special=True)))
+        decodes.append("".join(vocab.decode(ids)))
     return pairs, decodes, history
 
 

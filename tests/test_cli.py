@@ -712,6 +712,32 @@ def test_train_refuses_a_file_with_no_pairs_naming_it(word_char_model, monkeypat
     assert not (d / "model2").exists()
 
 
+def test_vocab_refuses_a_file_with_no_pairs_naming_it(tmp_path):
+    (tmp_path / "empty.jsonl").write_text("\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        main(["vocab", "--unit", "char", "--in", str(tmp_path / "empty.jsonl"),
+              "--out", str(tmp_path / "vocab.txt")])
+    assert str(err.value) == f"{tmp_path / 'empty.jsonl'}: no pairs to build a vocabulary from"
+    assert not (tmp_path / "vocab.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "experiment"])
+def test_a_part3_without_labels_is_refused_naming_it(tiny_dataset, command):
+    """JSONL records need no label when read, so a Part III written as JSONL
+    without labels is refused where the test set is filtered by score."""
+    d = tiny_dataset
+    p1 = d / "p1.jsonl"
+    assert main(["parse", "--in", str(d / "part1.txt"), "--part", "I", "--out", str(p1)]) == 0
+    (d / "exp.json").write_text(json.dumps({"name": "x", "part1": str(d / "part1.txt"),
+                                            "part3": str(p1), "lexicon": str(d / "lexicon.tsv")}))
+    argv = {"filter": ["filter", "--in", str(p1), "--out", str(d / "test.jsonl")],
+            "experiment": ["experiment", "--config", str(d / "exp.json"), "--out", str(d / "runs")]}
+    with pytest.raises(ValueError) as err:
+        main(argv[command])
+    assert str(err.value) == f"{p1}: pair id=0 has no human_label; cannot filter by score"
+    assert not (d / "test.jsonl").exists() and not (d / "runs").exists()
+
+
 def test_split_larger_than_the_corpus_names_the_file(tiny_dataset):
     d = tiny_dataset
     with pytest.raises(ValueError) as err:
@@ -773,6 +799,26 @@ def test_summarize_refuses_a_broken_meta_json_naming_it(tmp_path, text, message)
     assert not (tmp_path / "candidates.jsonl").exists()
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"representation": 5}, "unknown representation 5; expected one of ('char_char', 'word_char')"),
+    ({"representation": ["word_char"]},
+     "unknown representation ['word_char']; expected one of ('char_char', 'word_char')"),
+    ({"lexicon": 3}, "lexicon must be a string or null, got 3"),
+    ({"src_vocab_sha256": 7}, "src_vocab_sha256 must be a string or null, got 7"),
+    ({"lexicon_sha256": 5}, "lexicon_sha256 must be a string or null, got 5"),
+], ids=["representation-int", "representation-list", "lexicon", "vocab-hash", "lexicon-hash"])
+def test_summarize_refuses_a_meta_json_field_of_the_wrong_type(word_char_model, field, message):
+    """Checked before anything the field names is read; a char_char directory
+    reads no lexicon, yet a lexicon hash of the wrong type is still refused."""
+    meta_path = word_char_model / "model" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "representation": "char_char", **field}))
+    with pytest.raises(ValueError) as err:
+        _summarize(word_char_model)
+    assert str(err.value) == f"{meta_path}: {message}"
+    assert not (word_char_model / "candidates.jsonl").exists()
+
+
 def test_summarize_failing_mid_write_leaves_no_file(word_char_model, monkeypatch):
     d = word_char_model
     calls = []
@@ -824,7 +870,7 @@ def test_summarize_in_chunks_equals_per_article_decoding(word_char_model, synthe
     assert [r["id"] for r in rows] == [a.id for a in articles]
     for row, article in zip(rows, articles):
         ids = beam_search(src_vocab.encode(rep.tokens(article.short_text)), params, 3, 6)
-        assert row["candidate"] == "".join(tgt_vocab.decode(ids, strip_special=True))
+        assert row["candidate"] == "".join(tgt_vocab.decode(ids))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -968,6 +1014,29 @@ def test_train_writes_the_model_directory_of_a_harness_seed(tmp_path, synthetic_
             assert (out / file).read_bytes() == (seed_dir / file).read_bytes(), (name, file)
         log = _masked_log(out)
         assert log == _masked_log(seed_dir) and len(log) == 2 and "valid_loss" in log[0]
+
+
+def test_train_takes_the_step_settings_a_config_omits_from_experiment_config(tmp_path,
+                                                                            synthetic_dir):
+    """ExperimentConfig holds the only defaults of epochs, batch_size and
+    learning_rate: a config that omits them trains the model that one
+    setting them to ExperimentConfig's values trains."""
+    d, syn = tmp_path, synthetic_dir
+    assert main(["vocab", "--unit", "char", "--field", "text", "--in", str(syn / "part1.txt"),
+                 "--out", str(d / "src_vocab.txt")]) == 0
+    assert main(["vocab", "--unit", "char", "--in", str(syn / "part1.txt"),
+                 "--out", str(d / "tgt_vocab.txt")]) == 0
+    base = {"model": {"embed_dim": 8, "hidden_dim": 8, "dropout": 0.1, "max_decode_len": 4},
+            "representation": "char_char"}
+    steps = {k: getattr(ExperimentConfig, k) for k in ("epochs", "batch_size", "learning_rate")}
+    for name, cfg in (("omitted", base), ("explicit", dict(base, **steps))):
+        (d / f"{name}.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(d / f"{name}.json"),
+                     "--train", str(syn / "part1.txt"), "--src-vocab", str(d / "src_vocab.txt"),
+                     "--tgt-vocab", str(d / "tgt_vocab.txt"), "--out", str(d / name)]) == 0
+    assert (d / "omitted" / "model.npz").read_bytes() == (d / "explicit" / "model.npz").read_bytes()
+    log = _masked_log(d / "omitted")
+    assert log == _masked_log(d / "explicit") and len(log) == ExperimentConfig.epochs
 
 
 def test_summarize_a_sweep_seed_from_another_directory(tmp_path, synthetic_dir, monkeypatch):

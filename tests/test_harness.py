@@ -387,7 +387,7 @@ def test_write_decodes_maps_one_chunk_before_each_decode(monkeypatch):
     monkeypatch.undo()
     for i in (0, 33, 69):  # a row decodes as its own beam search of its mapped ids
         alone = model.beam_search((src[i] % 5 + 4).tolist(), params, 2)
-        assert candidates[i] == "".join(tgt_vocab.decode(alone, strip_special=True))
+        assert candidates[i] == "".join(tgt_vocab.decode(alone))
 
 
 def test_tokenized_pool_holds_ids_not_token_strings(synthetic_dir):
@@ -565,7 +565,7 @@ def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synt
                     (seed_dir / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
             assert [r["id"] for r in rows] == [p.id for p in test]
             assert [r["candidate"] for r in rows] == [
-                "".join(tgt_vocab.decode(h.token_ids, strip_special=True)) for h in one]
+                "".join(tgt_vocab.decode(h.token_ids)) for h in one]
             batched = model._search(sources, params, cfg.beam_width, None)
             assert [h.token_ids for h in batched] == [h.token_ids for h in one]
             for b, h in zip(batched, one):

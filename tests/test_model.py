@@ -215,8 +215,8 @@ def test_end_to_end_gradient_matches_finite_differences():
     pair = EncodedPair([4, 5], [BOS, 5, EOS])
     params = rand_params(11)
     tape = Tape()
-    loss = sequence_loss(pair, params, tape=tape, training=True)
-    tape.backward(loss, params=list(params.tensors.values()))
+    loss = sequence_loss(pair, params, tape=tape)
+    tape.backward(loss)
     worst = finite_difference_error(lambda: sequence_loss(pair, params), _every_element(params),
                                     h_step)
     assert worst < tol, f"max relative error {worst}"
@@ -237,7 +237,7 @@ def _loss_and_grads(fn, params):
         t.grad = None
     tape = Tape()
     loss = fn(tape)
-    tape.backward(loss, params=list(params.tensors.values()))
+    tape.backward(loss)
     return float(loss.data), {k: t.grad.copy() for k, t in params.tensors.items()}
 
 
@@ -255,8 +255,8 @@ def test_batch_dropout_draws_follow_pair_order():
     # one rng through the batch consumes what the pairs consume one after another
     params = init_params(tiny_config(seed=22, dropout=0.3))
     rng_batch, rng_single = MT19937(5), MT19937(5)
-    batched = float(batch_loss(RAGGED, params, training=True, rng=rng_batch).data)
-    singles = [float(sequence_loss(p, params, training=True, rng=rng_single).data) for p in RAGGED]
+    batched = float(batch_loss(RAGGED, params, rng=rng_batch).data)
+    singles = [float(sequence_loss(p, params, rng=rng_single).data) for p in RAGGED]
     assert math.isclose(batched, np.mean(singles), rel_tol=1e-12)
     assert rng_batch.next_u32() == rng_single.next_u32()
 
@@ -267,7 +267,7 @@ def test_ragged_batch_gradient_matches_finite_differences():
     params = init_params(tiny_config(seed=23, dropout=0.3))
 
     def loss(tape=None):
-        return batch_loss(RAGGED, params, tape=tape, training=True, rng=MT19937(3))
+        return batch_loss(RAGGED, params, tape=tape, rng=MT19937(3))
 
     _loss_and_grads(loss, params)  # leaves each gradient in its tensor's .grad
     worst = finite_difference_error(loss, _every_element(params), h_step)
@@ -277,7 +277,7 @@ def test_ragged_batch_gradient_matches_finite_differences():
 def test_padding_adds_no_gradient_to_pad_rows():
     params = init_params(tiny_config(seed=24, dropout=0.3))
     _, grads = _loss_and_grads(
-        lambda tape: batch_loss(RAGGED, params, tape=tape, training=True, rng=MT19937(1)), params)
+        lambda tape: batch_loss(RAGGED, params, tape=tape, rng=MT19937(1)), params)
     assert np.array_equal(grads["src_emb"][PAD], np.zeros(3))
     assert np.array_equal(grads["tgt_emb"][PAD], np.zeros(3))
     assert np.any(grads["src_emb"][4] != 0) and np.any(grads["tgt_emb"][4] != 0)
@@ -327,7 +327,7 @@ def _fixture_pairs():
 
 def test_train_zero_epochs_returns_init():
     cfg = tiny_config(seed=5)
-    params, history = train(_fixture_pairs(), cfg, epochs=0)
+    params, history = train(_fixture_pairs(), cfg, epochs=0, batch_size=32, learning_rate=0.15)
     init = init_params(cfg)
     assert history == []
     for name in init.tensors:
@@ -336,8 +336,8 @@ def test_train_zero_epochs_returns_init():
 
 def test_train_deterministic():
     cfg = tiny_config(seed=1, dropout=0.2)
-    p1, h1 = train(_fixture_pairs(), cfg, epochs=3, batch_size=4)
-    p2, h2 = train(_fixture_pairs(), cfg, epochs=3, batch_size=4)
+    p1, h1 = train(_fixture_pairs(), cfg, epochs=3, batch_size=4, learning_rate=0.15)
+    p2, h2 = train(_fixture_pairs(), cfg, epochs=3, batch_size=4, learning_rate=0.15)
     for name in p1.tensors:
         assert np.array_equal(p1[name].data, p2[name].data)
     assert [e["train_loss"] for e in h1] == [e["train_loss"] for e in h2]
@@ -347,7 +347,7 @@ def test_train_loss_stream_unchanged():
     # per-epoch losses of this run before training was batched: equal up to
     # float rounding only if shuffle and dropout draws are consumed as before
     cfg = tiny_config(seed=0, dropout=0.3)
-    _, history = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
+    _, history = train(_fixture_pairs(), cfg, epochs=2, batch_size=3, learning_rate=0.15)
     expected = [1.80044196315241, 1.7062764316485275]
     for entry, loss in zip(history, expected, strict=True):
         assert math.isclose(entry["train_loss"], loss, rel_tol=1e-8)
@@ -356,14 +356,15 @@ def test_train_loss_stream_unchanged():
 def test_train_loss_decreases_on_tiny_fixture():
     cfg = ModelConfig(src_vocab_size=6, tgt_vocab_size=6, embed_dim=8, hidden_dim=8,
                       dropout=0.0, seed=0)
-    _, history = train(_fixture_pairs(), cfg, epochs=200, batch_size=8)
+    _, history = train(_fixture_pairs(), cfg, epochs=200, batch_size=8, learning_rate=0.15)
     assert history[-1]["train_loss"] < history[0]["train_loss"]
 
 
 def test_train_keeps_best_validation_params():
     cfg = tiny_config(seed=2)
     pairs = _fixture_pairs()
-    params, history = train(pairs, cfg, epochs=5, batch_size=8, valid_pairs=pairs[:2])
+    params, history = train(pairs, cfg, epochs=5, batch_size=8, learning_rate=0.15,
+                            valid_pairs=pairs[:2])
     best_epoch = min(history, key=lambda e: e["valid_loss"])
     got = float(np.mean([float(sequence_loss(p, params).data) for p in pairs[:2]]))
     assert math.isclose(got, best_epoch["valid_loss"], rel_tol=1e-12)
@@ -371,7 +372,7 @@ def test_train_keeps_best_validation_params():
 
 def test_train_empty_errors():
     with pytest.raises(ValueError):
-        train([], tiny_config(), epochs=1)
+        train([], tiny_config(), epochs=1, batch_size=32, learning_rate=0.15)
 
 
 _TRAIN_TWICE = """
@@ -388,7 +389,7 @@ cfg = ModelConfig(src_vocab_size=len(src), tgt_vocab_size=len(tgt), embed_dim=24
                   dropout=0.1, seed=0)
 for _ in range(2):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    train(pairs[20:], cfg, epochs=3, batch_size=16, valid_pairs=pairs[:20])
+    train(pairs[20:], cfg, epochs=3, batch_size=16, learning_rate=0.15, valid_pairs=pairs[:20])
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -454,7 +455,7 @@ def test_train_and_decode_do_not_need_mallopt(monkeypatch, synthetic_dir, libc):
     a lexicon load run as they do with it, to the last bit."""
     cfg = tiny_config(seed=4, dropout=0.2)
     sources = [p.src_ids for p in _fixture_pairs()]
-    expected, history = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
+    expected, history = train(_fixture_pairs(), cfg, epochs=2, batch_size=3, learning_rate=0.15)
     decodes = beam_search_batch(sources, expected, 2, 5)
     lex = Lexicon.from_file(synthetic_dir / "lexicon.tsv")
     looked_up = []
@@ -464,7 +465,7 @@ def test_train_and_decode_do_not_need_mallopt(monkeypatch, synthetic_dir, libc):
         return libc(name)
 
     monkeypatch.setattr(corpus.ctypes, "CDLL", lookup)
-    params, again = train(_fixture_pairs(), cfg, epochs=2, batch_size=3)
+    params, again = train(_fixture_pairs(), cfg, epochs=2, batch_size=3, learning_rate=0.15)
     assert looked_up == [None]
     assert beam_search_batch(sources, params, 2, 5) == decodes and looked_up == [None, None]
     loaded = Lexicon.from_file(synthetic_dir / "lexicon.tsv")
@@ -600,13 +601,13 @@ def test_beam_escapes_greedy_trap():
         return np.array([[step_fn(int(i), None)[0] for i in row] for row in prev_ids]), states
 
     no_state = np.zeros((1, 1, 0))
-    [best] = _beam(batched_step_fn, 1, vocab_size, beam_width=2, max_len=2, init_state=no_state)
+    [best] = _beam(batched_step_fn, beam_width=2, max_len=2, init_state=no_state)
     oracle_lp, oracle_ids = best_decode(step_fn, None, BOS, EOS, vocab_size, max_len=2)
     assert best.token_ids == [BOS, 5, EOS]
     assert best.token_ids == oracle_ids
     assert math.isclose(best.log_prob, oracle_lp, abs_tol=1e-12)
     # width 1 falls into the trap by construction
-    [trapped] = _beam(batched_step_fn, 1, vocab_size, beam_width=1, max_len=2, init_state=no_state)
+    [trapped] = _beam(batched_step_fn, beam_width=1, max_len=2, init_state=no_state)
     assert trapped.token_ids[1] == 4
     assert trapped.log_prob < best.log_prob
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hwcsum.harness import ExperimentConfig
 from hwcsum.model import ModelConfig, _dropout_masks, batch_loss, init_params
 from hwcsum.numerics import Adagrad, Tape, Tensor, init_uniform
 from hwcsum.rng import MT19937
@@ -22,7 +23,7 @@ def rand_array(gen, shape, lo=-2.0, hi=2.0):
 def fd_check(build_loss, inputs, trials_note=""):
     """Central finite differences on every element of every input tensor."""
     tape = Tape()
-    tape.backward(build_loss(tape, inputs), params=inputs)
+    tape.backward(build_loss(tape, inputs))
     err = finite_difference_error(lambda: build_loss(Tape(recording=False), inputs),
                                   [(x, i) for x in inputs for i in range(x.data.size)], H)
     assert err < TOL, f"{trials_note}: rel err {err}"
@@ -48,15 +49,19 @@ PAIRS = [EncodedPair([4, 5, 6], [BOS, 4, EOS]), EncodedPair([5], [BOS, 6, 5, EOS
 
 
 def test_dropout_rate_zero_is_identity():
-    # the model draws dropout masks only when training at a rate above 0;
-    # otherwise the training loss is the evaluation loss and no draw is taken
-    for dropout, training in [(0.0, True), (0.5, False)]:
-        params = init_params(ModelConfig(src_vocab_size=8, tgt_vocab_size=7, embed_dim=3,
-                                         hidden_dim=4, dropout=dropout, seed=2))
-        rng, ref = MT19937(0), MT19937(0)
-        loss = batch_loss(PAIRS, params, training=training, rng=rng)
-        assert loss.data == batch_loss(PAIRS, params).data
-        assert rng.next_u32() == ref.next_u32()
+    # a pass draws dropout masks only when given an rng at a rate above 0: at
+    # rate 0 the rng is left untouched, and at rate 0.5 a pass with no rng is
+    # the evaluation loss (the dropout rate takes no part in init_params)
+    def params(dropout):
+        return init_params(ModelConfig(src_vocab_size=8, tgt_vocab_size=7, embed_dim=3,
+                                       hidden_dim=4, dropout=dropout, seed=2))
+
+    plain = batch_loss(PAIRS, params(0.0)).data
+    rng, ref = MT19937(0), MT19937(0)
+    assert batch_loss(PAIRS, params(0.0), rng=rng).data == plain
+    assert rng.next_u32() == ref.next_u32()
+    assert batch_loss(PAIRS, params(0.5)).data == plain
+    assert batch_loss(PAIRS, params(0.5), rng=MT19937(0)).data != plain
 
 
 def test_dropout_inverted_scaling():
@@ -109,13 +114,13 @@ def test_grad_of_sum_of_squares():
     assert np.allclose(x.grad, 2 * x.data)
 
 
-def test_unreached_params_get_zero_grad():
+def test_untouched_tensor_keeps_grad_none():
     t = Tape()
     x = Tensor([1.0, 2.0])
     unused = Tensor([5.0])
     loss = weighted_sum(t, [x], [Tensor(np.ones(2))])
-    t.backward(loss, params=[x, unused])
-    assert np.array_equal(unused.grad, np.zeros(1))
+    t.backward(loss)
+    assert unused.grad is None
     assert np.allclose(x.grad, np.ones(2))
 
 
@@ -512,7 +517,7 @@ def test_gru_matches_reference_loop(mask):
 
 def test_adagrad_zero_gradient_no_change():
     p = Tensor([1.0, 2.0])
-    opt = Adagrad({"p": p})
+    opt = Adagrad({"p": p}, learning_rate=0.15)
     p.grad = np.zeros(2)
     before = p.data.copy()
     opt.step()
@@ -530,7 +535,8 @@ def test_adagrad_first_step_hand_value():
 
 
 def test_adagrad_default_learning_rate():
-    assert Adagrad({}).learning_rate == 0.15
+    # the step's defaults have one home, ExperimentConfig; 0.15 is the README's
+    assert ExperimentConfig.learning_rate == 0.15
 
 
 def test_adagrad_descends_quadratic():
@@ -548,7 +554,7 @@ def test_adagrad_descends_quadratic():
 
 def test_adagrad_shape_mismatch():
     p = Tensor([1.0, 2.0])
-    opt = Adagrad({"p": p})
+    opt = Adagrad({"p": p}, learning_rate=0.15)
     p.grad = np.zeros(3)
     with pytest.raises(ValueError):
         opt.step()
@@ -595,7 +601,7 @@ def _run_session(seed):
     tape = Tape()
     h = tape.tanh(tape.matmul(tape.scale(x, drop), w))
     loss = tape.nll(h, np.array([[2], [1]]), np.ones((2, 1)))
-    tape.backward(loss, params=[x, w])
+    tape.backward(loss)
     return float(loss.data), x.grad.copy(), w.grad.copy()
 
 

@@ -613,8 +613,7 @@ def test_decode_out_of_range_errors():
 
 def test_decode_strip_special():
     vocab = build_vocab(iter(["a"]))
-    assert vocab.decode([BOS, 4, EOS, PAD, UNK]) == ["<s>", "a", "</s>", "<pad>", "<unk>"]
-    assert vocab.decode([BOS, 4, EOS, PAD, UNK], strip_special=True) == ["a"]
+    assert vocab.decode([BOS, 4, EOS, PAD, UNK]) == ["a"]
 
 
 def test_single_char_lexicon_segments_into_chars():
