@@ -150,10 +150,9 @@ def held_at(argv, module, name) -> int:
 def cli_input_bytes(work: Path, rep, tokenized) -> tuple[int, int]:
     """Bytes `hwcsum train` holds when it calls train on the pool's Part I,
     and bytes `hwcsum summarize` holds when it first decodes that file."""
-    src_tokens, tgt_tokens, pool_src, pool_tgt, _, _ = tokenized
+    pool_src, pool_tgt, _, _ = tokenized
     every = range(len(pool_src))
-    vocabs = (rank_vocab(pool_src.stream(every), src_tokens),
-              rank_vocab(pool_tgt.stream(every), tgt_tokens))
+    vocabs = rank_vocab(pool_src, every), rank_vocab(pool_tgt, every)
     for vocab, name in zip(vocabs, ("src_vocab.txt", "tgt_vocab.txt")):
         vocab.save(work / name)
     (work / "train.json").write_text(json.dumps({"epochs": 1}), encoding="utf-8")

@@ -23,7 +23,6 @@ from .tokenizer import (
     EncodedPair,
     Lexicon,
     Vocabulary,
-    build_vocab,
     char_tokenize,
     encode_pair_chars,
     word_segment,
@@ -47,7 +46,6 @@ __all__ = [
     "EncodedPair",
     "char_tokenize",
     "word_segment",
-    "build_vocab",
     "encode_pair_chars",
     "ModelConfig",
     "ModelParams",

@@ -14,12 +14,12 @@ from pathlib import Path
 from .corpus import (atomic_write, filter_by_score, parse_lcsts, split_train_validation, write_jsonl,
                      write_rows)
 from .dedup import clean_part1
-from .harness import (TRAIN_SETTINGS, ExperimentConfig, _tokenize, check_settings,
-                      check_sweep_sizes, load_corpus_file, load_model_dir, read_config,
-                      run_experiment, sweep_vocab, train_model_dir, write_decodes)
+from .harness import (TRAIN_SETTINGS, ExperimentConfig, check_settings, check_sweep_sizes,
+                      load_corpus_file, load_model_dir, read_config, run_experiment, sweep_vocab,
+                      train_model_dir, write_decodes)
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import (REPRESENTATIONS, Representation, TokenTable, Vocabulary, build_vocab,
-                        word_segment)
+from .tokenizer import (REPRESENTATIONS, Representation, TokenRows, Vocabulary, rank_vocab,
+                        summary_rows, word_segment)
 
 # Only `vocab` segments through this module's word_segment binding (passed to
 # Representation.tokens), so a wrapper set on hwcsum.cli.word_segment reaches it.
@@ -102,8 +102,8 @@ def _cmd_vocab(args):
         raise ValueError(f"{args.infile}: no pairs to build a vocabulary from")
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"
-    tokens = (tok for p in corpus for tok in rep.tokens(getattr(p, attr), word_segment))
-    vocab = build_vocab(tokens, min_count=args.min_count, max_size=args.max_size)
+    rows = TokenRows(rep.tokens(getattr(p, attr), word_segment) for p in corpus)
+    vocab = rank_vocab(rows, range(len(rows)), args.min_count, args.max_size)
     vocab.save(args.out)
     print(f"wrote {vocab.n_content} {args.unit} tokens (plus 4 specials) to {args.out}",
           file=sys.stderr)
@@ -137,22 +137,22 @@ def _cmd_train(args):
         pairs += load_corpus_file(args.valid)[0]
         if len(pairs) == n_train:
             raise ValueError(f"{args.valid}: no pairs to validate on")
-    [(_, tokenized)] = _tokenize([rep], pairs, [])
-    n = len(pairs)
+    src, tgt, n = rep.source_rows(pairs), summary_rows(pairs), len(pairs)
     del pairs  # training reads the token rows alone
-    train_model_dir(Path(args.out), rep, tokenized, range(n_train), range(n_train, n), src_vocab,
+    train_model_dir(Path(args.out), rep, src, tgt, range(n_train), range(n_train, n), src_vocab,
                     tgt_vocab, args.seed, cfg, _log_epoch)
     return 0
 
 
 def _cmd_summarize(args):
     params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
-    table, pairs = TokenTable(), load_corpus_file(args.infile)[0]
-    ids, src = [p.id for p in pairs], rep.source_rows(pairs, table)
+    pairs = load_corpus_file(args.infile)[0]
+    if not pairs:
+        raise ValueError(f"{args.infile}: no pairs to summarize")
+    ids, src = [p.id for p in pairs], rep.source_rows(pairs)
     del pairs  # the decodes read the ids and token rows alone
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
-        write_decodes(out, ids, src, src_vocab.id_map(table), params, tgt_vocab, args.beam,
-                      args.max_len)
+        write_decodes(out, ids, src, src_vocab, params, tgt_vocab, args.beam, args.max_len)
     return 0
 
 

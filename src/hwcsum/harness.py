@@ -30,8 +30,8 @@ from .corpus import (DocumentPair, ParseError, ParseIssue, _json_int, atomic_wri
 from .dedup import clean_part1
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, evaluate_corpus, scores_dict
-from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenRows, TokenTable,
-                        Vocabulary, load_representations, rank_vocab, summary_rows)
+from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenRows, Vocabulary,
+                        load_representations, rank_vocab, summary_rows)
 
 DECODE_CHUNK = 32  # articles per beam_search_batch call in write_decodes
 # integer settings -> (lowest, highest or None) allowed; a vocabulary size may also be None
@@ -184,17 +184,10 @@ def load_corpus_file(path, part: str = "I") -> tuple[list[DocumentPair], list[Pa
 
 
 def _tokenize(reps: list[Representation], pool: list[DocumentPair], test: list[DocumentPair]):
-    """[(rep, (source tokens, summary tokens, pool source rows, pool summary rows, test
-    pairs, test source rows))], each text tokenized once: the summaries over one table,
-    their rows shared by every rep, and each rep's sources over a table of its own."""
-    summaries = TokenTable()
-    pool_tgt = summary_rows(pool, summaries)
-    tgt_tokens, tokenized = list(summaries), []
-    for rep in reps:
-        table = TokenTable()
-        pool_src, test_src = (rep.source_rows(pairs, table) for pairs in (pool, test))
-        tokenized.append((rep, (list(table), tgt_tokens, pool_src, pool_tgt, test, test_src)))
-    return tokenized
+    """[(rep, (pool source rows, pool summary rows, test pairs, test source rows))], each
+    text tokenized once: the summary rows shared by every rep."""
+    pool_tgt = summary_rows(pool)
+    return [(rep, (rep.source_rows(pool), pool_tgt, test, rep.source_rows(test))) for rep in reps]
 
 
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
@@ -219,7 +212,8 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
     directory. meta.json's lexicon is resolved against model_dir (an absolute
     path stays as it is); lexicon_path overrides it, and must hash the same.
     Each vocabulary must have the size the checkpoint was trained with, and
-    the sha256 meta.json records for it, if it records one."""
+    the sha256 meta.json records for it, if it records one. A refusal of what
+    meta.json records, or lacks, names it."""
     path = model_dir / "meta.json"
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
@@ -227,14 +221,18 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
         raise ValueError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(meta, dict) or "representation" not in meta:
         raise ValueError(f"{path}: expected a JSON object with a representation, got {meta!r}")
-    if meta["representation"] not in REPRESENTATIONS:
-        raise ValueError(f"{path}: unknown representation {meta['representation']!r}; "
-                         f"expected one of {REPRESENTATIONS}")
     for key in ("lexicon", "lexicon_sha256", "src_vocab_sha256", "tgt_vocab_sha256"):
         if not isinstance(meta.get(key), (str, type(None))):
             raise ValueError(f"{path}: {key} must be a string or null, got {meta[key]!r}")
-    lexicon = meta.get("lexicon") and model_dir / meta["lexicon"]
-    rep = Representation(meta["representation"], lexicon_path or lexicon)
+    lexicon = lexicon_path or (meta.get("lexicon") and model_dir / meta["lexicon"])
+    try:
+        Representation.check(meta["representation"], lexicon, "--lexicon, as it records none")
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if meta["representation"] == "word_char" and not lexicon_path and not lexicon.exists():
+        raise FileNotFoundError(f"{path}: the lexicon it records is not at {lexicon}; "
+                                "pass --lexicon")
+    rep = Representation(meta["representation"], lexicon)
     rep.check_lexicon(meta.get("lexicon_sha256"))
     params = load_checkpoint(model_dir / "model.npz")
     vocabs = []
@@ -252,12 +250,12 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
     return (params, rep, *vocabs)
 
 
-def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary,
+def write_decodes(f, ids, src: TokenRows, src_vocab: Vocabulary, params, tgt_vocab: Vocabulary,
                   beam_width: int, max_len=None):
-    """Beam-decode the source rows, mapped through the token-id -> vocabulary-id map
-    src_map DECODE_CHUNK rows at a time, writing one {"id", "candidate"} JSON line per
-    row, its id from the pair ids, to the open file f; returns the candidates."""
-    candidates = []
+    """Beam-decode the source rows, mapped to src_vocab ids DECODE_CHUNK rows at a time,
+    writing one {"id", "candidate"} JSON line per row, its id from the pair ids, to the
+    open file f; returns the candidates."""
+    src_map, candidates = src_vocab.id_map(src.tokens), []
     for start in range(0, len(src), DECODE_CHUNK):
         rows = range(start, min(start + DECODE_CHUNK, len(src)))
         decodes = beam_search_batch([src_map[src[i]].tolist() for i in rows], params,
@@ -269,16 +267,14 @@ def write_decodes(f, ids, src: TokenRows, src_map, params, tgt_vocab: Vocabulary
     return candidates
 
 
-def train_model_dir(out: Path, rep: Representation, tokenized, train_rows, valid_rows,
-                    src_vocab: Vocabulary, tgt_vocab: Vocabulary, seed: int, settings: dict,
-                    log_fn=None):
-    """Train on the train rows of a _tokenize entry, validating on the valid rows
-    (none: no validation), and save model directory out; returns (params, history).
+def train_model_dir(out: Path, rep: Representation, src: TokenRows, tgt: TokenRows, train_rows,
+                    valid_rows, src_vocab: Vocabulary, tgt_vocab: Vocabulary, seed: int,
+                    settings: dict, log_fn=None):
+    """Train on the train rows of the source and summary rows, validating on the valid
+    rows (none: no validation), and save model directory out; returns (params, history).
     settings gives ``model`` and the TRAIN_SETTINGS, ExperimentConfig's defaults
     standing in for any it lacks."""
-    src_tokens, tgt_tokens, pool_src, pool_tgt, _, _ = tokenized
-    maps = src_vocab.id_map(src_tokens), tgt_vocab.id_map(tgt_tokens)
-    train_pairs, valid_pairs = (EncodedRows(pool_src, pool_tgt, rows, *maps)
+    train_pairs, valid_pairs = (EncodedRows(src, tgt, rows, src_vocab, tgt_vocab)
                                 for rows in (train_rows, valid_rows))
     model_cfg = ModelConfig(src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
                             seed=seed, **settings.get("model", {}))
@@ -291,19 +287,17 @@ def train_model_dir(out: Path, rep: Representation, tokenized, train_rows, valid
 
 def _run_seed(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
     t_start = time.perf_counter()
-    src_tokens, tgt_tokens, pool_src, pool_tgt, test, test_src = tokenized
+    pool_src, pool_tgt, test, test_src = tokenized
     train_idx, valid_idx = split_indices(len(pool_src), cfg.n_validation, seed)
 
-    src_vocab = rank_vocab(pool_src.stream(train_idx), src_tokens, cfg.vocab_min_count,
-                           cfg.encoder_vocab_size)
-    tgt_vocab = rank_vocab(pool_tgt.stream(train_idx), tgt_tokens, cfg.vocab_min_count,
-                           cfg.decoder_vocab_size)
-    params, history = train_model_dir(seed_dir, rep, tokenized, train_idx, valid_idx, src_vocab,
-                                      tgt_vocab, seed, vars(cfg))
+    src_vocab = rank_vocab(pool_src, train_idx, cfg.vocab_min_count, cfg.encoder_vocab_size)
+    tgt_vocab = rank_vocab(pool_tgt, train_idx, cfg.vocab_min_count, cfg.decoder_vocab_size)
+    params, history = train_model_dir(seed_dir, rep, pool_src, pool_tgt, train_idx, valid_idx,
+                                      src_vocab, tgt_vocab, seed, vars(cfg))
 
     with atomic_write(seed_dir / "candidates.jsonl") as f:
-        candidates = write_decodes(f, [p.id for p in test], test_src, src_vocab.id_map(src_tokens),
-                                   params, tgt_vocab, cfg.beam_width)
+        candidates = write_decodes(f, [p.id for p in test], test_src, src_vocab, params,
+                                   tgt_vocab, cfg.beam_width)
 
     means, per_pair = evaluate_corpus(candidates, [p.summary for p in test], unit="char")
     write_rows(seed_dir / "scores.jsonl",

@@ -10,7 +10,7 @@ back to singleton words with count 1, so segmentation never fails.
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -391,11 +391,11 @@ class Representation:
             return char_tokenize(text)
         return (segment or word_segment)(text, self.lexicon)
 
-    def source_rows(self, pairs, table) -> "TokenRows":
-        """The source TokenRows of pairs over table; a text this representation
-        cannot tokenize fails naming it."""
+    def source_rows(self, pairs) -> "TokenRows":
+        """The source TokenRows of pairs; a text this representation cannot
+        tokenize fails naming it."""
         try:
-            return TokenRows((self.tokens(p.short_text) for p in pairs), table)
+            return TokenRows(self.tokens(p.short_text) for p in pairs)
         except ValueError as e:
             raise ValueError(f"{self.name}: {e}") from None
 
@@ -446,10 +446,10 @@ class Vocabulary:
         """Map tokens to ids; out-of-vocabulary tokens become <unk>."""
         return [self.ids.get(t, UNK) for t in tokens]
 
-    def id_map(self, tokens) -> np.ndarray:
-        """The token-id -> vocabulary-id map of tokens (a TokenTable, or its
-        token strings in id order) as an int32 array, <unk> where it has none."""
-        return np.array(self.encode(list(tokens)), dtype=np.int32)
+    def id_map(self, tokens: list[str]) -> np.ndarray:
+        """The token-id -> vocabulary-id map of a TokenRows' ``tokens`` as an
+        int32 array, <unk> where it has none."""
+        return np.array(self.encode(tokens), dtype=np.int32)
 
     def decode(self, ids: list[int]) -> list[str]:
         """The content tokens of ids: the four specials are dropped."""
@@ -493,7 +493,7 @@ class Vocabulary:
             raise ValueError(f"{path}: {e}") from None
 
 
-class TokenTable(dict):
+class _TokenTable(dict):
     """Token -> id, where looking up a token new to the table adds it with
     the next id, so the keys stay in first-occurrence order."""
 
@@ -503,14 +503,15 @@ class TokenTable(dict):
 
 
 class TokenRows:
-    """Token lists held as rows of int32 ids into a TokenTable, with no
-    string per token: row i is ``ids[at[i]:at[i + 1]]``. The ids are read
-    straight into the array, so no token string or Python int outlives its
-    list; rows built with one table share its ids.
+    """Token lists held as rows of int32 ids, with no string per token: row
+    i is ``ids[at[i]:at[i + 1]]``, and id k stands for ``tokens[k]``, the
+    distinct tokens in first-occurrence order. The ids are read straight
+    into the array, so no token string or Python int outlives its list, and
+    the table that numbers the tokens is dropped once they are read.
     """
 
-    def __init__(self, token_lists, table: TokenTable):
-        lens = []
+    def __init__(self, token_lists):
+        lens, table = [], _TokenTable()
 
         def rows():
             for tokens in token_lists:
@@ -519,6 +520,7 @@ class TokenRows:
 
         self.ids = np.fromiter(map(table.__getitem__, chain.from_iterable(rows())), dtype=np.int32)
         self.at = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+        self.tokens = list(table)
 
     def __len__(self):
         return len(self.at) - 1
@@ -540,16 +542,18 @@ class TokenRows:
             yield self.ids[np.repeat(gap[a:b], lens[a:b]) + np.arange(pos[a], pos[b])]
 
 
-def summary_rows(pairs, table) -> TokenRows:
-    """The character TokenRows of the pairs' summaries over table."""
-    return TokenRows((char_tokenize(p.summary) for p in pairs), table)
+def summary_rows(pairs) -> TokenRows:
+    """The character TokenRows of the pairs' summaries."""
+    return TokenRows(char_tokenize(p.summary) for p in pairs)
 
 
 class EncodedRows:
-    """The EncodedPairs of some rows under token-id -> vocabulary-id maps, built when indexed."""
+    """The EncodedPairs of some rows under two vocabularies, built when indexed."""
 
-    def __init__(self, src: TokenRows, tgt: TokenRows, rows, src_map, tgt_map):
-        self.src, self.tgt, self.rows, self.src_map, self.tgt_map = src, tgt, rows, src_map, tgt_map
+    def __init__(self, src: TokenRows, tgt: TokenRows, rows, src_vocab: Vocabulary,
+                 tgt_vocab: Vocabulary):
+        self.src, self.tgt, self.rows = src, tgt, rows
+        self.src_map, self.tgt_map = src_vocab.id_map(src.tokens), tgt_vocab.id_map(tgt.tokens)
 
     def __len__(self):
         return len(self.rows)
@@ -560,26 +564,23 @@ class EncodedRows:
                            [BOS, *self.tgt_map[self.tgt[row]].tolist(), EOS])
 
 
-def rank_vocab(streams, tokens, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
-    """The Vocabulary of a token stream given as ids into tokens (a list, or
-    a TokenTable that grows as the stream is read).
+def rank_vocab(rows: TokenRows, picked, min_count: int = 1,
+               max_size: int | None = None) -> Vocabulary:
+    """The Vocabulary of the picked rows' tokens, read in the order picked.
 
-    The stream comes as arrays of ids in stream order. Keeps tokens with
-    count >= min_count, sorted by descending count with ties in order of
-    first occurrence, truncated to max_size content tokens when given,
-    then prepends the specials. Counts and first occurrences add up one
-    array at a time, so the stream is never held whole; only the ids not
-    seen before an array are sorted for their first occurrence.
+    Keeps tokens with count >= min_count, sorted by descending count with
+    ties in order of first occurrence, truncated to max_size content tokens
+    when given, then prepends the specials. Counts and first occurrences add
+    up one ``rows.stream`` array at a time, so the picked ids are never
+    gathered whole; only the ids not seen before an array are sorted for
+    their first occurrence.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts = first = np.zeros(0, dtype=np.int64)  # first: stream position of each first occurrence
+    counts = np.zeros(len(rows.tokens), dtype=np.int64)
+    first = np.full(len(counts), -1, dtype=np.int64)  # stream position of each first occurrence
     seen = 0
-    for ids in streams:
-        if len(tokens) > len(counts):  # room for every id: a TokenTable grows as it is read
-            grow = max(len(tokens), 2 * len(counts)) - len(counts)
-            counts = np.concatenate((counts, np.zeros(grow, dtype=np.int64)))
-            first = np.concatenate((first, np.full(grow, -1, dtype=np.int64)))
+    for ids in rows.stream(picked):
         counts += np.bincount(ids, minlength=len(counts))
         fresh = np.flatnonzero(first[ids] < 0)  # positions of ids not seen before this array
         distinct, at = np.unique(ids[fresh], return_index=True)
@@ -589,22 +590,8 @@ def rank_vocab(streams, tokens, min_count: int = 1, max_size: int | None = None)
         raise ValueError("token stream is empty")
     kept = np.flatnonzero(counts >= min_count)
     kept = kept[np.lexsort((first[kept], -counts[kept]))][:max_size]
-    names = list(tokens)
-    return Vocabulary(list(SPECIAL_TOKENS) + [names[i] for i in kept.tolist()],
+    return Vocabulary(list(SPECIAL_TOKENS) + [rows.tokens[i] for i in kept.tolist()],
                       [0] * len(SPECIAL_TOKENS) + counts[kept].tolist())
-
-
-def build_vocab(token_stream, min_count: int = 1, max_size: int | None = None) -> Vocabulary:
-    """Count a stream of token strings and assemble a Vocabulary in
-    rank_vocab's order, reading the stream STREAM_CHUNK tokens at a time."""
-    stream, table = iter(token_stream), TokenTable()
-
-    def chunks():
-        while (ids := np.fromiter(map(table.__getitem__, islice(stream, STREAM_CHUNK)),
-                                  dtype=np.int32)).size:
-            yield ids
-
-    return rank_vocab(chunks(), table, min_count, max_size)
 
 
 @dataclass

@@ -37,9 +37,10 @@ from hwcsum.tokenizer import (
     EOS,
     EncodedPair,
     Lexicon,
-    build_vocab,
+    TokenRows,
     char_tokenize,
     encode_pair_chars,
+    rank_vocab,
     word_segment,
 )
 from oracles import (
@@ -400,8 +401,8 @@ OVERFIT_PAIRS = [
 
 def _run_overfit():
     pairs = [DocumentPair(i, t, s) for i, (t, s) in enumerate(OVERFIT_PAIRS)]
-    vocab = build_vocab(
-        c for p in pairs for c in char_tokenize(p.short_text + p.summary))
+    vocab = rank_vocab(TokenRows(char_tokenize(p.short_text + p.summary) for p in pairs),
+                       range(len(pairs)))
     encoded = [encode_pair_chars(p, vocab, vocab) for p in pairs]
     cfg = ModelConfig(src_vocab_size=len(vocab), tgt_vocab_size=len(vocab),
                       embed_dim=32, hidden_dim=32, dropout=0.0, max_decode_len=8, seed=0)

@@ -700,7 +700,8 @@ def test_train_refuses_a_file_with_no_pairs_naming_it(word_char_model, monkeypat
     text is tokenized: an empty --valid does not train without validation."""
     d = word_char_model
     (d / "empty.jsonl").write_text("\n", encoding="utf-8")
-    monkeypatch.setattr(cli, "_tokenize", lambda *args: pytest.fail("tokenized"))
+    monkeypatch.setattr(Representation, "source_rows", lambda *args: pytest.fail("tokenized"))
+    monkeypatch.setattr(cli, "summary_rows", lambda *args: pytest.fail("tokenized"))
     files = {"train": d / "train.jsonl", "valid": d / "train.jsonl", empty_part: d / "empty.jsonl"}
     with pytest.raises(ValueError) as err:
         main(["train", "--config", str(d / "train_cfg.json"), "--train", str(files["train"]),
@@ -781,6 +782,38 @@ def test_summarize_refuses_an_unknown_representation(word_char_model):
     meta_path.write_text(json.dumps(dict(meta, representation="word-char")))
     with pytest.raises(ValueError, match="unknown representation 'word-char'"):
         _summarize(d)
+    assert not (d / "candidates.jsonl").exists()
+
+
+@pytest.mark.parametrize("case", ["lexicon-null", "lexicon-missing"])
+def test_summarize_names_meta_json_when_its_lexicon_is_unusable(word_char_model, case):
+    """A word_char meta.json that records no lexicon, or one that is not
+    where it records it, is refused naming meta.json, with no --lexicon."""
+    d = word_char_model
+    meta_path = d / "model" / "meta.json"
+    if case == "lexicon-null":
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(dict(meta, lexicon=None)))
+        with pytest.raises(ValueError) as err:
+            _summarize(d)
+        message = "the word_char representation needs --lexicon, as it records none"
+    else:
+        (d / "lexicon.tsv").rename(d / "moved.tsv")
+        with pytest.raises(FileNotFoundError) as err:
+            _summarize(d)
+        message = (f"the lexicon it records is not at {d / 'model' / '..' / 'lexicon.tsv'}; "
+                   "pass --lexicon")
+    assert str(err.value) == f"{meta_path}: {message}"
+    assert not (d / "candidates.jsonl").exists()
+
+
+def test_summarize_refuses_a_file_with_no_pairs_naming_it(word_char_model):
+    d = word_char_model
+    (d / "empty.jsonl").write_text("\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        main(["summarize", "--model", str(d / "model"), "--in", str(d / "empty.jsonl"),
+              "--out", str(d / "candidates.jsonl")])
+    assert str(err.value) == f"{d / 'empty.jsonl'}: no pairs to summarize"
     assert not (d / "candidates.jsonl").exists()
 
 
@@ -875,27 +908,33 @@ def test_summarize_in_chunks_equals_per_article_decoding(word_char_model, synthe
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_cli_and_harness_vocabularies_are_identical(tmp_path, synthetic_dir, seed):
-    """The CLI walk and the experiment harness tokenize through one path:
-    the same split gives byte-identical vocabulary files."""
+    """`hwcsum vocab` on seed k's own train part, as `hwcsum split` gives
+    it, writes seed k's vocabulary files byte for byte, for both
+    representations: the CLI and the harness tokenize and rank through one
+    path."""
     lexicon = str(synthetic_dir / "lexicon.tsv")
     assert main(["parse", "--in", str(synthetic_dir / "part1.txt"), "--part", "I",
                  "--out", str(tmp_path / "part1.jsonl")]) == 0
     assert main(["split", "--in", str(tmp_path / "part1.jsonl"), "--n-validation", "20",
                  "--seed", str(seed), "--train-out", str(tmp_path / "train.jsonl"),
                  "--valid-out", str(tmp_path / "valid.jsonl")]) == 0
-    assert main(["vocab", "--unit", "word", "--lexicon", lexicon, "--in", str(tmp_path / "train.jsonl"),
-                 "--out", str(tmp_path / "src_vocab.txt")]) == 0
-    assert main(["vocab", "--unit", "char", "--in", str(tmp_path / "train.jsonl"),
-                 "--out", str(tmp_path / "tgt_vocab.txt")]) == 0
+    vocabs = {("word_char", "src_vocab.txt"): ["--unit", "word", "--lexicon", lexicon],
+              ("char_char", "src_vocab.txt"): ["--unit", "char", "--field", "text"],
+              ("tgt", "tgt_vocab.txt"): ["--unit", "char"]}
+    for (rep, name), argv in vocabs.items():
+        assert main(["vocab", *argv, "--in", str(tmp_path / "train.jsonl"),
+                     "--out", str(tmp_path / f"{rep}_{name}")]) == 0
     cfg = ExperimentConfig(
         name="x", part1=str(synthetic_dir / "part1.txt"), part3=str(synthetic_dir / "part3.txt"),
-        lexicon=lexicon, representations=["word_char"], seeds=[seed], n_validation=20, epochs=1,
-        beam_width=1, model={"embed_dim": 4, "hidden_dim": 4, "dropout": 0.0, "max_decode_len": 2})
+        lexicon=lexicon, representations=["char_char", "word_char"], seeds=[seed],
+        n_validation=20, epochs=1, beam_width=1,
+        model={"embed_dim": 4, "hidden_dim": 4, "dropout": 0.0, "max_decode_len": 2})
     _, all_ok = run_experiment(cfg, tmp_path / "runs")
     assert all_ok
-    seed_dir = tmp_path / "runs" / "x" / "word_char" / f"seed{seed}"
-    for name in ("src_vocab.txt", "tgt_vocab.txt"):
-        assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes()
+    for rep in cfg.representations:
+        seed_dir = tmp_path / "runs" / "x" / rep / f"seed{seed}"
+        for cli_rep, name in ((rep, "src_vocab.txt"), ("tgt", "tgt_vocab.txt")):
+            assert (tmp_path / f"{cli_rep}_{name}").read_bytes() == (seed_dir / name).read_bytes()
 
 
 def _reference_train(d, cfg, out, valid):

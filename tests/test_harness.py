@@ -341,32 +341,36 @@ def test_each_pool_summary_is_char_tokenized_once_per_run(tmp_path, synthetic_di
 
 def test_each_representation_has_a_source_table_of_its_own(synthetic_dir):
     """A char_char seed counts and maps its characters alone, not the
-    hybrid's words too: each representation's sources are ids into a table
-    of their own, and both share one set of summary rows and its table."""
+    hybrid's words too: each representation's source rows carry tokens of
+    their own, and both share one set of summary rows and its tokens."""
     cfg = small_config(synthetic_dir)
     reps, _ = tokenizer.load_representations(cfg.representations, cfg.lexicon)
     pool = load_corpus_file(cfg.part1, "I")[0]
     test = filter_by_score(load_corpus_file(cfg.part3, "III")[0], cfg.min_score)
     pools = harness._tokenize(reps, pool, test)
     assert [rep.name for rep, _ in pools] == ["char_char", "word_char"]
-    sources = pool + test
-    for rep, (src_tokens, *_) in pools:
-        assert set(src_tokens) == {t for p in sources for t in rep.tokens(p.short_text)}
+    for rep, (pool_src, _, _, test_src) in pools:
+        for rows, pairs in ((pool_src, pool), (test_src, test)):
+            assert set(rows.tokens) == {t for p in pairs for t in rep.tokens(p.short_text)}
     (_, chars), (_, words) = pools
-    assert chars[1] is words[1] and chars[3] is words[3]  # the summary tokens and rows
+    assert chars[1] is words[1]  # the summary rows, which carry their tokens
 
 
 def test_write_decodes_maps_one_chunk_before_each_decode(monkeypatch):
     """write_decodes maps DECODE_CHUNK rows, decodes them, then maps the
     next: the mapped ids of the whole input are never held at once."""
-    table = tokenizer.TokenTable()
-    src = tokenizer.TokenRows(([f"w{i % 7}", f"w{i % 5}"] for i in range(70)), table)
+    src = tokenizer.TokenRows([f"w{i % 7}", f"w{i % 5}"] for i in range(70))
     mapped, per_decode = [], []
 
     class CountingMap:
         def __getitem__(self, ids):
             mapped.append(len(ids))
             return (np.asarray(ids) % 5) + 4
+
+    class CountingVocab:
+        def id_map(self, tokens):
+            assert tokens == src.tokens
+            return CountingMap()
 
     def decoding(sources, *args):
         per_decode.append(len(mapped))
@@ -380,7 +384,7 @@ def test_write_decodes_maps_one_chunk_before_each_decode(monkeypatch):
     tgt_vocab = tokenizer.Vocabulary(list(tokenizer.SPECIAL_TOKENS) + list("abcde"), [0] * 9)
     out = io.StringIO()
     ids = [100 + i for i in range(len(src))]
-    candidates = harness.write_decodes(out, ids, src, CountingMap(), params, tgt_vocab, 2)
+    candidates = harness.write_decodes(out, ids, src, CountingVocab(), params, tgt_vocab, 2)
     assert per_decode == [32, 32, 6] and harness.DECODE_CHUNK == 32
     rows = [json.loads(line) for line in out.getvalue().splitlines()]
     assert [r["id"] for r in rows] == ids and [r["candidate"] for r in rows] == candidates

@@ -379,11 +379,11 @@ _TRAIN_TWICE = """
 import resource, sys
 from hwcsum.harness import load_corpus_file
 from hwcsum.model import ModelConfig, train
-from hwcsum.tokenizer import build_vocab, char_tokenize, encode_pair_chars
+from hwcsum.tokenizer import TokenRows, char_tokenize, encode_pair_chars, rank_vocab, summary_rows
 
 pool = load_corpus_file(sys.argv[1], "I")[0]
-src = build_vocab(c for p in pool for c in char_tokenize(p.short_text))
-tgt = build_vocab(c for p in pool for c in char_tokenize(p.summary))
+src = rank_vocab(TokenRows(char_tokenize(p.short_text) for p in pool), range(len(pool)))
+tgt = rank_vocab(summary_rows(pool), range(len(pool)))
 pairs = [encode_pair_chars(p, src, tgt) for p in pool]
 cfg = ModelConfig(src_vocab_size=len(src), tgt_vocab_size=len(tgt), embed_dim=24, hidden_dim=24,
                   dropout=0.1, seed=0)

@@ -19,9 +19,7 @@ from hwcsum.tokenizer import (
     Lexicon,
     Representation,
     TokenRows,
-    TokenTable,
     Vocabulary,
-    build_vocab,
     char_tokenize,
     load_representations,
     encode_pair_chars,
@@ -455,33 +453,39 @@ def test_lexicon_count_looks_up_one_word():
         assert lex.count(word) == 0, word
 
 
+def vocab_of(stream, min_count=1, max_size=None):
+    """rank_vocab over rows of one token each, the stream's tokens in order."""
+    rows = TokenRows([tok] for tok in stream)
+    return rank_vocab(rows, range(len(rows)), min_count, max_size)
+
+
 def test_build_vocab_min_count():
-    vocab = build_vocab(iter(["a", "a", "b"]), min_count=2)
+    vocab = vocab_of(["a", "a", "b"], min_count=2)
     assert vocab.tokens == ["<pad>", "<unk>", "<s>", "</s>", "a"]
     assert vocab.counts == [0, 0, 0, 0, 2]
 
 
 def test_build_vocab_order_count_then_first_occurrence():
     stream = ["b", "c", "c", "a", "b", "d"]
-    vocab = build_vocab(iter(stream))
+    vocab = vocab_of(stream)
     # b and c both occur twice; b appeared first
     assert vocab.tokens[4:] == ["b", "c", "a", "d"]
 
 
 def test_build_vocab_max_size():
     stream = ["a"] * 5 + ["b"] * 4 + ["c"] * 3 + ["d"]
-    vocab = build_vocab(iter(stream), max_size=2)
+    vocab = vocab_of(stream, max_size=2)
     assert vocab.tokens == ["<pad>", "<unk>", "<s>", "</s>", "a", "b"]
     assert vocab.n_content == 2
 
 
 def test_build_vocab_empty_stream_errors():
     with pytest.raises(ValueError):
-        build_vocab(iter([]))
+        vocab_of([])
 
 
 def counter_ranking(stream, min_count, max_size):
-    """The (token, count) ranking build_vocab made with a Counter: count
+    """The (token, count) ranking a Counter makes of a stream: count
     descending, ties in first-occurrence order, min_count, then max_size."""
     counter = Counter()
     for tok in stream:
@@ -494,9 +498,10 @@ def counter_ranking(stream, min_count, max_size):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_rank_vocab_matches_the_counter_ranking(seed, monkeypatch):
-    """build_vocab and rank_vocab over rows streamed in small chunks rank as
-    a Counter does, on streams where many tokens tie on count; gathering
-    ids through the id map encodes as Vocabulary.encode, <unk> included."""
+    """rank_vocab over rows of one token each and over the rows as drawn,
+    both streamed in small chunks, ranks as a Counter does, on streams where
+    many tokens tie on count; gathering ids through the id map of a rows'
+    tokens encodes as Vocabulary.encode, <unk> included."""
     monkeypatch.setattr(tokenizer, "STREAM_CHUNK", 4)  # rows of up to 6 tokens cross the cuts
     rnd = random.Random(seed)
     alphabet = [chr(0x4E00 + i) for i in range(rnd.randint(1, 12))] + ["ab", "a", "词语"]
@@ -505,46 +510,45 @@ def test_rank_vocab_matches_the_counter_ranking(seed, monkeypatch):
     stream = [tok for row in rows for tok in row]
     if not stream:
         rows[0], stream = ["a"], ["a"]
-    table = TokenTable()
-    train, other = TokenRows(rows, table), TokenRows(held, table)
-    assert list(table)[:len(set(stream))] == list(dict.fromkeys(stream))
+    train, other = TokenRows(rows), TokenRows(held)
+    assert train.tokens == list(dict.fromkeys(stream))
     for min_count in (1, 2, 3):
         for max_size in (None, 1, 2, 5):
             expected = counter_ranking(stream, min_count, max_size)
-            vocab = build_vocab(iter(stream), min_count=min_count, max_size=max_size)
-            ranked = rank_vocab(train.stream(range(len(rows))), list(table), min_count, max_size)
-            to_vocab = ranked.id_map(table)
+            vocab = vocab_of(stream, min_count=min_count, max_size=max_size)
+            ranked = rank_vocab(train, range(len(rows)), min_count, max_size)
+            maps = ranked.id_map(train.tokens), ranked.id_map(other.tokens)
             for v in (vocab, ranked):
                 assert list(zip(v.tokens[4:], v.counts[4:])) == expected
             for k, tokens in enumerate(rows + held):
-                ids = (train[k] if k < len(rows) else other[k - len(rows)])
+                ids, to_vocab = ((train[k], maps[0]) if k < len(rows)
+                                 else (other[k - len(rows)], maps[1]))
                 assert to_vocab[ids].tolist() == vocab.encode(tokens)
 
 
 def test_build_vocab_ranks_a_stream_longer_than_one_chunk():
-    """build_vocab reads STREAM_CHUNK tokens at a time; tokens first seen in
-    a later chunk grow the table and still rank as a Counter ranks them."""
+    """rank_vocab reads STREAM_CHUNK ids at a time; tokens first seen in a
+    later array still rank as a Counter ranks them."""
     rnd = random.Random(7)
     stream = [str(rnd.randrange(50)) for _ in range(70_000)]
     stream += [str(rnd.randrange(40, 300)) for _ in range(70_000)]
     assert 70_000 > tokenizer.STREAM_CHUNK
     for min_count, max_size in ((1, None), (2, 100), (3, 7)):
-        vocab = build_vocab(iter(stream), min_count=min_count, max_size=max_size)
+        vocab = vocab_of(stream, min_count=min_count, max_size=max_size)
         assert list(zip(vocab.tokens[4:], vocab.counts[4:])) == counter_ranking(
             stream, min_count, max_size)
 
 
 def test_rank_vocab_refuses_an_empty_stream_and_a_min_count_below_one():
-    table = TokenTable()
-    rows = TokenRows([["a"], []], table)
+    rows = TokenRows([["a"], []])
     with pytest.raises(ValueError, match="token stream is empty"):
-        rank_vocab(rows.stream([1]), list(table))
+        rank_vocab(rows, [1])
     with pytest.raises(ValueError, match="min_count must be >= 1"):
-        rank_vocab(rows.stream([0]), list(table), min_count=0)
+        rank_vocab(rows, [0], min_count=0)
 
 
 def test_special_ids_are_fixed():
-    vocab = build_vocab(iter(["x"]))
+    vocab = vocab_of(["x"])
     assert (vocab.ids["<pad>"], vocab.ids["<unk>"], vocab.ids["<s>"], vocab.ids["</s>"]) == (
         PAD, UNK, BOS, EOS)
 
@@ -574,24 +578,24 @@ def test_vocab_load_structure_errors_name_the_file(tmp_path):
 
 def test_vocab_file_round_trip_and_determinism(tmp_path):
     stream = ["词", "词", "字", "b", "词", "字"]
-    vocab = build_vocab(iter(stream))
+    vocab = vocab_of(stream)
     p1, p2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
     vocab.save(p1)
-    build_vocab(iter(stream)).save(p2)
+    vocab_of(stream).save(p2)
     assert p1.read_bytes() == p2.read_bytes()
     loaded = Vocabulary.load(p1)
     assert loaded.tokens == vocab.tokens and loaded.counts == vocab.counts
 
 
 def test_vocab_save_failing_mid_write_leaves_no_file(tmp_path):
-    vocab = build_vocab(iter(["词", "字", "\ud800"]))  # a lone surrogate is not UTF-8
+    vocab = vocab_of(["词", "字", "\ud800"])  # a lone surrogate is not UTF-8
     with pytest.raises(UnicodeEncodeError):
         vocab.save(tmp_path / "vocab.txt")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_encode_decode_round_trip():
-    vocab = build_vocab(iter(["a", "b", "c"]))
+    vocab = vocab_of(["a", "b", "c"])
     tokens = ["a", "c", "b", "a"]
     assert vocab.decode(vocab.encode(tokens)) == tokens
     assert vocab.encode([]) == []
@@ -599,12 +603,12 @@ def test_encode_decode_round_trip():
 
 
 def test_encode_oov_maps_to_unk():
-    vocab = build_vocab(iter(["a"]))
+    vocab = vocab_of(["a"])
     assert vocab.encode(["zzz"]) == [UNK]
 
 
 def test_decode_out_of_range_errors():
-    vocab = build_vocab(iter(["a"]))
+    vocab = vocab_of(["a"])
     with pytest.raises(ValueError):
         vocab.decode([99])
     with pytest.raises(ValueError):
@@ -612,7 +616,7 @@ def test_decode_out_of_range_errors():
 
 
 def test_decode_strip_special():
-    vocab = build_vocab(iter(["a"]))
+    vocab = vocab_of(["a"])
     assert vocab.decode([BOS, 4, EOS, PAD, UNK]) == ["a"]
 
 
@@ -622,14 +626,14 @@ def test_single_char_lexicon_segments_into_chars():
 
 
 def test_encode_pair_chars_shapes():
-    vocab = build_vocab(char_tokenize("奥委会今天成立"))
+    vocab = vocab_of(char_tokenize("奥委会今天成立"))
     enc = encode_pair_chars(DocumentPair(1, "奥委会 今天成立", "奥委会成立"), vocab, vocab)
     assert enc.src_ids == vocab.encode(char_tokenize("奥委会今天成立"))
     assert enc.tgt_ids == [BOS, *vocab.encode(char_tokenize("奥委会成立")), EOS]
 
 
 def test_encode_pair_empty_summary_errors():
-    vocab = build_vocab(char_tokenize("奥委会"))
+    vocab = vocab_of(char_tokenize("奥委会"))
     with pytest.raises(ValueError, match="^summary is empty after whitespace removal$"):
         encode_pair_chars(DocumentPair(1, "奥委会", " "), vocab, vocab)
     with pytest.raises(ValueError, match="^pair id=7: source text is empty after whitespace removal$"):
