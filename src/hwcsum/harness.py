@@ -29,7 +29,7 @@ from .corpus import (DocumentPair, ParseError, ParseIssue, _json_int, atomic_wri
                      parse_lcsts, read_jsonl, split_indices, write_rows)
 from .dedup import clean_part1
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
-from .rouge import METRICS, evaluate_corpus, scores_dict
+from .rouge import METRICS, RougeScores, evaluate_corpus, mean_scores, scores_dict
 from .tokenizer import (REPRESENTATIONS, EncodedRows, Representation, TokenRows, Vocabulary,
                         load_representations, rank_vocab, summary_rows)
 
@@ -326,8 +326,7 @@ def _mean_scores(seed_records: list[dict]) -> dict | None:
     ok = [r["scores"] for r in seed_records if r["status"] == "ok"]
     if not ok:
         return None
-    return {m: {k: sum(s[m][k] for s in ok) / len(ok) for k in ("precision", "recall", "f1")}
-            for m in METRICS}
+    return scores_dict(mean_scores([{m: RougeScores(**s[m]) for m in METRICS} for s in ok]))
 
 
 def _prepare(cfg: ExperimentConfig):

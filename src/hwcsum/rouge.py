@@ -19,51 +19,42 @@ class RougeScores:
     f1: float
 
 
-def _f1(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if p + r > 0 else 0.0
+def _scores(hits: int, n_cand: int, n_ref: int) -> RougeScores:
+    """Precision, recall and F1 (beta=1) of hits matched units; 0.0 over an empty side."""
+    p = hits / n_cand if n_cand else 0.0
+    r = hits / n_ref if n_ref else 0.0
+    return RougeScores(p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0)
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
     """Multiset of contiguous n-grams; empty when n exceeds the length."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScores:
     cand = ngram_counts(candidate, n)
     ref = ngram_counts(reference, n)
-    overlap = sum(min(count, ref[g]) for g, count in cand.items())
-    n_cand = sum(cand.values())
-    n_ref = sum(ref.values())
-    p = overlap / n_cand if n_cand else 0.0
-    r = overlap / n_ref if n_ref else 0.0
-    return RougeScores(p, r, _f1(p, r))
+    return _scores(sum((cand & ref).values()), sum(cand.values()), sum(ref.values()))
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length by the bit-vector recurrence of
+    Allison and Dix (1986): v holds a bit per position of b, and after each
+    symbol of a its zero bits count the LCS of b and the prefix of a read."""
+    masks = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    v = full = (1 << len(b)) - 1
     for x in a:
-        curr = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = curr[j - 1] if curr[j - 1] >= prev[j] else prev[j]
-        prev = curr
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: list[str], reference: list[str]) -> RougeScores:
-    if not candidate or not reference:
-        return RougeScores(0.0, 0.0, 0.0)
-    lcs = lcs_length(candidate, reference)
-    p = lcs / len(candidate)
-    r = lcs / len(reference)
-    return RougeScores(p, r, _f1(p, r))
+    return _scores(lcs_length(candidate, reference), len(candidate), len(reference))
 
 
 METRICS = ("rouge_1", "rouge_2", "rouge_l")
@@ -93,6 +84,14 @@ def scores_dict(scores: dict) -> dict:
     return {m: asdict(scores[m]) for m in METRICS}
 
 
+def mean_scores(scores: list[dict]) -> dict[str, RougeScores]:
+    """The arithmetic mean, field by field, of metric -> RougeScores maps,
+    summed in list order."""
+    return {m: RougeScores(*(sum(getattr(s[m], f) for s in scores) / len(scores)
+                             for f in ("precision", "recall", "f1")))
+            for m in METRICS}
+
+
 def evaluate_corpus(candidates: list[str], references: list[str], unit: str = "char"):
     """Mean ROUGE-1/2/L over aligned candidate/reference lists.
 
@@ -105,12 +104,4 @@ def evaluate_corpus(candidates: list[str], references: list[str], unit: str = "c
     if not candidates:
         raise ValueError("nothing to evaluate")
     per_pair = [score_pair(c, r, unit) for c, r in zip(candidates, references)]
-    means = {}
-    for metric in METRICS:
-        n = len(per_pair)
-        means[metric] = RougeScores(
-            sum(s[metric].precision for s in per_pair) / n,
-            sum(s[metric].recall for s in per_pair) / n,
-            sum(s[metric].f1 for s in per_pair) / n,
-        )
-    return means, per_pair
+    return mean_scores(per_pair), per_pair

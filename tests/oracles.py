@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the implementation paths it is used
 to check: segmentation scoring is enumerated, LCS comes from distinct
-subsequence sets, and decoding enumerates every emission sequence.
+subsequence sets or, for inputs too long to enumerate, from a dynamic
+program, and decoding enumerates every emission sequence.
 Gradients are checked against central differences, through a reducer
 built from the same tape primitives the model runs.
 """
@@ -255,6 +256,22 @@ def brute_force_lcs(a: str, b: str) -> int:
     """LCS length as the longest string common to both subsequence sets."""
     common = subsequence_set(a) & subsequence_set(b)
     return max(len(s) for s in common)
+
+
+def dp_lcs_length(a: list[str], b: list[str]) -> int:
+    """Longest common subsequence length by dynamic programming."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr[j] = prev[j - 1] + 1
+            else:
+                curr[j] = curr[j - 1] if curr[j - 1] >= prev[j] else prev[j]
+        prev = curr
+    return prev[-1]
 
 
 def enumerate_decodes(step_fn, init_state, bos, eos, vocab_size, max_len):

@@ -388,7 +388,7 @@ def test_acceptance_lcs_oracle():
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"LCS checks took {elapsed:.1f}s, budget 60s"
-    _report("LCS DP vs brute-force subsequence enumeration", t0)
+    _report("LCS bit vector vs brute-force subsequence enumeration", t0)
 
 
 # --- overfit fixture ---------------------------------------------------------

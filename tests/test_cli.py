@@ -1018,6 +1018,33 @@ def test_summarize_reproduces_a_harness_seed(tmp_path, synthetic_dir):
         assert out.read_bytes() == (seed_dir / "candidates.jsonl").read_bytes()
 
 
+def test_eval_reproduces_a_harness_seeds_scores(tmp_path, synthetic_dir, monkeypatch):
+    """`eval` of a fixture experiment seed's candidates against the
+    score-filtered test set gives that seed's scores.jsonl rows and, as its
+    mean row, the seed's scores in report.json, for both representations."""
+    monkeypatch.chdir(synthetic_dir.parents[2])
+    assert main(["experiment", "--config", "tests/data/synthetic/experiment.json",
+                 "--out", str(tmp_path / "runs")]) == 0
+    run = tmp_path / "runs" / "synthetic-demo"
+    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    assert main(["parse", "--in", report["config"]["part3"], "--part", "III",
+                 "--out", str(tmp_path / "p3.jsonl")]) == 0
+    assert main(["filter", "--in", str(tmp_path / "p3.jsonl"),
+                 "--min-score", str(report["config"]["min_score"]),
+                 "--out", str(tmp_path / "test.jsonl")]) == 0
+    for name in ("char_char", "word_char"):
+        seed_dir = run / name / "seed0"
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["eval", "--candidates", str(seed_dir / "candidates.jsonl"),
+                     "--references", str(tmp_path / "test.jsonl"), "--report", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        seed_rows = [json.loads(line) for line in
+                     (seed_dir / "scores.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [{k: v for k, v in r.items() if k != "index"} for r in rows[:-1]] == \
+            [{k: v for k, v in r.items() if k != "id"} for r in seed_rows]
+        assert rows[-1] == {"mean": report["runs"][name]["seeds"]["0"]["scores"]}
+
+
 def _masked_log(model_dir):
     return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
             for line in (model_dir / "train_log.jsonl").read_text().splitlines()]

@@ -5,7 +5,7 @@ import pytest
 
 from hwcsum.rng import MT19937
 from hwcsum.rouge import METRICS, evaluate_corpus, lcs_length, ngram_counts, rouge_l, rouge_n
-from oracles import brute_force_lcs
+from oracles import brute_force_lcs, dp_lcs_length
 
 
 def test_ngram_counts_unigrams():
@@ -70,6 +70,24 @@ def test_lcs_matches_brute_force_exhaustive_small():
     for a in strings:
         for b in strings:
             assert lcs_length(list(a), list(b)) == brute_force_lcs(a, b)
+
+
+def test_lcs_matches_the_dp_on_long_inputs():
+    # lengths on both sides of CPython's 30-bit int digits and of 64-bit
+    # words, where the bit vector's carries cross, and empty sides; a
+    # 2-symbol alphabet gives long common subsequences, 300 CJK characters
+    # short ones
+    gen = MT19937(64)
+    lengths = (0, 1, 30, 31, 63, 64, 65, 127, 128, 129, 200)
+    for alphabet in ("ab", "abcde", [chr(0x4E00 + i) for i in range(300)]):
+        def draw(n):
+            return [alphabet[gen.bounded(len(alphabet))] for _ in range(n)]
+
+        sizes = [(la, lb) for la in lengths for lb in lengths]
+        sizes += [(gen.bounded(201), gen.bounded(201)) for _ in range(50)]
+        for la, lb in sizes:
+            a, b = draw(la), draw(lb)
+            assert lcs_length(a, b) == dp_lcs_length(a, b), (a, b)
 
 
 def test_rouge_l_identical():
