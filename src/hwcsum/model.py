@@ -17,12 +17,13 @@ business; the model only sees id sequences.
 
 import json
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .corpus import atomic_write, keep_heap
-from .numerics import Adagrad, Tape, Tensor, init_uniform
+from .numerics import Adagrad, Tape, Tensor, init_uniform, log_softmax
 from .rng import MT19937
 from .tokenizer import BOS, EOS, PAD, EncodedPair
 
@@ -110,20 +111,21 @@ def _encode(tape: Tape, params: ModelParams, src, src_mask, drop=None):
     return states, tape.embedding_lookup(states, src.shape[0] - 1)
 
 
-def _attend(tape: Tape, dec_h: Tensor, enc: Tensor, params: ModelParams, src_mask=None):
+def _attend(tape: Tape, dec_h: Tensor, enc: Tensor, params: ModelParams, src_mask):
     # bilinear score s_i = dec_h^T W enc_i, then a softmax-weighted sum over
     # the real source positions; dec_h (Td, B, H) and the context are
     # time-major, enc (B, Ts, H) and the batched products batch-major
     q = tape.transpose(tape.matmul(dec_h, params["att_w"]), (1, 0, 2))
     scores = tape.bmm(q, enc, transpose_b=True)
-    weights = tape.softmax(scores, None if src_mask is None else src_mask.T[:, None].astype(bool))
+    weights = tape.softmax(scores, src_mask.T[:, None].astype(bool))
     return tape.transpose(tape.bmm(weights, enc), (1, 0, 2)), weights
 
 
 def _decode(tape: Tape, params: ModelParams, prev, state: Tensor, enc: Tensor,
-            src_mask=None, tgt_mask=None, drop_emb=None, drop_comb=None):
+            src_mask, tgt_mask, drop_emb=None, drop_comb=None):
     """Teacher-forced decoder over input ids prev (Td, B) from state (B, H),
-    attending to batch-major encoder states enc (B, Ts, H).
+    attending to batch-major encoder states enc (B, Ts, H); src_mask (Ts, B)
+    and tgt_mask (Td, B) are 1 on real positions.
 
     Returns (logits (Td, B, V), decoder states (Td, B, H), attention
     weights (B, Td, Ts)).
@@ -131,8 +133,6 @@ def _decode(tape: Tape, params: ModelParams, prev, state: Tensor, enc: Tensor,
     x = tape.embedding_lookup(params["tgt_emb"], prev)
     if drop_emb is not None:
         x = tape.scale(x, drop_emb)
-    if tgt_mask is None:
-        tgt_mask = np.ones(prev.shape)
     h = _gru(tape, params, "dec", x, state, tgt_mask)
     context, weights = _attend(tape, h, enc, params, src_mask)
     comb = tape.tanh(tape.matmul(tape.concat(context, h), params["comb_w"]))
@@ -206,34 +206,32 @@ def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | No
 # ---- batch-of-one interface --------------------------------------------------
 
 
-def encode_sequence(src_ids, params: ModelParams, *, tape: Tape | None = None):
-    """Run the encoder cell left to right; returns (states, final_state).
+def encode_sequence(src_ids, params: ModelParams):
+    """Run the encoder cell left to right, forward only; returns (states,
+    final_state).
 
     states is a list with one (H,) tensor per source position.
     """
     if not src_ids:
         raise ValueError("cannot encode an empty source sequence")
-    tape = tape if tape is not None else Tape(recording=False)
     src, mask = _pad([src_ids])
-    enc, _ = _encode(tape, params, src, mask)
-    flat = tape.reshape(enc, (len(src_ids), params.config.hidden_dim))
-    states = [tape.embedding_lookup(flat, i) for i in range(len(src_ids))]
+    enc, _ = _encode(Tape(recording=False), params, src, mask)
+    states = [Tensor(r) for r in enc.data[:, 0]]
     return states, states[-1]
 
 
 def decode_step(prev_id: int, decoder_state: Tensor, encoder_states: list[Tensor],
-                params: ModelParams, *, tape: Tape | None = None):
-    """One decoder step: (log-prob row, new state, attention weights over
-    the encoder states)."""
+                params: ModelParams):
+    """One decoder step, forward only: (log-prob row, new state, attention
+    weights over the encoder states)."""
     if not encoder_states:
         raise ValueError("decode_step needs at least one encoder state")
-    tape = tape if tape is not None else Tape(recording=False)
-    enc = tape.stack(encoder_states)
-    enc = tape.reshape(enc, (1,) + enc.data.shape)
-    state = tape.reshape(decoder_state, (1, -1))
-    logits, h, weights = _decode(tape, params, np.array([[prev_id]]), state, enc)
-    logits = tape.reshape(logits, (-1,))
-    return tape.log_softmax(logits), tape.reshape(h, (-1,)), tape.reshape(weights, (-1,))
+    enc = np.stack([s.data for s in encoder_states])[None]
+    logits, h, weights = _decode(Tape(recording=False), params, np.array([[prev_id]]),
+                                 Tensor(decoder_state.data.reshape(1, -1)), Tensor(enc),
+                                 np.ones((len(encoder_states), 1)), np.ones((1, 1)))
+    return (Tensor(log_softmax(logits.data.reshape(-1))), Tensor(h.data.reshape(-1)),
+            Tensor(weights.data.reshape(-1)))
 
 
 def sequence_loss(pair: EncodedPair, params: ModelParams, *, tape: Tape | None = None,
@@ -353,7 +351,7 @@ def _search(sources, params: ModelParams, beam_width: int,
         context, _ = _attend(tape, out, live[0], params, live[1])
         comb = tape.tanh(tape.matmul(tape.reshape(tape.concat(context, out), (s * a, 2 * h)),
                                      params["comb_w"]))
-        lp = tape.log_softmax(tape.matmul(comb, params["out_w"])).data
+        lp = log_softmax(tape.matmul(comb, params["out_w"]).data)
         return lp.reshape(s, a, -1), out.data
 
     return _beam(step, beam_width, max_len, final.data[None])
@@ -476,17 +474,30 @@ def save_checkpoint(params: ModelParams, path):
 
 
 def load_checkpoint(path) -> ModelParams:
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}: "
-                             f"only version {CHECKPOINT_VERSION} is supported")
-        config = ModelConfig(**meta["config"])
-        tensors = {k: Tensor(archive[k]) for k in archive.files if k != "__meta__"}
-    expected = dict(_param_shapes(config))
-    if set(tensors) != set(expected):
-        raise ValueError("checkpoint parameter names do not match the config")
-    for name, t in tensors.items():
-        if t.data.shape != expected[name]:
-            raise ValueError(f"checkpoint {name} has shape {t.data.shape}, expected {expected[name]}")
+    """The parameters saved at path. A file that is no checkpoint of this
+    version, or whose tensors do not fit its config, raises a ValueError
+    that starts with path."""
+    try:
+        # np.load leaves a path it opened open when the archive is corrupt
+        with open(path, "rb") as f:
+            if f.read(4) != b"PK\x03\x04":  # np.load would take any other file for a pickle
+                raise ValueError("not an npz archive")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as archive:
+                meta = json.loads(str(archive["__meta__"]))
+                if meta.get("format_version") != CHECKPOINT_VERSION:
+                    raise ValueError(f"unsupported checkpoint version "
+                                     f"{meta.get('format_version')}: "
+                                     f"only version {CHECKPOINT_VERSION} is supported")
+                config = ModelConfig(**meta["config"])
+                tensors = {k: Tensor(archive[k]) for k in archive.files if k != "__meta__"}
+        expected = dict(_param_shapes(config))
+        if set(tensors) != set(expected):
+            raise ValueError("checkpoint parameter names do not match the config")
+        for name, t in tensors.items():
+            if t.data.shape != expected[name]:
+                raise ValueError(f"checkpoint {name} has shape {t.data.shape}, "
+                                 f"expected {expected[name]}")
+    except (AttributeError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path}: {e}") from None
     return ModelParams(config, tensors)

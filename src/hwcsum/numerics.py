@@ -1,18 +1,19 @@
 """Dense float64 tensors with tape-recorded reverse-mode gradients.
 
-Every operation goes through a Tape. The tape appends one backward
-closure per op in creation order, which is already topological, so
-``backward`` simply replays the list in reverse and accumulates
-gradients additively into ``Tensor.grad``. Each closure is released as
-soon as it has run, so the memory a forward pass holds falls during
-the backward pass and a tape is replayed once. A non-recording tape
-turns the same code paths into plain forward evaluation.
+The tape holds the primitives that training differentiates. It appends
+one backward closure per op in creation order, which is already
+topological, so ``backward`` simply replays the list in reverse and
+accumulates gradients additively into ``Tensor.grad``. Each closure is
+released as soon as it has run, so the memory a forward pass holds falls
+during the backward pass and a tape is replayed once. A non-recording
+tape turns the same code paths into plain forward evaluation;
+``log_softmax`` is forward only, on plain arrays, for decoding and for
+``Tape.nll``.
 
 Gradient hand-over: ``_accum`` keeps a first gradient as ``.grad``
 without a copy (``owned=True``) only when its closure has just computed
-it and hands it to no other tensor. Views (``concat``, ``stack``,
-``reshape``, ``transpose``) are copied, so no two ``.grad`` arrays share
-memory.
+it and hands it to no other tensor. Views (``concat``, ``reshape``,
+``transpose``) are copied, so no two ``.grad`` arrays share memory.
 """
 
 import math
@@ -48,6 +49,12 @@ def _accum(t: Tensor, g, owned: bool = False):
         t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
     else:
         t.grad += g
+
+
+def log_softmax(x):
+    """log(softmax(x)) over the last axis of an array, max-subtracted for stability."""
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 class Tape:
@@ -174,18 +181,6 @@ class Tape:
         self._emit(out, backward)
         return out
 
-    def stack(self, rows: list[Tensor]) -> Tensor:
-        if not rows:
-            raise ValueError("stack: empty input")
-        out = Tensor(np.stack([r.data for r in rows]))
-
-        def backward(g):
-            for i, r in enumerate(rows):
-                _accum(r, g[i])
-
-        self._emit(out, backward)
-        return out
-
     def embedding_lookup(self, table: Tensor, index) -> Tensor:
         """Rows of table along its first axis; index is an int or an int array.
 
@@ -210,13 +205,13 @@ class Tape:
         self._emit(out, backward)
         return out
 
-    def softmax(self, a: Tensor, mask=None) -> Tensor:
+    def softmax(self, a: Tensor, mask) -> Tensor:
         """Softmax over the last axis, max-subtracted for stability.
 
-        Where the optional boolean mask (broadcast against a) is false the
+        Where the boolean mask (broadcast against a) is false the
         probability is exactly 0; every row needs at least one true entry.
         """
-        x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+        x = np.where(mask, a.data, -np.inf)
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         y = e / e.sum(axis=-1, keepdims=True)
@@ -225,18 +220,6 @@ class Tape:
         def backward(g):
             s = (g * y).sum(axis=-1, keepdims=True)
             _accum(a, y * (g - s), owned=True)
-
-        self._emit(out, backward)
-        return out
-
-    def log_softmax(self, a: Tensor) -> Tensor:
-        z = a.data - a.data.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        y = z - lse
-        out = Tensor(y)
-
-        def backward(g):
-            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True), owned=True)
 
         self._emit(out, backward)
         return out
@@ -259,14 +242,12 @@ class Tape:
                              f"must match logits {x.shape} without the last axis")
         if targets.size and (targets.min() < 0 or targets.max() >= x.shape[-1]):
             raise ValueError(f"nll: target out of range for {x.shape[-1]} classes")
-        z = x - x.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        at = np.arange(0, z.size, x.shape[-1]) + targets.ravel()  # flat, in C order
-        target_z = z.reshape(-1)[at].reshape(targets.shape)
-        out = Tensor(-(weights * (target_z - lse[..., 0])).sum())
+        lp = log_softmax(x)
+        at = np.arange(0, lp.size, x.shape[-1]) + targets.ravel()  # flat, in C order
+        out = Tensor(-(weights * lp.reshape(-1)[at].reshape(targets.shape)).sum())
 
         def backward(g):
-            d = np.exp(z - lse, order="C")  # C order: the reshape is a view to write through
+            d = np.exp(lp, order="C")  # C order: the reshape is a view to write through
             d.reshape(-1)[at] -= 1.0
             _accum(logits, d * (float(g) * weights)[..., None], owned=True)
 

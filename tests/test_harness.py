@@ -1,6 +1,5 @@
 import builtins
 import collections
-import copy
 import dataclasses
 import hashlib
 import io
@@ -169,20 +168,20 @@ def test_mean_is_arithmetic_over_seeds(tmp_path, synthetic_dir):
         assert run["mean_scores"][m]["f1"] == sum(per_seed) / 2
 
 
-def _strip_volatile(report):
-    report = copy.deepcopy(report)
-    report.pop("created_at", None)
-    for run in report["runs"].values():
-        for record in run["seeds"].values():
-            record.pop("timing", None)
-    return report
+def _masked(obj):
+    """A parsed JSON value without created_at, timing or any key containing
+    seconds, the rule of perfbench/workloads.mask_timings."""
+    if isinstance(obj, dict):
+        return {k: _masked(v) for k, v in obj.items()
+                if k not in ("created_at", "timing") and "seconds" not in k}
+    return [_masked(v) for v in obj] if isinstance(obj, list) else obj
 
 
 def test_run_experiment_deterministic(tmp_path, synthetic_dir):
     cfg = small_config(synthetic_dir, representations=["word_char"])
     r1, _ = run_experiment(cfg, tmp_path / "a")
     r2, _ = run_experiment(cfg, tmp_path / "b")
-    a, b = _strip_volatile(r1), _strip_volatile(r2)
+    a, b = _masked(r1), _masked(r2)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -487,19 +486,13 @@ def test_sweep_rejects_bad_sizes(tmp_path, synthetic_dir, monkeypatch, sizes, me
 
 def _masked_tree(root: Path) -> dict:
     """Every file under root by relative path; JSON and JSONL files parsed,
-    with their created_at, timing and seconds fields dropped."""
-
-    def mask(obj):
-        if isinstance(obj, dict):
-            return {k: mask(v) for k, v in obj.items() if k not in ("created_at", "timing", "seconds")}
-        return [mask(v) for v in obj] if isinstance(obj, list) else obj
-
+    masked by _masked."""
     tree = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         if path.suffix == ".json":
-            content = mask(json.loads(path.read_text(encoding="utf-8")))
+            content = _masked(json.loads(path.read_text(encoding="utf-8")))
         elif path.suffix == ".jsonl":
-            content = [mask(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
+            content = [_masked(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
         else:
             content = path.read_bytes()
         tree[path.relative_to(root).as_posix()] = content
@@ -523,13 +516,6 @@ def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
     """The bundled fixture run in fresh processes at OPENBLAS_NUM_THREADS 1
     and 2: every checkpoint and decode byte for byte, and report.json with
     its timestamp and timings masked."""
-
-    def masked(obj):
-        if isinstance(obj, dict):
-            return {k: masked(v) for k, v in obj.items()
-                    if k not in ("created_at", "timing") and "seconds" not in k}
-        return [masked(v) for v in obj] if isinstance(obj, list) else obj
-
     src = str(Path(hwcsum.__file__).resolve().parent.parent)
     trees = []
     for threads in ("1", "2"):
@@ -542,7 +528,7 @@ def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
         run = out / "synthetic-demo"
         files = {p.relative_to(run).as_posix(): p.read_bytes()
                  for p in sorted(run.rglob("*")) if p.name in ("model.npz", "candidates.jsonl")}
-        trees.append((files, masked(json.loads((run / "report.json").read_text(encoding="utf-8")))))
+        trees.append((files, _masked(json.loads((run / "report.json").read_text(encoding="utf-8")))))
     assert len(trees[0][0]) == 8
     assert trees[0] == trees[1]
 

@@ -508,6 +508,29 @@ def test_checkpoint_version_1_is_refused(tmp_path):
         load_checkpoint(path)
 
 
+def test_unreadable_checkpoints_are_value_errors_naming_the_file(tmp_path):
+    good = tmp_path / "good.npz"
+    save_checkpoint(rand_params(13), good)
+    config = dataclasses.asdict(tiny_config(seed=13))
+    del config["tgt_vocab_size"]
+    cases = {
+        "truncated.npz": good.read_bytes()[:100],
+        "text.npz": b"not a checkpoint\n",
+        "no_meta.npz": {"src_emb": np.zeros(2)},
+        "bad_json.npz": {"__meta__": "{not json"},
+        "short_config.npz": {"__meta__": json.dumps({"format_version": 2, "config": config})},
+    }
+    for name, content in cases.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            np.savez(path, **content)
+        with pytest.raises(ValueError) as e:
+            load_checkpoint(path)
+        assert str(e.value).startswith(f"{path}: "), (name, str(e.value))
+
+
 def test_checkpoint_save_load_save_identical(tmp_path):
     params = rand_params(14)
     p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -619,8 +642,7 @@ def test_beam_exhaustive_equivalence_small():
         src = [4]
         hyp = beam_search_full(src, params, beam_width=125, max_len=3)
 
-        tape = Tape(recording=False)
-        states, final = encode_sequence(src, params, tape=tape)
+        states, final = encode_sequence(src, params)
 
         def step_fn(prev_id, state):
             lp, new_state, _ = decode_step(prev_id, state, states, params)
