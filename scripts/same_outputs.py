@@ -14,7 +14,11 @@ at the same relative path:
   exact, two with a trailing suffix), so that its removal ledger is not
   empty;
 - the README's CLI walk into ``walk/``, plus a ``char_char`` ``train`` whose
-  config omits every step setting and a ``train`` without ``--valid``.
+  config omits every step setting, a ``train`` without ``--valid`` and a
+  ``vocab --unit word`` into ``walk/src_vocab_odd.txt`` from a lexicon
+  derived from the fixture's (CRLF line ends, a whitespace-only line, a
+  repeated word with a new count and a ``+N`` count), so that both ways a
+  lexicon loads, in bulk and by the line reader, are compared.
 
 Then prints one line per output file: ``identical``, ``equal after the
 mask`` (JSON and JSONL parsed and passed through
@@ -63,6 +67,8 @@ COMMANDS = [
      "--train-out", "walk/train.jsonl", "--valid-out", "walk/valid.jsonl"],
     ["vocab", "--unit", "word", "--lexicon", f"{FIXTURE}/lexicon.tsv", "--in", "walk/train.jsonl",
      "--out", "walk/src_vocab.txt"],
+    ["vocab", "--unit", "word", "--lexicon", "inputs/lexicon_odd.tsv", "--in", "walk/train.jsonl",
+     "--out", "walk/src_vocab_odd.txt"],
     ["vocab", "--unit", "char", "--in", "walk/train.jsonl", "--out", "walk/tgt_vocab.txt"],
     ["train", "--config", "inputs/train_cfg.json", "--train", "walk/train.jsonl",
      "--valid", "walk/valid.jsonl", "--src-vocab", "walk/src_vocab.txt",
@@ -92,7 +98,8 @@ def export(rev: str, dest: Path):
 
 
 def write_inputs(tree: Path, work: Path):
-    """The fixture copy, the configs and the sweep's planted Part I, in work."""
+    """The fixture copy, the configs, the sweep's planted Part I and the odd
+    lexicon, in work."""
     shutil.copytree(tree / FIXTURE, work / FIXTURE)
     for name, cfg in INPUTS.items():
         (work / name).parent.mkdir(parents=True, exist_ok=True)
@@ -107,6 +114,13 @@ def write_inputs(tree: Path, work: Path):
     cfg = json.loads((work / FIXTURE / "experiment.json").read_text(encoding="utf-8"))
     cfg.update(name="synthetic-dedup", part1="inputs/part1_planted.txt", dedup=True)
     (work / "inputs/sweep.json").write_text(json.dumps(cfg), encoding="utf-8")
+    # the fixture's lexicon with CRLF line ends, a whitespace-only line, a
+    # repeated word with a new count and a +N count: a file the line reader loads
+    lines = (work / FIXTURE / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    lines[20] = lines[20].replace("\t", "\t+")
+    lines[10:10] = [" \t "]
+    lines.append(lines[0].split("\t")[0] + "\t7")
+    (work / "inputs/lexicon_odd.tsv").write_bytes("".join(f"{x}\r\n" for x in lines).encode("utf-8"))
 
 
 def run_all(tree: Path, work: Path):

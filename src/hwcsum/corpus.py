@@ -95,7 +95,10 @@ def parse_lcsts(stream, part: str, strict: bool = False):
     reported as ParseIssue entries unless strict, in which case the
     first defect raises ParseError. Pair order is file order. Content
     may sit on the tag line or on its own lines before the closing tag;
-    multi-line content is joined with single spaces.
+    multi-line content is joined with single spaces. A ``<doc id=N>`` or
+    ``</doc>`` line before the closing tag ends the record as the defect
+    ``doc id=N: unterminated <tag>``; a ``<doc id=N>`` line then starts the
+    next record.
     """
     if part not in VALID_PARTS:
         raise ValueError(f"part must be one of {VALID_PARTS}, got {part!r}")
@@ -120,11 +123,18 @@ def parse_lcsts(stream, part: str, strict: bool = False):
                 rec[open_tag] = " ".join(content)
                 open_tag = None
                 content = []
-            else:
+                continue
+            closed = _DOC_CLOSE.match(line)
+            if not (closed or _DOC_OPEN.match(line)):
                 stripped = line.strip()
                 if stripped:
                     content.append(stripped)
-            continue
+                continue
+            # a record boundary ends the record, so the open tag swallows no other document
+            fail(rec_line, f"doc id={rec.get('id')}: unterminated <{open_tag}>")
+            rec, open_tag = None, None
+            if closed:
+                continue
 
         m = _DOC_OPEN.match(line)
         if m:

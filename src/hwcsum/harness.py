@@ -377,7 +377,8 @@ def _run_size(cfg: ExperimentConfig, prepared, out: Path):
                 failed.append(seed)
                 all_ok = False
                 seed_dir.mkdir(parents=True, exist_ok=True)
-                (seed_dir / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
+                with atomic_write(seed_dir / "error.txt") as f:
+                    f.write(traceback.format_exc())
         runs[rep.name] = {"seeds": seed_records, "failed_seeds": failed,
                           "mean_scores": _mean_scores(list(seed_records.values()))}
 

@@ -8,6 +8,7 @@ back to singleton words with count 1, so segmentation never fails.
 """
 
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -46,18 +47,22 @@ def _exact_sum(a: np.ndarray) -> int:
     return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
 
 
+def _invalid_word(entries: dict[str, int]) -> str | None:
+    """The word of a word -> count table whose entry is invalid, else None:
+    the empty word, else the first word whose count is not positive or not
+    below 2**63."""
+    if "" in entries:
+        return ""
+    return next((w for w, c in entries.items() if not 0 < c < _COUNT_LIMIT), None)
+
+
 def _invalid_entry(word: str, count: int) -> str:
+    """Why the entry word -> count is invalid, when it is."""
+    if count >= _COUNT_LIMIT:
+        return f"lexicon count for {word!r} must be below 2**63, got {count}"
     if word == "":
         return "lexicon contains an empty word"
     return f"lexicon count for {word!r} must be positive, got {count}"
-
-
-def _too_large(word: str, count: int) -> str:
-    return f"lexicon count for {word!r} must be below 2**63, got {count}"
-
-
-def _text(codes: np.ndarray) -> str:
-    return codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def _digit_counts(codes: np.ndarray, tabs: np.ndarray, ends: np.ndarray, one: np.ndarray):
@@ -93,67 +98,56 @@ def _lines(codes: np.ndarray):
     return np.concatenate(([-1], sep[end_at]), dtype=sep.dtype), sep[end_at - 1], one[end_at]
 
 
-def _entry_lines(codes: np.ndarray, path):
-    """Parse the code points of lexicon text whose every line ends in a
-    newline: for each ``word<TAB>count`` line in order, its start offset,
-    word length and count. Whitespace-only lines are skipped. ASCII-digit
-    counts on the lines with one tab are parsed in bulk; any other line goes
-    through ``split`` and ``int()``. The first malformed line, or count of
-    2**63 or more, raises a ValueError naming path and line."""
+def _plain_entries(raw: bytes):
+    """The code points of lexicon bytes, and the start, word length and
+    count of each entry, when the bytes are plain: valid UTF-8 whose every
+    line is empty or ``word<TAB>count``, with a non-empty word and a count
+    of 1 to _DIGITS_MAX ASCII digits below 2**63. Else None."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    codes = _codes(text if text.endswith("\n") else text + "\n")
     bounds, tabs, one = _lines(codes)
-    value, ok = _digit_counts(codes, tabs, bounds[1:], one)
-    over = np.flatnonzero(ok & (value >= np.uint64(_COUNT_LIMIT)))
-    first_over = int(over[0]) if len(over) else len(ok)
-    counts = value.view(np.int64)  # the counts past int64 are over, so never used
+    counts, ok = _digit_counts(codes, tabs, bounds[1:], one)
+    starts = bounds[:-1] + 1
+    ok &= (tabs > starts) & (counts > 0) & (counts < np.uint64(_COUNT_LIMIT))
+    if not (ok | (bounds[1:] == starts)).all():  # an entry or an empty line
+        return None
+    starts = starts[ok]
+    return codes, starts, tabs[ok] - starts, counts[ok].view(np.int64)
 
-    # the rest, in line order: lines with no tab or several (blank, else
-    # malformed) and counts that are not plain digits, which int() may take
-    for i in np.flatnonzero(~ok[:first_over]).tolist():
-        start, end = int(bounds[i]) + 1, int(bounds[i + 1])
-        text = _text(codes[start:end])
+
+def _read_entries(raw: bytes, path) -> dict[str, int]:
+    """The word -> count table of lexicon bytes whose line ends are all
+    newlines, read one line at a time: the rules of the load, stated once.
+
+    Whitespace-only lines are skipped, a count is what ``int()`` takes and a
+    repeated word keeps its last count. The first line in file order that is
+    not UTF-8, is not ``word<TAB>count`` or has a count of 2**63 or more
+    raises a ValueError naming path and the line; after those, an invalid
+    entry (``_invalid_word``) raises one naming the line its count is from.
+    """
+    entries, line_of = {}, {}
+    for line_no, line in enumerate(io.BytesIO(raw), start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: line {line_no}: invalid UTF-8 ({e.reason})") from None
         try:
             word, count = text.split("\t")
             count = int(count)
         except ValueError:
-            if not text.strip():
+            if text.isspace():
                 continue
-            raise ValueError(f"{path}: line {i + 1}: expected 'word<TAB>count'") from None
+            raise ValueError(f"{path}: line {line_no}: expected 'word<TAB>count'") from None
         if count >= _COUNT_LIMIT:
-            raise ValueError(f"{path}: line {i + 1}: {_too_large(word, count)}")
-        ok[i], tabs[i], counts[i] = True, start + len(word), max(count, -_COUNT_LIMIT)
-    if len(over):
-        word, count = _line_at(codes, int(bounds[over[0]]) + 1)[1].split("\t")
-        raise ValueError(f"{path}: line {first_over + 1}: {_too_large(word, int(count))}")
-    starts = bounds[:-1][ok] + 1
-    return starts, tabs[ok] - starts, counts[ok]
-
-
-def _line_at(codes: np.ndarray, start: int) -> tuple[int, str]:
-    """The number and the text of the line starting at offset start."""
-    end = start + int(np.argmax(codes[start:] == 10))
-    return int(np.count_nonzero(codes[:start] == 10)) + 1, _text(codes[start:end])
-
-
-def _read_codes(path) -> tuple[np.ndarray, str]:
-    """Code points of a UTF-8 text file, line ends as text-mode reading
-    gives them and one after the last line, and the sha256 of its bytes.
-    Invalid UTF-8 raises a ValueError naming its line, unless an earlier
-    line is malformed as a lexicon line."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    sha256 = hashlib.sha256(raw).hexdigest()
-    if b"\r" in raw:  # line ends as text mode gives them; a CR is part of no multibyte character
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        head = raw[:e.start].decode("utf-8")
-        _entry_lines(_codes(head[:head.rfind("\n") + 1]), path)
-        line_no = head.count("\n") + 1
-        raise ValueError(f"{path}: line {line_no}: invalid UTF-8 ({e.reason})") from None
-    if text and text[-1] != "\n":
-        text += "\n"
-    return _codes(text), sha256
+            raise ValueError(f"{path}: line {line_no}: {_invalid_entry(word, count)}")
+        entries[word], line_of[word] = count, line_no
+    bad = _invalid_word(entries)
+    if bad is not None:
+        raise ValueError(f"{path}: line {line_of[bad]}: {_invalid_entry(bad, entries[bad])}")
+    return entries
 
 
 class Lexicon:
@@ -177,15 +171,12 @@ class Lexicon:
 
     def __init__(self, entries: dict[str, int]):
         """The table of a word -> count mapping (not kept); raises ValueError if invalid."""
-        words, counts = list(entries), list(entries.values())
-        for word, count in zip(words, counts):
-            if count >= _COUNT_LIMIT:
-                raise ValueError(_too_large(word, count))
-        lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-        bad = self._build(_codes("".join(words)), np.cumsum(lens) - lens, lens,
-                          np.array([max(c, -_COUNT_LIMIT) for c in counts], dtype=np.int64))
+        bad = _invalid_word(entries)
         if bad is not None:
-            raise ValueError(_invalid_entry(words[bad], counts[bad]))
+            raise ValueError(_invalid_entry(bad, entries[bad]))
+        lens = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+        self._build(_codes("".join(entries)), np.cumsum(lens) - lens, lens,
+                    np.fromiter(entries.values(), dtype=np.int64, count=len(entries)))
         self._sha256 = None
 
     @classmethod
@@ -193,59 +184,50 @@ class Lexicon:
         """Load ``word<TAB>count`` lines from one read of the file.
 
         Blank lines are skipped and a repeated word keeps its last count.
-        Every error names the file and the line. ``sha256`` is the hash of
-        the bytes read, so it names exactly the table that was parsed. The
-        process keeps its freed heap from here on (``corpus.keep_heap``), so
-        a later load reuses what this one frees.
+        Every error names the file and the line. A plain file
+        (``_plain_entries``) is parsed in bulk; any other goes whole to the
+        line reader ``_read_entries``. ``sha256`` is the hash of the bytes
+        read, so it names exactly the table that was parsed. The process
+        keeps its freed heap from here on (``corpus.keep_heap``), so a later
+        load reuses what this one frees.
         """
         keep_heap()
-        codes, sha256 = _read_codes(path)
-        starts, lens, counts = _entry_lines(codes, path)
-        lex = cls.__new__(cls)
-        bad = lex._build(codes, starts, lens, counts)
-        if bad is not None:
-            line_no, text = _line_at(codes, int(starts[bad]))
-            word, count = text.split("\t")
-            raise ValueError(f"{path}: line {line_no}: {_invalid_entry(word, int(count))}")
+        with open(path, "rb") as f:
+            raw = f.read()
+        sha256 = hashlib.sha256(raw).hexdigest()
+        if b"\r" in raw:  # line ends as text mode gives them; a CR is part of no multibyte character
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        plain = _plain_entries(raw)
+        if plain is None:
+            lex = cls(_read_entries(raw, path))
+        else:
+            lex = cls.__new__(cls)
+            lex._build(*plain)
         lex._sha256 = sha256
         return lex
 
-    def _build(self, chars, starts, lens, counts) -> int | None:
+    def _build(self, chars, starts, lens, counts):
         """Hold the words chars[starts[i]:starts[i] + lens[i]] with counts[i];
-        a repeated word keeps its last count. Returns the index of the entry
-        that makes the table invalid, or None: the last occurrence of the
-        empty word, else of the first-seen word whose count is not positive."""
+        a repeated word keeps its last count."""
         bits = max(1, int(chars.max(initial=0)).bit_length())
         self._shift, self._limit, self._per_key = np.uint64(bits), 1 << bits, 64 // bits
         self._groups = {}  # length -> (sorted keys, counts)
-        invalid = []  # (rank, last occurrence): the empty word, then words with a count <= 0
         for length in np.flatnonzero(np.bincount(lens)).tolist():
             at = np.flatnonzero(lens == length)
             begin = starts[at].astype(np.intp)
             keys = self._pack([chars[c:][begin] for c in range(length)], len(at))
             order = np.argsort(keys)
-            keys, first, count = keys[order], at[order], counts[at][order]
+            keys, last = keys[order], at[order]
             # a word's occurrences sort together, in no set order, so only the
-            # repeated words need their first and last occurrence looked for
+            # repeated words need their last occurrence looked for
             again = np.flatnonzero(keys[1:] == keys[:-1]) + 1  # sorted places repeating the one before
-            last = first
             if again.size:
                 word = again - np.arange(1, len(again) + 1)  # the distinct word each repeat belongs to
-                keys, first, rest = np.delete(keys, again), np.delete(first, again), first[again]
-                last = first.copy()
-                np.minimum.at(first, word, rest)
+                keys, rest, last = np.delete(keys, again), last[again], np.delete(last, again)
                 np.maximum.at(last, word, rest)
-                count = counts[last]
-            self._groups[length] = (keys, count)
-            if length == 0:
-                invalid.append((-1, int(last[0])))
-            bad = np.flatnonzero(count <= 0)
-            if bad.size:
-                k = bad[np.argmin(first[bad])]
-                invalid.append((int(first[k]), int(last[k])))
+            self._groups[length] = (keys, counts[last])
         self._total = sum(_exact_sum(c) for _, c in self._groups.values())
         self._max_word_len = max(self._groups, default=1)
-        return min(invalid)[1] if invalid else None
 
     def __len__(self):
         return sum(len(keys) for keys, _ in self._groups.values())

@@ -1136,7 +1136,8 @@ def test_summarize_a_sweep_seed_from_another_directory(tmp_path, synthetic_dir, 
     ('{"candidate": 城市}', "invalid JSON (Expecting value: line 1 column 15 (char 14))"),
     ('["candidate"]', "expected a JSON object"),
     ('{"candidate": 5}', "candidate must be a string"),
-], ids=["invalid-json", "not-an-object", "not-a-string"])
+    ('{"id": 3, "text": "城市"}', "none of ('candidate', 'summary') present"),
+], ids=["invalid-json", "not-an-object", "not-a-string", "no-field"])
 def test_eval_bad_line_names_file_and_line(tmp_path, line, message):
     candidates, references = tmp_path / "candidates.jsonl", tmp_path / "references.jsonl"
     candidates.write_text('{"candidate": "城市交通"}\n\n' + line + "\n", encoding="utf-8")

@@ -80,6 +80,9 @@ def test_jsonl_round_trip():
     ('{"id": 1, "text": "a", "summary": "b", "label": "3"}', "label '3' is not an integer"),
     ('{"id": 1, "text": "a", "summary": "b", "label": true}', "label True is not an integer"),
     ('{"id": 1, "text": "a", "summary": "b", "label": 9}', "pair id=1: human_label 9 not in 1..5"),
+    ('{"id": 1, "text": "a",', "invalid JSON (Expecting property name enclosed in double quotes"),
+    ('[1, "a", "b"]', "expected a JSON object"),
+    ('{"id": 1, "text": ["a"], "summary": "b"}', "text and summary must be strings"),
 ])
 def test_jsonl_bad_record_names_its_line(line, message):
     good = '{"id": 0, "text": "t", "summary": "s"}\n'
@@ -93,6 +96,45 @@ def test_malformed_block_is_reported_not_fatal():
     assert len(part) == 1 and part[0].id == 1
     assert len(issues) == 1 and "missing <short_text>" in issues[0].message
     assert issues[0].line == 1
+
+
+GOOD_BLOCK = "<doc id={}>\n<summary>\ns{}\n</summary>\n<short_text>\nt{}\n</short_text>\n</doc>\n"
+
+
+def _good(*ids):
+    return "".join(GOOD_BLOCK.format(i, i, i) for i in ids)
+
+
+@pytest.mark.parametrize("doc_close", ["", "</doc>\n"], ids=["next-doc", "doc-close"])
+def test_an_open_field_tag_ends_at_the_next_record_boundary(doc_close):
+    """A field tag left open swallows no later document: a <doc> or </doc>
+    line ends the record as unterminated, and the next blocks parse."""
+    text = "<doc id=0>\n<summary>\nabc\n" + doc_close + _good(1, 2)  # no </summary>
+    pairs, issues = parse_lcsts(io.StringIO(text), "I")
+    assert [(p.id, p.summary, p.short_text) for p in pairs] == [(1, "s1", "t1"), (2, "s2", "t2")]
+    assert [(i.line, i.message) for i in issues] == [(1, "doc id=0: unterminated <summary>")]
+    with pytest.raises(ParseError, match=r"^line 1: doc id=0: unterminated <summary>$"):
+        parse_lcsts(io.StringIO(text), "I", strict=True)
+
+
+@pytest.mark.parametrize("bad, line, message", [
+    ("<doc id=7>\n<summary>s</summary>\n", 1, "doc id=7: unterminated block"),
+    ("stray words\n", 1, "content outside <doc> block: 'stray words'"),
+    ("<doc id=7>\n<summary>s</summary>\n<title>x</title>\n", 3,
+     "doc id=7: unrecognized line '<title>x</title>'"),
+], ids=["unterminated-before-doc", "outside-doc", "unrecognized-then-resync"])
+def test_a_defect_is_reported_at_its_line_and_the_next_block_parses(bad, line, message):
+    pairs, issues = parse_lcsts(io.StringIO(bad + _good(1)), "I")
+    assert [(p.id, p.summary, p.short_text) for p in pairs] == [(1, "s1", "t1")]
+    assert [(i.line, i.message) for i in issues] == [(line, message)]
+    with pytest.raises(ParseError, match=rf"^line {line}: {re.escape(message)}$"):
+        parse_lcsts(io.StringIO(bad + _good(1)), "I", strict=True)
+
+
+def test_an_unterminated_block_at_the_end_of_input_is_reported():
+    pairs, issues = parse_lcsts(io.StringIO(_good(1) + "<doc id=7>\n<summary>s</summary>\n"), "I")
+    assert [p.id for p in pairs] == [1]
+    assert [(i.line, i.message) for i in issues] == [(9, "doc id=7: unterminated block at end of input")]
 
 
 def test_strict_mode_raises():

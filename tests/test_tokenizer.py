@@ -400,6 +400,32 @@ def test_lexicon_load_matches_reference_on_distinct_words(tmp_path, alphabet, od
         assert message is None and len(Lexicon.from_file(path)) == 3000
 
 
+def test_lexicon_load_parses_plain_files_in_bulk(tmp_path, monkeypatch):
+    """Plain files load without the line reader; a file with a
+    whitespace-only line or a count only int() reads goes to it."""
+    lines = _distinct_lexicon_lines(_WIDE_ALPHABETS["cjk"], 3000)
+    word = lines[7].split("\t")[0]
+    plain = ["\n".join(lines) + "\n",  # as generated
+             "\n".join(lines + [f"{word}\t77"]) + "\n",  # a repeated word
+             "\r\n".join(lines + ["", ""])]  # CRLF line ends, an empty last line
+    odd = ["\n".join(lines[:5] + [" \t "] + lines[5:]),
+           "\n".join(lines[:5] + [f"{word}\t+5"] + lines[5:])]
+    path = tmp_path / "lexicon.tsv"
+
+    def no_line_reader(raw, source):
+        raise AssertionError(f"{source} went to the line reader")
+
+    monkeypatch.setattr(tokenizer, "_read_entries", no_line_reader)
+    for text in plain:
+        path.write_bytes(text.encode("utf-8"))
+        assert _assert_same_load(path) is None
+        assert len(Lexicon.from_file(path)) == 3000
+    for text in odd:
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(AssertionError, match="went to the line reader"):
+            Lexicon.from_file(path)
+
+
 def test_lexicon_count_of_2_63_or_more_names_its_line(tmp_path):
     path = tmp_path / "lexicon.tsv"
     for count in ("9223372036854775808", "+9223372036854775808", "10000000000000000000000"):
