@@ -18,7 +18,10 @@ at the same relative path:
   ``vocab --unit word`` into ``walk/src_vocab_odd.txt`` from a lexicon
   derived from the fixture's (CRLF line ends, a whitespace-only line, a
   repeated word with a new count and a ``+N`` count), so that both ways a
-  lexicon loads, in bulk and by the line reader, are compared.
+  lexicon loads, in bulk and by the line reader, are compared; and a
+  ``vocab --unit word`` from that lexicon into ``walk/src_vocab_overlap.txt``
+  of texts where the repeated word 城市 overlaps 市场, so that the count it
+  keeps decides each split.
 
 Then prints one line per output file: ``identical``, ``equal after the
 mask`` (JSON and JSONL parsed and passed through
@@ -69,6 +72,8 @@ COMMANDS = [
      "--out", "walk/src_vocab.txt"],
     ["vocab", "--unit", "word", "--lexicon", "inputs/lexicon_odd.tsv", "--in", "walk/train.jsonl",
      "--out", "walk/src_vocab_odd.txt"],
+    ["vocab", "--unit", "word", "--lexicon", "inputs/lexicon_odd.tsv",
+     "--in", "inputs/overlap.jsonl", "--out", "walk/src_vocab_overlap.txt"],
     ["vocab", "--unit", "char", "--in", "walk/train.jsonl", "--out", "walk/tgt_vocab.txt"],
     ["train", "--config", "inputs/train_cfg.json", "--train", "walk/train.jsonl",
      "--valid", "walk/valid.jsonl", "--src-vocab", "walk/src_vocab.txt",
@@ -119,8 +124,13 @@ def write_inputs(tree: Path, work: Path):
     lines = (work / FIXTURE / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
     lines[20] = lines[20].replace("\t", "\t+")
     lines[10:10] = [" \t "]
-    lines.append(lines[0].split("\t")[0] + "\t7")
+    lines.append("城市\t7")  # 95 on its first line, above 市场's 91
     (work / "inputs/lexicon_odd.tsv").write_bytes("".join(f"{x}\r\n" for x in lines).encode("utf-8"))
+    # 城市场 is 城|市场 when 城市 keeps its last count, 城市|场 when it keeps its first
+    overlap = ["城市场经济", "发展城市场", "城市场城市场"]
+    (work / "inputs/overlap.jsonl").write_text("".join(
+        json.dumps({"id": i, "text": t, "summary": t}) + "\n" for i, t in enumerate(overlap)),
+        encoding="utf-8")
 
 
 def run_all(tree: Path, work: Path):

@@ -98,7 +98,8 @@ def parse_lcsts(stream, part: str, strict: bool = False):
     multi-line content is joined with single spaces. A ``<doc id=N>`` or
     ``</doc>`` line before the closing tag ends the record as the defect
     ``doc id=N: unterminated <tag>``; a ``<doc id=N>`` line then starts the
-    next record.
+    next record. One defect is one issue: after an unrecognized line the
+    rest of its record, through ``</doc>``, is skipped unreported.
     """
     if part not in VALID_PARTS:
         raise ValueError(f"part must be one of {VALID_PARTS}, got {part!r}")
@@ -109,6 +110,7 @@ def parse_lcsts(stream, part: str, strict: bool = False):
     rec_line = 0
     open_tag = None
     content: list[str] = []
+    skipping = False  # in a record already reported, before its </doc>
 
     def fail(line_no, msg):
         if strict:
@@ -137,6 +139,10 @@ def parse_lcsts(stream, part: str, strict: bool = False):
                 continue
 
         m = _DOC_OPEN.match(line)
+        if skipping and not m:
+            skipping = not _DOC_CLOSE.match(line)
+            continue
+        skipping = False
         if m:
             if rec is not None:
                 fail(rec_line, f"doc id={rec.get('id')}: unterminated block")
@@ -170,7 +176,7 @@ def parse_lcsts(stream, part: str, strict: bool = False):
 
         if line.strip():
             fail(line_no, f"doc id={rec.get('id')}: unrecognized line {line.strip()[:40]!r}")
-            rec = None  # resync at the next <doc>
+            rec, skipping = None, True  # resync after its </doc> or at the next <doc>
 
     if rec is not None:
         fail(rec_line, f"doc id={rec.get('id')}: unterminated block at end of input")

@@ -209,7 +209,7 @@ class Lexicon:
     def _build(self, chars, starts, lens, counts):
         """Hold the words chars[starts[i]:starts[i] + lens[i]] with counts[i];
         a repeated word keeps its last count."""
-        bits = max(1, int(chars.max(initial=0)).bit_length())
+        bits = (int(chars.max(initial=0)) + 1).bit_length()  # so limit - 1 is no word's code
         self._shift, self._limit, self._per_key = np.uint64(bits), 1 << bits, 64 // bits
         self._groups = {}  # length -> (sorted keys, counts)
         for length in np.flatnonzero(np.bincount(lens)).tolist():
@@ -233,11 +233,9 @@ class Lexicon:
         return sum(len(keys) for keys, _ in self._groups.values())
 
     def count(self, word: str) -> int:
-        """The count of word, 0 when it is not in the lexicon."""
-        codes = _codes(word)
-        if len(word) not in self._groups or (codes >= self._limit).any():
-            return 0
-        return int(self._lookup(len(word), self._pack(codes[:, None], 1))[0])
+        """The count of word, 0 when it is not in the lexicon: the count of
+        the match at its start that ends where it ends."""
+        return dict(self._matches(word)[0]).get(len(word), 0) if word else 0
 
     def _pack(self, columns, m: int) -> np.ndarray:
         """Sort keys of m words of L code points, given as L columns:
@@ -258,40 +256,28 @@ class Lexicon:
         pos = keys.searchsorted(key)
         return counts.take(pos, mode="clip") * (keys.take(pos, mode="clip") == key)
 
-    def _matches(self, s: str):
-        """Every word of the lexicon inside s, looked up one length at a time.
-
-        Returns the count of the one-character word at each position (0
-        where none) and, at each position, the (end, count) of every
-        longer word starting there. A stretch holding a code point wider
-        than the packing is a miss, so it never aliases a word.
+    def _matches(self, s: str) -> list[list[tuple[int, int]]]:
+        """Every word of the lexicon inside s, looked up one length at a time:
+        at each position, the (end, count) of every word starting there,
+        shorter words first. A code point wider than the packing is read as
+        ``limit - 1``, which no word holds, so it never aliases a word.
         """
-        codes = _codes(s)
+        codes = np.minimum(_codes(s).astype(np.uint64), self._limit - 1)
         n = len(codes)
-        wide = codes >= self._limit if n and ord(max(s)) >= self._limit else None
-        span = wide  # windows of the current length holding a wide code point
-        codes = codes.astype(np.uint64)
         key = codes  # packed windows of the current length
-        single, longer = [0] * n, [()] * n
+        matches = [[] for _ in range(n)]
         for length in range(1, min(self._max_word_len, n) + 1):
             m = n - length + 1
-            if length > 1 and length <= self._per_key:
+            if 1 < length <= self._per_key:
                 key = (key[:m] << self._shift) | codes[length - 1:]
-            if length > 1 and span is not None:
-                span = span[:m] | wide[length - 1:]
             if length not in self._groups:
                 continue
             count = self._lookup(length, key if length <= self._per_key
                                  else self._pack(sliding_window_view(codes, length).T, m))
-            if span is not None:
-                count[span] = 0
-            if length == 1:
-                single = count.tolist()
-                continue
-            for i, c in enumerate(count.tolist()):
-                if c:
-                    longer[i] += ((i + length, c),)
-        return single, longer
+            at = np.flatnonzero(count)
+            for i, c in zip(at.tolist(), count[at].tolist()):
+                matches[i].append((i + length, c))
+        return matches
 
 
 def word_segment(text: str, lex: Lexicon) -> list[str]:
@@ -313,14 +299,13 @@ def word_segment(text: str, lex: Lexicon) -> list[str]:
         return []
 
     log_total = math.log(lex.total)
-    single, longer = lex._matches(s)
+    matches = lex._matches(s)
 
     # best[i] = (score, end) of the best path for s[i:], computed back to front
     best: list[tuple[float, int]] = [(0.0, n)] * (n + 1)
     for i in range(n - 1, -1, -1):
-        count = single[i] or 1  # singleton fallback
-        top = (math.log(count) - log_total + best[i + 1][0], i + 1)
-        for j, count in longer[i]:
+        top = (best[i + 1][0] - log_total, i + 1)  # singleton fallback, count 1
+        for j, count in matches[i]:
             cand = (math.log(count) - log_total + best[j][0], j)
             if cand > top:
                 top = cand

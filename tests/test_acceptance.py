@@ -186,7 +186,7 @@ def _primitives_loss(tape, params, case):
     comb = tape.tanh(tape.matmul(tape.concat(context, states), comb_w))
     logits = tape.matmul(comb, out_w)                                   # (T, B, V)
     nll = tape.nll(logits, case["targets"], case["target_weights"])
-    return weighted_sum(tape, [nll, logits], [Tensor(1.0), Tensor(case["weights"][1])])
+    return weighted_sum(tape, [nll, logits], [Tensor(1.0), Tensor(case["weights"])])
 
 
 def _primitive_inputs(gen):
@@ -203,7 +203,7 @@ def _primitive_inputs(gen):
         "ids": ids, "drop": drop.reshape(T, B, E),
         "targets": (gen.u32_array(T * B) % V).astype(np.int64).reshape(T, B),
         "target_weights": RAGGED_MASK * gen.uniform_array(T * B, 0.1, 1.0).reshape(T, B),
-        "weights": gen.uniform_array(2 * T * B * V, -1.5, 1.5).reshape(2, T, B, V),
+        "weights": gen.uniform_array(T * B * V, -1.5, 1.5).reshape(T, B, V),
     }
     return params, case
 

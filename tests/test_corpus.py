@@ -122,7 +122,13 @@ def test_an_open_field_tag_ends_at_the_next_record_boundary(doc_close):
     ("stray words\n", 1, "content outside <doc> block: 'stray words'"),
     ("<doc id=7>\n<summary>s</summary>\n<title>x</title>\n", 3,
      "doc id=7: unrecognized line '<title>x</title>'"),
-], ids=["unterminated-before-doc", "outside-doc", "unrecognized-then-resync"])
+    # the rest of the record, through its </doc>, is part of the one defect
+    ("<doc id=7>\n<summary>s</summary>\n<title>x</title>\n<short_text>t</short_text>\n</doc>\n",
+     3, "doc id=7: unrecognized line '<title>x</title>'"),
+    ("<doc id=7>\n<summary></summary>\n<short_text>t</short_text>\n</doc>\n", 1,
+     "pair id=7: empty text or summary"),
+], ids=["unterminated-before-doc", "outside-doc", "unrecognized-then-resync",
+        "unrecognized-then-skip-to-end", "empty-summary"])
 def test_a_defect_is_reported_at_its_line_and_the_next_block_parses(bad, line, message):
     pairs, issues = parse_lcsts(io.StringIO(bad + _good(1)), "I")
     assert [(p.id, p.summary, p.short_text) for p in pairs] == [(1, "s1", "t1")]

@@ -581,3 +581,21 @@ def test_chunk_size_does_not_change_the_decodes(tmp_path, synthetic_dir, monkeyp
     whole = (tmp_path / "whole" / path).read_bytes()
     assert len(whole.splitlines()) == 17
     assert whole == (tmp_path / "chunked" / path).read_bytes()
+
+
+def test_a_diverged_run_is_refused_and_saves_no_model_dir(tmp_path):
+    """A learning rate whose first step overflows the parameters makes the
+    next batch's loss nan: train refuses the run there, naming the epoch and
+    the batch, and train_model_dir writes no model directory."""
+    src = tokenizer.TokenRows(list("abcd"[i:i + 2]) for i in range(4))
+    tgt = tokenizer.TokenRows(list("xyz"[i % 3:]) for i in range(4))
+    rows = range(4)
+    src_vocab, tgt_vocab = tokenizer.rank_vocab(src, rows), tokenizer.rank_vocab(tgt, rows)
+    settings = {"model": {"embed_dim": 4, "hidden_dim": 4, "dropout": 0.0}, "epochs": 2,
+                "batch_size": 2, "learning_rate": 1e308}
+    out = tmp_path / "model"
+    refusal = r"^training diverged: loss=nan at epoch 1, batch starting at position 2$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError, match=refusal):
+        harness.train_model_dir(out, tokenizer.Representation("char_char"), src, tgt, rows, [],
+                                src_vocab, tgt_vocab, 3, settings)
+    assert not out.exists()

@@ -165,6 +165,11 @@ def test_wide_code_points_never_alias_a_word():
     assert word_segment("aâ", lex) == ["a", "â"]
     assert lex.count("aâ") == 0 and lex.count(chr((97 << 7) | 98)) == 0
     assert word_segment("âab", lex) == ["â", "ab"]
+    # a wide code point is read as limit - 1, which the packing keeps above
+    # every word's: 'ÿ' (0xFF) packs 9 bits, so 'Ā' (0x100) is not read as 'ÿ'
+    lex = Lexicon({"ÿ": 4, "ÿÿ": 9})
+    assert lex._limit == 512
+    assert word_segment("ÿĀÿ", lex) == ["ÿ", "Ā", "ÿ"] and lex.count("Ā") == lex.count("ÿĀ") == 0
 
 
 def test_segment_matches_reference_packed_and_byte_keys():
