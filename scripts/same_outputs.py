@@ -21,7 +21,10 @@ at the same relative path:
   lexicon loads, in bulk and by the line reader, are compared; and a
   ``vocab --unit word`` from that lexicon into ``walk/src_vocab_overlap.txt``
   of texts where the repeated word 城市 overlaps 市场, so that the count it
-  keeps decides each split.
+  keeps decides each split; and a Part III ``parse --report`` of
+  ``inputs/malformed.txt``, one record per defect the parser names and a
+  stray line, so that the issue ledger ``walk/malformed_issues.jsonl`` is
+  compared.
 
 Then prints one line per output file: ``identical``, ``equal after the
 mask`` (JSON and JSONL parsed and passed through
@@ -57,11 +60,77 @@ INPUTS = {  # written into the work directory before the commands run
                               "representation": "word_char", "lexicon": f"{FIXTURE}/lexicon.tsv"},
     "inputs/char_cfg.json": {"model": MODEL, "representation": "char_char"},
 }
+# a Part III with a good record on tag lines, one record per kind of parse
+# issue, a stray line, a stray </doc> and a good record on its own lines
+MALFORMED = """\
+<doc id=1>
+<human_label>3</human_label>
+<summary>城市</summary>
+<short_text>城市发展</short_text>
+</doc>
+stray words
+<doc id=2>
+<summary>s</summary>
+<title>x</title>
+<short_text>t</short_text>
+</doc>
+<doc id=3>
+<human_label>3</human_label>
+<summary>
+abc
+</doc>
+<doc id=4>
+<summary>
+abc
+<doc id=5>
+<human_label>3</human_label>
+<summary>s</summary>
+<doc id=6>
+<human_label>3</human_label>
+<short_text>t</short_text>
+</doc>
+<doc id=7>
+<human_label>3</human_label>
+<summary>s</summary>
+</doc>
+<doc id=8>
+<human_label>7</human_label>
+<summary>s</summary>
+<short_text>t</short_text>
+</doc>
+<doc id=9>
+<summary>s</summary>
+<short_text>t</short_text>
+</doc>
+<doc id=10>
+<human_label>3</human_label>
+<summary> </summary>
+<short_text>t</short_text>
+</doc>
+</doc>
+<doc id=11>
+<human_label>
+5
+</human_label>
+<summary>
+市场
+</summary>
+<short_text>
+市场经济
+</short_text>
+</doc>
+<doc id=12>
+<human_label>3</human_label>
+<summary>
+abc
+"""
 COMMANDS = [
     ["experiment", "--config", f"{FIXTURE}/experiment.json", "--out", "experiment"],
     ["sweep", "--config", "inputs/sweep.json", "--sizes", "20,50", "--out", "sweep"],
     ["parse", "--in", f"{FIXTURE}/part1.txt", "--part", "I", "--out", "walk/part1.jsonl"],
     ["parse", "--in", f"{FIXTURE}/part3.txt", "--part", "III", "--out", "walk/part3.jsonl"],
+    ["parse", "--in", "inputs/malformed.txt", "--part", "III", "--out", "walk/malformed.jsonl",
+     "--report", "walk/malformed_issues.jsonl"],
     ["clean", "--part1", "walk/part1.jsonl", "--part3", "walk/part3.jsonl",
      "--max-suffix-delta", "15", "--out", "walk/part1_clean.jsonl",
      "--report", "walk/removals.jsonl"],
@@ -103,12 +172,13 @@ def export(rev: str, dest: Path):
 
 
 def write_inputs(tree: Path, work: Path):
-    """The fixture copy, the configs, the sweep's planted Part I and the odd
-    lexicon, in work."""
+    """The fixture copy, the configs, the sweep's planted Part I, the odd
+    lexicon and the malformed Part III, in work."""
     shutil.copytree(tree / FIXTURE, work / FIXTURE)
     for name, cfg in INPUTS.items():
         (work / name).parent.mkdir(parents=True, exist_ok=True)
         (work / name).write_text(json.dumps(cfg), encoding="utf-8")
+    (work / "inputs/malformed.txt").write_text(MALFORMED, encoding="utf-8")
     part3 = (work / FIXTURE / "part3.txt").read_text(encoding="utf-8")
     docs = re.findall(r"<summary>(.*?)</summary>\s*<short_text>(.*?)</short_text>", part3, re.S)
     planted = "".join(f"<doc id={900 + i}>\n<summary>{docs[i][0]}</summary>\n"

@@ -11,8 +11,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .corpus import (atomic_write, filter_by_score, parse_lcsts, split_train_validation, write_jsonl,
-                     write_rows)
+from .corpus import (ParseError, atomic_write, filter_by_score, parse_lcsts, split_train_validation,
+                     write_jsonl, write_rows)
 from .dedup import clean_part1
 from .harness import (TRAIN_SETTINGS, ExperimentConfig, check_settings, check_sweep_sizes,
                       load_corpus_file, load_model_dir, read_config, run_experiment, sweep_vocab,
@@ -48,7 +48,10 @@ def _write_corpus(path, pairs):
 
 def _cmd_parse(args):
     with open(args.infile, encoding="utf-8") as f:
-        corpus, issues = parse_lcsts(f, args.part, strict=args.strict)
+        try:
+            corpus, issues = parse_lcsts(f, args.part, strict=args.strict)
+        except ParseError as e:
+            raise ParseError(f"{args.infile}: {e}") from None
     _write_corpus(args.out, corpus)
     if args.report:
         write_rows(args.report, map(asdict, issues))

@@ -26,8 +26,7 @@ from .rng import MT19937
 VALID_PARTS = ("I", "II", "III")
 LABELED_PARTS = ("II", "III")
 
-_DOC_OPEN = re.compile(r"^\s*<doc\s+id=(\d+)\s*>\s*$")
-_DOC_CLOSE = re.compile(r"^\s*</doc>\s*$")
+_DOC_LINE = re.compile(r"^\s*<(?:doc\s+id=(\d+)\s*|/doc)>\s*$")  # group 1 is None for </doc>
 _INLINE_TAG = re.compile(r"^\s*<(human_label|summary|short_text)>(.*?)</\1>\s*$", re.S)
 _BLOCK_OPEN = re.compile(r"^\s*<(human_label|summary|short_text)>\s*$")
 
@@ -72,115 +71,94 @@ def _pair(pid, text, summary, label) -> DocumentPair:
     return pair
 
 
-def _finish_record(part, rec) -> DocumentPair:
-    """The pair of a closed block; a defect raises ValueError naming it."""
-    for key in ("summary", "short_text"):
-        if key not in rec:
-            raise ValueError(f"doc id={rec.get('id')}: missing <{key}>")
-    label = None
-    if "human_label" in rec:
-        raw = rec["human_label"].strip()
-        if not raw.isdecimal() or int(raw) not in (1, 2, 3, 4, 5):
-            raise ValueError(f"doc id={rec.get('id')}: bad human_label {raw!r}")
-        label = int(raw)
-    elif part in LABELED_PARTS:
-        raise ValueError(f"doc id={rec.get('id')}: part {part} record has no <human_label>")
-    return _pair(rec["id"], rec["short_text"], rec["summary"], label)
+def _record(part, fields, line, open_tag, end, defect) -> DocumentPair | ParseIssue:
+    """What a record comes to once end ends it ("</doc>", "<doc>", or None at
+    the end of input): its pair, or one issue naming its first defect. An
+    unrecognized line (defect, at its own line) comes first, then how the
+    record ended, then its fields; every other issue is at its <doc> line."""
+    if defect is not None:
+        return defect
+    label = fields.get("human_label")
+    try:
+        if end is None:
+            msg = "unterminated block at end of input"
+        elif open_tag is not None:
+            msg = f"unterminated <{open_tag}>"
+        elif end == "<doc>":
+            msg = "unterminated block"
+        elif "summary" not in fields:
+            msg = "missing <summary>"
+        elif "short_text" not in fields:
+            msg = "missing <short_text>"
+        elif label is None and part in LABELED_PARTS:
+            msg = f"part {part} record has no <human_label>"
+        elif label is not None and not (label.isdecimal() and int(label) in range(1, 6)):
+            msg = f"bad human_label {label!r}"
+        else:
+            return _pair(fields["id"], fields["short_text"], fields["summary"],
+                         None if label is None else int(label))
+    except ValueError as exc:  # from _pair, or from int() of a label too long to read
+        return ParseIssue(line, str(exc))
+    return ParseIssue(line, f"doc id={fields['id']}: {msg}")
 
 
 def parse_lcsts(stream, part: str, strict: bool = False):
     """Parse a pseudo-XML dataset text stream of the given part.
 
-    Returns (pairs, issues). Malformed blocks are skipped and
-    reported as ParseIssue entries unless strict, in which case the
-    first defect raises ParseError. Pair order is file order. Content
-    may sit on the tag line or on its own lines before the closing tag;
-    multi-line content is joined with single spaces. A ``<doc id=N>`` or
-    ``</doc>`` line before the closing tag ends the record as the defect
-    ``doc id=N: unterminated <tag>``; a ``<doc id=N>`` line then starts the
-    next record. One defect is one issue: after an unrecognized line the
-    rest of its record, through ``</doc>``, is skipped unreported.
+    Returns (pairs, issues), pairs in file order. A record runs from its
+    ``<doc id=N>`` line to the next ``</doc>`` or ``<doc id=M>`` line or the
+    end of input, and a bad record is one ParseIssue, for its first defect
+    (see _record); a non-blank line outside any record is one issue too.
+    strict raises the first issue as a ParseError instead. Content may sit
+    on the tag line or on its own lines before the closing tag; multi-line
+    content is joined with single spaces. After an unrecognized line the
+    rest of its record is not read.
     """
     if part not in VALID_PARTS:
         raise ValueError(f"part must be one of {VALID_PARTS}, got {part!r}")
 
     pairs: list[DocumentPair] = []
     issues: list[ParseIssue] = []
-    rec = None
-    rec_line = 0
-    open_tag = None
+    fields = None  # the open record's fields, None between records
+    rec_line = open_tag = defect = None
     content: list[str] = []
-    skipping = False  # in a record already reported, before its </doc>
 
-    def fail(line_no, msg):
-        if strict:
-            raise ParseError(f"line {line_no}: {msg}")
-        issues.append(ParseIssue(line_no, msg))
+    def add(item):
+        if isinstance(item, DocumentPair):
+            pairs.append(item)
+        elif strict:
+            raise ParseError(f"line {item.line}: {item.message}")
+        else:
+            issues.append(item)
 
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
-
-        if open_tag is not None:
-            if re.match(rf"^\s*</{open_tag}>\s*$", line):
-                rec[open_tag] = " ".join(content)
-                open_tag = None
-                content = []
-                continue
-            closed = _DOC_CLOSE.match(line)
-            if not (closed or _DOC_OPEN.match(line)):
-                stripped = line.strip()
-                if stripped:
-                    content.append(stripped)
-                continue
-            # a record boundary ends the record, so the open tag swallows no other document
-            fail(rec_line, f"doc id={rec.get('id')}: unterminated <{open_tag}>")
-            rec, open_tag = None, None
-            if closed:
-                continue
-
-        m = _DOC_OPEN.match(line)
-        if skipping and not m:
-            skipping = not _DOC_CLOSE.match(line)
-            continue
-        skipping = False
-        if m:
-            if rec is not None:
-                fail(rec_line, f"doc id={rec.get('id')}: unterminated block")
-            rec = {"id": int(m.group(1))}
-            rec_line = line_no
-            continue
-
-        if rec is None:
+        doc = _DOC_LINE.match(line)
+        if doc and (fields is not None or doc[1] is not None):  # a record ends or starts
+            if fields is not None:
+                add(_record(part, fields, rec_line, open_tag, "<doc>" if doc[1] else "</doc>", defect))
+            fields = None if doc[1] is None else {"id": int(doc[1])}
+            rec_line, open_tag, defect = line_no, None, None
+        elif fields is None:
             if line.strip():
-                fail(line_no, f"content outside <doc> block: {line.strip()[:40]!r}")
-            continue
+                add(ParseIssue(line_no, f"content outside <doc> block: {line.strip()[:40]!r}"))
+        elif defect is not None:
+            pass  # the rest of a record already found bad
+        elif open_tag is not None:
+            if re.match(rf"^\s*</{open_tag}>\s*$", line):
+                fields[open_tag] = " ".join(content)
+                open_tag = None
+            elif line.strip():
+                content.append(line.strip())
+        elif m := _INLINE_TAG.match(line):
+            fields[m[1]] = m[2].strip()
+        elif m := _BLOCK_OPEN.match(line):
+            open_tag, content = m[1], []
+        elif line.strip():
+            defect = ParseIssue(line_no, f"doc id={fields['id']}: unrecognized line {line.strip()[:40]!r}")
 
-        if _DOC_CLOSE.match(line):
-            try:
-                pairs.append(_finish_record(part, rec))
-            except ValueError as exc:
-                fail(rec_line, str(exc))
-            rec = None
-            continue
-
-        m = _INLINE_TAG.match(line)
-        if m:
-            rec[m.group(1)] = m.group(2).strip()
-            continue
-
-        m = _BLOCK_OPEN.match(line)
-        if m:
-            open_tag = m.group(1)
-            content = []
-            continue
-
-        if line.strip():
-            fail(line_no, f"doc id={rec.get('id')}: unrecognized line {line.strip()[:40]!r}")
-            rec, skipping = None, True  # resync after its </doc> or at the next <doc>
-
-    if rec is not None:
-        fail(rec_line, f"doc id={rec.get('id')}: unterminated block at end of input")
-
+    if fields is not None:
+        add(_record(part, fields, rec_line, open_tag, None, defect))
     return pairs, issues
 
 

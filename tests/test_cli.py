@@ -434,6 +434,17 @@ def test_bad_corpus_record_names_its_file(tiny_dataset):
     assert not (d / "c.jsonl").exists() and not (d / "f.jsonl").exists()
 
 
+def test_strict_parse_error_names_its_file(tmp_path):
+    """`parse --strict` names its input file before the line, as every command
+    that reads a corpus does, and writes no output."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("<doc id=1>\n<summary>s</summary>\n<title>x</title>\n</doc>\n", encoding="utf-8")
+    message = f"^{re.escape(str(bad))}: line 3: doc id=1: unrecognized line '<title>x</title>'$"
+    with pytest.raises(ParseError, match=message):
+        main(["parse", "--in", str(bad), "--part", "I", "--out", str(tmp_path / "p.jsonl"), "--strict"])
+    assert not (tmp_path / "p.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
 def test_cli_malformed_seed_list_is_a_usage_error(tmp_path, capsys, command):
     argv = [command, "--config", "exp.json", "--out", str(tmp_path), "--seeds", "1,,2"]

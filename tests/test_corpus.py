@@ -143,6 +143,88 @@ def test_an_unterminated_block_at_the_end_of_input_is_reported():
     assert [(i.line, i.message) for i in issues] == [(9, "doc id=7: unterminated block at end of input")]
 
 
+def _labeled(i):
+    return [f"<doc id={i}>", f"<human_label>{i % 5 + 1}</human_label>", f"<summary>s{i}</summary>",
+            f"<short_text>t{i}</short_text>", "</doc>"]
+
+
+def _labeled_on_own_lines(i):
+    return [f"<doc id={i}>", "<human_label>", str(i % 5 + 1), "</human_label>", "<summary>", "",
+            f"s{i}", "</summary>", "", "<short_text>", f"t{i}", "</short_text>", "</doc>"]
+
+
+def _fields(i, drop=None):
+    """The label, summary and short_text lines of _labeled(i), but drop's."""
+    return [x for x in _labeled(i)[1:4] if not x.startswith(f"<{drop}>")]
+
+
+# One planted defect each: (lines of the unit for its first id i, (line offset
+# in the unit, message) of its one issue). A record that no </doc> ends is
+# followed in its unit by a good record, whose <doc> line ends it.
+RECORD_DEFECTS = [
+    (lambda i: [f"<doc id={i}>", f"<summary>s{i}</summary>", "<title>x</title>",
+                f"<short_text>t{i}</short_text>", "</doc>"],
+     (2, "doc id={i}: unrecognized line '<title>x</title>'")),
+    (lambda i: [f"<doc id={i}>", "<title>x</title>", *_fields(i), *_labeled(i + 1)],
+     (1, "doc id={i}: unrecognized line '<title>x</title>'")),
+    (lambda i: [f"<doc id={i}>", "<summary>", "abc", "</doc>"], (0, "doc id={i}: unterminated <summary>")),
+    (lambda i: [f"<doc id={i}>", "<summary>", "abc", *_labeled(i + 1)],
+     (0, "doc id={i}: unterminated <summary>")),
+    (lambda i: [f"<doc id={i}>", *_fields(i), *_labeled(i + 1)], (0, "doc id={i}: unterminated block")),
+    (lambda i: [f"<doc id={i}>", *_fields(i, "summary"), "</doc>"], (0, "doc id={i}: missing <summary>")),
+    (lambda i: [f"<doc id={i}>", *_fields(i, "short_text"), "</doc>"],
+     (0, "doc id={i}: missing <short_text>")),
+    (lambda i: [f"<doc id={i}>", "<human_label>7</human_label>", *_fields(i, "human_label"), "</doc>"],
+     (0, "doc id={i}: bad human_label '7'")),
+    (lambda i: [f"<doc id={i}>", *_fields(i, "human_label"), "</doc>"],
+     (0, "doc id={i}: part III record has no <human_label>")),
+    (lambda i: [f"<doc id={i}>", *_fields(i, "summary"), "<summary> </summary>", "</doc>"],
+     (0, "pair id={i}: empty text or summary")),
+    (lambda i: ["stray words"], (0, "content outside <doc> block: 'stray words'")),
+    (lambda i: ["</doc>"], (0, "content outside <doc> block: '</doc>'")),
+]
+# what may end the input: a good record, or one that the end of input leaves open
+LAST_RECORDS = [
+    (_labeled, None),
+    (lambda i: [f"<doc id={i}>", *_fields(i)], (0, "doc id={i}: unterminated block at end of input")),
+    (lambda i: [f"<doc id={i}>", *_fields(i, "summary"), "<summary>", "abc"],
+     (0, "doc id={i}: unterminated block at end of input")),
+    (lambda i: [f"<doc id={i}>", "<title>x</title>", *_fields(i)],
+     (1, "doc id={i}: unrecognized line '<title>x</title>'")),
+]
+
+
+def test_each_bad_record_is_one_issue_in_a_shuffled_corpus():
+    """Good records and records with one planted defect each, in an MT19937
+    shuffle, then each kind of last record in turn: every good record parses,
+    every bad one is exactly one issue at its expected line, and strict raises
+    the first of them."""
+    for last in range(len(LAST_RECORDS)):
+        _check_shuffled_corpus(last)
+
+
+def _check_shuffled_corpus(last):
+    units = [(_labeled, None), (_labeled_on_own_lines, None)] * 8 + RECORD_DEFECTS * 3
+    MT19937(last).shuffle(units)
+    lines, pairs, issues = [], [], []
+    for make, issue in units + [LAST_RECORDS[last]]:
+        i = len(lines)  # ids differ by unit, and the good record after a bad one is i + 1
+        unit = make(i)
+        good = [int(m[1]) for m in map(re.compile(r"<doc id=(\d+)>$").match, unit) if m]
+        if issue is not None:
+            issues.append((len(lines) + 1 + issue[0], issue[1].format(i=i)))
+            good = [n for n in good if n != i]
+        pairs += [DocumentPair(n, f"t{n}", f"s{n}", n % 5 + 1) for n in good]
+        lines += unit
+    text = "\n".join(lines) + "\n"
+    got_pairs, got_issues = parse_lcsts(io.StringIO(text), "III")
+    assert got_pairs == pairs
+    assert [(x.line, x.message) for x in got_issues] == issues
+    assert len(issues) == 3 * len(RECORD_DEFECTS) + (last > 0)
+    with pytest.raises(ParseError, match=f"^line {issues[0][0]}: {re.escape(issues[0][1])}$"):
+        parse_lcsts(io.StringIO(text), "III", strict=True)
+
+
 def test_strict_mode_raises():
     text = "<doc id=0>\n<summary>a</summary>\n</doc>\n"
     with pytest.raises(ParseError):
