@@ -71,6 +71,14 @@ def _pair(pid, text, summary, label) -> DocumentPair:
     return pair
 
 
+def _decimal(digits: str) -> int | None:
+    """int(digits), or None where it has too many digits for int() to read."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _record(part, fields, line, open_tag, end, defect) -> DocumentPair | ParseIssue:
     """What a record comes to once end ends it ("</doc>", "<doc>", or None at
     the end of input): its pair, or one issue naming its first defect. An
@@ -92,12 +100,12 @@ def _record(part, fields, line, open_tag, end, defect) -> DocumentPair | ParseIs
             msg = "missing <short_text>"
         elif label is None and part in LABELED_PARTS:
             msg = f"part {part} record has no <human_label>"
-        elif label is not None and not (label.isdecimal() and int(label) in range(1, 6)):
+        elif label is not None and not (label.isdecimal() and _decimal(label) in range(1, 6)):
             msg = f"bad human_label {label!r}"
         else:
             return _pair(fields["id"], fields["short_text"], fields["summary"],
                          None if label is None else int(label))
-    except ValueError as exc:  # from _pair, or from int() of a label too long to read
+    except ValueError as exc:  # from _pair
         return ParseIssue(line, str(exc))
     return ParseIssue(line, f"doc id={fields['id']}: {msg}")
 
@@ -137,8 +145,10 @@ def parse_lcsts(stream, part: str, strict: bool = False):
         if doc and (fields is not None or doc[1] is not None):  # a record ends or starts
             if fields is not None:
                 add(_record(part, fields, rec_line, open_tag, "<doc>" if doc[1] else "</doc>", defect))
-            fields = None if doc[1] is None else {"id": int(doc[1])}
+            fields = None if doc[1] is None else {"id": _decimal(doc[1])}
             rec_line, open_tag, defect = line_no, None, None
+            if fields and fields["id"] is None:  # the record's first defect, at its <doc> line
+                defect = ParseIssue(line_no, f"doc id of {len(doc[1])} digits is too long to read")
         elif fields is None:
             if line.strip():
                 add(ParseIssue(line_no, f"content outside <doc> block: {line.strip()[:40]!r}"))
@@ -188,6 +198,8 @@ def read_jsonl(stream) -> list[DocumentPair]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
+        except ValueError as exc:  # an integer with too many digits for int()
+            raise ParseError(f"line {line_no}: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(f"line {line_no}: expected a JSON object")
         missing = [k for k in ("id", "text", "summary") if k not in obj]

@@ -1,19 +1,24 @@
 """Dense float64 tensors with tape-recorded reverse-mode gradients.
 
 The tape holds the primitives that training differentiates. It appends
-one backward closure per op in creation order, which is already
-topological, so ``backward`` simply replays the list in reverse and
-accumulates gradients additively into ``Tensor.grad``. Each closure is
-released as soon as it has run, so the memory a forward pass holds falls
-during the backward pass and a tape is replayed once. A non-recording
-tape turns the same code paths into plain forward evaluation;
-``log_softmax`` is forward only, on plain arrays, for decoding and for
-``Tape.nll``.
+one node per op in creation order, which is already topological, so
+``backward`` simply replays the list in reverse and accumulates gradients
+additively into ``Tensor.grad``. Each node is released as soon as it has
+run, so the memory a forward pass holds falls during the backward pass
+and a tape is replayed once. A non-recording tape turns the same code
+paths into plain forward evaluation; ``log_softmax`` is forward only, on
+plain arrays, for decoding and for ``Tape.nll``.
 
-Gradient hand-over: ``_accum`` keeps a first gradient as ``.grad``
-without a copy (``owned=True``) only when its closure has just computed
-it and hands it to no other tensor. Views (``concat``, ``reshape``,
-``transpose``) are copied, so no two ``.grad`` arrays share memory.
+A primitive is a value plus a vector-Jacobian product: it checks its
+inputs, computes its value and ends in ``_node(value, inputs, vjp)``,
+where ``vjp(g)`` gives one gradient per input, in input order.
+
+Gradient hand-over: ``backward`` passes each of those gradients to
+``_accum``, which keeps a first gradient as ``.grad`` without a copy,
+since a VJP computes a fresh array for each input. The primitives
+declared ``views=True`` (``concat``, ``reshape``, ``transpose``) give
+views of ``g`` instead, and those are copied, so no two ``.grad`` arrays
+share memory.
 """
 
 import math
@@ -43,7 +48,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _accum(t: Tensor, g, owned: bool = False):
+def _accum(t: Tensor, g, owned: bool):
     if t.grad is None:
         # asarray only wraps the numpy scalar that an op on a 0-d array returns
         t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
@@ -64,10 +69,13 @@ class Tape:
         self.recording = recording
         self.nodes = []
 
-    def _emit(self, out: Tensor, backward_fn):
-        # backward_fn(g) passes out's gradient g back to out's inputs
+    def _node(self, value, inputs, vjp, views=False) -> Tensor:
+        """Wrap value as the op's output; record vjp, which maps the output's
+        gradient g to one gradient per input (views of g where views)."""
+        out = Tensor(value)
         if self.recording:
-            self.nodes.append((out, backward_fn))
+            self.nodes.append((out, inputs, vjp, not views))
+        return out
 
     def backward(self, loss: Tensor):
         """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
@@ -80,14 +88,15 @@ class Tape:
             raise ValueError("backward on a non-recording tape")
         if self.nodes and self.nodes[-1] is None:
             raise ValueError("backward: this tape was already replayed")
-        _accum(loss, np.ones_like(loss.data), owned=True)
+        _accum(loss, np.ones_like(loss.data), True)
         nodes = self.nodes
         for i in range(len(nodes) - 1, -1, -1):
             # dropping the node frees what only its gradient needed;
             # the slot stays, so len(nodes) still counts the recorded ops
-            (out, fn), nodes[i] = nodes[i], None
+            (out, inputs, vjp, owned), nodes[i] = nodes[i], None
             if out.grad is not None:  # None: the loss does not depend on out
-                fn(out.grad)
+                for t, g in zip(inputs, vjp(out.grad)):
+                    _accum(t, g, owned)
 
     # ---- primitives ------------------------------------------------------
 
@@ -96,14 +105,8 @@ class Tape:
         ad, bd = a.data, b.data
         if ad.ndim == 0 or bd.ndim != 2 or ad.shape[-1] != bd.shape[0]:
             raise ValueError(f"matmul: shape mismatch {ad.shape} vs {bd.shape}")
-        out = Tensor(ad @ bd)
-
-        def backward(g):
-            _accum(a, g @ bd.T, owned=True)
-            _accum(b, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1]), owned=True)
-
-        self._emit(out, backward)
-        return out
+        return self._node(ad @ bd, (a, b), lambda g: (
+            g @ bd.T, ad.reshape(-1, bd.shape[0]).T @ g.reshape(-1, bd.shape[1])))
 
     def bmm(self, a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         """Batched products over the last two axes, (..., M, K) @ (..., K, N).
@@ -115,71 +118,41 @@ class Tape:
         bt = bd.swapaxes(-1, -2) if transpose_b else bd
         if ad.ndim < 2 or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bt.shape[-2]:
             raise ValueError(f"bmm: shape mismatch {ad.shape} vs {bt.shape}")
-        out = Tensor(np.matmul(ad, bt))
-
-        def backward(g):
-            _accum(a, np.matmul(g, bt.swapaxes(-1, -2)), owned=True)
-            _accum(b, np.matmul(g.swapaxes(-1, -2), ad) if transpose_b
-                   else np.matmul(ad.swapaxes(-1, -2), g), owned=True)
-
-        self._emit(out, backward)
-        return out
+        return self._node(np.matmul(ad, bt), (a, b), lambda g: (
+            np.matmul(g, bt.swapaxes(-1, -2)),
+            np.matmul(g.swapaxes(-1, -2), ad) if transpose_b else np.matmul(ad.swapaxes(-1, -2), g)))
 
     def transpose(self, a: Tensor, axes) -> Tensor:
         """a with its axes permuted, copied to C order for the products that follow."""
-        out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
-
-        def backward(g):
-            _accum(a, g.transpose(np.argsort(axes)))
-
-        self._emit(out, backward)
-        return out
+        return self._node(np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                          lambda g: (g.transpose(np.argsort(axes)),), views=True)
 
     def reshape(self, a: Tensor, shape) -> Tensor:
-        out = Tensor(a.data.reshape(shape))
-
-        def backward(g):
-            _accum(a, g.reshape(a.data.shape))
-
-        self._emit(out, backward)
-        return out
+        return self._node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),),
+                          views=True)
 
     def scale(self, a: Tensor, k) -> Tensor:
         """a * k for a constant k: a float, or an array of a's shape (a mask)."""
-        out = Tensor(a.data * k)
-
-        def backward(g):
-            _accum(a, g * k, owned=True)
-
-        self._emit(out, backward)
-        return out
+        return self._node(a.data * k, (a,), lambda g: (g * k,))
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.data)
-        out = Tensor(y)
-
-        def backward(g):
-            _accum(a, g * (1.0 - y * y), owned=True)
-
-        self._emit(out, backward)
-        return out
+        return self._node(y, (a,), lambda g: (g * (1.0 - y * y),))
 
     def concat(self, *parts: Tensor) -> Tensor:
         """Join tensors along the last axis; leading shapes must agree."""
         lead = {p.data.shape[:-1] for p in parts}
         if len(parts) < 2 or len(lead) != 1 or parts[0].data.ndim == 0:
             raise ValueError(f"concat: incompatible shapes {[p.data.shape for p in parts]}")
-        out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
 
-        def backward(g):
+        def vjp(g):
             start = 0
             for p in parts:
                 end = start + p.data.shape[-1]
-                _accum(p, g[..., start:end])
+                yield g[..., start:end]
                 start = end
 
-        self._emit(out, backward)
-        return out
+        return self._node(np.concatenate([p.data for p in parts], axis=-1), parts, vjp, views=True)
 
     def embedding_lookup(self, table: Tensor, index) -> Tensor:
         """Rows of table along its first axis; index is an int or an int array.
@@ -192,18 +165,15 @@ class Tape:
         n = table.data.shape[0]
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError(f"embedding_lookup: ids {idx.min()}..{idx.max()} out of range for {n} rows")
-        out = Tensor(np.take(table.data, idx, axis=0))
 
-        def backward(g):
+        def vjp(g):
             # one bin per (row, column) of the table; bincount adds each
             # bin's entries in input order from 0.0, as a scatter-add would
             cols = math.prod(table.data.shape[1:])
             bins = (idx.reshape(-1, 1).astype(np.intp, copy=False) * cols + np.arange(cols)).ravel()
-            flat = np.bincount(bins, g.ravel(), n * cols)
-            _accum(table, flat.reshape(table.data.shape), owned=True)
+            return (np.bincount(bins, g.ravel(), n * cols).reshape(table.data.shape),)
 
-        self._emit(out, backward)
-        return out
+        return self._node(np.take(table.data, idx, axis=0), (table,), vjp)
 
     def softmax(self, a: Tensor, mask) -> Tensor:
         """Softmax over the last axis, max-subtracted for stability.
@@ -215,14 +185,7 @@ class Tape:
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)
         y = e / e.sum(axis=-1, keepdims=True)
-        out = Tensor(y)
-
-        def backward(g):
-            s = (g * y).sum(axis=-1, keepdims=True)
-            _accum(a, y * (g - s), owned=True)
-
-        self._emit(out, backward)
-        return out
+        return self._node(y, (a,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
     def nll(self, logits: Tensor, targets, weights) -> Tensor:
         """Fused weighted negative log-likelihood over the last axis:
@@ -244,15 +207,13 @@ class Tape:
             raise ValueError(f"nll: target out of range for {x.shape[-1]} classes")
         lp = log_softmax(x)
         at = np.arange(0, lp.size, x.shape[-1]) + targets.ravel()  # flat, in C order
-        out = Tensor(-(weights * lp.reshape(-1)[at].reshape(targets.shape)).sum())
 
-        def backward(g):
+        def vjp(g):
             d = np.exp(lp, order="C")  # C order: the reshape is a view to write through
             d.reshape(-1)[at] -= 1.0
-            _accum(logits, d * (float(g) * weights)[..., None], owned=True)
+            return (d * (float(g) * weights)[..., None],)
 
-        self._emit(out, backward)
-        return out
+        return self._node(-(weights * lp.reshape(-1)[at].reshape(targets.shape)).sum(), (logits,), vjp)
 
     def gru(self, xproj: Tensor, u: Tensor, b: Tensor, h0: Tensor, mask) -> Tensor:
         """A gated recurrent cell run over time as one tape node.
@@ -301,9 +262,8 @@ class Tape:
             if padded[t]:
                 np.copyto(new, h, where=~keep[t][:, None])
             h = new
-        out = Tensor(states)
 
-        def backward(g):
+        def vjp(g):
             # everything but the recurrence in dh, over all steps at once
             g = np.ascontiguousarray(g)
             z, r = zr[..., :H], zr[..., H:]
@@ -327,15 +287,11 @@ class Tape:
                 back += drh * r[t]
                 dh = np.where(keep[t][:, None], back, dh) if padded[t] else back
             flat, rows = dx.reshape(T * B, H3), prev.reshape(T * B, H)
-            _accum(xproj, dx, owned=True)
-            _accum(u, np.concatenate([rows.T @ flat[:, :2 * H],
-                                      (r.reshape(T * B, H) * rows).T @ flat[:, 2 * H:]], axis=1),
-                   owned=True)
-            _accum(b, flat.sum(axis=0), owned=True)
-            _accum(h0, dh, owned=True)
+            du = np.concatenate([rows.T @ flat[:, :2 * H],
+                                 (r.reshape(T * B, H) * rows).T @ flat[:, 2 * H:]], axis=1)
+            return dx, du, flat.sum(axis=0), dh
 
-        self._emit(out, backward)
-        return out
+        return self._node(states, (xproj, u, b, h0), vjp)
 
 
 class Adagrad:

@@ -7,6 +7,7 @@ DAG of dictionary matches; characters missing from the lexicon fall
 back to singleton words with count 1, so segmentation never fails.
 """
 
+import codecs
 import hashlib
 import io
 import math
@@ -183,8 +184,9 @@ class Lexicon:
     def from_file(cls, path) -> "Lexicon":
         """Load ``word<TAB>count`` lines from one read of the file.
 
-        Blank lines are skipped and a repeated word keeps its last count.
-        Every error names the file and the line. A plain file
+        One leading UTF-8 byte-order mark is skipped, blank lines are
+        skipped and a repeated word keeps its last count. Every error
+        names the file and the line. A plain file
         (``_plain_entries``) is parsed in bulk; any other goes whole to the
         line reader ``_read_entries``. ``sha256`` is the hash of the bytes
         read, so it names exactly the table that was parsed. The process
@@ -195,6 +197,7 @@ class Lexicon:
         with open(path, "rb") as f:
             raw = f.read()
         sha256 = hashlib.sha256(raw).hexdigest()
+        raw = raw.removeprefix(codecs.BOM_UTF8)
         if b"\r" in raw:  # line ends as text mode gives them; a CR is part of no multibyte character
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         plain = _plain_entries(raw)
@@ -327,15 +330,20 @@ class Representation:
     """How the source side of a pair is tokenized: lexicon words for the
     hybrid ``word_char``, characters for the ``char_char`` baseline (the
     summary side is characters in both). Only ``word_char`` loads the
-    lexicon, unless given it already loaded as ``lexicon``; ``lexicon_path``
-    is kept as given, whichever the name.
+    lexicon, unless given it already loaded as ``lexicon``, and refuses one
+    with no entries; ``lexicon_path`` is kept as given, whichever the name.
     """
 
     def __init__(self, name: str, lexicon_path=None, lexicon: Lexicon | None = None):
         self.check(name, lexicon_path)
         self.name = name
         self.lexicon_path = lexicon_path
-        self.lexicon = (lexicon or Lexicon.from_file(lexicon_path)) if name == "word_char" else None
+        self.lexicon = None
+        if name == "word_char":
+            self.lexicon = Lexicon.from_file(lexicon_path) if lexicon is None else lexicon
+            if not len(self.lexicon):
+                raise ValueError(f"{lexicon_path}: the lexicon is empty; "
+                                 "word_char needs at least one word")
 
     @staticmethod
     def check(name: str, lexicon_path=None, lexicon_from: str = "--lexicon"):
@@ -359,12 +367,8 @@ class Representation:
         return (segment or word_segment)(text, self.lexicon)
 
     def source_rows(self, pairs) -> "TokenRows":
-        """The source TokenRows of pairs; a text this representation cannot
-        tokenize fails naming it."""
-        try:
-            return TokenRows(self.tokens(p.short_text) for p in pairs)
-        except ValueError as e:
-            raise ValueError(f"{self.name}: {e}") from None
+        """The source TokenRows of pairs."""
+        return TokenRows(self.tokens(p.short_text) for p in pairs)
 
     def check_lexicon(self, trained_sha256: str | None):
         """Refuse a lexicon other than the one a model was trained with;
@@ -379,7 +383,7 @@ def load_representations(names, lexicon_path=None) -> tuple[list[Representation]
     sha256 (None without a path); a given lexicon is loaded even if unused."""
     lexicon = Lexicon.from_file(lexicon_path) if lexicon_path else None
     reps = [Representation(name, lexicon_path, lexicon) for name in names]
-    return reps, lexicon.sha256 if lexicon else None
+    return reps, None if lexicon is None else lexicon.sha256
 
 
 class Vocabulary:

@@ -111,7 +111,7 @@ def reference_lexicon_load(path):
     second read. Returns a namespace of entries (the dict), total and
     max_word_len."""
     entries = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for line_no, line in enumerate(f, start=1):
             try:
                 word, count = line.split("\t")
@@ -130,7 +130,7 @@ def reference_lexicon_load(path):
 def _last_line_of(path, word: str) -> int:
     """Number of the last line of a lexicon file that sets ``word``."""
     last = 0
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.isspace() and line.split("\t")[0] == word:
                 last = line_no

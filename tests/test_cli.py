@@ -383,8 +383,8 @@ def test_data_check_fails_once_before_any_seed_trains(tiny_dataset, tmp_path, mo
 def test_untokenizable_text_fails_once_before_any_seed_trains(tiny_dataset, tmp_path,
                                                               monkeypatch):
     """word_char cannot segment a text with an empty lexicon: an experiment
-    and a sweep each fail once, naming the representation, before any seed
-    trains and before any run directory is made."""
+    and a sweep each fail once, naming the lexicon, before any seed trains
+    and before any run directory is made."""
     (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
     trained = []
     monkeypatch.setattr(harness, "train", lambda *args, **kwargs: trained.append(1))
@@ -395,9 +395,38 @@ def test_untokenizable_text_fails_once_before_any_seed_trains(tiny_dataset, tmp_
                                     "lexicon": str(tmp_path / "empty.tsv"), "n_validation": 4,
                                     "seeds": [0, 1]}))
     for command, extra in (("experiment", []), ("sweep", ["--sizes", "5,6"])):
-        with pytest.raises(ValueError, match="^word_char: lexicon is empty$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'empty.tsv'))}: "
+                                             "the lexicon is empty; word_char needs at least one word$"):
             main([command, "--config", str(cfg_path), "--out", str(tmp_path / "runs"), *extra])
     assert trained == [] and not (tmp_path / "runs").exists()
+
+
+def test_word_vocab_refuses_an_empty_lexicon_naming_it(tiny_dataset, tmp_path):
+    """The refusal comes when the lexicon is loaded, before the corpus is
+    read, and writes no vocabulary; a BOM lexicon's first word is a word."""
+    d = tiny_dataset
+    empty, out = tmp_path / "empty.tsv", tmp_path / "vocab.txt"
+    empty.write_bytes(b"")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: the lexicon is empty"):
+        main(["vocab", "--unit", "word", "--lexicon", str(empty), "--in", str(d / "part1.txt"),
+              "--out", str(out)])
+    assert not out.exists()
+    bom = tmp_path / "bom.tsv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (d / "lexicon.tsv").read_bytes())
+    first = (d / "lexicon.tsv").read_text(encoding="utf-8").split("\t")[0]
+    assert main(["vocab", "--unit", "word", "--lexicon", str(bom), "--in", str(d / "part1.txt"),
+                 "--out", str(out)]) == 0
+    assert first in Vocabulary.load(out).ids
+
+
+def test_jsonl_integer_too_long_to_read_names_its_file_and_line(tmp_path):
+    big = tmp_path / "big.jsonl"
+    big.write_text('{"id": 0, "text": "t", "summary": "s"}\n'
+                   f'{{"id": {"9" * 5000}, "text": "t", "summary": "s"}}\n', encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(big))}: line 2: Exceeds the limit"):
+        main(["split", "--in", str(big), "--n-validation", "1", "--train-out",
+              str(tmp_path / "train.jsonl"), "--valid-out", str(tmp_path / "valid.jsonl")])
+    assert not (tmp_path / "train.jsonl").exists()
 
 
 def test_cli_data_errors_still_raise(tiny_dataset, tmp_path):

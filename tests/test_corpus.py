@@ -83,6 +83,11 @@ def test_jsonl_round_trip():
     ('{"id": 1, "text": "a",', "invalid JSON (Expecting property name enclosed in double quotes"),
     ('[1, "a", "b"]', "expected a JSON object"),
     ('{"id": 1, "text": ["a"], "summary": "b"}', "text and summary must be strings"),
+    # json.loads refuses an integer of over 4,300 digits with a plain ValueError
+    pytest.param(f'{{"id": {"1" * 5000}, "text": "a", "summary": "b"}}', "Exceeds the limit",
+                 id="id-too-long"),
+    pytest.param(f'{{"id": 1, "text": "a", "summary": "b", "label": {"1" * 5000}}}',
+                 "Exceeds the limit", id="label-too-long"),
 ])
 def test_jsonl_bad_record_names_its_line(line, message):
     good = '{"id": 0, "text": "t", "summary": "s"}\n'
@@ -127,8 +132,11 @@ def test_an_open_field_tag_ends_at_the_next_record_boundary(doc_close):
      3, "doc id=7: unrecognized line '<title>x</title>'"),
     ("<doc id=7>\n<summary></summary>\n<short_text>t</short_text>\n</doc>\n", 1,
      "pair id=7: empty text or summary"),
+    # an id too long for int() is the record's first defect; the rest is skipped
+    (f"<doc id={'1' * 5000}>\n<summary>s</summary>\n<title>x</title>\n</doc>\n", 1,
+     "doc id of 5000 digits is too long to read"),
 ], ids=["unterminated-before-doc", "outside-doc", "unrecognized-then-resync",
-        "unrecognized-then-skip-to-end", "empty-summary"])
+        "unrecognized-then-skip-to-end", "empty-summary", "id-too-long"])
 def test_a_defect_is_reported_at_its_line_and_the_next_block_parses(bad, line, message):
     pairs, issues = parse_lcsts(io.StringIO(bad + _good(1)), "I")
     assert [(p.id, p.summary, p.short_text) for p in pairs] == [(1, "s1", "t1")]
@@ -243,7 +251,8 @@ def test_labeled_part_requires_label():
 
 def test_label_out_of_range_rejected():
     # "²" is a digit to str.isdigit but not a number int() reads
-    for label in ("9", "²"):
+    # a label of 5000 digits is too long for int() to read
+    for label in ("9", "²", "1" * 5000):
         text = SINGLE_BLOCK.replace(">5<", f">{label}<")
         part, issues = parse_lcsts(io.StringIO(text), "III")
         assert part == [] and issues[0].message == f"doc id=0: bad human_label {label!r}"

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -529,6 +530,33 @@ def test_unreadable_checkpoints_are_value_errors_naming_the_file(tmp_path):
         with pytest.raises(ValueError) as e:
             load_checkpoint(path)
         assert str(e.value).startswith(f"{path}: "), (name, str(e.value))
+
+
+def _checkpoint_with(path, tensors):
+    """An archive of tensors under a valid version-2 meta of the tiny config."""
+    meta = json.dumps({"format_version": 2, "config": dataclasses.asdict(tiny_config(seed=13))})
+    np.savez(path, __meta__=meta, **tensors)
+
+
+def test_checkpoint_with_other_parameter_names_is_refused(tmp_path):
+    tensors = {k: t.data for k, t in rand_params(13).tensors.items()}
+    path = tmp_path / "model.npz"
+    for renamed in ({**tensors, "extra": np.zeros(2)},
+                    {k: v for k, v in tensors.items() if k != "out_w"}):
+        _checkpoint_with(path, renamed)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint parameter "
+                                             "names do not match the config$"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_with_a_tensor_of_another_shape_is_refused(tmp_path):
+    tensors = {k: t.data for k, t in rand_params(13).tensors.items()}
+    want = tensors["out_w"].shape
+    path = tmp_path / "model.npz"
+    _checkpoint_with(path, {**tensors, "out_w": np.zeros((2, 3))})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint out_w has shape "
+                                         f"{re.escape(str((2, 3)))}, expected {re.escape(str(want))}$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_save_load_save_identical(tmp_path):

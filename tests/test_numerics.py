@@ -101,6 +101,34 @@ def test_shape_mismatch_messages():
         t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
 
+def test_concat_rejects_incompatible_shapes():
+    t = Tape()
+    with pytest.raises(ValueError, match=r"^concat: incompatible shapes \[\(2, 3\), \(3, 3\)\]$"):
+        t.concat(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))))
+    with pytest.raises(ValueError, match=r"^concat: incompatible shapes \[\(2, 3\)\]$"):
+        t.concat(Tensor(np.ones((2, 3))))
+    with pytest.raises(ValueError, match=r"^concat: incompatible shapes \[\(\), \(\)\]$"):
+        t.concat(Tensor(1.0), Tensor(2.0))
+
+
+def test_embedding_lookup_rejects_a_non_integral_index():
+    with pytest.raises(ValueError, match="^embedding_lookup: index must be integral, got float64$"):
+        Tape().embedding_lookup(Tensor(np.ones((4, 2))), np.array([0.0, 1.0]))
+
+
+def test_gru_rejects_incompatible_shapes():
+    x, b, h0 = Tensor(np.ones((4, 3, 6))), Tensor(np.ones(6)), Tensor(np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"^gru: incompatible shapes \(4, 3, 6\), \(2, 5\), "
+                                         r"\(6,\), \(3, 2\)$"):
+        Tape().gru(x, Tensor(np.ones((2, 5))), b, h0, np.ones((4, 3)))
+
+
+def test_gru_rejects_a_mask_of_another_shape():
+    x, u, b, h0 = (Tensor(np.ones(s)) for s in [(4, 3, 6), (2, 6), (6,), (3, 2)])
+    with pytest.raises(ValueError, match=r"^gru: mask shape \(3, 4\), expected \(4, 3\)$"):
+        Tape().gru(x, u, b, h0, np.ones((3, 4)))
+
+
 # ---- backward ---------------------------------------------------------------
 
 
@@ -132,6 +160,13 @@ def test_backward_requires_scalar():
     y = t.tanh(x)
     with pytest.raises(ValueError, match="scalar"):
         t.backward(y)
+
+
+def test_backward_on_a_non_recording_tape_is_refused():
+    t = Tape(recording=False)
+    loss = t.tanh(Tensor(0.5))
+    with pytest.raises(ValueError, match="^backward on a non-recording tape$"):
+        t.backward(loss)
 
 
 def test_backward_releases_closures_and_runs_once():

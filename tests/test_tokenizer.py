@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -755,6 +756,38 @@ def test_representation_refuses_unknown_names_and_a_missing_lexicon():
     Representation.check("word_char", "lexicon.tsv")  # checks names, reads no file
     with pytest.raises(ValueError, match="needs a lexicon entry in the config"):
         Representation.check("word_char", None, "a lexicon entry in the config")
+
+
+def test_word_char_refuses_an_empty_lexicon_when_built(tmp_path):
+    """A lexicon with no entries fails where the word_char representation is
+    built, naming the file, not at the first text it segments; a char_char
+    run given the same unused file keeps working and records its hash."""
+    empty = tmp_path / "empty.tsv"
+    for content in ("", "\n \n"):
+        empty.write_text(content, encoding="utf-8")
+        message = f"^{re.escape(str(empty))}: the lexicon is empty; word_char needs at least one word$"
+        with pytest.raises(ValueError, match=message):
+            Representation("word_char", empty)
+        with pytest.raises(ValueError, match=message):
+            load_representations(["char_char", "word_char"], empty)
+        (baseline,), sha256 = load_representations(["char_char"], empty)
+        assert baseline.tokens("城市") == ["城", "市"]
+        assert sha256 == hashlib.sha256(content.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("content", ["\ufeffab\t3\n", "\ufeffab\t+3\n"], ids=["bulk", "line-reader"])
+def test_lexicon_skips_one_leading_byte_order_mark(tmp_path, content):
+    """A UTF-8 byte-order mark is not part of the first word, on either load
+    path; sha256 is still the hash of the bytes read."""
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(content.encode("utf-8"))
+    lex = Lexicon.from_file(path)
+    assert (len(lex), lex.count("ab"), lex.count("\ufeffab")) == (1, 3, 0)
+    assert word_segment("abc", lex) == ["ab", "c"]
+    assert lex.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    # only one mark is skipped: a second is part of the word
+    path.write_bytes(("\ufeff" + content).encode("utf-8"))
+    assert Lexicon.from_file(path).count("\ufeffab") == 3
 
 
 def test_representation_checks_a_recorded_lexicon_hash(tmp_path):
