@@ -6,13 +6,12 @@ Stages exchange UTF-8 line-delimited JSON records with fields ``id``,
 
 import argparse
 import contextlib
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .corpus import (ParseError, atomic_write, filter_by_score, parse_lcsts, split_train_validation,
-                     write_jsonl, write_rows)
+from .corpus import (ParseError, atomic_write, filter_by_score, json_lines, naming, parse_lcsts,
+                     split_train_validation, write_jsonl, write_rows)
 from .dedup import clean_part1
 from .harness import (TRAIN_SETTINGS, ExperimentConfig, check_settings, check_sweep_sizes,
                       load_corpus_file, load_model_dir, read_config, run_experiment, sweep_vocab,
@@ -32,10 +31,10 @@ class _Refused(Exception):
 @contextlib.contextmanager
 def _config_checks():
     """Raise a ValueError of the config checks inside as _Refused. A config
-    file that is not JSON fails as a data file does."""
+    file that cannot be read (a ParseError) fails as a data file does."""
     try:
         yield
-    except json.JSONDecodeError:
+    except ParseError:
         raise
     except ValueError as e:
         raise _Refused(str(e)) from None
@@ -46,12 +45,18 @@ def _write_corpus(path, pairs):
         write_jsonl(pairs, f)
 
 
+def _pairs(path, part="I"):
+    """The pairs of a dataset file (load_corpus_file); a count of the
+    malformed records it skipped, if any, goes to stderr."""
+    pairs, issues, _ = load_corpus_file(path, part)
+    if issues:
+        print(f"{path}: skipped {len(issues)} malformed records", file=sys.stderr)
+    return pairs
+
+
 def _cmd_parse(args):
-    with open(args.infile, encoding="utf-8") as f:
-        try:
-            corpus, issues = parse_lcsts(f, args.part, strict=args.strict)
-        except ParseError as e:
-            raise ParseError(f"{args.infile}: {e}") from None
+    with naming(args.infile), open(args.infile, encoding="utf-8") as f:
+        corpus, issues = parse_lcsts(f, args.part, strict=args.strict)
     _write_corpus(args.out, corpus)
     if args.report:
         write_rows(args.report, map(asdict, issues))
@@ -60,22 +65,18 @@ def _cmd_parse(args):
 
 
 def _cmd_filter(args):
-    corpus, _, _ = load_corpus_file(args.infile, "III")
-    try:
+    corpus = _pairs(args.infile, "III")
+    with naming(args.infile):  # a JSONL record without a label
         kept = filter_by_score(corpus, args.min_score)
-    except ValueError as e:  # a JSONL record without a label
-        raise ValueError(f"{args.infile}: {e}") from None
     _write_corpus(args.out, kept)
     print(f"kept {len(kept)} of {len(corpus)} pairs with label >= {args.min_score}", file=sys.stderr)
     return 0
 
 
 def _cmd_split(args):
-    corpus, _, _ = load_corpus_file(args.infile)
-    try:
+    corpus = _pairs(args.infile)
+    with naming(args.infile):
         train_part, valid_part = split_train_validation(corpus, args.n_validation, args.seed)
-    except ValueError as e:
-        raise ValueError(f"{args.infile}: {e}") from None
     _write_corpus(args.train_out, train_part)
     _write_corpus(args.valid_out, valid_part)
     print(f"split {len(corpus)} pairs into {len(train_part)} train / {len(valid_part)} validation "
@@ -84,8 +85,8 @@ def _cmd_split(args):
 
 
 def _cmd_clean(args):
-    part1, _, _ = load_corpus_file(args.part1, "I")
-    part3, _, _ = load_corpus_file(args.part3, "III")
+    part1 = _pairs(args.part1, "I")
+    part3 = _pairs(args.part3, "III")
     result = clean_part1(part1, part3, args.max_suffix_delta)
     _write_corpus(args.out, result.kept)
     if args.report:
@@ -100,7 +101,7 @@ def _cmd_vocab(args):
     with _config_checks():
         Representation.check(name, args.lexicon)
     rep = Representation(name, args.lexicon)
-    corpus, _, _ = load_corpus_file(args.infile)
+    corpus = _pairs(args.infile)
     if not corpus:
         raise ValueError(f"{args.infile}: no pairs to build a vocabulary from")
     field = args.field or ("text" if args.unit == "word" else "summary")
@@ -132,12 +133,12 @@ def _cmd_train(args):
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
 
-    pairs = load_corpus_file(args.train)[0]  # the training pairs, then the validation pairs
+    pairs = _pairs(args.train)  # the training pairs, then the validation pairs
     if not pairs:
         raise ValueError(f"{args.train}: no pairs to train on")
     n_train = len(pairs)
     if args.valid:
-        pairs += load_corpus_file(args.valid)[0]
+        pairs += _pairs(args.valid)
         if len(pairs) == n_train:
             raise ValueError(f"{args.valid}: no pairs to validate on")
     src, tgt, n = rep.source_rows(pairs), summary_rows(pairs), len(pairs)
@@ -149,7 +150,7 @@ def _cmd_train(args):
 
 def _cmd_summarize(args):
     params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
-    pairs = load_corpus_file(args.infile)[0]
+    pairs = _pairs(args.infile)
     if not pairs:
         raise ValueError(f"{args.infile}: no pairs to summarize")
     ids, src = [p.id for p in pairs], rep.source_rows(pairs)
@@ -161,23 +162,15 @@ def _cmd_summarize(args):
 
 def _read_rows(path, fields):
     """(line number, id or None, the first of the fields present) of each JSON
-    object line; a bad line raises a ValueError naming path and line."""
+    object line; a bad line raises a ParseError naming path and line."""
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {line_no}: invalid JSON ({e})") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {line_no}: expected a JSON object")
+    with naming(path), open(path, encoding="utf-8") as f:
+        for line_no, obj in json_lines(f):
             field = next((name for name in fields if name in obj), None)
             if field is None:
-                raise ValueError(f"{path}: line {line_no}: none of {fields} present")
+                raise ValueError(f"line {line_no}: none of {fields} present")
             if not isinstance(obj[field], str):
-                raise ValueError(f"{path}: line {line_no}: {field} must be a string")
+                raise ValueError(f"line {line_no}: {field} must be a string")
             rows.append((line_no, obj.get("id"), obj[field]))
     return rows
 

@@ -60,8 +60,29 @@ class ParseIssue:
     message: str
 
 
-class ParseError(Exception):
-    pass
+class ParseError(ValueError):
+    """A data file, or a record in one, that cannot be read."""
+
+
+_ESCAPED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, read with surrogateescape
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Re-raise a ValueError raised inside as a ParseError that starts with ``path: ``.
+    Bytes that are not UTF-8 give ``line N: invalid UTF-8 (reason)``, N found by one more
+    read that counts lines as text mode does (a decode error carries no line); text that
+    is not JSON gives ``invalid JSON (...)``."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            line_no = next((n for n, line in enumerate(f, start=1) if _ESCAPED.search(line)), None)
+        raise ParseError(f"{path}: line {line_no}: invalid UTF-8 ({e.reason})") from None
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON ({e})") from None
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _pair(pid, text, summary, label) -> DocumentPair:
@@ -187,10 +208,10 @@ def _json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def read_jsonl(stream) -> list[DocumentPair]:
-    """Read the JSONL interchange format from a text stream; any bad record
-    raises ParseError naming its line."""
-    pairs = []
+def json_lines(stream):
+    """(line number, object) of each non-blank line of a JSON-lines text
+    stream; a line that is not JSON, holds an integer too long for int() to
+    read or is not a JSON object raises a ParseError naming its line."""
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -202,6 +223,14 @@ def read_jsonl(stream) -> list[DocumentPair]:
             raise ParseError(f"line {line_no}: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(f"line {line_no}: expected a JSON object")
+        yield line_no, obj
+
+
+def read_jsonl(stream) -> list[DocumentPair]:
+    """Read the JSONL interchange format from a text stream; any bad record
+    raises ParseError naming its line."""
+    pairs = []
+    for line_no, obj in json_lines(stream):
         missing = [k for k in ("id", "text", "summary") if k not in obj]
         if missing:
             raise ParseError(f"line {line_no}: missing field(s) {', '.join(missing)}")

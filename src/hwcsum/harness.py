@@ -25,7 +25,7 @@ import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import (DocumentPair, ParseError, ParseIssue, _json_int, atomic_write, filter_by_score,
+from .corpus import (DocumentPair, ParseIssue, _json_int, atomic_write, filter_by_score, naming,
                      parse_lcsts, read_jsonl, split_indices, write_rows)
 from .dedup import clean_part1
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
@@ -91,9 +91,9 @@ def check_settings(settings: dict):
 
 
 def read_config(path, keys, what: str, required=()) -> dict:
-    """The JSON object in the config file at path; a ValueError refuses any
-    other JSON value, a key outside keys and a missing required key."""
-    with open(path, encoding="utf-8") as f:
+    """The JSON object in the config file at path, else a ParseError naming it; a
+    ValueError refuses any other JSON value, a key outside keys and a missing required key."""
+    with naming(path), open(path, encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError(f"{what} config must be a JSON object, got {raw!r}")
@@ -175,11 +175,8 @@ def load_corpus_file(path, part: str = "I") -> tuple[list[DocumentPair], list[Pa
     issues; part decides whether a label is required. Returns (pairs, parse
     issues, sha256 of the bytes parsed)."""
     path = Path(path)
-    with io.TextIOWrapper(_HashingReader(path), encoding="utf-8") as f:
-        try:
-            parsed = (read_jsonl(f), []) if path.suffix == ".jsonl" else parse_lcsts(f, part)
-        except ParseError as e:
-            raise ParseError(f"{path}: {e}") from None
+    with naming(path), io.TextIOWrapper(_HashingReader(path), encoding="utf-8") as f:
+        parsed = (read_jsonl(f), []) if path.suffix == ".jsonl" else parse_lcsts(f, part)
         return (*parsed, f.buffer.sha256.hexdigest())
 
 
@@ -215,20 +212,15 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
     the sha256 meta.json records for it, if it records one. A refusal of what
     meta.json records, or lacks, names it."""
     path = model_dir / "meta.json"
-    try:
+    with naming(path):
         meta = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(meta, dict) or "representation" not in meta:
-        raise ValueError(f"{path}: expected a JSON object with a representation, got {meta!r}")
-    for key in ("lexicon", "lexicon_sha256", "src_vocab_sha256", "tgt_vocab_sha256"):
-        if not isinstance(meta.get(key), (str, type(None))):
-            raise ValueError(f"{path}: {key} must be a string or null, got {meta[key]!r}")
-    lexicon = lexicon_path or (meta.get("lexicon") and model_dir / meta["lexicon"])
-    try:
+        if not isinstance(meta, dict) or "representation" not in meta:
+            raise ValueError(f"expected a JSON object with a representation, got {meta!r}")
+        for key in ("lexicon", "lexicon_sha256", "src_vocab_sha256", "tgt_vocab_sha256"):
+            if not isinstance(meta.get(key), (str, type(None))):
+                raise ValueError(f"{key} must be a string or null, got {meta[key]!r}")
+        lexicon = lexicon_path or (meta.get("lexicon") and model_dir / meta["lexicon"])
         Representation.check(meta["representation"], lexicon, "--lexicon, as it records none")
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
     if meta["representation"] == "word_char" and not lexicon_path and not lexicon.exists():
         raise FileNotFoundError(f"{path}: the lexicon it records is not at {lexicon}; "
                                 "pass --lexicon")
@@ -340,10 +332,8 @@ def _prepare(cfg: ExperimentConfig):
     if cfg.dedup:
         result = clean_part1(pool, part3, cfg.max_suffix_delta)
         pool, removed = result.kept, result.removed
-    try:
+    with naming(cfg.part3):  # a JSONL record without a label
         test = filter_by_score(part3, cfg.min_score)
-    except ValueError as e:  # a JSONL record without a label
-        raise ValueError(f"{cfg.part3}: {e}") from None
     if not test:  # checks that need the data, made once before any seed trains
         raise ValueError(f"{cfg.part3}: no test pair has a label >= {cfg.min_score}")
     if cfg.n_validation >= len(pool):

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import DocumentPair, atomic_write, keep_heap
+from .corpus import DocumentPair, atomic_write, keep_heap, naming
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -119,35 +119,32 @@ def _plain_entries(raw: bytes):
     return codes, starts, tabs[ok] - starts, counts[ok].view(np.int64)
 
 
-def _read_entries(raw: bytes, path) -> dict[str, int]:
+def _read_entries(raw: bytes) -> dict[str, int]:
     """The word -> count table of lexicon bytes whose line ends are all
     newlines, read one line at a time: the rules of the load, stated once.
 
     Whitespace-only lines are skipped, a count is what ``int()`` takes and a
     repeated word keeps its last count. The first line in file order that is
-    not UTF-8, is not ``word<TAB>count`` or has a count of 2**63 or more
-    raises a ValueError naming path and the line; after those, an invalid
-    entry (``_invalid_word``) raises one naming the line its count is from.
+    not UTF-8 raises a UnicodeDecodeError, and one that is not ``word<TAB>count``
+    or has a count of 2**63 or more a ValueError naming the line; after those,
+    an invalid entry (``_invalid_word``) raises one naming the line its count is from.
     """
     entries, line_of = {}, {}
     for line_no, line in enumerate(io.BytesIO(raw), start=1):
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ValueError(f"{path}: line {line_no}: invalid UTF-8 ({e.reason})") from None
+        text = line.decode("utf-8")
         try:
             word, count = text.split("\t")
             count = int(count)
         except ValueError:
             if text.isspace():
                 continue
-            raise ValueError(f"{path}: line {line_no}: expected 'word<TAB>count'") from None
+            raise ValueError(f"line {line_no}: expected 'word<TAB>count'") from None
         if count >= _COUNT_LIMIT:
-            raise ValueError(f"{path}: line {line_no}: {_invalid_entry(word, count)}")
+            raise ValueError(f"line {line_no}: {_invalid_entry(word, count)}")
         entries[word], line_of[word] = count, line_no
     bad = _invalid_word(entries)
     if bad is not None:
-        raise ValueError(f"{path}: line {line_of[bad]}: {_invalid_entry(bad, entries[bad])}")
+        raise ValueError(f"line {line_of[bad]}: {_invalid_entry(bad, entries[bad])}")
     return entries
 
 
@@ -186,7 +183,7 @@ class Lexicon:
 
         One leading UTF-8 byte-order mark is skipped, blank lines are
         skipped and a repeated word keeps its last count. Every error
-        names the file and the line. A plain file
+        names the file and the line (``corpus.naming``). A plain file
         (``_plain_entries``) is parsed in bulk; any other goes whole to the
         line reader ``_read_entries``. ``sha256`` is the hash of the bytes
         read, so it names exactly the table that was parsed. The process
@@ -202,7 +199,8 @@ class Lexicon:
             raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         plain = _plain_entries(raw)
         if plain is None:
-            lex = cls(_read_entries(raw, path))
+            with naming(path):
+                lex = cls(_read_entries(raw))
         else:
             lex = cls.__new__(cls)
             lex._build(*plain)
@@ -443,7 +441,7 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         """Read a file save wrote; every error names the file (and line, if any)."""
         tokens, counts, line_of = [], [], {}
-        with open(path, encoding="utf-8") as f:
+        with naming(path), open(path, encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -452,16 +450,13 @@ class Vocabulary:
                     tok, count = line.split("\t")
                     count = int(count)
                 except ValueError:
-                    raise ValueError(f"{path}: line {line_no}: expected 'token<TAB>count'") from None
+                    raise ValueError(f"line {line_no}: expected 'token<TAB>count'") from None
                 if line_of.setdefault(tok, line_no) != line_no:
-                    raise ValueError(f"{path}: line {line_no}: duplicate token in vocabulary "
+                    raise ValueError(f"line {line_no}: duplicate token in vocabulary "
                                      f"(first on line {line_of[tok]})")
                 tokens.append(tok)
                 counts.append(count)
-        try:
             return cls(tokens, counts)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
 
 
 class _TokenTable(dict):

@@ -204,6 +204,9 @@ def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, ca
 
 
 NAME_REFUSED = "name must be one directory name inside the output directory, got "
+# what Python says of an integer of 5,000 digits
+TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+            "use sys.set_int_max_str_digits() to increase the limit")
 
 
 def _in_tmp(text: str, tmp_path) -> str:
@@ -440,8 +443,75 @@ def test_cli_data_errors_still_raise(tiny_dataset, tmp_path):
     with pytest.raises(ValueError, match="bad.tsv: line 1: expected 'word<TAB>count'"):
         main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
     cfg_path.write_text("{")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(cfg_path))}: invalid JSON \\("):
         main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"name": "data",\n"part1": "\udcff"}', "line 2: invalid UTF-8 (invalid start byte)"),
+    (f'{{"name": "data", "seeds": [{"9" * 5000}]}}', TOO_LONG),
+], ids=["not-utf8", "integer-too-long"])
+def test_a_config_that_cannot_be_read_is_a_data_error(tmp_path, capsys, text, message):
+    """Not a usage error: it raises a ParseError naming the config, prints no
+    usage, and nothing is written."""
+    cfg_path, out = tmp_path / "exp.json", str(tmp_path / "runs")
+    cfg_path.write_text(text, encoding="utf-8", errors="surrogateescape")  # "\udcff": byte 0xff
+    for argv in (["experiment", "--out", out], ["sweep", "--sizes", "5", "--out", out],
+                 ["train", "--train", "t.jsonl", "--src-vocab", "s.txt", "--tgt-vocab", "t.txt",
+                  "--out", out]):
+        with pytest.raises(ParseError) as err:
+            main([*argv, "--config", str(cfg_path)])
+        assert str(err.value) == f"{cfg_path}: {message}"
+        assert "error:" not in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg_path]
+
+
+_LCSTS_NOT_UTF8 = ["<doc id=1>", "<summary>s</summary>", "<short_text>\udcff</short_text>", "</doc>"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name, lines, read", [
+    ("corpus.jsonl", ['{"id": 1, "text": "t", "summary": "s"}', "",
+                      '{"id": 2, "text": "\udcff", "summary": "s"}'],
+     lambda path, out: main(["split", "--in", str(path), "--n-validation", "1", "--train-out",
+                             str(out / "train.jsonl"), "--valid-out", str(out / "valid.jsonl")])),
+    ("part1.txt", _LCSTS_NOT_UTF8,
+     lambda path, out: main(["parse", "--in", str(path), "--part", "I", "--out", str(out / "p.jsonl")])),
+    ("part1.txt", _LCSTS_NOT_UTF8, lambda path, out: load_corpus_file(path, "I")),
+    ("vocab.txt", ["<pad>\t0", "<unk>\t0", "\udcff\t1", "<s>\t0", "</s>\t0"],
+     lambda path, out: Vocabulary.load(path)),
+], ids=["split-jsonl", "parse", "load-corpus-file", "vocabulary"])
+def test_text_that_is_not_utf8_is_refused_at_its_line(tmp_path, name, lines, read, newline):
+    """A byte that is not UTF-8 raises a ParseError naming the file and its
+    line, with lines counted as a text-mode reader counts them; nothing is
+    written."""
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8", "surrogateescape"))
+    out.mkdir()
+    with pytest.raises(ParseError) as err:
+        read(path, out)
+    assert str(err.value) == f"{path}: line 3: invalid UTF-8 (invalid start byte)"
+    assert list(out.iterdir()) == []
+
+
+def test_commands_report_the_malformed_records_they_skip(tmp_path, capsys):
+    """A command reading a pseudo-XML corpus says on stderr how many records
+    it skipped, as `parse` does; a corpus with none gets no such line."""
+    mixed, train, valid = tmp_path / "mixed.txt", tmp_path / "train.jsonl", tmp_path / "valid.jsonl"
+    mixed.write_text("<doc id=1>\n<summary>一</summary>\n<short_text>甲</short_text>\n</doc>\n"
+                     "<doc id=2>\n<summary>二</summary>\n</doc>\n"
+                     "<doc id=3>\n<summary>三</summary>\n<short_text>丙</short_text>\n</doc>\n",
+                     encoding="utf-8")
+    split = ["split", "--n-validation", "1", "--train-out", str(train), "--valid-out", str(valid)]
+    assert main([*split, "--in", str(mixed)]) == 0
+    assert capsys.readouterr().err == (f"{mixed}: skipped 1 malformed records\n"
+                                       "split 2 pairs into 1 train / 1 validation (seed 0)\n")
+    assert main(["vocab", "--unit", "char", "--in", str(mixed), "--out", str(tmp_path / "v.txt")]) == 0
+    assert capsys.readouterr().err.startswith(f"{mixed}: skipped 1 malformed records\nwrote ")
+    whole = tmp_path / "whole.jsonl"
+    whole.write_bytes(train.read_bytes() + valid.read_bytes())
+    assert main([*split, "--in", str(whole)]) == 0
+    assert capsys.readouterr().err == "split 2 pairs into 1 train / 1 validation (seed 0)\n"
 
 
 def test_bad_corpus_record_names_its_file(tiny_dataset):
@@ -862,9 +932,12 @@ def test_summarize_refuses_a_file_with_no_pairs_naming_it(word_char_model):
      "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
     ("[]", "expected a JSON object with a representation, got []"),
     ('{"lexicon": null}', "expected a JSON object with a representation, got {'lexicon': None}"),
-], ids=["invalid-json", "not-an-object", "no-representation"])
+    (f'{{"representation": {"9" * 5000}}}', TOO_LONG),
+    ('{\n"representation": "\udcff"}', "line 2: invalid UTF-8 (invalid start byte)"),
+], ids=["invalid-json", "not-an-object", "no-representation", "integer-too-long", "not-utf8"])
 def test_summarize_refuses_a_broken_meta_json_naming_it(tmp_path, text, message):
-    (tmp_path / "meta.json").write_text(text, encoding="utf-8")
+    # surrogateescape writes each lone surrogate \udcXX as the byte 0xXX, which is not UTF-8
+    (tmp_path / "meta.json").write_text(text, encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError) as err:
         main(["summarize", "--model", str(tmp_path), "--in", str(tmp_path / "test.jsonl"),
               "--out", str(tmp_path / "candidates.jsonl")])
@@ -1177,10 +1250,13 @@ def test_summarize_a_sweep_seed_from_another_directory(tmp_path, synthetic_dir, 
     ('["candidate"]', "expected a JSON object"),
     ('{"candidate": 5}', "candidate must be a string"),
     ('{"id": 3, "text": "城市"}', "none of ('candidate', 'summary') present"),
-], ids=["invalid-json", "not-an-object", "not-a-string", "no-field"])
+    (f'{{"id": {"9" * 5000}, "candidate": "城市"}}', TOO_LONG),
+    ('{"candidate": "城\udcff"}', "invalid UTF-8 (invalid start byte)"),
+], ids=["invalid-json", "not-an-object", "not-a-string", "no-field", "id-too-long", "not-utf8"])
 def test_eval_bad_line_names_file_and_line(tmp_path, line, message):
     candidates, references = tmp_path / "candidates.jsonl", tmp_path / "references.jsonl"
-    candidates.write_text('{"candidate": "城市交通"}\n\n' + line + "\n", encoding="utf-8")
+    candidates.write_text('{"candidate": "城市交通"}\n\n' + line + "\n", encoding="utf-8",
+                          errors="surrogateescape")  # "\udcff" is written as the byte 0xff
     references.write_text('{"summary": "城市"}\n{"summary": "交通"}\n', encoding="utf-8")
     with pytest.raises(ValueError) as err:
         main(["eval", "--candidates", str(candidates), "--references", str(references)])

@@ -418,8 +418,8 @@ def test_lexicon_load_parses_plain_files_in_bulk(tmp_path, monkeypatch):
            "\n".join(lines[:5] + [f"{word}\t+5"] + lines[5:])]
     path = tmp_path / "lexicon.tsv"
 
-    def no_line_reader(raw, source):
-        raise AssertionError(f"{source} went to the line reader")
+    def no_line_reader(raw):
+        raise AssertionError(f"{path} went to the line reader")
 
     monkeypatch.setattr(tokenizer, "_read_entries", no_line_reader)
     for text in plain:
