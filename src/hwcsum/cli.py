@@ -6,6 +6,7 @@ Stages exchange UTF-8 line-delimited JSON records with fields ``id``,
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -45,12 +46,15 @@ def _write_corpus(path, pairs):
         write_jsonl(pairs, f)
 
 
-def _pairs(path, part="I"):
+def _pairs(path, part="I", use=None):
     """The pairs of a dataset file (load_corpus_file); a count of the
-    malformed records it skipped, if any, goes to stderr."""
+    malformed records it skipped, if any, goes to stderr. Given what the
+    pairs are for (use), a file with no pairs is refused naming it."""
     pairs, issues, _ = load_corpus_file(path, part)
     if issues:
         print(f"{path}: skipped {len(issues)} malformed records", file=sys.stderr)
+    if use and not pairs:
+        raise ValueError(f"{path}: no pairs to {use}")
     return pairs
 
 
@@ -101,9 +105,7 @@ def _cmd_vocab(args):
     with _config_checks():
         Representation.check(name, args.lexicon)
     rep = Representation(name, args.lexicon)
-    corpus = _pairs(args.infile)
-    if not corpus:
-        raise ValueError(f"{args.infile}: no pairs to build a vocabulary from")
+    corpus = _pairs(args.infile, use="build a vocabulary from")
     field = args.field or ("text" if args.unit == "word" else "summary")
     attr = "short_text" if field == "text" else "summary"
     rows = TokenRows(rep.tokens(getattr(p, attr), word_segment) for p in corpus)
@@ -133,14 +135,10 @@ def _cmd_train(args):
     src_vocab = Vocabulary.load(args.src_vocab)
     tgt_vocab = Vocabulary.load(args.tgt_vocab)
 
-    pairs = _pairs(args.train)  # the training pairs, then the validation pairs
-    if not pairs:
-        raise ValueError(f"{args.train}: no pairs to train on")
+    pairs = _pairs(args.train, use="train on")  # the training pairs, then the validation pairs
     n_train = len(pairs)
     if args.valid:
-        pairs += _pairs(args.valid)
-        if len(pairs) == n_train:
-            raise ValueError(f"{args.valid}: no pairs to validate on")
+        pairs += _pairs(args.valid, use="validate on")
     src, tgt, n = rep.source_rows(pairs), summary_rows(pairs), len(pairs)
     del pairs  # training reads the token rows alone
     train_model_dir(Path(args.out), rep, src, tgt, range(n_train), range(n_train, n), src_vocab,
@@ -150,9 +148,7 @@ def _cmd_train(args):
 
 def _cmd_summarize(args):
     params, rep, src_vocab, tgt_vocab = load_model_dir(Path(args.model), args.lexicon)
-    pairs = _pairs(args.infile)
-    if not pairs:
-        raise ValueError(f"{args.infile}: no pairs to summarize")
+    pairs = _pairs(args.infile, use="summarize")
     ids, src = [p.id for p in pairs], rep.source_rows(pairs)
     del pairs  # the decodes read the ids and token rows alone
     with atomic_write(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
@@ -239,6 +235,14 @@ def _cmd_sweep(args):
     return 0 if all_ok else 1
 
 
+def _out_dir(text):
+    """An argparse type: an output directory, refused if the path names
+    anything else that exists."""
+    if os.path.lexists(text) and not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} exists and is not a directory")
+    return text
+
+
 def _setting(key, wrap=lambda value: value):
     """An argparse type: an integer that check_settings accepts as config
     key ``key`` (given as ``wrap(value)``), so the flag shares its range."""
@@ -317,7 +321,7 @@ def _train_arguments(p):
     p.add_argument("--representation", choices=REPRESENTATIONS)
     p.add_argument("--lexicon")
     p.add_argument("--seed", type=_setting("seeds", lambda seed: [seed]), default=0)
-    p.add_argument("--out", required=True, help="output model directory")
+    p.add_argument("--out", type=_out_dir, required=True, help="output model directory")
     p.set_defaults(func=_cmd_train)
 
 
@@ -341,7 +345,7 @@ def _eval_arguments(p):
 
 def _experiment_arguments(p):
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.add_argument("--seeds", type=_int_list, help="comma-separated override, e.g. 0,1,2,3,4")
     p.set_defaults(func=_cmd_experiment)
 
@@ -350,7 +354,7 @@ def _sweep_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--sizes", type=_int_list, required=True,
                    help="comma-separated distinct sizes, run in the order given")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.add_argument("--seeds", type=_int_list, help="comma-separated override")
     p.set_defaults(func=_cmd_sweep)
 

@@ -208,18 +208,28 @@ def _json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def json_loads(text: str):
+    """json.loads(text); JSON nested too deeply for the decoder's recursion
+    raises a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
+
+
 def json_lines(stream):
     """(line number, object) of each non-blank line of a JSON-lines text
     stream; a line that is not JSON, holds an integer too long for int() to
-    read or is not a JSON object raises a ParseError naming its line."""
+    read, is nested too deeply to read or is not a JSON object raises a
+    ParseError naming its line."""
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json_loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {line_no}: invalid JSON ({exc})") from None
-        except ValueError as exc:  # an integer with too many digits for int()
+        except ValueError as exc:  # too many digits for int(), or too deeply nested
             raise ParseError(f"line {line_no}: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(f"line {line_no}: expected a JSON object")

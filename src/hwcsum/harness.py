@@ -25,8 +25,8 @@ import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .corpus import (DocumentPair, ParseIssue, _json_int, atomic_write, filter_by_score, naming,
-                     parse_lcsts, read_jsonl, split_indices, write_rows)
+from .corpus import (DocumentPair, ParseIssue, _json_int, atomic_write, filter_by_score,
+                     json_loads, naming, parse_lcsts, read_jsonl, split_indices, write_rows)
 from .dedup import clean_part1
 from .model import ModelConfig, beam_search_batch, load_checkpoint, save_checkpoint, train
 from .rouge import METRICS, RougeScores, evaluate_corpus, mean_scores, scores_dict
@@ -56,7 +56,8 @@ def check_settings(settings: dict):
         if not (isinstance(value, str) or (name == "lexicon" and value is None)):
             raise ValueError(f"{name} must be a string, got {value!r}")
     run_name = settings.get("name", "run")
-    if run_name in ("", ".", "..") or os.path.isabs(run_name) or "/" in run_name or os.sep in run_name:
+    if (run_name in ("", ".", "..") or os.path.isabs(run_name)
+            or any(c in run_name for c in ("/", os.sep, "\0"))):
         raise ValueError(f"name must be one directory name inside the output directory, "
                          f"got {run_name!r}")
     if not isinstance(settings.get("seeds", []), list):
@@ -94,7 +95,7 @@ def read_config(path, keys, what: str, required=()) -> dict:
     """The JSON object in the config file at path, else a ParseError naming it; a
     ValueError refuses any other JSON value, a key outside keys and a missing required key."""
     with naming(path), open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+        raw = json_loads(f.read())
     if not isinstance(raw, dict):
         raise ValueError(f"{what} config must be a JSON object, got {raw!r}")
     unknown, missing = set(raw) - set(keys), set(required) - set(raw)
@@ -213,7 +214,7 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
     meta.json records, or lacks, names it."""
     path = model_dir / "meta.json"
     with naming(path):
-        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta = json_loads(path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict) or "representation" not in meta:
             raise ValueError(f"expected a JSON object with a representation, got {meta!r}")
         for key in ("lexicon", "lexicon_sha256", "src_vocab_sha256", "tgt_vocab_sha256"):
@@ -225,7 +226,10 @@ def load_model_dir(model_dir: Path, lexicon_path=None):
         raise FileNotFoundError(f"{path}: the lexicon it records is not at {lexicon}; "
                                 "pass --lexicon")
     rep = Representation(meta["representation"], lexicon)
-    rep.check_lexicon(meta.get("lexicon_sha256"))
+    trained = meta.get("lexicon_sha256")
+    if rep.lexicon and trained and trained != rep.lexicon_sha256:
+        raise ValueError(f"lexicon {rep.lexicon_path} has sha256 {rep.lexicon_sha256}, but the "
+                         f"model was trained with a lexicon of sha256 {trained}")
     params = load_checkpoint(model_dir / "model.npz")
     vocabs = []
     for name, size in [("src_vocab", params.config.src_vocab_size),

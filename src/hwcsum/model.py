@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import atomic_write, keep_heap
+from .corpus import atomic_write, json_loads, keep_heap
 from .numerics import Adagrad, Tape, Tensor, init_uniform, log_softmax
 from .rng import MT19937
 from .tokenizer import BOS, EOS, PAD, EncodedPair
@@ -142,8 +142,11 @@ def _decode(tape: Tape, params: ModelParams, prev, state: Tensor, enc: Tensor,
 
 
 def _pad(seqs):
-    """Time-major (T, B) matrix of padded id lists and its 0/1 mask."""
-    ids = np.zeros((max(len(s) for s in seqs), len(seqs)), dtype=np.int64)
+    """Time-major (T, B) matrix of padded id lists and its 0/1 mask; refuses an empty list."""
+    lens = [len(s) for s in seqs]
+    if not min(lens):
+        raise ValueError("cannot encode an empty source sequence")
+    ids = np.zeros((max(lens), len(seqs)), dtype=np.int64)
     mask = np.zeros(ids.shape)
     for b, s in enumerate(seqs):
         ids[:len(s), b] = s
@@ -183,8 +186,6 @@ def batch_loss(pairs: list[EncodedPair], params: ModelParams, *, tape: Tape | No
     tape = tape if tape is not None else Tape(recording=False)
     if not pairs:
         raise ValueError("batch_loss needs at least one pair")
-    if any(not p.src_ids for p in pairs):
-        raise ValueError("cannot encode an empty source sequence")
     if any(len(p.tgt_ids) < 2 for p in pairs):
         raise ValueError("a target needs at least one token after <s>")
     cfg = params.config
@@ -212,8 +213,6 @@ def encode_sequence(src_ids, params: ModelParams):
 
     states is a list with one (H,) tensor per source position.
     """
-    if not src_ids:
-        raise ValueError("cannot encode an empty source sequence")
     src, mask = _pad([src_ids])
     enc, _ = _encode(Tape(recording=False), params, src, mask)
     states = [Tensor(r) for r in enc.data[:, 0]]
@@ -329,8 +328,6 @@ def _search(sources, params: ModelParams, beam_width: int,
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if any(not s for s in sources):
-        raise ValueError("cannot encode an empty source sequence")
     if not sources:
         return []
     tape = Tape(recording=False)
@@ -484,7 +481,7 @@ def load_checkpoint(path) -> ModelParams:
                 raise ValueError("not an npz archive")
             f.seek(0)
             with np.load(f, allow_pickle=False) as archive:
-                meta = json.loads(str(archive["__meta__"]))
+                meta = json_loads(str(archive["__meta__"]))
                 if meta.get("format_version") != CHECKPOINT_VERSION:
                     raise ValueError(f"unsupported checkpoint version "
                                      f"{meta.get('format_version')}: "

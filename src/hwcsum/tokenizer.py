@@ -368,13 +368,6 @@ class Representation:
         """The source TokenRows of pairs."""
         return TokenRows(self.tokens(p.short_text) for p in pairs)
 
-    def check_lexicon(self, trained_sha256: str | None):
-        """Refuse a lexicon other than the one a model was trained with;
-        accept any when no hash was recorded or no lexicon is used."""
-        if self.lexicon and trained_sha256 and trained_sha256 != self.lexicon_sha256:
-            raise ValueError(f"lexicon {self.lexicon_path} has sha256 {self.lexicon_sha256}, but the "
-                             f"model was trained with a lexicon of sha256 {trained_sha256}")
-
 
 def load_representations(names, lexicon_path=None) -> tuple[list[Representation], str | None]:
     """One Representation per name, sharing one load of the lexicon, and its

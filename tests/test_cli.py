@@ -207,6 +207,8 @@ NAME_REFUSED = "name must be one directory name inside the output directory, got
 # what Python says of an integer of 5,000 digits
 TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
             "use sys.set_int_max_str_digits() to increase the limit")
+# how JSON nested deeper than the decoder's recursion reaches is refused
+NESTED = "JSON nested too deeply to read"
 
 
 def _in_tmp(text: str, tmp_path) -> str:
@@ -286,11 +288,12 @@ def _record_corpus_reads(monkeypatch):
     ({"name": "../beside"}, NAME_REFUSED + "'../beside'"),
     ({"name": "{tmp}/elsewhere"}, NAME_REFUSED + "'{tmp}/elsewhere'"),
     ({"name": "runs/nested"}, NAME_REFUSED + "'runs/nested'"),
+    ({"name": "run\0x"}, NAME_REFUSED + "'run\\x00x'"),
 ], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
         "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "encoder-vocab-size",
         "hidden-dim", "dropout", "embed-dim-type", "model-seed", "lexicon-type", "name-type",
         "part-type", "seeds-type", "representation-type", "name-empty", "name-dot-dot",
-        "name-parent", "name-absolute", "name-nested"])
+        "name-parent", "name-absolute", "name-nested", "name-nul"])
 def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path, capsys,
                                                           monkeypatch, change, message):
     opened = _record_corpus_reads(monkeypatch)
@@ -359,6 +362,32 @@ def test_numeric_flag_out_of_range_is_refused_before_any_input_is_read(
     out = ["--valid-out", "{d}/out_valid"] if argv[0] == "split" else ["--out", "{d}/out"]
     _assert_usage_error(capsys, [a.format(d=d) for a in argv + out], f"argument {message}")
     assert opened == [] and not list(d.glob("out*"))
+
+
+def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(tiny_dataset, capsys,
+                                                                   monkeypatch):
+    """train, experiment and sweep refuse an --out that exists and is no
+    directory as a usage error naming it, and leave the file as it was."""
+    d = tiny_dataset
+    assert main(["vocab", "--unit", "char", "--in", str(d / "part1.txt"),
+                 "--out", str(d / "vocab.txt")]) == 0
+    (d / "train.json").write_text(json.dumps({"epochs": 1, "model": {"embed_dim": 4,
+                                                                     "hidden_dim": 4}}))
+    (d / "exp.json").write_text(json.dumps({"name": "x", "part1": str(d / "part1.txt"),
+                                            "part3": str(d / "part3.txt"),
+                                            "representation": "char_char"}))
+    out = d / "taken.txt"
+    out.write_text("kept\n", encoding="utf-8")
+    opened = _record_corpus_reads(monkeypatch)
+    capsys.readouterr()
+    for argv in (["train", "--config", str(d / "train.json"), "--train", str(d / "part1.txt"),
+                  "--src-vocab", str(d / "vocab.txt"), "--tgt-vocab", str(d / "vocab.txt"),
+                  "--representation", "char_char"],
+                 ["experiment", "--config", str(d / "exp.json")],
+                 ["sweep", "--config", str(d / "exp.json"), "--sizes", "5"]):
+        _assert_usage_error(capsys, [*argv, "--out", str(out)],
+                            f"argument --out: {out} exists and is not a directory")
+    assert opened == [] and out.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("labels, change, message", [
@@ -450,7 +479,8 @@ def test_cli_data_errors_still_raise(tiny_dataset, tmp_path):
 @pytest.mark.parametrize("text, message", [
     ('{"name": "data",\n"part1": "\udcff"}', "line 2: invalid UTF-8 (invalid start byte)"),
     (f'{{"name": "data", "seeds": [{"9" * 5000}]}}', TOO_LONG),
-], ids=["not-utf8", "integer-too-long"])
+    ("[" * 100_000, NESTED),
+], ids=["not-utf8", "integer-too-long", "nested-too-deep"])
 def test_a_config_that_cannot_be_read_is_a_data_error(tmp_path, capsys, text, message):
     """Not a usage error: it raises a ParseError naming the config, prints no
     usage, and nothing is written."""
@@ -934,7 +964,9 @@ def test_summarize_refuses_a_file_with_no_pairs_naming_it(word_char_model):
     ('{"lexicon": null}', "expected a JSON object with a representation, got {'lexicon': None}"),
     (f'{{"representation": {"9" * 5000}}}', TOO_LONG),
     ('{\n"representation": "\udcff"}', "line 2: invalid UTF-8 (invalid start byte)"),
-], ids=["invalid-json", "not-an-object", "no-representation", "integer-too-long", "not-utf8"])
+    ("[" * 100_000, NESTED),
+], ids=["invalid-json", "not-an-object", "no-representation", "integer-too-long", "not-utf8",
+        "nested-too-deep"])
 def test_summarize_refuses_a_broken_meta_json_naming_it(tmp_path, text, message):
     # surrogateescape writes each lone surrogate \udcXX as the byte 0xXX, which is not UTF-8
     (tmp_path / "meta.json").write_text(text, encoding="utf-8", errors="surrogateescape")
@@ -1252,7 +1284,9 @@ def test_summarize_a_sweep_seed_from_another_directory(tmp_path, synthetic_dir, 
     ('{"id": 3, "text": "城市"}', "none of ('candidate', 'summary') present"),
     (f'{{"id": {"9" * 5000}, "candidate": "城市"}}', TOO_LONG),
     ('{"candidate": "城\udcff"}', "invalid UTF-8 (invalid start byte)"),
-], ids=["invalid-json", "not-an-object", "not-a-string", "no-field", "id-too-long", "not-utf8"])
+    ("[" * 100_000, NESTED),
+], ids=["invalid-json", "not-an-object", "not-a-string", "no-field", "id-too-long", "not-utf8",
+        "nested-too-deep"])
 def test_eval_bad_line_names_file_and_line(tmp_path, line, message):
     candidates, references = tmp_path / "candidates.jsonl", tmp_path / "references.jsonl"
     candidates.write_text('{"candidate": "城市交通"}\n\n' + line + "\n", encoding="utf-8",

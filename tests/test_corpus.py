@@ -88,6 +88,8 @@ def test_jsonl_round_trip():
                  id="id-too-long"),
     pytest.param(f'{{"id": 1, "text": "a", "summary": "b", "label": {"1" * 5000}}}',
                  "Exceeds the limit", id="label-too-long"),
+    # json.loads raises a RecursionError past its nesting depth
+    pytest.param("[" * 100_000, "JSON nested too deeply to read", id="nested-too-deep"),
 ])
 def test_jsonl_bad_record_names_its_line(line, message):
     good = '{"id": 0, "text": "t", "summary": "s"}\n'

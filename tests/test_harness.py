@@ -599,3 +599,29 @@ def test_a_diverged_run_is_refused_and_saves_no_model_dir(tmp_path):
         harness.train_model_dir(out, tokenizer.Representation("char_char"), src, tgt, rows, [],
                                 src_vocab, tgt_vocab, 3, settings)
     assert not out.exists()
+
+
+def test_load_model_dir_checks_a_recorded_lexicon_hash(tmp_path):
+    """No hash recorded: any lexicon loads; the lexicon it was trained with
+    loads; another is refused, naming it and both hashes."""
+    lexicon, other = tmp_path / "lexicon.tsv", tmp_path / "other.tsv"
+    lexicon.write_text("城市\t5\n交通\t3\n", encoding="utf-8")
+    other.write_text("城市\t5\n", encoding="utf-8")
+    rows = tokenizer.TokenRows([["城", "市"]])
+    vocab = tokenizer.rank_vocab(rows, range(1))
+    params = model.init_params(model.ModelConfig(src_vocab_size=len(vocab),
+                                                 tgt_vocab_size=len(vocab), embed_dim=2,
+                                                 hidden_dim=2))
+    out = tmp_path / "model"
+    harness.save_model_dir(out, params, tokenizer.Representation("word_char", lexicon), vocab,
+                           vocab, [])
+    trained = hashlib.sha256(lexicon.read_bytes()).hexdigest()
+    assert load_model_dir(out)[1].lexicon_sha256 == trained
+    with pytest.raises(ValueError) as err:
+        load_model_dir(out, other)
+    assert str(err.value) == (f"lexicon {other} has sha256 "
+                              f"{hashlib.sha256(other.read_bytes()).hexdigest()}, but the model "
+                              f"was trained with a lexicon of sha256 {trained}")
+    meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+    (out / "meta.json").write_text(json.dumps({**meta, "lexicon_sha256": None}), encoding="utf-8")
+    assert load_model_dir(out, other)[1].lexicon_path == other

@@ -82,9 +82,17 @@ def test_fused_params_equal_the_per_gate_reference_init(cfg):
 # ---- encoder ----------------------------------------------------------------
 
 
-def test_encode_empty_source_errors():
-    with pytest.raises(ValueError):
-        encode_sequence([], rand_params(0))
+@pytest.mark.parametrize("call", [
+    lambda params: batch_loss([EncodedPair([4], [BOS, 5, EOS]), EncodedPair([], [BOS, 5, EOS])],
+                              params),
+    lambda params: sequence_loss(EncodedPair([], [BOS, 5, EOS]), params),
+    lambda params: encode_sequence([], params),
+    lambda params: beam_search_batch([[4], []], params, 3),
+    lambda params: greedy_decode([], params),
+], ids=["batch_loss", "sequence_loss", "encode_sequence", "beam_search_batch", "greedy_decode"])
+def test_an_empty_source_is_refused(call):
+    with pytest.raises(ValueError, match="^cannot encode an empty source sequence$"):
+        call(rand_params(0))
 
 
 def test_encode_length_one_matches_manual_cell():
@@ -519,6 +527,7 @@ def test_unreadable_checkpoints_are_value_errors_naming_the_file(tmp_path):
         "text.npz": b"not a checkpoint\n",
         "no_meta.npz": {"src_emb": np.zeros(2)},
         "bad_json.npz": {"__meta__": "{not json"},
+        "deep_json.npz": {"__meta__": "[" * 100_000},
         "short_config.npz": {"__meta__": json.dumps({"format_version": 2, "config": config})},
     }
     for name, content in cases.items():

@@ -788,13 +788,3 @@ def test_lexicon_skips_one_leading_byte_order_mark(tmp_path, content):
     # only one mark is skipped: a second is part of the word
     path.write_bytes(("\ufeff" + content).encode("utf-8"))
     assert Lexicon.from_file(path).count("\ufeffab") == 3
-
-
-def test_representation_checks_a_recorded_lexicon_hash(tmp_path):
-    path = _lexicon_file(tmp_path)
-    rep = Representation("word_char", path)
-    rep.check_lexicon(None)  # nothing recorded: any lexicon
-    rep.check_lexicon(hashlib.sha256(path.read_bytes()).hexdigest())
-    with pytest.raises(ValueError) as err:
-        rep.check_lexicon("0" * 64)
-    assert "0" * 64 in str(err.value) and rep.lexicon_sha256 in str(err.value)
