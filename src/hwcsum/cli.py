@@ -200,9 +200,13 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _experiment_config(args):
+def _experiment_config(args, suffixes=("",)):
+    """The config of experiment or sweep with --seeds applied. A config check
+    refuses it, as does a file in the way of a run directory <out>/<name><suffix>."""
     with _config_checks():
         cfg = ExperimentConfig.from_file(args.config)
+        for suffix in suffixes:
+            _refuse_blocked(Path(args.out) / f"{cfg.name}{suffix}", ValueError)
         return replace(cfg, seeds=args.seeds) if args.seeds else cfg
 
 
@@ -221,7 +225,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_sweep(args):
-    cfg = _experiment_config(args)
+    cfg = _experiment_config(args, [f"-vocab{size}" for size in args.sizes])
     with _config_checks():
         check_sweep_sizes(args.sizes)
     table, all_ok = sweep_vocab(cfg, args.sizes, args.out)
@@ -235,11 +239,19 @@ def _cmd_sweep(args):
     return 0 if all_ok else 1
 
 
+def _refuse_blocked(path, error):
+    """Raise error naming the nearest path at or above path that exists, if
+    it is no directory: a directory cannot be made at path then."""
+    for p in (Path(path), *Path(path).parents):
+        if os.path.lexists(p):
+            if not os.path.isdir(p):
+                raise error(f"{p} exists and is not a directory")
+            return
+
+
 def _out_dir(text):
-    """An argparse type: an output directory, refused if the path names
-    anything else that exists."""
-    if os.path.lexists(text) and not os.path.isdir(text):
-        raise argparse.ArgumentTypeError(f"{text} exists and is not a directory")
+    """An argparse type: an output directory that can be made or exists."""
+    _refuse_blocked(text, argparse.ArgumentTypeError)
     return text
 
 

@@ -282,6 +282,7 @@ def _record_corpus_reads(monkeypatch):
     ({"name": 5}, "name must be a string, got 5"),
     ({"part3": ["part3.txt"]}, "part3 must be a string, got ['part3.txt']"),
     ({"seeds": 5}, "seeds must be a list, got 5"),
+    ({"model": [4]}, "model must be a JSON object, got [4]"),
     ({"representation": 5}, "unknown representation 5; expected one of ('char_char', 'word_char')"),
     ({"name": ""}, NAME_REFUSED + "''"),
     ({"name": ".."}, NAME_REFUSED + "'..'"),
@@ -292,8 +293,8 @@ def _record_corpus_reads(monkeypatch):
 ], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
         "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "encoder-vocab-size",
         "hidden-dim", "dropout", "embed-dim-type", "model-seed", "lexicon-type", "name-type",
-        "part-type", "seeds-type", "representation-type", "name-empty", "name-dot-dot",
-        "name-parent", "name-absolute", "name-nested", "name-nul"])
+        "part-type", "seeds-type", "model-type", "representation-type", "name-empty",
+        "name-dot-dot", "name-parent", "name-absolute", "name-nested", "name-nul"])
 def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path, capsys,
                                                           monkeypatch, change, message):
     opened = _record_corpus_reads(monkeypatch)
@@ -333,6 +334,8 @@ def test_train_config_value_is_refused_before_any_input_is_read(word_char_model,
 @pytest.mark.parametrize("argv, message", [
     (["vocab", "--unit", "char", "--max-size", "0", "--in", "{d}/part1.txt"],
      "--max-size: encoder_vocab_size must be an integer >= 1, got 0"),
+    (["vocab", "--unit", "char", "--max-size", "x", "--in", "{d}/part1.txt"],
+     "--max-size: invalid int value: 'x'"),
     (["vocab", "--unit", "char", "--min-count", "0", "--in", "{d}/part1.txt"],
      "--min-count: vocab_min_count must be an integer >= 1, got 0"),
     (["filter", "--min-score", "9", "--in", "{d}/part3.txt"],
@@ -350,9 +353,9 @@ def test_train_config_value_is_refused_before_any_input_is_read(word_char_model,
     (["train", "--seed", "4294967296", "--config", "{d}/train.json", "--train", "{d}/part1.txt",
       "--src-vocab", "{d}/v", "--tgt-vocab", "{d}/v", "--representation", "char_char"],
      "--seed: seeds must be in [0, 2**32), got [4294967296]"),
-], ids=["vocab-max-size", "vocab-min-count", "filter-min-score", "split-n-validation",
-        "split-seed-negative", "split-seed-too-large", "clean-max-suffix-delta", "summarize-beam",
-        "train-seed"])
+], ids=["vocab-max-size", "vocab-max-size-not-an-integer", "vocab-min-count",
+        "filter-min-score", "split-n-validation", "split-seed-negative", "split-seed-too-large",
+        "clean-max-suffix-delta", "summarize-beam", "train-seed"])
 def test_numeric_flag_out_of_range_is_refused_before_any_input_is_read(
         tiny_dataset, capsys, monkeypatch, argv, message):
     # summarize --max-len: test_summarize_refuses_a_negative_max_len
@@ -366,8 +369,10 @@ def test_numeric_flag_out_of_range_is_refused_before_any_input_is_read(
 
 def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(tiny_dataset, capsys,
                                                                    monkeypatch):
-    """train, experiment and sweep refuse an --out that exists and is no
-    directory as a usage error naming it, and leave the file as it was."""
+    """train, experiment and sweep refuse an output directory that a file
+    keeps from being made (--out itself, a path above it, or a run directory
+    <out>/<name> or <out>/<name>-vocab<size>) as a usage error naming the
+    file, and leave the file as it was; an existing --out directory is accepted."""
     d = tiny_dataset
     assert main(["vocab", "--unit", "char", "--in", str(d / "part1.txt"),
                  "--out", str(d / "vocab.txt")]) == 0
@@ -376,18 +381,29 @@ def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(tiny_dataset,
     (d / "exp.json").write_text(json.dumps({"name": "x", "part1": str(d / "part1.txt"),
                                             "part3": str(d / "part3.txt"),
                                             "representation": "char_char"}))
-    out = d / "taken.txt"
-    out.write_text("kept\n", encoding="utf-8")
+    runs = d / "runs"
+    runs.mkdir()
+    taken = [d / "taken.txt", runs / "x", runs / "x-vocab6"]
+    for path in taken:
+        path.write_text("kept\n", encoding="utf-8")
     opened = _record_corpus_reads(monkeypatch)
     capsys.readouterr()
-    for argv in (["train", "--config", str(d / "train.json"), "--train", str(d / "part1.txt"),
-                  "--src-vocab", str(d / "vocab.txt"), "--tgt-vocab", str(d / "vocab.txt"),
-                  "--representation", "char_char"],
-                 ["experiment", "--config", str(d / "exp.json")],
-                 ["sweep", "--config", str(d / "exp.json"), "--sizes", "5"]):
+    train = ["train", "--config", str(d / "train.json"), "--train", str(d / "part1.txt"),
+             "--src-vocab", str(d / "vocab.txt"), "--tgt-vocab", str(d / "vocab.txt"),
+             "--representation", "char_char"]
+    experiment = ["experiment", "--config", str(d / "exp.json")]
+    sweep = ["sweep", "--config", str(d / "exp.json"), "--sizes", "5,6"]
+    for argv, out, message in (
+            (train, taken[0], f"argument --out: {taken[0]}"),
+            (experiment, taken[0], f"argument --out: {taken[0]}"),
+            (sweep, taken[0], f"argument --out: {taken[0]}"),
+            (train, taken[0] / "m", f"argument --out: {taken[0]}"),
+            (experiment, taken[0] / "m", f"argument --out: {taken[0]}"),
+            (experiment, runs, str(taken[1])),
+            (sweep, runs, str(taken[2]))):
         _assert_usage_error(capsys, [*argv, "--out", str(out)],
-                            f"argument --out: {out} exists and is not a directory")
-    assert opened == [] and out.read_text(encoding="utf-8") == "kept\n"
+                            f"{message} exists and is not a directory")
+    assert opened == [] and [p.read_text(encoding="utf-8") for p in taken] == ["kept\n"] * 3
 
 
 @pytest.mark.parametrize("labels, change, message", [
@@ -638,6 +654,32 @@ def test_cli_sweep_reports_failed_cells_on_stderr(tiny_dataset, tmp_path, capsys
     assert [line for line in captured.err.splitlines() if "failed" in line] == [
         "size 5 char_char: failed", "size 5 word_char: failed",
         "size 3 char_char: failed", "size 3 word_char: failed"]
+
+
+def test_cli_experiment_reports_failed_representations_on_stderr(tiny_dataset, tmp_path, capsys,
+                                                                 monkeypatch):
+    """A representation whose seeds all failed is one line on stderr and the
+    exit status is 1; an existing run directory is written into, not refused."""
+    d = tiny_dataset
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "name": "ex", "part1": str(d / "part1.txt"), "part3": str(d / "part3.txt"),
+        "lexicon": str(d / "lexicon.tsv"), "n_validation": 3, "epochs": 1,
+        "model": {"embed_dim": 8, "hidden_dim": 8},
+    }))
+    (tmp_path / "runs" / "ex").mkdir(parents=True)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("training failed")
+
+    monkeypatch.setattr(harness, "train", fail)
+    assert main(["experiment", "--config", str(cfg_path), "--seeds", "0",
+                 "--out", str(tmp_path / "runs")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["char_char: all seeds failed",
+                                         "word_char: all seeds failed"]
+    assert (tmp_path / "runs" / "ex" / "report.json").exists()
 
 
 @pytest.fixture

@@ -241,6 +241,12 @@ def test_strict_mode_raises():
         parse_lcsts(io.StringIO(text), "I", strict=True)
 
 
+def test_parse_lcsts_refuses_an_unknown_part():
+    with pytest.raises(ValueError) as err:
+        parse_lcsts(io.StringIO(SINGLE_BLOCK), "IV")
+    assert str(err.value) == "part must be one of ('I', 'II', 'III'), got 'IV'"
+
+
 def test_labeled_part_requires_label():
     text = "<doc id=0>\n<summary>a</summary>\n<short_text>b</short_text>\n</doc>\n"
     part, issues = parse_lcsts(io.StringIO(text), "III")

@@ -95,6 +95,13 @@ def test_an_empty_source_is_refused(call):
         call(rand_params(0))
 
 
+@pytest.mark.parametrize("src, tgt", [(4, 6), (6, 4)], ids=["source", "target"])
+def test_a_vocabulary_of_the_specials_alone_is_refused(src, tgt):
+    with pytest.raises(ValueError) as err:
+        tiny_config(src=src, tgt=tgt)
+    assert str(err.value) == "vocabulary sizes must be at least 5 (4 specials + 1)"
+
+
 def test_encode_length_one_matches_manual_cell():
     params = rand_params(3)
     states, final = encode_sequence([4], params)

@@ -4,7 +4,8 @@ import math
 import pytest
 
 from hwcsum.rng import MT19937
-from hwcsum.rouge import METRICS, evaluate_corpus, lcs_length, ngram_counts, rouge_l, rouge_n
+from hwcsum.rouge import (METRICS, evaluate_corpus, lcs_length, ngram_counts, rouge_l, rouge_n,
+                          score_pair)
 from oracles import brute_force_lcs, dp_lcs_length
 
 
@@ -162,3 +163,13 @@ def test_evaluate_corpus_word_unit():
 def test_evaluate_corpus_length_mismatch():
     with pytest.raises(ValueError):
         evaluate_corpus(["a"], ["a", "b"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: score_pair("ab", "ab", unit="byte"), "unit must be 'char' or 'word', got 'byte'"),
+    (lambda: evaluate_corpus([], []), "nothing to evaluate"),
+], ids=["unknown-unit", "no-pairs"])
+def test_scoring_refuses_what_it_cannot_score(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

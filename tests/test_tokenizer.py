@@ -606,6 +606,8 @@ def test_vocab_load_structure_errors_name_the_file(tmp_path):
     # built directly, with no file, the errors read as before
     with pytest.raises(ValueError, match="^duplicate token in vocabulary$"):
         Vocabulary(list(tokenizer.SPECIAL_TOKENS) + ["词", "词"], [0] * 6)
+    with pytest.raises(ValueError, match="^tokens and counts length mismatch$"):
+        Vocabulary(list(tokenizer.SPECIAL_TOKENS) + ["词"], [0] * 4)
 
 
 def test_vocab_file_round_trip_and_determinism(tmp_path):
