@@ -6,7 +6,6 @@ Stages exchange UTF-8 line-delimited JSON records with fields ``id``,
 
 import argparse
 import contextlib
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -14,9 +13,9 @@ from pathlib import Path
 from .corpus import (ParseError, atomic_write, filter_by_score, json_lines, naming, parse_lcsts,
                      split_train_validation, write_jsonl, write_rows)
 from .dedup import clean_part1
-from .harness import (TRAIN_SETTINGS, ExperimentConfig, check_settings, check_sweep_sizes,
-                      load_corpus_file, load_model_dir, read_config, run_experiment, sweep_vocab,
-                      train_model_dir, write_decodes)
+from .harness import (TRAIN_SETTINGS, ExperimentConfig, check_outputs, check_run_outputs,
+                      check_settings, check_sweep_sizes, load_corpus_file, load_model_dir,
+                      read_config, run_experiment, sweep_vocab, train_model_dir, write_decodes)
 from .rouge import METRICS, evaluate_corpus, scores_dict
 from .tokenizer import (REPRESENTATIONS, Representation, TokenRows, Vocabulary, rank_vocab,
                         summary_rows, word_segment)
@@ -200,14 +199,16 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _experiment_config(args, suffixes=("",)):
-    """The config of experiment or sweep with --seeds applied. A config check
-    refuses it, as does a file in the way of a run directory <out>/<name><suffix>."""
+def _experiment_config(args, sizes=None):
+    """The config of experiment, or given sizes of sweep, with --seeds applied. A
+    config check refuses it, as does check_outputs one of the run's output paths."""
     with _config_checks():
         cfg = ExperimentConfig.from_file(args.config)
-        for suffix in suffixes:
-            _refuse_blocked(Path(args.out) / f"{cfg.name}{suffix}", ValueError)
-        return replace(cfg, seeds=args.seeds) if args.seeds else cfg
+        cfg = replace(cfg, seeds=args.seeds) if args.seeds else cfg
+        if sizes is not None:
+            check_sweep_sizes(sizes)
+        check_run_outputs(cfg, args.out, sizes)
+    return cfg
 
 
 def _mean_f1(label, mean):
@@ -225,10 +226,7 @@ def _cmd_experiment(args):
 
 
 def _cmd_sweep(args):
-    cfg = _experiment_config(args, [f"-vocab{size}" for size in args.sizes])
-    with _config_checks():
-        check_sweep_sizes(args.sizes)
-    table, all_ok = sweep_vocab(cfg, args.sizes, args.out)
+    table, all_ok = sweep_vocab(_experiment_config(args, args.sizes), args.sizes, args.out)
     for row in table:
         for representation, cell in row["runs"].items():
             label = f"size {row['requested_size']} {representation}"
@@ -237,22 +235,6 @@ def _cmd_sweep(args):
             else:
                 print(_mean_f1(label, cell["mean_scores"]))
     return 0 if all_ok else 1
-
-
-def _refuse_blocked(path, error):
-    """Raise error naming the nearest path at or above path that exists, if
-    it is no directory: a directory cannot be made at path then."""
-    for p in (Path(path), *Path(path).parents):
-        if os.path.lexists(p):
-            if not os.path.isdir(p):
-                raise error(f"{p} exists and is not a directory")
-            return
-
-
-def _out_dir(text):
-    """An argparse type: an output directory that can be made or exists."""
-    _refuse_blocked(text, argparse.ArgumentTypeError)
-    return text
 
 
 def _setting(key, wrap=lambda value: value):
@@ -278,14 +260,14 @@ def _parse_arguments(p):
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write skipped-record report (JSONL)")
     p.add_argument("--strict", action="store_true", help="fail on the first malformed record")
-    p.set_defaults(func=_cmd_parse)
+    p.set_defaults(func=_cmd_parse, output_files=("out", "report"))
 
 
 def _filter_arguments(p):
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--min-score", type=_setting("min_score"), default=ExperimentConfig.min_score)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_filter)
+    p.set_defaults(func=_cmd_filter, output_files=("out",))
 
 
 def _split_arguments(p):
@@ -295,7 +277,7 @@ def _split_arguments(p):
     p.add_argument("--seed", type=_setting("seeds", lambda seed: [seed]), default=0)
     p.add_argument("--train-out", required=True)
     p.add_argument("--valid-out", required=True)
-    p.set_defaults(func=_cmd_split)
+    p.set_defaults(func=_cmd_split, output_files=("train_out", "valid_out"))
 
 
 def _clean_arguments(p):
@@ -305,7 +287,7 @@ def _clean_arguments(p):
                    default=ExperimentConfig.max_suffix_delta)
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="write removal ledger (JSONL)")
-    p.set_defaults(func=_cmd_clean)
+    p.set_defaults(func=_cmd_clean, output_files=("out", "report"))
 
 
 def _vocab_arguments(p):
@@ -319,7 +301,7 @@ def _vocab_arguments(p):
     p.add_argument("--lexicon", help="word-count file for the word unit")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_vocab)
+    p.set_defaults(func=_cmd_vocab, output_files=("out",))
 
 
 def _train_arguments(p):
@@ -333,8 +315,8 @@ def _train_arguments(p):
     p.add_argument("--representation", choices=REPRESENTATIONS)
     p.add_argument("--lexicon")
     p.add_argument("--seed", type=_setting("seeds", lambda seed: [seed]), default=0)
-    p.add_argument("--out", type=_out_dir, required=True, help="output model directory")
-    p.set_defaults(func=_cmd_train)
+    p.add_argument("--out", required=True, help="model directory to write, absent or empty")
+    p.set_defaults(func=_cmd_train, output_dirs=("out",))
 
 
 def _summarize_arguments(p):
@@ -344,7 +326,7 @@ def _summarize_arguments(p):
     p.add_argument("--max-len", type=_setting("model", lambda n: {"max_decode_len": n}))
     p.add_argument("--lexicon")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_summarize)
+    p.set_defaults(func=_cmd_summarize, output_files=("out",))
 
 
 def _eval_arguments(p):
@@ -352,12 +334,12 @@ def _eval_arguments(p):
     p.add_argument("--references", required=True)
     p.add_argument("--unit", choices=["char", "word"], default="char")
     p.add_argument("--report")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, output_files=("report",))
 
 
 def _experiment_arguments(p):
     p.add_argument("--config", required=True)
-    p.add_argument("--out", type=_out_dir, required=True)
+    p.add_argument("--out", required=True, help="holds the run directory <name>: absent or empty")
     p.add_argument("--seeds", type=_int_list, help="comma-separated override, e.g. 0,1,2,3,4")
     p.set_defaults(func=_cmd_experiment)
 
@@ -366,7 +348,8 @@ def _sweep_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--sizes", type=_int_list, required=True,
                    help="comma-separated distinct sizes, run in the order given")
-    p.add_argument("--out", type=_out_dir, required=True)
+    p.add_argument("--out", required=True, help="holds <name>-sweep.json and the run "
+                   "directories <name>-vocab<size>, each absent or empty")
     p.add_argument("--seeds", type=_int_list, help="comma-separated override")
     p.set_defaults(func=_cmd_sweep)
 
@@ -418,6 +401,9 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     parser, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
+        with _config_checks():  # experiment and sweep check their run paths once the config is read
+            check_outputs(*([getattr(args, dest) for dest in getattr(args, kind, ())]
+                            for kind in ("output_files", "output_dirs")))
         return args.func(args)
     except _Refused as e:
         parser.error(str(e))

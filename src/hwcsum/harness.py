@@ -4,10 +4,10 @@ One experiment = for each representation (char/char baseline or hybrid
 word/char) and each seed: split the training pool, build vocabularies
 from the training split, train the attentional encoder-decoder,
 beam-decode the score-filtered test set, and score with character
-ROUGE. Each seed directory ``<out>/<name>/<representation>/seed<k>/`` is
-a model directory plus its candidates and scores, and the report is
-``<out>/<name>/report.json``. Failed seeds are recorded, with their
-traceback in ``seed<k>/error.txt``, and skipped in the means. A run reads,
+ROUGE, into a run directory ``<out>/<name>/`` that is absent or empty:
+each ``<representation>/seed<k>/`` is a model directory plus candidates
+and scores, and ``report.json`` is written last. A failed seed is recorded,
+its traceback in ``seed<k>/error.txt``, and skipped in the means. A run reads,
 dedups and tokenizes its inputs once, before any seed trains; a sweep
 over encoder vocabulary sizes runs each size as one experiment on them.
 """
@@ -188,6 +188,23 @@ def _tokenize(reps: list[Representation], pool: list[DocumentPair], test: list[D
     return [(rep, (rep.source_rows(pool), pool_tgt, test, rep.source_rows(test))) for rep in reps]
 
 
+def check_outputs(files=(), dirs=()):
+    """Raise ValueError naming the path unless each run or model directory is absent or
+    empty, the nearest existing path above it a directory, and each output file (None: not
+    written) is no directory, in an existing directory or in the parent of one of dirs."""
+    for path in map(Path, dirs):
+        existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            raise ValueError(f"{existing} exists and is not a directory")
+        if existing == path and os.listdir(path):
+            raise ValueError(f"{path} is not empty; it must be absent or empty")
+    for path in (Path(p) for p in files if p is not None):
+        if path.is_dir():
+            raise ValueError(f"{path} is a directory")
+        if not (path.parent.is_dir() or path.parent in {Path(d).parent for d in dirs}):
+            raise ValueError(f"{path}: its directory {path.parent} does not exist")
+
+
 def save_model_dir(out: Path, params, rep: Representation, src_vocab, tgt_vocab, history):
     """Write the checkpoint, vocabularies, meta.json and train log into out,
     each atomically. meta.json names the lexicon by its path relative to
@@ -350,8 +367,8 @@ def _prepare(cfg: ExperimentConfig):
 
 
 def _run_size(cfg: ExperimentConfig, prepared, out: Path):
-    """Every representation and seed of cfg, at its encoder_vocab_size, on
-    inputs from _prepare, into run directory out; returns (report, all_seeds_ok)."""
+    """Every representation and seed of cfg, at its encoder_vocab_size, on inputs from
+    _prepare, into empty run directory out, report.json last; returns (report, all_seeds_ok)."""
     fields, removed, tokenized_reps = prepared
     out.mkdir(parents=True, exist_ok=True)
     if removed is not None:
@@ -364,13 +381,13 @@ def _run_size(cfg: ExperimentConfig, prepared, out: Path):
         failed = []
         for seed in cfg.seeds:
             seed_dir = out / rep.name / f"seed{seed}"
+            seed_dir.mkdir(parents=True, exist_ok=True)  # out started empty: nothing in the way
             try:
                 seed_records[str(seed)] = _run_seed(cfg, rep, seed, tokenized, seed_dir)
             except Exception as exc:  # keep going; partial results matter
                 seed_records[str(seed)] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
                 failed.append(seed)
                 all_ok = False
-                seed_dir.mkdir(parents=True, exist_ok=True)
                 with atomic_write(seed_dir / "error.txt") as f:
                     f.write(traceback.format_exc())
         runs[rep.name] = {"seeds": seed_records, "failed_seeds": failed,
@@ -388,9 +405,20 @@ def _run_size(cfg: ExperimentConfig, prepared, out: Path):
     return report, all_ok
 
 
+def check_run_outputs(cfg: ExperimentConfig, out_dir, sizes=None):
+    """(run directories, sweep table or None) of an experiment, or given sizes a
+    sweep, into out_dir, once check_outputs accepts them."""
+    out = Path(out_dir)
+    table = out / f"{cfg.name}-sweep.json" if sizes is not None else None
+    dirs = [out / cfg.name] if table is None else [out / f"{cfg.name}-vocab{s}" for s in sizes]
+    check_outputs([table], dirs)
+    return dirs, table
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir):
-    """Execute the full protocol into <out_dir>/<name>; returns (report, all_seeds_ok)."""
-    return _run_size(cfg, _prepare(cfg), Path(out_dir) / cfg.name)
+    """Execute the full protocol into <out_dir>/<name>, absent or empty; returns (report, all_ok)."""
+    (run_dir,), _ = check_run_outputs(cfg, out_dir)
+    return _run_size(cfg, _prepare(cfg), run_dir)
 
 
 def check_sweep_sizes(sizes: list[int]):
@@ -402,7 +430,7 @@ def check_sweep_sizes(sizes: list[int]):
 
 def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
     """Run the experiment once per encoder vocabulary size, on inputs
-    prepared once, into <out_dir>/<name>-vocab<size>.
+    prepared once, into <out_dir>/<name>-vocab<size>, each absent or empty.
 
     Sizes must be positive and distinct and are processed in the requested
     order; a size beyond the available vocabulary is effectively clamped by
@@ -410,13 +438,11 @@ def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
     table rows mirror the per-size mean scores.
     """
     check_sweep_sizes(sizes)
+    run_dirs, table_path = check_run_outputs(cfg, out_dir, sizes)
     prepared = _prepare(cfg)
-    out = Path(out_dir)
-    table = []
-    all_ok = True
-    for size in sizes:
-        report, ok = _run_size(replace(cfg, encoder_vocab_size=size), prepared,
-                               out / f"{cfg.name}-vocab{size}")
+    table, all_ok = [], True
+    for size, run_dir in zip(sizes, run_dirs):
+        report, ok = _run_size(replace(cfg, encoder_vocab_size=size), prepared, run_dir)
         all_ok = all_ok and ok
         row = {"requested_size": size, "runs": {}}
         for representation, run in report["runs"].items():
@@ -428,7 +454,7 @@ def sweep_vocab(cfg: ExperimentConfig, sizes: list[int], out_dir):
             row["runs"][representation] = {"encoder_vocab_used": max(used) if used else None,
                                            "mean_scores": run["mean_scores"]}
         table.append(row)
-    with atomic_write(out / f"{cfg.name}-sweep.json") as f:
+    with atomic_write(table_path) as f:
         json.dump({"name": cfg.name, "sizes": sizes, "rows": table}, f,
                   sort_keys=True, ensure_ascii=False, indent=2)
     return table, all_ok

@@ -249,16 +249,23 @@ def test_cli_config_refusal_is_a_usage_error(tiny_dataset, tmp_path, capsys, com
 
 
 def _record_corpus_reads(monkeypatch):
-    """Wrap load_corpus_file where the harness and the CLI call it; returns
-    the paths it is asked to read."""
-    opened, original = [], harness.load_corpus_file
+    """Wrap the readers of inputs where the harness and the CLI call them:
+    load_corpus_file, parse's parse_lcsts, eval's _read_rows and summarize's
+    load_model_dir; returns what each is asked to read."""
+    opened = []
 
-    def recording(path, *args, **kwargs):
-        opened.append(path)
-        return original(path, *args, **kwargs)
+    def record(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(harness, "load_corpus_file", recording)
-    monkeypatch.setattr(cli, "load_corpus_file", recording)
+        def recording(source, *args, **kwargs):
+            opened.append(source)
+            return original(source, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    for module, name in [(harness, "load_corpus_file"), (cli, "load_corpus_file"),
+                         (cli, "parse_lcsts"), (cli, "_read_rows"), (cli, "load_model_dir")]:
+        record(module, name)
     return opened
 
 
@@ -367,20 +374,43 @@ def test_numeric_flag_out_of_range_is_refused_before_any_input_is_read(
     assert opened == [] and not list(d.glob("out*"))
 
 
-def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(tiny_dataset, capsys,
-                                                                   monkeypatch):
-    """train, experiment and sweep refuse an output directory that a file
-    keeps from being made (--out itself, a path above it, or a run directory
-    <out>/<name> or <out>/<name>-vocab<size>) as a usage error naming the
-    file, and leave the file as it was; an existing --out directory is accepted."""
+@pytest.fixture
+def every_input(tiny_dataset):
+    """tiny_dataset plus what train, experiment, sweep and eval read: a character
+    vocabulary, a train config, an experiment config named x and eval rows."""
     d = tiny_dataset
     assert main(["vocab", "--unit", "char", "--in", str(d / "part1.txt"),
                  "--out", str(d / "vocab.txt")]) == 0
     (d / "train.json").write_text(json.dumps({"epochs": 1, "model": {"embed_dim": 4,
                                                                      "hidden_dim": 4}}))
-    (d / "exp.json").write_text(json.dumps({"name": "x", "part1": str(d / "part1.txt"),
-                                            "part3": str(d / "part3.txt"),
-                                            "representation": "char_char"}))
+    (d / "exp.json").write_text(json.dumps({
+        "name": "x", "part1": str(d / "part1.txt"), "part3": str(d / "part3.txt"),
+        "representation": "char_char", "seeds": [0], "n_validation": 3, "epochs": 1,
+        "beam_width": 1, "model": {"embed_dim": 4, "hidden_dim": 4, "max_decode_len": 4}}))
+    (d / "rows.jsonl").write_text('{"id": 1, "summary": "ab"}\n', encoding="utf-8")
+    return d
+
+
+TRAIN = ["train", "--config", "{d}/train.json", "--train", "{d}/part1.txt",
+         "--src-vocab", "{d}/vocab.txt", "--tgt-vocab", "{d}/vocab.txt",
+         "--representation", "char_char"]
+EXPERIMENT = ["experiment", "--config", "{d}/exp.json"]
+SWEEP = ["sweep", "--config", "{d}/exp.json", "--sizes", "5,6"]
+RUNS = ["--out", "{d}/runs"]
+PARSE = ["parse", "--in", "{d}/part1.txt", "--part", "I"]
+SPLIT = ["split", "--in", "{d}/part1.txt", "--n-validation", "3"]
+CLEAN = ["clean", "--part1", "{d}/part1.txt", "--part3", "{d}/part3.txt"]
+VOCAB = ["vocab", "--unit", "char", "--in", "{d}/part1.txt"]
+NOT_EMPTY = " is not empty; it must be absent or empty"
+
+
+def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(every_input, capsys,
+                                                                   monkeypatch):
+    """train, experiment and sweep refuse an output directory that a file
+    keeps from being made (--out itself, a path above it, or a run directory
+    <out>/<name> or <out>/<name>-vocab<size>) as a usage error naming the
+    file, and leave the file as it was."""
+    d = every_input
     runs = d / "runs"
     runs.mkdir()
     taken = [d / "taken.txt", runs / "x", runs / "x-vocab6"]
@@ -388,22 +418,82 @@ def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(tiny_dataset,
         path.write_text("kept\n", encoding="utf-8")
     opened = _record_corpus_reads(monkeypatch)
     capsys.readouterr()
-    train = ["train", "--config", str(d / "train.json"), "--train", str(d / "part1.txt"),
-             "--src-vocab", str(d / "vocab.txt"), "--tgt-vocab", str(d / "vocab.txt"),
-             "--representation", "char_char"]
-    experiment = ["experiment", "--config", str(d / "exp.json")]
-    sweep = ["sweep", "--config", str(d / "exp.json"), "--sizes", "5,6"]
-    for argv, out, message in (
-            (train, taken[0], f"argument --out: {taken[0]}"),
-            (experiment, taken[0], f"argument --out: {taken[0]}"),
-            (sweep, taken[0], f"argument --out: {taken[0]}"),
-            (train, taken[0] / "m", f"argument --out: {taken[0]}"),
-            (experiment, taken[0] / "m", f"argument --out: {taken[0]}"),
-            (experiment, runs, str(taken[1])),
-            (sweep, runs, str(taken[2]))):
-        _assert_usage_error(capsys, [*argv, "--out", str(out)],
-                            f"{message} exists and is not a directory")
+    for argv, out, blocker in ((TRAIN, taken[0], taken[0]), (EXPERIMENT, taken[0], taken[0]),
+                               (SWEEP, taken[0], taken[0]), (TRAIN, taken[0] / "m", taken[0]),
+                               (EXPERIMENT, taken[0] / "m", taken[0]),
+                               (EXPERIMENT, runs, taken[1]), (SWEEP, runs, taken[2])):
+        _assert_usage_error(capsys, [a.format(d=d) for a in argv] + ["--out", str(out)],
+                            f"{blocker} exists and is not a directory")
     assert opened == [] and [p.read_text(encoding="utf-8") for p in taken] == ["kept\n"] * 3
+
+
+def _tree(d):
+    """{path: bytes, or None for a directory} of everything under d."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in d.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, blocker, message", [
+    (PARSE + ["--out", "{d}/out"], "out/kept.txt", "{d}/out is a directory"),
+    (PARSE + ["--out", "{d}/p.jsonl", "--report", "{d}/out"], "out/kept.txt",
+     "{d}/out is a directory"),
+    (["filter", "--in", "{d}/part3.txt", "--out", "{d}/out"], "out/kept.txt",
+     "{d}/out is a directory"),
+    (SPLIT + ["--train-out", "{d}/out", "--valid-out", "{d}/v.jsonl"], "out/kept.txt",
+     "{d}/out is a directory"),
+    (SPLIT + ["--train-out", "{d}/t.jsonl", "--valid-out", "{d}/out"], "out/kept.txt",
+     "{d}/out is a directory"),
+    (CLEAN + ["--out", "{d}/out"], "out/kept.txt", "{d}/out is a directory"),
+    (CLEAN + ["--out", "{d}/c.jsonl", "--report", "{d}/out"], "out/kept.txt",
+     "{d}/out is a directory"),
+    (VOCAB + ["--out", "{d}/out"], "out/kept.txt", "{d}/out is a directory"),
+    (["summarize", "--model", "{d}/model", "--in", "{d}/part3.txt", "--out", "{d}/out"],
+     "out/kept.txt", "{d}/out is a directory"),
+    (["eval", "--candidates", "{d}/rows.jsonl", "--references", "{d}/rows.jsonl",
+      "--report", "{d}/out"], "out/kept.txt", "{d}/out is a directory"),
+    (SWEEP + RUNS, "runs/x-sweep.json/kept.txt", "{d}/runs/x-sweep.json is a directory"),
+    (PARSE + ["--out", "{d}/missing/p.jsonl"], None,
+     "{d}/missing/p.jsonl: its directory {d}/missing does not exist"),
+    (VOCAB + ["--out", "{d}/missing/v.txt"], None,
+     "{d}/missing/v.txt: its directory {d}/missing does not exist"),
+    (EXPERIMENT + RUNS, "runs/x/char_char", "{d}/runs/x" + NOT_EMPTY),
+    (EXPERIMENT + RUNS, "runs/x/report.json", "{d}/runs/x" + NOT_EMPTY),
+    (SWEEP + RUNS, "runs/x-vocab6/report.json", "{d}/runs/x-vocab6" + NOT_EMPTY),
+    (TRAIN + ["--out", "{d}/model"], "model/model.npz", "{d}/model" + NOT_EMPTY),
+], ids=["parse-out", "parse-report", "filter-out", "split-train-out", "split-valid-out",
+        "clean-out", "clean-report", "vocab-out", "summarize-out", "eval-report", "sweep-table",
+        "parse-out-parent-missing", "vocab-out-parent-missing", "experiment-rep-dir-a-file",
+        "experiment-run-dir-not-empty", "sweep-run-dir-not-empty", "train-out-not-empty"])
+def test_an_output_path_in_the_way_is_refused_before_any_input_is_read(
+        every_input, capsys, monkeypatch, argv, blocker, message):
+    """A directory at an output file, a missing directory of one, and a run or
+    model directory that is not empty are each refused as a usage error naming
+    the path, before any input is read; nothing is written and the path in the
+    way is left as it was."""
+    d = every_input
+    if blocker:
+        (d / blocker).parent.mkdir(parents=True, exist_ok=True)
+        (d / blocker).write_text("kept\n", encoding="utf-8")
+    before = _tree(d)
+    opened = _record_corpus_reads(monkeypatch)
+    capsys.readouterr()
+    _assert_usage_error(capsys, [a.format(d=d) for a in argv], message.format(d=d))
+    assert opened == [] and _tree(d) == before
+
+
+def test_an_output_that_may_be_replaced_or_is_empty_is_accepted(every_input, capsys):
+    """An existing output file is replaced, an existing empty train --out is
+    written into, and an experiment --out may already hold another run."""
+    d = every_input
+    (d / "model").mkdir()
+    (d / "runs" / "other").mkdir(parents=True)
+    (d / "runs" / "other" / "report.json").write_text("kept\n", encoding="utf-8")
+    (d / "v.txt").write_text("old\n", encoding="utf-8")
+    for argv in (VOCAB + ["--out", "{d}/v.txt"], TRAIN + ["--out", "{d}/model"],
+                 EXPERIMENT + RUNS):
+        assert main([a.format(d=d) for a in argv]) == 0
+    assert (d / "v.txt").read_bytes() == (d / "vocab.txt").read_bytes()
+    assert (d / "model" / "model.npz").exists() and (d / "runs" / "x" / "report.json").exists()
+    assert (d / "runs" / "other" / "report.json").read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("labels, change, message", [
@@ -659,7 +749,7 @@ def test_cli_sweep_reports_failed_cells_on_stderr(tiny_dataset, tmp_path, capsys
 def test_cli_experiment_reports_failed_representations_on_stderr(tiny_dataset, tmp_path, capsys,
                                                                  monkeypatch):
     """A representation whose seeds all failed is one line on stderr and the
-    exit status is 1; an existing run directory is written into, not refused."""
+    exit status is 1; an existing empty run directory is written into, not refused."""
     d = tiny_dataset
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({

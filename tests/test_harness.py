@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -482,6 +483,30 @@ def test_sweep_rejects_bad_sizes(tmp_path, synthetic_dir, monkeypatch, sizes, me
     with pytest.raises(ValueError, match=message):
         sweep_vocab(cfg, sizes, tmp_path)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sizes, taken, message", [
+    (None, "t/char_char/seed0/model.npz", "t is not empty; it must be absent or empty"),
+    ([20, 50], "t-vocab50/report.json", "t-vocab50 is not empty; it must be absent or empty"),
+    ([20], "t-sweep.json/kept.txt", "t-sweep.json is a directory"),
+], ids=["experiment-run-dir", "sweep-run-dir", "sweep-table"])
+def test_a_library_run_refuses_a_used_output_before_any_input_is_read(
+        tmp_path, synthetic_dir, monkeypatch, sizes, taken, message):
+    """run_experiment and sweep_vocab (sizes) refuse a run directory that is not
+    empty, or a directory at the sweep table, naming it, before any input is
+    read: a library caller cannot mix two runs in one directory either."""
+    def no_reads(*args):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    monkeypatch.setattr(harness, "load_corpus_file", no_reads)
+    (tmp_path / taken).parent.mkdir(parents=True)
+    (tmp_path / taken).write_text("kept\n", encoding="utf-8")
+    cfg = small_config(synthetic_dir, representations=["char_char"])
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path}/{message}")):
+        run_experiment(cfg, tmp_path) if sizes is None else sweep_vocab(cfg, sizes, tmp_path)
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()] == [
+        taken]
+    assert (tmp_path / taken).read_text(encoding="utf-8") == "kept\n"
 
 
 def _masked_tree(root: Path) -> dict:
