@@ -10,8 +10,11 @@ and scores, and ``report.json`` is written last. A failed seed is recorded,
 its traceback in ``seed<k>/error.txt``, and skipped in the means. A run reads,
 dedups and tokenizes its inputs once, before any seed trains; a sweep
 over encoder vocabulary sizes runs each size as one experiment on them.
+The (representation, seed) cells of a run train in forked workers, each on
+one OpenBLAS thread, or one after another where the platform cannot do that.
 """
 
+import ctypes
 import datetime
 import gc
 import hashlib
@@ -19,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import time
 import traceback
 import warnings
@@ -191,14 +195,19 @@ def _tokenize(reps: list[Representation], pool: list[DocumentPair], test: list[D
 def check_outputs(files=(), dirs=()):
     """Raise ValueError naming the path unless each run or model directory is absent or
     empty, the nearest existing path above it a directory, and each output file (None: not
-    written) is no directory, in an existing directory or in the parent of one of dirs."""
+    written) is no directory, in an existing directory or in the parent of one of dirs,
+    and named once."""
     for path in map(Path, dirs):
         existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
         if not existing.is_dir():
             raise ValueError(f"{existing} exists and is not a directory")
         if existing == path and os.listdir(path):
             raise ValueError(f"{path} is not empty; it must be absent or empty")
+    named = set()
     for path in (Path(p) for p in files if p is not None):
+        if path.resolve() in named:
+            raise ValueError(f"{path} is named as more than one output file")
+        named.add(path.resolve())
         if path.is_dir():
             raise ValueError(f"{path} is a directory")
         if not (path.parent.is_dir() or path.parent in {Path(d).parent for d in dirs}):
@@ -366,6 +375,83 @@ def _prepare(cfg: ExperimentConfig):
     return fields, removed, _tokenize(reps, pool, test)
 
 
+_cells = []  # a forked worker's cells of its run: (cfg, rep, seed, tokenized, seed_dir)
+
+
+def _failed(seed_dir: Path, exc: Exception) -> dict:
+    """A failed seed's record; the traceback being handled goes to seed<k>/error.txt."""
+    with atomic_write(seed_dir / "error.txt") as f:
+        f.write(traceback.format_exc())
+    return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_cell(cfg: ExperimentConfig, rep, seed: int, tokenized, seed_dir: Path) -> dict:
+    """_run_seed's record, or a failure recorded (partial results matter)."""
+    try:
+        return _run_seed(cfg, rep, seed, tokenized, seed_dir)
+    except Exception as exc:
+        return _failed(seed_dir, exc)
+
+
+def _run_worker_cell(cell: int) -> dict:
+    return _run_cell(*_cells[cell])
+
+
+def _blas_pin():
+    """OpenBLAS's set-thread-count function, from a library in this process's
+    maps as perfbench/run.py finds it; None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted(set(re.findall(r"\S*openblas\S*\.so\S*", f.read())))
+        handles = [ctypes.CDLL(lib) for lib in libs]
+    except OSError:  # no /proc/self/maps, or a library that does not load
+        return None
+    for handle in handles:
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            pin = getattr(handle, symbol, None)
+            if pin is not None:
+                pin.argtypes, pin.restype = (ctypes.c_int,), None
+                return pin
+    return None
+
+
+def _start_worker(pin, cells):
+    """Keep the cells this forked worker shares with its parent, set it to one OpenBLAS
+    thread, and let an interrupt end it at once, not after the cell it has queued."""
+    import signal
+    global _cells
+    _cells = cells
+    pin(1)
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _run_cells(cells: list[tuple]) -> list[dict]:
+    """The cells' records in order, from min(cells, usable cores) forked workers on one
+    OpenBLAS thread each, or from this process, one cell after another, where the platform
+    cannot fork or set OpenBLAS's threads. A dead worker fails every cell not finished; an
+    interrupt cancels the queued cells. No worker outlives the call."""
+    import multiprocessing  # imported here: the pool's modules are slow to import
+    pin = _blas_pin()
+    if pin is None or "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_cell(*cell) for cell in cells]
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    pool = ProcessPoolExecutor(min(len(cells), len(os.sched_getaffinity(0))),
+                               multiprocessing.get_context("fork"), _start_worker, (pin, cells))
+    try:
+        futures = [pool.submit(_run_worker_cell, i) for i in range(len(cells))]
+        records = []
+        for future, cell in zip(futures, cells):
+            try:
+                records.append(future.result())
+            except BrokenProcessPool as exc:
+                records.append(_failed(cell[-1], exc))
+        return records
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_size(cfg: ExperimentConfig, prepared, out: Path):
     """Every representation and seed of cfg, at its encoder_vocab_size, on inputs from
     _prepare, into empty run directory out, report.json last; returns (report, all_seeds_ok)."""
@@ -374,24 +460,18 @@ def _run_size(cfg: ExperimentConfig, prepared, out: Path):
     if removed is not None:
         write_rows(out / "dedup_removals.jsonl", map(asdict, removed))
 
+    cells = [(cfg, rep, seed, tokenized, out / rep.name / f"seed{seed}")
+             for rep, tokenized in tokenized_reps for seed in cfg.seeds]
+    for cell in cells:
+        cell[-1].mkdir(parents=True, exist_ok=True)  # out started empty: nothing in the way
+    records = iter(_run_cells(cells))
     runs = {}
-    all_ok = True
-    for rep, tokenized in tokenized_reps:
-        seed_records = {}
-        failed = []
-        for seed in cfg.seeds:
-            seed_dir = out / rep.name / f"seed{seed}"
-            seed_dir.mkdir(parents=True, exist_ok=True)  # out started empty: nothing in the way
-            try:
-                seed_records[str(seed)] = _run_seed(cfg, rep, seed, tokenized, seed_dir)
-            except Exception as exc:  # keep going; partial results matter
-                seed_records[str(seed)] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
-                failed.append(seed)
-                all_ok = False
-                with atomic_write(seed_dir / "error.txt") as f:
-                    f.write(traceback.format_exc())
+    for rep, _ in tokenized_reps:
+        seed_records = {str(seed): next(records) for seed in cfg.seeds}
+        failed = [seed for seed in cfg.seeds if seed_records[str(seed)]["status"] == "failed"]
         runs[rep.name] = {"seeds": seed_records, "failed_seeds": failed,
                           "mean_scores": _mean_scores(list(seed_records.values()))}
+    all_ok = not any(run["failed_seeds"] for run in runs.values())
 
     report = {"name": cfg.name, "config": asdict(cfg), **fields, "runs": runs,
               "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}

@@ -402,6 +402,7 @@ SPLIT = ["split", "--in", "{d}/part1.txt", "--n-validation", "3"]
 CLEAN = ["clean", "--part1", "{d}/part1.txt", "--part3", "{d}/part3.txt"]
 VOCAB = ["vocab", "--unit", "char", "--in", "{d}/part1.txt"]
 NOT_EMPTY = " is not empty; it must be absent or empty"
+TWICE = " is named as more than one output file"
 
 
 def test_an_out_that_is_a_file_is_refused_before_any_input_is_read(every_input, capsys,
@@ -459,10 +460,18 @@ def _tree(d):
     (EXPERIMENT + RUNS, "runs/x/report.json", "{d}/runs/x" + NOT_EMPTY),
     (SWEEP + RUNS, "runs/x-vocab6/report.json", "{d}/runs/x-vocab6" + NOT_EMPTY),
     (TRAIN + ["--out", "{d}/model"], "model/model.npz", "{d}/model" + NOT_EMPTY),
+    (PARSE + ["--out", "{d}/p.jsonl", "--report", "{d}/p.jsonl"], None,
+     "{d}/p.jsonl" + TWICE),
+    (SPLIT + ["--train-out", "{d}/s", "--valid-out", "{d}/./s"], None, "{d}/s" + TWICE),
+    (SPLIT + ["--train-out", "{d}/s", "--valid-out", "{d}/out/../s"], "out/kept.txt",
+     "{d}/out/../s" + TWICE),
+    (CLEAN + ["--out", "{d}/c.jsonl", "--report", "{d}/c.jsonl"], None, "{d}/c.jsonl" + TWICE),
 ], ids=["parse-out", "parse-report", "filter-out", "split-train-out", "split-valid-out",
         "clean-out", "clean-report", "vocab-out", "summarize-out", "eval-report", "sweep-table",
         "parse-out-parent-missing", "vocab-out-parent-missing", "experiment-rep-dir-a-file",
-        "experiment-run-dir-not-empty", "sweep-run-dir-not-empty", "train-out-not-empty"])
+        "experiment-run-dir-not-empty", "sweep-run-dir-not-empty", "train-out-not-empty",
+        "parse-out-is-report", "split-train-out-is-valid-out",
+        "split-train-out-is-valid-out-through-a-parent", "clean-out-is-report"])
 def test_an_output_path_in_the_way_is_refused_before_any_input_is_read(
         every_input, capsys, monkeypatch, argv, blocker, message):
     """A directory at an output file, a missing directory of one, and a run or

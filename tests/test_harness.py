@@ -1,5 +1,6 @@
 import builtins
 import collections
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -7,8 +8,10 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -537,19 +540,28 @@ def test_sweep_size_equals_a_run_of_that_size(tmp_path, synthetic_dir):
         assert swept == _masked_tree(tmp_path / f"run{size}" / "t")
 
 
+def _env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(hwcsum.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
     """The bundled fixture run in fresh processes at OPENBLAS_NUM_THREADS 1
     and 2: every checkpoint and decode byte for byte, and report.json with
-    its timestamp and timings masked."""
-    src = str(Path(hwcsum.__file__).resolve().parent.parent)
+    its timestamp and timings masked. The workers of a run's cells set
+    OpenBLAS to one thread, so the run at 2 takes the serial path, with the
+    lookup of that setting patched out, to train at 2 threads."""
+    serial = ("import sys; from hwcsum import cli, harness; harness._blas_pin = lambda: None; "
+              "sys.exit(cli.main(sys.argv[1:]))")
     trees = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for threads, command in (("1", ["-m", "hwcsum.cli"]), ("2", ["-c", serial])):
         out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "hwcsum.cli", "experiment",
+        subprocess.run([sys.executable, *command, "experiment",
                         "--config", "tests/data/synthetic/experiment.json", "--out", str(out)],
-                       cwd=REPO_ROOT, env=env, check=True, capture_output=True, timeout=120)
+                       cwd=REPO_ROOT, env=dict(_env(), OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=120)
         run = out / "synthetic-demo"
         files = {p.relative_to(run).as_posix(): p.read_bytes()
                  for p in sorted(run.rglob("*")) if p.name in ("model.npz", "candidates.jsonl")}
@@ -558,13 +570,132 @@ def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def _fixture_config(synthetic_dir) -> ExperimentConfig:
+    cfg = ExperimentConfig.from_file(synthetic_dir / "experiment.json")
+    return dataclasses.replace(cfg, **{k: str(REPO_ROOT / getattr(cfg, k))
+                                      for k in ("part1", "part3", "lexicon")})
+
+
+def test_the_pool_equals_the_serial_path_on_the_fixture(tmp_path, synthetic_dir, monkeypatch):
+    """The fixture experiment through the pool of forked workers equals the same
+    run with the OpenBLAS lookup patched out, which runs its cells one after
+    another in this process at its default BLAS threads, timings masked; the
+    pool runs its cells in at least two processes where two cores are usable."""
+    if harness._blas_pin() is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: every run is serial")
+    cfg, pids = _fixture_config(synthetic_dir), tmp_path / "pids.txt"
+
+    def recording(*args):
+        with open(pids, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return original(*args)
+
+    original = harness._run_seed
+    monkeypatch.setattr(harness, "_run_seed", recording)
+    runs = {}
+    for path in ("pool", "serial"):
+        assert run_experiment(cfg, tmp_path / path)[1]
+        runs[path] = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        pids.unlink()
+        monkeypatch.setattr(harness, "_blas_pin", lambda: None)
+    assert _masked_tree(tmp_path / "pool") == _masked_tree(tmp_path / "serial")
+    assert len(runs["pool"]) == 4 and os.getpid() not in runs["pool"]
+    assert runs["serial"] == [os.getpid()] * 4
+    assert len(set(runs["pool"])) >= min(2, len(os.sched_getaffinity(0)))
+
+
+# runs the fixture experiment into argv[1] through the pool (a no-op pin where
+# there is no OpenBLAS), each cell first appending its worker's pid to argv[2];
+# with argv[3] "exit" cell (char_char, 1) ends its worker, with "sleep" every
+# cell sleeps for a minute
+_POOL_SCRIPT = """
+import os, sys, time
+from hwcsum import harness
+original, pin = harness._run_seed, harness._blas_pin() or (lambda threads: None)
+
+def cell(cfg, rep, seed, *args):
+    with open(sys.argv[2], "a", encoding="utf-8") as f:
+        f.write(f"{os.getpid()}\\n")
+    if sys.argv[3] == "sleep":
+        time.sleep(60)
+    if (rep.name, seed) == ("char_char", 1):
+        os._exit(3)
+    return original(cfg, rep, seed, *args)
+
+harness._run_seed, harness._blas_pin = cell, lambda: pin
+report, all_ok = harness.run_experiment(
+    harness.ExperimentConfig.from_file("tests/data/synthetic/experiment.json"), sys.argv[1])
+print(all_ok, report["runs"]["char_char"]["seeds"]["1"]["error"])
+"""
+
+
+def _gone(pids: Path) -> bool:
+    """Whether no process whose pid pids lists is still running."""
+    for pid in map(int, pids.read_text(encoding="utf-8").split()):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def _pool_run(tmp_path, mode: str):
+    """_POOL_SCRIPT started in a session of its own, its output in out.txt and err.txt;
+    its process group is killed on the way out, so that no hung run outlives the test."""
+    with open(tmp_path / "out.txt", "w", encoding="utf-8") as out, \
+            open(tmp_path / "err.txt", "w", encoding="utf-8") as err, \
+            subprocess.Popen([sys.executable, "-c", _POOL_SCRIPT, str(tmp_path / "runs"),
+                              str(tmp_path / "pids.txt"), mode], cwd=REPO_ROOT, env=_env(),
+                             stdout=out, stderr=err, start_new_session=True) as run:
+        try:
+            yield run
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(run.pid, signal.SIGKILL)
+
+
+def test_a_dead_worker_fails_the_cells_left_and_the_run_still_reports(tmp_path):
+    """A worker that ends mid-cell breaks the pool: the run returns, that seed
+    and every cell not finished are failed naming the broken pool, each with
+    its error.txt, report.json is written, and no worker is left."""
+    with _pool_run(tmp_path, "exit") as run:
+        assert run.wait(timeout=60) == 0, (tmp_path / "err.txt").read_text(encoding="utf-8")
+        assert _gone(tmp_path / "pids.txt")
+    out = (tmp_path / "out.txt").read_text(encoding="utf-8")
+    assert out.startswith("False BrokenProcessPool: A process in the process pool was terminated")
+    run_dir = tmp_path / "runs" / "synthetic-demo"
+    report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert 1 in report["runs"]["char_char"]["failed_seeds"]
+    assert "BrokenProcessPool" in (run_dir / "char_char" / "seed1" / "error.txt").read_text(
+        encoding="utf-8")
+
+
+def test_an_interrupt_ends_the_run_and_every_worker_at_once(tmp_path):
+    """An interrupt sent to the process group while each worker is in a cell
+    (a terminal's Ctrl-C) ends the run with KeyboardInterrupt within seconds,
+    not after the cells: no report.json is written and no worker is left."""
+    pids, err = tmp_path / "pids.txt", tmp_path / "err.txt"
+    with _pool_run(tmp_path, "sleep") as run:
+        workers = min(4, len(os.sched_getaffinity(0)))
+        deadline = time.monotonic() + 30
+        while not (pids.exists() and len(pids.read_text(encoding="utf-8").split()) == workers):
+            assert run.poll() is None and time.monotonic() < deadline, err.read_text(
+                encoding="utf-8")
+            time.sleep(0.05)
+        os.killpg(run.pid, signal.SIGINT)
+        assert run.wait(timeout=20) != 0
+        assert _gone(pids)
+    assert err.read_text(encoding="utf-8").rstrip().endswith("KeyboardInterrupt")
+    assert not (tmp_path / "runs" / "synthetic-demo" / "report.json").exists()
+
+
 def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synthetic_dir):
     """The bundled fixture's four trained models: the harness's chunked,
     batched candidates equal per-article beam search, and batched
     log-probs equal per-article ones."""
-    cfg = ExperimentConfig.from_file(synthetic_dir / "experiment.json")
-    cfg = dataclasses.replace(cfg, **{k: str(REPO_ROOT / getattr(cfg, k))
-                                      for k in ("part1", "part3", "lexicon")})
+    cfg = _fixture_config(synthetic_dir)
     _, all_ok = run_experiment(cfg, tmp_path)
     assert all_ok
     part3 = load_corpus_file(cfg.part3, "III")[0]
@@ -590,10 +721,11 @@ def test_batched_decodes_equal_per_article_decodes_on_the_fixture(tmp_path, synt
 def test_chunk_size_does_not_change_the_decodes(tmp_path, synthetic_dir, monkeypatch):
     cfg = small_config(synthetic_dir, representations=["char_char"], model={
         "embed_dim": 8, "hidden_dim": 8, "dropout": 0.0, "max_decode_len": 10})
-    sizes = []
+    recorded = tmp_path / "sizes.txt"  # a file, since a cell decodes in a worker process
 
     def counting(sources, *args):
-        sizes.append(len(sources))
+        with open(recorded, "a", encoding="utf-8") as f:
+            f.write(f"{len(sources)}\n")
         return original(sources, *args)
 
     original = harness.beam_search_batch
@@ -601,6 +733,7 @@ def test_chunk_size_does_not_change_the_decodes(tmp_path, synthetic_dir, monkeyp
     run_experiment(cfg, tmp_path / "whole")
     monkeypatch.setattr(harness, "DECODE_CHUNK", 5)
     run_experiment(cfg, tmp_path / "chunked")
+    sizes = [int(line) for line in recorded.read_text(encoding="utf-8").split()]
     assert sizes == [17, 5, 5, 5, 2]
     path = "t/char_char/seed0/candidates.jsonl"
     whole = (tmp_path / "whole" / path).read_bytes()
