@@ -16,6 +16,7 @@ one OpenBLAS thread, or one after another where the platform cannot do that.
 
 import ctypes
 import datetime
+import functools
 import gc
 import hashlib
 import io
@@ -397,9 +398,11 @@ def _run_worker_cell(cell: int) -> dict:
     return _run_cell(*_cells[cell])
 
 
+@functools.cache
 def _blas_pin():
-    """OpenBLAS's set-thread-count function, from a library in this process's
-    maps as perfbench/run.py finds it; None where there is none."""
+    """OpenBLAS's (get, set) thread-count functions, from a library in this
+    process's maps as perfbench/run.py finds it, looked up once per process;
+    None where there is none."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
             libs = sorted(set(re.findall(r"\S*openblas\S*\.so\S*", f.read())))
@@ -407,22 +410,24 @@ def _blas_pin():
     except OSError:  # no /proc/self/maps, or a library that does not load
         return None
     for handle in handles:
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            pin = getattr(handle, symbol, None)
-            if pin is not None:
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, pin = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and pin is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
                 pin.argtypes, pin.restype = (ctypes.c_int,), None
-                return pin
+                return get, pin
     return None
 
 
-def _start_worker(pin, cells):
-    """Keep the cells this forked worker shares with its parent, set it to one OpenBLAS
-    thread, and let an interrupt end it at once, not after the cell it has queued."""
+def _start_worker(cells):
+    """Keep the cells this forked worker shares with its parent, and let an interrupt end
+    it at once, not after the cell it has queued. It runs on the one OpenBLAS thread its
+    parent set before forking it, and never sets that itself: in a forked process the
+    setter re-creates OpenBLAS's thread pool, whose helper thread spins before it sleeps."""
     import signal
     global _cells
     _cells = cells
-    pin(1)
     if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
 
@@ -431,14 +436,18 @@ def _run_cells(cells: list[tuple]) -> list[dict]:
     """The cells' records in order, from min(cells, usable cores) forked workers on one
     OpenBLAS thread each, or from this process, one cell after another, where the platform
     cannot fork or set OpenBLAS's threads. A dead worker fails every cell not finished; an
-    interrupt cancels the queued cells. No worker outlives the call."""
+    interrupt cancels the queued cells. No worker outlives the call, and this process gets
+    its own OpenBLAS thread count back once they have ended."""
     import multiprocessing  # imported here: the pool's modules are slow to import
-    pin = _blas_pin()
-    if pin is None or "fork" not in multiprocessing.get_all_start_methods():
+    blas = _blas_pin()
+    if blas is None or "fork" not in multiprocessing.get_all_start_methods():
         return [_run_cell(*cell) for cell in cells]
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     pool = ProcessPoolExecutor(min(len(cells), len(os.sched_getaffinity(0))),
-                               multiprocessing.get_context("fork"), _start_worker, (pin, cells))
+                               multiprocessing.get_context("fork"), _start_worker, (cells,))
+    get, pin = blas
+    threads = get()
+    pin(1)  # the workers fork on first submit and inherit it
     try:
         futures = [pool.submit(_run_worker_cell, i) for i in range(len(cells))]
         records = []
@@ -450,6 +459,7 @@ def _run_cells(cells: list[tuple]) -> list[dict]:
         return records
     finally:
         pool.shutdown(cancel_futures=True)
+        pin(threads)
 
 
 def _run_size(cfg: ExperimentConfig, prepared, out: Path):

@@ -550,9 +550,10 @@ def _env():
 def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
     """The bundled fixture run in fresh processes at OPENBLAS_NUM_THREADS 1
     and 2: every checkpoint and decode byte for byte, and report.json with
-    its timestamp and timings masked. The workers of a run's cells set
-    OpenBLAS to one thread, so the run at 2 takes the serial path, with the
-    lookup of that setting patched out, to train at 2 threads."""
+    its timestamp and timings masked. A run's cells train in workers its
+    process forks after setting OpenBLAS to one thread, so the run at 2 takes
+    the serial path, with the lookup of that setting patched out, to train at
+    2 threads."""
     serial = ("import sys; from hwcsum import cli, harness; harness._blas_pin = lambda: None; "
               "sys.exit(cli.main(sys.argv[1:]))")
     trees = []
@@ -604,14 +605,48 @@ def test_the_pool_equals_the_serial_path_on_the_fixture(tmp_path, synthetic_dir,
     assert len(set(runs["pool"])) >= min(2, len(os.sched_getaffinity(0)))
 
 
-# runs the fixture experiment into argv[1] through the pool (a no-op pin where
-# there is no OpenBLAS), each cell first appending its worker's pid to argv[2];
-# with argv[3] "exit" cell (char_char, 1) ends its worker, with "sleep" every
-# cell sleeps for a minute
+def test_pool_workers_start_no_blas_thread_and_the_parent_keeps_its_count(tmp_path,
+                                                                           synthetic_dir,
+                                                                           monkeypatch):
+    """The parent sets OpenBLAS to one thread before it forks the workers, and no
+    worker sets it again, which in a forked process re-creates OpenBLAS's threads:
+    each cell reads one thread and, on Linux, runs in a process of one OS thread,
+    even after a GEMM large enough to thread. The parent's count after a run equals
+    its count before, also after a run whose worker died, as in _POOL_SCRIPT's exit
+    mode."""
+    blas = harness._blas_pin()
+    if blas is None:
+        pytest.skip("no OpenBLAS whose thread count can be set: every run is serial")
+    get, _ = blas
+    threads, seen = get(), tmp_path / "seen.txt"
+
+    def recording(cfg, rep, seed, *args):
+        np.ones((400, 400)) @ np.ones((400, 400))
+        tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 1
+        with open(seen, "a", encoding="utf-8") as f:
+            f.write(f"{get()} {tasks}\n")
+        if cfg.name == "dies" and rep.name == "char_char":
+            os._exit(3)
+        return original(cfg, rep, seed, *args)
+
+    original = harness._run_seed
+    monkeypatch.setattr(harness, "_run_seed", recording)
+    assert run_experiment(small_config(synthetic_dir), tmp_path)[1]
+    assert seen.read_text(encoding="utf-8").splitlines() == ["1 1"] * 2
+    assert get() == threads
+    report, all_ok = run_experiment(small_config(synthetic_dir, name="dies"), tmp_path)
+    assert not all_ok and report["runs"]["char_char"]["failed_seeds"] == [0]
+    assert get() == threads
+
+
+# runs the fixture experiment into argv[1] through the pool (no-op thread-count
+# functions where there is no OpenBLAS), each cell first appending its worker's
+# pid to argv[2]; with argv[3] "exit" cell (char_char, 1) ends its worker, with
+# "sleep" every cell sleeps for a minute
 _POOL_SCRIPT = """
 import os, sys, time
 from hwcsum import harness
-original, pin = harness._run_seed, harness._blas_pin() or (lambda threads: None)
+original, blas = harness._run_seed, harness._blas_pin() or (lambda: 1, lambda threads: None)
 
 def cell(cfg, rep, seed, *args):
     with open(sys.argv[2], "a", encoding="utf-8") as f:
@@ -622,7 +657,7 @@ def cell(cfg, rep, seed, *args):
         os._exit(3)
     return original(cfg, rep, seed, *args)
 
-harness._run_seed, harness._blas_pin = cell, lambda: pin
+harness._run_seed, harness._blas_pin = cell, lambda: blas
 report, all_ok = harness.run_experiment(
     harness.ExperimentConfig.from_file("tests/data/synthetic/experiment.json"), sys.argv[1])
 print(all_ok, report["runs"]["char_char"]["seeds"]["1"]["error"])
