@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,3 +22,14 @@ def mt_reference():
 @pytest.fixture(scope="session")
 def synthetic_dir():
     return SYNTHETIC_DIR
+
+
+@pytest.fixture
+def fresh_env():
+    """The environment of a fresh interpreter that imports the hwcsum these
+    tests import: the directory holding that package first on PYTHONPATH."""
+    import hwcsum
+
+    package_dir = str(Path(hwcsum.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_dir, os.environ.get("PYTHONPATH")])))

@@ -122,6 +122,7 @@ def test_full_cli_pipeline(tiny_dataset, capsys):
     lines = (d / "eval.jsonl").read_text().splitlines()
     assert len(lines) == 3  # two pairs + the mean row
     assert "mean" in json.loads(lines[-1])
+    assert not list(d.rglob("*.tmp"))
 
 
 def test_cli_experiment_and_exit_codes(tiny_dataset, tmp_path, capsys):
@@ -188,21 +189,6 @@ def _assert_usage_error(capsys, argv, message):
         f"hwcsum {argv[0]}: error: {message}"]
 
 
-@pytest.mark.parametrize("seeds, message", [
-    ("7,7", "seeds must not repeat, got [7] more than once"),
-    ("-1", "seeds must be in [0, 2**32), got [-1]"),
-], ids=["repeated", "negative"])
-def test_cli_seed_override_is_validated_by_the_config(tiny_dataset, tmp_path, capsys, seeds,
-                                                      message):
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({"name": "seeds", "part1": str(tiny_dataset / "part1.txt"),
-                                    "part3": str(tiny_dataset / "part3.txt"),
-                                    "representation": "char_char"}))
-    _assert_usage_error(capsys, ["experiment", "--config", str(cfg_path),
-                                 "--out", str(tmp_path / "runs"), "--seeds", seeds], message)
-    assert not (tmp_path / "runs").exists()
-
-
 NAME_REFUSED = "name must be one directory name inside the output directory, got "
 # what Python says of an integer of 5,000 digits
 TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
@@ -215,37 +201,6 @@ def _in_tmp(text: str, tmp_path) -> str:
     """text with each {tmp} replaced by the test's tmp_path, so that a refused
     name can point into it."""
     return text.replace("{tmp}", tmp_path.as_posix())
-
-
-@pytest.mark.parametrize("command, change, extra, message", [
-    ("experiment", {"vocab_size": 5}, [], "unknown experiment config keys: ['vocab_size']"),
-    ("experiment", {"representation": "word_char", "lexicon": None}, [],
-     "the word_char representation needs a lexicon entry in the config"),
-    ("sweep", {}, ["--sizes", "5,3,5"], "sweep sizes must not repeat, got [5] more than once"),
-    ("sweep", {}, ["--sizes", "5,0"], "sweep sizes must be positive"),
-    ("experiment", {"representations": ["char_char"]}, [],
-     "unknown experiment config keys: ['representations']"),
-    ("experiment", lambda cfg: 5, [], "experiment config must be a JSON object, got 5"),
-    ("experiment", lambda cfg: "ab", [], "experiment config must be a JSON object, got 'ab'"),
-    ("experiment", lambda cfg: {k: v for k, v in cfg.items() if k != "name"}, [],
-     "missing experiment config keys: ['name']"),
-    ("experiment", {"name": "."}, [], NAME_REFUSED + "'.'"),
-    ("experiment", {"name": "{tmp}/elsewhere"}, [], NAME_REFUSED + "'{tmp}/elsewhere'"),
-    ("sweep", {"name": "../beside"}, ["--sizes", "5"], NAME_REFUSED + "'../beside'"),
-], ids=["unknown-key", "word-char-without-lexicon", "repeated-size", "size-zero",
-        "representations-plural", "number", "string", "no-name", "name-dot", "name-absolute",
-        "name-parent"])
-def test_cli_config_refusal_is_a_usage_error(tiny_dataset, tmp_path, capsys, command, change,
-                                             extra, message):
-    cfg = {"name": "refused", "part1": str(tiny_dataset / "part1.txt"),
-           "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv")}
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(_in_tmp(json.dumps(change(cfg) if callable(change) else {**cfg, **change}),
-                                tmp_path))
-    before = sorted(tmp_path.iterdir())
-    _assert_usage_error(capsys, [command, "--config", str(cfg_path),
-                                 "--out", str(tmp_path / "runs"), *extra], _in_tmp(message, tmp_path))
-    assert sorted(tmp_path.iterdir()) == before
 
 
 def _record_corpus_reads(monkeypatch):
@@ -269,48 +224,84 @@ def _record_corpus_reads(monkeypatch):
     return opened
 
 
-@pytest.mark.parametrize("change, message", [
-    ({"epochs": "2"}, "epochs must be an integer >= 1, got '2'"),
-    ({"batch_size": 0}, "batch_size must be an integer >= 1, got 0"),
-    ({"beam_width": 0}, "beam_width must be an integer >= 1, got 0"),
-    ({"min_score": 9}, "min_score must be an integer in [1, 5], got 9"),
-    ({"n_validation": -1}, "n_validation must be an integer >= 0, got -1"),
-    ({"learning_rate": 0}, "learning_rate must be a positive finite number, got 0"),
-    ({"max_suffix_delta": 1.5}, "max_suffix_delta must be an integer >= 0, got 1.5"),
-    ({"vocab_min_count": 0}, "vocab_min_count must be an integer >= 1, got 0"),
-    ({"dedup": "yes"}, "dedup must be true or false, got 'yes'"),
-    ({"seeds": ["1"]}, "seeds must be in [0, 2**32), got ['1']"),
-    ({"encoder_vocab_size": True}, "encoder_vocab_size must be an integer >= 1, got True"),
-    ({"model": {"hidden_dim": 0}}, "embed_dim and hidden_dim must be positive"),
-    ({"model": {"dropout": 1.0}}, "dropout must be in [0, 1), got 1.0"),
-    ({"model": {"embed_dim": "8"}}, "model embed_dim must be an integer, got '8'"),
-    ({"model": {"seed": 3}}, "unknown model config keys: ['seed']"),
-    ({"lexicon": 3}, "lexicon must be a string, got 3"),
-    ({"name": 5}, "name must be a string, got 5"),
-    ({"part3": ["part3.txt"]}, "part3 must be a string, got ['part3.txt']"),
-    ({"seeds": 5}, "seeds must be a list, got 5"),
-    ({"model": [4]}, "model must be a JSON object, got [4]"),
-    ({"representation": 5}, "unknown representation 5; expected one of ('char_char', 'word_char')"),
-    ({"name": ""}, NAME_REFUSED + "''"),
-    ({"name": ".."}, NAME_REFUSED + "'..'"),
-    ({"name": "../beside"}, NAME_REFUSED + "'../beside'"),
-    ({"name": "{tmp}/elsewhere"}, NAME_REFUSED + "'{tmp}/elsewhere'"),
-    ({"name": "runs/nested"}, NAME_REFUSED + "'runs/nested'"),
-    ({"name": "run\0x"}, NAME_REFUSED + "'run\\x00x'"),
+@pytest.mark.parametrize("change, flags, message", [
+    ({"epochs": "2"}, [], "epochs must be an integer >= 1, got '2'"),
+    ({"batch_size": 0}, [], "batch_size must be an integer >= 1, got 0"),
+    ({"beam_width": 0}, [], "beam_width must be an integer >= 1, got 0"),
+    ({"min_score": 9}, [], "min_score must be an integer in [1, 5], got 9"),
+    ({"n_validation": -1}, [], "n_validation must be an integer >= 0, got -1"),
+    ({"learning_rate": 0}, [], "learning_rate must be a positive finite number, got 0"),
+    ({"max_suffix_delta": 1.5}, [], "max_suffix_delta must be an integer >= 0, got 1.5"),
+    ({"vocab_min_count": 0}, [], "vocab_min_count must be an integer >= 1, got 0"),
+    ({"dedup": "yes"}, [], "dedup must be true or false, got 'yes'"),
+    ({"seeds": ["1"]}, [], "seeds must be in [0, 2**32), got ['1']"),
+    ({"seeds": [0, -1, 2**32]}, [], "seeds must be in [0, 2**32), got [-1, 4294967296]"),
+    ({}, ["--seeds", "-1"], "seeds must be in [0, 2**32), got [-1]"),
+    ({"seeds": [0, 1, 0]}, [], "seeds must not repeat, got [0] more than once"),
+    ({}, ["--seeds", "7,7"], "seeds must not repeat, got [7] more than once"),
+    ({"seeds": []}, [], "seeds must be non-empty"),
+    ({"encoder_vocab_size": True}, [], "encoder_vocab_size must be an integer >= 1, got True"),
+    ({"model": {"hidden_dim": 0}}, [], "embed_dim and hidden_dim must be positive"),
+    ({"model": {"dropout": 1.0}}, [], "dropout must be in [0, 1), got 1.0"),
+    ({"model": {"embed_dim": "8"}}, [], "model embed_dim must be an integer, got '8'"),
+    ({"model": {"seed": 3, "embde_dim": 3}}, [],
+     "unknown model config keys: ['embde_dim', 'seed']"),
+    ({"lexicon": 3}, [], "lexicon must be a string, got 3"),
+    ({"name": 5}, [], "name must be a string, got 5"),
+    ({"part3": ["part3.txt"]}, [], "part3 must be a string, got ['part3.txt']"),
+    ({"seeds": 5}, [], "seeds must be a list, got 5"),
+    ({"model": [4]}, [], "model must be a JSON object, got [4]"),
+    ({"representation": 5}, [],
+     "unknown representation 5; expected one of ('char_char', 'word_char')"),
+    ({"representation": "wordchar"}, [],
+     "unknown representation 'wordchar'; expected one of ('char_char', 'word_char')"),
+    ({"representation": []}, [], "representations must be non-empty"),
+    # a repeat would run the same seed<k>/ directory twice and echo both in report.json
+    ({"representation": ["char_char", "char_char"]}, [],
+     "representations must not repeat, got ['char_char'] more than once"),
+    ({"representation": "word_char", "lexicon": None}, [],
+     "the word_char representation needs a lexicon entry in the config"),
+    ({"vocab_size": 5, "nonsense": 1}, [],
+     "unknown experiment config keys: ['nonsense', 'vocab_size']"),
+    ({"representations": ["char_char"]}, [], "unknown experiment config keys: ['representations']"),
+    (lambda cfg: 5, [], "experiment config must be a JSON object, got 5"),
+    (lambda cfg: "ab", [], "experiment config must be a JSON object, got 'ab'"),
+    (lambda cfg: {k: v for k, v in cfg.items() if k != "name"}, [],
+     "missing experiment config keys: ['name']"),
+    ({}, ["--sizes", "5,3,5"], "sweep sizes must not repeat, got [5] more than once"),
+    ({}, ["--sizes", "5,0"], "sweep sizes must be positive"),
+    ({"name": ""}, [], NAME_REFUSED + "''"),
+    ({"name": "."}, [], NAME_REFUSED + "'.'"),
+    ({"name": ".."}, [], NAME_REFUSED + "'..'"),
+    ({"name": "../beside"}, [], NAME_REFUSED + "'../beside'"),
+    ({"name": "{tmp}/elsewhere"}, [], NAME_REFUSED + "'{tmp}/elsewhere'"),
+    ({"name": "runs/nested"}, [], NAME_REFUSED + "'runs/nested'"),
+    ({"name": "run\0x"}, [], NAME_REFUSED + "'run\\x00x'"),
 ], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
-        "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "encoder-vocab-size",
-        "hidden-dim", "dropout", "embed-dim-type", "model-seed", "lexicon-type", "name-type",
-        "part-type", "seeds-type", "model-type", "representation-type", "name-empty",
-        "name-dot-dot", "name-parent", "name-absolute", "name-nested", "name-nul"])
+        "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "seed-out-of-range",
+        "seeds-flag-negative", "seed-repeated", "seeds-flag-repeated", "seeds-empty",
+        "encoder-vocab-size", "hidden-dim", "dropout", "embed-dim-type", "model-seed",
+        "lexicon-type", "name-type", "part-type", "seeds-type", "model-type",
+        "representation-type", "representation-unknown", "representations-empty",
+        "representation-repeated", "word-char-without-lexicon", "unknown-key",
+        "representations-plural", "number", "string", "no-name", "repeated-size", "size-zero",
+        "name-empty", "name-dot", "name-dot-dot", "name-parent", "name-absolute", "name-nested",
+        "name-nul"])
 def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path, capsys,
-                                                          monkeypatch, change, message):
+                                                          monkeypatch, change, flags, message):
+    """experiment and sweep, each given the config and the flags, refuse it as a
+    usage error before any input is read, and write nothing; a row that sets
+    --sizes runs sweep alone."""
     opened = _record_corpus_reads(monkeypatch)
     cfg = {"name": "refused", "part1": str(tiny_dataset / "part1.txt"),
            "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv")}
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(_in_tmp(json.dumps({**cfg, **change}), tmp_path))
+    cfg_path.write_text(_in_tmp(json.dumps(change(cfg) if callable(change) else {**cfg, **change}),
+                                tmp_path))
     before = sorted(tmp_path.iterdir())
-    for command, extra in (("experiment", []), ("sweep", ["--sizes", "5"])):
+    runs = ([("sweep", flags)] if "--sizes" in flags else
+            [("experiment", flags), ("sweep", ["--sizes", "5", *flags])])
+    for command, extra in runs:
         _assert_usage_error(capsys, [command, "--config", str(cfg_path),
                                      "--out", str(tmp_path / "runs"), *extra],
                             _in_tmp(message, tmp_path))
@@ -323,7 +314,12 @@ def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path
     ({"learning_rate": -0.1}, "learning_rate must be a positive finite number, got -0.1"),
     ({"model": {"hidden_dim": 0}}, "embed_dim and hidden_dim must be positive"),
     ({"lexicon": 7}, "lexicon must be a string, got 7"),
-], ids=["epochs", "batch-size", "learning-rate", "hidden-dim", "lexicon-type"])
+    ({"epoch": 2}, "unknown train config keys: ['epoch']"),
+    ({"model": {"hiden_dim": 4}}, "unknown model config keys: ['hiden_dim']"),
+    ({"representation": "word-char"},
+     "unknown representation 'word-char'; expected one of ('char_char', 'word_char')"),
+], ids=["epochs", "batch-size", "learning-rate", "hidden-dim", "lexicon-type", "unknown-key",
+        "unknown-model-key", "representation-unknown"])
 def test_train_config_value_is_refused_before_any_input_is_read(word_char_model, capsys,
                                                                 monkeypatch, change, message):
     d = word_char_model
@@ -729,6 +725,7 @@ def test_cli_sweep(tiny_dataset, tmp_path, capsys):
         report = json.loads((tmp_path / "runs" / f"sw-vocab{size}" / "report.json").read_text())
         assert report["config"]["encoder_vocab_size"] == size
         assert report["config"]["seeds"] == [0]
+    assert not list(d.rglob("*.tmp"))
 
 
 def test_cli_sweep_reports_failed_cells_on_stderr(tiny_dataset, tmp_path, capsys, monkeypatch):
@@ -896,22 +893,13 @@ def test_summarize_refuses_a_vocabulary_of_other_content(word_char_model, writer
     assert not (d / "candidates.jsonl").exists()
 
 
-def test_summarize_loads_meta_without_vocabulary_hashes(word_char_model):
+@pytest.mark.parametrize("hashes", [("src_vocab_sha256", "tgt_vocab_sha256"), ("lexicon_sha256",)],
+                         ids=["vocabulary", "lexicon"])
+def test_summarize_loads_meta_without_hashes(word_char_model, hashes):
     d = word_char_model
     meta_path = d / "model" / "meta.json"
     meta = json.loads(meta_path.read_text())
-    del meta["src_vocab_sha256"], meta["tgt_vocab_sha256"]
-    meta_path.write_text(json.dumps(meta))
-    assert _summarize(d) == 0
-    assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
-
-
-def test_summarize_loads_meta_without_lexicon_hash(word_char_model):
-    d = word_char_model
-    meta_path = d / "model" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    del meta["lexicon_sha256"]
-    meta_path.write_text(json.dumps(meta))
+    meta_path.write_text(json.dumps({k: v for k, v in meta.items() if k not in hashes}))
     assert _summarize(d) == 0
     assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
 
@@ -932,47 +920,15 @@ def test_train_word_char_without_lexicon_is_refused(word_char_model, capsys, mon
     assert opened == [] and not (d / "word_vocab.txt").exists()
 
 
-def test_train_unknown_config_key_is_a_usage_error(word_char_model, capsys):
+def test_train_refuses_an_unknown_representation(word_char_model):
+    # one in the config: test_train_config_value_is_refused_before_any_input_is_read
     d = word_char_model
-    cfg = json.loads((d / "train_cfg.json").read_text())
-    (d / "train_cfg.json").write_text(json.dumps(dict(cfg, epoch=2)))
-    capsys.readouterr()
-    _assert_usage_error(capsys, [
-        "train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
-        "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
-        "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")],
-        "unknown train config keys: ['epoch']")
-    assert not (d / "model2").exists()
-
-
-def test_train_unknown_model_key_is_a_usage_error(word_char_model, capsys):
-    d = word_char_model
-    cfg = json.loads((d / "train_cfg.json").read_text())
-    (d / "train_cfg.json").write_text(json.dumps(dict(cfg, model={"hiden_dim": 4})))
-    capsys.readouterr()
-    _assert_usage_error(capsys, [
-        "train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
-        "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
-        "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")],
-        "unknown model config keys: ['hiden_dim']")
-    assert not (d / "model2").exists()
-
-
-def test_train_refuses_an_unknown_representation(word_char_model, capsys):
-    d = word_char_model
-    argv = ["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
-            "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
-            "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2")]
-    cfg = json.loads((d / "train_cfg.json").read_text())
-    (d / "train_cfg.json").write_text(json.dumps(dict(cfg, representation="word-char")))
-    capsys.readouterr()
-    _assert_usage_error(capsys, argv, "unknown representation 'word-char'; expected one of "
-                                      "('char_char', 'word_char')")
-    assert not (d / "model2").exists()
-    (d / "train_cfg.json").write_text(json.dumps(cfg))
-    with pytest.raises(SystemExit):
-        main(argv + ["--representation", "word-char"])
-    assert not (d / "model2").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(d / "train_cfg.json"), "--train", str(d / "train.jsonl"),
+              "--src-vocab", str(d / "src_vocab.txt"), "--tgt-vocab", str(d / "tgt_vocab.txt"),
+              "--lexicon", str(d / "lexicon.tsv"), "--out", str(d / "model2"),
+              "--representation", "word-char"])
+    assert exc.value.code == 2 and not (d / "model2").exists()
 
 
 @pytest.mark.parametrize("empty_part", ["train", "valid"])
@@ -1056,16 +1012,6 @@ def test_char_char_model_needs_no_lexicon_file(tiny_dataset):
     assert len((d / "candidates.jsonl").read_text().splitlines()) == 22
 
 
-def test_summarize_refuses_an_unknown_representation(word_char_model):
-    d = word_char_model
-    meta_path = d / "model" / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta_path.write_text(json.dumps(dict(meta, representation="word-char")))
-    with pytest.raises(ValueError, match="unknown representation 'word-char'"):
-        _summarize(d)
-    assert not (d / "candidates.jsonl").exists()
-
-
 @pytest.mark.parametrize("case", ["lexicon-null", "lexicon-missing"])
 def test_summarize_names_meta_json_when_its_lexicon_is_unusable(word_char_model, case):
     """A word_char meta.json that records no lexicon, or one that is not
@@ -1122,10 +1068,13 @@ def test_summarize_refuses_a_broken_meta_json_naming_it(tmp_path, text, message)
     ({"representation": 5}, "unknown representation 5; expected one of ('char_char', 'word_char')"),
     ({"representation": ["word_char"]},
      "unknown representation ['word_char']; expected one of ('char_char', 'word_char')"),
+    ({"representation": "word-char"},
+     "unknown representation 'word-char'; expected one of ('char_char', 'word_char')"),
     ({"lexicon": 3}, "lexicon must be a string or null, got 3"),
     ({"src_vocab_sha256": 7}, "src_vocab_sha256 must be a string or null, got 7"),
     ({"lexicon_sha256": 5}, "lexicon_sha256 must be a string or null, got 5"),
-], ids=["representation-int", "representation-list", "lexicon", "vocab-hash", "lexicon-hash"])
+], ids=["representation-int", "representation-list", "representation-unknown", "lexicon",
+        "vocab-hash", "lexicon-hash"])
 def test_summarize_refuses_a_meta_json_field_of_the_wrong_type(word_char_model, field, message):
     """Checked before anything the field names is read; a char_char directory
     reads no lexicon, yet a lexicon hash of the wrong type is still refused."""

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import hwcsum
 from hwcsum import harness, model, tokenizer
 from hwcsum.corpus import filter_by_score
 from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, run_experiment,
@@ -69,22 +68,6 @@ def test_load_corpus_file_pseudo_xml(synthetic_dir):
                             for k in (1, 3)]
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="lexicon"):
-        ExperimentConfig(name="x", part1="a", part3="b", representations=["word_char"])
-    with pytest.raises(ValueError, match="seeds"):
-        ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"], seeds=[])
-    with pytest.raises(ValueError, match="representation"):
-        ExperimentConfig(name="x", part1="a", part3="b", representations=["wordchar"])
-    for seed in (-1, 2**32):
-        with pytest.raises(ValueError, match=r"seeds must be in \[0, 2\*\*32\)"):
-            ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"],
-                             seeds=[0, seed])
-    with pytest.raises(ValueError, match="model config"):
-        ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"],
-                         model={"embde_dim": 3})
-
-
 def test_config_from_file_single_representation(tmp_path, synthetic_dir):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -96,32 +79,6 @@ def test_config_from_file_single_representation(tmp_path, synthetic_dir):
     cfg = ExperimentConfig.from_file(path)
     assert cfg.representations == ["char_char"]
     assert cfg.seeds == [0, 1, 2, 3, 4]
-
-
-def test_config_rejects_empty_representations(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "x", "part1": "a", "part3": "b", "representation": []}))
-    with pytest.raises(ValueError, match="representations must be non-empty"):
-        ExperimentConfig.from_file(path)
-
-
-def test_config_rejects_a_repeated_representation():
-    # a repeat would run the same seed<k>/ directory twice and echo both in report.json
-    with pytest.raises(ValueError, match=r"representations must not repeat, got \['char_char'\]"):
-        ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char", "char_char"])
-
-
-def test_config_rejects_a_repeated_seed():
-    with pytest.raises(ValueError, match=r"seeds must not repeat, got \[0\]"):
-        ExperimentConfig(name="x", part1="a", part3="b", representations=["char_char"],
-                         seeds=[0, 1, 0])
-
-
-def test_config_from_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "x", "part1": "a", "part3": "b", "nonsense": 1}))
-    with pytest.raises(ValueError, match="nonsense"):
-        ExperimentConfig.from_file(path)
 
 
 def test_run_experiment_both_representations(tmp_path, synthetic_dir):
@@ -540,14 +497,7 @@ def test_sweep_size_equals_a_run_of_that_size(tmp_path, synthetic_dir):
         assert swept == _masked_tree(tmp_path / f"run{size}" / "t")
 
 
-def _env():
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = str(Path(hwcsum.__file__).resolve().parent.parent)
-    return dict(os.environ,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
+def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path, fresh_env):
     """The bundled fixture run in fresh processes at OPENBLAS_NUM_THREADS 1
     and 2: every checkpoint and decode byte for byte, and report.json with
     its timestamp and timings masked. A run's cells train in workers its
@@ -561,7 +511,7 @@ def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path):
         out = tmp_path / f"threads{threads}"
         subprocess.run([sys.executable, *command, "experiment",
                         "--config", "tests/data/synthetic/experiment.json", "--out", str(out)],
-                       cwd=REPO_ROOT, env=dict(_env(), OPENBLAS_NUM_THREADS=threads), check=True,
+                       cwd=REPO_ROOT, env=dict(fresh_env, OPENBLAS_NUM_THREADS=threads), check=True,
                        capture_output=True, timeout=120)
         run = out / "synthetic-demo"
         files = {p.relative_to(run).as_posix(): p.read_bytes()
@@ -676,13 +626,13 @@ def _gone(pids: Path) -> bool:
 
 
 @contextlib.contextmanager
-def _pool_run(tmp_path, mode: str):
+def _pool_run(tmp_path, env, mode: str):
     """_POOL_SCRIPT started in a session of its own, its output in out.txt and err.txt;
     its process group is killed on the way out, so that no hung run outlives the test."""
     with open(tmp_path / "out.txt", "w", encoding="utf-8") as out, \
             open(tmp_path / "err.txt", "w", encoding="utf-8") as err, \
             subprocess.Popen([sys.executable, "-c", _POOL_SCRIPT, str(tmp_path / "runs"),
-                              str(tmp_path / "pids.txt"), mode], cwd=REPO_ROOT, env=_env(),
+                              str(tmp_path / "pids.txt"), mode], cwd=REPO_ROOT, env=env,
                              stdout=out, stderr=err, start_new_session=True) as run:
         try:
             yield run
@@ -691,11 +641,11 @@ def _pool_run(tmp_path, mode: str):
                 os.killpg(run.pid, signal.SIGKILL)
 
 
-def test_a_dead_worker_fails_the_cells_left_and_the_run_still_reports(tmp_path):
+def test_a_dead_worker_fails_the_cells_left_and_the_run_still_reports(tmp_path, fresh_env):
     """A worker that ends mid-cell breaks the pool: the run returns, that seed
     and every cell not finished are failed naming the broken pool, each with
     its error.txt, report.json is written, and no worker is left."""
-    with _pool_run(tmp_path, "exit") as run:
+    with _pool_run(tmp_path, fresh_env, "exit") as run:
         assert run.wait(timeout=60) == 0, (tmp_path / "err.txt").read_text(encoding="utf-8")
         assert _gone(tmp_path / "pids.txt")
     out = (tmp_path / "out.txt").read_text(encoding="utf-8")
@@ -707,12 +657,12 @@ def test_a_dead_worker_fails_the_cells_left_and_the_run_still_reports(tmp_path):
         encoding="utf-8")
 
 
-def test_an_interrupt_ends_the_run_and_every_worker_at_once(tmp_path):
+def test_an_interrupt_ends_the_run_and_every_worker_at_once(tmp_path, fresh_env):
     """An interrupt sent to the process group while each worker is in a cell
     (a terminal's Ctrl-C) ends the run with KeyboardInterrupt within seconds,
     not after the cells: no report.json is written and no worker is left."""
     pids, err = tmp_path / "pids.txt", tmp_path / "err.txt"
-    with _pool_run(tmp_path, "sleep") as run:
+    with _pool_run(tmp_path, fresh_env, "sleep") as run:
         workers = min(4, len(os.sched_getaffinity(0)))
         deadline = time.monotonic() + 30
         while not (pids.exists() and len(pids.read_text(encoding="utf-8").split()) == workers):

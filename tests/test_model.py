@@ -6,12 +6,10 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hwcsum
 from hwcsum import corpus
 from hwcsum.model import (
     Hypothesis,
@@ -410,12 +408,9 @@ for _ in range(2):
 """
 
 
-def _run_fresh(script: str, path) -> list[int]:
+def _run_fresh(script: str, path, env) -> list[int]:
     """The integers script prints when run with path in a fresh interpreter
-    that imports this hwcsum."""
-    src = str(Path(hwcsum.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with env (fresh_env)."""
     done = subprocess.run([sys.executable, "-c", script, str(path)],
                           env=env, check=True, capture_output=True, text=True, timeout=120)
     return [int(n) for n in done.stdout.split()]
@@ -429,11 +424,11 @@ def _has_mallopt() -> bool:
 
 
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-def test_a_second_train_call_reuses_the_heap(synthetic_dir):
+def test_a_second_train_call_reuses_the_heap(synthetic_dir, fresh_env):
     """The bundled fixture's pool trained twice in a fresh process (the fixture
     experiment's model shape and schedule): the second call finds the memory
     the first one freed still mapped, instead of faulting it in again."""
-    first, second = _run_fresh(_TRAIN_TWICE, synthetic_dir / "part1.txt")
+    first, second = _run_fresh(_TRAIN_TWICE, synthetic_dir / "part1.txt", fresh_env)
     assert second < 1000, (first, second)
 
 
@@ -453,11 +448,11 @@ for _ in range(3):
 
 
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
-def test_a_second_lexicon_load_reuses_the_heap(tmp_path):
+def test_a_second_lexicon_load_reuses_the_heap(tmp_path, fresh_env):
     """A 100k-entry lexicon loaded three times in a fresh process: the first
     load's large blocks are the process's first, so its freed temporaries
     stay mapped for the later loads only if both thresholds are fixed."""
-    first, second, third = _run_fresh(_LOAD_THREE_TIMES, tmp_path / "lexicon.tsv")
+    first, second, third = _run_fresh(_LOAD_THREE_TIMES, tmp_path / "lexicon.tsv", fresh_env)
     assert second < 500 and third < 500, (first, second, third)
 
 
