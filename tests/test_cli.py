@@ -261,8 +261,8 @@ def _record_corpus_reads(monkeypatch):
      "representations must not repeat, got ['char_char'] more than once"),
     ({"representation": "word_char", "lexicon": None}, [],
      "the word_char representation needs a lexicon entry in the config"),
-    ({"vocab_size": 5, "nonsense": 1}, [],
-     "unknown experiment config keys: ['nonsense', 'vocab_size']"),
+    ({"vocab_size": 5}, [], "unknown experiment config keys: ['vocab_size']"),
+    ({"nonsense": 1}, [], "unknown experiment config keys: ['nonsense']"),
     ({"representations": ["char_char"]}, [], "unknown experiment config keys: ['representations']"),
     (lambda cfg: 5, [], "experiment config must be a JSON object, got 5"),
     (lambda cfg: "ab", [], "experiment config must be a JSON object, got 'ab'"),
@@ -284,9 +284,9 @@ def _record_corpus_reads(monkeypatch):
         "lexicon-type", "name-type", "part-type", "seeds-type", "model-type",
         "representation-type", "representation-unknown", "representations-empty",
         "representation-repeated", "word-char-without-lexicon", "unknown-key",
-        "representations-plural", "number", "string", "no-name", "repeated-size", "size-zero",
-        "name-empty", "name-dot", "name-dot-dot", "name-parent", "name-absolute", "name-nested",
-        "name-nul"])
+        "unknown-key-nonsense", "representations-plural", "number", "string", "no-name",
+        "repeated-size", "size-zero", "name-empty", "name-dot", "name-dot-dot", "name-parent",
+        "name-absolute", "name-nested", "name-nul"])
 def test_config_value_is_refused_before_any_input_is_read(tiny_dataset, tmp_path, capsys,
                                                           monkeypatch, change, flags, message):
     """experiment and sweep, each given the config and the flags, refuse it as a
