@@ -487,7 +487,8 @@ def load_checkpoint(path) -> ModelParams:
                                      f"{meta.get('format_version')}: "
                                      f"only version {CHECKPOINT_VERSION} is supported")
                 config = ModelConfig(**meta["config"])
-                tensors = {k: Tensor(archive[k]) for k in archive.files if k != "__meta__"}
+                tensors = {k: Tensor(np.asarray(archive[k], dtype=np.float64))
+                           for k in archive.files if k != "__meta__"}
         expected = dict(_param_shapes(config))
         if set(tensors) != set(expected):
             raise ValueError("checkpoint parameter names do not match the config")

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-recorded reverse-mode gradients.
+"""Dense tensors with tape-recorded reverse-mode gradients.
 
 The tape holds the primitives that training differentiates. It appends
 one node per op in creation order, which is already topological, so
@@ -11,13 +11,9 @@ plain arrays, for decoding and for ``Tape.nll``.
 
 A primitive is a value plus a vector-Jacobian product: it checks its
 inputs, computes its value and ends in ``_node(value, inputs, vjp)``,
-where ``vjp(g)`` gives one gradient per input, in input order.
-
-Gradient hand-over: ``backward`` passes each of those gradients to
-``_accum``, which keeps a first gradient as ``.grad`` without a copy,
-since a VJP computes a fresh array for each input. The primitives
-declared ``views=True`` (``concat``, ``reshape``, ``transpose``) give
-views of ``g`` instead, and those are copied, so no two ``.grad`` arrays
+where ``vjp(g)`` gives one gradient per input, in input order: a fresh
+array or a view. ``_accum`` keeps a first gradient that owns its memory
+as ``.grad`` and copies one that is a view, so no two ``.grad`` arrays
 share memory.
 """
 
@@ -29,12 +25,12 @@ from .rng import MT19937
 
 
 class Tensor:
-    """A float64 array plus its accumulated gradient."""
+    """An array plus its accumulated gradient."""
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data)
         self.grad = None
 
     @property
@@ -48,10 +44,11 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _accum(t: Tensor, g, owned: bool):
+def _accum(t: Tensor, g):
     if t.grad is None:
         # asarray only wraps the numpy scalar that an op on a 0-d array returns
-        t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64, copy=True)
+        g = np.asarray(g)
+        t.grad = g if g.flags.owndata else np.array(g, copy=True)
     else:
         t.grad += g
 
@@ -69,12 +66,12 @@ class Tape:
         self.recording = recording
         self.nodes = []
 
-    def _node(self, value, inputs, vjp, views=False) -> Tensor:
+    def _node(self, value, inputs, vjp) -> Tensor:
         """Wrap value as the op's output; record vjp, which maps the output's
-        gradient g to one gradient per input (views of g where views)."""
+        gradient g to one gradient per input."""
         out = Tensor(value)
         if self.recording:
-            self.nodes.append((out, inputs, vjp, not views))
+            self.nodes.append((out, inputs, vjp))
         return out
 
     def backward(self, loss: Tensor):
@@ -88,15 +85,15 @@ class Tape:
             raise ValueError("backward on a non-recording tape")
         if self.nodes and self.nodes[-1] is None:
             raise ValueError("backward: this tape was already replayed")
-        _accum(loss, np.ones_like(loss.data), True)
+        _accum(loss, np.ones_like(loss.data))
         nodes = self.nodes
         for i in range(len(nodes) - 1, -1, -1):
             # dropping the node frees what only its gradient needed;
             # the slot stays, so len(nodes) still counts the recorded ops
-            (out, inputs, vjp, owned), nodes[i] = nodes[i], None
+            (out, inputs, vjp), nodes[i] = nodes[i], None
             if out.grad is not None:  # None: the loss does not depend on out
                 for t, g in zip(inputs, vjp(out.grad)):
-                    _accum(t, g, owned)
+                    _accum(t, g)
 
     # ---- primitives ------------------------------------------------------
 
@@ -125,11 +122,10 @@ class Tape:
     def transpose(self, a: Tensor, axes) -> Tensor:
         """a with its axes permuted, copied to C order for the products that follow."""
         return self._node(np.ascontiguousarray(a.data.transpose(axes)), (a,),
-                          lambda g: (g.transpose(np.argsort(axes)),), views=True)
+                          lambda g: (g.transpose(np.argsort(axes)),))
 
     def reshape(self, a: Tensor, shape) -> Tensor:
-        return self._node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),),
-                          views=True)
+        return self._node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
 
     def scale(self, a: Tensor, k) -> Tensor:
         """a * k for a constant k: a float, or an array of a's shape (a mask)."""
@@ -152,7 +148,7 @@ class Tape:
                 yield g[..., start:end]
                 start = end
 
-        return self._node(np.concatenate([p.data for p in parts], axis=-1), parts, vjp, views=True)
+        return self._node(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
 
     def embedding_lookup(self, table: Tensor, index) -> Tensor:
         """Rows of table along its first axis; index is an int or an int array.
@@ -171,7 +167,9 @@ class Tape:
             # bin's entries in input order from 0.0, as a scatter-add would
             cols = math.prod(table.data.shape[1:])
             bins = (idx.reshape(-1, 1).astype(np.intp, copy=False) * cols + np.arange(cols)).ravel()
-            return (np.bincount(bins, g.ravel(), n * cols).reshape(table.data.shape),)
+            d = np.bincount(bins, g.ravel(), n * cols)
+            d.resize(table.data.shape, refcheck=False)  # in place: _accum would copy a view
+            return (d,)
 
         return self._node(np.take(table.data, idx, axis=0), (table,), vjp)
 
@@ -199,7 +197,7 @@ class Tape:
         """
         x = logits.data
         targets = np.asarray(targets)
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.asarray(weights)
         if targets.shape != x.shape[:-1] or weights.shape != targets.shape:
             raise ValueError(f"nll: targets {targets.shape} and weights {weights.shape} "
                              f"must match logits {x.shape} without the last axis")

@@ -9,7 +9,8 @@ TESTS_DIR = Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
 SYNTHETIC_DIR = DATA_DIR / "synthetic"
 
-sys.path.insert(0, str(TESTS_DIR))
+# the oracles, and perfbench/workloads for mask_timings, the one timing mask
+sys.path[:0] = [str(TESTS_DIR), str(TESTS_DIR.parent / "perfbench")]
 
 
 @pytest.fixture(scope="session")

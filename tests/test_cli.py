@@ -13,6 +13,7 @@ from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, 
                             save_model_dir)
 from hwcsum.model import ModelConfig, beam_search, train
 from hwcsum.tokenizer import BOS, EOS, EncodedPair, Representation, Vocabulary, char_tokenize
+from workloads import mask_timings
 
 WORDS = ["城市", "交通", "建设", "项目", "投资", "发展"]
 
@@ -239,6 +240,7 @@ def _record_corpus_reads(monkeypatch):
     ({}, ["--seeds", "-1"], "seeds must be in [0, 2**32), got [-1]"),
     ({"seeds": [0, 1, 0]}, [], "seeds must not repeat, got [0] more than once"),
     ({}, ["--seeds", "7,7"], "seeds must not repeat, got [7] more than once"),
+    ({}, ["--seeds", "1,,2"], "argument --seeds: expected comma-separated integers, got '1,,2'"),
     ({"seeds": []}, [], "seeds must be non-empty"),
     ({"encoder_vocab_size": True}, [], "encoder_vocab_size must be an integer >= 1, got True"),
     ({"model": {"hidden_dim": 0}}, [], "embed_dim and hidden_dim must be positive"),
@@ -279,7 +281,8 @@ def _record_corpus_reads(monkeypatch):
     ({"name": "run\0x"}, [], NAME_REFUSED + "'run\\x00x'"),
 ], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
         "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "seed-out-of-range",
-        "seeds-flag-negative", "seed-repeated", "seeds-flag-repeated", "seeds-empty",
+        "seeds-flag-negative", "seed-repeated", "seeds-flag-repeated", "seeds-flag-malformed",
+        "seeds-empty",
         "encoder-vocab-size", "hidden-dim", "dropout", "embed-dim-type", "model-seed",
         "lexicon-type", "name-type", "part-type", "seeds-type", "model-type",
         "representation-type", "representation-unknown", "representations-empty",
@@ -685,15 +688,6 @@ def test_strict_parse_error_names_its_file(tmp_path):
     assert not (tmp_path / "p.jsonl").exists()
 
 
-@pytest.mark.parametrize("command", ["experiment", "sweep"])
-def test_cli_malformed_seed_list_is_a_usage_error(tmp_path, capsys, command):
-    argv = [command, "--config", "exp.json", "--out", str(tmp_path), "--seeds", "1,,2"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + (["--sizes", "10"] if command == "sweep" else []))
-    assert exc.value.code == 2
-    assert "argument --seeds: expected comma-separated integers, got '1,,2'" in capsys.readouterr().err
-
-
 def test_cli_sweep(tiny_dataset, tmp_path, capsys):
     d = tiny_dataset
     cfg_path = tmp_path / "exp.json"
@@ -931,32 +925,32 @@ def test_train_refuses_an_unknown_representation(word_char_model):
     assert exc.value.code == 2 and not (d / "model2").exists()
 
 
-@pytest.mark.parametrize("empty_part", ["train", "valid"])
-def test_train_refuses_a_file_with_no_pairs_naming_it(word_char_model, monkeypatch, empty_part):
-    """An empty --train or --valid file is refused, naming it, before any
-    text is tokenized: an empty --valid does not train without validation."""
+NO_PAIRS_TRAIN = ["train", "--config", "{d}/train_cfg.json", "--src-vocab", "{d}/src_vocab.txt",
+                  "--tgt-vocab", "{d}/tgt_vocab.txt", "--lexicon", "{d}/lexicon.tsv",
+                  "--out", "{d}/model2"]
+
+
+@pytest.mark.parametrize("argv, use", [
+    ([*NO_PAIRS_TRAIN, "--train", "{d}/empty.jsonl", "--valid", "{d}/train.jsonl"], "train on"),
+    ([*NO_PAIRS_TRAIN, "--train", "{d}/train.jsonl", "--valid", "{d}/empty.jsonl"], "validate on"),
+    (["vocab", "--unit", "char", "--in", "{d}/empty.jsonl", "--out", "{d}/vocab.txt"],
+     "build a vocabulary from"),
+    (["summarize", "--model", "{d}/model", "--in", "{d}/empty.jsonl",
+      "--out", "{d}/candidates.jsonl"], "summarize"),
+], ids=["train", "valid", "vocab", "summarize"])
+def test_a_file_with_no_pairs_is_refused_naming_it(word_char_model, monkeypatch, argv, use):
+    """train (its --train or --valid), vocab and summarize refuse a file with
+    no pairs, naming it, before any text is tokenized and before anything is
+    written: an empty --valid does not train without validation."""
     d = word_char_model
     (d / "empty.jsonl").write_text("\n", encoding="utf-8")
     monkeypatch.setattr(Representation, "source_rows", lambda *args: pytest.fail("tokenized"))
     monkeypatch.setattr(cli, "summary_rows", lambda *args: pytest.fail("tokenized"))
-    files = {"train": d / "train.jsonl", "valid": d / "train.jsonl", empty_part: d / "empty.jsonl"}
+    before = _tree(d)
     with pytest.raises(ValueError) as err:
-        main(["train", "--config", str(d / "train_cfg.json"), "--train", str(files["train"]),
-              "--valid", str(files["valid"]), "--src-vocab", str(d / "src_vocab.txt"),
-              "--tgt-vocab", str(d / "tgt_vocab.txt"), "--lexicon", str(d / "lexicon.tsv"),
-              "--out", str(d / "model2")])
-    role = "train on" if empty_part == "train" else "validate on"
-    assert str(err.value) == f"{d / 'empty.jsonl'}: no pairs to {role}"
-    assert not (d / "model2").exists()
-
-
-def test_vocab_refuses_a_file_with_no_pairs_naming_it(tmp_path):
-    (tmp_path / "empty.jsonl").write_text("\n", encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        main(["vocab", "--unit", "char", "--in", str(tmp_path / "empty.jsonl"),
-              "--out", str(tmp_path / "vocab.txt")])
-    assert str(err.value) == f"{tmp_path / 'empty.jsonl'}: no pairs to build a vocabulary from"
-    assert not (tmp_path / "vocab.txt").exists()
+        main([a.format(d=d) for a in argv])
+    assert str(err.value) == f"{d / 'empty.jsonl'}: no pairs to {use}"
+    assert _tree(d) == before
 
 
 @pytest.mark.parametrize("command", ["filter", "experiment"])
@@ -1031,16 +1025,6 @@ def test_summarize_names_meta_json_when_its_lexicon_is_unusable(word_char_model,
         message = (f"the lexicon it records is not at {d / 'model' / '..' / 'lexicon.tsv'}; "
                    "pass --lexicon")
     assert str(err.value) == f"{meta_path}: {message}"
-    assert not (d / "candidates.jsonl").exists()
-
-
-def test_summarize_refuses_a_file_with_no_pairs_naming_it(word_char_model):
-    d = word_char_model
-    (d / "empty.jsonl").write_text("\n", encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        main(["summarize", "--model", str(d / "model"), "--in", str(d / "empty.jsonl"),
-              "--out", str(d / "candidates.jsonl")])
-    assert str(err.value) == f"{d / 'empty.jsonl'}: no pairs to summarize"
     assert not (d / "candidates.jsonl").exists()
 
 
@@ -1280,11 +1264,6 @@ def test_eval_reproduces_a_harness_seeds_scores(tmp_path, synthetic_dir, monkeyp
         assert rows[-1] == {"mean": report["runs"][name]["seeds"]["0"]["scores"]}
 
 
-def _masked_log(model_dir):
-    return [{k: v for k, v in json.loads(line).items() if k != "seconds"}
-            for line in (model_dir / "train_log.jsonl").read_text().splitlines()]
-
-
 def test_train_writes_the_model_directory_of_a_harness_seed(tmp_path, synthetic_dir):
     """`hwcsum train` on an experiment seed's own split, with that seed's
     vocabulary files, the config's settings and its seed, writes the seed's
@@ -1313,8 +1292,10 @@ def test_train_writes_the_model_directory_of_a_harness_seed(tmp_path, synthetic_
                      "--lexicon", cfg.lexicon, "--seed", str(seed), "--out", str(out)]) == 0
         for file in ("model.npz", "src_vocab.txt", "tgt_vocab.txt"):
             assert (out / file).read_bytes() == (seed_dir / file).read_bytes(), (name, file)
-        log = _masked_log(out)
-        assert log == _masked_log(seed_dir) and len(log) == 2 and "valid_loss" in log[0]
+        log, seed_log = (mask_timings([json.loads(line) for line in
+                                       (m / "train_log.jsonl").read_text().splitlines()])
+                         for m in (out, seed_dir))
+        assert log == seed_log and len(log) == 2 and "valid_loss" in log[0]
 
 
 def test_train_takes_the_step_settings_a_config_omits_from_experiment_config(tmp_path,
@@ -1336,8 +1317,10 @@ def test_train_takes_the_step_settings_a_config_omits_from_experiment_config(tmp
                      "--train", str(syn / "part1.txt"), "--src-vocab", str(d / "src_vocab.txt"),
                      "--tgt-vocab", str(d / "tgt_vocab.txt"), "--out", str(d / name)]) == 0
     assert (d / "omitted" / "model.npz").read_bytes() == (d / "explicit" / "model.npz").read_bytes()
-    log = _masked_log(d / "omitted")
-    assert log == _masked_log(d / "explicit") and len(log) == ExperimentConfig.epochs
+    logs = [mask_timings([json.loads(line) for line in
+                          (d / name / "train_log.jsonl").read_text().splitlines()])
+            for name in ("omitted", "explicit")]
+    assert logs[0] == logs[1] and len(logs[0]) == ExperimentConfig.epochs
 
 
 def test_summarize_a_sweep_seed_from_another_directory(tmp_path, synthetic_dir, monkeypatch):

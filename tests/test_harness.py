@@ -24,6 +24,7 @@ from hwcsum.harness import (ExperimentConfig, load_corpus_file, load_model_dir, 
                             sweep_vocab)
 from hwcsum.model import beam_search_full
 from hwcsum.rouge import METRICS
+from workloads import mask_timings
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -129,20 +130,11 @@ def test_mean_is_arithmetic_over_seeds(tmp_path, synthetic_dir):
         assert run["mean_scores"][m]["f1"] == sum(per_seed) / 2
 
 
-def _masked(obj):
-    """A parsed JSON value without created_at, timing or any key containing
-    seconds, the rule of perfbench/workloads.mask_timings."""
-    if isinstance(obj, dict):
-        return {k: _masked(v) for k, v in obj.items()
-                if k not in ("created_at", "timing") and "seconds" not in k}
-    return [_masked(v) for v in obj] if isinstance(obj, list) else obj
-
-
 def test_run_experiment_deterministic(tmp_path, synthetic_dir):
     cfg = small_config(synthetic_dir, representations=["word_char"])
     r1, _ = run_experiment(cfg, tmp_path / "a")
     r2, _ = run_experiment(cfg, tmp_path / "b")
-    a, b = _masked(r1), _masked(r2)
+    a, b = mask_timings(r1), mask_timings(r2)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -471,13 +463,13 @@ def test_a_library_run_refuses_a_used_output_before_any_input_is_read(
 
 def _masked_tree(root: Path) -> dict:
     """Every file under root by relative path; JSON and JSONL files parsed,
-    masked by _masked."""
+    masked by mask_timings."""
     tree = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         if path.suffix == ".json":
-            content = _masked(json.loads(path.read_text(encoding="utf-8")))
+            content = mask_timings(json.loads(path.read_text(encoding="utf-8")))
         elif path.suffix == ".jsonl":
-            content = [_masked(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
+            content = [mask_timings(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
         else:
             content = path.read_bytes()
         tree[path.relative_to(root).as_posix()] = content
@@ -516,7 +508,7 @@ def test_fixture_experiment_is_equal_at_1_and_2_blas_threads(tmp_path, fresh_env
         run = out / "synthetic-demo"
         files = {p.relative_to(run).as_posix(): p.read_bytes()
                  for p in sorted(run.rglob("*")) if p.name in ("model.npz", "candidates.jsonl")}
-        trees.append((files, _masked(json.loads((run / "report.json").read_text(encoding="utf-8")))))
+        trees.append((files, mask_timings(json.loads((run / "report.json").read_text(encoding="utf-8")))))
     assert len(trees[0][0]) == 8
     assert trees[0] == trees[1]
 

@@ -560,6 +560,15 @@ def test_checkpoint_with_other_parameter_names_is_refused(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_tensors_are_read_as_float64(tmp_path):
+    # a Tensor keeps the dtype it is given: the float64 choice is made here
+    tensors = {k: t.data.astype(np.float32) for k, t in rand_params(13).tensors.items()}
+    path = tmp_path / "model.npz"
+    _checkpoint_with(path, tensors)
+    for name, t in load_checkpoint(path).tensors.items():
+        assert t.data.dtype == np.float64 and np.array_equal(t.data, tensors[name]), name
+
+
 def test_checkpoint_with_a_tensor_of_another_shape_is_refused(tmp_path):
     tensors = {k: t.data for k, t in rand_params(13).tensors.items()}
     want = tensors["out_w"].shape

@@ -190,6 +190,29 @@ def test_grad_accumulates_across_reuse():
     assert np.array_equal(x.grad, [4.0])
 
 
+def test_a_gradient_given_as_a_view_of_g_is_copied():
+    # a primitive is a value and a VJP: this one's VJP returns a view of
+    # the output's gradient and declares nothing, and _accum copies it
+    t = Tape()
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    flipped = t._node(x.data[:, ::-1].copy(), (x,), lambda g: (g[:, ::-1],))
+    t.backward(weighted_sum(t, [flipped], [Tensor(np.arange(6.0))]))
+    assert np.array_equal(x.grad, [[2.0, 1.0, 0.0], [5.0, 4.0, 3.0]])
+    assert x.grad.flags.owndata
+    assert not any(np.shares_memory(x.grad, a) for a in (flipped.grad, flipped.data, x.data))
+
+
+def test_a_float32_chain_keeps_float32_data_and_gradients():
+    t = Tape()
+    x = Tensor(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3))
+    w = Tensor(np.linspace(0.5, -0.5, 12, dtype=np.float32).reshape(3, 4))
+    y = t.tanh(t.matmul(x, w))
+    loss = weighted_sum(t, [y, x], [Tensor(np.ones(8, np.float32)), Tensor(np.ones(6, np.float32))])
+    t.backward(loss)
+    for tensor in (x, w, y, loss):
+        assert tensor.data.dtype == np.float32 and tensor.grad.dtype == np.float32
+
+
 # ---- randomized finite-difference checks, 100 trials per primitive ---------
 
 
