@@ -240,7 +240,6 @@ def _record_corpus_reads(monkeypatch):
     ({}, ["--seeds", "-1"], "seeds must be in [0, 2**32), got [-1]"),
     ({"seeds": [0, 1, 0]}, [], "seeds must not repeat, got [0] more than once"),
     ({}, ["--seeds", "7,7"], "seeds must not repeat, got [7] more than once"),
-    ({}, ["--seeds", "1,,2"], "argument --seeds: expected comma-separated integers, got '1,,2'"),
     ({"seeds": []}, [], "seeds must be non-empty"),
     ({"encoder_vocab_size": True}, [], "encoder_vocab_size must be an integer >= 1, got True"),
     ({"model": {"hidden_dim": 0}}, [], "embed_dim and hidden_dim must be positive"),
@@ -281,8 +280,7 @@ def _record_corpus_reads(monkeypatch):
     ({"name": "run\0x"}, [], NAME_REFUSED + "'run\\x00x'"),
 ], ids=["epochs", "batch-size", "beam-width", "min-score", "n-validation", "learning-rate",
         "max-suffix-delta", "vocab-min-count", "dedup", "seed-type", "seed-out-of-range",
-        "seeds-flag-negative", "seed-repeated", "seeds-flag-repeated", "seeds-flag-malformed",
-        "seeds-empty",
+        "seeds-flag-negative", "seed-repeated", "seeds-flag-repeated", "seeds-empty",
         "encoder-vocab-size", "hidden-dim", "dropout", "embed-dim-type", "model-seed",
         "lexicon-type", "name-type", "part-type", "seeds-type", "model-type",
         "representation-type", "representation-unknown", "representations-empty",
@@ -686,6 +684,15 @@ def test_strict_parse_error_names_its_file(tmp_path):
     with pytest.raises(ParseError, match=message):
         main(["parse", "--in", str(bad), "--part", "I", "--out", str(tmp_path / "p.jsonl"), "--strict"])
     assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_cli_malformed_seed_list_is_a_usage_error(tmp_path, capsys, command):
+    argv = [command, "--config", "exp.json", "--out", str(tmp_path), "--seeds", "1,,2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--sizes", "10"] if command == "sweep" else []))
+    assert exc.value.code == 2
+    assert "argument --seeds: expected comma-separated integers, got '1,,2'" in capsys.readouterr().err
 
 
 def test_cli_sweep(tiny_dataset, tmp_path, capsys):
