@@ -26,6 +26,15 @@ at the same relative path:
   stray line, so that the issue ledger ``walk/malformed_issues.jsonl`` is
   compared.
 
+This tree's commands run with ``MALLOC_PERTURB_=165``: glibc fills every
+freed block with the byte 165 and every fresh one with its complement, so
+an output that reads memory the program never wrote differs from the
+revision's, which runs plain. Elsewhere than glibc the variable does
+nothing and the comparison is the plain one. Either side's run stops the
+script with exit 1 if a command exits non-zero (``experiment`` and
+``sweep`` do when a seed fails) or the sweep removes no planted record, so
+that the comparison cannot pass on outputs neither side wrote.
+
 Then prints one line per output file: ``identical``, ``equal after the
 mask`` (JSON and JSONL parsed and passed through
 ``perfbench/workloads.mask_timings``, which drops timestamps and timings),
@@ -53,6 +62,7 @@ from workloads import mask_timings  # noqa: E402
 
 FIXTURE = "tests/data/synthetic"
 OUTPUTS = ("experiment", "sweep", "walk")
+POISON = "165"  # MALLOC_PERTURB_ of this tree's run; the revision's is 0, off
 PLANTED = ((2, ""), (5, "新闻晨报"), (9, "某某日报社编辑部"))  # Part III record, suffix
 MODEL = {"embed_dim": 16, "hidden_dim": 16, "dropout": 0.1, "max_decode_len": 12}
 INPUTS = {  # written into the work directory before the commands run
@@ -203,11 +213,12 @@ def write_inputs(tree: Path, work: Path):
         encoding="utf-8")
 
 
-def run_all(tree: Path, work: Path):
-    """Every command of COMMANDS on tree's program, in the fresh work directory work."""
+def run_all(tree: Path, work: Path, perturb: str):
+    """Every command of COMMANDS on tree's program, with MALLOC_PERTURB_=perturb,
+    in the fresh work directory work."""
     (work / "walk").mkdir(parents=True)  # the walk's commands write into it
     write_inputs(tree, work)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), MALLOC_PERTURB_=perturb)
     for argv in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "hwcsum.cli", *argv], cwd=work, env=env,
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -264,8 +275,8 @@ def verdict(a: Path, b: Path) -> str:
 def compare(rev: str, base: Path) -> bool:
     with tempfile.TemporaryDirectory() as exported:
         export(rev, Path(exported))
-        run_all(Path(exported), base / "revision")
-    run_all(ROOT, base / "tree")
+        run_all(Path(exported), base / "revision", "0")
+    run_all(ROOT, base / "tree", POISON)
     files = sorted({p.relative_to(side).as_posix()
                     for side in (base / "revision", base / "tree") for out in OUTPUTS
                     for p in (side / out).rglob("*") if p.is_file()})
@@ -275,7 +286,7 @@ def compare(rev: str, base: Path) -> bool:
         counts[line if line in counts else "differ"] += 1
         print(f"{rel}: {line}")
     print(f"same_outputs: {len(files)} files: " + ", ".join(f"{n} {k}" for k, n in counts.items())
-          + f" ({rev} against this tree)")
+          + f" ({rev} against this tree, run with MALLOC_PERTURB_={POISON})")
     return counts["differ"] == 0
 
 

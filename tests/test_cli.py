@@ -687,12 +687,23 @@ def test_strict_parse_error_names_its_file(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
-def test_cli_malformed_seed_list_is_a_usage_error(tmp_path, capsys, command):
-    argv = [command, "--config", "exp.json", "--out", str(tmp_path), "--seeds", "1,,2"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + (["--sizes", "10"] if command == "sweep" else []))
-    assert exc.value.code == 2
-    assert "argument --seeds: expected comma-separated integers, got '1,,2'" in capsys.readouterr().err
+def test_cli_malformed_seed_list_is_a_usage_error(tiny_dataset, tmp_path, capsys, monkeypatch,
+                                                  command):
+    """--seeds 1,,2 is refused as argparse refuses an argument, before any
+    input is read, and nothing is written."""
+    opened = _record_corpus_reads(monkeypatch)
+    cfg_path = tmp_path / "exp.json"
+    # a small run, so that a parser that accepts the list fails the test quickly
+    cfg_path.write_text(json.dumps({
+        "name": "refused", "part1": str(tiny_dataset / "part1.txt"),
+        "part3": str(tiny_dataset / "part3.txt"), "lexicon": str(tiny_dataset / "lexicon.tsv"),
+        "n_validation": 3, "epochs": 1, "model": {"embed_dim": 8, "hidden_dim": 8}}))
+    before = sorted(tmp_path.iterdir())
+    sizes = ["--sizes", "5"] if command == "sweep" else []
+    _assert_usage_error(capsys, [command, "--config", str(cfg_path), "--out", str(tmp_path / "runs"),
+                                 "--seeds", "1,,2", *sizes],
+                        "argument --seeds: expected comma-separated integers, got '1,,2'")
+    assert opened == [] and sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_sweep(tiny_dataset, tmp_path, capsys):
